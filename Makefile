@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race check-race fuzz-seeds fuzz alloc-test bench bench-skew bench-dist bench-agg bench-serve profile check
+.PHONY: build test vet lint race check-race fuzz-seeds fuzz alloc-test bench bench-smoke bench-dist bench-agg bench-serve profile check
 
 build:
 	$(GO) build ./...
@@ -35,11 +35,14 @@ race:
 check-race: race
 
 # Run the fuzz corpora as plain tests: every seed in testdata/fuzz and every
-# f.Add seed goes through the spill-row codec round-trip properties, the
-# session-protocol frame decoders, and the batched-aggregate kernels
-# (bit-identical to the per-tuple fold for every builtin aggregate).
+# f.Add seed goes through the spill-row / block / table-file codec round-trip
+# properties, the wire-message decoders (FuzzWire: one harness in
+# internal/wire/wiretest, parameterised by message type, instantiated over the
+# core span codecs, the dist protocol and the serve session protocol), and
+# the batched-aggregate kernels (bit-identical to the per-tuple fold for
+# every builtin aggregate).
 fuzz-seeds:
-	$(GO) test -run Fuzz ./internal/storage ./internal/serve ./internal/agg
+	$(GO) test -run '^Fuzz' ./internal/storage ./internal/core ./internal/dist ./internal/serve ./internal/agg
 
 # Actually fuzz (open-ended; ctrl-C when satisfied, or FUZZTIME=1m make fuzz).
 FUZZTIME ?= 30s
@@ -49,13 +52,11 @@ fuzz:
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
-# Skew scheduling benchmark: ns/op and placement balance speedups for the
-# work-stealing vs. atomic-counter schedules on the zipf fixture, at each
-# worker count. Writes BENCH_skew.json (includes the host core count —
-# ns/op only separates the schemes when cores >= workers; the balance
-# figures are machine-independent).
-bench-skew:
-	$(GO) run ./cmd/benchskew -o BENCH_skew.json
+# The repository benchmark (bench/, BENCHMARK.json) is a nested module the
+# root `go test ./...` reaches only through TestBenchModule; this runs the
+# same vet + smoke test directly.
+bench-smoke:
+	cd bench && GOWORK=off $(GO) vet . && GOWORK=off $(GO) test ./...
 
 # Distributed-execution benchmark: local vs loopback vs TCP (2 workers on
 # localhost) on TPC-H Q3/Q17. Distribution on one machine is pure overhead;
@@ -94,4 +95,4 @@ profile:
 	mkdir -p profiles
 	$(GO) run ./cmd/iolap $(PROFILE_ARGS) -cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof
 
-check: build lint test fuzz-seeds alloc-test race
+check: build lint test bench-smoke fuzz-seeds alloc-test race

@@ -25,19 +25,18 @@ func main() {
 		scale    = flag.Int("scale", 10000, "fact-table rows")
 		seed     = flag.Int64("seed", 42, "generator seed")
 		out      = flag.String("out", ".", "output directory")
-		format   = flag.String("format", "csv", "output format: csv or iol (block table)")
+		format   = flag.String("format", "csv", "output format: csv or iol (columnar v2 block table)")
 		block    = flag.Int("block", 1024, "rows per block for -format iol")
-		columnar = flag.Bool("columnar", false, "write .iol files in the v2 columnar block format")
-		compress = flag.Bool("compress", false, "flate-compress columnar blocks (implies -columnar)")
+		compress = flag.Bool("compress", false, "flate-compress the blocks of -format iol")
 	)
 	flag.Parse()
-	if err := run(*name, *scale, *seed, *out, *format, *block, *columnar || *compress, *compress); err != nil {
+	if err := run(*name, *scale, *seed, *out, *format, *block, *compress); err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(name string, scale int, seed int64, out, format string, blockRows int, columnar, compress bool) error {
+func run(name string, scale int, seed int64, out, format string, blockRows int, compress bool) error {
 	var w *workload.Workload
 	switch name {
 	case "tpch":
@@ -64,7 +63,7 @@ func run(name string, scale int, seed int64, out, format string, blockRows int, 
 			err = writeCSV(path, w.Tables[t])
 		case "iol":
 			path = filepath.Join(out, t+".iol")
-			err = writeIOL(path, w.Tables[t], blockRows, columnar, compress)
+			err = writeIOL(path, w.Tables[t], blockRows, compress)
 		default:
 			return fmt.Errorf("unknown format %q", format)
 		}
@@ -76,16 +75,16 @@ func run(name string, scale int, seed int64, out, format string, blockRows int, 
 	return nil
 }
 
-func writeIOL(path string, r *rel.Relation, blockRows int, columnar, compress bool) error {
+func writeIOL(path string, r *rel.Relation, blockRows int, compress bool) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if columnar {
-		return storage.WriteColumnar(f, r, blockRows, compress)
+	if err := storage.WriteColumnar(f, r, blockRows, compress); err != nil {
+		f.Close()
+		return err
 	}
-	return storage.Write(f, r, blockRows)
+	return f.Close()
 }
 
 func writeCSV(path string, r *rel.Relation) error {

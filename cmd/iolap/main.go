@@ -499,7 +499,7 @@ func convertTable(s *iolap.Session, spec string, blockRows int, compress bool) e
 	if err != nil {
 		return err
 	}
-	if err := s.WriteBlockTable(name, f, blockRows, true, compress); err != nil {
+	if err := s.WriteBlockTable(name, f, blockRows, compress); err != nil {
 		f.Close()
 		return err
 	}

@@ -5,6 +5,232 @@ import (
 	"testing"
 )
 
+// SkewWorkload is the zipf-skewed aggregate-fold fixture of the skew tests
+// and benchmarks below. It reproduces, at the
+// scheduling layer, the shape that motivated the work-stealing scheduler: a
+// grouped bootstrap fold where group sizes follow a steep zipf law and the
+// head group holds most of the batch (~83% at the default exponent), so any
+// scheme that assigns whole groups to workers by hash degenerates to
+// single-worker execution.
+//
+// Two fold schedules are provided over identical data:
+//
+//   - RunSteal is the current engine schedule: groups heavier than an even
+//     per-worker share split their replicate dimension across workers
+//     (each accumulator slot still receives its adds in row order), and the
+//     light tail is size-hinted tasks on the work-stealing pool.
+//   - RunAtomic is the PR-1 schedule: w ownership shards, groups dealt to
+//     shards round-robin, dispatched by the atomic-counter scheduler
+//     (MapAtomic in steal_test.go — a test-only baseline).
+//
+// Both produce bit-identical accumulators (and therefore checksums) at any
+// worker count — the benchmark measures scheduling, never results.
+type SkewWorkload struct {
+	Rows   []float64 // per-row values
+	Groups [][]int32 // row indices per group, head-heavy zipf sizes
+	Trials int       // replicate count per accumulator
+}
+
+// NewSkewWorkload builds a deterministic fixture: group g receives a share
+// of the rows proportional to 1/(g+1)^3 (at 256 groups the head group holds
+// ~83% of the rows), and row values come from a SplitMix64 stream.
+func NewSkewWorkload(nRows, nGroups, trials int) *SkewWorkload {
+	weights := make([]float64, nGroups)
+	sum := 0.0
+	for g := 0; g < nGroups; g++ {
+		weights[g] = 1 / float64((g+1)*(g+1)*(g+1))
+		sum += weights[g]
+	}
+	wl := &SkewWorkload{
+		Rows:   make([]float64, nRows),
+		Groups: make([][]int32, nGroups),
+		Trials: trials,
+	}
+	state := uint64(0x5eed)
+	next := func() uint64 {
+		state += 0x9e3779b97f4a7c15
+		z := state
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return z ^ (z >> 31)
+	}
+	for i := range wl.Rows {
+		wl.Rows[i] = float64(next()%1000) / 10
+	}
+	// Deal rows to groups by cumulative zipf share; every group gets at
+	// least one row so the light tail is populated.
+	row := 0
+	for g := 0; g < nGroups && row < nRows; g++ {
+		take := int(weights[g] / sum * float64(nRows))
+		if take < 1 {
+			take = 1
+		}
+		if rem := nRows - row - (nGroups - g - 1); take > rem {
+			take = rem
+		}
+		for k := 0; k < take; k++ {
+			wl.Groups[g] = append(wl.Groups[g], int32(row))
+			row++
+		}
+	}
+	for ; row < nRows; row++ {
+		wl.Groups[0] = append(wl.Groups[0], int32(row))
+	}
+	return wl
+}
+
+// TopShare returns the head group's fraction of the rows (fixture
+// diagnostics for benchmark reports).
+func (wl *SkewWorkload) TopShare() float64 {
+	return float64(len(wl.Groups[0])) / float64(len(wl.Rows))
+}
+
+func (wl *SkewWorkload) newAccs() [][]float64 {
+	accs := make([][]float64, len(wl.Groups))
+	for g := range accs {
+		accs[g] = make([]float64, wl.Trials)
+	}
+	return accs
+}
+
+// foldRows folds the given rows into the trial slots [tlo, thi) of acc, in
+// row order — the accumulator discipline every scheme must preserve.
+func (wl *SkewWorkload) foldRows(acc []float64, rows []int32, tlo, thi int) {
+	for _, ri := range rows {
+		v := wl.Rows[ri]
+		for t := tlo; t < thi; t++ {
+			acc[t] += v * float64(t+1)
+		}
+	}
+}
+
+func checksum(accs [][]float64) float64 {
+	s := 0.0
+	for _, acc := range accs {
+		for _, v := range acc {
+			s += v
+		}
+	}
+	return s
+}
+
+// RunSteal folds with the current engine schedule (heavy-group replicate
+// split + size-hinted light tail on the stealing scheduler).
+func (wl *SkewWorkload) RunSteal(p *Pool) float64 {
+	w := p.Workers()
+	total := len(wl.Rows)
+	accs := wl.newAccs()
+	var heavy, light []int
+	for g, rows := range wl.Groups {
+		if len(rows)*w > total {
+			heavy = append(heavy, g)
+		} else {
+			light = append(light, g)
+		}
+	}
+	for _, g := range heavy {
+		rows, acc := wl.Groups[g], accs[g]
+		p.Map(w, func(k int) {
+			wl.foldRows(acc, rows, k*wl.Trials/w, (k+1)*wl.Trials/w)
+		})
+	}
+	if len(light) > 0 {
+		p.MapSized(len(light),
+			func(i int) int { return len(wl.Groups[light[i]]) },
+			func(i int) {
+				g := light[i]
+				wl.foldRows(accs[g], wl.Groups[g], 0, wl.Trials)
+			})
+	}
+	return checksum(accs)
+}
+
+// RunAtomic folds with the PR-1 schedule: one ownership shard per worker,
+// groups dealt round-robin, atomic-counter dispatch. On the zipf fixture the
+// head group pins one shard while the counter has nothing left to hand the
+// other workers.
+func (wl *SkewWorkload) RunAtomic(p *Pool) float64 {
+	w := p.Workers()
+	accs := wl.newAccs()
+	p.MapAtomic(w, func(shard int) {
+		for g := shard; g < len(wl.Groups); g += w {
+			wl.foldRows(accs[g], wl.Groups[g], 0, wl.Trials)
+		}
+	})
+	return checksum(accs)
+}
+
+// BalanceSpeedup returns the parallel speedup each schedule's work placement
+// implies at the given worker count: total work divided by the busiest
+// worker's share (the critical path), in units of row×trial-slot adds. For
+// the atomic schedule the shard ownership is static, so the figure is exact.
+// For the stealing schedule it is computed from the initial size-hinted
+// placement, which stealing can only improve — a lower bound. The figure is
+// machine-independent: it is what the wall-clock benchmark converges to on
+// hardware with at least `workers` free cores, and it is the honest skew
+// metric on hosts with fewer.
+func (wl *SkewWorkload) BalanceSpeedup(workers int) (steal, atomic float64) {
+	w := workers
+	if w < 1 {
+		w = 1
+	}
+	total := int64(len(wl.Rows)) * int64(wl.Trials)
+	perWorker := make([]int64, w)
+
+	// Steal schedule: heavy groups split trial slots across the w map
+	// indices; the light tail follows MapSized's seeding.
+	nRows := len(wl.Rows)
+	var light []int
+	for g, rows := range wl.Groups {
+		if len(rows)*w > nRows {
+			for k := 0; k < w; k++ {
+				slots := (k+1)*wl.Trials/w - k*wl.Trials/w
+				perWorker[k] += int64(len(rows)) * int64(slots)
+			}
+		} else {
+			light = append(light, g)
+		}
+	}
+	if len(light) > 0 && w > 1 {
+		sizes := make([]int, len(light))
+		sum := 0
+		for i, g := range light {
+			sizes[i] = len(wl.Groups[g])
+			sum += sizes[i]
+		}
+		for k, chunks := range sizedAssign(len(light), w, sizes, sum) {
+			for _, c := range chunks {
+				for i := c.lo; i < c.hi; i++ {
+					perWorker[k] += int64(sizes[i]) * int64(wl.Trials)
+				}
+			}
+		}
+	} else {
+		for _, g := range light {
+			perWorker[0] += int64(len(wl.Groups[g])) * int64(wl.Trials)
+		}
+	}
+	steal = float64(total) / float64(maxI64(perWorker))
+
+	// Atomic schedule: static round-robin shard ownership.
+	shardWork := make([]int64, w)
+	for g, rows := range wl.Groups {
+		shardWork[g%w] += int64(len(rows)) * int64(wl.Trials)
+	}
+	atomic = float64(total) / float64(maxI64(shardWork))
+	return steal, atomic
+}
+
+func maxI64(xs []int64) int64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
+
 // TestSkewWorkloadSchedulesAgree proves the two fold schedules (and every
 // worker count) produce bit-identical accumulators: the benchmark compares
 // scheduling cost only, never different answers.

@@ -309,40 +309,5 @@ func sizedAssign(n, w int, sizes []int, total int) [][]chunk {
 	return assign
 }
 
-// MapAtomic is the PR-1 scheduler — one shared atomic counter, per-index
-// dispatch — kept as the reference baseline for the skew benchmarks
-// (BenchmarkSkew*, cmd/benchskew). Production call sites use Map/MapSized.
-func (p *Pool) MapAtomic(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if p.workers == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	w := p.workers
-	if w > n {
-		w = n
-	}
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // String implements fmt.Stringer for debugging.
 func (c chunk) String() string { return fmt.Sprintf("[%d,%d)", c.lo, c.hi) }

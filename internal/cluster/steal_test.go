@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -52,6 +53,41 @@ func TestMapSizedRunsEachIndexOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// MapAtomic is the PR-1 scheduler — one shared atomic counter, per-index
+// dispatch — the reference baseline of the skew tests and benchmarks
+// (skew_bench_test.go). Production code schedules with Map/MapSized.
+func (p *Pool) MapAtomic(n int, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	if p.workers == 1 || n == 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next int64 = -1
+	var wg sync.WaitGroup
+	w := p.workers
+	if w > n {
+		w = n
+	}
+	wg.Add(w)
+	for g := 0; g < w; g++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(atomic.AddInt64(&next, 1))
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestMapAtomicRunsEachIndexOnce(t *testing.T) {

@@ -18,9 +18,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"iolap/internal/bootstrap"
 	"iolap/internal/cluster"
@@ -28,6 +26,7 @@ import (
 	"iolap/internal/expr"
 	"iolap/internal/rel"
 	"iolap/internal/storage"
+	"iolap/internal/wire"
 )
 
 // Exchanger connects an engine to a distributed transport. Implementations
@@ -85,9 +84,11 @@ func (bc *batchContext) spanChunks(c cluster.OpClass, lo, hi int, fill func(lo, 
 }
 
 // ---------------------------------------------------------------------------
-// Span codecs. All decoders validate the full payload before mutating the
-// caller's buffers, so a corrupt span from a failing worker can be recomputed
-// without unwinding a partial merge.
+// Span codecs, written in internal/wire's primitives (DESIGN.md §15). All
+// decoders validate the full payload before mutating the caller's buffers, so
+// a corrupt span from a failing worker can be recomputed without unwinding a
+// partial merge; every count read off the wire goes through Reader.Count, so
+// a lying count is an error, never an allocation.
 
 // encodeVerdictSpan packs selVerdicts one byte per row: the tri-state in the
 // low two bits, the current-value pass bit above.
@@ -144,41 +145,76 @@ func decodeBoolSpan(pass []bool, lo, hi int, p []byte) error {
 // codec (bit-exact floats, lineage refs included): a row count followed by
 // the length-prefixed rows.
 func encodeRowSpan(rows []delta.Row) ([]byte, error) {
-	out := binary.AppendUvarint(nil, uint64(len(rows)))
-	var err error
-	for _, r := range rows {
-		out, err = storage.AppendSpillRow(out, r.Vals, r.Mult, r.W)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return appendRows(wire.AppendUvarint(nil, uint64(len(rows))), rows)
 }
 
 func decodeRowSpan(p []byte) ([]delta.Row, error) {
-	n, k := binary.Uvarint(p)
-	if k <= 0 {
-		return nil, fmt.Errorf("core: row span: bad count")
-	}
-	p = p[k:]
-	rows := make([]delta.Row, 0, n)
-	for i := uint64(0); i < n; i++ {
-		vals, mult, w, sz, err := storage.DecodeSpillRow(p)
-		if err != nil {
-			return nil, fmt.Errorf("core: row span: %w", err)
-		}
-		rows = append(rows, delta.Row{Vals: vals, Mult: mult, W: w})
-		p = p[sz:]
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("core: row span: %d trailing bytes", len(p))
+	r := wire.NewReader(p)
+	rows := readRows(r, r.Count("row count"))
+	if err := r.Done("row span"); err != nil {
+		return nil, fmt.Errorf("core: row span: %w", err)
 	}
 	return rows, nil
 }
 
+func appendRows(dst []byte, rows []delta.Row) ([]byte, error) {
+	var err error
+	for _, row := range rows {
+		if dst, err = storage.AppendSpillRow(dst, row.Vals, row.Mult, row.W); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// readRows decodes n spill rows; n must already be bounded by the payload
+// (Reader.Count), since it sizes the result.
+func readRows(r *wire.Reader, n int) []delta.Row {
+	rows := make([]delta.Row, 0, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		vals, mult, w := storage.ReadSpillRow(r)
+		rows = append(rows, delta.Row{Vals: vals, Mult: mult, W: w})
+	}
+	return rows
+}
+
+// AppendEstimates appends each estimate as five F64 words — Value, Stdev,
+// CILo, CIHi, RelStd — the one encoding of a bootstrap estimate (sink spans,
+// the serve protocol's Estimate frame, the dist result digest).
+func AppendEstimates(dst []byte, es []bootstrap.Estimate) []byte {
+	for _, e := range es {
+		dst = wire.AppendF64(dst, e.Value)
+		dst = wire.AppendF64(dst, e.Stdev)
+		dst = wire.AppendF64(dst, e.CILo)
+		dst = wire.AppendF64(dst, e.CIHi)
+		dst = wire.AppendF64(dst, e.RelStd)
+	}
+	return dst
+}
+
+// ReadEstimates decodes n estimates written by AppendEstimates, rejecting an
+// n the remaining payload cannot hold before allocating.
+func ReadEstimates(r *wire.Reader, n int) []bootstrap.Estimate {
+	if n < 0 || n > r.Len()/40 {
+		r.Fail(fmt.Errorf("core: %d estimates exceed the %d payload bytes left", n, r.Len()))
+		return nil
+	}
+	es := make([]bootstrap.Estimate, n)
+	for i := range es {
+		es[i] = bootstrap.Estimate{
+			Value:  r.F64("estimate value"),
+			Stdev:  r.F64("estimate stdev"),
+			CILo:   r.F64("estimate cilo"),
+			CIHi:   r.F64("estimate cihi"),
+			RelStd: r.F64("estimate relstd"),
+		}
+	}
+	return es
+}
+
 // encodeSinkSpan frames materialised result tuples with their bootstrap
 // estimates: per row, the tuple as a spill row (final multiplicity baked in)
-// followed by width estimates of five float64 bit patterns each.
+// followed by width estimates (AppendEstimates).
 func encodeSinkSpan(res *rel.Relation, ests [][]bootstrap.Estimate, lo, hi, width int) ([]byte, error) {
 	var out []byte
 	var err error
@@ -187,45 +223,22 @@ func encodeSinkSpan(res *rel.Relation, ests [][]bootstrap.Estimate, lo, hi, widt
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range ests[i] {
-			out = appendF64(out, e.Value)
-			out = appendF64(out, e.Stdev)
-			out = appendF64(out, e.CILo)
-			out = appendF64(out, e.CIHi)
-			out = appendF64(out, e.RelStd)
-		}
+		out = AppendEstimates(out, ests[i])
 	}
 	return out, nil
 }
 
 func decodeSinkSpan(res *rel.Relation, ests [][]bootstrap.Estimate, lo, hi, width int, p []byte) error {
+	r := wire.NewReader(p)
 	tuples := make([]rel.Tuple, hi-lo)
 	rowEsts := make([][]bootstrap.Estimate, hi-lo)
-	for i := 0; i < hi-lo; i++ {
-		vals, mult, _, sz, err := storage.DecodeSpillRow(p)
-		if err != nil {
-			return fmt.Errorf("core: sink span: %w", err)
-		}
-		p = p[sz:]
+	for i := 0; i < hi-lo && r.Err() == nil; i++ {
+		vals, mult, _ := storage.ReadSpillRow(r)
 		tuples[i] = rel.Tuple{Vals: vals, Mult: mult}
-		re := make([]bootstrap.Estimate, width)
-		for j := 0; j < width; j++ {
-			if len(p) < 40 {
-				return fmt.Errorf("core: sink span: truncated estimates")
-			}
-			re[j] = bootstrap.Estimate{
-				Value:  takeF64(p[0:]),
-				Stdev:  takeF64(p[8:]),
-				CILo:   takeF64(p[16:]),
-				CIHi:   takeF64(p[24:]),
-				RelStd: takeF64(p[32:]),
-			}
-			p = p[40:]
-		}
-		rowEsts[i] = re
+		rowEsts[i] = ReadEstimates(r, width)
 	}
-	if len(p) != 0 {
-		return fmt.Errorf("core: sink span: %d trailing bytes", len(p))
+	if err := r.Done("sink span"); err != nil {
+		return fmt.Errorf("core: sink span: %w", err)
 	}
 	copy(res.Tuples[lo:hi], tuples)
 	copy(ests[lo:hi], rowEsts)
@@ -237,16 +250,13 @@ func decodeSinkSpan(res *rel.Relation, ests [][]bootstrap.Estimate, lo, hi, widt
 // index, its match count, and the joined rows as spill rows. Zero-match
 // probe rows are omitted — absence decodes as no matches.
 func encodePartProbeSpan(idx []int, matches [][]delta.Row) ([]byte, error) {
-	out := binary.AppendUvarint(nil, uint64(len(idx)))
+	out := wire.AppendUvarint(nil, uint64(len(idx)))
 	var err error
 	for e, i := range idx {
-		out = binary.AppendUvarint(out, uint64(i))
-		out = binary.AppendUvarint(out, uint64(len(matches[e])))
-		for _, r := range matches[e] {
-			out, err = storage.AppendSpillRow(out, r.Vals, r.Mult, r.W)
-			if err != nil {
-				return nil, err
-			}
+		out = wire.AppendUvarint(out, uint64(i))
+		out = wire.AppendUvarint(out, uint64(len(matches[e])))
+		if out, err = appendRows(out, matches[e]); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -258,60 +268,34 @@ func encodePartProbeSpan(idx []int, matches [][]delta.Row) ([]byte, error) {
 // single bucket per span: a self-exchange (joiner catch-up replay) merges
 // the whole [0, P) range in one payload.
 func decodePartProbeSpan(p []byte, lo, hi int, buckets []int, perProbe [][]delta.Row) error {
-	n, k := binary.Uvarint(p)
-	if k <= 0 {
-		return fmt.Errorf("core: part-probe span: bad entry count")
-	}
-	p = p[k:]
+	r := wire.NewReader(p)
+	n := r.Count("entry count")
 	prev := -1
 	type entry struct {
 		idx  int
 		rows []delta.Row
 	}
 	entries := make([]entry, 0, n)
-	for e := uint64(0); e < n; e++ {
-		iv, k := binary.Uvarint(p)
-		if k <= 0 {
-			return fmt.Errorf("core: part-probe span: bad probe index")
+	for e := 0; e < n && r.Err() == nil; e++ {
+		iv := r.Uvarint("probe index")
+		if r.Err() != nil {
+			break
 		}
-		p = p[k:]
+		if iv >= uint64(len(buckets)) || int(iv) <= prev {
+			return fmt.Errorf("core: part-probe span: probe index %d out of order or range", iv)
+		}
 		i := int(iv)
-		if i <= prev || i >= len(buckets) {
-			return fmt.Errorf("core: part-probe span: probe index %d out of order or range", i)
-		}
 		if buckets[i] < lo || buckets[i] >= hi {
 			return fmt.Errorf("core: part-probe span [%d,%d): probe row %d routes to bucket %d", lo, hi, i, buckets[i])
 		}
 		prev = i
-		cnt, k := binary.Uvarint(p)
-		if k <= 0 {
-			return fmt.Errorf("core: part-probe span: bad match count")
-		}
-		p = p[k:]
-		rows := make([]delta.Row, 0, cnt)
-		for j := uint64(0); j < cnt; j++ {
-			vals, mult, w, sz, err := storage.DecodeSpillRow(p)
-			if err != nil {
-				return fmt.Errorf("core: part-probe span: %w", err)
-			}
-			rows = append(rows, delta.Row{Vals: vals, Mult: mult, W: w})
-			p = p[sz:]
-		}
-		entries = append(entries, entry{idx: i, rows: rows})
+		entries = append(entries, entry{idx: i, rows: readRows(r, r.Count("match count"))})
 	}
-	if len(p) != 0 {
-		return fmt.Errorf("core: part-probe span: %d trailing bytes", len(p))
+	if err := r.Done("part-probe span"); err != nil {
+		return fmt.Errorf("core: part-probe span: %w", err)
 	}
 	for _, e := range entries {
 		perProbe[e.idx] = e.rows
 	}
 	return nil
-}
-
-func appendF64(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-func takeF64(p []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(p))
 }

@@ -15,12 +15,12 @@ package dist
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 
 	"iolap/internal/core"
 	"iolap/internal/exec"
 	"iolap/internal/rel"
 	"iolap/internal/storage"
+	"iolap/internal/wire"
 )
 
 // Setup table serialization formats (1 byte per table).
@@ -48,48 +48,34 @@ func appendBlob(dst []byte, b []byte, compress bool) []byte {
 	if compress && len(b) >= wireCompressMin {
 		if comp := storage.Deflate(nil, b); len(comp) < len(b) {
 			dst = append(dst, blobFlate)
-			dst = appendUvarint(dst, uint64(len(b)))
-			dst = appendUvarint(dst, uint64(len(comp)))
-			return append(dst, comp...)
+			dst = wire.AppendUvarint(dst, uint64(len(b)))
+			return wire.AppendBytes(dst, comp)
 		}
 	}
-	dst = append(dst, blobRaw)
-	dst = appendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
+	return wire.AppendBytes(append(dst, blobRaw), b)
 }
 
-// blob reads a blob, always returning bytes the caller owns: raw payloads
-// are copied out of the (reused) frame buffer, compressed ones decompress
-// into a fresh buffer. Never aliases r.b.
-func (r *reader) blob(what string) []byte {
-	flag := r.byteVal(what)
-	switch flag {
+// readBlob reads a blob, always returning bytes the caller owns: raw
+// payloads are copied out of the (reused) frame buffer, compressed ones
+// decompress into a fresh buffer. Never aliases r's payload.
+func readBlob(r *wire.Reader, what string) []byte {
+	switch flag := r.Byte(what); flag {
 	case blobRaw:
-		b := r.bytes(what)
-		if r.err != nil {
-			return nil
-		}
-		return append([]byte(nil), b...)
+		return append([]byte(nil), r.Bytes(what)...)
 	case blobFlate:
-		rawLen := r.uvarint(what)
-		comp := r.bytes(what)
-		if r.err != nil {
+		rawLen := r.Uvarint(what)
+		comp := r.Bytes(what)
+		if r.Err() != nil {
 			return nil
 		}
-		if rawLen > maxFrame {
-			r.fail(what)
-			return nil
-		}
+		// Inflate bounds rawLen itself (a wrapped-negative int included).
 		out, err := storage.Inflate(comp, int(rawLen))
 		if err != nil {
-			r.err = fmt.Errorf("dist: %s: %w", what, err)
-			return nil
+			r.Fail(fmt.Errorf("dist: %s: %w", what, err))
 		}
 		return out
 	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("dist: %s: bad blob flag %d", what, flag)
-		}
+		r.Fail(fmt.Errorf("dist: %s: bad blob flag %d", what, flag))
 		return nil
 	}
 }
@@ -126,35 +112,35 @@ type tableData struct {
 // Joiners always receive full tables: the catch-up replay probes every
 // bucket locally.
 func encodeSetup(rank, minRows int, opts core.Options, sqlText string, db *exec.DB, streamed map[string]bool, catchUp int, startSeq, lastDigest uint64, partSlices map[string]*rel.Relation) ([]byte, error) {
-	p := appendUvarint(nil, protoVersion)
-	p = appendUvarint(p, uint64(rank))
-	p = appendUvarint(p, uint64(minRows))
-	p = appendUvarint(p, uint64(catchUp))
-	p = appendUvarint(p, startSeq)
-	p = appendU64(p, lastDigest)
+	p := wire.AppendUvarint(nil, protoVersion)
+	p = wire.AppendUvarint(p, uint64(rank))
+	p = wire.AppendUvarint(p, uint64(minRows))
+	p = wire.AppendUvarint(p, uint64(catchUp))
+	p = wire.AppendUvarint(p, startSeq)
+	p = wire.AppendU64(p, lastDigest)
 
-	p = appendVarint(p, int64(opts.Mode))
-	p = appendVarint(p, int64(opts.Batches))
-	p = appendVarint(p, int64(opts.Trials)) // negative means "bootstrap off"
-	p = appendU64(p, math.Float64bits(opts.Slack))
-	p = appendU64(p, opts.Seed)
-	p = appendVarint(p, int64(opts.SnapshotKeep))
-	p = appendVarint(p, int64(opts.MinRangeSupport))
-	p = appendBool(p, opts.PreShuffle)
-	p = appendBool(p, opts.NoViewletRewrites)
-	p = appendVarint(p, int64(opts.BlockRows))
-	p = appendString(p, opts.StratifyBy)
-	p = appendVarint(p, int64(opts.Partitions))
-	p = appendUvarint(p, uint64(len(opts.PartitionTables)))
+	p = wire.AppendVarint(p, int64(opts.Mode))
+	p = wire.AppendVarint(p, int64(opts.Batches))
+	p = wire.AppendVarint(p, int64(opts.Trials)) // negative means "bootstrap off"
+	p = wire.AppendF64(p, opts.Slack)
+	p = wire.AppendU64(p, opts.Seed)
+	p = wire.AppendVarint(p, int64(opts.SnapshotKeep))
+	p = wire.AppendVarint(p, int64(opts.MinRangeSupport))
+	p = wire.AppendBool(p, opts.PreShuffle)
+	p = wire.AppendBool(p, opts.NoViewletRewrites)
+	p = wire.AppendVarint(p, int64(opts.BlockRows))
+	p = wire.AppendStr(p, opts.StratifyBy)
+	p = wire.AppendVarint(p, int64(opts.Partitions))
+	p = wire.AppendUvarint(p, uint64(len(opts.PartitionTables)))
 	for _, t := range opts.PartitionTables {
-		p = appendString(p, t)
+		p = wire.AppendStr(p, t)
 	}
-	p = appendBool(p, opts.WireCompression)
+	p = wire.AppendBool(p, opts.WireCompression)
 
-	p = appendString(p, sqlText)
+	p = wire.AppendStr(p, sqlText)
 
 	names := db.Tables()
-	p = appendUvarint(p, uint64(len(names)))
+	p = wire.AppendUvarint(p, uint64(len(names)))
 	for _, name := range names {
 		r, ok := db.Get(name)
 		if !ok {
@@ -163,12 +149,12 @@ func encodeSetup(rank, minRows int, opts core.Options, sqlText string, db *exec.
 		if slice, ok := partSlices[name]; ok {
 			r = slice
 		}
-		p = appendString(p, name)
-		p = appendBool(p, streamed[name])
-		p = appendUvarint(p, uint64(len(r.Schema)))
+		p = wire.AppendStr(p, name)
+		p = wire.AppendBool(p, streamed[name])
+		p = wire.AppendUvarint(p, uint64(len(r.Schema)))
 		for _, c := range r.Schema {
-			p = appendString(p, c.Table)
-			p = appendString(p, c.Name)
+			p = wire.AppendStr(p, c.Table)
+			p = wire.AppendStr(p, c.Name)
 			p = append(p, byte(c.Type))
 		}
 		var err error
@@ -190,7 +176,7 @@ func appendTable(p []byte, r *rel.Relation, compress bool) ([]byte, error) {
 		return append(p, blocks...), nil
 	}
 	p = append(p, tableFormatRows)
-	p = appendUvarint(p, uint64(len(r.Tuples)))
+	p = wire.AppendUvarint(p, uint64(len(r.Tuples)))
 	for _, t := range r.Tuples {
 		if p, err = storage.AppendSpillRow(p, t.Vals, t.Mult, nil); err != nil {
 			return nil, err
@@ -203,7 +189,7 @@ func appendTable(p []byte, r *rel.Relation, compress bool) ([]byte, error) {
 // at most storage.BlockMaxRows rows each.
 func appendTableBlocks(p []byte, r *rel.Relation, compress bool) ([]byte, error) {
 	nb := (len(r.Tuples) + storage.BlockMaxRows - 1) / storage.BlockMaxRows
-	p = appendUvarint(p, uint64(nb))
+	p = wire.AppendUvarint(p, uint64(nb))
 	for lo := 0; lo < len(r.Tuples); lo += storage.BlockMaxRows {
 		hi := lo + storage.BlockMaxRows
 		if hi > len(r.Tuples) {
@@ -213,59 +199,58 @@ func appendTableBlocks(p []byte, r *rel.Relation, compress bool) ([]byte, error)
 		if err != nil {
 			return nil, err
 		}
-		p = appendUvarint(p, uint64(len(enc)))
-		p = append(p, enc...)
+		p = wire.AppendBytes(p, enc)
 	}
 	return p, nil
 }
 
 func decodeSetup(p []byte) (*setupMsg, error) {
-	r := &reader{b: p}
-	if v := r.uvarint("version"); r.err == nil && v != protoVersion {
+	r := wire.NewReader(p)
+	if v := r.Uvarint("version"); r.Err() == nil && v != protoVersion {
 		return nil, fmt.Errorf("dist: protocol version mismatch: coordinator %d, worker %d", v, protoVersion)
 	}
 	s := &setupMsg{
-		rank:    int(r.uvarint("rank")),
-		minRows: int(r.uvarint("minRows")),
+		rank:    int(r.Uvarint("rank")),
+		minRows: int(r.Uvarint("minRows")),
 	}
-	s.catchUp = int(r.uvarint("catchUp"))
-	s.startSeq = r.uvarint("startSeq")
-	s.lastDigest = r.u64("lastDigest")
-	s.opts.Mode = core.Mode(r.varint("mode"))
-	s.opts.Batches = int(r.varint("batches"))
-	s.opts.Trials = int(r.varint("trials"))
-	s.opts.Slack = math.Float64frombits(r.u64("slack"))
-	s.opts.Seed = r.u64("seed")
-	s.opts.SnapshotKeep = int(r.varint("snapshotKeep"))
-	s.opts.MinRangeSupport = int(r.varint("minRangeSupport"))
-	s.opts.PreShuffle = r.boolean("preShuffle")
-	s.opts.NoViewletRewrites = r.boolean("noViewletRewrites")
-	s.opts.BlockRows = int(r.varint("blockRows"))
-	s.opts.StratifyBy = r.str("stratifyBy")
-	s.opts.Partitions = int(r.varint("partitions"))
-	npt := r.count("partition table count")
-	for i := 0; i < npt && r.err == nil; i++ {
-		s.opts.PartitionTables = append(s.opts.PartitionTables, r.str("partition table"))
+	s.catchUp = int(r.Uvarint("catchUp"))
+	s.startSeq = r.Uvarint("startSeq")
+	s.lastDigest = r.U64("lastDigest")
+	s.opts.Mode = core.Mode(r.Varint("mode"))
+	s.opts.Batches = int(r.Varint("batches"))
+	s.opts.Trials = int(r.Varint("trials"))
+	s.opts.Slack = r.F64("slack")
+	s.opts.Seed = r.U64("seed")
+	s.opts.SnapshotKeep = int(r.Varint("snapshotKeep"))
+	s.opts.MinRangeSupport = int(r.Varint("minRangeSupport"))
+	s.opts.PreShuffle = r.Bool("preShuffle")
+	s.opts.NoViewletRewrites = r.Bool("noViewletRewrites")
+	s.opts.BlockRows = int(r.Varint("blockRows"))
+	s.opts.StratifyBy = r.Str("stratifyBy")
+	s.opts.Partitions = int(r.Varint("partitions"))
+	npt := r.Count("partition table count")
+	for i := 0; i < npt && r.Err() == nil; i++ {
+		s.opts.PartitionTables = append(s.opts.PartitionTables, r.Str("partition table"))
 	}
-	s.opts.WireCompression = r.boolean("wireCompression")
-	s.sqlText = r.str("sql")
+	s.opts.WireCompression = r.Bool("wireCompression")
+	s.sqlText = r.Str("sql")
 
-	nt := r.count("table count")
-	for i := 0; i < nt && r.err == nil; i++ {
+	nt := r.Count("table count")
+	for i := 0; i < nt && r.Err() == nil; i++ {
 		var t tableData
-		t.name = r.str("table name")
-		t.streamed = r.boolean("table streamed")
-		nc := r.count("column count")
+		t.name = r.Str("table name")
+		t.streamed = r.Bool("table streamed")
+		nc := r.Count("column count")
 		schema := make(rel.Schema, 0, nc)
-		for j := 0; j < nc && r.err == nil; j++ {
-			col := rel.Column{Table: r.str("column table"), Name: r.str("column name")}
-			col.Type = rel.Kind(r.byteVal("column kind"))
+		for j := 0; j < nc && r.Err() == nil; j++ {
+			col := rel.Column{Table: r.Str("column table"), Name: r.Str("column name")}
+			col.Type = rel.Kind(r.Byte("column kind"))
 			schema = append(schema, col)
 		}
 		t.rel = decodeTable(r, t.name, schema)
 		s.tables = append(s.tables, t)
 	}
-	if err := r.done("setup"); err != nil {
+	if err := r.Done("setup"); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -275,38 +260,31 @@ func decodeSetup(p []byte) (*setupMsg, error) {
 // Counts are bounded by the remaining payload before any allocation is sized
 // from them (every row and every block consumes at least one byte, so
 // remaining-bytes is a sound upper bound for both).
-func decodeTable(r *reader, name string, schema rel.Schema) *rel.Relation {
+func decodeTable(r *wire.Reader, name string, schema rel.Schema) *rel.Relation {
 	rln := rel.NewRelation(schema)
-	switch format := r.byteVal("table format"); format {
+	switch format := r.Byte("table format"); format {
 	case tableFormatBlock:
-		nb := r.count("block count")
-		for i := 0; i < nb && r.err == nil; i++ {
-			enc := r.bytes("block")
-			if r.err != nil {
+		nb := r.Count("block count")
+		for i := 0; i < nb && r.Err() == nil; i++ {
+			enc := r.Bytes("block")
+			if r.Err() != nil {
 				break
 			}
 			tuples, err := storage.DecodeBlock(enc, schema)
 			if err != nil {
-				r.err = fmt.Errorf("dist: table %q block %d: %w", name, i, err)
+				r.Fail(fmt.Errorf("dist: table %q block %d: %w", name, i, err))
 				break
 			}
 			rln.Tuples = append(rln.Tuples, tuples...)
 		}
 	case tableFormatRows:
-		nr := r.count("row count")
-		for j := 0; j < nr && r.err == nil; j++ {
-			vals, mult, _, sz, err := storage.DecodeSpillRow(r.b)
-			if err != nil {
-				r.err = fmt.Errorf("dist: table %q row %d: %w", name, j, err)
-				break
-			}
-			r.b = r.b[sz:]
+		nr := r.Count("row count")
+		for j := 0; j < nr && r.Err() == nil; j++ {
+			vals, mult, _ := storage.ReadSpillRow(r)
 			rln.Tuples = append(rln.Tuples, rel.Tuple{Vals: vals, Mult: mult})
 		}
 	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("dist: table %q: unknown serialization format %d", name, format)
-		}
+		r.Fail(fmt.Errorf("dist: table %q: unknown serialization format %d", name, format))
 	}
 	return rln
 }
@@ -319,35 +297,35 @@ func decodeTable(r *reader, name string, schema rel.Schema) *rel.Relation {
 // workers that die mid-batch (their spans are re-dispatched, the assignment
 // never shifts).
 func encodeStep(batch int, liveRanks []int, weights []int) []byte {
-	p := appendUvarint(nil, uint64(batch))
-	p = appendUvarint(p, uint64(len(liveRanks)))
+	p := wire.AppendUvarint(nil, uint64(batch))
+	p = wire.AppendUvarint(p, uint64(len(liveRanks)))
 	for _, rk := range liveRanks {
-		p = appendUvarint(p, uint64(rk))
+		p = wire.AppendUvarint(p, uint64(rk))
 	}
-	p = appendUvarint(p, uint64(len(weights)))
+	p = wire.AppendUvarint(p, uint64(len(weights)))
 	for _, w := range weights {
-		p = appendUvarint(p, uint64(w))
+		p = wire.AppendUvarint(p, uint64(w))
 	}
 	return p
 }
 
 func decodeStep(p []byte) (batch int, liveRanks []int, weights []int, err error) {
-	r := &reader{b: p}
-	batch = int(r.uvarint("batch"))
-	n := r.count("live count")
+	r := wire.NewReader(p)
+	batch = int(r.Uvarint("batch"))
+	n := r.Count("live count")
 	liveRanks = make([]int, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		liveRanks = append(liveRanks, int(r.uvarint("live rank")))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		liveRanks = append(liveRanks, int(r.Uvarint("live rank")))
 	}
-	nw := r.count("weight count")
+	nw := r.Count("weight count")
 	weights = make([]int, 0, nw)
-	for i := 0; i < nw && r.err == nil; i++ {
-		weights = append(weights, int(r.uvarint("weight")))
+	for i := 0; i < nw && r.Err() == nil; i++ {
+		weights = append(weights, int(r.Uvarint("weight")))
 	}
-	if r.err == nil && len(weights) != len(liveRanks)+1 {
-		r.err = fmt.Errorf("dist: step: %d weights for %d live ranks", len(weights), len(liveRanks))
+	if len(weights) != len(liveRanks)+1 {
+		r.Fail(fmt.Errorf("dist: step: %d weights for %d live ranks", len(weights), len(liveRanks)))
 	}
-	return batch, liveRanks, weights, r.done("step")
+	return batch, liveRanks, weights, r.Done("step")
 }
 
 // spanMsg is one computed span: seq orders the exchange calls within a batch
@@ -362,89 +340,89 @@ type spanMsg struct {
 }
 
 func encodeSpan(seq uint64, lo, hi int, nanos uint64, payload []byte, compress bool) []byte {
-	p := appendUvarint(nil, seq)
-	p = appendUvarint(p, uint64(lo))
-	p = appendUvarint(p, uint64(hi))
-	p = appendUvarint(p, nanos)
+	p := wire.AppendUvarint(nil, seq)
+	p = wire.AppendUvarint(p, uint64(lo))
+	p = wire.AppendUvarint(p, uint64(hi))
+	p = wire.AppendUvarint(p, nanos)
 	return appendBlob(p, payload, compress)
 }
 
 func decodeSpan(p []byte) (spanMsg, error) {
-	r := &reader{b: p}
+	r := wire.NewReader(p)
 	sm := spanMsg{
-		seq:   r.uvarint("seq"),
-		lo:    int(r.uvarint("lo")),
-		hi:    int(r.uvarint("hi")),
-		nanos: r.uvarint("nanos"),
+		seq:   r.Uvarint("seq"),
+		lo:    int(r.Uvarint("lo")),
+		hi:    int(r.Uvarint("hi")),
+		nanos: r.Uvarint("nanos"),
 	}
-	sm.payload = r.blob("span payload")
-	if err := r.done("span"); err != nil {
+	sm.payload = readBlob(r, "span payload")
+	if err := r.Done("span"); err != nil {
 		return spanMsg{}, err
 	}
 	return sm, nil
 }
 
 func encodeCompute(seq uint64, lo, hi int) []byte {
-	p := appendUvarint(nil, seq)
-	p = appendUvarint(p, uint64(lo))
-	return appendUvarint(p, uint64(hi))
+	p := wire.AppendUvarint(nil, seq)
+	p = wire.AppendUvarint(p, uint64(lo))
+	return wire.AppendUvarint(p, uint64(hi))
 }
 
 func decodeCompute(p []byte) (seq uint64, lo, hi int, err error) {
-	r := &reader{b: p}
-	seq = r.uvarint("seq")
-	lo = int(r.uvarint("lo"))
-	hi = int(r.uvarint("hi"))
-	return seq, lo, hi, r.done("compute")
+	r := wire.NewReader(p)
+	seq = r.Uvarint("seq")
+	lo = int(r.Uvarint("lo"))
+	hi = int(r.Uvarint("hi"))
+	return seq, lo, hi, r.Done("compute")
 }
 
 // encodeMerged carries the complete merged site: every span's payload in
 // ascending span order. All replicas — the coordinator included — apply these
 // identical bytes, which is the bit-identity argument in one sentence.
 func encodeMerged(seq uint64, spans [][2]int, payloads [][]byte, compress bool) []byte {
-	p := appendUvarint(nil, seq)
-	p = appendUvarint(p, uint64(len(spans)))
+	p := wire.AppendUvarint(nil, seq)
+	p = wire.AppendUvarint(p, uint64(len(spans)))
 	for i, sp := range spans {
-		p = appendUvarint(p, uint64(sp[0]))
-		p = appendUvarint(p, uint64(sp[1]))
+		p = wire.AppendUvarint(p, uint64(sp[0]))
+		p = wire.AppendUvarint(p, uint64(sp[1]))
 		p = appendBlob(p, payloads[i], compress)
 	}
 	return p
 }
 
 func decodeMerged(p []byte) (seq uint64, spans []spanMsg, err error) {
-	r := &reader{b: p}
-	seq = r.uvarint("seq")
-	n := r.count("span count")
+	r := wire.NewReader(p)
+	seq = r.Uvarint("seq")
+	n := r.Count("span count")
 	spans = make([]spanMsg, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		sm := spanMsg{seq: seq}
-		sm.lo = int(r.uvarint("merged lo"))
-		sm.hi = int(r.uvarint("merged hi"))
-		sm.payload = r.blob("merged payload")
+		sm.lo = int(r.Uvarint("merged lo"))
+		sm.hi = int(r.Uvarint("merged hi"))
+		sm.payload = readBlob(r, "merged payload")
 		spans = append(spans, sm)
 	}
-	return seq, spans, r.done("merged")
+	return seq, spans, r.Done("merged")
 }
 
 func encodeBatchDone(batch int, digest uint64) []byte {
-	p := appendUvarint(nil, uint64(batch))
-	return appendU64(p, digest)
+	p := wire.AppendUvarint(nil, uint64(batch))
+	return wire.AppendU64(p, digest)
 }
 
 func decodeBatchDone(p []byte) (batch int, digest uint64, err error) {
-	r := &reader{b: p}
-	batch = int(r.uvarint("batch"))
-	digest = r.u64("digest")
-	return batch, digest, r.done("batchDone")
+	r := wire.NewReader(p)
+	batch = int(r.Uvarint("batch"))
+	digest = r.U64("digest")
+	return batch, digest, r.Done("batchDone")
 }
 
 // resultDigest folds a batch result into 64 bits: FNV-1a over every result
 // tuple (spill-row encoded, so float bit patterns are covered exactly) and
-// every estimate's five float64 bit patterns. Workers send it after each
-// batch; the coordinator compares against its own replica's digest and
-// expels any diverging worker — a replica that drifted once would corrupt
-// every later batch it participates in.
+// every estimate's five float64 bit patterns (core.AppendEstimates). Workers
+// send it after each batch; the coordinator compares against its own
+// replica's digest and expels any diverging worker — a replica that drifted
+// once would corrupt every later batch it participates in.
 func resultDigest(u *core.Update) (uint64, error) {
 	h := fnv.New64a()
 	var buf []byte
@@ -456,20 +434,9 @@ func resultDigest(u *core.Update) (uint64, error) {
 		}
 		h.Write(buf)
 	}
-	var f [8]byte
 	for _, row := range u.Estimates {
-		for _, e := range row {
-			for _, v := range [5]float64{e.Value, e.Stdev, e.CILo, e.CIHi, e.RelStd} {
-				putU64LE(f[:], math.Float64bits(v))
-				h.Write(f[:])
-			}
-		}
+		buf = core.AppendEstimates(buf[:0], row)
+		h.Write(buf)
 	}
 	return h.Sum64(), nil
-}
-
-func putU64LE(dst []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		dst[i] = byte(v >> (8 * i))
-	}
 }

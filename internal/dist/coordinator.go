@@ -48,6 +48,7 @@ import (
 	"iolap/internal/expr"
 	"iolap/internal/rel"
 	"iolap/internal/sql"
+	"iolap/internal/wire"
 )
 
 // Config tunes coordinator failure detection. The zero value is ready to use.
@@ -852,8 +853,8 @@ func (c *Coordinator) Close() error {
 	for i, p := range peers {
 		if !deadAt[i] {
 			p.conn.SetWriteDeadline(time.Now().Add(250 * time.Millisecond))
-			if writeFrame(p.conn, msgShutdown, nil) == nil {
-				c.metrics.RecordWireBroadcast(frameOverhead)
+			if wire.WriteFrame(p.conn, msgShutdown, nil) == nil {
+				c.metrics.RecordWireBroadcast(wire.FrameOverhead)
 			}
 		}
 		p.conn.Close()
@@ -890,12 +891,12 @@ func (c *Coordinator) send(p *peer, typ byte, payload []byte) error {
 		return fmt.Errorf("dist: worker %d is dead", p.rank)
 	}
 	p.conn.SetWriteDeadline(time.Now().Add(c.cfg.maxWait()))
-	if err := writeFrame(p.conn, typ, payload); err != nil {
+	if err := wire.WriteFrame(p.conn, typ, payload); err != nil {
 		c.markDead(p, err)
 		return err
 	}
 	p.conn.SetWriteDeadline(time.Time{})
-	c.metrics.RecordWireBroadcast(frameOverhead + len(payload))
+	c.metrics.RecordWireBroadcast(wire.FrameOverhead + len(payload))
 	return nil
 }
 
@@ -909,13 +910,13 @@ func (c *Coordinator) recv(p *peer, deadline time.Duration) (byte, []byte, error
 		return 0, nil, fmt.Errorf("dist: worker %d is dead", p.rank)
 	}
 	p.conn.SetReadDeadline(time.Now().Add(deadline))
-	typ, pl, err := readFrameReuse(p.conn, &p.rbuf)
+	typ, pl, err := wire.ReadFrameReuse(p.conn, &p.rbuf)
 	if err != nil {
 		return 0, nil, err
 	}
 	p.conn.SetReadDeadline(time.Time{})
 	p.lastHeard = time.Now()
-	c.metrics.RecordWireShuffle(frameOverhead + len(pl))
+	c.metrics.RecordWireShuffle(wire.FrameOverhead + len(pl))
 	return typ, pl, nil
 }
 

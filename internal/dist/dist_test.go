@@ -15,6 +15,7 @@ import (
 	"iolap/internal/expr"
 	"iolap/internal/rel"
 	"iolap/internal/sql"
+	"iolap/internal/wire"
 )
 
 // ---------------------------------------------------------------------------
@@ -382,10 +383,10 @@ func TestSilentWorkerTimesOutAndRedispatches(t *testing.T) {
 	silentDone := make(chan struct{})
 	go func() { // a worker that acks setup, then absorbs frames forever
 		defer close(silentDone)
-		if _, _, err := readFrame(sConn); err != nil {
+		if _, _, err := wire.ReadFrame(sConn); err != nil {
 			return
 		}
-		writeFrame(sConn, msgSetupOK, nil)
+		wire.WriteFrame(sConn, msgSetupOK, nil)
 		io.Copy(io.Discard, sConn)
 	}()
 
@@ -523,10 +524,10 @@ func TestWorkerRejectsGarbageSetup(t *testing.T) {
 	defer cConn.Close()
 	done := make(chan error, 1)
 	go func() { done <- ServeConn(sConn, WorkerOptions{IdleTimeout: time.Second}) }()
-	if err := writeFrame(cConn, msgSetup, []byte{0xff, 0xff, 0xff}); err != nil {
+	if err := wire.WriteFrame(cConn, msgSetup, []byte{0xff, 0xff, 0xff}); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, err := readFrame(cConn)
+	typ, _, err := wire.ReadFrame(cConn)
 	if err != nil {
 		t.Fatalf("read reply: %v", err)
 	}

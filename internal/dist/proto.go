@@ -14,17 +14,12 @@
 // worker failure (the coordinator re-dispatches a dead worker's spans to
 // survivors, or computes them itself).
 //
-// Wire format: every frame is a 4-byte big-endian length, one type byte, and
-// the payload (length counts the type byte plus payload). The coordinator
+// Frames and payload primitives are internal/wire's (DESIGN.md §15); this
+// package defines only the message types and their layouts. The coordinator
 // dials; workers listen and serve one coordinator per connection.
 package dist
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"net"
-)
+import "net"
 
 // Frame types. Direction is fixed per type: the coordinator never sends a
 // worker→coordinator frame and vice versa, which is what lets the wire
@@ -52,62 +47,6 @@ const (
 // a row-codec fallback flag per table), added the WireCompression option to
 // the Setup payload, and framed span/merged payloads as compressible blobs.
 const protoVersion = 3
-
-// maxFrame bounds a single frame (1 GiB). Large sites split across spans stay
-// far below it; the limit exists so a corrupt length prefix cannot drive a
-// multi-gigabyte allocation.
-const maxFrame = 1 << 30
-
-// frameOverhead is the wire cost of a frame beyond its payload: the 4-byte
-// length prefix plus the type byte.
-const frameOverhead = 5
-
-// writeFrame sends one frame as a single Write (header and payload in one
-// buffer, so counting wrappers see whole frames).
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload)+1 > maxFrame {
-		return fmt.Errorf("dist: frame type %d too large: %d bytes", typ, len(payload))
-	}
-	buf := make([]byte, frameOverhead+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)+1))
-	buf[4] = typ
-	copy(buf[frameOverhead:], payload)
-	_, err := w.Write(buf)
-	return err
-}
-
-// readFrame reads one frame, returning its type and a freshly allocated
-// payload.
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var scratch []byte
-	return readFrameReuse(r, &scratch)
-}
-
-// readFrameReuse reads one frame into *buf (grown as needed and kept for the
-// next call), returning its type and payload. The payload aliases *buf and
-// is valid only until the next readFrameReuse with the same buffer — every
-// decoder that retains payload bytes past the call (decodeSpan, decodeMerged)
-// must copy, which the blob reader does by construction. Reusing the buffer
-// removes the per-frame allocation from the protocol hot loop.
-func readFrameReuse(r io.Reader, buf *[]byte) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrame {
-		return 0, nil, fmt.Errorf("dist: bad frame length %d", n)
-	}
-	if uint32(cap(*buf)) < n {
-		*buf = make([]byte, n)
-	}
-	b := (*buf)[:n]
-	*buf = b
-	if _, err := io.ReadFull(r, b); err != nil {
-		return 0, nil, err
-	}
-	return b[0], b[1:], nil
-}
 
 // assignSpans splits [0, n) into p contiguous spans with boundaries i·n/p —
 // the same arithmetic as cluster.Pool.MapChunks, and a pure function of
@@ -156,146 +95,4 @@ func weightedSpans(n int, ws []int) [][2]int {
 func isTimeout(err error) bool {
 	ne, ok := err.(net.Error)
 	return ok && ne.Timeout()
-}
-
-// ---------------------------------------------------------------------------
-// Payload primitives: uvarint / varint / string / fixed 64-bit appends with a
-// matching error-accumulating reader.
-
-func appendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
-func appendVarint(dst []byte, v int64) []byte   { return binary.AppendVarint(dst, v) }
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, v)
-}
-
-// reader decodes payload primitives, latching the first error: callers chain
-// reads and check err once at the end.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("dist: truncated or corrupt %s", what)
-	}
-}
-
-func (r *reader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) varint(what string) int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// count reads a uvarint length and bounds it by the remaining payload, so a
-// corrupt count cannot drive a huge allocation.
-func (r *reader) count(what string) int {
-	v := r.uvarint(what)
-	if r.err == nil && v > uint64(len(r.b)) {
-		r.fail(what)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *reader) str(what string) string {
-	n := r.count(what)
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *reader) bytes(what string) []byte {
-	n := r.count(what)
-	if r.err != nil {
-		return nil
-	}
-	b := r.b[:n:n]
-	r.b = r.b[n:]
-	return b
-}
-
-func (r *reader) boolean(what string) bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.b) < 1 || r.b[0] > 1 {
-		r.fail(what)
-		return false
-	}
-	v := r.b[0] == 1
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *reader) byteVal(what string) byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.fail(what)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *reader) u64(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *reader) done(what string) error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("dist: %s: %d trailing bytes", what, len(r.b))
-	}
-	return nil
 }

@@ -12,36 +12,8 @@ import (
 	"iolap/internal/exec"
 	"iolap/internal/rel"
 	"iolap/internal/storage"
+	"iolap/internal/wire"
 )
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xab}, 1000)}
-	for i, p := range payloads {
-		if err := writeFrame(&buf, byte(i+1), p); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	for i, p := range payloads {
-		typ, got, err := readFrame(&buf)
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if typ != byte(i+1) || !bytes.Equal(got, p) {
-			t.Fatalf("frame %d: type %d payload %d bytes, want type %d payload %d bytes",
-				i, typ, len(got), i+1, len(p))
-		}
-	}
-}
-
-func TestFrameRejectsBadLength(t *testing.T) {
-	// A zero length and an oversized length are both protocol corruption.
-	for _, hdr := range [][]byte{{0, 0, 0, 0}, {0xff, 0xff, 0xff, 0xff}} {
-		if _, _, err := readFrame(bytes.NewReader(hdr)); err == nil {
-			t.Fatalf("header %x: expected error", hdr)
-		}
-	}
-}
 
 func TestAssignSpansCoverage(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100, 101} {
@@ -229,24 +201,24 @@ func TestDecodeTableRejectsLyingCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := append([]byte{tableFormatRows}, appendUvarint(nil, 1<<40)...)
+	rows := append([]byte{tableFormatRows}, wire.AppendUvarint(nil, 1<<40)...)
 	rows = append(rows, row...)
-	r := &reader{b: rows}
+	r := wire.NewReader(rows)
 	decodeTable(r, "t", schema)
-	if r.err == nil {
+	if r.Err() == nil {
 		t.Error("lying row count accepted")
 	}
 
-	blocks := append([]byte{tableFormatBlock}, appendUvarint(nil, 1<<40)...)
-	r = &reader{b: blocks}
+	blocks := append([]byte{tableFormatBlock}, wire.AppendUvarint(nil, 1<<40)...)
+	r = wire.NewReader(blocks)
 	decodeTable(r, "t", schema)
-	if r.err == nil {
+	if r.Err() == nil {
 		t.Error("lying block count accepted")
 	}
 
-	r = &reader{b: []byte{0x7f}}
+	r = wire.NewReader([]byte{0x7f})
 	decodeTable(r, "t", schema)
-	if r.err == nil {
+	if r.Err() == nil {
 		t.Error("unknown table format accepted")
 	}
 }
@@ -278,7 +250,7 @@ func TestSetupRowFallbackForRefs(t *testing.T) {
 }
 
 // TestSpanPayloadOwnership pins the frame-buffer-reuse contract: decoded span
-// and merged payloads must not alias the input buffer, which readFrameReuse
+// and merged payloads must not alias the input buffer, which wire.ReadFrameReuse
 // overwrites on the next frame.
 func TestSpanPayloadOwnership(t *testing.T) {
 	enc := encodeSpan(1, 0, 4, 9, []byte{1, 2, 3, 4}, false)

@@ -19,6 +19,7 @@ import (
 	"iolap/internal/exec"
 	"iolap/internal/expr"
 	"iolap/internal/sql"
+	"iolap/internal/wire"
 )
 
 // errShutdown signals an orderly coordinator-requested teardown.
@@ -374,22 +375,22 @@ func (w *workerSession) WireStats() (shuffle, broadcast int64) {
 // without an explicit deadline of its own.
 func (w *workerSession) read() (byte, []byte, error) {
 	w.conn.SetReadDeadline(time.Now().Add(w.opts.IdleTimeout))
-	typ, pl, err := readFrameReuse(w.conn, &w.rbuf)
+	typ, pl, err := wire.ReadFrameReuse(w.conn, &w.rbuf)
 	if err != nil {
 		return 0, nil, err
 	}
 	w.conn.SetReadDeadline(time.Time{})
-	w.wireBroadcast += int64(frameOverhead + len(pl))
+	w.wireBroadcast += int64(wire.FrameOverhead + len(pl))
 	return typ, pl, nil
 }
 
 func (w *workerSession) send(typ byte, payload []byte) error {
 	w.conn.SetWriteDeadline(time.Now().Add(w.opts.IdleTimeout))
-	if err := writeFrame(w.conn, typ, payload); err != nil {
+	if err := wire.WriteFrame(w.conn, typ, payload); err != nil {
 		return err
 	}
 	w.conn.SetWriteDeadline(time.Time{})
-	w.wireShuffle += int64(frameOverhead + len(payload))
+	w.wireShuffle += int64(wire.FrameOverhead + len(payload))
 	return nil
 }
 

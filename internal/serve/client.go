@@ -7,7 +7,7 @@ import (
 	"net"
 	"sync"
 
-	"iolap/internal/dist"
+	"iolap/internal/wire"
 )
 
 // Client speaks the session protocol to a serving endpoint. One client
@@ -120,7 +120,7 @@ func (c *Client) readLoop() {
 		// No buffer reuse: decoded updates alias nothing, but the open
 		// results and done messages are tiny and estimates dominate; a fresh
 		// payload per frame keeps decode free of aliasing rules.
-		typ, payload, err = dist.ReadFrame(c.conn)
+		typ, payload, err = wire.ReadFrame(c.conn)
 		if err != nil {
 			break
 		}
@@ -223,7 +223,7 @@ func (c *Client) route(typ byte, payload []byte) error {
 func (c *Client) writeFrame(typ byte, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return dist.WriteFrame(c.conn, typ, payload)
+	return wire.WriteFrame(c.conn, typ, payload)
 }
 
 // ClientSession is the remote mirror of Session: the same Next / Update /

@@ -2,17 +2,16 @@ package serve
 
 import (
 	"fmt"
-	"math"
 
 	"iolap/internal/bootstrap"
-	"iolap/internal/dist"
+	"iolap/internal/core"
 	"iolap/internal/rel"
 	"iolap/internal/storage"
+	"iolap/internal/wire"
 )
 
-// The session protocol: Open/Estimate/Cancel/Close frames layered on the
-// dist package's length-prefixed frame format (4-byte big-endian length, one
-// type byte, payload) and its hardened payload reader. One connection
+// The session protocol: Open/Estimate/Cancel/Close frames in internal/wire's
+// frame format and payload primitives (DESIGN.md §15). One connection
 // multiplexes many sessions — every frame after the Open handshake carries a
 // session id — and floats travel as raw Float64bits, so a remote client's
 // estimate trajectory is bit-identical to a local session's.
@@ -64,20 +63,20 @@ type openReq struct {
 
 func appendOpen(dst []byte, o openReq) []byte {
 	dst = append(dst, sessionProtoVersion)
-	dst = dist.AppendString(dst, o.Tenant)
-	dst = dist.AppendString(dst, o.Stream)
-	dst = dist.AppendString(dst, o.Query)
+	dst = wire.AppendStr(dst, o.Tenant)
+	dst = wire.AppendStr(dst, o.Stream)
+	dst = wire.AppendStr(dst, o.Query)
 	dst = append(dst, o.Mode)
-	dst = dist.AppendVarint(dst, o.Trials)
-	dst = dist.AppendU64(dst, o.SlackBits)
-	dst = dist.AppendU64(dst, o.Seed)
-	dst = dist.AppendUvarint(dst, o.Workers)
-	dst = dist.AppendVarint(dst, o.StateBudget)
+	dst = wire.AppendVarint(dst, o.Trials)
+	dst = wire.AppendU64(dst, o.SlackBits)
+	dst = wire.AppendU64(dst, o.Seed)
+	dst = wire.AppendUvarint(dst, o.Workers)
+	dst = wire.AppendVarint(dst, o.StateBudget)
 	return dst
 }
 
 func decodeOpen(p []byte) (openReq, error) {
-	r := dist.NewWireReader(p)
+	r := wire.NewReader(p)
 	if v := r.Byte("open version"); r.Err() == nil && v != sessionProtoVersion {
 		return openReq{}, fmt.Errorf("serve: session protocol version %d, want %d", v, sessionProtoVersion)
 	}
@@ -96,14 +95,14 @@ func decodeOpen(p []byte) (openReq, error) {
 }
 
 func appendOpenOK(dst []byte, sid uint64, batches int, queued bool) []byte {
-	dst = dist.AppendUvarint(dst, sid)
-	dst = dist.AppendUvarint(dst, uint64(batches))
-	dst = dist.AppendBool(dst, queued)
+	dst = wire.AppendUvarint(dst, sid)
+	dst = wire.AppendUvarint(dst, uint64(batches))
+	dst = wire.AppendBool(dst, queued)
 	return dst
 }
 
 func decodeOpenOK(p []byte) (sid uint64, batches int, queued bool, err error) {
-	r := dist.NewWireReader(p)
+	r := wire.NewReader(p)
 	sid = r.Uvarint("openok sid")
 	batches = int(r.Uvarint("openok batches"))
 	queued = r.Bool("openok queued")
@@ -112,31 +111,31 @@ func decodeOpenOK(p []byte) (sid uint64, batches int, queued bool, err error) {
 
 func appendStatus(dst []byte, code byte, msg string) []byte {
 	dst = append(dst, code)
-	return dist.AppendString(dst, msg)
+	return wire.AppendStr(dst, msg)
 }
 
 func decodeStatus(p []byte) (code byte, msg string, err error) {
-	r := dist.NewWireReader(p)
+	r := wire.NewReader(p)
 	code = r.Byte("status code")
 	msg = r.Str("status message")
 	return code, msg, r.Done("status")
 }
 
-func appendSID(dst []byte, sid uint64) []byte { return dist.AppendUvarint(dst, sid) }
+func appendSID(dst []byte, sid uint64) []byte { return wire.AppendUvarint(dst, sid) }
 
 func decodeSID(p []byte) (uint64, error) {
-	r := dist.NewWireReader(p)
+	r := wire.NewReader(p)
 	sid := r.Uvarint("sid")
 	return sid, r.Done("sid")
 }
 
 func appendDone(dst []byte, sid uint64, code byte, msg string) []byte {
-	dst = dist.AppendUvarint(dst, sid)
+	dst = wire.AppendUvarint(dst, sid)
 	return appendStatus(dst, code, msg)
 }
 
 func decodeDone(p []byte) (sid uint64, code byte, msg string, err error) {
-	r := dist.NewWireReader(p)
+	r := wire.NewReader(p)
 	sid = r.Uvarint("done sid")
 	code = r.Byte("done code")
 	msg = r.Str("done message")
@@ -147,17 +146,17 @@ func decodeDone(p []byte) (sid uint64, code byte, msg string, err error) {
 // fuzz-hardened spill-row codec (values + multiplicity, bit-exact floats);
 // estimate cells are five raw Float64bits words each.
 func appendEstimate(dst []byte, sid uint64, u *Update) ([]byte, error) {
-	dst = dist.AppendUvarint(dst, sid)
-	dst = dist.AppendUvarint(dst, uint64(u.Batch))
-	dst = dist.AppendUvarint(dst, uint64(u.Batches))
-	dst = dist.AppendU64(dst, math.Float64bits(u.Fraction))
-	dst = dist.AppendU64(dst, math.Float64bits(u.DurationMillis))
-	dst = dist.AppendUvarint(dst, uint64(u.Recomputed))
-	dst = dist.AppendUvarint(dst, uint64(len(u.Columns)))
+	dst = wire.AppendUvarint(dst, sid)
+	dst = wire.AppendUvarint(dst, uint64(u.Batch))
+	dst = wire.AppendUvarint(dst, uint64(u.Batches))
+	dst = wire.AppendF64(dst, u.Fraction)
+	dst = wire.AppendF64(dst, u.DurationMillis)
+	dst = wire.AppendUvarint(dst, uint64(u.Recomputed))
+	dst = wire.AppendUvarint(dst, uint64(len(u.Columns)))
 	for _, c := range u.Columns {
-		dst = dist.AppendString(dst, c)
+		dst = wire.AppendStr(dst, c)
 	}
-	dst = dist.AppendUvarint(dst, uint64(u.Result.Len()))
+	dst = wire.AppendUvarint(dst, uint64(u.Result.Len()))
 	var rows []byte
 	var err error
 	for _, tp := range u.Result.Tuples {
@@ -166,38 +165,32 @@ func appendEstimate(dst []byte, sid uint64, u *Update) ([]byte, error) {
 			return nil, fmt.Errorf("serve: encode result row: %w", err)
 		}
 	}
-	dst = dist.AppendBytes(dst, rows)
+	dst = wire.AppendBytes(dst, rows)
 	for i := range u.Result.Tuples {
 		var es []bootstrap.Estimate
 		if i < len(u.Estimates) {
 			es = u.Estimates[i]
 		}
-		dst = dist.AppendUvarint(dst, uint64(len(es)))
-		for _, e := range es {
-			dst = dist.AppendU64(dst, math.Float64bits(e.Value))
-			dst = dist.AppendU64(dst, math.Float64bits(e.Stdev))
-			dst = dist.AppendU64(dst, math.Float64bits(e.CILo))
-			dst = dist.AppendU64(dst, math.Float64bits(e.CIHi))
-			dst = dist.AppendU64(dst, math.Float64bits(e.RelStd))
-		}
+		dst = wire.AppendUvarint(dst, uint64(len(es)))
+		dst = core.AppendEstimates(dst, es)
 	}
 	return dst, nil
 }
 
-// maxEstimateCells bounds the decoded estimate matrix: a corrupt count can
-// promise at most the cells its payload actually carries (5 words each), so
-// the check is belt-and-braces against allocation bombs.
+// maxEstimateCells bounds the decoded estimate matrix. core.ReadEstimates
+// already refuses a count its payload cannot carry (5 words per cell), so
+// the cap is belt-and-braces against allocation bombs.
 const maxEstimateCells = 1 << 22
 
 func decodeEstimate(p []byte) (sid uint64, u *Update, err error) {
-	r := dist.NewWireReader(p)
+	r := wire.NewReader(p)
 	sid = r.Uvarint("estimate sid")
 	u = &Update{
 		Batch:   int(r.Uvarint("estimate batch")),
 		Batches: int(r.Uvarint("estimate batches")),
 	}
-	u.Fraction = math.Float64frombits(r.U64("estimate fraction"))
-	u.DurationMillis = math.Float64frombits(r.U64("estimate duration"))
+	u.Fraction = r.F64("estimate fraction")
+	u.DurationMillis = r.F64("estimate duration")
 	u.Recomputed = int(r.Uvarint("estimate recomputed"))
 	ncols := r.Count("estimate column count")
 	if r.Err() != nil {
@@ -220,13 +213,10 @@ func decodeEstimate(p []byte) (sid uint64, u *Update, err error) {
 		schema[i] = rel.Column{Name: c, Type: rel.KNull}
 	}
 	result := rel.NewRelation(schema)
-	for i := 0; i < nrows; i++ {
-		vals, mult, _, n, err := storage.DecodeSpillRow(rowsBlob)
-		if err != nil {
-			return 0, nil, fmt.Errorf("serve: estimate row %d: %w", i, err)
-		}
-		rowsBlob = rowsBlob[n:]
-		if len(vals) != ncols {
+	rows := wire.NewReader(rowsBlob)
+	for i := 0; i < nrows && rows.Err() == nil; i++ {
+		vals, mult, _ := storage.ReadSpillRow(rows)
+		if rows.Err() == nil && len(vals) != ncols {
 			return 0, nil, fmt.Errorf("serve: estimate row %d has %d values, want %d", i, len(vals), ncols)
 		}
 		result.Tuples = append(result.Tuples, rel.Tuple{Vals: vals, Mult: mult})
@@ -238,35 +228,21 @@ func decodeEstimate(p []byte) (sid uint64, u *Update, err error) {
 			}
 		}
 	}
-	if len(rowsBlob) != 0 {
-		return 0, nil, fmt.Errorf("serve: estimate rows blob has %d trailing bytes", len(rowsBlob))
+	if err := rows.Done("estimate rows"); err != nil {
+		return 0, nil, fmt.Errorf("serve: %w", err)
 	}
 	u.Result = result
 	totalCells := 0
 	u.Estimates = make([][]bootstrap.Estimate, nrows)
-	for i := 0; i < nrows; i++ {
+	for i := 0; i < nrows && r.Err() == nil; i++ {
 		nest := r.Count("estimate est count")
-		if r.Err() != nil {
-			return 0, nil, r.Err()
-		}
 		if nest == 0 {
 			continue
 		}
-		totalCells += nest
-		if totalCells > maxEstimateCells || nest*40 > r.Remaining() {
-			return 0, nil, fmt.Errorf("serve: estimate cell count %d exceeds payload", nest)
+		if totalCells += nest; totalCells > maxEstimateCells {
+			return 0, nil, fmt.Errorf("serve: estimate carries more than %d cells", maxEstimateCells)
 		}
-		es := make([]bootstrap.Estimate, nest)
-		for j := range es {
-			es[j] = bootstrap.Estimate{
-				Value:  math.Float64frombits(r.U64("estimate value")),
-				Stdev:  math.Float64frombits(r.U64("estimate stdev")),
-				CILo:   math.Float64frombits(r.U64("estimate cilo")),
-				CIHi:   math.Float64frombits(r.U64("estimate cihi")),
-				RelStd: math.Float64frombits(r.U64("estimate relstd")),
-			}
-		}
-		u.Estimates[i] = es
+		u.Estimates[i] = core.ReadEstimates(r, nest)
 	}
 	return sid, u, r.Done("estimate")
 }

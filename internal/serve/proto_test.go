@@ -6,6 +6,9 @@ import (
 
 	"iolap/internal/bootstrap"
 	"iolap/internal/rel"
+	"iolap/internal/storage"
+	"iolap/internal/wire"
+	"iolap/internal/wire/wiretest"
 )
 
 func testUpdate() *Update {
@@ -111,88 +114,121 @@ func TestControlFramesRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzSessionProto drives every session-protocol decoder with arbitrary
-// payloads (first byte selects the frame type) and enforces the round-trip
+// wireMessages lists every session-protocol payload codec once for the
+// shared corruption table and fuzz target (wiretest).
+func wireMessages(t testing.TB) []wiretest.Message {
+	est, err := appendEstimate(nil, 5, testUpdate())
+	if err != nil {
+		t.Fatalf("encode estimate: %v", err)
+	}
+	// An estimate header up to (not including) the column count: sid, batch,
+	// batches, fraction, duration, recomputed.
+	head := wire.AppendUvarint(wire.AppendF64(wire.AppendF64([]byte{5, 3, 10}, 0.3), 0), 0)
+	head = head[:len(head):len(head)] // each lie appends to its own copy
+	emptyRow, _ := storage.AppendSpillRow(nil, nil, 1, nil)
+	const huge = 1 << 40
+	return []wiretest.Message{
+		{
+			Name: "open",
+			Valid: appendOpen(nil, openReq{
+				Tenant: "acme", Stream: "sessions", Query: "SELECT COUNT(*) FROM sessions", Mode: 2,
+				Trials: -1, SlackBits: math.Float64bits(2.5), Seed: 1 << 60, Workers: 8, StateBudget: -4096}),
+			Recode: func(p []byte) ([]byte, error) {
+				o, err := decodeOpen(p)
+				if err != nil {
+					return nil, err
+				}
+				return appendOpen(nil, o), nil
+			},
+			Lies: [][]byte{wire.AppendUvarint([]byte{sessionProtoVersion}, huge)}, // tenant length
+		},
+		{
+			Name:  "openOK",
+			Valid: appendOpenOK(nil, 1, 10, true),
+			Recode: func(p []byte) ([]byte, error) {
+				sid, batches, queued, err := decodeOpenOK(p)
+				if err != nil {
+					return nil, err
+				}
+				return appendOpenOK(nil, sid, batches, queued), nil
+			},
+		},
+		{
+			Name:  "status",
+			Valid: appendStatus(nil, codeBudget, "over budget"),
+			Recode: func(p []byte) ([]byte, error) {
+				code, msg, err := decodeStatus(p)
+				if err != nil {
+					return nil, err
+				}
+				return appendStatus(nil, code, msg), nil
+			},
+			Lies: [][]byte{wire.AppendUvarint([]byte{codeError}, huge)}, // message length
+		},
+		{
+			Name:  "sid",
+			Valid: appendSID(nil, 1<<40),
+			Recode: func(p []byte) ([]byte, error) {
+				sid, err := decodeSID(p)
+				if err != nil {
+					return nil, err
+				}
+				return appendSID(nil, sid), nil
+			},
+		},
+		{
+			Name:  "done",
+			Valid: appendDone(nil, 2, codeCancelled, "bye"),
+			Recode: func(p []byte) ([]byte, error) {
+				sid, code, msg, err := decodeDone(p)
+				if err != nil {
+					return nil, err
+				}
+				return appendDone(nil, sid, code, msg), nil
+			},
+		},
+		{
+			Name:  "estimate",
+			Valid: est,
+			Recode: func(p []byte) ([]byte, error) {
+				sid, u, err := decodeEstimate(p)
+				if err != nil {
+					return nil, err
+				}
+				return appendEstimate(nil, sid, u)
+			},
+			Lies: [][]byte{
+				wire.AppendUvarint(head, huge), // column count
+				wire.AppendBytes(wire.AppendUvarint(wire.AppendUvarint(head, 0), huge), emptyRow),                        // row count
+				append(wire.AppendUvarint(wire.AppendUvarint(head, 0), 9), 0),                                            // 9 rows in an empty rows blob
+				wire.AppendUvarint(wire.AppendBytes(wire.AppendUvarint(wire.AppendUvarint(head, 0), 1), emptyRow), huge), // est count of row 0
+			},
+		},
+	}
+}
+
+// TestDecodersRejectCorruption: lying counts, truncation at every byte offset
+// and trailing bytes return errors from every session-protocol decoder —
+// never a panic or an allocation sized off the wire.
+func TestDecodersRejectCorruption(t *testing.T) { wiretest.Check(t, wireMessages(t)) }
+
+// FuzzWire drives every session-protocol decoder with arbitrary payloads
+// (the message type selects the decoder) and enforces the round-trip
 // property: anything that decodes must re-encode to a payload that decodes
-// to the same value, floats compared by bits. Decoders must reject
-// truncation and corruption with an error, never panic or over-allocate.
-func FuzzSessionProto(f *testing.F) {
-	u := testUpdate()
-	est, _ := appendEstimate(nil, 5, u)
-	f.Add(append([]byte{frOpen}, appendOpen(nil, openReq{
-		Tenant: "t", Stream: "sessions", Query: "SELECT 1", Trials: 10})...))
-	f.Add(append([]byte{frEstimate}, est...))
-	f.Add(append([]byte{frOpenOK}, appendOpenOK(nil, 1, 10, false)...))
-	f.Add(append([]byte{frOpenErr}, appendStatus(nil, codeBudget, "over budget")...))
-	f.Add(append([]byte{frDone}, appendDone(nil, 2, codeOK, "")...))
-	f.Add(append([]byte{frCancel}, appendSID(nil, 3)...))
-	f.Add(append([]byte{frEstimate}, est[:len(est)/2]...)) // truncation seed
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		typ, payload := data[0], data[1:]
-		switch typ {
-		case frOpen:
-			o, err := decodeOpen(payload)
-			if err != nil {
-				return
-			}
-			o2, err := decodeOpen(appendOpen(nil, o))
-			if err != nil || o2 != o {
-				t.Fatalf("open re-roundtrip: %+v vs %+v (%v)", o2, o, err)
-			}
-		case frEstimate:
-			sid, u, err := decodeEstimate(payload)
-			if err != nil {
-				return
-			}
-			p2, err := appendEstimate(nil, sid, u)
-			if err != nil {
-				t.Fatalf("re-encode: %v", err)
-			}
-			sid2, u2, err := decodeEstimate(p2)
-			if err != nil {
-				t.Fatalf("re-decode: %v", err)
-			}
-			if sid2 != sid || !updateBitIdentical(u2, u) {
-				t.Fatal("estimate re-roundtrip changed the update")
-			}
-		case frOpenOK:
-			sid, batches, queued, err := decodeOpenOK(payload)
-			if err != nil {
-				return
-			}
-			sid2, b2, q2, err := decodeOpenOK(appendOpenOK(nil, sid, batches, queued))
-			if err != nil || sid2 != sid || b2 != batches || q2 != queued {
-				t.Fatal("openok re-roundtrip mismatch")
-			}
-		case frOpenErr:
-			code, msg, err := decodeStatus(payload)
-			if err != nil {
-				return
-			}
-			c2, m2, err := decodeStatus(appendStatus(nil, code, msg))
-			if err != nil || c2 != code || m2 != msg {
-				t.Fatal("status re-roundtrip mismatch")
-			}
-		case frDone:
-			sid, code, msg, err := decodeDone(payload)
-			if err != nil {
-				return
-			}
-			s2, c2, m2, err := decodeDone(appendDone(nil, sid, code, msg))
-			if err != nil || s2 != sid || c2 != code || m2 != msg {
-				t.Fatal("done re-roundtrip mismatch")
-			}
-		case frCancel, frClose:
-			sid, err := decodeSID(payload)
-			if err != nil {
-				return
-			}
-			if s2, err := decodeSID(appendSID(nil, sid)); err != nil || s2 != sid {
-				t.Fatal("sid re-roundtrip mismatch")
-			}
-		}
-	})
+// to the same value, floats compared by bits.
+func FuzzWire(f *testing.F) { wiretest.Fuzz(f, wireMessages(f)) }
+
+// TestGoldenBytes pins the session-protocol encodings (version 1) to the
+// bytes produced before the codecs moved onto internal/wire, captured at the
+// parent commit: the port is a replace, not a format change.
+func TestGoldenBytes(t *testing.T) {
+	want := map[string]string{
+		"open":     "010461636d650873657373696f6e731d53454c45435420434f554e54282a292046524f4d2073657373696f6e7302010000000000000440000000000000001008ff3f",
+		"openOK":   "010a01",
+		"status":   "030b6f76657220627564676574",
+		"sid":      "808080808020",
+		"done":     "020103627965",
+		"estimate": "05030a333333333333d33f000000000000000000030363646e03737074016e034b1903040263310377be9f1a2fdd5e40025400000000000004400019030402633203000000000000f07f020d000000000000f03f001603000300000000000000000200000000000000c03f00030000000000000000000000000000000000000000000000000000000000000000000000000000000077be9f1a2fdd5e40000000000000f83f0000000000005e400000000000805f40fa7e6abc7493883f00000000000000000000000000000000000000000000000000000000000000000000000000000000000300000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000f87f010000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+	}
+	wiretest.Golden(t, wireMessages(t), want)
 }

@@ -350,6 +350,12 @@ type Engine struct {
 	// refcounted per session and evicted when the last holder finishes.
 	cache *share.Cache
 
+	// batchGate, when set, runs on the scan goroutine before each batch
+	// boundary of every pass. Tests inject it (before the first Open) to hold
+	// the scan at a chosen boundary, so a Cancel or a mid-pass Open lands
+	// there by construction instead of by timing.
+	batchGate func(batch int)
+
 	stats Stats
 }
 
@@ -681,6 +687,9 @@ func (e *Engine) runPass(cohort []*Session, p int) {
 	live := cohort
 	var wg sync.WaitGroup
 	for b := 0; b < p; b++ {
+		if e.batchGate != nil {
+			e.batchGate(b)
+		}
 		// Compact in place at the boundary: drop cancelled/failed sessions
 		// and release their budget, reusing the cohort backing array so the
 		// steady-state fan-out allocates nothing per batch.

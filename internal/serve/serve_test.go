@@ -168,6 +168,10 @@ func TestStaggeredOpensAndCancels(t *testing.T) {
 	}
 
 	// Wave 1: two full sessions plus one cancelled after its first update.
+	// The scan starts only once all three are pending (one cohort) and holds
+	// before batch 1 until released, so the cancel lands at that boundary.
+	release := holdBeforeBatch(eng, "sessions", 1)
+	defer release()
 	s0, err := eng.Open(testQueries[0], optsAt(0))
 	if err != nil {
 		t.Fatal(err)
@@ -180,28 +184,32 @@ func TestStaggeredOpensAndCancels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	startScan(eng, "sessions")
 	var cancelled []*Update
 	if sc.Next() {
 		cancelled = append(cancelled, sc.Update())
 	}
 	sc.Cancel()
+
+	// Wave 2 opens while wave 1 is held mid-pass, so it rides the next pass.
+	s3, err := eng.Open(testQueries[3], optsAt(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+
 	cancelled = append(cancelled, drain(sc)...)
 	if !errors.Is(sc.Err(), ErrCancelled) {
 		t.Errorf("cancelled session err = %v, want ErrCancelled", sc.Err())
 	}
-	if len(cancelled) >= batches {
-		t.Errorf("cancelled session delivered %d updates, want < %d", len(cancelled), batches)
+	if len(cancelled) != 1 {
+		t.Errorf("cancelled session delivered %d updates, want exactly the 1 before the boundary it was cancelled at", len(cancelled))
 	}
 	oracleC := soloTrajectory(t, db, testQueries[2], optsAt(2), batches)
 	if !BitIdentical(cancelled, oracleC[:len(cancelled)]) {
 		t.Error("cancelled session prefix differs from solo run")
 	}
 
-	// Wave 2 opens while wave 1 is (possibly) mid-pass.
-	s3, err := eng.Open(testQueries[3], optsAt(3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, pair := range []struct {
 		s     *Session
 		query string
@@ -225,6 +233,30 @@ func holdScans(e *Engine, table string) {
 	e.mu.Lock()
 	e.loops[table] = true
 	e.mu.Unlock()
+}
+
+// startScan starts the scan loop holdScans withheld: every session opened in
+// between is pending by then, so the first cohort is exactly those sessions.
+func startScan(e *Engine, table string) {
+	e.wg.Add(1)
+	go e.scanLoop(table)
+}
+
+// holdBeforeBatch withholds the table's scan loop (start it with startScan)
+// and gates every pass before batch b until the returned release is called —
+// the scan is stepped by the test, not by the scheduler. release is
+// idempotent; defer it too, so a failing test cannot leave Close waiting on
+// a gated scan.
+func holdBeforeBatch(e *Engine, table string, b int) (release func()) {
+	holdScans(e, table)
+	gate := make(chan struct{})
+	e.batchGate = func(batch int) {
+		if batch == b {
+			<-gate
+		}
+	}
+	var once sync.Once
+	return func() { once.Do(func() { close(gate) }) }
 }
 
 func TestBudgetRejectBoundary(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 	"sync"
 
 	"iolap/internal/core"
-	"iolap/internal/dist"
+	"iolap/internal/wire"
 )
 
 // Server accepts session-protocol connections and bridges them onto one
@@ -115,7 +115,7 @@ func (sv *Server) handle(conn net.Conn) {
 	h := &connState{conn: conn, e: sv.e, sessions: make(map[uint64]*Session)}
 	var buf []byte
 	for {
-		typ, payload, err := dist.ReadFrameReuse(conn, &buf)
+		typ, payload, err := wire.ReadFrameReuse(conn, &buf)
 		if err != nil {
 			break
 		}
@@ -228,7 +228,7 @@ func (h *connState) pump(s *Session) {
 func (h *connState) writeFrame(typ byte, payload []byte) error {
 	h.wmu.Lock()
 	defer h.wmu.Unlock()
-	return dist.WriteFrame(h.conn, typ, payload)
+	return wire.WriteFrame(h.conn, typ, payload)
 }
 
 // ListenAndServe listens on addr and serves the engine until Close; the

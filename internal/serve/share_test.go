@@ -129,7 +129,10 @@ func TestSharedInnerAggEquivalence(t *testing.T) {
 	defer eng.Close()
 
 	// Wave 1: two sessions with different outer queries around the same
-	// inner aggregate, plus one that is cancelled after its first update.
+	// inner aggregate, plus one that is cancelled after its first update —
+	// one cohort, held before batch 1 so the cancel lands at that boundary.
+	release := holdBeforeBatch(eng, "sessions", 1)
+	defer release()
 	s0, err := eng.Open(innerAggQueries[0], opts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -142,21 +145,15 @@ func TestSharedInnerAggEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	startScan(eng, "sessions")
 	var cancelled []*Update
 	if sc.Next() {
 		cancelled = append(cancelled, sc.Update())
 	}
 	sc.Cancel()
-	cancelled = append(cancelled, drain(sc)...)
-	if !errors.Is(sc.Err(), ErrCancelled) {
-		t.Errorf("cancelled session err = %v, want ErrCancelled", sc.Err())
-	}
-	oracleC := soloTrajectoryStreamed(t, db, streamed, innerAggQueries[2], opts(1), batches)
-	if !BitIdentical(cancelled, oracleC[:len(cancelled)]) {
-		t.Error("cancelled session prefix differs from solo run")
-	}
 
-	// Wave 2 opens mid-run: one drained, one killed outright.
+	// Wave 2 opens while wave 1 is held mid-pass: one drained, one killed
+	// outright.
 	s3, err := eng.Open(innerAggQueries[2], opts(4))
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +162,17 @@ func TestSharedInnerAggEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	release()
 	sk.Close() // kill: no updates consumed
+
+	cancelled = append(cancelled, drain(sc)...)
+	if !errors.Is(sc.Err(), ErrCancelled) {
+		t.Errorf("cancelled session err = %v, want ErrCancelled", sc.Err())
+	}
+	oracleC := soloTrajectoryStreamed(t, db, streamed, innerAggQueries[2], opts(1), batches)
+	if len(cancelled) != 1 || !BitIdentical(cancelled, oracleC[:len(cancelled)]) {
+		t.Errorf("cancelled session delivered %d updates, want the 1-update prefix of its solo run", len(cancelled))
+	}
 
 	for i, pair := range []struct {
 		s     *Session

@@ -43,11 +43,10 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"iolap/internal/rel"
+	"iolap/internal/wire"
 )
 
 const (
@@ -110,7 +109,7 @@ func EncodeBlock(dst []byte, schema rel.Schema, tuples []rel.Tuple, compress boo
 	} else {
 		body = append(body, blockMultRaw)
 		for _, t := range tuples {
-			body = binary.LittleEndian.AppendUint64(body, math.Float64bits(t.Mult))
+			body = wire.AppendF64(body, t.Mult)
 		}
 	}
 
@@ -131,9 +130,9 @@ func EncodeBlock(dst []byte, schema rel.Schema, tuples []rel.Tuple, compress boo
 		}
 	}
 	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, uint64(n))
-	dst = binary.AppendUvarint(dst, uint64(len(schema)))
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
+	dst = wire.AppendUvarint(dst, uint64(n))
+	dst = wire.AppendUvarint(dst, uint64(len(schema)))
+	dst = wire.AppendUvarint(dst, uint64(len(body)))
 	return append(dst, stored...), nil
 }
 
@@ -230,21 +229,21 @@ func appendColumn(body []byte, tuples []rel.Tuple, col int) ([]byte, error) {
 			if v.IsNull() {
 				continue
 			}
-			body = binary.AppendVarint(body, v.Int()-prev)
+			body = wire.AppendVarint(body, v.Int()-prev)
 			prev = v.Int()
 		}
 	case rel.KFloat:
 		for i := range tuples {
 			v := tuples[i].Vals[col]
 			if !v.IsNull() {
-				body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v.Float()))
+				body = wire.AppendF64(body, v.Float())
 			}
 		}
 	case rel.KString:
 		for i := range tuples {
 			v := tuples[i].Vals[col]
 			if !v.IsNull() {
-				body = binary.AppendUvarint(body, uint64(len(v.Str())))
+				body = wire.AppendUvarint(body, uint64(len(v.Str())))
 			}
 		}
 		for i := range tuples {
@@ -284,59 +283,17 @@ func appendStrDict(body []byte, tuples []rel.Tuple, col int, hasNulls bool, dict
 	for s, id := range dict {
 		entries[id] = s
 	}
-	body = binary.AppendUvarint(body, uint64(len(entries)))
+	body = wire.AppendUvarint(body, uint64(len(entries)))
 	for _, s := range entries {
-		body = binary.AppendUvarint(body, uint64(len(s)))
-		body = append(body, s...)
+		body = wire.AppendStr(body, s)
 	}
 	for i := range tuples {
 		v := tuples[i].Vals[col]
 		if !v.IsNull() {
-			body = binary.AppendUvarint(body, uint64(dict[v.Str()]))
+			body = wire.AppendUvarint(body, uint64(dict[v.Str()]))
 		}
 	}
 	return body, nil
-}
-
-// blockReader is a strict little cursor over the block body.
-type blockReader struct {
-	b []byte
-}
-
-func (r *blockReader) uvarint(what string) (uint64, error) {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return 0, fmt.Errorf("storage: block: bad %s", what)
-	}
-	r.b = r.b[n:]
-	return v, nil
-}
-
-func (r *blockReader) varint(what string) (int64, error) {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		return 0, fmt.Errorf("storage: block: bad %s", what)
-	}
-	r.b = r.b[n:]
-	return v, nil
-}
-
-func (r *blockReader) byteVal(what string) (byte, error) {
-	if len(r.b) == 0 {
-		return 0, fmt.Errorf("storage: block: missing %s", what)
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v, nil
-}
-
-func (r *blockReader) take(n int, what string) ([]byte, error) {
-	if n < 0 || n > len(r.b) {
-		return nil, fmt.Errorf("storage: block: truncated %s", what)
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v, nil
 }
 
 // DecodeBlock decodes one block encoded by EncodeBlock back into tuples.
@@ -344,34 +301,26 @@ func (r *blockReader) take(n int, what string) ([]byte, error) {
 // memory; nothing aliases b). The decode is strict: the body must be
 // consumed exactly and every count is bounds-checked before use.
 func DecodeBlock(b []byte, schema rel.Schema) ([]rel.Tuple, error) {
-	hdr := &blockReader{b: b}
-	flags, err := hdr.byteVal("header")
-	if err != nil {
-		return nil, err
+	hdr := wire.NewReader(b)
+	flags := hdr.Byte("block header")
+	nRows := hdr.Uvarint("block row count")
+	nCols := hdr.Uvarint("block column count")
+	rawLen := hdr.Uvarint("block body length")
+	if err := hdr.Err(); err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
 	}
 	if flags&blockVerMask != blockVersion {
 		return nil, fmt.Errorf("storage: block: unknown version %d", flags&blockVerMask)
 	}
-	nRows, err := hdr.uvarint("row count")
-	if err != nil {
-		return nil, err
-	}
-	nCols, err := hdr.uvarint("column count")
-	if err != nil {
-		return nil, err
-	}
-	if int(nCols) != len(schema) {
+	if nCols != uint64(len(schema)) {
 		return nil, fmt.Errorf("storage: block has %d columns, schema has %d", nCols, len(schema))
-	}
-	rawLen, err := hdr.uvarint("body length")
-	if err != nil {
-		return nil, err
 	}
 	if nRows > maxBlockRows(len(b)) {
 		return nil, fmt.Errorf("storage: block row count %d too large for %d bytes", nRows, len(b))
 	}
-	body := hdr.b
+	body := hdr.Rest()
 	if flags&blockFlagFlate != 0 {
+		var err error
 		if body, err = Inflate(body, int(rawLen)); err != nil {
 			return nil, err
 		}
@@ -380,7 +329,7 @@ func DecodeBlock(b []byte, schema rel.Schema) ([]rel.Tuple, error) {
 	}
 
 	n := int(nRows)
-	r := &blockReader{b: body}
+	r := wire.NewReader(body)
 	tuples := make([]rel.Tuple, n)
 	vals := make([]rel.Value, n*len(schema)) // one backing slab, sliced per row
 	for i := range tuples {
@@ -388,19 +337,11 @@ func DecodeBlock(b []byte, schema rel.Schema) ([]rel.Tuple, error) {
 		tuples[i].Mult = 1
 	}
 
-	multTag, err := r.byteVal("multiplicity tag")
-	if err != nil {
-		return nil, err
-	}
-	switch multTag {
+	switch multTag := r.Byte("multiplicity tag"); multTag {
 	case blockMultOnes:
 	case blockMultRaw:
-		bank, err := r.take(8*n, "multiplicity bank")
-		if err != nil {
-			return nil, err
-		}
 		for i := range tuples {
-			tuples[i].Mult = math.Float64frombits(binary.LittleEndian.Uint64(bank[8*i:]))
+			tuples[i].Mult = r.F64("multiplicity bank")
 		}
 	default:
 		return nil, fmt.Errorf("storage: block: bad multiplicity tag %d", multTag)
@@ -411,24 +352,23 @@ func DecodeBlock(b []byte, schema rel.Schema) ([]rel.Tuple, error) {
 			return nil, fmt.Errorf("storage: block column %d: %w", col, err)
 		}
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("storage: block: %d trailing body bytes", len(r.b))
+	if err := r.Done("block body"); err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
 	}
 	return tuples, nil
 }
 
-// decodeColumn fills column col of every tuple from the reader.
-func decodeColumn(r *blockReader, tuples []rel.Tuple, col, n int) error {
-	tag, err := r.byteVal("encoding tag")
-	if err != nil {
-		return err
-	}
+// decodeColumn fills column col of every tuple from the reader. Loops over
+// the n rows run to completion on a latched reader error (every read then
+// yields zero without advancing), which the final r.Err reports.
+func decodeColumn(r *wire.Reader, tuples []rel.Tuple, col, n int) error {
+	tag := r.Byte("encoding tag")
 	switch tag {
 	case colNull:
-		return nil // the zero Value is NULL
+		return r.Err() // the zero Value is NULL
 	case colMixed:
 		for i := 0; i < n; i++ {
-			v, rest, err := decodeSpillValue(r.b)
+			v, rest, err := decodeSpillValue(r.Rest())
 			if err != nil {
 				return err
 			}
@@ -436,7 +376,7 @@ func decodeColumn(r *blockReader, tuples []rel.Tuple, col, n int) error {
 				return fmt.Errorf("storage: block codec cannot hold REF values")
 			}
 			tuples[i].Vals[col] = v
-			r.b = rest
+			r.Skip(r.Len() - len(rest))
 		}
 		return nil
 	case colBool, colInt, colFloat, colStrRaw, colStrDict:
@@ -444,18 +384,12 @@ func decodeColumn(r *blockReader, tuples []rel.Tuple, col, n int) error {
 		return fmt.Errorf("bad encoding tag %d", tag)
 	}
 
-	hasNulls, err := r.byteVal("has-nulls flag")
-	if err != nil {
-		return err
-	}
-	if hasNulls > 1 {
-		return fmt.Errorf("bad has-nulls flag %d", hasNulls)
-	}
-	var validity []byte
-	m := n // present cells
-	if hasNulls == 1 {
-		if validity, err = r.take((n+7)/8, "validity bitmap"); err != nil {
-			return err
+	var validity []byte // nil: every cell present
+	m := n              // present cells
+	if r.Bool("has-nulls flag") {
+		validity = r.Take((n+7)/8, "validity bitmap")
+		if r.Err() != nil {
+			return r.Err()
 		}
 		m = 0
 		for i := 0; i < n; i++ {
@@ -470,9 +404,9 @@ func decodeColumn(r *blockReader, tuples []rel.Tuple, col, n int) error {
 
 	switch tag {
 	case colBool:
-		bits, err := r.take((m+7)/8, "bool bitmap")
-		if err != nil {
-			return err
+		bits := r.Take((m+7)/8, "bool bitmap")
+		if r.Err() != nil {
+			return r.Err()
 		}
 		j := 0
 		for i := 0; i < n; i++ {
@@ -484,87 +418,48 @@ func decodeColumn(r *blockReader, tuples []rel.Tuple, col, n int) error {
 	case colInt:
 		prev := int64(0)
 		for i := 0; i < n; i++ {
-			if !present(i) {
-				continue
+			if present(i) {
+				prev += r.Varint("int delta")
+				tuples[i].Vals[col] = rel.Int(prev)
 			}
-			d, err := r.varint("int delta")
-			if err != nil {
-				return err
-			}
-			prev += d
-			tuples[i].Vals[col] = rel.Int(prev)
 		}
 	case colFloat:
-		bank, err := r.take(8*m, "float bank")
-		if err != nil {
-			return err
-		}
-		j := 0
 		for i := 0; i < n; i++ {
 			if present(i) {
-				tuples[i].Vals[col] = rel.Float(math.Float64frombits(binary.LittleEndian.Uint64(bank[8*j:])))
-				j++
+				tuples[i].Vals[col] = rel.Float(r.F64("float bank"))
 			}
 		}
 	case colStrRaw:
-		lens := make([]int, 0, m)
-		total := 0
-		for j := 0; j < m; j++ {
-			l, err := r.uvarint("string length")
-			if err != nil {
-				return err
-			}
-			if l > uint64(len(r.b)) {
-				return fmt.Errorf("string length %d exceeds remaining %d bytes", l, len(r.b))
-			}
-			lens = append(lens, int(l))
-			total += int(l)
+		// m lengths, each bounded by the bytes after it, then the
+		// concatenated bytes; Take rejects a total the body cannot hold.
+		lens := make([]int, m)
+		for j := range lens {
+			lens[j] = r.Count("string length")
 		}
-		bytes, err := r.take(total, "string bytes")
-		if err != nil {
-			return err
-		}
-		j, off := 0, 0
-		for i := 0; i < n; i++ {
+		for i, j := 0, 0; i < n; i++ {
 			if present(i) {
-				tuples[i].Vals[col] = rel.String(string(bytes[off : off+lens[j]]))
-				off += lens[j]
+				tuples[i].Vals[col] = rel.String(string(r.Take(lens[j], "string bytes")))
 				j++
 			}
 		}
 	case colStrDict:
-		d, err := r.uvarint("dictionary size")
-		if err != nil {
-			return err
-		}
-		if d > uint64(len(r.b)) {
-			return fmt.Errorf("dictionary size %d exceeds remaining %d bytes", d, len(r.b))
-		}
-		dict := make([]rel.Value, d)
+		dict := make([]rel.Value, r.Count("dictionary size"))
 		for j := range dict {
-			l, err := r.uvarint("dictionary entry length")
-			if err != nil {
-				return err
-			}
-			s, err := r.take(int(l), "dictionary entry")
-			if err != nil {
-				return err
-			}
-			dict[j] = rel.String(string(s))
+			dict[j] = rel.String(r.Str("dictionary entry"))
 		}
 		for i := 0; i < n; i++ {
 			if !present(i) {
 				continue
 			}
-			id, err := r.uvarint("dictionary index")
-			if err != nil {
-				return err
-			}
-			if id >= d {
-				return fmt.Errorf("dictionary index %d out of range %d", id, d)
+			id := r.Uvarint("dictionary index")
+			if id >= uint64(len(dict)) {
+				if r.Err() != nil {
+					return r.Err()
+				}
+				return fmt.Errorf("dictionary index %d out of range %d", id, len(dict))
 			}
 			tuples[i].Vals[col] = dict[id]
 		}
 	}
-	return nil
+	return r.Err()
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"iolap/internal/rel"
+	"iolap/internal/wire"
+	"iolap/internal/wire/wiretest"
 )
 
 // blockFixtures returns (name, schema, tuples) triples spanning the codec's
@@ -185,6 +187,43 @@ func TestBlockCodecRejectsCorruptHeaders(t *testing.T) {
 	if _, err := DecodeBlock(bad, schema); err == nil {
 		t.Fatal("decode with unknown version succeeded")
 	}
+}
+
+// TestBlockDecoderRejectsCorruption runs the shared corruption table
+// (wiretest) over every fixture's encoding: truncation at every byte offset,
+// a trailing byte, a huge uvarint spliced over every offset, and hand-made
+// lying counts — all errors, none a panic or an allocation sized off the
+// bytes.
+func TestBlockDecoderRejectsCorruption(t *testing.T) {
+	var msgs []wiretest.Message
+	for _, fx := range blockFixtures() {
+		schema := fx.schema
+		recode := func(p []byte) ([]byte, error) {
+			tuples, err := DecodeBlock(p, schema)
+			if err != nil {
+				return nil, err
+			}
+			return EncodeBlock(nil, schema, tuples, false)
+		}
+		enc, err := EncodeBlock(nil, schema, fx.tuples, false)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		msgs = append(msgs, wiretest.Message{Name: fx.name, Valid: enc, Recode: recode})
+	}
+	// One-column uncompressed block with the given row count and body.
+	blk := func(rows uint64, body ...byte) []byte {
+		p := wire.AppendUvarint(wire.AppendUvarint([]byte{blockVersion}, rows), 1)
+		return append(wire.AppendUvarint(p, uint64(len(body))), body...)
+	}
+	huge := wire.AppendUvarint(nil, 1<<40)
+	msgs[1].Lies = [][]byte{ // "one-int": a one-column schema
+		blk(1, append([]byte{blockMultOnes, colStrRaw, 0}, huge...)...),                         // string length
+		blk(1, append([]byte{blockMultOnes, colStrDict, 0}, huge...)...),                        // dictionary size
+		blk(60000, blockMultOnes, colInt, 0, 2),                                                 // row count the body cannot back
+		append(wire.AppendUvarint([]byte{blockVersion | blockFlagFlate, 1, 1}, maxChunkRaw), 0), // 1 GiB promised by a 1-byte flate stream
+	}
+	wiretest.Check(t, msgs)
 }
 
 // TestChunkRoundTrip covers the spill-run chunk wrapper, including the

@@ -66,7 +66,10 @@ func Deflate(dst, src []byte) []byte {
 // erroring on truncation, trailing garbage, or a stream that decodes to a
 // different length.
 func Inflate(src []byte, rawLen int) ([]byte, error) {
-	if rawLen < 0 || rawLen > maxChunkRaw {
+	// Deflate expands at most 1032:1 (one bit-pair can emit 258 bytes), so a
+	// header promising more than the stream could hold is a lie — rejected
+	// before the output buffer is sized from it.
+	if rawLen < 0 || rawLen > maxChunkRaw || rawLen > 1032*len(src) {
 		return nil, fmt.Errorf("storage: chunk raw length %d out of range", rawLen)
 	}
 	fr := flateReaders.Get().(io.ReadCloser)

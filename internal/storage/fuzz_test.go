@@ -182,16 +182,10 @@ func spillValueIdentical(a, b rel.Value) bool {
 }
 
 // seedTable encodes one representative table file for the fuzz corpus.
-func seedTable(t testing.TB, r *rel.Relation, blockRows int, columnar, compress bool) []byte {
+func seedTable(t testing.TB, r *rel.Relation, blockRows int, compress bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var err error
-	if columnar {
-		err = WriteColumnar(&buf, r, blockRows, compress)
-	} else {
-		err = Write(&buf, r, blockRows)
-	}
-	if err != nil {
+	if err := WriteColumnar(&buf, r, blockRows, compress); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -202,9 +196,9 @@ func seedTable(t testing.TB, r *rel.Relation, blockRows int, columnar, compress 
 //
 //  1. No input may panic, hang, or force an implausible allocation: the
 //     reader either fails cleanly or returns a well-formed table.
-//  2. Any input that decodes must round-trip through both writers: the
-//     re-encoded file decodes to the same rows in the same order with the
-//     same schema.
+//  2. Any input that decodes must round-trip through the writer, raw and
+//     compressed: the re-encoded file decodes to the same rows in the same
+//     order with the same schema.
 func FuzzTableCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("IOL1"))
@@ -213,14 +207,14 @@ func FuzzTableCodec(f *testing.F) {
 	f.Add([]byte{'I', 'O', 'L', '2', 1, 1, 'x', byte(rel.KInt), 3})                                                       // bad tag
 	f.Add([]byte{'I', 'O', 'L', '2', 1, 1, 'x', byte(rel.KInt), 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // huge columnar length
 	empty := rel.NewRelation(rel.Schema{{Name: "a", Type: rel.KInt}})
-	f.Add(seedTable(f, empty, 4, false, false))
-	f.Add(seedTable(f, empty, 4, true, false))
-	f.Add(seedTable(f, sampleRel(37), 8, false, false))
-	f.Add(seedTable(f, sampleRel(37), 8, true, false))
-	f.Add(seedTable(f, sampleRel(64), 16, true, true))
-	f.Add(seedTable(f, sampleRelWithRefs(33), 8, true, true))
+	f.Add([]byte{'I', 'O', 'L', '1', 1, 1, 'a', byte(rel.KInt), 0}) // empty v1 table
+	f.Add(goldenV1(f))
+	f.Add(seedTable(f, empty, 4, false))
+	f.Add(seedTable(f, sampleRel(37), 8, false))
+	f.Add(seedTable(f, sampleRel(64), 16, true))
+	f.Add(seedTable(f, sampleRelWithRefs(33), 8, true))
 	// Pre-corrupted variants of a valid columnar file.
-	valid := seedTable(f, sampleRel(20), 8, true, true)
+	valid := seedTable(f, sampleRel(20), 8, true)
 	for _, i := range []int{4, 5, len(valid) / 2, len(valid) - 2} {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0xff
@@ -234,22 +228,22 @@ func FuzzTableCodec(f *testing.F) {
 			return // rejected cleanly — fine
 		}
 		src := table.Rel
-		for _, columnar := range []bool{false, true} {
-			buf := seedTable(t, src, 8, columnar, columnar)
+		for _, compress := range []bool{false, true} {
+			buf := seedTable(t, src, 8, compress)
 			got, err := Read(bytes.NewReader(buf))
 			if err != nil {
-				t.Fatalf("columnar=%v: re-read of re-encoding failed: %v", columnar, err)
+				t.Fatalf("compress=%v: re-read of re-encoding failed: %v", compress, err)
 			}
 			if !src.Schema.Equal(got.Rel.Schema) {
-				t.Fatalf("columnar=%v: schema changed across round-trip", columnar)
+				t.Fatalf("compress=%v: schema changed across round-trip", compress)
 			}
 			if src.Len() != got.Rel.Len() {
-				t.Fatalf("columnar=%v: %d rows became %d", columnar, src.Len(), got.Rel.Len())
+				t.Fatalf("compress=%v: %d rows became %d", compress, src.Len(), got.Rel.Len())
 			}
 			for i := range src.Tuples {
 				for c := range src.Schema {
 					if !src.Tuples[i].Vals[c].Equal(got.Rel.Tuples[i].Vals[c]) {
-						t.Fatalf("columnar=%v: row %d col %d changed", columnar, i, c)
+						t.Fatalf("compress=%v: row %d col %d changed", compress, i, c)
 					}
 				}
 			}

@@ -27,6 +27,7 @@ import (
 	"math"
 
 	"iolap/internal/rel"
+	"iolap/internal/wire"
 )
 
 // AppendSpillRow appends the encoding of one spill row to dst and returns
@@ -173,7 +174,7 @@ func DecodeSpillRow(b []byte) (vals []rel.Value, mult float64, w []float64, size
 	mult = math.Float64frombits(binary.LittleEndian.Uint64(p))
 	p = p[8:]
 	nW, n := binary.Uvarint(p)
-	if n <= 0 || nW*8 > uint64(len(p)-n) {
+	if n <= 0 || nW > uint64(len(p)-n)/8 { // division: nW*8 can wrap
 		return nil, 0, nil, 0, fmt.Errorf("storage: bad spill weight count")
 	}
 	p = p[n:]
@@ -188,6 +189,18 @@ func DecodeSpillRow(b []byte) (vals []rel.Value, mult float64, w []float64, size
 		return nil, 0, nil, 0, fmt.Errorf("storage: %d trailing bytes in spill row", len(p))
 	}
 	return vals, mult, w, size, nil
+}
+
+// ReadSpillRow decodes the spill row at the front of r's undecoded payload
+// and advances r past it; a malformed row latches its error on r.
+func ReadSpillRow(r *wire.Reader) (vals []rel.Value, mult float64, w []float64) {
+	vals, mult, w, size, err := DecodeSpillRow(r.Rest())
+	if err != nil {
+		r.Fail(err)
+		return nil, 0, nil
+	}
+	r.Skip(size)
+	return vals, mult, w
 }
 
 func decodeSpillValue(p []byte) (rel.Value, []byte, error) {

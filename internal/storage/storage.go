@@ -6,7 +6,9 @@
 // BlockRows option reproduces exactly that: blocks, not rows, are shuffled
 // into mini-batches.
 //
-// Format (little-endian):
+// The v1 format ("IOL1", little-endian) is read-only — its writer is gone,
+// files written by older builds stay loadable (testdata/v1_sample.iol pins
+// that):
 //
 //	magic   "IOL1"
 //	uvarint column count
@@ -17,9 +19,10 @@
 //	     for STRING, varint op + varint col + uvarint len+bytes for REF;
 //	     NULL has no payload)
 //
-// The v2 format ("IOL2", WriteColumnar) keeps the header and replaces the
-// block stream with tagged blocks so each block can use the §11 columnar
-// codec (block.go) while oddball blocks fall back to rows:
+// The v2 format ("IOL2", what WriteColumnar — the only writer — produces)
+// keeps the header and replaces the block stream with tagged blocks so each
+// block can use the §11 columnar codec (block.go) while oddball blocks fall
+// back to rows:
 //
 //	blocks: 1 byte tag — 0 terminates,
 //	        1 = row block (uvarint row count, then rows as in v1),
@@ -59,32 +62,6 @@ const maxStringBytes = 1 << 28
 // DefaultBlockRows is the row count per block when unspecified.
 const DefaultBlockRows = 1024
 
-// Write serialises a relation as a block table with the given rows per
-// block.
-func Write(w io.Writer, r *rel.Relation, blockRows int) error {
-	if blockRows <= 0 {
-		blockRows = DefaultBlockRows
-	}
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, magic, r.Schema); err != nil {
-		return err
-	}
-	for lo := 0; lo < r.Len(); lo += blockRows {
-		hi := lo + blockRows
-		if hi > r.Len() {
-			hi = r.Len()
-		}
-		writeUvarint(bw, uint64(hi-lo))
-		for _, tp := range r.Tuples[lo:hi] {
-			if err := writeRow(bw, tp.Vals); err != nil {
-				return err
-			}
-		}
-	}
-	writeUvarint(bw, 0) // terminator
-	return bw.Flush()
-}
-
 // WriteColumnar serialises a relation in the v2 tagged-block format: each
 // block is stored with the §11 columnar codec (optionally flate-compressed)
 // unless it contains cells the codec rejects (lineage KRefs), in which case
@@ -94,7 +71,7 @@ func WriteColumnar(w io.Writer, r *rel.Relation, blockRows int, compress bool) e
 		blockRows = DefaultBlockRows
 	}
 	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, magic2, r.Schema); err != nil {
+	if err := writeHeader(bw, r.Schema); err != nil {
 		return err
 	}
 	var scratch []byte
@@ -123,8 +100,8 @@ func WriteColumnar(w io.Writer, r *rel.Relation, blockRows int, compress bool) e
 	return bw.Flush()
 }
 
-func writeHeader(bw *bufio.Writer, m [4]byte, schema rel.Schema) error {
-	if _, err := bw.Write(m[:]); err != nil {
+func writeHeader(bw *bufio.Writer, schema rel.Schema) error {
+	if _, err := bw.Write(magic2[:]); err != nil {
 		return err
 	}
 	writeUvarint(bw, uint64(len(schema)))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"iolap/internal/rel"
@@ -27,35 +28,58 @@ func sampleRel(n int) *rel.Relation {
 	return r
 }
 
-func TestRoundTrip(t *testing.T) {
-	src := sampleRel(100)
-	var buf bytes.Buffer
-	if err := Write(&buf, src, 16); err != nil {
-		t.Fatal(err)
-	}
-	table, err := Read(&buf)
+// goldenV1 is a v1 ("IOL1") file written by the last build that had a v1
+// writer: sampleRelWithRefs(100) at 16 rows per block, with +Inf, -0 and a
+// large negative int patched into rows 1..3. The writer is gone; the reader
+// must keep loading such files.
+func goldenV1(t testing.TB) []byte {
+	t.Helper()
+	b, err := os.ReadFile("testdata/v1_sample.iol")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rel.EqualBag(src, table.Rel, 0) {
-		t.Fatal("round trip lost data")
+	return b
+}
+
+func goldenV1Rel() *rel.Relation {
+	r := sampleRelWithRefs(100)
+	r.Tuples[1].Vals[1] = rel.Float(math.Inf(1))
+	r.Tuples[2].Vals[1] = rel.Float(math.Copysign(0, -1))
+	r.Tuples[3].Vals[0] = rel.Int(-1 << 62)
+	return r
+}
+
+// TestReadGoldenV1: the committed v1 file decodes to exactly the relation it
+// was written from — every kind (lineage refs and NULLs included), float bit
+// patterns, schema and block boundaries.
+func TestReadGoldenV1(t *testing.T) {
+	src := goldenV1Rel()
+	table, err := Read(bytes.NewReader(goldenV1(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table.V2 || table.Format() != "row v1" {
+		t.Errorf("format = %q, want row v1", table.Format())
 	}
 	if !src.Schema.Equal(table.Rel.Schema) {
 		t.Fatalf("schema lost: %v", table.Rel.Schema)
 	}
-	// 100 rows at 16/block = 7 blocks.
+	if src.Len() != table.Rel.Len() {
+		t.Fatalf("%d rows, want %d", table.Rel.Len(), src.Len())
+	}
+	for i := range src.Tuples {
+		for c := range src.Schema {
+			if !spillValueIdentical(src.Tuples[i].Vals[c], table.Rel.Tuples[i].Vals[c]) {
+				t.Fatalf("row %d col %d: got %v want %v", i, c, table.Rel.Tuples[i].Vals[c], src.Tuples[i].Vals[c])
+			}
+		}
+	}
+	// 100 rows at 16/block = 7 blocks, the last one partial.
 	if table.Blocks() != 7 {
 		t.Errorf("blocks = %d, want 7", table.Blocks())
 	}
-	if len(table.Block(6)) != 4 { // final partial block
+	if len(table.Block(6)) != 4 {
 		t.Errorf("last block rows = %d, want 4", len(table.Block(6)))
-	}
-	total := 0
-	for i := 0; i < table.Blocks(); i++ {
-		total += len(table.Block(i))
-	}
-	if total != 100 {
-		t.Errorf("block union = %d rows", total)
 	}
 }
 
@@ -65,7 +89,7 @@ func TestRoundTripSpecialValues(t *testing.T) {
 	r.Append(rel.Float(-0.0), rel.Int(0))
 	r.Append(rel.Null(), rel.Null())
 	var buf bytes.Buffer
-	if err := Write(&buf, r, 0); err != nil {
+	if err := WriteColumnar(&buf, r, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	table, err := Read(&buf)
@@ -90,12 +114,9 @@ func TestReadErrors(t *testing.T) {
 	if _, err := Read(bytes.NewReader([]byte("NOPE"))); err == nil {
 		t.Error("bad magic must fail")
 	}
-	// Truncated file.
-	src := sampleRel(10)
-	var buf bytes.Buffer
-	Write(&buf, src, 4)
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
+	// Truncated v1 file.
+	v1 := goldenV1(t)
+	if _, err := Read(bytes.NewReader(v1[:len(v1)/2])); err == nil {
 		t.Error("truncated input must fail")
 	}
 }
@@ -103,7 +124,7 @@ func TestReadErrors(t *testing.T) {
 func TestShuffleBlocksIsBlockwisePermutation(t *testing.T) {
 	src := sampleRel(64)
 	var buf bytes.Buffer
-	Write(&buf, src, 8)
+	WriteColumnar(&buf, src, 8, false)
 	table, _ := Read(&buf)
 	shuffled := table.ShuffleBlocks(5)
 	if !rel.EqualBag(src, shuffled, 0) {
@@ -146,7 +167,7 @@ func TestShuffleBlocksIsBlockwisePermutation(t *testing.T) {
 func TestDefaultBlockRows(t *testing.T) {
 	src := sampleRel(10)
 	var buf bytes.Buffer
-	if err := Write(&buf, src, -5); err != nil {
+	if err := WriteColumnar(&buf, src, -5, false); err != nil {
 		t.Fatal(err)
 	}
 	table, err := Read(&buf)

@@ -494,19 +494,16 @@ func (s *Session) TableFormat(name string) (string, error) {
 	return "memory", nil
 }
 
-// WriteBlockTable serialises a table as a block-table file: the columnar v2
-// layout (optionally flate-compressed per block) when columnar is set, the
-// v1 row layout otherwise. blockRows <= 0 uses the storage default. This is
-// the cmd/iolap -convert path: load any source, rewrite it columnar.
-func (s *Session) WriteBlockTable(name string, w io.Writer, blockRows int, columnar, compress bool) error {
+// WriteBlockTable serialises a table as a block-table file in the columnar
+// v2 layout, optionally flate-compressed per block. blockRows <= 0 uses the
+// storage default. This is the cmd/iolap -convert path: load any source,
+// rewrite it columnar.
+func (s *Session) WriteBlockTable(name string, w io.Writer, blockRows int, compress bool) error {
 	r, ok := s.tables[name]
 	if !ok {
 		return fmt.Errorf("iolap: unknown table %q", name)
 	}
-	if columnar {
-		return storage.WriteColumnar(w, r, blockRows, compress)
-	}
-	return storage.Write(w, r, blockRows)
+	return storage.WriteColumnar(w, r, blockRows, compress)
 }
 
 func (s *Session) catalog(streamOverride string) *sql.Catalog {
