@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race check-race fuzz-seeds fuzz alloc-test bench bench-smoke bench-dist bench-agg bench-serve profile check
+.PHONY: build test vet lint race fuzz-seeds fuzz alloc-test bench bench-smoke profile check
 
 build:
 	$(GO) build ./...
@@ -32,8 +32,6 @@ lint: vet
 race:
 	$(GO) test -race ./...
 
-check-race: race
-
 # Run the fuzz corpora as plain tests: every seed in testdata/fuzz and every
 # f.Add seed goes through the spill-row / block / table-file codec round-trip
 # properties, the wire-message decoders (FuzzWire: one harness in
@@ -57,30 +55,6 @@ bench:
 # same vet + smoke test directly.
 bench-smoke:
 	cd bench && GOWORK=off $(GO) vet . && GOWORK=off $(GO) test ./...
-
-# Distributed-execution benchmark: local vs loopback vs TCP (2 workers on
-# localhost) on TPC-H Q3/Q17. Distribution on one machine is pure overhead;
-# the figures of interest are the transport cost and the measured wire
-# bytes (deterministic, identical between loopback and TCP). Also runs the
-# elastic autoscale scenario (workers 2 -> 4 -> 2 mid-run, bit-identical)
-# and the partitioned-shipping comparison (hash-partitioned vs replicated
-# build table, setup broadcast bytes). Writes BENCH_dist.json.
-bench-dist:
-	$(GO) run ./cmd/benchdist -o BENCH_dist.json
-
-# Aggregate-kernel benchmark: ns/tuple for the flat SoA replicate kernels
-# vs. the per-replicate interface oracle on the B=100 bootstrap fold, per
-# builtin aggregate, with a bit-identity guard and allocs/tuple (expected
-# 0). Writes BENCH_agg.json.
-bench-agg:
-	$(GO) run ./cmd/benchagg -o BENCH_agg.json
-
-# Serving-engine benchmark: concurrency levels of mixed Conviva sessions over
-# one shared scan, reporting time-to-first-estimate and p50/p99 estimate
-# refresh latency per level, every trajectory checked bit-identical against a
-# solo run. Writes BENCH_serve.json.
-bench-serve:
-	$(GO) run ./cmd/benchserve -o BENCH_serve.json
 
 # Allocation-regression tests: testing.AllocsPerRun pins the per-tuple
 # steady state of the kernel fold, the weight generator, and key encoding

@@ -15,7 +15,6 @@ package main
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -61,14 +60,12 @@ func main() {
 		serveNoShare = flag.Bool("serve-no-share", false, "disable the cross-session shared-state cache (every -serve session builds private operator state)")
 		joinAddr     = flag.String("join", "", "dial a coordinator's -dist-elastic address and join its running query as a worker (exits when the query ends)")
 		distAddrs    = flag.String("dist", "", "comma-separated worker addresses (host:port,...): distribute execution across them (results identical to local)")
-		distPart     = flag.String("dist-partition", "", "comma-separated static build tables to hash-partition across workers instead of replicating (needs -dist; results identical)")
-		distParts    = flag.Int("dist-partitions", 0, "hash-partition count for -dist-partition (0 = worker count)")
+		distPart     = flag.String("dist-partition", "", "comma-separated static build tables to hash-partition across workers, one partition per worker, instead of replicating (needs -dist; results identical)")
 		distCompress = flag.Bool("dist-compress", false, "flate-compress distributed wire traffic (setup tables and large span payloads; results identical)")
 		distElastic  = flag.String("dist-elastic", "", "host:port to accept workers joining mid-query (needs -dist; joiners replay completed batches and enter at the next batch boundary)")
 		convertSpec  = flag.String("convert", "", "rewrite a loaded table as a columnar v2 block file and exit: name=path (load the source via -iol, -csv, or -workload)")
 		convertRows  = flag.Int("convert-block-rows", 0, "rows per block for -convert (0 = storage default)")
 		convertRaw   = flag.Bool("convert-no-compress", false, "disable per-block flate compression for -convert")
-		costProfile  = flag.String("cost-profile", "", "JSON file with the learned per-row cost profile: read if present, rewritten after the run")
 		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile   = flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
 	)
@@ -197,9 +194,8 @@ func main() {
 		seed: *seed, mode: *mode, csvSpec: *csvSpec, iolSpec: *iolSpec,
 		stratify: *stratify, showPlan: *showPlan, showStats: *showStats,
 		maxRows: *maxRows, workers: *workers, stateBudget: *stateBudget,
-		distAddrs: *distAddrs, distPartition: *distPart, distPartitions: *distParts,
-		distElastic: *distElastic, costProfile: *costProfile,
-		distCompress: *distCompress,
+		distAddrs: *distAddrs, distPartition: *distPart,
+		distElastic: *distElastic, distCompress: *distCompress,
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "iolap:", err)
@@ -213,9 +209,8 @@ type runConfig struct {
 	mode, csvSpec, iolSpec          string
 	stratify, distAddrs             string
 	distPartition, distElastic      string
-	costProfile                     string
 	scale, batches, trials, maxRows int
-	workers, distPartitions         int
+	workers                         int
 	slack                           float64
 	seed                            uint64
 	stateBudget                     int64
@@ -377,17 +372,9 @@ func run(cfg runConfig) error {
 	opts.DistCompress = cfg.distCompress
 	if cfg.distPartition != "" {
 		opts.DistPartitionTables = strings.Split(cfg.distPartition, ",")
-		opts.DistPartitions = cfg.distPartitions
 	}
 	if cfg.distElastic != "" {
 		opts.DistElasticAddr = cfg.distElastic
-	}
-	if cfg.costProfile != "" {
-		prof, err := loadCostProfile(cfg.costProfile)
-		if err != nil {
-			return err
-		}
-		opts.CostProfile = prof
 	}
 
 	cur, err := session.Query(query, opts)
@@ -427,37 +414,7 @@ func run(cfg runConfig) error {
 		fmt.Printf("wire totals: %d B shuffle, %d B broadcast, %d workers live\n",
 			sh, bc, cur.DistLiveWorkers())
 	}
-	if cfg.costProfile != "" {
-		if err := saveCostProfile(cfg.costProfile, cur.CostSnapshot()); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// loadCostProfile reads a -cost-profile JSON file; a missing file is an
-// empty profile (the run creates it on exit).
-func loadCostProfile(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var prof map[string]float64
-	if err := json.Unmarshal(data, &prof); err != nil {
-		return nil, fmt.Errorf("cost profile %s: %w", path, err)
-	}
-	return prof, nil
-}
-
-func saveCostProfile(path string, prof map[string]float64) error {
-	data, err := json.MarshalIndent(prof, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func printRows(u *iolap.Update, maxRows int) { printRowsTo(os.Stdout, u, maxRows) }

@@ -206,36 +206,6 @@ func TestRunDistributed(t *testing.T) {
 	}
 }
 
-func TestCostProfilePersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cost.json")
-	cfg := baseCfg()
-	cfg.costProfile = path
-	if err := run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	prof, err := loadCostProfile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prof) == 0 {
-		t.Fatal("profile file empty after run")
-	}
-	for name, v := range prof {
-		if v <= 0 {
-			t.Errorf("%s: non-positive per-row cost %v", name, v)
-		}
-	}
-	// Second run consumes the profile it wrote.
-	if err := run(cfg); err != nil {
-		t.Fatalf("seeded run: %v", err)
-	}
-	// Corrupt profile fails loudly rather than silently cold-starting.
-	os.WriteFile(path, []byte("not json"), 0o644)
-	if err := run(cfg); err == nil {
-		t.Error("corrupt profile must fail")
-	}
-}
-
 func TestREPL(t *testing.T) {
 	session, _ := iolap.NewConvivaSession(200, 1)
 	opts := &iolap.Options{Batches: 2, Trials: 10, Seed: 1}

@@ -164,9 +164,8 @@ func (m *CostModel) PerRowNs(c OpClass) float64 {
 	return m.perRowNs[c]
 }
 
-// Snapshot exports the per-class EWMA estimates keyed by class name, for
-// persisting across processes (the CLI's -cost-profile file). Keying by name
-// rather than ordinal keeps a saved profile valid across class reorderings.
+// Snapshot exports the per-class EWMA estimates keyed by class name (not
+// ordinal, so readers survive class reorderings).
 func (m *CostModel) Snapshot() map[string]float64 {
 	if m == nil {
 		return nil
@@ -178,19 +177,3 @@ func (m *CostModel) Snapshot() map[string]float64 {
 	return out
 }
 
-// Seed replaces the cold-start priors with estimates from a previous run's
-// Snapshot, so the first batches of a fresh process already fan out at the
-// cutovers the last run converged to. Unknown class names are ignored (old
-// profiles survive class additions) and non-positive values are dropped (a
-// corrupt profile cannot pin a class sequential forever). Like every cost
-// input, seeding affects scheduling only, never results.
-func (m *CostModel) Seed(profile map[string]float64) {
-	if m == nil || len(profile) == 0 {
-		return
-	}
-	for c := OpClass(0); c < numOpClasses; c++ {
-		if v, ok := profile[c.String()]; ok && v > 0 {
-			m.perRowNs[c] = v
-		}
-	}
-}

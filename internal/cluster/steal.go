@@ -278,8 +278,8 @@ func (p *Pool) MapSized(n int, size func(i int) int, fn func(i int)) {
 // cut wherever the cumulative size crosses a chunk budget
 // (total / (w · chunksPerWorker)), so chunks carry near-equal cost, and each
 // worker is seeded with a contiguous run of chunks of near-equal cumulative
-// cost. Pure function of its inputs — cmd/benchskew's placement analysis
-// relies on reproducing exactly the seeding MapSized uses.
+// cost. Pure function of its inputs — the placement analysis of
+// skew_bench_test.go relies on reproducing exactly the seeding MapSized uses.
 func sizedAssign(n, w int, sizes []int, total int) [][]chunk {
 	budget := total/(w*chunksPerWorker) + 1
 	var cuts []chunk

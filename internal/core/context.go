@@ -134,10 +134,6 @@ type Options struct {
 	// bit-identical to local execution (see exchange.go and DESIGN.md §9).
 	// Nil (the default) means purely local execution.
 	Exchange Exchanger
-	// CostSeed seeds the adaptive cost model from a previous run's profile
-	// (Engine.CostSnapshot / the CLI -cost-profile file), replacing the
-	// cold-start priors. Scheduling only — never results.
-	CostSeed map[string]float64
 	// PartitionTables names static build-side tables shipped partitioned
 	// (non-replicated) under distributed execution: each worker receives only
 	// its hash partition (cluster.PartitionByKey over the build-side join

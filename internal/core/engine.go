@@ -219,7 +219,6 @@ func NewEngine(root plan.Node, db *exec.DB, opts Options) (*Engine, error) {
 	e.totalRows = totalRows
 	e.pool = cluster.NewPool(opts.Workers)
 	e.cost = cluster.NewCostModel(opts.ParThreshold)
-	e.cost.Seed(opts.CostSeed)
 	e.exch = opts.Exchange
 	e.needSnapshots = comp.nested && opts.Mode != ModeHDA && opts.Trials > 0
 	e.base = e.takeSnapshot(0)
@@ -576,9 +575,8 @@ func (e *Engine) TotalSpillBytesWritten() int64 { return e.committedSpillWritten
 // read back from spill files.
 func (e *Engine) TotalSpillBytesRead() int64 { return e.committedSpillRead }
 
-// CostSnapshot exports the adaptive cost model's per-class estimates for
-// persisting across runs (the CLI -cost-profile file; Options.CostSeed on
-// the next run).
+// CostSnapshot exports the adaptive cost model's per-class estimates (the
+// learned ns/row the parallel cutovers derive from).
 func (e *Engine) CostSnapshot() map[string]float64 { return e.cost.Snapshot() }
 
 // WireStats returns the cumulative measured transport traffic of a

@@ -34,57 +34,6 @@ func scrubSpillMetrics(us []*Update) []*Update {
 	return out
 }
 
-// assertResultsIdentical compares only the user-visible answer — batch
-// labels, fraction, result relation, estimates — ignoring accounting metrics.
-// It is the right comparison when one run recovered and the other did not:
-// recovery legitimately changes Recomputed/ShuffleBytes/Recoveries, but the
-// paper's replay protocol guarantees the answer itself is unchanged.
-func assertResultsIdentical(t *testing.T, want, got []*Update) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("update counts differ: %d vs %d", len(want), len(got))
-	}
-	for i := range want {
-		a, b := want[i], got[i]
-		if a.Batch != b.Batch || a.Batches != b.Batches {
-			t.Fatalf("update %d: batch labels differ: %d/%d vs %d/%d", i, a.Batch, a.Batches, b.Batch, b.Batches)
-		}
-		if !sameF(a.Fraction, b.Fraction) {
-			t.Errorf("batch %d: Fraction %v vs %v", a.Batch, a.Fraction, b.Fraction)
-		}
-		if len(a.Result.Tuples) != len(b.Result.Tuples) {
-			t.Fatalf("batch %d: result sizes differ: %d vs %d rows\nwant:\n%s\ngot:\n%s",
-				a.Batch, len(a.Result.Tuples), len(b.Result.Tuples), a.Result, b.Result)
-		}
-		for ti := range a.Result.Tuples {
-			ta, tb := a.Result.Tuples[ti], b.Result.Tuples[ti]
-			if !sameF(ta.Mult, tb.Mult) || len(ta.Vals) != len(tb.Vals) {
-				t.Fatalf("batch %d row %d: tuples differ: %v×%v vs %v×%v",
-					a.Batch, ti, ta.Vals, ta.Mult, tb.Vals, tb.Mult)
-			}
-			for vi := range ta.Vals {
-				if !sameValue(ta.Vals[vi], tb.Vals[vi]) {
-					t.Fatalf("batch %d row %d col %d: %v vs %v", a.Batch, ti, vi, ta.Vals[vi], tb.Vals[vi])
-				}
-			}
-		}
-		if len(a.Estimates) != len(b.Estimates) {
-			t.Fatalf("batch %d: estimate row counts differ: %d vs %d", a.Batch, len(a.Estimates), len(b.Estimates))
-		}
-		for ri := range a.Estimates {
-			if len(a.Estimates[ri]) != len(b.Estimates[ri]) {
-				t.Fatalf("batch %d: estimate row %d widths differ", a.Batch, ri)
-			}
-			for ci := range a.Estimates[ri] {
-				if !sameEstimate(a.Estimates[ri][ci], b.Estimates[ri][ci]) {
-					t.Fatalf("batch %d: estimate [%d][%d] differs: %+v vs %+v",
-						a.Batch, ri, ci, a.Estimates[ri][ci], b.Estimates[ri][ci])
-				}
-			}
-		}
-	}
-}
-
 // TestBudgetEquivalenceSweep is the satellite-2 matrix: StateBudgetBytes in
 // {zero-byte, tiny, unbounded} × Workers in {1, 2, 8}, each cell compared
 // against the Workers=1 in-memory oracle. Within a budget, worker count must

@@ -14,7 +14,6 @@ package dist
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"iolap/internal/core"
 	"iolap/internal/exec"
@@ -415,28 +414,4 @@ func decodeBatchDone(p []byte) (batch int, digest uint64, err error) {
 	batch = int(r.Uvarint("batch"))
 	digest = r.U64("digest")
 	return batch, digest, r.Done("batchDone")
-}
-
-// resultDigest folds a batch result into 64 bits: FNV-1a over every result
-// tuple (spill-row encoded, so float bit patterns are covered exactly) and
-// every estimate's five float64 bit patterns (core.AppendEstimates). Workers
-// send it after each batch; the coordinator compares against its own
-// replica's digest and expels any diverging worker — a replica that drifted
-// once would corrupt every later batch it participates in.
-func resultDigest(u *core.Update) (uint64, error) {
-	h := fnv.New64a()
-	var buf []byte
-	var err error
-	for _, t := range u.Result.Tuples {
-		buf, err = storage.AppendSpillRow(buf[:0], t.Vals, t.Mult, nil)
-		if err != nil {
-			return 0, err
-		}
-		h.Write(buf)
-	}
-	for _, row := range u.Estimates {
-		buf = core.AppendEstimates(buf[:0], row)
-		h.Write(buf)
-	}
-	return h.Sum64(), nil
 }

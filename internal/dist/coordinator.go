@@ -488,7 +488,7 @@ func avgPerRowNs(m *cluster.CostModel) float64 {
 func (c *Coordinator) finishBatch(u *core.Update) {
 	var want uint64
 	if u != nil {
-		dg, err := resultDigest(u)
+		dg, err := core.ResultDigest(u.Result, u.Estimates)
 		if err != nil {
 			c.cfg.Logf("dist: batch %d: local digest: %v", c.batch, err)
 			return

@@ -1,11 +1,13 @@
 package dist
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -137,7 +139,7 @@ type summary struct {
 
 func summarize(t testing.TB, u *core.Update) summary {
 	t.Helper()
-	dg, err := resultDigest(u)
+	dg, err := core.ResultDigest(u.Result, u.Estimates)
 	if err != nil {
 		t.Fatalf("digest: %v", err)
 	}
@@ -536,6 +538,70 @@ func TestWorkerRejectsGarbageSetup(t *testing.T) {
 	}
 	if err := <-done; err == nil {
 		t.Fatal("worker session should report the setup failure")
+	}
+}
+
+// TestWorkerRejectsLyingSpanBounds: compute and merge slice with the bounds a
+// coordinator sends, and only the site knows its size, so a worker must end
+// the session with an error — not a slice-bounds panic — on a compute request
+// or a merged span outside [0, n].
+func TestWorkerRejectsLyingSpanBounds(t *testing.T) {
+	// own is the worker's span of the first site. The only live worker of a
+	// two-participant site owns its tail, so own.hi is the site's n; the
+	// merged lie re-addresses the worker's own (decodable) payload past it.
+	lies := map[string]func(own spanMsg) (byte, []byte){
+		"compute": func(own spanMsg) (byte, []byte) { return msgCompute, encodeCompute(own.seq, 5, 1<<40) },
+		"merged": func(own spanMsg) (byte, []byte) {
+			n, width := own.hi, own.hi-own.lo
+			return msgMerged, encodeMerged(own.seq, [][2]int{{n, n + width}}, [][]byte{own.payload}, false)
+		},
+	}
+	for name, lie := range lies {
+		t.Run(name, func(t *testing.T) {
+			cConn, sConn := net.Pipe()
+			defer cConn.Close()
+			done := make(chan error, 1)
+			go func() {
+				defer sConn.Close()
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Errorf("worker panicked: %v", r)
+					}
+				}()
+				done <- ServeConn(sConn, WorkerOptions{IdleTimeout: time.Second})
+			}()
+			setup, err := encodeSetup(1, 1, baseOpts(), distQueries[0].query, testDB(200, 11, 0), streamedTables, 0, 0, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wire.WriteFrame(cConn, msgSetup, setup); err != nil {
+				t.Fatal(err)
+			}
+			if typ, _, err := wire.ReadFrame(cConn); err != nil || typ != msgSetupOK {
+				t.Fatalf("setup reply: type %d, err %v", typ, err)
+			}
+			if err := wire.WriteFrame(cConn, msgStep, encodeStep(1, []int{1}, []int{16, 16})); err != nil {
+				t.Fatal(err)
+			}
+			typ, pl, err := wire.ReadFrame(cConn)
+			if err != nil || typ != msgSpan {
+				t.Fatalf("first site: type %d, err %v (session: %v)", typ, err, <-done)
+			}
+			sm, err := decodeSpan(pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			typ, pl = lie(sm)
+			if err := wire.WriteFrame(cConn, typ, pl); err != nil {
+				t.Fatal(err)
+			}
+			if typ, _, err := wire.ReadFrame(cConn); err != nil || typ != msgError {
+				t.Errorf("reply to the lie: type %d, err %v; want msgError", typ, err)
+			}
+			if err := <-done; err == nil || !strings.Contains(err.Error(), "outside a site of") {
+				t.Fatalf("session ended with %v, want a span-bounds error", err)
+			}
+		})
 	}
 }
 

@@ -154,7 +154,7 @@ func (w *workerSession) run() error {
 			}
 			lastDg = 0
 			if u != nil {
-				if lastDg, err = resultDigest(u); err != nil {
+				if lastDg, err = core.ResultDigest(u.Result, u.Estimates); err != nil {
 					w.sendError(err)
 					return err
 				}
@@ -207,7 +207,7 @@ func (w *workerSession) run() error {
 			}
 			var dg uint64
 			if u != nil {
-				if dg, err = resultDigest(u); err != nil {
+				if dg, err = core.ResultDigest(u.Result, u.Estimates); err != nil {
 					w.sendError(err)
 					return err
 				}
@@ -250,7 +250,6 @@ func buildReplica(s *setupMsg, wopts WorkerOptions, exch core.Exchanger) (*core.
 	opts.StateBudgetBytes = 0
 	opts.SpillFS = nil
 	opts.SpillDir = ""
-	opts.CostSeed = nil
 	return core.NewEngine(node, db, opts)
 }
 
@@ -328,6 +327,9 @@ func (w *workerSession) Exchange(class cluster.OpClass, n int, compute func(lo, 
 			if cseq != seq {
 				return fmt.Errorf("dist: compute request for seq %d during seq %d", cseq, seq)
 			}
+			if err := checkSpan("compute request", clo, chi, n); err != nil {
+				return err
+			}
 			ct0 := time.Now()
 			cpl, err := compute(clo, chi)
 			if err != nil {
@@ -345,6 +347,9 @@ func (w *workerSession) Exchange(class cluster.OpClass, n int, compute func(lo, 
 				return fmt.Errorf("dist: merged site for seq %d during seq %d", mseq, seq)
 			}
 			for _, sm := range msSpans {
+				if err := checkSpan("merged", sm.lo, sm.hi, n); err != nil {
+					return err
+				}
 				if err := merge(sm.lo, sm.hi, sm.payload); err != nil {
 					return err
 				}
@@ -356,6 +361,16 @@ func (w *workerSession) Exchange(class cluster.OpClass, n int, compute func(lo, 
 			return fmt.Errorf("dist: worker got unexpected frame type %d mid-site", typ)
 		}
 	}
+}
+
+// checkSpan rejects coordinator-sent span bounds outside the site's n items
+// (buckets, for a partitioned probe) before compute or merge slice with
+// them. The frame decoders cannot: only the site knows n.
+func checkSpan(what string, lo, hi, n int) error {
+	if lo < 0 || lo > hi || hi > n {
+		return fmt.Errorf("dist: %s span [%d,%d) outside a site of %d", what, lo, hi, n)
+	}
+	return nil
 }
 
 // MinRows implements core.Exchanger.

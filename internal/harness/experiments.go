@@ -7,7 +7,6 @@ import (
 
 	"iolap/internal/core"
 	"iolap/internal/dist"
-	"iolap/internal/rel"
 	"iolap/internal/storage"
 	"iolap/internal/workload"
 )
@@ -616,13 +615,7 @@ func Spill(cfg Config) ([]*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		identical := len(run.updates) == len(ref.updates)
-		for i := range run.updates {
-			if !identical || !rel.EqualBag(run.updates[i].Result, ref.updates[i].Result, 0) {
-				identical = false
-				break
-			}
-		}
+		identical := run.identicalTo(ref)
 		last := run.updates[len(run.updates)-1]
 		res.Rows = append(res.Rows, []string{
 			b.name,
@@ -743,19 +736,11 @@ func Dist(cfg Config) ([]*Result, error) {
 }
 
 func distRow(query, transport string, run, ref *queryRun, wireSh, wireBc int64) []string {
-	identical := len(run.updates) == len(ref.updates)
-	for i := 0; identical && i < len(run.updates); i++ {
-		a, b := run.updates[i], ref.updates[i]
-		if !rel.EqualBag(a.Result, b.Result, 0) ||
-			a.ShuffleBytes != b.ShuffleBytes || a.BroadcastBytes != b.BroadcastBytes {
-			identical = false
-		}
-	}
 	return []string{
 		query, transport, ms(run.totalLatency()),
 		kb(run.engine.TotalShuffleBytes()),
 		kb(run.engine.TotalExchangeBytes() - run.engine.TotalShuffleBytes()),
-		kb(wireSh), kb(wireBc), yesNo(identical),
+		kb(wireSh), kb(wireBc), yesNo(run.identicalTo(ref)),
 	}
 }
 
@@ -863,17 +848,9 @@ func DistElastic(cfg Config) ([]*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dist-elastic/%s: %w", scenario, err)
 		}
-		identical := len(run.updates) == len(ref.updates)
-		for i := 0; identical && i < len(run.updates); i++ {
-			a, b := run.updates[i], ref.updates[i]
-			if !rel.EqualBag(a.Result, b.Result, 0) ||
-				a.ShuffleBytes != b.ShuffleBytes || a.BroadcastBytes != b.BroadcastBytes {
-				identical = false
-			}
-		}
 		res.Rows = append(res.Rows, []string{
 			scenario, ms(run.totalLatency()), fmt.Sprint(live),
-			fmt.Sprint(redisp), yesNo(identical),
+			fmt.Sprint(redisp), yesNo(run.identicalTo(ref)),
 		})
 	}
 	return []*Result{res}, nil

@@ -170,6 +170,25 @@ func (r *queryRun) totalLatency() time.Duration {
 	return t
 }
 
+// identicalTo backs every "identical" column: the two runs delivered the
+// same number of updates and, batch for batch, the same (result, estimates)
+// pair by core.ResultDigest and the same modeled exchange bytes.
+func (r *queryRun) identicalTo(ref *queryRun) bool {
+	if len(r.updates) != len(ref.updates) {
+		return false
+	}
+	for i, a := range r.updates {
+		b := ref.updates[i]
+		da, errA := core.ResultDigest(a.Result, a.Estimates)
+		db, errB := core.ResultDigest(b.Result, b.Estimates)
+		if errA != nil || errB != nil || da != db ||
+			a.ShuffleBytes != b.ShuffleBytes || a.BroadcastBytes != b.BroadcastBytes {
+			return false
+		}
+	}
+	return true
+}
+
 // latencyToFraction sums batch durations until the processed fraction
 // reaches f.
 func (r *queryRun) latencyToFraction(f float64) time.Duration {

@@ -2,16 +2,17 @@ package serve
 
 import (
 	"math"
+	"slices"
 
-	"iolap/internal/bootstrap"
-	"iolap/internal/rel"
+	"iolap/internal/core"
 )
 
 // BitIdentical reports whether two estimate trajectories are the same run:
-// same length, and every update equal batch for batch with floats compared
-// by math.Float64bits — the repo's equivalence contract. The equivalence
-// suite and cmd/benchserve use it to prove that sharing a scan with N-1
-// other sessions never perturbs a session's results.
+// same length, and every update equal batch for batch — labels, Fraction by
+// math.Float64bits, columns, and the (result, estimates) pair by
+// core.ResultDigest, the repo's equivalence contract. The equivalence suite
+// and the serve harness experiment use it to prove that sharing a scan with
+// N-1 other sessions never perturbs a session's results.
 func BitIdentical(a, b []*Update) bool {
 	if len(a) != len(b) {
 		return false
@@ -26,86 +27,11 @@ func BitIdentical(a, b []*Update) bool {
 
 func updateBitIdentical(a, b *Update) bool {
 	if a.Batch != b.Batch || a.Batches != b.Batches ||
-		math.Float64bits(a.Fraction) != math.Float64bits(b.Fraction) {
+		math.Float64bits(a.Fraction) != math.Float64bits(b.Fraction) ||
+		!slices.Equal(a.Columns, b.Columns) {
 		return false
 	}
-	if len(a.Columns) != len(b.Columns) {
-		return false
-	}
-	for i := range a.Columns {
-		if a.Columns[i] != b.Columns[i] {
-			return false
-		}
-	}
-	return relBitIdentical(a.Result, b.Result) && estsBitIdentical(a.Estimates, b.Estimates)
-}
-
-func relBitIdentical(a, b *rel.Relation) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	for i := range a.Tuples {
-		ta, tb := a.Tuples[i], b.Tuples[i]
-		if math.Float64bits(ta.Mult) != math.Float64bits(tb.Mult) || len(ta.Vals) != len(tb.Vals) {
-			return false
-		}
-		for j := range ta.Vals {
-			if !valueBitIdentical(ta.Vals[j], tb.Vals[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func valueBitIdentical(a, b rel.Value) bool {
-	if a.Kind() != b.Kind() {
-		return false
-	}
-	switch a.Kind() {
-	case rel.KInt:
-		return a.Int() == b.Int()
-	case rel.KFloat:
-		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
-	case rel.KString:
-		return a.Str() == b.Str()
-	case rel.KBool:
-		return a.Bool() == b.Bool()
-	case rel.KNull:
-		return true
-	}
-	// Refs never reach delivered results (the sink resolves them); treat a
-	// surviving pair as different so the suite fails loudly.
-	return false
-}
-
-func estsBitIdentical(a, b [][]bootstrap.Estimate) bool {
-	// Trailing nil rows and absent rows are the same "no estimates" shape.
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		var ra, rb []bootstrap.Estimate
-		if i < len(a) {
-			ra = a[i]
-		}
-		if i < len(b) {
-			rb = b[i]
-		}
-		if len(ra) != len(rb) {
-			return false
-		}
-		for j := range ra {
-			ea, eb := ra[j], rb[j]
-			if math.Float64bits(ea.Value) != math.Float64bits(eb.Value) ||
-				math.Float64bits(ea.Stdev) != math.Float64bits(eb.Stdev) ||
-				math.Float64bits(ea.CILo) != math.Float64bits(eb.CILo) ||
-				math.Float64bits(ea.CIHi) != math.Float64bits(eb.CIHi) ||
-				math.Float64bits(ea.RelStd) != math.Float64bits(eb.RelStd) {
-				return false
-			}
-		}
-	}
-	return true
+	da, errA := core.ResultDigest(a.Result, a.Estimates)
+	db, errB := core.ResultDigest(b.Result, b.Estimates)
+	return errA == nil && errB == nil && da == db
 }

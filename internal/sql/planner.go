@@ -244,6 +244,7 @@ func (pl *Planner) planFromJoin(stmt *SelectStmt, outer rel.Schema) (plan.Node, 
 	conjuncts := splitConjuncts(stmt.Where)
 	// Classify conjuncts.
 	var joinPreds []*BinOp
+	var predEntries [][2]int // FROM entries joinPreds[i] connects
 	var residual []ExprNode
 	var subqueryConjs []ExprNode
 	fullSchema := rel.Schema{}
@@ -271,9 +272,9 @@ func (pl *Planner) planFromJoin(stmt *SelectStmt, outer rel.Schema) (plan.Node, 
 			if lok && rok {
 				lIdx, lErr := fullSchema.Resolve(li.Qual, li.Name)
 				rIdx, rErr := fullSchema.Resolve(ri.Qual, ri.Name)
-				if lErr == nil && rErr == nil &&
-					tableIdx(lIdx) != tableIdx(rIdx) {
+				if lt, rt := tableIdx(lIdx), tableIdx(rIdx); lErr == nil && rErr == nil && lt != rt {
 					joinPreds = append(joinPreds, b)
+					predEntries = append(predEntries, [2]int{lt, rt})
 					continue
 				}
 			}
@@ -283,10 +284,29 @@ func (pl *Planner) planFromJoin(stmt *SelectStmt, outer rel.Schema) (plan.Node, 
 	// 2. Left-deep join, greedily preferring tables connected to the
 	// current tree by an equi-join predicate (avoids accidental cross
 	// joins from unfavourable FROM order, e.g. TPC-H Q7).
+	//
+	// Star rule (PAPER.md §2, data-free): a static entry equi-joined to a
+	// streamed entry is a direct dimension of the fact table, and two direct
+	// dimensions do not join each other before the fact table joins — their
+	// shared attribute (TPC-H Q5: customer and supplier on nationkey) is
+	// many-to-many. A dimension of a dimension (Q7: supplier-nation) still
+	// pre-joins.
+	streamed := make([]bool, len(entries))
+	for i, e := range entries {
+		streamed[i] = len(plan.StreamedScans(e.node)) > 0
+	}
+	factDim := make([]bool, len(entries))
+	for _, pe := range predEntries {
+		a, b := pe[0], pe[1]
+		if streamed[a] != streamed[b] {
+			factDim[a], factDim[b] = !streamed[a], !streamed[b]
+		}
+	}
 	node := entries[0].node
 	used := make([]bool, len(joinPreds))
 	joined := make([]bool, len(entries))
 	joined[0] = true
+	treeStreamed, treeFactDim := streamed[0], factDim[0]
 	// matchKeys collects the unused join predicates connecting the
 	// current tree to candidate right (marking them used on success).
 	matchKeys := func(rightSchema rel.Schema, commit bool) ([]int, []int) {
@@ -322,10 +342,13 @@ func (pl *Planner) planFromJoin(stmt *SelectStmt, outer rel.Schema) (plan.Node, 
 		return lKeys, rKeys
 	}
 	for remaining := len(entries) - 1; remaining > 0; remaining-- {
-		// Prefer a connected table; fall back to FROM order (cross join).
+		// Prefer a connected table the star rule allows (a skip never
+		// strands the loop: the streamed entry that makes the tree's
+		// dimension a fact dimension is itself connected); fall back to
+		// FROM order (cross join).
 		pick := -1
 		for i, e := range entries {
-			if joined[i] {
+			if joined[i] || (!treeStreamed && treeFactDim && factDim[i]) {
 				continue
 			}
 			if lk, _ := matchKeys(e.node.Schema(), false); len(lk) > 0 {
@@ -345,6 +368,8 @@ func (pl *Planner) planFromJoin(stmt *SelectStmt, outer rel.Schema) (plan.Node, 
 		lKeys, rKeys := matchKeys(right.Schema(), true)
 		node = plan.NewJoin(node, right, lKeys, rKeys)
 		joined[pick] = true
+		treeStreamed = treeStreamed || streamed[pick]
+		treeFactDim = treeFactDim || factDim[pick]
 	}
 	for pi, jp := range joinPreds {
 		if !used[pi] {

@@ -82,6 +82,51 @@ func TestAllQueriesPlan(t *testing.T) {
 	}
 }
 
+// TestQ5JoinsFactTableFirst checks the shape the planner's star rule gives
+// TPC-H Q5: customer and supplier are both direct dimensions of lineorder
+// (c_custkey = o_custkey, l_suppkey = s_suppkey), so their many-to-many
+// c_nationkey = s_nationkey must not be joined below the fact table.
+func TestQ5JoinsFactTableFirst(t *testing.T) {
+	w := TPCH(TPCHScale{Fact: 300, Seed: 1})
+	q, _ := w.Query("Q5")
+	root, _, err := w.Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned := func(n plan.Node) (streamed bool, tables map[string]bool) {
+		tables = map[string]bool{}
+		plan.Walk(n, func(m plan.Node) {
+			if s, ok := m.(*plan.Scan); ok {
+				tables[s.Table] = true
+				streamed = streamed || s.Streamed
+			}
+		})
+		return streamed, tables
+	}
+	joins := 0
+	plan.Walk(root, func(n plan.Node) {
+		j, ok := n.(*plan.Join)
+		if !ok {
+			return
+		}
+		joins++
+		lStreamed, lTables := scanned(j.L)
+		rStreamed, rTables := scanned(j.R)
+		_, lScan := j.L.(*plan.Scan)
+		_, rScan := j.R.(*plan.Scan)
+		if lScan && rScan && !lStreamed && !rStreamed {
+			t.Errorf("first join %s has no streamed input", j.Describe())
+		}
+		dim := func(tables map[string]bool) bool { return tables["customer"] || tables["supplier"] }
+		if !lStreamed && !rStreamed && dim(lTables) && dim(rTables) {
+			t.Errorf("%s joins two dimensions of lineorder below the fact table", j.Describe())
+		}
+	})
+	if joins != 4 {
+		t.Errorf("Q5 has %d joins, want 4", joins)
+	}
+}
+
 func TestAllQueriesRunOnBaseline(t *testing.T) {
 	for _, w := range []*Workload{TPCH(TPCHScale{Fact: 600, Seed: 5}), Conviva(ConvivaScale{Sessions: 500, Seed: 5})} {
 		db := w.DB()

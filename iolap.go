@@ -166,16 +166,13 @@ type Options struct {
 	// identically on every replica, never results.
 	DistMinRows int
 	// DistPartitionTables lists static build-side tables to hash-partition
-	// across workers instead of replicating: each worker receives only its
-	// partitions at setup, cutting setup broadcast bytes for large dimension
-	// tables. Every listed table must be a static (non-streamed) direct
-	// build side of a keyed join, or Query fails. Results stay bit-identical
-	// — partitioning changes shipping, never answers.
+	// across workers (one partition per worker) instead of replicating:
+	// each worker receives only its partition at setup, cutting setup
+	// broadcast bytes for large dimension tables. Every listed table must be
+	// a static (non-streamed) direct build side of a keyed join, or Query
+	// fails. Results stay bit-identical — partitioning changes shipping,
+	// never answers.
 	DistPartitionTables []string
-	// DistPartitions is the hash-partition count for DistPartitionTables
-	// (defaults to the worker count). Workers whose rank exceeds the count
-	// hold full tables and serve the non-partitioned sites.
-	DistPartitions int
 	// DistElasticAddr, when set with the Dist options, listens on this
 	// host:port for workers joining mid-query: a joiner receives the
 	// blueprint, replays completed batches to the coordinator's verified
@@ -188,11 +185,6 @@ type Options struct {
 	// wire, never decoded rows, so results stay bit-identical with it on
 	// or off. Worth enabling whenever workers are across a real network.
 	DistCompress bool
-	// CostProfile seeds the adaptive parallel-cutover model from a previous
-	// run's Cursor.CostSnapshot (the CLI persists it via -cost-profile), so
-	// a fresh process starts with learned per-row costs instead of
-	// cold-start priors. Scheduling only — never results.
-	CostProfile map[string]float64
 }
 
 // Estimate is the bootstrap error summary of one numeric output cell.
@@ -585,7 +577,6 @@ func (s *Session) Query(query string, opts *Options) (*Cursor, error) {
 		StratifyBy: opts.StratifyBy,
 		BlockRows:  opts.BlockRows,
 		Workers:    opts.Workers,
-		CostSeed:   opts.CostProfile,
 
 		StateBudgetBytes: opts.StateBudgetBytes,
 		SpillDir:         opts.SpillDir,
@@ -597,11 +588,8 @@ func (s *Session) Query(query string, opts *Options) (*Cursor, error) {
 		coreOpts.WireCompression = opts.DistCompress
 		if len(opts.DistPartitionTables) > 0 {
 			coreOpts.PartitionTables = opts.DistPartitionTables
-			coreOpts.Partitions = opts.DistPartitions
-			if coreOpts.Partitions <= 0 {
-				if coreOpts.Partitions = len(opts.DistWorkers); coreOpts.Partitions == 0 {
-					coreOpts.Partitions = opts.DistLoopback
-				}
+			if coreOpts.Partitions = len(opts.DistWorkers); coreOpts.Partitions == 0 {
+				coreOpts.Partitions = opts.DistLoopback
 			}
 		}
 		var conns []net.Conn
@@ -707,9 +695,8 @@ func (c *Cursor) RunUntil(target float64) (*Update, error) {
 // Recoveries returns the total failure-recovery count so far.
 func (c *Cursor) Recoveries() int { return c.engine.TotalRecoveries() }
 
-// CostSnapshot exports the engine's learned per-row cost profile, suitable
-// for Options.CostProfile in a later run (and for the CLI's -cost-profile
-// persistence).
+// CostSnapshot exports the engine's learned per-row cost profile (ns per
+// row per operator class, the input of the parallel cutovers).
 func (c *Cursor) CostSnapshot() map[string]float64 { return c.engine.CostSnapshot() }
 
 // WireStats reports total bytes measured on the distributed transport so

@@ -31,9 +31,6 @@ type ServeOptions struct {
 	// MaxSessions caps concurrently admitted sessions across all tenants
 	// (0 = unlimited).
 	MaxSessions int
-	// DefaultSessionBytes is the admission reservation of sessions that do
-	// not set StateBudgetBytes (default 1 MiB).
-	DefaultSessionBytes int64
 	// DisableStateSharing turns off the cross-session shared-state cache:
 	// sessions with equivalent plan subtrees then build private operator
 	// state instead of sharing one copy. Results are identical either way.
@@ -106,7 +103,6 @@ func (s *Session) NewServer(opts *ServeOptions) *Server {
 		TenantBudgetBytes:   opts.TenantBudgetBytes,
 		QueueOnBudget:       opts.QueueOnBudget,
 		MaxSessions:         opts.MaxSessions,
-		DefaultSessionBytes: opts.DefaultSessionBytes,
 		DisableStateSharing: opts.DisableStateSharing,
 	})
 	return &Server{eng: eng}
