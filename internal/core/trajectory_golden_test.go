@@ -1,0 +1,264 @@
+package core
+
+import (
+	"bufio"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"iolap/internal/agg"
+	"iolap/internal/expr"
+	"iolap/internal/plan"
+	"iolap/internal/sql"
+)
+
+var updateGolden = flag.Bool("update", false, "regenerate testdata/trajectory.golden")
+
+// goldenCase is one (query, fixture, engine options) whose whole trajectory
+// is pinned in testdata/trajectory.golden.
+type goldenCase struct {
+	name           string
+	query          string
+	opts           Options
+	n              int
+	dbSeed         int64
+	sorted, skewed bool
+	udaf           bool // plan with the GEOMEAN test UDAF registered
+	// wantRecovery marks fixtures that must trigger at least one recovery
+	// when the bootstrap is on, or the case pins nothing about replay.
+	wantRecovery bool
+}
+
+func goldenCases(t *testing.T) []goldenCase {
+	base := Options{Mode: ModeIOLAP, Batches: 6, Seed: 3}
+	mode := func(m Mode) Options { o := base; o.Mode = m; return o }
+	// The equivalence suites' "zero-slack" recovery fixture, options verbatim.
+	zeroSlack := Options{Mode: ModeIOLAP, Batches: 10, Slack: 0, Seed: 4}
+	cases := []goldenCase{
+		// The TestVectorizeEquivalence corpus.
+		{name: "flat_group_by", query: theoremQuery(t, "flat_group_by"), opts: base},
+		{name: "flat_filter_agg", query: theoremQuery(t, "flat_filter_agg"), opts: base},
+		{name: "join_dim_group", query: theoremQuery(t, "join_dim_group"), opts: base},
+		{name: "union_all", query: theoremQuery(t, "union_all"), opts: base},
+		{name: "case_expression", query: theoremQuery(t, "case_expression"), opts: base},
+		{name: "skewed_group", query: theoremQuery(t, "flat_group_by"), opts: base, skewed: true},
+		{name: "skewed_group/join", query: theoremQuery(t, "join_dim_group"), opts: base, skewed: true},
+		{name: "recovery", query: sbiQuery, opts: zeroSlack, sorted: true, wantRecovery: true},
+		{name: "skewed_group/recovery", query: sbiQuery, opts: zeroSlack, n: 200, dbSeed: 7,
+			sorted: true, skewed: true, wantRecovery: true},
+		// Every builtin kernel kind in one fold, COUNT(col) included.
+		{name: "all_kinds", query: `SELECT cdn, COUNT(buffer_time) AS n, SUM(play_time) AS s, AVG(play_time) AS a,
+			VAR(play_time) AS v, STDDEV(buffer_time) AS sd, MIN(buffer_time) AS mn, MAX(play_time) AS mx
+			FROM sessions GROUP BY cdn`, opts: base},
+		// Interface-path vectors: certain rows (Phase A) and pending rows
+		// (Phase B scratch).
+		{name: "count_distinct", query: `SELECT cdn, COUNT(DISTINCT play_time) AS d FROM sessions GROUP BY cdn`, opts: base},
+		{name: "count_distinct/nested", query: `SELECT COUNT(DISTINCT play_time) AS d FROM sessions
+			WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions)`, opts: base},
+		{name: "udaf", query: `SELECT cdn, GEOMEAN(play_time) AS g FROM sessions GROUP BY cdn`, opts: base, udaf: true},
+		{name: "udaf/nested", query: `SELECT GEOMEAN(play_time) AS g FROM sessions
+			WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions)`, opts: base, udaf: true},
+		// Aggregates over aggregate outputs: lineage rows, uncertain
+		// arguments, per-replicate inputs (AddRep).
+		{name: "agg_over_agg", query: `SELECT SUM(t.apt) AS s, VAR(t.apt) AS v, COUNT(*) AS n FROM
+			(SELECT cdn, AVG(play_time) AS apt FROM sessions GROUP BY cdn) t`, opts: base},
+		{name: "agg_over_agg/minmax", query: `SELECT MAX(t.apt) AS s, MIN(t.n) AS m FROM
+			(SELECT cdn, AVG(play_time) AS apt, COUNT(*) AS n FROM sessions GROUP BY cdn) t`, opts: base},
+		{name: "agg_over_agg/join", query: `SELECT c.region, AVG(t.apt) AS a FROM
+			(SELECT cdn, AVG(play_time) AS apt FROM sessions GROUP BY cdn) t, cdns c
+			WHERE t.cdn = c.cdn GROUP BY c.region`, opts: base},
+	}
+	// Every nested theorem query under the full system, and the two the
+	// equivalence suites lean on under the ablation modes too.
+	for _, q := range theoremQueries {
+		if q.nested {
+			cases = append(cases, goldenCase{name: q.name + "/iolap", query: q.query, opts: base})
+		}
+	}
+	for _, m := range []Mode{ModeOPT1, ModeHDA} {
+		suffix := "/" + strings.ToLower(m.String())
+		cases = append(cases,
+			goldenCase{name: "nested_correlated" + suffix, query: theoremQuery(t, "nested_correlated"), opts: mode(m)},
+			goldenCase{name: "sbi_nested_scalar" + suffix, query: sbiQuery, opts: mode(m)})
+	}
+	for i := range cases {
+		if cases[i].n == 0 {
+			cases[i].n, cases[i].dbSeed = 240, 11
+		}
+	}
+	return cases
+}
+
+// planGolden plans a golden case's query; udaf cases see GEOMEAN (the
+// geometric-mean accumulator of TestUDFAndUDAFQueries) so their vectors take
+// the interface path.
+func planGolden(t *testing.T, c goldenCase) plan.Node {
+	t.Helper()
+	if !c.udaf {
+		return planQuery(t, c.query)
+	}
+	aggs := agg.NewRegistry()
+	if err := aggs.Register(agg.Func{
+		Name: "GEOMEAN", TakesArg: true, Smooth: true, Invertible: true,
+		New: func() agg.Accumulator { return &geoAcc{} },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := sql.Parse(c.query)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	node, _, err := sql.NewPlanner(testCatalog(), expr.NewRegistry(), aggs).Plan(stmt)
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	return node
+}
+
+// trajectoryDigest runs the case and folds core.ResultDigest of every batch,
+// in order, into one word.
+func trajectoryDigest(t *testing.T, c goldenCase, opts Options) uint64 {
+	t.Helper()
+	db := testDB(c.n, c.dbSeed)
+	if c.skewed {
+		skewSessions(db)
+	}
+	if c.sorted {
+		sortSessionsByBufferTime(db)
+	}
+	eng, err := NewEngine(planGolden(t, c), db, opts)
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	us, err := eng.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if c.wantRecovery && opts.Trials > 0 && eng.TotalRecoveries() == 0 {
+		t.Fatalf("recovery fixture no longer triggers recoveries; the case pins nothing about replay")
+	}
+	h := fnv.New64a()
+	var word [8]byte
+	for _, u := range us {
+		d, err := ResultDigest(u.Result, u.Estimates)
+		if err != nil {
+			t.Fatalf("batch %d: digest: %v", u.Batch, err)
+		}
+		binary.LittleEndian.PutUint64(word[:], d)
+		h.Write(word[:])
+	}
+	return h.Sum64()
+}
+
+const trajectoryGoldenPath = "testdata/trajectory.golden"
+
+func readTrajectoryGolden(t *testing.T) map[string]uint64 {
+	t.Helper()
+	f, err := os.Open(trajectoryGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/core -run TestTrajectoryGolden -update` at a commit whose trajectories are trusted)", err)
+	}
+	defer f.Close()
+	want := map[string]uint64{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			t.Fatalf("%s: malformed line %q", trajectoryGoldenPath, line)
+		}
+		d, err := strconv.ParseUint(fields[1], 16, 64)
+		if err != nil {
+			t.Fatalf("%s: %q: %v", trajectoryGoldenPath, line, err)
+		}
+		want[fields[0]] = d
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestTrajectoryGolden compares every case's trajectory digest with a file
+// generated at a commit that predates the code under test. The equivalence
+// suites (worker, vectorize, budget, dist) compare two runs of the same
+// build, so once sequential and parallel, row and columnar execution share
+// one fold body they compare that body with itself; this file is the oracle
+// that is not the code under test. Each case runs at Trials {0, 25} and at
+// all four corners of Workers {1, 4} × NoVectorize {false, true} with the
+// parallel cutover pinned to one row, and every corner must land on the same
+// pinned word.
+//
+// -update rewrites the file from the Workers=1, NoVectorize corner (and
+// still checks the other three against it). A deliberate change of the
+// weight stream or of the fold's operand order is a "digest epoch": it
+// regenerates this file in a commit of its own and says so.
+func TestTrajectoryGolden(t *testing.T) {
+	var want map[string]uint64
+	if !*updateGolden {
+		want = readTrajectoryGolden(t)
+	}
+	got := map[string]uint64{}
+	for _, c := range goldenCases(t) {
+		for _, trials := range []int{0, 25} {
+			c, trials := c, trials
+			key := fmt.Sprintf("%s/B%d", c.name, trials)
+			t.Run(key, func(t *testing.T) {
+				ref, seen := want[key]
+				if !*updateGolden && !seen {
+					t.Fatalf("no golden entry for %s", key)
+				}
+				for _, corner := range []struct {
+					workers int
+					novec   bool
+				}{{1, true}, {1, false}, {4, true}, {4, false}} {
+					opts := c.opts
+					opts.Trials = trials
+					if trials == 0 {
+						opts.Trials = -1 // 0 selects the default B
+					}
+					opts.Workers, opts.ParThreshold, opts.NoVectorize = corner.workers, 1, corner.novec
+					d := trajectoryDigest(t, c, opts)
+					if *updateGolden && !seen {
+						ref, seen = d, true
+						got[key] = d
+					}
+					if d != ref {
+						t.Errorf("Workers=%d NoVectorize=%v: trajectory digest %016x, golden %016x",
+							corner.workers, corner.novec, d, ref)
+					}
+				}
+			})
+		}
+	}
+	if !*updateGolden {
+		return
+	}
+	keys := make([]string, 0, len(got))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	b.WriteString("# Trajectory digests pinned by TestTrajectoryGolden: <case>/B<trials> <fnv64a over per-batch core.ResultDigest>.\n")
+	b.WriteString("# Regenerate only as a deliberate digest epoch: go test ./internal/core -run TestTrajectoryGolden -update\n")
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s %016x\n", k, got[k])
+	}
+	if err := os.MkdirAll(filepath.Dir(trajectoryGoldenPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(trajectoryGoldenPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
