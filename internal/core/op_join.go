@@ -1,0 +1,389 @@
+package core
+
+import (
+	"fmt"
+
+	"iolap/internal/cluster"
+	"iolap/internal/delta"
+	"iolap/internal/plan"
+	"iolap/internal/rel"
+)
+
+// opJoin implements the JOIN delta rule (Section 4.2): each side's certain
+// rows are cached iff the opposite side may still produce rows (new or
+// tuple-uncertain) in later batches — so a streamed fact joined with static
+// dimension tables caches only the dimensions, the optimization the paper
+// calls out. The tuple-uncertain output combinations (U_L ⋈ C_R, C_L ⋈ U_R,
+// U_L ⋈ U_R) are recomputed every batch.
+type opJoin struct {
+	emitCounts
+	node           *plan.Join
+	l, r           operator
+	lStore, rStore *delta.HashStore
+	lw             int // left schema width
+	// partBuckets > 0 marks the right side as a partitioned-shipping table
+	// (Options.PartitionTables): each distributed replica holds only one
+	// hash partition of it, so probes route through bucket-geometry
+	// exchanges (cluster.CostProbePart over partBuckets logical buckets)
+	// instead of row spans. partScan is the right child's static scan, whose
+	// justEmitted flag replaces the replica-divergent len(ro.news) guard.
+	partBuckets int
+	partScan    *opScan
+	// sharedR marks rStore as a frozen store owned by the shared-state
+	// cache (shared.go): the build subtree ran once at acquire time, so the
+	// store is complete and immutable. The join never writes it, excludes
+	// it from this session's state accounting, and skips it in
+	// snapshot/restore — restoring an immutable value is the identity, so
+	// §5.1 replay touches it once (at probe time), not per session.
+	sharedR bool
+}
+
+// newOpJoin builds the join operator. The persistent side stores — the ones
+// that accumulate across batches — register with the engine's spill policy;
+// the transient per-batch stores step() builds stay memory-only.
+func newOpJoin(t *plan.Join, l, r operator, cacheL, cacheR bool, spill *delta.SpillPolicy) *opJoin {
+	op := &opJoin{node: t, l: l, r: r, lw: len(t.L.Schema())}
+	if cacheL {
+		op.lStore = delta.NewHashStore(t.LKeys)
+		spill.Register(op.lStore)
+	}
+	if cacheR {
+		op.rStore = delta.NewHashStore(t.RKeys)
+		spill.Register(op.rStore)
+	}
+	return op
+}
+
+// spilledRows reports how many cached join rows currently live on disk.
+func (o *opJoin) spilledRows() int {
+	n := 0
+	if o.lStore != nil {
+		n += o.lStore.SpilledRows()
+	}
+	if o.rStore != nil && !o.sharedR {
+		n += o.rStore.SpilledRows()
+	}
+	return n
+}
+
+// residentBytes is the in-memory share of stateBytes (they differ only when
+// shards have spilled).
+func (o *opJoin) residentBytes() int {
+	n := 0
+	if o.lStore != nil {
+		n += o.lStore.MemBytes()
+	}
+	if o.rStore != nil && !o.sharedR {
+		n += o.rStore.MemBytes()
+	}
+	return n
+}
+
+func (o *opJoin) joinRows(l, r delta.Row) delta.Row {
+	vals := make([]rel.Value, 0, len(l.Vals)+len(r.Vals))
+	vals = append(vals, l.Vals...)
+	vals = append(vals, r.Vals...)
+	return delta.Row{Vals: vals, Mult: l.Mult * r.Mult, W: delta.CombineWeights(l.W, r.W)}
+}
+
+// probeCB returns the probe side's columnar view when the batched key
+// encoder may drive the probe: local execution only (exchange payloads
+// keep the row path) and no unresolved refs (EncodeKeyInto from banks has
+// no Resolver). A narrowed selection is fine — src() maps output position
+// to source row.
+func (o *opJoin) probeCB(bc *batchContext, in output) *colBatch {
+	cb := in.cb
+	if cb == nil || !bc.vec || bc.exch != nil || cb.cols.HasRefs() {
+		return nil
+	}
+	return cb
+}
+
+// probeInto joins each probe-side row against the store and appends the
+// matches to dst in probe order (store rows in insertion order per key —
+// exactly the sequential nested loop's output). Large probe sets fan out
+// over contiguous chunks whose per-chunk buffers are concatenated in chunk
+// order; the store is read-only during the probe, so this is the
+// deterministic shard → ordered merge pattern. probeIsLeft orients the
+// output row (probe ⋈ match vs match ⋈ probe). cb, when non-nil, is the
+// probe side's columnar view: keys encode straight from the column banks
+// (byte-identical to the row encoder) and the probe skips the per-row
+// value gather.
+func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, store *delta.HashStore, probeIsLeft bool, bc *batchContext, cb *colBatch) []delta.Row {
+	join := func(p, m delta.Row) delta.Row {
+		if probeIsLeft {
+			return o.joinRows(p, m)
+		}
+		return o.joinRows(m, p)
+	}
+	// probeSpan probes rows [lo, hi) and returns the matches in probe order
+	// (per-chunk buffers concatenated in chunk order — identical to the
+	// sequential nested loop over the span).
+	probeSpan := func(lo, hi int) []delta.Row {
+		n := hi - lo
+		if !bc.fanout(cluster.CostJoinProbe, n) {
+			var buf []delta.Row
+			bc.cost.Timed(cluster.CostJoinProbe, n, 1, func() {
+				buf = o.probeRange(buf, probe, probeKeys, store, cb, join, lo, hi)
+			})
+			return buf
+		}
+		outs := make([][]delta.Row, bc.pool.Chunks(n))
+		bc.cost.Timed(cluster.CostJoinProbe, n, bc.pool.Workers(), func() {
+			bc.pool.MapChunks(n, func(c, a, b int) {
+				outs[c] = o.probeRange(nil, probe, probeKeys, store, cb, join, lo+a, lo+b)
+			})
+		})
+		var buf []delta.Row
+		for _, b := range outs {
+			buf = append(buf, b...)
+		}
+		return buf
+	}
+	if bc.distSite(len(probe)) {
+		// Distributed shard shipping: each replica probes one span, the
+		// joined rows travel as spill-codec payloads, and every replica
+		// appends the merged spans in span order — the same ordered merge,
+		// across machines.
+		bc.exchange(cluster.CostJoinProbe, len(probe),
+			func(lo, hi int) ([]byte, error) { return encodeRowSpan(probeSpan(lo, hi)) },
+			func(lo, hi int, p []byte) error {
+				rows, err := decodeRowSpan(p)
+				if err != nil {
+					return err
+				}
+				dst = append(dst, rows...)
+				return nil
+			})
+		return dst
+	}
+	return append(dst, probeSpan(0, len(probe))...)
+}
+
+// probeRange is probeInto's inner loop over probe rows [lo, hi): the
+// columnar form encodes each key from the banks and probes by bytes, the
+// row form gathers values per row. Both index the same hot map with the
+// same key bytes, so matches and their order are identical.
+func (o *opJoin) probeRange(buf []delta.Row, probe []delta.Row, probeKeys []int, store *delta.HashStore, cb *colBatch, join func(p, m delta.Row) delta.Row, lo, hi int) []delta.Row {
+	if cb != nil {
+		var kb [96]byte
+		key := kb[:0]
+		for i := lo; i < hi; i++ {
+			p := probe[i]
+			key = cb.cols.EncodeKeyInto(key[:0], cb.src(i), probeKeys)
+			for _, m := range store.ProbeKey(key) {
+				buf = append(buf, join(p, m))
+			}
+		}
+		return buf
+	}
+	for i := lo; i < hi; i++ {
+		p := probe[i]
+		for _, m := range store.Probe(p.Vals, probeKeys) {
+			buf = append(buf, join(p, m))
+		}
+	}
+	return buf
+}
+
+// probePartitioned probes a partitioned build store. Exchange geometry is
+// the P hash buckets, not row spans: the replica owning partition b probes
+// all probe rows routed to bucket b against its partition, which yields
+// exactly the full store's matches for those rows (a key's rows live whole
+// in one partition, in full-store insertion order). Merged payloads scatter
+// matches back to probe indices, and the final append walks probe order —
+// byte-identical to the sequential full-store loop. There is no MinRows
+// gate: a replica with a partial store cannot fall back to local compute,
+// so every replica must agree to exchange whenever a transport is attached.
+func (o *opJoin) probePartitioned(dst []delta.Row, probe []delta.Row, probeKeys []int, store *delta.HashStore, bc *batchContext) []delta.Row {
+	if len(probe) == 0 {
+		// Identical on every replica: probe rows come from the streamed
+		// delta, which all replicas hold whole.
+		return dst
+	}
+	if bc.exch == nil {
+		// Local execution holds the full table; the plain sequential probe
+		// is the oracle the exchange path must match bit-for-bit.
+		return o.probeInto(dst, probe, probeKeys, store, true, bc, nil)
+	}
+	buckets := make([]int, len(probe))
+	var scratch []byte
+	for i, p := range probe {
+		scratch = rel.EncodeKeyInto(scratch[:0], p.Vals, probeKeys)
+		buckets[i] = cluster.KeyBucket(scratch, o.partBuckets)
+	}
+	perProbe := make([][]delta.Row, len(probe))
+	bc.exchange(cluster.CostProbePart, o.partBuckets,
+		func(lo, hi int) ([]byte, error) {
+			var idx []int
+			var matches [][]delta.Row
+			for i, b := range buckets {
+				if b < lo || b >= hi {
+					continue
+				}
+				p := probe[i]
+				ms := store.Probe(p.Vals, probeKeys)
+				if len(ms) == 0 {
+					continue
+				}
+				joined := make([]delta.Row, len(ms))
+				for j, m := range ms {
+					joined[j] = o.joinRows(p, m)
+				}
+				idx = append(idx, i)
+				matches = append(matches, joined)
+			}
+			return encodePartProbeSpan(idx, matches)
+		},
+		func(lo, hi int, p []byte) error {
+			return decodePartProbeSpan(p, lo, hi, buckets, perProbe)
+		})
+	for i := range probe {
+		dst = append(dst, perProbe[i]...)
+	}
+	return dst
+}
+
+func (o *opJoin) step(bc *batchContext) (output, error) {
+	lo, err := o.l.step(bc)
+	if err != nil {
+		return output{}, err
+	}
+	ro, err := o.r.step(bc)
+	if err != nil {
+		return output{}, err
+	}
+	lKeys, rKeys := o.node.LKeys, o.node.RKeys
+	var out output
+	// Exchange accounting: a keyed join repartitions both inputs by key;
+	// a cross join broadcasts the (small) right side.
+	if bc.metrics != nil {
+		n := 0
+		for _, r := range lo.news {
+			n += r.SizeBytes()
+		}
+		for _, r := range lo.unc {
+			n += r.SizeBytes()
+		}
+		m := 0
+		for _, r := range ro.news {
+			m += r.SizeBytes()
+		}
+		for _, r := range ro.unc {
+			m += r.SizeBytes()
+		}
+		if len(lKeys) == 0 {
+			// Cross join: nothing repartitions. The scalar side is
+			// replicated to every worker, which is broadcast traffic, not
+			// shuffle — booking it as a shuffle (the old code even recorded
+			// a phantom zero-byte shuffle alongside it) skewed every
+			// per-event shuffle statistic. Empty sides are dropped by
+			// RecordBroadcastBytes itself.
+			bc.metrics.RecordBroadcastBytes(m)
+		} else {
+			bc.metrics.RecordShuffleBytes(n + m)
+		}
+	}
+	partitioned := o.partBuckets > 0
+	lcb := o.probeCB(bc, lo)
+	// Certain deltas (classic delta-join over the certain parts):
+	// ΔL ⋈ C_R(old), C_L(old) ⋈ ΔR, ΔL ⋈ ΔR. Probes run partition-parallel
+	// over the probe side; builds run partition-parallel over shards.
+	if o.rStore != nil {
+		if partitioned {
+			out.news = o.probePartitioned(out.news, lo.news, lKeys, o.rStore, bc)
+		} else {
+			out.news = o.probeInto(out.news, lo.news, lKeys, o.rStore, true, bc, lcb)
+		}
+	}
+	if o.lStore != nil {
+		out.news = o.probeInto(out.news, ro.news, rKeys, o.lStore, false, bc, nil)
+	}
+	// The transient ΔL⋈ΔR branch must take the same side on every replica:
+	// a partitioned right side emits different (possibly zero) row counts per
+	// replica, so the guard keys off the scan's emission step instead.
+	rEmitted := len(ro.news) > 0
+	if partitioned {
+		rEmitted = o.partScan.justEmitted
+	}
+	if len(lo.news) > 0 && rEmitted {
+		newR := delta.NewHashStore(rKeys)
+		newR.AddBatch(ro.news, false, bc.par(cluster.CostJoinBuild, len(ro.news)))
+		if partitioned {
+			out.news = o.probePartitioned(out.news, lo.news, lKeys, newR, bc)
+		} else {
+			out.news = o.probeInto(out.news, lo.news, lKeys, newR, true, bc, lcb)
+		}
+	}
+	// Fold this batch's certain rows into the stores (rows are cloned: store
+	// contents are immutable once added).
+	if o.lStore != nil {
+		o.lStore.AddBatch(lo.news, true, bc.par(cluster.CostJoinBuild, len(lo.news)))
+	}
+	if o.rStore != nil && !o.sharedR {
+		o.rStore.AddBatch(ro.news, true, bc.par(cluster.CostJoinBuild, len(ro.news)))
+	}
+	// Tuple-uncertain combinations, recomputed every batch:
+	// U_L ⋈ C_R, C_L ⋈ U_R, U_L ⋈ U_R.
+	bc.recomputed += len(lo.unc) + len(ro.unc)
+	if len(lo.unc) > 0 {
+		if o.rStore == nil && len(ro.news) == 0 && len(ro.unc) == 0 {
+			return output{}, fmt.Errorf("core: join #%d: left tuple uncertainty requires a cached right side", o.node.ID())
+		}
+		if o.rStore != nil {
+			if partitioned {
+				out.unc = o.probePartitioned(out.unc, lo.unc, lKeys, o.rStore, bc)
+			} else {
+				out.unc = o.probeInto(out.unc, lo.unc, lKeys, o.rStore, true, bc, nil)
+			}
+		}
+	}
+	if len(ro.unc) > 0 && o.lStore != nil {
+		out.unc = o.probeInto(out.unc, ro.unc, rKeys, o.lStore, false, bc, nil)
+	}
+	if len(lo.unc) > 0 && len(ro.unc) > 0 {
+		uncR := delta.NewHashStore(rKeys)
+		uncR.AddBatch(ro.unc, false, bc.par(cluster.CostJoinBuild, len(ro.unc)))
+		out.unc = o.probeInto(out.unc, lo.unc, lKeys, uncR, true, bc, nil)
+	}
+	o.record(out)
+	return out, nil
+}
+
+type joinSnap struct {
+	l, r *delta.HashSnap
+}
+
+func (o *opJoin) snapshot() interface{} {
+	s := joinSnap{}
+	if o.lStore != nil {
+		s.l = o.lStore.Snapshot()
+	}
+	if o.rStore != nil && !o.sharedR {
+		s.r = o.rStore.Snapshot()
+	}
+	return s
+}
+
+func (o *opJoin) restore(snap interface{}) {
+	s := snap.(joinSnap)
+	if o.lStore != nil {
+		o.lStore.Restore(s.l)
+	}
+	if o.rStore != nil && !o.sharedR {
+		o.rStore.Restore(s.r)
+	}
+}
+
+func (o *opJoin) stateBytes() int {
+	n := 0
+	if o.lStore != nil {
+		n += o.lStore.SizeBytes()
+	}
+	if o.rStore != nil && !o.sharedR {
+		n += o.rStore.SizeBytes()
+	}
+	return n
+}
+
+func (o *opJoin) kind() string { return "join" }

@@ -1,0 +1,137 @@
+package core
+
+import (
+	"math"
+
+	"iolap/internal/bootstrap"
+	"iolap/internal/cluster"
+	"iolap/internal/delta"
+	"iolap/internal/expr"
+	"iolap/internal/rel"
+)
+
+// opSink is the virtual SINK operator (Section 4.2): it accumulates the
+// certain result rows, re-receives the tuple-uncertain ones each batch, and
+// materialises the partial result Q(D_i, m_i) with bootstrap error
+// estimates.
+type opSink struct {
+	emitCounts
+	child  operator
+	exprs  []expr.Expr
+	names  []string
+	unc    []bool // which output columns can be uncertain
+	schema rel.Schema
+	// scaleExp is the root's streamed-scan exponent: result tuples of a
+	// non-aggregated query logically carry multiplicity m_i^k (Section 2).
+	scaleExp int
+
+	certain delta.RowSet
+	lastUnc []delta.Row
+}
+
+func (o *opSink) step(bc *batchContext) (output, error) {
+	in, err := o.child.step(bc)
+	if err != nil {
+		return output{}, err
+	}
+	for _, r := range in.news {
+		o.certain.Add(r.Clone())
+	}
+	bc.recomputed += len(in.unc)
+	o.lastUnc = o.lastUnc[:0]
+	for _, r := range in.unc {
+		o.lastUnc = append(o.lastUnc, r.Clone())
+	}
+	o.newsN, o.uncN = len(in.news), len(in.unc)
+	return output{}, nil
+}
+
+// materialize renders the current partial result with error estimates.
+// Rows are independent, so large results materialise partition-parallel.
+func (o *opSink) materialize(bc *batchContext) (*rel.Relation, [][]bootstrap.Estimate) {
+	scale := 1.0
+	for k := 0; k < o.scaleExp; k++ {
+		scale *= bc.scale
+	}
+	rows := make([]delta.Row, 0, o.certain.Len()+len(o.lastUnc))
+	rows = append(rows, o.certain.Rows...)
+	rows = append(rows, o.lastUnc...)
+	res := rel.NewRelation(o.schema)
+	res.Tuples = make([]rel.Tuple, len(rows))
+	ests := make([][]bootstrap.Estimate, len(rows))
+	// emitRange renders rows [lo, hi) sharing one replicate buffer and one
+	// SummarizeInto sort scratch per range — each (row, column) estimate
+	// consumes its replicates before the next reuses the buffers, so a lane
+	// pays two allocations total instead of two per uncertain cell.
+	emitRange := func(lo, hi int) {
+		var reps, scratch []float64
+		if bc.trials > 0 {
+			reps = make([]float64, bc.trials)
+		}
+		for idx := lo; idx < hi; idx++ {
+			r := rows[idx]
+			vals := make([]rel.Value, len(o.exprs))
+			rowEst := make([]bootstrap.Estimate, len(o.exprs))
+			for i, e := range o.exprs {
+				v := e.Eval(r.Vals, bc)
+				vals[i] = v
+				if o.unc[i] && bc.trials > 0 && !bc.exact && v.IsNumeric() {
+					for b := 0; b < bc.trials; b++ {
+						rv := e.EvalRep(r.Vals, bc, b)
+						if rv.IsNumeric() {
+							reps[b] = rv.Float()
+						} else {
+							reps[b] = math.NaN()
+						}
+					}
+					rowEst[i], scratch = bootstrap.SummarizeInto(v.Float(), reps, scratch)
+				} else if v.IsNumeric() {
+					rowEst[i] = bootstrap.Estimate{Value: v.Float()}
+				}
+			}
+			res.Tuples[idx] = rel.Tuple{Vals: vals, Mult: r.Mult * scale}
+			ests[idx] = rowEst
+		}
+	}
+	if bc.distSite(len(rows)) {
+		// Distributed site: each replica materialises one span (tuples and
+		// bootstrap estimates), and every replica applies the merged spans
+		// from the same bytes — so the delivered result, including estimate
+		// bit patterns, is identical on all replicas.
+		bc.exchange(cluster.CostSink, len(rows),
+			func(lo, hi int) ([]byte, error) {
+				bc.spanChunks(cluster.CostSink, lo, hi, emitRange)
+				return encodeSinkSpan(res, ests, lo, hi, len(o.exprs))
+			},
+			func(lo, hi int, p []byte) error {
+				return decodeSinkSpan(res, ests, lo, hi, len(o.exprs), p)
+			})
+		return res, ests
+	}
+	if bc.pool != nil && len(rows) >= 64 && bc.trials > 0 {
+		bc.pool.MapChunks(len(rows), func(_, lo, hi int) { emitRange(lo, hi) })
+	} else {
+		emitRange(0, len(rows))
+	}
+	return res, ests
+}
+
+// sinkSnap is a truncation snapshot: the certain set is append-only with
+// immutable rows (cloned on arrival), so its length suffices; lastUnc is
+// transient and recomputed by the replay batch.
+type sinkSnap struct {
+	certainLen int
+}
+
+func (o *opSink) snapshot() interface{} {
+	return sinkSnap{certainLen: o.certain.Len()}
+}
+
+func (o *opSink) restore(snap interface{}) {
+	s := snap.(sinkSnap)
+	o.certain.Rows = o.certain.Rows[:s.certainLen]
+	o.lastUnc = o.lastUnc[:0]
+}
+
+func (o *opSink) stateBytes() int { return o.certain.SizeBytes() }
+func (o *opSink) kind() string    { return "sink" }

@@ -1,15 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"math"
-	"sync/atomic"
-
-	"iolap/internal/bootstrap"
-	"iolap/internal/cluster"
 	"iolap/internal/delta"
-	"iolap/internal/expr"
-	"iolap/internal/plan"
 	"iolap/internal/rel"
 )
 
@@ -77,963 +69,3 @@ type emitCounts struct {
 
 func (c *emitCounts) record(out output)      { c.newsN, c.uncN = len(out.news), len(out.unc) }
 func (c *emitCounts) lastCounts() (int, int) { return c.newsN, c.uncN }
-
-// evalTrue evaluates a predicate to a definite boolean under current values.
-func evalTrue(pred expr.Expr, r delta.Row, bc *batchContext) bool {
-	v := pred.Eval(r.Vals, bc)
-	return !v.IsNull() && v.Kind() == rel.KBool && v.Bool()
-}
-
-// ---------------------------------------------------------------------------
-// Scan
-
-type opScan struct {
-	emitCounts
-	node    *plan.Scan
-	poisson *bootstrap.PoissonSource // nil when trials == 0 or scan is static
-	next    uint64                   // per-table tuple index for weight derivation
-	done    bool                     // static side fully emitted
-	// justEmitted is true exactly on the step where the static side emitted
-	// its rows. Partitioned joins key their transient ΔL⋈ΔR branch off it
-	// instead of len(ro.news) > 0, which would diverge across replicas
-	// holding different (possibly empty) partitions of the table.
-	justEmitted bool
-	// wantCB marks that some downstream operator consumes the columnar
-	// companion batch (markColumnar); scans whose plan has no vectorized
-	// consumer skip the columnar build entirely. cbNeed is the column set
-	// those consumers read — the subset view materialises only these banks.
-	wantCB bool
-	cbNeed []bool
-}
-
-type scanSnap struct {
-	next        uint64
-	done        bool
-	justEmitted bool
-}
-
-func newOpScan(t *plan.Scan, opts Options) *opScan {
-	op := &opScan{node: t}
-	if t.Streamed && opts.Trials > 0 {
-		// Salt by table name so distinct tables get independent Poisson
-		// streams, while the multiple scans of one table (self joins via
-		// subqueries) assign identical weights to identical tuples —
-		// required for bootstrap correctness.
-		salt := opts.Seed
-		for _, ch := range t.Table {
-			salt = salt*131 + uint64(ch)
-		}
-		op.poisson = bootstrap.NewPoissonSource(salt, opts.Trials)
-	}
-	return op
-}
-
-func (o *opScan) step(bc *batchContext) (output, error) {
-	if o.node.Streamed {
-		d, ok := bc.delta[o.node.Table]
-		if !ok {
-			return output{}, fmt.Errorf("core: no delta for streamed table %q", o.node.Table)
-		}
-		rows := make([]delta.Row, d.Len())
-		base := o.next
-		// One weight slab per batch: every tuple's vector is a capped
-		// sub-slice filled in place, so weight derivation performs no
-		// per-tuple allocation on either the sequential or parallel path
-		// (disjoint sub-slices make the parallel fill race-free).
-		var slab []float64
-		trials := 0
-		if o.poisson != nil {
-			trials = o.poisson.Trials()
-			slab = bc.weightArena(d.Len(), trials)
-		}
-		fill := func(i int) {
-			tp := d.Tuples[i]
-			var w []float64
-			if o.poisson != nil {
-				w = o.poisson.WeightsInto(base+uint64(i), slab[i*trials:(i+1)*trials:(i+1)*trials])
-			}
-			rows[i] = delta.Row{Vals: tp.Vals, Mult: tp.Mult, W: w}
-		}
-		// Weight derivation is per-tuple-index deterministic, so the
-		// partition-parallel path is bit-identical to the sequential one.
-		// Only weighted scans feed the scan EWMA: the unweighted fill is a
-		// different (much cheaper) operation and would drag the estimate.
-		if o.poisson != nil {
-			bc.mapChunks(cluster.CostScan, d.Len(), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					fill(i)
-				}
-			})
-		} else {
-			for i := range rows {
-				fill(i)
-			}
-		}
-		o.next += uint64(d.Len())
-		out := output{news: rows}
-		if bc.vec && o.wantCB {
-			// Columnar companion view over just the banks the plan's
-			// consumers read; a storage-decoded delta arrives with a full
-			// cached view and serves the subset for free. Unweighted scans
-			// (Trials 0) attach it with an empty slab — the vectorized
-			// select and probe don't read weights, and the batched
-			// aggregate fold gates itself off a nil slab.
-			out.cb = &colBatch{cols: d.ColumnarSubset(o.cbNeed), slab: slab, trials: trials}
-		}
-		o.record(out)
-		return out, nil
-	}
-	if o.done {
-		o.justEmitted = false
-		o.record(output{})
-		return output{}, nil
-	}
-	o.done = true
-	o.justEmitted = true
-	src, ok := bc.dims.Get(o.node.Table)
-	if !ok {
-		return output{}, fmt.Errorf("core: unknown table %q", o.node.Table)
-	}
-	rows := make([]delta.Row, 0, src.Len())
-	for _, tp := range src.Tuples {
-		rows = append(rows, delta.Row{Vals: tp.Vals, Mult: tp.Mult})
-	}
-	out := output{news: rows}
-	o.record(out)
-	return out, nil
-}
-
-func (o *opScan) snapshot() interface{} {
-	return scanSnap{next: o.next, done: o.done, justEmitted: o.justEmitted}
-}
-func (o *opScan) restore(snap interface{}) {
-	s := snap.(scanSnap)
-	o.next, o.done, o.justEmitted = s.next, s.done, s.justEmitted
-}
-func (o *opScan) stateBytes() int { return 0 }
-func (o *opScan) kind() string    { return "scan" }
-
-// ---------------------------------------------------------------------------
-// Select
-
-// opSelect implements the SELECT delta rule (Sections 4.2 and 5.2): rows
-// whose predicate decision is deterministic under the current variation
-// ranges pass or drop permanently; the rest form the non-deterministic set
-// U_i, saved in the operator state and re-evaluated every batch. When the
-// range of the uncertain operand narrows enough, state rows are promoted
-// (emitted as certain) or discarded.
-type opSelect struct {
-	emitCounts
-	node          *plan.Select
-	child         operator
-	predUncertain bool
-	// vec is the columnar form of the predicate, compiled at build time for
-	// deterministic predicates inside expr.CompileVec's subset; nil keeps
-	// the row path.
-	vec   *expr.Vectorized
-	state delta.RowSet // the non-deterministic set U_i
-}
-
-// vecBatch returns the input's columnar view when this step may take the
-// vectorized filter: a compiled deterministic predicate, a dense (identity
-// selection) batch with no unresolved refs (EvalCols has no Resolver), no
-// distributed transport (span exchanges must keep the row path's message
-// geometry), and no pending non-deterministic state (promoted state rows
-// would interleave with the filtered news, breaking the selection
-// vector's correspondence — with a deterministic predicate the state is
-// always empty, so this is a pure invariant check).
-func (o *opSelect) vecBatch(bc *batchContext, in output) *colBatch {
-	cb := in.cb
-	if o.vec == nil || cb == nil || !bc.vec || bc.exch != nil ||
-		cb.sel != nil || cb.cols.HasRefs() || o.state.Len() > 0 {
-		return nil
-	}
-	return cb
-}
-
-func (o *opSelect) classify(r delta.Row, bc *batchContext) expr.Tri {
-	if !bc.prune {
-		// HDA: no variation ranges — every decision involving an
-		// uncertain aggregate stays non-deterministic forever.
-		return expr.Unknown
-	}
-	return o.node.Pred.Tri(r.Vals, bc)
-}
-
-// selVerdict is one row's precomputed per-batch SELECT decision: its
-// classification under the current variation ranges and — only when that is
-// still non-deterministic — the current-value predicate outcome.
-type selVerdict struct {
-	tri  expr.Tri
-	pass bool
-}
-
-// classifyAll computes verdicts for a row set. Classification and predicate
-// evaluation are pure reads of the row and the published aggregate tables,
-// so large sets fan out over contiguous chunks; writing verdict i into slot
-// i keeps the subsequent (sequential) merge identical to the one-row-at-a-
-// time loop. regen additionally pays the per-row regeneration cost of the
-// non-lazy modes (ModeOPT1/ModeHDA state refresh).
-func (o *opSelect) classifyAll(rows []delta.Row, bc *batchContext, regen bool) []selVerdict {
-	vs := make([]selVerdict, len(rows))
-	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := rows[i]
-			if regen && !bc.lazy {
-				regenerate(r, bc)
-			}
-			v := selVerdict{tri: o.classify(r, bc)}
-			if v.tri != expr.True && v.tri != expr.False {
-				v.pass = evalTrue(o.node.Pred, r, bc)
-			}
-			vs[i] = v
-		}
-	}
-	if bc.distSite(len(rows)) {
-		// Distributed site: each replica classifies one contiguous span and
-		// every replica applies the merged verdict bytes for all spans.
-		bc.exchange(cluster.CostSelect, len(rows),
-			func(lo, hi int) ([]byte, error) {
-				bc.spanChunks(cluster.CostSelect, lo, hi, fill)
-				return encodeVerdictSpan(vs, lo, hi), nil
-			},
-			func(lo, hi int, p []byte) error { return decodeVerdictSpan(vs, lo, hi, p) })
-		return vs
-	}
-	bc.mapChunks(cluster.CostSelect, len(rows), fill)
-	return vs
-}
-
-// filterAll evaluates the predicate under current values for every row,
-// chunk-parallel for large sets.
-func (o *opSelect) filterAll(rows []delta.Row, bc *batchContext) []bool {
-	pass := make([]bool, len(rows))
-	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pass[i] = evalTrue(o.node.Pred, rows[i], bc)
-		}
-	}
-	if bc.distSite(len(rows)) {
-		bc.exchange(cluster.CostSelect, len(rows),
-			func(lo, hi int) ([]byte, error) {
-				bc.spanChunks(cluster.CostSelect, lo, hi, fill)
-				return encodeBoolSpan(pass, lo, hi), nil
-			},
-			func(lo, hi int, p []byte) error { return decodeBoolSpan(pass, lo, hi, p) })
-		return pass
-	}
-	bc.mapChunks(cluster.CostSelect, len(rows), fill)
-	return pass
-}
-
-func (o *opSelect) step(bc *batchContext) (output, error) {
-	in, err := o.child.step(bc)
-	if err != nil {
-		return output{}, err
-	}
-	var out output
-	// 1. Refresh and re-classify the non-deterministic set (this is the
-	// recomputation the paper's Figure 8(e,f) counts). Verdicts are
-	// computed partition-parallel; promotion/pruning stays a sequential
-	// ordered merge.
-	if o.state.Len() > 0 {
-		bc.recomputed += o.state.Len()
-		vs := o.classifyAll(o.state.Rows, bc, true)
-		kept := o.state.Rows[:0]
-		for i, r := range o.state.Rows {
-			switch vs[i].tri {
-			case expr.True:
-				out.news = append(out.news, r) // promoted: decision final
-			case expr.False:
-				// pruned permanently
-			default:
-				kept = append(kept, r)
-				if vs[i].pass {
-					out.unc = append(out.unc, r)
-				}
-			}
-		}
-		o.state.Rows = kept
-	}
-	// 2. New certain input rows.
-	if len(in.news) > 0 && !o.predUncertain {
-		var pass []bool
-		if cb := o.vecBatch(bc, in); cb != nil {
-			// Columnar filter: the predicate evaluates whole column spans
-			// into the selection slice, chunk-parallel (EvalCols is
-			// stateless). Verdict-identical to filterAll — CompileVec pins
-			// the row path's acceptance test — so the appended rows and
-			// their order match the row branch exactly.
-			pass = make([]bool, len(in.news))
-			bc.mapChunks(cluster.CostSelect, len(in.news), func(lo, hi int) {
-				o.vec.EvalCols(cb.cols, lo, hi, pass[lo:hi])
-			})
-			sel := make([]int32, 0, len(in.news))
-			for i, r := range in.news {
-				if pass[i] {
-					out.news = append(out.news, r)
-					sel = append(sel, int32(i))
-				}
-			}
-			out.cb = &colBatch{cols: cb.cols, sel: sel, slab: cb.slab, trials: cb.trials}
-		} else {
-			pass = o.filterAll(in.news, bc)
-			for i, r := range in.news {
-				if pass[i] {
-					out.news = append(out.news, r)
-				}
-			}
-		}
-	} else if len(in.news) > 0 {
-		vs := o.classifyAll(in.news, bc, false)
-		for i, r := range in.news {
-			switch vs[i].tri {
-			case expr.True:
-				out.news = append(out.news, r)
-			case expr.False:
-			default:
-				o.state.Add(r.Clone())
-				if vs[i].pass {
-					out.unc = append(out.unc, r)
-				}
-			}
-		}
-	}
-	// 3. Upstream tuple-uncertain rows: filter by current values; their
-	// uncertainty is owned upstream, so they stay uncertain here.
-	bc.recomputed += len(in.unc)
-	if len(in.unc) > 0 {
-		pass := o.filterAll(in.unc, bc)
-		for i, r := range in.unc {
-			if pass[i] {
-				out.unc = append(out.unc, r)
-			}
-		}
-	}
-	o.record(out)
-	return out, nil
-}
-
-// regenSink defeats dead-code elimination of the OPT1 regeneration work.
-// Atomic because regeneration now runs inside partition-parallel loops.
-var regenSink atomic.Int64
-
-// regenerate simulates the non-lazy refresh of a state row (ModeOPT1 /
-// ModeHDA): instead of dereferencing lineage in place, the row is rebuilt —
-// cloned and its uncertain attributes re-fetched through the per-batch
-// broadcast-joined aggregate output — which is what "regenerating the tuple
-// from scratch" costs in-process (the paper's version additionally pays
-// I/O and shuffle, which the cluster metrics account separately).
-func regenerate(r delta.Row, bc *batchContext) {
-	rr := r.Clone()
-	for i, v := range rr.Vals {
-		if v.IsRef() {
-			if uv, ok := bc.ResolveRef(v.Ref()); ok {
-				rr.Vals[i] = uv.Value
-			}
-		}
-	}
-	regenSink.Add(int64(len(rr.Vals)))
-}
-
-func (o *opSelect) snapshot() interface{}    { return o.state.Snapshot() }
-func (o *opSelect) restore(snap interface{}) { o.state.Restore(snap.(*delta.RowSet)) }
-func (o *opSelect) stateBytes() int          { return o.state.SizeBytes() }
-func (o *opSelect) kind() string             { return "select" }
-
-// ---------------------------------------------------------------------------
-// Project
-
-// opProject handles the projections that survive inlining (under unions, or
-// above joins keyed on computed columns) and never holds state (Section 4.2:
-// the PROJECT operator state is always empty). Bare column references pass
-// values — including lineage refs — through untouched; computed expressions
-// are evaluated (the compiler guarantees they are deterministic here).
-type opProject struct {
-	emitCounts
-	node  *plan.Project
-	child operator
-}
-
-func (o *opProject) apply(rows []delta.Row, bc *batchContext) []delta.Row {
-	if len(rows) == 0 {
-		return nil
-	}
-	// Rows are independent and the expressions deterministic, so large sets
-	// fill output slots chunk-parallel (slot i from row i: order preserved).
-	out := make([]delta.Row, len(rows))
-	fill := func(lo, hi int) {
-		for ri := lo; ri < hi; ri++ {
-			r := rows[ri]
-			vals := make([]rel.Value, len(o.node.Exprs))
-			for i, e := range o.node.Exprs {
-				if col, ok := e.(*expr.Col); ok {
-					vals[i] = r.Vals[col.Idx] // pass refs through
-					continue
-				}
-				vals[i] = e.Eval(r.Vals, bc)
-			}
-			out[ri] = delta.Row{Vals: vals, Mult: r.Mult, W: r.W}
-		}
-	}
-	bc.mapChunks(cluster.CostProject, len(rows), fill)
-	return out
-}
-
-func (o *opProject) step(bc *batchContext) (output, error) {
-	in, err := o.child.step(bc)
-	if err != nil {
-		return output{}, err
-	}
-	out := output{news: o.apply(in.news, bc), unc: o.apply(in.unc, bc)}
-	o.record(out)
-	return out, nil
-}
-
-func (o *opProject) snapshot() interface{} { return nil }
-func (o *opProject) restore(interface{})   {}
-func (o *opProject) stateBytes() int       { return 0 }
-func (o *opProject) kind() string          { return "project" }
-
-// ---------------------------------------------------------------------------
-// Union
-
-// opUnion is stateless (Section 4.2).
-type opUnion struct {
-	emitCounts
-	node *plan.Union
-	l, r operator
-}
-
-func (o *opUnion) step(bc *batchContext) (output, error) {
-	lo, err := o.l.step(bc)
-	if err != nil {
-		return output{}, err
-	}
-	ro, err := o.r.step(bc)
-	if err != nil {
-		return output{}, err
-	}
-	out := output{
-		news: append(lo.news, ro.news...),
-		unc:  append(lo.unc, ro.unc...),
-	}
-	o.record(out)
-	return out, nil
-}
-
-func (o *opUnion) snapshot() interface{} { return nil }
-func (o *opUnion) restore(interface{})   {}
-func (o *opUnion) stateBytes() int       { return 0 }
-func (o *opUnion) kind() string          { return "union" }
-
-// ---------------------------------------------------------------------------
-// Join
-
-// opJoin implements the JOIN delta rule (Section 4.2): each side's certain
-// rows are cached iff the opposite side may still produce rows (new or
-// tuple-uncertain) in later batches — so a streamed fact joined with static
-// dimension tables caches only the dimensions, the optimization the paper
-// calls out. The tuple-uncertain output combinations (U_L ⋈ C_R, C_L ⋈ U_R,
-// U_L ⋈ U_R) are recomputed every batch.
-type opJoin struct {
-	emitCounts
-	node           *plan.Join
-	l, r           operator
-	lStore, rStore *delta.HashStore
-	lw             int // left schema width
-	// partBuckets > 0 marks the right side as a partitioned-shipping table
-	// (Options.PartitionTables): each distributed replica holds only one
-	// hash partition of it, so probes route through bucket-geometry
-	// exchanges (cluster.CostProbePart over partBuckets logical buckets)
-	// instead of row spans. partScan is the right child's static scan, whose
-	// justEmitted flag replaces the replica-divergent len(ro.news) guard.
-	partBuckets int
-	partScan    *opScan
-	// sharedR marks rStore as a frozen store owned by the shared-state
-	// cache (shared.go): the build subtree ran once at acquire time, so the
-	// store is complete and immutable. The join never writes it, excludes
-	// it from this session's state accounting, and skips it in
-	// snapshot/restore — restoring an immutable value is the identity, so
-	// §5.1 replay touches it once (at probe time), not per session.
-	sharedR bool
-}
-
-// newOpJoin builds the join operator. The persistent side stores — the ones
-// that accumulate across batches — register with the engine's spill policy;
-// the transient per-batch stores step() builds stay memory-only.
-func newOpJoin(t *plan.Join, l, r operator, cacheL, cacheR bool, spill *delta.SpillPolicy) *opJoin {
-	op := &opJoin{node: t, l: l, r: r, lw: len(t.L.Schema())}
-	if cacheL {
-		op.lStore = delta.NewHashStore(t.LKeys)
-		spill.Register(op.lStore)
-	}
-	if cacheR {
-		op.rStore = delta.NewHashStore(t.RKeys)
-		spill.Register(op.rStore)
-	}
-	return op
-}
-
-// spilledRows reports how many cached join rows currently live on disk.
-func (o *opJoin) spilledRows() int {
-	n := 0
-	if o.lStore != nil {
-		n += o.lStore.SpilledRows()
-	}
-	if o.rStore != nil && !o.sharedR {
-		n += o.rStore.SpilledRows()
-	}
-	return n
-}
-
-// residentBytes is the in-memory share of stateBytes (they differ only when
-// shards have spilled).
-func (o *opJoin) residentBytes() int {
-	n := 0
-	if o.lStore != nil {
-		n += o.lStore.MemBytes()
-	}
-	if o.rStore != nil && !o.sharedR {
-		n += o.rStore.MemBytes()
-	}
-	return n
-}
-
-func (o *opJoin) joinRows(l, r delta.Row) delta.Row {
-	vals := make([]rel.Value, 0, len(l.Vals)+len(r.Vals))
-	vals = append(vals, l.Vals...)
-	vals = append(vals, r.Vals...)
-	return delta.Row{Vals: vals, Mult: l.Mult * r.Mult, W: delta.CombineWeights(l.W, r.W)}
-}
-
-// probeCB returns the probe side's columnar view when the batched key
-// encoder may drive the probe: local execution only (exchange payloads
-// keep the row path) and no unresolved refs (EncodeKeyInto from banks has
-// no Resolver). A narrowed selection is fine — src() maps output position
-// to source row.
-func (o *opJoin) probeCB(bc *batchContext, in output) *colBatch {
-	cb := in.cb
-	if cb == nil || !bc.vec || bc.exch != nil || cb.cols.HasRefs() {
-		return nil
-	}
-	return cb
-}
-
-// probeInto joins each probe-side row against the store and appends the
-// matches to dst in probe order (store rows in insertion order per key —
-// exactly the sequential nested loop's output). Large probe sets fan out
-// over contiguous chunks whose per-chunk buffers are concatenated in chunk
-// order; the store is read-only during the probe, so this is the
-// deterministic shard → ordered merge pattern. probeIsLeft orients the
-// output row (probe ⋈ match vs match ⋈ probe). cb, when non-nil, is the
-// probe side's columnar view: keys encode straight from the column banks
-// (byte-identical to the row encoder) and the probe skips the per-row
-// value gather.
-func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, store *delta.HashStore, probeIsLeft bool, bc *batchContext, cb *colBatch) []delta.Row {
-	join := func(p, m delta.Row) delta.Row {
-		if probeIsLeft {
-			return o.joinRows(p, m)
-		}
-		return o.joinRows(m, p)
-	}
-	// probeSpan probes rows [lo, hi) and returns the matches in probe order
-	// (per-chunk buffers concatenated in chunk order — identical to the
-	// sequential nested loop over the span).
-	probeSpan := func(lo, hi int) []delta.Row {
-		n := hi - lo
-		if !bc.fanout(cluster.CostJoinProbe, n) {
-			var buf []delta.Row
-			bc.cost.Timed(cluster.CostJoinProbe, n, 1, func() {
-				buf = o.probeRange(buf, probe, probeKeys, store, cb, join, lo, hi)
-			})
-			return buf
-		}
-		outs := make([][]delta.Row, bc.pool.Chunks(n))
-		bc.cost.Timed(cluster.CostJoinProbe, n, bc.pool.Workers(), func() {
-			bc.pool.MapChunks(n, func(c, a, b int) {
-				outs[c] = o.probeRange(nil, probe, probeKeys, store, cb, join, lo+a, lo+b)
-			})
-		})
-		var buf []delta.Row
-		for _, b := range outs {
-			buf = append(buf, b...)
-		}
-		return buf
-	}
-	if bc.distSite(len(probe)) {
-		// Distributed shard shipping: each replica probes one span, the
-		// joined rows travel as spill-codec payloads, and every replica
-		// appends the merged spans in span order — the same ordered merge,
-		// across machines.
-		bc.exchange(cluster.CostJoinProbe, len(probe),
-			func(lo, hi int) ([]byte, error) { return encodeRowSpan(probeSpan(lo, hi)) },
-			func(lo, hi int, p []byte) error {
-				rows, err := decodeRowSpan(p)
-				if err != nil {
-					return err
-				}
-				dst = append(dst, rows...)
-				return nil
-			})
-		return dst
-	}
-	return append(dst, probeSpan(0, len(probe))...)
-}
-
-// probeRange is probeInto's inner loop over probe rows [lo, hi): the
-// columnar form encodes each key from the banks and probes by bytes, the
-// row form gathers values per row. Both index the same hot map with the
-// same key bytes, so matches and their order are identical.
-func (o *opJoin) probeRange(buf []delta.Row, probe []delta.Row, probeKeys []int, store *delta.HashStore, cb *colBatch, join func(p, m delta.Row) delta.Row, lo, hi int) []delta.Row {
-	if cb != nil {
-		var kb [96]byte
-		key := kb[:0]
-		for i := lo; i < hi; i++ {
-			p := probe[i]
-			key = cb.cols.EncodeKeyInto(key[:0], cb.src(i), probeKeys)
-			for _, m := range store.ProbeKey(key) {
-				buf = append(buf, join(p, m))
-			}
-		}
-		return buf
-	}
-	for i := lo; i < hi; i++ {
-		p := probe[i]
-		for _, m := range store.Probe(p.Vals, probeKeys) {
-			buf = append(buf, join(p, m))
-		}
-	}
-	return buf
-}
-
-// probePartitioned probes a partitioned build store. Exchange geometry is
-// the P hash buckets, not row spans: the replica owning partition b probes
-// all probe rows routed to bucket b against its partition, which yields
-// exactly the full store's matches for those rows (a key's rows live whole
-// in one partition, in full-store insertion order). Merged payloads scatter
-// matches back to probe indices, and the final append walks probe order —
-// byte-identical to the sequential full-store loop. There is no MinRows
-// gate: a replica with a partial store cannot fall back to local compute,
-// so every replica must agree to exchange whenever a transport is attached.
-func (o *opJoin) probePartitioned(dst []delta.Row, probe []delta.Row, probeKeys []int, store *delta.HashStore, bc *batchContext) []delta.Row {
-	if len(probe) == 0 {
-		// Identical on every replica: probe rows come from the streamed
-		// delta, which all replicas hold whole.
-		return dst
-	}
-	if bc.exch == nil {
-		// Local execution holds the full table; the plain sequential probe
-		// is the oracle the exchange path must match bit-for-bit.
-		return o.probeInto(dst, probe, probeKeys, store, true, bc, nil)
-	}
-	buckets := make([]int, len(probe))
-	var scratch []byte
-	for i, p := range probe {
-		scratch = rel.EncodeKeyInto(scratch[:0], p.Vals, probeKeys)
-		buckets[i] = cluster.KeyBucket(scratch, o.partBuckets)
-	}
-	perProbe := make([][]delta.Row, len(probe))
-	bc.exchange(cluster.CostProbePart, o.partBuckets,
-		func(lo, hi int) ([]byte, error) {
-			var idx []int
-			var matches [][]delta.Row
-			for i, b := range buckets {
-				if b < lo || b >= hi {
-					continue
-				}
-				p := probe[i]
-				ms := store.Probe(p.Vals, probeKeys)
-				if len(ms) == 0 {
-					continue
-				}
-				joined := make([]delta.Row, len(ms))
-				for j, m := range ms {
-					joined[j] = o.joinRows(p, m)
-				}
-				idx = append(idx, i)
-				matches = append(matches, joined)
-			}
-			return encodePartProbeSpan(idx, matches)
-		},
-		func(lo, hi int, p []byte) error {
-			return decodePartProbeSpan(p, lo, hi, buckets, perProbe)
-		})
-	for i := range probe {
-		dst = append(dst, perProbe[i]...)
-	}
-	return dst
-}
-
-func (o *opJoin) step(bc *batchContext) (output, error) {
-	lo, err := o.l.step(bc)
-	if err != nil {
-		return output{}, err
-	}
-	ro, err := o.r.step(bc)
-	if err != nil {
-		return output{}, err
-	}
-	lKeys, rKeys := o.node.LKeys, o.node.RKeys
-	var out output
-	// Exchange accounting: a keyed join repartitions both inputs by key;
-	// a cross join broadcasts the (small) right side.
-	if bc.metrics != nil {
-		n := 0
-		for _, r := range lo.news {
-			n += r.SizeBytes()
-		}
-		for _, r := range lo.unc {
-			n += r.SizeBytes()
-		}
-		m := 0
-		for _, r := range ro.news {
-			m += r.SizeBytes()
-		}
-		for _, r := range ro.unc {
-			m += r.SizeBytes()
-		}
-		if len(lKeys) == 0 {
-			// Cross join: nothing repartitions. The scalar side is
-			// replicated to every worker, which is broadcast traffic, not
-			// shuffle — booking it as a shuffle (the old code even recorded
-			// a phantom zero-byte shuffle alongside it) skewed every
-			// per-event shuffle statistic. Empty sides are dropped by
-			// RecordBroadcastBytes itself.
-			bc.metrics.RecordBroadcastBytes(m)
-		} else {
-			bc.metrics.RecordShuffleBytes(n + m)
-		}
-	}
-	partitioned := o.partBuckets > 0
-	lcb := o.probeCB(bc, lo)
-	// Certain deltas (classic delta-join over the certain parts):
-	// ΔL ⋈ C_R(old), C_L(old) ⋈ ΔR, ΔL ⋈ ΔR. Probes run partition-parallel
-	// over the probe side; builds run partition-parallel over shards.
-	if o.rStore != nil {
-		if partitioned {
-			out.news = o.probePartitioned(out.news, lo.news, lKeys, o.rStore, bc)
-		} else {
-			out.news = o.probeInto(out.news, lo.news, lKeys, o.rStore, true, bc, lcb)
-		}
-	}
-	if o.lStore != nil {
-		out.news = o.probeInto(out.news, ro.news, rKeys, o.lStore, false, bc, nil)
-	}
-	// The transient ΔL⋈ΔR branch must take the same side on every replica:
-	// a partitioned right side emits different (possibly zero) row counts per
-	// replica, so the guard keys off the scan's emission step instead.
-	rEmitted := len(ro.news) > 0
-	if partitioned {
-		rEmitted = o.partScan.justEmitted
-	}
-	if len(lo.news) > 0 && rEmitted {
-		newR := delta.NewHashStore(rKeys)
-		newR.AddBatch(ro.news, false, bc.par(cluster.CostJoinBuild, len(ro.news)))
-		if partitioned {
-			out.news = o.probePartitioned(out.news, lo.news, lKeys, newR, bc)
-		} else {
-			out.news = o.probeInto(out.news, lo.news, lKeys, newR, true, bc, lcb)
-		}
-	}
-	// Fold this batch's certain rows into the stores (rows are cloned: store
-	// contents are immutable once added).
-	if o.lStore != nil {
-		o.lStore.AddBatch(lo.news, true, bc.par(cluster.CostJoinBuild, len(lo.news)))
-	}
-	if o.rStore != nil && !o.sharedR {
-		o.rStore.AddBatch(ro.news, true, bc.par(cluster.CostJoinBuild, len(ro.news)))
-	}
-	// Tuple-uncertain combinations, recomputed every batch:
-	// U_L ⋈ C_R, C_L ⋈ U_R, U_L ⋈ U_R.
-	bc.recomputed += len(lo.unc) + len(ro.unc)
-	if len(lo.unc) > 0 {
-		if o.rStore == nil && len(ro.news) == 0 && len(ro.unc) == 0 {
-			return output{}, fmt.Errorf("core: join #%d: left tuple uncertainty requires a cached right side", o.node.ID())
-		}
-		if o.rStore != nil {
-			if partitioned {
-				out.unc = o.probePartitioned(out.unc, lo.unc, lKeys, o.rStore, bc)
-			} else {
-				out.unc = o.probeInto(out.unc, lo.unc, lKeys, o.rStore, true, bc, nil)
-			}
-		}
-	}
-	if len(ro.unc) > 0 && o.lStore != nil {
-		out.unc = o.probeInto(out.unc, ro.unc, rKeys, o.lStore, false, bc, nil)
-	}
-	if len(lo.unc) > 0 && len(ro.unc) > 0 {
-		uncR := delta.NewHashStore(rKeys)
-		uncR.AddBatch(ro.unc, false, bc.par(cluster.CostJoinBuild, len(ro.unc)))
-		out.unc = o.probeInto(out.unc, lo.unc, lKeys, uncR, true, bc, nil)
-	}
-	o.record(out)
-	return out, nil
-}
-
-type joinSnap struct {
-	l, r *delta.HashSnap
-}
-
-func (o *opJoin) snapshot() interface{} {
-	s := joinSnap{}
-	if o.lStore != nil {
-		s.l = o.lStore.Snapshot()
-	}
-	if o.rStore != nil && !o.sharedR {
-		s.r = o.rStore.Snapshot()
-	}
-	return s
-}
-
-func (o *opJoin) restore(snap interface{}) {
-	s := snap.(joinSnap)
-	if o.lStore != nil {
-		o.lStore.Restore(s.l)
-	}
-	if o.rStore != nil && !o.sharedR {
-		o.rStore.Restore(s.r)
-	}
-}
-
-func (o *opJoin) stateBytes() int {
-	n := 0
-	if o.lStore != nil {
-		n += o.lStore.SizeBytes()
-	}
-	if o.rStore != nil && !o.sharedR {
-		n += o.rStore.SizeBytes()
-	}
-	return n
-}
-
-func (o *opJoin) kind() string { return "join" }
-
-// ---------------------------------------------------------------------------
-// Sink
-
-// opSink is the virtual SINK operator (Section 4.2): it accumulates the
-// certain result rows, re-receives the tuple-uncertain ones each batch, and
-// materialises the partial result Q(D_i, m_i) with bootstrap error
-// estimates.
-type opSink struct {
-	emitCounts
-	child  operator
-	exprs  []expr.Expr
-	names  []string
-	unc    []bool // which output columns can be uncertain
-	schema rel.Schema
-	// scaleExp is the root's streamed-scan exponent: result tuples of a
-	// non-aggregated query logically carry multiplicity m_i^k (Section 2).
-	scaleExp int
-
-	certain delta.RowSet
-	lastUnc []delta.Row
-}
-
-func (o *opSink) step(bc *batchContext) (output, error) {
-	in, err := o.child.step(bc)
-	if err != nil {
-		return output{}, err
-	}
-	for _, r := range in.news {
-		o.certain.Add(r.Clone())
-	}
-	bc.recomputed += len(in.unc)
-	o.lastUnc = o.lastUnc[:0]
-	for _, r := range in.unc {
-		o.lastUnc = append(o.lastUnc, r.Clone())
-	}
-	o.newsN, o.uncN = len(in.news), len(in.unc)
-	return output{}, nil
-}
-
-// materialize renders the current partial result with error estimates.
-// Rows are independent, so large results materialise partition-parallel.
-func (o *opSink) materialize(bc *batchContext) (*rel.Relation, [][]bootstrap.Estimate) {
-	scale := 1.0
-	for k := 0; k < o.scaleExp; k++ {
-		scale *= bc.scale
-	}
-	rows := make([]delta.Row, 0, o.certain.Len()+len(o.lastUnc))
-	rows = append(rows, o.certain.Rows...)
-	rows = append(rows, o.lastUnc...)
-	res := rel.NewRelation(o.schema)
-	res.Tuples = make([]rel.Tuple, len(rows))
-	ests := make([][]bootstrap.Estimate, len(rows))
-	// emitRange renders rows [lo, hi) sharing one replicate buffer and one
-	// SummarizeInto sort scratch per range — each (row, column) estimate
-	// consumes its replicates before the next reuses the buffers, so a lane
-	// pays two allocations total instead of two per uncertain cell.
-	emitRange := func(lo, hi int) {
-		var reps, scratch []float64
-		if bc.trials > 0 {
-			reps = make([]float64, bc.trials)
-		}
-		for idx := lo; idx < hi; idx++ {
-			r := rows[idx]
-			vals := make([]rel.Value, len(o.exprs))
-			rowEst := make([]bootstrap.Estimate, len(o.exprs))
-			for i, e := range o.exprs {
-				v := e.Eval(r.Vals, bc)
-				vals[i] = v
-				if o.unc[i] && bc.trials > 0 && !bc.exact && v.IsNumeric() {
-					for b := 0; b < bc.trials; b++ {
-						rv := e.EvalRep(r.Vals, bc, b)
-						if rv.IsNumeric() {
-							reps[b] = rv.Float()
-						} else {
-							reps[b] = math.NaN()
-						}
-					}
-					rowEst[i], scratch = bootstrap.SummarizeInto(v.Float(), reps, scratch)
-				} else if v.IsNumeric() {
-					rowEst[i] = bootstrap.Estimate{Value: v.Float()}
-				}
-			}
-			res.Tuples[idx] = rel.Tuple{Vals: vals, Mult: r.Mult * scale}
-			ests[idx] = rowEst
-		}
-	}
-	if bc.distSite(len(rows)) {
-		// Distributed site: each replica materialises one span (tuples and
-		// bootstrap estimates), and every replica applies the merged spans
-		// from the same bytes — so the delivered result, including estimate
-		// bit patterns, is identical on all replicas.
-		bc.exchange(cluster.CostSink, len(rows),
-			func(lo, hi int) ([]byte, error) {
-				bc.spanChunks(cluster.CostSink, lo, hi, emitRange)
-				return encodeSinkSpan(res, ests, lo, hi, len(o.exprs))
-			},
-			func(lo, hi int, p []byte) error {
-				return decodeSinkSpan(res, ests, lo, hi, len(o.exprs), p)
-			})
-		return res, ests
-	}
-	if bc.pool != nil && len(rows) >= 64 && bc.trials > 0 {
-		bc.pool.MapChunks(len(rows), func(_, lo, hi int) { emitRange(lo, hi) })
-	} else {
-		emitRange(0, len(rows))
-	}
-	return res, ests
-}
-
-// sinkSnap is a truncation snapshot: the certain set is append-only with
-// immutable rows (cloned on arrival), so its length suffices; lastUnc is
-// transient and recomputed by the replay batch.
-type sinkSnap struct {
-	certainLen int
-}
-
-func (o *opSink) snapshot() interface{} {
-	return sinkSnap{certainLen: o.certain.Len()}
-}
-
-func (o *opSink) restore(snap interface{}) {
-	s := snap.(sinkSnap)
-	o.certain.Rows = o.certain.Rows[:s.certainLen]
-	o.lastUnc = o.lastUnc[:0]
-}
-
-func (o *opSink) stateBytes() int { return o.certain.SizeBytes() }
-func (o *opSink) kind() string    { return "sink" }
