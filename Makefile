@@ -42,10 +42,13 @@ race:
 fuzz-seeds:
 	$(GO) test -run '^Fuzz' ./internal/storage ./internal/core ./internal/dist ./internal/serve ./internal/agg
 
-# Actually fuzz (open-ended; ctrl-C when satisfied, or FUZZTIME=1m make fuzz).
+# Actually fuzz one target (open-ended; ctrl-C when satisfied), e.g.
+# make fuzz FUZZ=FuzzAddBatchEquivalence FUZZPKG=./internal/agg FUZZTIME=2m
+FUZZ ?= FuzzRowCodec
+FUZZPKG ?= ./internal/storage
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run XXX -fuzz FuzzRowCodec -fuzztime $(FUZZTIME) ./internal/storage
+	$(GO) test -run XXX -fuzz '^$(FUZZ)$$' -fuzztime $(FUZZTIME) $(FUZZPKG)
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
