@@ -446,14 +446,6 @@ func (v *Vector) Result(scale float64) float64 {
 	return v.main.Result(scale)
 }
 
-// RepResult reads replicate b's value under the given scale.
-func (v *Vector) RepResult(b int, scale float64) float64 {
-	if v.bank != nil {
-		return bankResult(v.Fn.kind, v.bank, v.slots(), 1+b, scale)
-	}
-	return v.reps[b].Result(scale)
-}
-
 // RepResults reads all replicate values under the given scale into dst
 // (allocated when nil).
 func (v *Vector) RepResults(scale float64, dst []float64) []float64 {

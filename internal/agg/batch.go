@@ -1,74 +1,62 @@
-// Batched ingest for the flat replicate kernels: the columnar pipeline
-// (DESIGN.md §14) hands each (group, aggregate) pair a run of already
-// gathered argument values instead of calling Add per tuple, so the
-// per-call dispatch, slot arithmetic, and weight-window slicing amortise
-// across the run and the inner loops stay in registers across tuples.
+// Batched ingest: the one way a run of inputs enters a Vector. The aggregate
+// operator (DESIGN.md §10) gathers, per (group, aggregate) pair, the run of
+// entries a batch holds for it — value, multiplicity, the row's Poisson
+// weight window and, for an uncertain argument, its per-replicate inputs —
+// and folds the run in one call, so the per-call dispatch and slot
+// arithmetic amortise across the run and the inner loops stay in registers
+// across tuples.
 //
-// Bit-identity: AddBatch performs, per accumulator slot, exactly the
-// floating-point operations of calling Add(vals[j], mults[j], w_j) for j in
-// order, where w_j is the row's window of the scan's weight slab. Tuples
-// are folded outer-loop-in-order and replicates inner, the same nesting as
-// the per-tuple path, so every slot sees the same operand sequence. The
-// only structural liberties are the ones Fold/FoldPar already take: mains
-// may fold in a separate pass (each slot's own sequence is unchanged), and
-// MIN/MAX may switch to a lean conditional-store loop once every replicate
-// in the window is set — the flag is then invariant, so the dropped check
-// and the unconditional store cannot change a value.
+// Bit-identity: AddBatchRun performs, per accumulator slot, exactly the
+// floating-point operations of calling AddRep(vals[j], reps[j], mults[j],
+// ws[j]) for j in order. Tuples are folded outer-loop-in-order and
+// replicates inner, the same nesting as the per-tuple path, so every slot
+// sees the same operand sequence. The structural liberties all leave each
+// slot's own sequence unchanged: mains fold in a separate pass, the
+// replicate dimension may be split across workers (every slot is an
+// independent accumulator), and MIN/MAX may switch to a lean
+// conditional-store loop once every replicate in the window is set — the
+// flag is then invariant, so the dropped check and the unconditional store
+// cannot change a value.
 package agg
 
-// rowWeights returns row j's weight window [lo, hi) of the slab, or nil
-// when the batch carries no per-row weights.
-func rowWeights(slab []float64, stride int, rows []int32, j, lo, hi int) []float64 {
-	if slab == nil {
-		return nil
-	}
-	base := int(rows[j]) * stride
-	return slab[base+lo : base+hi]
-}
-
-// batchTile bounds how many rows the sequential AddBatch hands to each
+// batchTile bounds how many entries the sequential ingest hands to each
 // mains+replicates pass pair, so the second pass re-reads vals/mults from
 // L1 instead of memory. Tiling cannot affect bit-identity: each slot still
-// sees every row in batch order, only the interleaving across slots moves.
+// sees every entry in run order, only the interleaving across slots moves.
 const batchTile = 512
 
-// AddBatch folds a run of gathered inputs: entry j carries value vals[j],
-// multiplicity mults[j], and — when slab is non-nil — the Poisson weight
-// window slab[rows[j]·B : rows[j]·B+B] (B = Trials()). Equivalent to
-// calling Add per entry in order; see the package comment for the
-// bit-identity argument.
-func (v *Vector) AddBatch(vals, mults, slab []float64, rows []int32) {
-	if v.bank == nil {
-		for j := range vals {
-			v.Add(vals[j], mults[j], rowWeights(slab, v.trials, rows, j, 0, v.trials))
-		}
-		return
-	}
-	for t := 0; t < len(vals); t += batchTile {
-		e := t + batchTile
-		if e > len(vals) {
-			e = len(vals)
-		}
-		var rt []int32
-		if rows != nil {
-			rt = rows[t:e]
-		}
-		v.AddBatchMain(vals[t:e], mults[t:e])
-		v.AddBatchRange(0, v.trials, vals[t:e], mults[t:e], slab, rt)
-	}
-}
-
-// AddBatchPar is AddBatch with the replicate dimension split across
-// workers, the batched twin of FoldPar: parts workers own contiguous
-// replicate ranges and one extra task owns the mains, so every slot still
-// receives its sequential operand sequence.
-func (v *Vector) AddBatchPar(vals, mults, slab []float64, rows []int32, pmap func(n int, fn func(i int)), parts int) {
+// AddBatchRun folds a run of gathered inputs: entry j carries value vals[j],
+// multiplicity mults[j], the Poisson weight window ws[j] (a nil window, or a
+// nil ws, is weight 1 on every trial — rows of non-streamed provenance) and,
+// when reps is non-nil, the per-replicate inputs reps[j] of an uncertain
+// argument (nil: every replicate folds vals[j]). Equivalent to calling
+// AddRep per entry in order; see the package comment for the bit-identity
+// argument.
+//
+// With pmap (typically cluster.Pool.Map) and parts > 1 the replicate
+// dimension is split: parts workers own contiguous replicate ranges and one
+// extra task owns the mains, so every slot still receives its sequential
+// operand sequence — the parallel axis of choice when a batch touches few
+// groups, where sharding groups across workers would leave most of the pool
+// idle. A nil pmap folds inline.
+func (v *Vector) AddBatchRun(vals, mults []float64, ws, reps [][]float64, pmap func(n int, fn func(i int)), parts int) {
 	B := v.trials
 	if parts > B {
 		parts = B
 	}
-	if parts <= 1 || pmap == nil || v.bank == nil {
-		v.AddBatch(vals, mults, slab, rows)
+	if parts <= 1 || pmap == nil {
+		for t := 0; t < len(vals); t += batchTile {
+			e := min(t+batchTile, len(vals))
+			var wt, rt [][]float64
+			if ws != nil {
+				wt = ws[t:e]
+			}
+			if reps != nil {
+				rt = reps[t:e]
+			}
+			v.AddBatchMain(vals[t:e], mults[t:e])
+			v.addBatchRange(0, B, vals[t:e], mults[t:e], wt, rt)
+		}
 		return
 	}
 	pmap(parts+1, func(p int) {
@@ -76,12 +64,32 @@ func (v *Vector) AddBatchPar(vals, mults, slab []float64, rows []int32, pmap fun
 			v.AddBatchMain(vals, mults)
 			return
 		}
-		v.AddBatchRange(p*B/parts, (p+1)*B/parts, vals, mults, slab, rows)
+		v.addBatchRange(p*B/parts, (p+1)*B/parts, vals, mults, ws, reps)
 	})
 }
 
-// AddBatchMain folds the run into the main slots only (the mains task of
-// AddBatchPar).
+// AddBatch is AddBatchRun for entries whose weight windows index one slab:
+// entry j's window is slab[rows[j]·B : rows[j]·B+B] (B = Trials()), or
+// weight 1 when slab is nil.
+func (v *Vector) AddBatch(vals, mults, slab []float64, rows []int32) {
+	if slab == nil {
+		v.AddBatchRun(vals, mults, nil, nil, nil, 0)
+		return
+	}
+	B := v.trials
+	var ws [batchTile][]float64
+	for t := 0; t < len(vals); t += batchTile {
+		e := min(t+batchTile, len(vals))
+		for j, r := range rows[t:e] {
+			ws[j] = slab[int(r)*B : int(r)*B+B]
+		}
+		v.AddBatchMain(vals[t:e], mults[t:e])
+		v.addBatchRange(0, B, vals[t:e], mults[t:e], ws[:e-t], nil)
+	}
+}
+
+// AddBatchMain folds the run into the main slots only (the mains task of a
+// split AddBatchRun; the whole fold when Trials() is 0).
 func (v *Vector) AddBatchMain(vals, mults []float64) {
 	if v.bank == nil {
 		for j := range vals {
@@ -100,53 +108,68 @@ func (v *Vector) AddBatchMain(vals, mults []float64) {
 	}
 }
 
-// AddBatchRange folds the run into replicates [lo, hi) only. Row j's
-// replicate b gets weight mults[j]·slab[rows[j]·B+b] (mults[j] alone when
-// slab is nil), exactly like bankAddRange per tuple.
+// addBatchRange folds the run into replicates [lo, hi) only: entry j's
+// replicate b gets weight mults[j]·ws[j][b] (mults[j] alone without a
+// window) and input reps[j][b] (vals[j] without replicate inputs), exactly
+// like bankAddRange per tuple.
 //
-// The arithmetic kinds delegate to bankAddRange per row rather than
+// The arithmetic kinds delegate to bankAddRange per entry rather than
 // open-coding the accumulation loop here: a second compiled copy of
 // `s[i] += …` is free to commute the add's operand order, and when both
 // the accumulator and the addend are NaN the hardware keeps the first
 // operand's payload — so a re-compiled loop can bit-diverge from the
 // oracle on NaN inputs even though the source-level FP ops are identical
-// (the same reason AddBatchMain reuses bankAddMain). Routing every row
+// (the same reason AddBatchMain reuses bankAddMain). Routing every entry
 // through the per-tuple kernel's own body keeps the one instruction
-// sequence the equivalence fuzz already pins. MIN/MAX instead run the
-// dedicated batch loop below: they do no FP arithmetic (compares and bit
-// copies only), so they carry no NaN tie-break to preserve.
-func (v *Vector) AddBatchRange(lo, hi int, vals, mults, slab []float64, rows []int32) {
-	if v.bank == nil {
-		for j := range vals {
-			w := rowWeights(slab, v.trials, rows, j, 0, v.trials)
-			val, mult := vals[j], mults[j]
-			for b := lo; b < hi; b++ {
-				x := mult
-				if w != nil {
-					x *= w[b]
-				}
-				v.reps[b].Add(val, x)
+// sequence the equivalence fuzz already pins. MIN/MAX over certain
+// arguments instead run the dedicated batch loop below: they do no FP
+// arithmetic (compares and bit copies only), so they carry no NaN
+// tie-break to preserve.
+func (v *Vector) addBatchRange(lo, hi int, vals, mults []float64, ws, reps [][]float64) {
+	if lo >= hi {
+		return
+	}
+	k := v.Fn.kind
+	if v.bank != nil && reps == nil && (k == kMin || k == kMax) {
+		v.batchMinMax(lo, hi, vals, mults, ws, k == kMax)
+		return
+	}
+	bank, slots := v.bank, v.slots()
+	for j, val := range vals {
+		var w, rp []float64
+		if ws != nil {
+			w = ws[j]
+		}
+		if reps != nil {
+			rp = reps[j]
+		}
+		if bank != nil {
+			bankAddRange(k, bank, slots, lo, hi, val, rp, mults[j], w)
+			continue
+		}
+		// Interface path (UDAFs, COUNT(DISTINCT), the oracle): AddRep's
+		// replicate loop, restricted to [lo, hi).
+		for b := lo; b < hi; b++ {
+			x := mults[j]
+			if w != nil {
+				x *= w[b]
 			}
+			in := val
+			if b < len(rp) {
+				in = rp[b]
+			}
+			v.reps[b].Add(in, x)
 		}
-		return
 	}
-	switch v.Fn.kind {
-	case kMin:
-		v.batchMinMax(lo, hi, vals, mults, slab, rows, false)
-		return
-	case kMax:
-		v.batchMinMax(lo, hi, vals, mults, slab, rows, true)
-		return
+}
+
+// window returns entry j's weight window restricted to replicates [lo, hi),
+// or nil when the entry carries no weights.
+func window(ws [][]float64, j, lo, hi int) []float64 {
+	if ws == nil || ws[j] == nil {
+		return nil
 	}
-	k, bank, slots, stride := v.Fn.kind, v.bank, v.slots(), v.trials
-	for j := range vals {
-		var w []float64
-		if slab != nil {
-			base := int(rows[j]) * stride
-			w = slab[base : base+stride]
-		}
-		bankAddRange(k, bank, slots, lo, hi, vals[j], nil, mults[j], w)
-	}
+	return ws[j][lo:hi]
 }
 
 // batchMinMax is the shared MIN/MAX replicate-range kernel. Rows with
@@ -156,8 +179,8 @@ func (v *Vector) AddBatchRange(lo, hi int, vals, mults, slab []float64, rows []i
 // guarded loop runs, counting open slots as it goes; once the window is
 // fully set it switches to a lean compare-and-select loop with an
 // unconditional store, which the compiler keeps branch-free.
-func (v *Vector) batchMinMax(lo, hi int, vals, mults, slab []float64, rows []int32, max bool) {
-	bank, slots, stride := v.bank, v.slots(), v.trials
+func (v *Vector) batchMinMax(lo, hi int, vals, mults []float64, ws [][]float64, max bool) {
+	bank, slots := v.bank, v.slots()
 	cur := bank[1+lo : 1+hi]
 	set := bank[slots+1+lo : slots+1+hi]
 	j := 0
@@ -167,7 +190,8 @@ func (v *Vector) batchMinMax(lo, hi int, vals, mults, slab []float64, rows []int
 			continue
 		}
 		open := 0
-		if slab == nil {
+		w := window(ws, j, lo, hi)
+		if w == nil {
 			for i := range cur {
 				nv, ns := cur[i], set[i]
 				better := val < nv
@@ -183,7 +207,6 @@ func (v *Vector) batchMinMax(lo, hi int, vals, mults, slab []float64, rows []int
 				}
 			}
 		} else {
-			w := rowWeights(slab, stride, rows, j, lo, hi)
 			cc, st := cur[:len(w)], set[:len(w)]
 			for i := range w {
 				nv, ns := cc[i], st[i]
@@ -218,7 +241,8 @@ func (v *Vector) batchMinMax(lo, hi int, vals, mults, slab []float64, rows []int
 			if mults[j] <= 0 {
 				continue
 			}
-			if slab == nil {
+			w := window(ws, j, lo, hi)
+			if w == nil {
 				for i := range cur {
 					nv := cur[i]
 					if val > nv {
@@ -228,7 +252,6 @@ func (v *Vector) batchMinMax(lo, hi int, vals, mults, slab []float64, rows []int
 				}
 				continue
 			}
-			w := rowWeights(slab, stride, rows, j, lo, hi)
 			cc := cur[:len(w)]
 			for i := range w {
 				nv := cc[i]
@@ -245,7 +268,8 @@ func (v *Vector) batchMinMax(lo, hi int, vals, mults, slab []float64, rows []int
 		if mults[j] <= 0 {
 			continue
 		}
-		if slab == nil {
+		w := window(ws, j, lo, hi)
+		if w == nil {
 			for i := range cur {
 				nv := cur[i]
 				if val < nv {
@@ -255,7 +279,6 @@ func (v *Vector) batchMinMax(lo, hi int, vals, mults, slab []float64, rows []int
 			}
 			continue
 		}
-		w := rowWeights(slab, stride, rows, j, lo, hi)
 		cc := cur[:len(w)]
 		for i := range w {
 			nv := cc[i]

@@ -90,12 +90,38 @@ func (c batchCase) weights(j int) []float64 {
 // AddBatch's per-entry fallback unchanged.
 var batchBuiltins = append(append([]string{}, kernelKinds...), "COUNTD")
 
-// FuzzAddBatchEquivalence drives AddBatch, AddBatchPar (sequential and
-// goroutine pmaps), and the per-tuple Add path through the same randomized
-// batches for every builtin aggregate, demanding bit-identical results
-// against the interface oracle. This is the columnar pipeline's half of the
-// kernel contract: batching changes how many tuples one call carries, never
-// a single floating-point op.
+// entryForms derives the two per-entry input forms from a slab-less case:
+// ws gives most entries a weight window of their own — not slices of one
+// slab — and leaves the rest nil (rows of non-streamed provenance fold with
+// weight 1), and reps gives every third entry per-replicate inputs, NaN and
+// short vectors included (AddRep falls back to the value past the end).
+func entryForms(rng *rand.Rand, c batchCase) (ws, reps [][]float64) {
+	ws = make([][]float64, len(c.vals))
+	reps = make([][]float64, len(c.vals))
+	for j := range c.vals {
+		if rng.Intn(4) > 0 {
+			ws[j] = randWeights(rng, c.trials)
+		}
+		if j%3 == 0 {
+			r := make([]float64, c.trials-rng.Intn(2))
+			for b := range r {
+				r[b] = c.vals[j] + float64(rng.Intn(64))/8.0
+			}
+			reps[j] = r
+		}
+	}
+	return ws, reps
+}
+
+// FuzzAddBatchEquivalence drives the batch-ingest family through the same
+// randomized runs for every builtin aggregate, demanding bit-identical
+// results against the interface oracle fed entry by entry: AddBatch
+// (slab-indexed windows) and AddBatchRun in its three input forms — windows
+// cut from the slab, per-entry windows with nil holes, per-entry windows
+// plus replicate inputs — inline and replicate-split under sequential and
+// goroutine pmaps. This is the fold's half of the kernel contract: batching
+// changes how many tuples one call carries, never a single floating-point
+// op.
 func FuzzAddBatchEquivalence(f *testing.F) {
 	for s := int64(0); s < 12; s++ {
 		f.Add(s)
@@ -117,23 +143,48 @@ func FuzzAddBatchEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		for _, withSlab := range []bool{true, false} {
 			c := randomBatch(rng, withSlab)
+			slabWs := make([][]float64, len(c.vals))
+			for j := range slabWs {
+				slabWs[j] = c.weights(j)
+			}
+			ownWs, ownReps := entryForms(rng, c)
+			forms := []struct {
+				name     string
+				ws, reps [][]float64
+			}{
+				{"slab windows", slabWs, nil},
+				{"entry windows", ownWs, nil},
+				{"entry windows+reps", ownWs, ownReps},
+			}
 			for _, name := range batchBuiltins {
 				fn := lookup(t, name)
-				ov := NewVectorOracle(fn, c.trials)
-				for j := range c.vals {
-					ov.Add(c.vals[j], c.mults[j], c.weights(j))
-				}
 				ctx := fmt.Sprintf("%s seed=%d slab=%v n=%d trials=%d", name, seed, withSlab, len(c.vals), c.trials)
-				kb := NewVector(fn, c.trials)
-				kb.AddBatch(c.vals, c.mults, c.slab, c.rows)
-				bitsEqual(t, ctx+" AddBatch", kb, ov)
-				for _, parts := range []int{2, 7, c.trials + 3} {
-					kp := NewVector(fn, c.trials)
-					kp.AddBatchPar(c.vals, c.mults, c.slab, c.rows, seqPmap, parts)
-					bitsEqual(t, fmt.Sprintf("%s AddBatchPar seq parts=%d", ctx, parts), kp, ov)
-					kg := NewVector(fn, c.trials)
-					kg.AddBatchPar(c.vals, c.mults, c.slab, c.rows, goPmap, parts)
-					bitsEqual(t, fmt.Sprintf("%s AddBatchPar goroutines parts=%d", ctx, parts), kg, ov)
+				for fi, form := range forms {
+					ov := NewVectorOracle(fn, c.trials)
+					for j := range c.vals {
+						var rp []float64
+						if form.reps != nil {
+							rp = form.reps[j]
+						}
+						ov.AddRep(c.vals[j], rp, c.mults[j], form.ws[j])
+					}
+					ctx := ctx + " " + form.name
+					if fi == 0 {
+						kb := NewVector(fn, c.trials)
+						kb.AddBatch(c.vals, c.mults, c.slab, c.rows)
+						bitsEqual(t, ctx+" AddBatch", kb, ov)
+					}
+					ki := NewVector(fn, c.trials)
+					ki.AddBatchRun(c.vals, c.mults, form.ws, form.reps, nil, 0)
+					bitsEqual(t, ctx+" AddBatchRun inline", ki, ov)
+					for _, parts := range []int{2, 7, c.trials + 3} {
+						kp := NewVector(fn, c.trials)
+						kp.AddBatchRun(c.vals, c.mults, form.ws, form.reps, seqPmap, parts)
+						bitsEqual(t, fmt.Sprintf("%s AddBatchRun seq parts=%d", ctx, parts), kp, ov)
+						kg := NewVector(fn, c.trials)
+						kg.AddBatchRun(c.vals, c.mults, form.ws, form.reps, goPmap, parts)
+						bitsEqual(t, fmt.Sprintf("%s AddBatchRun goroutines parts=%d", ctx, parts), kg, ov)
+					}
 				}
 			}
 		}
@@ -178,11 +229,6 @@ func TestAddBatchZeroAllocs(t *testing.T) {
 			slab[i*trials+b] = float64((i + b) % 3)
 		}
 	}
-	seqPmap := func(n int, fn func(i int)) {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-	}
 	for _, name := range kernelKinds {
 		fn := lookup(t, name)
 		v := NewVector(fn, trials)
@@ -191,14 +237,6 @@ func TestAddBatchZeroAllocs(t *testing.T) {
 			v.AddBatch(vals, mults, slab, idx)
 		}); got != 0 {
 			t.Errorf("%s AddBatch allocates %v per %d-row batch, want 0", name, got, rows)
-		}
-		// Like FoldPar, AddBatchPar may spend one allocation per batch on
-		// the closure handed to the pool — never per tuple.
-		if got := testing.AllocsPerRun(5, func() {
-			v.Reset()
-			v.AddBatchPar(vals, mults, slab, idx, seqPmap, 4)
-		}); got > 1 {
-			t.Errorf("%s AddBatchPar allocates %v per %d-row batch, want <= 1", name, got, rows)
 		}
 	}
 }

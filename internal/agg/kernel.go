@@ -90,8 +90,8 @@ func bankAddMain(k kernelKind, bank []float64, slots int, val, mult float64) {
 // weight mult·poisson[b] (mult when poisson is nil) and value reps[b] when a
 // per-trial value vector is given (falling back to val past its end), exactly
 // like Vector.AddRep on the interface path. The range form is what lets
-// FoldPar split the replicate dimension across workers over disjoint bank
-// slices.
+// AddBatchRun split the replicate dimension across workers over disjoint
+// bank slices.
 func bankAddRange(k kernelKind, bank []float64, slots, lo, hi int, val float64, reps []float64, mult float64, poisson []float64) {
 	switch k {
 	case kSum:

@@ -129,28 +129,41 @@ func TestKernelOracleEquivalenceFuzz(t *testing.T) {
 	}
 }
 
-// TestKernelFoldEquivalence checks Fold and FoldPar (sequential pmap and a
-// real goroutine pmap) against per-sample oracle Adds, bit for bit. FoldPar
-// splits the replicate dimension across workers over disjoint bank slices;
-// each slot still receives its exact sequential Add sequence.
-func TestKernelFoldEquivalence(t *testing.T) {
-	const trials = 50
-	rng := rand.New(rand.NewSource(99))
-	samples := make([]Sample, 300)
-	for i := range samples {
-		samples[i] = Sample{
-			Val:  float64(rng.Intn(4000)-2000) / 16.0,
-			Mult: float64(1 + rng.Intn(2)),
-			W:    randWeights(rng, trials),
-		}
+// foldRun is a gathered run in AddBatchRun's per-entry form: every entry
+// carries its own weight window, every fifth one replicate inputs.
+type foldRun struct {
+	vals, mults []float64
+	ws, reps    [][]float64
+}
+
+func randomFoldRun(rng *rand.Rand, n, trials int) foldRun {
+	r := foldRun{
+		vals: make([]float64, n), mults: make([]float64, n),
+		ws: make([][]float64, n), reps: make([][]float64, n),
+	}
+	for i := 0; i < n; i++ {
+		r.vals[i] = float64(rng.Intn(4000)-2000) / 16.0
+		r.mults[i] = float64(1 + rng.Intn(2))
+		r.ws[i] = randWeights(rng, trials)
 		if i%5 == 0 {
 			reps := make([]float64, trials)
 			for b := range reps {
-				reps[b] = samples[i].Val + float64(b%7)
+				reps[b] = r.vals[i] + float64(b%7)
 			}
-			samples[i].Reps = reps
+			r.reps[i] = reps
 		}
 	}
+	return r
+}
+
+// TestKernelFoldEquivalence checks AddBatchRun over per-entry weights and
+// replicate inputs — inline, and replicate-split under a sequential pmap and
+// a real goroutine pmap — against per-entry oracle AddReps, bit for bit. The
+// split hands workers disjoint bank slices; each slot still receives its
+// exact sequential Add sequence.
+func TestKernelFoldEquivalence(t *testing.T) {
+	const trials = 50
+	run := randomFoldRun(rand.New(rand.NewSource(99)), 300, trials)
 	goPmap := func(n int, fn func(i int)) {
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
@@ -168,20 +181,19 @@ func TestKernelFoldEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fn := lookup(t, name)
 			ov := NewVectorOracle(fn, trials)
-			for i := range samples {
-				s := &samples[i]
-				ov.AddRep(s.Val, s.Reps, s.Mult, s.W)
+			for i := range run.vals {
+				ov.AddRep(run.vals[i], run.reps[i], run.mults[i], run.ws[i])
 			}
 			kf := NewVector(fn, trials)
-			kf.Fold(samples)
-			bitsEqual(t, "Fold", kf, ov)
+			kf.AddBatchRun(run.vals, run.mults, run.ws, run.reps, nil, 0)
+			bitsEqual(t, "AddBatchRun inline", kf, ov)
 			for _, parts := range []int{2, 3, 7, trials + 5} {
 				kp := NewVector(fn, trials)
-				kp.FoldPar(samples, seqPmap, parts)
-				bitsEqual(t, fmt.Sprintf("FoldPar seq parts=%d", parts), kp, ov)
+				kp.AddBatchRun(run.vals, run.mults, run.ws, run.reps, seqPmap, parts)
+				bitsEqual(t, fmt.Sprintf("AddBatchRun seq parts=%d", parts), kp, ov)
 				kg := NewVector(fn, trials)
-				kg.FoldPar(samples, goPmap, parts)
-				bitsEqual(t, fmt.Sprintf("FoldPar goroutines parts=%d", parts), kg, ov)
+				kg.AddBatchRun(run.vals, run.mults, run.ws, run.reps, goPmap, parts)
+				bitsEqual(t, fmt.Sprintf("AddBatchRun goroutines parts=%d", parts), kg, ov)
 			}
 		})
 	}
@@ -239,21 +251,13 @@ func TestVectorAddZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFoldZeroAllocs pins the steady-state batch fold at zero allocations
-// per tuple, for the single-worker Fold and for FoldPar under a
-// pre-warmed goroutine-free pmap (the engine's pool owns its goroutines;
-// what must not allocate is the per-tuple arithmetic).
+// TestFoldZeroAllocs pins the steady-state batch fold over per-entry
+// weights and replicate inputs at zero allocations per tuple, inline and
+// replicate-split under a goroutine-free pmap (the engine's pool owns its
+// goroutines; what must not allocate is the per-tuple arithmetic).
 func TestFoldZeroAllocs(t *testing.T) {
 	const trials, rows = 100, 512
-	samples := make([]Sample, rows)
-	w := make([]float64, rows*trials)
-	for i := range samples {
-		ws := w[i*trials : (i+1)*trials : (i+1)*trials]
-		for b := range ws {
-			ws[b] = float64((i + b) % 3)
-		}
-		samples[i] = Sample{Val: float64(i) / 7.0, Mult: 1, W: ws}
-	}
+	run := randomFoldRun(rand.New(rand.NewSource(7)), rows, trials)
 	seqPmap := func(n int, fn func(i int)) {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -264,19 +268,19 @@ func TestFoldZeroAllocs(t *testing.T) {
 		v := NewVector(fn, trials)
 		if got := testing.AllocsPerRun(5, func() {
 			v.Reset()
-			v.Fold(samples)
+			v.AddBatchRun(run.vals, run.mults, run.ws, run.reps, nil, 0)
 		}); got != 0 {
-			t.Errorf("%s Fold allocates %v per %d-row batch, want 0", name, got, rows)
+			t.Errorf("%s AddBatchRun allocates %v per %d-row batch, want 0", name, got, rows)
 		}
-		// FoldPar spends exactly one allocation per batch on the closure it
-		// hands the pool — O(1) per batch regardless of row count, never per
-		// tuple. Pin it at that constant so a per-tuple regression (which
+		// The split spends exactly one allocation per batch on the closure
+		// it hands the pool — O(1) per batch regardless of row count, never
+		// per tuple. Pin it at that constant so a per-tuple regression (which
 		// would show up as ~rows allocations) cannot hide behind it.
 		if got := testing.AllocsPerRun(5, func() {
 			v.Reset()
-			v.FoldPar(samples, seqPmap, 4)
+			v.AddBatchRun(run.vals, run.mults, run.ws, run.reps, seqPmap, 4)
 		}); got > 1 {
-			t.Errorf("%s FoldPar allocates %v per %d-row batch, want <= 1 (the pmap closure)", name, got, rows)
+			t.Errorf("%s split AddBatchRun allocates %v per %d-row batch, want <= 1 (the pmap closure)", name, got, rows)
 		}
 	}
 }

@@ -3,17 +3,22 @@ package core
 import (
 	"runtime"
 	"testing"
+
+	"iolap/internal/exec"
+	"iolap/internal/rel"
 )
 
 // measureAllocsPerTuple runs the engine over all batches of a fresh query
 // and returns heap allocations per streamed tuple across the steady-state
 // batches (the first batch is excluded: it builds the groups, scratch
 // buffers, and weight slab capacity that later batches reuse).
-func measureAllocsPerTuple(t *testing.T, query string, n, workers int) float64 {
+func measureAllocsPerTuple(t *testing.T, query string, db *exec.DB, opts Options) float64 {
 	t.Helper()
-	db := testDB(n, 42)
+	src, _ := db.Get("sessions")
+	n := src.Len()
 	root := planQuery(t, query)
-	eng, err := NewEngine(root, db, Options{Batches: 8, Trials: 100, Workers: workers})
+	opts.Batches, opts.Trials = 8, 100
+	eng, err := NewEngine(root, db, opts)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -58,9 +63,51 @@ func TestEngineAllocsPerTupleSteadyState(t *testing.T) {
 	}
 	for _, q := range queries {
 		for _, workers := range []int{1, 4} {
-			got := measureAllocsPerTuple(t, q.q, n, workers)
+			got := measureAllocsPerTuple(t, q.q, testDB(n, 42), Options{Workers: workers})
 			if got > bound {
 				t.Errorf("%s workers=%d: %.3f allocs/tuple, want <= %v", q.name, workers, got, bound)
+			}
+		}
+	}
+	// The shapes the zero-alloc work never covered. Their steady state is not
+	// allocation-free (joined rows, result rows and lineage clones are real
+	// per-tuple or per-group objects), so each bound is what the commit
+	// before the one-fold refactor measured, rounded up 10% — a regression
+	// guard for the fold's scratch (a per-batch map, a per-group slice), not a
+	// target. ParThreshold 1 makes Workers=4 take the parallel schedule on
+	// every batch, so the count does not depend on the adaptive cutover.
+	manyGroups := func() *exec.DB {
+		// 1,500 groups of 1-2 rows per 2,000-row batch, all created by the
+		// warm-up batch.
+		db := testDB(n, 42)
+		src, _ := db.Get("sessions")
+		for i := range src.Tuples {
+			src.Tuples[i].Vals[3] = rel.String("g" + itoa(i%1500))
+		}
+		return db
+	}
+	shapes := []struct {
+		name, q string
+		db      func() *exec.DB
+		bounds  [2]float64 // Workers 1, 4
+	}{
+		// Post-join fold: rows without a columnar view.
+		{"join_dim_group", theoremQuery(t, "join_dim_group"), nil, [2]float64{1.14, 1.31}}, // parent: 1.034, 1.184,
+		// Phase B: pending rows re-folded into scratch vectors every batch.
+		{"nested_correlated", theoremQuery(t, "nested_correlated"), nil, [2]float64{4.81, 5.26}}, // parent: 4.370, 4.775,
+		{"many_groups", `SELECT cdn, SUM(play_time) AS spt, AVG(buffer_time) AS abt FROM sessions GROUP BY cdn`,
+			manyGroups, [2]float64{5.82, 9.21}}, // parent: 5.282, 8.366,
+	}
+	for _, sh := range shapes {
+		for wi, workers := range []int{1, 4} {
+			db := testDB(n, 42)
+			if sh.db != nil {
+				db = sh.db()
+			}
+			got := measureAllocsPerTuple(t, sh.q, db, Options{Workers: workers, ParThreshold: 1})
+			t.Logf("%s workers=%d: %.3f allocs/tuple (bound %v)", sh.name, workers, got, sh.bounds[wi])
+			if got > sh.bounds[wi] {
+				t.Errorf("%s workers=%d: %.3f allocs/tuple, want <= %v", sh.name, workers, got, sh.bounds[wi])
 			}
 		}
 	}

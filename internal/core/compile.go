@@ -52,7 +52,6 @@ type compiled struct {
 	// hits avoided rebuilding.
 	releases       []func()
 	sharedRefs     []sharedSized
-	sharedHits     int
 	sharedHitBytes int64
 }
 
@@ -494,12 +493,12 @@ func mayGrow(root plan.Node, numOps int, an *plan.Analysis) []bool {
 // companion batch pays for itself — and which banks it must materialise.
 // The batch flows scan → select → join probe and is consumed by a
 // vectorized predicate (opSelect.vec), a batched key probe
-// (opJoin.probeCB), or a batchable aggregate fold; every other operator
-// drops it. A scan with no downstream consumer skips the columnar build
-// entirely, and a consuming plan gets a subset view covering exactly the
-// predicate, key, and argument columns — a high-cardinality column outside
-// that set would otherwise pay a bank (worst case a dictionary insert per
-// row) for nothing.
+// (opJoin.probeCB), or an aggregate whose arguments are all bare columns
+// (opAgg.columnar); every other operator drops it. A scan with no
+// downstream consumer skips the columnar build entirely, and a consuming
+// plan gets a subset view covering exactly the predicate, key, and argument
+// columns — a high-cardinality column outside that set would otherwise pay
+// a bank (worst case a dictionary insert per row) for nothing.
 //
 // wanted reports whether op's parent consumes its output batch, and need
 // the columns the parent reads — in the coordinate space of op's output
@@ -546,12 +545,12 @@ func markColumnar(op operator, wanted bool, need []bool) {
 		for _, col := range o.node.GroupBy {
 			childNeed[col] = true
 		}
-		for _, col := range o.batchCols {
+		for _, col := range o.argCols {
 			if col >= 0 {
 				childNeed[col] = true
 			}
 		}
-		markColumnar(o.child, o.batchable, childNeed)
+		markColumnar(o.child, o.colArgs, childNeed)
 	case *opSink:
 		markColumnar(o.child, false, nil)
 	}

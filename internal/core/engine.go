@@ -514,10 +514,6 @@ func (e *Engine) Step() (u *Update, err error) {
 	return u, nil
 }
 
-// SharedHits reports how many shared-state cache hits this engine's
-// compilation got (state it referenced without building).
-func (e *Engine) SharedHits() int { return e.comp.sharedHits }
-
 // SharedHitBytes reports the bytes of shared state this engine referenced
 // via cache hits — state it did NOT have to build or privately hold. The
 // serving layer uses it to charge sessions only their incremental

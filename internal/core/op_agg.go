@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"time"
 
 	"iolap/internal/agg"
 	"iolap/internal/bootstrap"
@@ -32,6 +33,12 @@ import (
 // integrity failures to the controller), and emits each group's row exactly
 // once — with lineage references in the uncertain columns — as soon as the
 // group's existence is certain.
+//
+// A step is four phases: assign (resolve each input row's group, in arrival
+// order), fold certain (new certain rows into the sketches), fold scratch
+// (lineage and pending rows into the per-batch scratch vectors) and publish.
+// Both folds are the same routine, fold; DESIGN.md §10 states why its result
+// does not depend on the input form or the schedule.
 type opAgg struct {
 	emitCounts
 	node  *plan.Aggregate
@@ -44,7 +51,7 @@ type opAgg struct {
 	pubID int
 
 	specs       []aggSpecC
-	hasLazy     bool
+	lazySpecs   int // how many specs have an uncertain argument (lazy specs)
 	scaleExp    int
 	trials      int
 	slack       float64
@@ -55,11 +62,10 @@ type opAgg struct {
 	groups map[string]*aggGroup
 	order  []string
 
-	// scratchPool reuses the per-batch pending/lazy accumulator vectors
-	// across batches (epoch-tagged) to avoid re-allocating
-	// O(groups x trials) accumulators every batch.
-	scratchPool map[*aggGroup]*scratchEntry
-	epoch       int
+	// epoch counts batches. It tags each group's scratch vectors and pending
+	// mark, so both reset lazily on the group's first touch of a batch
+	// instead of being swept (or re-allocated) every batch.
+	epoch int
 	// mergeBuf is a per-spec reusable vector used to read sketch+scratch
 	// without cloning the sketch.
 	mergeBuf []*agg.Vector
@@ -67,30 +73,17 @@ type opAgg struct {
 	// map by string(keyBuf), which the compiler compiles to a no-copy,
 	// no-allocation access; only a genuinely new group materialises the key.
 	keyBuf []byte
-	// batchable marks the operator for the columnar Phase A fold: every
-	// aggregate argument is COUNT(*) or a bare column (batchCols holds the
-	// index, -1 for COUNT(*)) and no spec is lazy, so arguments gather
-	// straight from the column banks without expression evaluation.
-	batchable bool
-	batchCols []int32
-	// gather is the batched fold's reusable argument-gather scratch (the
-	// parallel heavy-group path; concurrent light-group tasks use per-task
-	// buffers).
-	gather gatherScratch
-	// rowGroups is the batched fold's reusable row -> group map for one
-	// batch, filled by the bookkeeping pass.
-	rowGroups []*aggGroup
-	// repsBuf is the sequential fold's reusable replicate-argument buffer.
-	repsBuf []float64
+	// colArgs marks that every aggregate argument is COUNT(*) or a bare
+	// column (argCols holds the index, -1 for COUNT(*)), so keys and
+	// arguments can be read from a columnar view of the input without
+	// expression evaluation.
+	colArgs bool
+	argCols []int32
+	// fs is the fold's reusable working set.
+	fs foldScratch
 	// groupBytes is the estimated per-group sketch footprint (constant per
 	// operator), precomputed so stateBytes never allocates probe vectors.
 	groupBytes int
-}
-
-// scratchEntry is one group's reusable scratch vectors.
-type scratchEntry struct {
-	vecs  []*agg.Vector
-	epoch int
 }
 
 // aggSpecC is one compiled aggregate.
@@ -98,6 +91,7 @@ type aggSpecC struct {
 	fn           *agg.Func
 	arg          expr.Expr // nil for COUNT(*)
 	argUncertain bool      // argument reads uncertain columns (lazy spec)
+	lazyIdx      int       // ordinal among the lazy specs (replicate arena slot)
 	uncertainOut bool      // output column carries attribute uncertainty
 	outCol       int       // column index in the aggregate's output schema
 }
@@ -105,7 +99,7 @@ type aggSpecC struct {
 type aggGroup struct {
 	key    []rel.Value
 	sketch []*agg.Vector // per spec (allocated lazily per group)
-	lazy   delta.RowSet  // lineage rows (only when hasLazy)
+	lazy   delta.RowSet  // lineage rows (only with lazy specs)
 	ranges []*bootstrap.Range
 	// support counts the certain input rows folded so far; variation
 	// ranges only become binding once it reaches the engine's
@@ -114,6 +108,17 @@ type aggGroup struct {
 	support int
 	certain bool
 	emitted bool
+
+	// Per-batch working values, not state — a snapshot never holds them and
+	// a restore may leave them stale, which the tags make harmless: the
+	// scratch vectors (valid while scratchEpoch is the operator's epoch),
+	// the batch that last brought a pending row, and the group's ordinal in
+	// the fold block being gathered (valid while ordBlock is that block).
+	scratch      []*agg.Vector
+	scratchEpoch int
+	pendEpoch    int
+	ord          int32
+	ordBlock     int
 }
 
 func newOpAgg(t *plan.Aggregate, child operator, an *plan.Analysis, scaleExp int, opts Options, trackRanges bool) *opAgg {
@@ -136,8 +141,8 @@ func newOpAgg(t *plan.Aggregate, child operator, an *plan.Analysis, scaleExp int
 			op.uncInput[i] = true
 		}
 	}
-	op.batchable = true
-	op.batchCols = make([]int32, len(t.Aggs))
+	op.colArgs = true
+	op.argCols = make([]int32, len(t.Aggs))
 	for i, sp := range t.Aggs {
 		c := aggSpecC{
 			fn:     sp.Fn,
@@ -153,23 +158,20 @@ func newOpAgg(t *plan.Aggregate, child operator, an *plan.Analysis, scaleExp int
 			}
 		}
 		if c.argUncertain {
-			op.hasLazy = true
+			c.lazyIdx = op.lazySpecs
+			op.lazySpecs++
 		}
-		op.batchCols[i] = -1
+		op.argCols[i] = -1
 		if sp.Arg != nil {
 			if col, ok := sp.Arg.(*expr.Col); ok {
-				op.batchCols[i] = int32(col.Idx)
+				op.argCols[i] = int32(col.Idx)
 			} else {
-				op.batchable = false
+				op.colArgs = false
 			}
 		}
 		op.specs = append(op.specs, c)
 	}
-	if op.hasLazy {
-		// Lazy specs fold from lineage rows each batch and certain rows
-		// must be cloned into the lineage sets — row-path bookkeeping.
-		op.batchable = false
-	}
+	op.fs.spec = make([]specRuns, len(op.specs))
 	op.groupBytes = 64
 	for i := range op.specs {
 		op.groupBytes += agg.NewVector(op.specs[i].fn, op.trials).SizeBytes()
@@ -185,18 +187,6 @@ func (o *opAgg) anyUncertainOut() bool {
 		}
 	}
 	return false
-}
-
-func (o *opAgg) getGroup(vals []rel.Value, key string) *aggGroup {
-	g, ok := o.groups[key]
-	if !ok {
-		keyVals := make([]rel.Value, len(o.node.GroupBy))
-		for i, c := range o.node.GroupBy {
-			keyVals[i] = vals[c]
-		}
-		g = o.newGroup(key, keyVals)
-	}
-	return g
 }
 
 // newGroup registers a group under key with the given grouping values.
@@ -223,18 +213,49 @@ func (o *opAgg) newGroup(key string, keyVals []rel.Value) *aggGroup {
 
 // rowGroup resolves a row's group through the reusable key scratch: the map
 // lookup indexes by string(keyBuf) without allocating; only a miss (a new
-// group) pays for materialising the key string.
-func (o *opAgg) rowGroup(vals []rel.Value) *aggGroup {
-	o.keyBuf = rel.EncodeKeyInto(o.keyBuf[:0], vals, o.node.GroupBy)
+// group) pays for materialising the key string. With a columnar view the key
+// bytes are encoded from row src of its banks — the columnar encoder is
+// byte-identical to the row one, so both forms find the same group.
+func (o *opAgg) rowGroup(vals []rel.Value, cb *colBatch, src int) *aggGroup {
+	if cb != nil {
+		o.keyBuf = cb.cols.EncodeKeyInto(o.keyBuf[:0], src, o.node.GroupBy)
+	} else {
+		o.keyBuf = rel.EncodeKeyInto(o.keyBuf[:0], vals, o.node.GroupBy)
+	}
 	if g, ok := o.groups[string(o.keyBuf)]; ok {
 		return g
 	}
-	return o.getGroup(vals, string(o.keyBuf))
+	keyVals := make([]rel.Value, len(o.node.GroupBy))
+	for i, c := range o.node.GroupBy {
+		keyVals[i] = vals[c]
+	}
+	return o.newGroup(string(o.keyBuf), keyVals)
+}
+
+// scratchVec returns the group's scratch vector for one spec, resetting the
+// group's scratch on its first touch of the batch and allocating on first
+// use. Not concurrency-safe: only the sequential gather calls it.
+func (o *opAgg) scratchVec(g *aggGroup, si int) *agg.Vector {
+	if g.scratchEpoch != o.epoch {
+		g.scratchEpoch = o.epoch
+		for _, v := range g.scratch {
+			if v != nil {
+				v.Reset()
+			}
+		}
+	}
+	if g.scratch == nil {
+		g.scratch = make([]*agg.Vector, len(o.specs))
+	}
+	if g.scratch[si] == nil {
+		g.scratch[si] = agg.NewVector(o.specs[si].fn, o.trials)
+	}
+	return g.scratch[si]
 }
 
 // argValue evaluates one aggregate argument under current values.
 // ok=false means NULL (the row is skipped for this aggregate).
-func argValue(sp aggSpecC, r delta.Row, bc *batchContext) (float64, bool) {
+func argValue(sp *aggSpecC, r *delta.Row, bc *batchContext) (float64, bool) {
 	if sp.arg == nil {
 		return 0, true // COUNT(*)
 	}
@@ -252,17 +273,9 @@ func argValue(sp aggSpecC, r delta.Row, bc *batchContext) (float64, bool) {
 }
 
 // argReps evaluates the per-replicate values of an uncertain argument into
-// dst (grown as needed). Callers that fold the result immediately pass a
-// reusable scratch; callers that retain it pass nil.
-func argReps(sp aggSpecC, r delta.Row, bc *batchContext, dst []float64) []float64 {
-	if bc.trials == 0 {
-		return nil
-	}
-	if cap(dst) < bc.trials {
-		dst = make([]float64, bc.trials)
-	}
-	reps := dst[:bc.trials]
-	for b := 0; b < bc.trials; b++ {
+// reps (one slot per trial).
+func argReps(sp *aggSpecC, r *delta.Row, bc *batchContext, reps []float64) {
+	for b := range reps {
 		v := sp.arg.EvalRep(r.Vals, bc, b)
 		if v.IsNumeric() {
 			reps[b] = v.Float()
@@ -270,154 +283,382 @@ func argReps(sp aggSpecC, r delta.Row, bc *batchContext, dst []float64) []float6
 			reps[b] = math.NaN()
 		}
 	}
-	return reps
 }
 
-// gatherScratch holds one batched fold's gathered argument run: values,
-// multiplicities, and source-row indexes (the AddBatch calling
-// convention) for one (group, spec) pair at a time.
-type gatherScratch struct {
-	vals, mults []float64
-	rows        []int32
-}
+// ---------------------------------------------------------------------------
+// The fold
 
-func (sc *gatherScratch) reset(n int) {
-	if cap(sc.vals) < n {
-		sc.vals = make([]float64, 0, n)
-		sc.mults = make([]float64, 0, n)
-		sc.rows = make([]int32, 0, n)
+// foldKind says which of the operator's three input tiers an entry belongs
+// to, which decides the specs it folds and the vectors they fold into.
+type foldKind uint8
+
+const (
+	// foldCertain is a new certain row: its certain-argument specs fold
+	// permanently into the sketch (its uncertain-argument ones fold from the
+	// lineage clone, every batch).
+	foldCertain foldKind = iota
+	// foldLineage is a retained lineage row: its uncertain-argument specs
+	// fold into this batch's scratch vectors.
+	foldLineage
+	// foldPending is a tuple-uncertain row: every spec folds into scratch.
+	foldPending
+)
+
+func (k foldKind) applies(sp *aggSpecC) bool {
+	switch k {
+	case foldCertain:
+		return !sp.argUncertain
+	case foldLineage:
+		return sp.argUncertain
 	}
-	sc.vals, sc.mults, sc.rows = sc.vals[:0], sc.mults[:0], sc.rows[:0]
+	return true
 }
 
-// foldCB returns the input's columnar view when Phase A may fold batched:
-// a batchable operator (bare-column arguments, no lazy specs), bootstrap
-// enabled with a weight slab of matching stride, no unresolved refs, and
-// no distributed transport.
-func (o *opAgg) foldCB(bc *batchContext, in output) *colBatch {
-	cb := in.cb
-	if cb == nil || !bc.vec || !o.batchable || o.trials == 0 || len(in.news) == 0 ||
-		bc.exch != nil || cb.slab == nil || cb.trials != o.trials || cb.cols.HasRefs() {
+// foldEntry is one input row bound for the fold, its group resolved.
+type foldEntry struct {
+	g    *aggGroup
+	row  *delta.Row
+	src  int32 // the row's position in the columnar view, when there is one
+	kind foldKind
+}
+
+// foldBlock bounds how many entries one evaluate → gather → ingest round
+// carries, which bounds the working set (the replicate arena is entries ×
+// lazy specs × B floats) whatever the batch size. Blocks run in arrival
+// order, so cutting a batch into blocks cannot reorder any slot's operands.
+const foldBlock = 4096
+
+// foldScratch is the fold's working set, reused across blocks and batches.
+// Nothing in it is operator state: every field is rewritten before it is
+// read.
+type foldScratch struct {
+	ents []foldEntry
+	// Evaluate output, entry-indexed: spec si's argument for entry i of an
+	// n-entry block is val[si·n+i], folded iff ok[si·n+i]; the replicate
+	// inputs of lazy spec u are rep[(i·lazySpecs+u)·B:][:B].
+	val []float64
+	ok  []bool
+	rep []float64
+	// Gather output: the block's groups in first-touch order, entry
+	// positions bucketed by group (ends[g] is one past group g's bucket),
+	// per-spec gathered arrays, and the runs cut from them.
+	block  int
+	groups []*aggGroup
+	ends   []int32
+	pos    []int32
+	spec   []specRuns
+	runs   []foldRun
+	light  []int32 // the parallel schedule's light groups
+}
+
+// size returns how many entries the block holds for group gi.
+func (f *foldScratch) size(gi int) int {
+	if gi == 0 {
+		return int(f.ends[0])
+	}
+	return int(f.ends[gi] - f.ends[gi-1])
+}
+
+// specRuns holds one spec's gathered entries for a block, group after group
+// in the AddBatchRun calling convention: values, multiplicities, weight
+// windows and (lazy specs) replicate inputs.
+type specRuns struct {
+	vals, mults []float64
+	ws, reps    [][]float64
+}
+
+// foldRun is one (group, spec) run: entries [lo, hi) of the spec's gathered
+// arrays, all bound for vec (nil when the run is empty). Group g's run for
+// spec si is runs[g·len(specs)+si].
+type foldRun struct {
+	vec    *agg.Vector
+	lo, hi int32
+}
+
+// resized returns s with length n, reallocating only when it has to; the
+// contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// columnar returns the input's columnar view when the fold may read group
+// keys and argument values from it instead of from the rows. The view never
+// changes what is folded — weights and multiplicities always come from the
+// rows — so only three conditions remain: bc.vec (Options.NoVectorize
+// promises that no operator reads column banks), colArgs (markColumnar asks
+// the scan for the key and argument banks only when every argument is a
+// bare column; on any other plan they are row-backed fallbacks, slower
+// through the view than from the row), and no lineage refs in the banks
+// (the columnar readers have no Resolver).
+func (o *opAgg) columnar(bc *batchContext, in output) *colBatch {
+	if in.cb == nil || !bc.vec || !o.colArgs || in.cb.cols.HasRefs() {
 		return nil
 	}
-	return cb
+	return in.cb
 }
 
-// foldCertainBatch is Phase A over the columnar view: group bookkeeping
-// stays a sequential pass in arrival order (same keys — the columnar key
-// encoder is byte-identical to the row one). The sequential fold then walks
-// rows in arrival order reading arguments straight from the column banks —
-// the weight slab streams sequentially, exactly like the row path, with the
-// expression layer gone. The parallel fold gathers each group's argument
-// run and replicate-splits it via the batched kernels, mirroring the row
-// path's heavy/light split. Per accumulator slot the floating-point operand
-// sequence is exactly the row path's in both shapes, so results are
-// bit-identical.
-func (o *opAgg) foldCertainBatch(bc *batchContext, news []delta.Row, cb *colBatch) {
-	cols := cb.cols
-	total := len(news)
-	if cap(o.rowGroups) < total {
-		o.rowGroups = make([]*aggGroup, total)
-	}
-	rg := o.rowGroups[:total]
+// assignCertain resolves the group of every new certain row, in arrival
+// order, and does the per-row bookkeeping that must be sequential: group
+// creation (deterministic group order), support counts, lineage clones.
+func (o *opAgg) assignCertain(news []delta.Row, cb *colBatch) []foldEntry {
+	ents := resized(o.fs.ents, len(news))
 	for j := range news {
-		src := cb.src(j)
-		o.keyBuf = cols.EncodeKeyInto(o.keyBuf[:0], src, o.node.GroupBy)
-		g, ok := o.groups[string(o.keyBuf)]
-		if !ok {
-			keyVals := make([]rel.Value, len(o.node.GroupBy))
-			for i, c := range o.node.GroupBy {
-				keyVals[i] = cols.Value(c, src)
-			}
-			g = o.newGroup(string(o.keyBuf), keyVals)
+		r := &news[j]
+		src := 0
+		if cb != nil {
+			src = cb.src(j)
 		}
+		g := o.rowGroup(r.Vals, cb, src)
 		g.certain = true
 		g.support++
-		rg[j] = g
+		if o.lazySpecs > 0 {
+			g.lazy.Add(r.Clone())
+		}
+		ents[j] = foldEntry{g: g, row: r, src: int32(src), kind: foldCertain}
 	}
-	if !bc.fanout(cluster.CostFold, total) {
-		bc.cost.Timed(cluster.CostFold, total, 1, func() {
-			for j := range news {
-				src := cb.src(j)
-				r := &news[j]
-				for si := range o.specs {
-					val := 0.0
-					if c := o.batchCols[si]; c >= 0 {
-						v, ok := cols.ArgValue(int(c), src, o.specs[si].fn.AcceptsAny)
-						if !ok {
-							continue // NULL: the row is skipped for this aggregate
-						}
-						val = v
-					}
-					rg[j].sketch[si].Add(val, r.Mult, r.W)
+	o.fs.ents = ents
+	return ents
+}
+
+// assignScratch builds the per-batch scratch worklist: lineage rows first
+// (per group, in emission order), then pending tuple-uncertain rows (in
+// arrival order) — the order that fixes each scratch vector's fold order.
+func (o *opAgg) assignScratch(bc *batchContext, unc []delta.Row) []foldEntry {
+	ents := o.fs.ents[:0]
+	if o.lazySpecs > 0 {
+		for _, key := range o.order {
+			g := o.groups[key]
+			bc.recomputed += g.lazy.Len()
+			for k := range g.lazy.Rows {
+				ents = append(ents, foldEntry{g: g, row: &g.lazy.Rows[k], kind: foldLineage})
+			}
+		}
+	}
+	bc.recomputed += len(unc)
+	for i := range unc {
+		g := o.rowGroup(unc[i].Vals, nil, 0)
+		g.pendEpoch = o.epoch
+		ents = append(ents, foldEntry{g: g, row: &unc[i], kind: foldPending})
+	}
+	o.fs.ents = ents
+	return ents
+}
+
+// fold is the operator's one fold body: it evaluates each entry's arguments,
+// gathers the entries of every (group, spec) pair into one run in arrival
+// order, and ingests each run into its vector — the group's sketch, or its
+// scratch vector when scratch is set. cb, when non-nil, is the columnar view
+// the (certain) entries read their arguments from.
+//
+// Sequential and parallel execution are schedules of this body, not bodies
+// of their own: below the cutover (or at Workers=1) the same evaluate,
+// gather and ingest run inline.
+func (o *opAgg) fold(bc *batchContext, ents []foldEntry, cb *colBatch, scratch bool) {
+	for len(ents) > 0 {
+		n := min(len(ents), foldBlock)
+		block := ents[:n]
+		ents = ents[n:]
+		// Trial-free folds cost ~1/(1+B) of a bootstrap fold per row;
+		// feeding them into the fold EWMA would poison the cutover, so they
+		// neither fan out nor report.
+		par := o.trials > 0 && bc.fanout(cluster.CostFold, n)
+		t0 := time.Now()
+		o.evaluate(bc, block, cb, par)
+		o.gather(block, scratch)
+		o.ingest(bc, n, par)
+		if o.trials > 0 {
+			w := 1
+			if par {
+				w = bc.pool.Workers()
+			}
+			bc.cost.Observe(cluster.CostFold, n, time.Since(t0), w)
+		}
+	}
+}
+
+// evaluate fills the block's argument values (and, for lazy specs, replicate
+// inputs) — chunk-parallel when par: it is a pure read of the rows and the
+// published tables, and for lazy specs it is where the fold's time goes
+// (O(trials) expression evaluations per row, plus the lineage row's
+// regeneration in the non-lazy modes).
+func (o *opAgg) evaluate(bc *batchContext, ents []foldEntry, cb *colBatch, par bool) {
+	f := &o.fs
+	n, B := len(ents), o.trials
+	f.val = resized(f.val, n*len(o.specs))
+	f.ok = resized(f.ok, n*len(o.specs))
+	f.rep = resized(f.rep, n*o.lazySpecs*B)
+	span := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := &ents[i]
+			if e.kind == foldLineage && !bc.lazy {
+				regenerate(*e.row, bc)
+			}
+			for si := range o.specs {
+				sp := &o.specs[si]
+				at := si*n + i
+				f.ok[at] = false
+				if !e.kind.applies(sp) {
+					continue
+				}
+				if cb != nil && sp.arg != nil {
+					f.val[at], f.ok[at] = cb.cols.ArgValue(int(o.argCols[si]), int(e.src), sp.fn.AcceptsAny)
+					continue
+				}
+				f.val[at], f.ok[at] = argValue(sp, e.row, bc)
+				if f.ok[at] && sp.argUncertain && B > 0 {
+					slot := (i*o.lazySpecs + sp.lazyIdx) * B
+					argReps(sp, e.row, bc, f.rep[slot:slot+B])
 				}
 			}
-		})
+		}
+	}
+	if par {
+		bc.pool.MapChunks(n, func(_, lo, hi int) { span(lo, hi) })
+	} else {
+		span(0, n)
+	}
+}
+
+// gather buckets the block's entries per group — a counting sort over
+// per-block group ordinals, stable, so a bucket keeps arrival order — and
+// cuts one run per (group, spec) pair that has anything to fold, resolving
+// the run's vector. Sequential: it creates and resets scratch vectors.
+func (o *opAgg) gather(ents []foldEntry, scratch bool) {
+	f := &o.fs
+	n := len(ents)
+	f.block++
+	f.groups, f.ends = f.groups[:0], f.ends[:0]
+	for i := range ents {
+		g := ents[i].g
+		if g.ordBlock != f.block {
+			g.ordBlock, g.ord = f.block, int32(len(f.groups))
+			f.groups = append(f.groups, g)
+			f.ends = append(f.ends, 0)
+		}
+		f.ends[g.ord]++
+	}
+	next := int32(0)
+	for gi, c := range f.ends {
+		f.ends[gi] = next // bucket start, advanced to its end by the placement below
+		next += c
+	}
+	f.pos = resized(f.pos, n)
+	for i := range ents {
+		gi := ents[i].g.ord
+		f.pos[f.ends[gi]] = int32(i)
+		f.ends[gi]++
+	}
+	for si := range f.spec {
+		sa := &f.spec[si]
+		sa.vals, sa.mults, sa.ws, sa.reps = sa.vals[:0], sa.mults[:0], sa.ws[:0], sa.reps[:0]
+	}
+	S := len(o.specs)
+	f.runs = resized(f.runs, len(f.groups)*S)
+	B, lo := o.trials, int32(0)
+	for gi, g := range f.groups {
+		hi := f.ends[gi]
+		for si := range o.specs {
+			sp, sa := &o.specs[si], &f.spec[si]
+			from := len(sa.vals)
+			for _, i := range f.pos[lo:hi] {
+				if !f.ok[si*n+int(i)] {
+					continue // NULL, or the spec does not fold this tier
+				}
+				r := ents[i].row
+				sa.vals = append(sa.vals, f.val[si*n+int(i)])
+				sa.mults = append(sa.mults, r.Mult)
+				if B > 0 {
+					sa.ws = append(sa.ws, r.W)
+					if sp.argUncertain {
+						slot := (int(i)*o.lazySpecs + sp.lazyIdx) * B
+						sa.reps = append(sa.reps, f.rep[slot:slot+B])
+					}
+				}
+			}
+			run := foldRun{lo: int32(from), hi: int32(len(sa.vals))}
+			if run.hi > run.lo {
+				run.vec = g.sketch[si]
+				if scratch {
+					run.vec = o.scratchVec(g, si)
+				}
+			}
+			f.runs[gi*S+si] = run
+		}
+		lo = hi
+	}
+}
+
+// ingest folds every group's runs into their vectors. Groups own distinct
+// vectors, so any schedule gives the same result; inline they fold in
+// first-touch order. Under par a group holding more than an even per-worker
+// share of the block cannot be balanced by placement (on skewed keys one
+// worker would inherit nearly the whole block), so its runs split the
+// replicate dimension across the pool; the rest become size-hinted tasks
+// for the stealing scheduler, so many small groups pack evenly no matter
+// how the keys hash.
+func (o *opAgg) ingest(bc *batchContext, n int, par bool) {
+	f := &o.fs
+	if !par {
+		for gi := range f.groups {
+			o.ingestGroup(gi, nil, 0)
+		}
 		return
 	}
 	w := bc.pool.Workers()
-	var batchGroups []*aggGroup
-	groupRows := make(map[*aggGroup][]int32)
-	for j := range news {
-		g := rg[j]
-		if _, seen := groupRows[g]; !seen {
-			batchGroups = append(batchGroups, g)
-		}
-		groupRows[g] = append(groupRows[g], int32(cb.src(j)))
-	}
-	var heavy, light []*aggGroup
-	for _, g := range batchGroups {
-		if len(groupRows[g])*w > total {
-			heavy = append(heavy, g)
+	light := f.light[:0]
+	for gi := range f.groups {
+		if f.size(gi)*w > n {
+			o.ingestGroup(gi, bc.pool.Map, w)
 		} else {
-			light = append(light, g)
+			light = append(light, int32(gi))
 		}
 	}
-	bc.cost.Timed(cluster.CostFold, total, w, func() {
-		for _, g := range heavy {
-			o.foldGroupBatch(g, cols, cb.slab, groupRows[g], &o.gather, bc.pool.Map, w)
-		}
-		if len(light) > 0 {
-			bc.pool.MapSized(len(light),
-				func(gi int) int { return len(groupRows[light[gi]]) },
-				func(gi int) {
-					// Light tasks run concurrently, so each gathers into
-					// its own buffers.
-					var sc gatherScratch
-					o.foldGroupBatch(light[gi], cols, cb.slab, groupRows[light[gi]], &sc, nil, 0)
-				})
-		}
-	})
+	f.light = light
+	bc.pool.MapSized(len(light),
+		func(i int) int { return f.size(int(light[i])) },
+		func(i int) { o.ingestGroup(int(light[i]), nil, 0) })
 }
 
-// foldGroupBatch folds one group's source rows: per spec, gather the
-// argument run (NULL rows skipped, exactly like argValue) and fold it in
-// one batched call — replicate-split when pmap is non-nil.
-func (o *opAgg) foldGroupBatch(g *aggGroup, cols *rel.Columns, slab []float64, rows []int32, sc *gatherScratch, pmap func(n int, fn func(i int)), parts int) {
-	for si := range o.specs {
-		sp := &o.specs[si]
-		argCol := o.batchCols[si]
-		sc.reset(len(rows))
-		for _, src := range rows {
-			val := 0.0
-			if argCol >= 0 {
-				v, ok := cols.ArgValue(int(argCol), int(src), sp.fn.AcceptsAny)
-				if !ok {
-					continue // NULL: the row is skipped for this aggregate
-				}
-				val = v
+// ingestTile is how many entries of one run fold before the group's next
+// run takes its turn. The runs of a group hold (NULLs aside) the same rows,
+// so alternating in tiles whose weight windows fit L1 lets every spec after
+// the first read them from there. Each run still folds front to back.
+const ingestTile = 32
+
+// ingestGroup folds one group's runs, one per spec: tile-interleaved inline,
+// or — with pmap — each run whole, its replicate dimension split over the
+// pool (a fork-join per tile would cost more than the tile).
+func (o *opAgg) ingestGroup(gi int, pmap func(n int, fn func(i int)), parts int) {
+	S := len(o.specs)
+	runs := o.fs.runs[gi*S : (gi+1)*S]
+	for off, more := int32(0), true; more; off += ingestTile {
+		more = false
+		for si := range runs {
+			r, sa := &runs[si], &o.fs.spec[si]
+			lo, hi := r.lo+off, r.hi
+			if lo >= hi {
+				continue
 			}
-			sc.vals = append(sc.vals, val)
-			sc.mults = append(sc.mults, cols.Mult(int(src)))
-			sc.rows = append(sc.rows, src)
-		}
-		if pmap != nil {
-			g.sketch[si].AddBatchPar(sc.vals, sc.mults, slab, sc.rows, pmap, parts)
-		} else {
-			g.sketch[si].AddBatch(sc.vals, sc.mults, slab, sc.rows)
+			if pmap == nil && hi-lo > ingestTile {
+				hi, more = lo+ingestTile, true
+			}
+			var ws, reps [][]float64
+			if o.trials > 0 {
+				ws = sa.ws[lo:hi]
+				if o.specs[si].argUncertain {
+					reps = sa.reps[lo:hi]
+				}
+			}
+			r.vec.AddBatchRun(sa.vals[lo:hi], sa.mults[lo:hi], ws, reps, pmap, parts)
 		}
 	}
 }
+
+// ---------------------------------------------------------------------------
+// The step
 
 func (o *opAgg) step(bc *batchContext) (output, error) {
 	in, err := o.child.step(bc)
@@ -438,304 +679,24 @@ func (o *opAgg) step(bc *batchContext) (output, error) {
 	// Global aggregates produce their single output row from batch 1
 	// regardless of input (SQL semantics: the row always exists).
 	if len(o.node.GroupBy) == 0 && len(o.groups) == 0 {
-		g := o.getGroup(nil, "")
-		g.certain = true
+		o.newGroup("", nil).certain = true
 	}
-	// Phase A: fold new certain rows. Group creation and bookkeeping are
-	// sequential (deterministic group order); the sketch folding — the
-	// expensive part, O(rows x trials) accumulator adds — runs
-	// partition-parallel. Groups are split by batch share:
-	//
-	//   - A *heavy* group (rows·workers > batch rows, i.e. more rows than an
-	//     even per-worker share) cannot be balanced by placement — under the
-	//     old hash-sharded ownership one worker inherited nearly the whole
-	//     batch on skewed keys. Its sketch folds via FoldPar, which splits
-	//     the replicate dimension across workers; each accumulator still
-	//     receives its adds in row order, so the result is bit-identical.
-	//   - *Light* groups become one task each, scheduled over the
-	//     work-stealing pool with their row counts as size hints, so many
-	//     small groups pack evenly no matter how the keys hash.
-	foldRow := func(g *aggGroup, r delta.Row) {
-		for si := range o.specs {
-			sp := &o.specs[si]
-			if sp.argUncertain {
-				continue // folded from lineage rows each batch
-			}
-			val, ok := argValue(*sp, r, bc)
-			if !ok {
-				continue
-			}
-			g.sketch[si].Add(val, r.Mult, r.W)
-		}
-	}
-	if cb := o.foldCB(bc, in); cb != nil {
-		o.foldCertainBatch(bc, in.news, cb)
-	} else if bc.fanout(cluster.CostFold, len(in.news)) && o.trials > 0 {
-		w := bc.pool.Workers()
-		total := len(in.news)
-		var batchGroups []*aggGroup
-		groupRows := make(map[*aggGroup][]int32)
-		for i, r := range in.news {
-			g := o.rowGroup(r.Vals)
-			g.certain = true
-			g.support++
-			if o.hasLazy {
-				g.lazy.Add(r.Clone())
-			}
-			if _, ok := groupRows[g]; !ok {
-				batchGroups = append(batchGroups, g)
-			}
-			groupRows[g] = append(groupRows[g], int32(i))
-		}
-		var heavy, light []*aggGroup
-		for _, g := range batchGroups {
-			if len(groupRows[g])*w > total {
-				heavy = append(heavy, g)
-			} else {
-				light = append(light, g)
-			}
-		}
-		bc.cost.Timed(cluster.CostFold, total, w, func() {
-			var samples []agg.Sample
-			for _, g := range heavy {
-				for si := range o.specs {
-					sp := &o.specs[si]
-					if sp.argUncertain {
-						continue // folded from lineage rows each batch
-					}
-					samples = samples[:0]
-					for _, i := range groupRows[g] {
-						r := in.news[i]
-						val, ok := argValue(*sp, r, bc)
-						if !ok {
-							continue
-						}
-						samples = append(samples, agg.Sample{Val: val, Mult: r.Mult, W: r.W})
-					}
-					g.sketch[si].FoldPar(samples, bc.pool.Map, w)
-				}
-			}
-			if len(light) > 0 {
-				bc.pool.MapSized(len(light),
-					func(gi int) int { return len(groupRows[light[gi]]) },
-					func(gi int) {
-						g := light[gi]
-						for _, i := range groupRows[g] {
-							foldRow(g, in.news[i])
-						}
-					})
-			}
-		})
-	} else {
-		seqFold := func() {
-			for _, r := range in.news {
-				g := o.rowGroup(r.Vals)
-				g.certain = true
-				g.support++
-				if o.hasLazy {
-					g.lazy.Add(r.Clone())
-				}
-				foldRow(g, r)
-			}
-		}
-		if o.trials > 0 {
-			bc.cost.Timed(cluster.CostFold, len(in.news), 1, seqFold)
-		} else {
-			// Trial-free folds cost ~1/(1+B) of a bootstrap fold per row;
-			// feeding them into the fold EWMA would poison the cutover.
-			seqFold()
-		}
-	}
-	// Phase B: per-batch scratch contributions — lineage rows (lazy
-	// re-evaluation) and pending tuple-uncertain rows. Scratch vectors are
-	// pooled across batches and lazily reset on first touch of the epoch.
 	o.epoch++
-	if o.scratchPool == nil {
-		o.scratchPool = make(map[*aggGroup]*scratchEntry)
-	}
-	scratchVec := func(g *aggGroup, si int) *agg.Vector {
-		e := o.scratchPool[g]
-		if e == nil {
-			e = &scratchEntry{vecs: make([]*agg.Vector, len(o.specs))}
-			o.scratchPool[g] = e
-		}
-		if e.epoch != o.epoch {
-			e.epoch = o.epoch
-			for _, v := range e.vecs {
-				if v != nil {
-					v.Reset()
-				}
-			}
-		}
-		if e.vecs[si] == nil {
-			e.vecs[si] = agg.NewVector(o.specs[si].fn, o.trials)
-		}
-		return e.vecs[si]
-	}
-	liveScratch := func(g *aggGroup, si int) *agg.Vector {
-		e := o.scratchPool[g]
-		if e == nil || e.epoch != o.epoch {
-			return nil
-		}
-		return e.vecs[si]
-	}
-	// The scratch worklist: lineage rows first (per group, in emission
-	// order), then pending tuple-uncertain rows (in arrival order) — the
-	// order the sequential loops use, which fixes each scratch vector's fold
-	// order. Lineage rows fold only the lazy (uncertain-argument) specs;
-	// pending rows fold every spec.
-	type scratchRow struct {
-		g    *aggGroup
-		row  delta.Row
-		pend bool
-	}
-	var work []scratchRow
-	if o.hasLazy {
-		for _, key := range o.order {
-			g := o.groups[key]
-			if g.lazy.Len() == 0 {
-				continue
-			}
-			bc.recomputed += g.lazy.Len()
-			for _, r := range g.lazy.Rows {
-				work = append(work, scratchRow{g: g, row: r})
-			}
-		}
-	}
-	touched := make(map[*aggGroup]bool)
-	bc.recomputed += len(in.unc)
-	for _, r := range in.unc {
-		g := o.rowGroup(r.Vals)
-		touched[g] = true
-		work = append(work, scratchRow{g: g, row: r, pend: true})
-	}
-	applies := func(wr *scratchRow, si int) bool {
-		return wr.pend || o.specs[si].argUncertain
-	}
-	if !bc.fanout(cluster.CostFold, len(work)) || o.trials == 0 {
-		for wi := range work {
-			wr := &work[wi]
-			if !wr.pend && !bc.lazy {
-				regenerate(wr.row, bc)
-			}
-			for si := range o.specs {
-				if !applies(wr, si) {
-					continue
-				}
-				sp := &o.specs[si]
-				val, ok := argValue(*sp, wr.row, bc)
-				if !ok {
-					continue
-				}
-				if sp.argUncertain {
-					o.repsBuf = argReps(*sp, wr.row, bc, o.repsBuf)
-					scratchVec(wr.g, si).AddRep(val, o.repsBuf, wr.row.Mult, wr.row.W)
-				} else {
-					scratchVec(wr.g, si).Add(val, wr.row.Mult, wr.row.W)
-				}
-			}
-		}
-	} else {
-		// Parallel scratch fold, in three deterministic stages.
-		// 1. Pre-create every scratch vector sequentially (pool-map mutation
-		//    and epoch reset are not concurrency-safe).
-		for wi := range work {
-			wr := &work[wi]
-			for si := range o.specs {
-				if applies(wr, si) {
-					scratchVec(wr.g, si)
-				}
-			}
-		}
-		// 2. Evaluate arguments and replicates chunk-parallel — the
-		//    expensive part: argReps is O(trials) expression evaluations per
-		//    row, and the non-lazy modes additionally regenerate each
-		//    lineage row.
-		type evalCell struct {
-			val  float64
-			reps []float64
-			ok   bool
-		}
-		evals := make([][]evalCell, len(work))
-		bc.pool.MapChunks(len(work), func(_, lo, hi int) {
-			for wi := lo; wi < hi; wi++ {
-				wr := &work[wi]
-				if !wr.pend && !bc.lazy {
-					regenerate(wr.row, bc)
-				}
-				cells := make([]evalCell, len(o.specs))
-				for si := range o.specs {
-					if !applies(wr, si) {
-						continue
-					}
-					sp := &o.specs[si]
-					val, ok := argValue(*sp, wr.row, bc)
-					if !ok {
-						continue
-					}
-					cells[si] = evalCell{val: val, ok: true}
-					if sp.argUncertain {
-						// Retained until the gather stage — cannot reuse
-						// a per-lane scratch here.
-						cells[si].reps = argReps(*sp, wr.row, bc, nil)
-					}
-				}
-				evals[wi] = cells
-			}
-		})
-		// 3. Gather per-vector sample lists in work order and fold. Vectors
-		//    split heavy/light exactly like Phase A: a vector holding more
-		//    than an even per-worker share of the samples replicate-splits
-		//    (FoldPar); the rest are size-hinted tasks for the stealing
-		//    scheduler. Either way every vector folds its samples in the
-		//    exact order the sequential loop would.
-		type scratchItem struct {
-			vec     *agg.Vector
-			samples []agg.Sample
-		}
-		var items []*scratchItem
-		byVec := make(map[*agg.Vector]*scratchItem)
-		for wi := range work {
-			wr := &work[wi]
-			for si := range evals[wi] {
-				cell := &evals[wi][si]
-				if !cell.ok {
-					continue
-				}
-				vec := scratchVec(wr.g, si)
-				it := byVec[vec]
-				if it == nil {
-					it = &scratchItem{vec: vec}
-					byVec[vec] = it
-					items = append(items, it)
-				}
-				it.samples = append(it.samples, agg.Sample{Val: cell.val, Reps: cell.reps, Mult: wr.row.Mult, W: wr.row.W})
-			}
-		}
-		w := bc.pool.Workers()
-		totalSamples := 0
-		for _, it := range items {
-			totalSamples += len(it.samples)
-		}
-		var heavyIt, lightIt []*scratchItem
-		for _, it := range items {
-			if len(it.samples)*w > totalSamples {
-				heavyIt = append(heavyIt, it)
-			} else {
-				lightIt = append(lightIt, it)
-			}
-		}
-		for _, it := range heavyIt {
-			it.vec.FoldPar(it.samples, bc.pool.Map, w)
-		}
-		if len(lightIt) > 0 {
-			bc.pool.MapSized(len(lightIt),
-				func(i int) int { return len(lightIt[i].samples) },
-				func(i int) { lightIt[i].vec.Fold(lightIt[i].samples) })
-		}
-	}
-	// Phase C: read results, observe variation ranges, publish the output
-	// table, emit rows.
+	// Fold certain: new certain rows into the sketches.
+	cb := o.columnar(bc, in)
+	o.fold(bc, o.assignCertain(in.news, cb), cb, false)
+	// Fold scratch: this batch's contributions of lineage rows (lazy
+	// re-evaluation) and pending tuple-uncertain rows.
+	o.fold(bc, o.assignScratch(bc, in.unc), nil, true)
+	out := o.publish(bc)
+	o.record(out)
+	return out, nil
+}
+
+// publish reads every group's results (sketch merged with this batch's
+// scratch), observes the variation ranges, publishes the output table for
+// lineage resolution and emits rows.
+func (o *opAgg) publish(bc *batchContext) output {
 	scale := 1.0
 	for k := 0; k < o.scaleExp; k++ {
 		scale *= bc.scale
@@ -749,13 +710,14 @@ func (o *opAgg) step(bc *batchContext) (output, error) {
 	var out output
 	for _, key := range o.order {
 		g := o.groups[key]
+		pending := g.pendEpoch == o.epoch
 		pub := &aggPub{vals: make([]expr.UncValue, len(o.specs))}
 		rowVals := make([]rel.Value, 0, len(g.key)+len(o.specs))
 		rowVals = append(rowVals, g.key...)
 		for si := range o.specs {
 			sp := &o.specs[si]
 			vec := g.sketch[si]
-			if sv := liveScratch(g, si); sv != nil {
+			if g.scratchEpoch == o.epoch && g.scratch[si] != nil {
 				// Read through a reusable merge buffer: reset + two
 				// merges cost no allocation (vs cloning the sketch).
 				if o.mergeBuf == nil {
@@ -767,7 +729,7 @@ func (o *opAgg) step(bc *batchContext) (output, error) {
 				buf := o.mergeBuf[si]
 				buf.Reset()
 				buf.Merge(vec)
-				buf.Merge(sv)
+				buf.Merge(g.scratch[si])
 				vec = buf
 			}
 			val := vec.Result(scale)
@@ -797,7 +759,7 @@ func (o *opAgg) step(bc *batchContext) (output, error) {
 		if hdaRecompute {
 			// Delete+insert value updates: every live group flows as a
 			// tuple-uncertain row, every batch.
-			if g.certain || touched[g] {
+			if g.certain || pending {
 				out.unc = append(out.unc, delta.Row{Vals: rowVals, Mult: 1})
 			}
 			continue
@@ -807,11 +769,10 @@ func (o *opAgg) step(bc *batchContext) (output, error) {
 				g.emitted = true
 				out.news = append(out.news, delta.Row{Vals: rowVals, Mult: 1})
 			}
-		} else if touched[g] {
+		} else if pending {
 			out.unc = append(out.unc, delta.Row{Vals: rowVals, Mult: 1})
 		}
 	}
-	o.record(out)
 	bc.publish(o.pubID, table)
 	// The published table is broadcast to workers for lazy evaluation
 	// (Section 6.2's broadcast join) — replication traffic, not a
@@ -826,7 +787,7 @@ func (o *opAgg) step(bc *batchContext) (output, error) {
 		}
 		bc.metrics.RecordBroadcastBytes(n)
 	}
-	return out, nil
+	return out
 }
 
 // aggGroupSnap is one group's state in compact snapshot form: vector
@@ -875,10 +836,6 @@ func (o *opAgg) snapshot() interface{} {
 
 func (o *opAgg) restore(snap interface{}) {
 	s := snap.(aggSnap)
-	// The scratch pool is keyed by group pointer; a restore can drop or
-	// rebuild groups, so drop the pool rather than strand entries on dead
-	// pointers.
-	o.scratchPool = nil
 	old := o.groups
 	o.groups = make(map[string]*aggGroup, len(s.groups))
 	o.order = append([]string(nil), s.order...)
@@ -917,7 +874,7 @@ func (o *opAgg) stateBytes() int {
 	// Sketch footprints are constant per spec (precomputed at construction
 	// so this never allocates probe vectors).
 	n := o.groupBytes * len(o.groups)
-	if o.hasLazy {
+	if o.lazySpecs > 0 {
 		for _, g := range o.groups {
 			n += g.lazy.SizeBytes()
 		}

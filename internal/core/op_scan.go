@@ -96,11 +96,9 @@ func (o *opScan) step(bc *batchContext) (output, error) {
 		if bc.vec && o.wantCB {
 			// Columnar companion view over just the banks the plan's
 			// consumers read; a storage-decoded delta arrives with a full
-			// cached view and serves the subset for free. Unweighted scans
-			// (Trials 0) attach it with an empty slab — the vectorized
-			// select and probe don't read weights, and the batched
-			// aggregate fold gates itself off a nil slab.
-			out.cb = &colBatch{cols: d.ColumnarSubset(o.cbNeed), slab: slab, trials: trials}
+			// cached view and serves the subset for free. Weights are not
+			// part of the view: every consumer reads them from the rows.
+			out.cb = &colBatch{cols: d.ColumnarSubset(o.cbNeed)}
 		}
 		o.record(out)
 		return out, nil

@@ -175,7 +175,7 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 					sel = append(sel, int32(i))
 				}
 			}
-			out.cb = &colBatch{cols: cb.cols, sel: sel, slab: cb.slab, trials: cb.trials}
+			out.cb = &colBatch{cols: cb.cols, sel: sel}
 		} else {
 			pass = o.filterAll(in.news, bc)
 			for i, r := range in.news {

@@ -20,10 +20,9 @@ type output struct {
 	news []delta.Row
 	unc  []delta.Row
 	// cb, when non-nil, is the columnar view of news (DESIGN.md §14):
-	// news[j] is row cb.src(j) of cb.cols, and its bootstrap weight window
-	// lives at cb.slab[src·trials : (src+1)·trials]. Streamed scans attach
-	// it; SELECT narrows it with a selection vector; every other operator
-	// drops it (the zero value), falling back to the row form downstream.
+	// news[j] is row cb.src(j) of cb.cols. Streamed scans attach it; SELECT
+	// narrows it with a selection vector; every other operator drops it
+	// (the zero value), falling back to the row form downstream.
 	cb *colBatch
 }
 
@@ -35,9 +34,6 @@ type colBatch struct {
 	// sel maps output position to source row: news[j] ↔ cols row sel[j];
 	// nil means the identity (news[j] ↔ row j).
 	sel []int32
-	// slab is the scan's weight arena, stride trials per source row.
-	slab   []float64
-	trials int
 }
 
 // src returns the source-row index of output position j.

@@ -151,7 +151,6 @@ func (c *compiled) acquireSharedBuild(t *plan.Join, cacheL, cacheR bool, an *pla
 	c.releases = append(c.releases, release)
 	c.sharedRefs = append(c.sharedRefs, ss)
 	if hit {
-		c.sharedHits++
 		c.sharedHitBytes += ss.SharedBytes()
 	}
 	return ss.store, true, nil
@@ -461,7 +460,6 @@ func (c *compiled) acquireSharedAgg(t *plan.Aggregate, an *plan.Analysis, scaleE
 	c.releases = append(c.releases, release)
 	c.sharedRefs = append(c.sharedRefs, en)
 	if hit {
-		c.sharedHits++
 		c.sharedHitBytes += en.SharedBytes()
 	}
 	op := &opSharedAgg{node: t, entry: en}

@@ -213,30 +213,35 @@ func TestTrajectoryGolden(t *testing.T) {
 		for _, trials := range []int{0, 25} {
 			c, trials := c, trials
 			key := fmt.Sprintf("%s/B%d", c.name, trials)
-			t.Run(key, func(t *testing.T) {
-				ref, seen := want[key]
+			ref, seen := want[key]
+			// One subtest level per case and one per corner, so that
+			// -run 'TestTrajectoryGolden/.*/w1_' selects a schedule.
+			t.Run(strings.ReplaceAll(key, "/", "."), func(t *testing.T) {
 				if !*updateGolden && !seen {
 					t.Fatalf("no golden entry for %s", key)
 				}
 				for _, corner := range []struct {
+					name    string
 					workers int
 					novec   bool
-				}{{1, true}, {1, false}, {4, true}, {4, false}} {
-					opts := c.opts
-					opts.Trials = trials
-					if trials == 0 {
-						opts.Trials = -1 // 0 selects the default B
-					}
-					opts.Workers, opts.ParThreshold, opts.NoVectorize = corner.workers, 1, corner.novec
-					d := trajectoryDigest(t, c, opts)
-					if *updateGolden && !seen {
-						ref, seen = d, true
-						got[key] = d
-					}
-					if d != ref {
-						t.Errorf("Workers=%d NoVectorize=%v: trajectory digest %016x, golden %016x",
-							corner.workers, corner.novec, d, ref)
-					}
+				}{{"w1_rows", 1, true}, {"w1_columns", 1, false}, {"w4_rows", 4, true}, {"w4_columns", 4, false}} {
+					corner := corner
+					t.Run(corner.name, func(t *testing.T) {
+						opts := c.opts
+						opts.Trials = trials
+						if trials == 0 {
+							opts.Trials = -1 // 0 selects the default B
+						}
+						opts.Workers, opts.ParThreshold, opts.NoVectorize = corner.workers, 1, corner.novec
+						d := trajectoryDigest(t, c, opts)
+						if *updateGolden && !seen {
+							ref, seen = d, true
+							got[key] = d
+						}
+						if d != ref {
+							t.Errorf("trajectory digest %016x, golden %016x", d, ref)
+						}
+					})
 				}
 			})
 		}

@@ -8,13 +8,12 @@ import (
 // The columnar batch pipeline (DESIGN.md §14) promises bit-identical
 // updates to the row-at-a-time paths: the vectorized select fills its
 // selection vector with exactly the row path's acceptance verdicts, the
-// columnar join probe encodes byte-identical keys, and the batched
-// aggregate fold performs the same floating-point operations per
-// accumulator slot in the same order. This suite enforces the promise by
-// running each query shape with Options.NoVectorize on and off — at
-// Workers 1 and 4, so both the sequential and the parallel batched paths
-// face their row-path twins — and comparing every Update field exactly
-// (relations, bootstrap estimates, accounting metrics).
+// columnar join probe encodes byte-identical keys, and the aggregate fold
+// reads the same group keys and argument values from the column banks as
+// from the rows. This suite enforces the promise by running each query
+// shape with Options.NoVectorize on and off — at Workers 1 and 4, so both
+// schedules of every operator face both input forms — and comparing every
+// Update field exactly (relations, bootstrap estimates, accounting metrics).
 func TestVectorizeEquivalence(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -43,8 +42,8 @@ func TestVectorizeEquivalence(t *testing.T) {
 			Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3}, false, false},
 		{"sbi/hda", sbiQuery,
 			Options{Mode: ModeHDA, Batches: 6, Trials: 25, Seed: 3}, false, false},
-		// ~90% of rows in one group: the heavy-group AddBatchPar
-		// replicate-split against the row path's FoldPar.
+		// ~90% of rows in one group: the heavy group's replicate-split,
+		// fed from column banks and from rows.
 		{"skewed_group", theoremQuery(t, "flat_group_by"),
 			Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3}, false, true},
 		// Adversarial arrival order + zero slack: snapshot restore and

@@ -38,6 +38,13 @@ func TestCombineWeights(t *testing.T) {
 	if CombineWeights(nil, nil) != nil {
 		t.Error("both nil stays nil")
 	}
+	// Unequal lengths break the precondition: a panic, not a silent 1.
+	defer func() {
+		if recover() == nil {
+			t.Error("a shorter right vector must panic")
+		}
+	}()
+	CombineWeights(a, b[:2])
 }
 
 func TestRowSetSnapshotRestore(t *testing.T) {

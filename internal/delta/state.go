@@ -42,7 +42,10 @@ func (r Row) SizeBytes() int {
 }
 
 // CombineWeights multiplies two Poisson weight vectors element-wise; nil
-// means "all ones" (non-streamed provenance) and is absorbed.
+// means "all ones" (non-streamed provenance) and is absorbed. Two non-nil
+// vectors must be equally long: every weight vector of a plan holds one
+// weight per bootstrap trial, so a shorter b is a bug, and it panics (index
+// out of range) rather than defaulting the missing weights to 1.
 func CombineWeights(a, b []float64) []float64 {
 	if a == nil {
 		return b
@@ -52,11 +55,7 @@ func CombineWeights(a, b []float64) []float64 {
 	}
 	out := make([]float64, len(a))
 	for i := range a {
-		w := b[i]
-		if i >= len(b) {
-			w = 1
-		}
-		out[i] = a[i] * w
+		out[i] = a[i] * b[i]
 	}
 	return out
 }

@@ -802,12 +802,6 @@ func (c *Coordinator) LiveWorkers() int {
 	return n
 }
 
-// BatchWeights returns the span-weight vector frozen for the current batch
-// (index 0 is the coordinator), for diagnostics and tests.
-func (c *Coordinator) BatchWeights() []int {
-	return append([]int(nil), c.batchWeights...)
-}
-
 // Redispatched reports how many spans of dead workers were recovered, and how
 // many of those a surviving worker computed (the rest fell back to the
 // coordinator).

@@ -30,8 +30,6 @@ type FaultConn struct {
 	killOnFault           bool
 	writeDelay            time.Duration
 	delayWriteFrom        int
-	readDelay             time.Duration
-	delayReadFrom         int
 }
 
 // NewFaultConn wraps inner with no faults scheduled.
@@ -70,17 +68,6 @@ func (c *FaultConn) DelayWritesFrom(n int, d time.Duration) {
 	c.writeDelay = d
 }
 
-// DelayReadsFrom makes every Read from the nth on (1-based) sleep d before
-// touching the underlying conn — frames arrive late but intact. An armed
-// read deadline keeps running during the sleep, so the underlying read can
-// time out; a retried read sleeps again.
-func (c *FaultConn) DelayReadsFrom(n int, d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.delayReadFrom = n
-	c.readDelay = d
-}
-
 // KillOnFault makes read/write faults also close the underlying conn.
 func (c *FaultConn) KillOnFault(on bool) {
 	c.mu.Lock()
@@ -100,14 +87,7 @@ func (c *FaultConn) Read(p []byte) (int, error) {
 	c.reads++
 	hit := c.failReadAt != 0 && c.reads == c.failReadAt
 	kill := hit && c.killOnFault
-	delay := time.Duration(0)
-	if c.delayReadFrom != 0 && c.reads >= c.delayReadFrom {
-		delay = c.readDelay
-	}
 	c.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
 	if hit {
 		if kill {
 			c.Conn.Close()
