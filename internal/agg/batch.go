@@ -54,8 +54,7 @@ func (v *Vector) AddBatchRun(vals, mults []float64, ws, reps [][]float64, pmap f
 			if reps != nil {
 				rt = reps[t:e]
 			}
-			v.AddBatchMain(vals[t:e], mults[t:e])
-			v.addBatchRange(0, B, vals[t:e], mults[t:e], wt, rt)
+			v.addTile(vals[t:e], mults[t:e], wt, rt)
 		}
 		return
 	}
@@ -83,9 +82,15 @@ func (v *Vector) AddBatch(vals, mults, slab []float64, rows []int32) {
 		for j, r := range rows[t:e] {
 			ws[j] = slab[int(r)*B : int(r)*B+B]
 		}
-		v.AddBatchMain(vals[t:e], mults[t:e])
-		v.addBatchRange(0, B, vals[t:e], mults[t:e], ws[:e-t], nil)
+		v.addTile(vals[t:e], mults[t:e], ws[:e-t], nil)
 	}
+}
+
+// addTile folds at most batchTile entries: the mains pass, then the
+// replicates pass over the same (still cached) values.
+func (v *Vector) addTile(vals, mults []float64, ws, reps [][]float64) {
+	v.AddBatchMain(vals, mults)
+	v.addBatchRange(0, v.trials, vals, mults, ws, reps)
 }
 
 // AddBatchMain folds the run into the main slots only (the mains task of a
@@ -230,62 +235,57 @@ func (v *Vector) batchMinMax(lo, hi int, vals, mults []float64, ws [][]float64, 
 			break
 		}
 	}
-	if j >= len(vals) {
-		return
-	}
 	// Every slot in the window is set: the set flags are invariant from here
-	// on, so the remaining rows run the lean loops.
-	if max {
-		for ; j < len(vals); j++ {
-			val := vals[j]
-			if mults[j] <= 0 {
-				continue
-			}
-			w := window(ws, j, lo, hi)
-			if w == nil {
-				for i := range cur {
-					nv := cur[i]
-					if val > nv {
-						nv = val
-					}
-					cur[i] = nv
-				}
-				continue
-			}
-			cc := cur[:len(w)]
-			for i := range w {
-				nv := cc[i]
-				if val > nv && w[i] > 0 {
-					nv = val
-				}
-				cc[i] = nv
-			}
-		}
-		return
-	}
+	// on, so the remaining entries run the lean loops.
 	for ; j < len(vals); j++ {
-		val := vals[j]
-		if mults[j] <= 0 {
-			continue
+		if mults[j] > 0 {
+			leanMinMax(cur, window(ws, j, lo, hi), vals[j], max)
 		}
-		w := window(ws, j, lo, hi)
-		if w == nil {
-			for i := range cur {
-				nv := cur[i]
-				if val < nv {
-					nv = val
-				}
-				cur[i] = nv
+	}
+}
+
+// leanMinMax folds one entry into a fully set window: compare-and-select
+// with an unconditional store, which the compiler keeps branch-free. Kept
+// out of line so each loop owns its registers — inlined into batchMinMax the
+// allocator spills the loop index to the stack, which costs the kernel a
+// quarter of its speed.
+//
+//go:noinline
+func leanMinMax(cur, w []float64, val float64, max bool) {
+	switch {
+	case w == nil && max:
+		for i := range cur {
+			nv := cur[i]
+			if val > nv {
+				nv = val
 			}
-			continue
+			cur[i] = nv
 		}
-		cc := cur[:len(w)]
+	case w == nil:
+		for i := range cur {
+			nv := cur[i]
+			if val < nv {
+				nv = val
+			}
+			cur[i] = nv
+		}
+	case max:
+		cur = cur[:len(w)]
 		for i := range w {
-			nv := cc[i]
+			nv := cur[i]
+			if val > nv && w[i] > 0 {
+				nv = val
+			}
+			cur[i] = nv
+		}
+	default:
+		cur = cur[:len(w)]
+		for i := range w {
+			nv := cur[i]
 			if val < nv && w[i] > 0 {
 				nv = val
 			}
-			cc[i] = nv
+			cur[i] = nv
 		}
 	}
 }

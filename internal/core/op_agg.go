@@ -490,42 +490,48 @@ func (o *opAgg) evaluate(bc *batchContext, ents []foldEntry, cb *colBatch, par b
 	f.val = resized(f.val, n*len(o.specs))
 	f.ok = resized(f.ok, n*len(o.specs))
 	f.rep = resized(f.rep, n*o.lazySpecs*B)
-	span := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := &ents[i]
-			if e.kind == foldLineage && !bc.lazy {
-				regenerate(*e.row, bc)
+	if par {
+		bc.pool.MapChunks(n, func(_, lo, hi int) { o.evaluateSpan(bc, ents, cb, lo, hi) })
+	} else {
+		o.evaluateSpan(bc, ents, cb, 0, n)
+	}
+}
+
+// evaluateSpan evaluates entries [lo, hi) of the block; spans write disjoint
+// slots of the arenas.
+func (o *opAgg) evaluateSpan(bc *batchContext, ents []foldEntry, cb *colBatch, lo, hi int) {
+	f := &o.fs
+	n, B := len(ents), o.trials
+	for i := lo; i < hi; i++ {
+		e := &ents[i]
+		if e.kind == foldLineage && !bc.lazy {
+			regenerate(*e.row, bc)
+		}
+		for si := range o.specs {
+			sp := &o.specs[si]
+			at := si*n + i
+			f.ok[at] = false
+			if !e.kind.applies(sp) {
+				continue
 			}
-			for si := range o.specs {
-				sp := &o.specs[si]
-				at := si*n + i
-				f.ok[at] = false
-				if !e.kind.applies(sp) {
-					continue
-				}
-				if cb != nil && sp.arg != nil {
-					f.val[at], f.ok[at] = cb.cols.ArgValue(int(o.argCols[si]), int(e.src), sp.fn.AcceptsAny)
-					continue
-				}
-				f.val[at], f.ok[at] = argValue(sp, e.row, bc)
-				if f.ok[at] && sp.argUncertain && B > 0 {
-					slot := (i*o.lazySpecs + sp.lazyIdx) * B
-					argReps(sp, e.row, bc, f.rep[slot:slot+B])
-				}
+			if cb != nil && sp.arg != nil {
+				f.val[at], f.ok[at] = cb.cols.ArgValue(int(o.argCols[si]), int(e.src), sp.fn.AcceptsAny)
+				continue
+			}
+			f.val[at], f.ok[at] = argValue(sp, e.row, bc)
+			if f.ok[at] && sp.argUncertain && B > 0 {
+				slot := (i*o.lazySpecs + sp.lazyIdx) * B
+				argReps(sp, e.row, bc, f.rep[slot:slot+B])
 			}
 		}
-	}
-	if par {
-		bc.pool.MapChunks(n, func(_, lo, hi int) { span(lo, hi) })
-	} else {
-		span(0, n)
 	}
 }
 
 // gather buckets the block's entries per group — a counting sort over
 // per-block group ordinals, stable, so a bucket keeps arrival order — and
-// cuts one run per (group, spec) pair that has anything to fold, resolving
-// the run's vector. Sequential: it creates and resets scratch vectors.
+// cuts each group's bucket into one run per spec, resolving the vector of
+// every run that has anything to fold. Sequential: it creates and resets
+// scratch vectors.
 func (o *opAgg) gather(ents []foldEntry, scratch bool) {
 	f := &o.fs
 	n := len(ents)
@@ -617,9 +623,11 @@ func (o *opAgg) ingest(bc *batchContext, n int, par bool) {
 		}
 	}
 	f.light = light
-	bc.pool.MapSized(len(light),
-		func(i int) int { return f.size(int(light[i])) },
-		func(i int) { o.ingestGroup(int(light[i]), nil, 0) })
+	if len(light) > 0 {
+		bc.pool.MapSized(len(light),
+			func(i int) int { return f.size(int(light[i])) },
+			func(i int) { o.ingestGroup(int(light[i]), nil, 0) })
+	}
 }
 
 // ingestTile is how many entries of one run fold before the group's next
