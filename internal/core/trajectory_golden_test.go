@@ -36,6 +36,9 @@ type goldenCase struct {
 	wantRecovery bool
 }
 
+const aggOverAgg = `SELECT SUM(t.apt) AS s, VAR(t.apt) AS v, COUNT(*) AS n FROM
+			(SELECT cdn, AVG(play_time) AS apt FROM sessions GROUP BY cdn) t`
+
 func goldenCases(t *testing.T) []goldenCase {
 	base := Options{Mode: ModeIOLAP, Batches: 6, Seed: 3}
 	mode := func(m Mode) Options { o := base; o.Mode = m; return o }
@@ -67,8 +70,7 @@ func goldenCases(t *testing.T) []goldenCase {
 			WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions)`, opts: base, udaf: true},
 		// Aggregates over aggregate outputs: lineage rows, uncertain
 		// arguments, per-replicate inputs (AddRep).
-		{name: "agg_over_agg", query: `SELECT SUM(t.apt) AS s, VAR(t.apt) AS v, COUNT(*) AS n FROM
-			(SELECT cdn, AVG(play_time) AS apt FROM sessions GROUP BY cdn) t`, opts: base},
+		{name: "agg_over_agg", query: aggOverAgg, opts: base},
 		{name: "agg_over_agg/minmax", query: `SELECT MAX(t.apt) AS s, MIN(t.n) AS m FROM
 			(SELECT cdn, AVG(play_time) AS apt, COUNT(*) AS n FROM sessions GROUP BY cdn) t`, opts: base},
 		{name: "agg_over_agg/join", query: `SELECT c.region, AVG(t.apt) AS a FROM
@@ -86,7 +88,9 @@ func goldenCases(t *testing.T) []goldenCase {
 		suffix := "/" + strings.ToLower(m.String())
 		cases = append(cases,
 			goldenCase{name: "nested_correlated" + suffix, query: theoremQuery(t, "nested_correlated"), opts: mode(m)},
-			goldenCase{name: "sbi_nested_scalar" + suffix, query: sbiQuery, opts: mode(m)})
+			goldenCase{name: "sbi_nested_scalar" + suffix, query: sbiQuery, opts: mode(m)},
+			// Lineage rows in the non-lazy modes: regenerated, then folded.
+			goldenCase{name: "agg_over_agg" + suffix, query: aggOverAgg, opts: mode(m)})
 	}
 	for i := range cases {
 		if cases[i].n == 0 {
