@@ -38,9 +38,11 @@ race:
 # internal/wire/wiretest, parameterised by message type, instantiated over the
 # core span codecs, the dist protocol and the serve session protocol), and
 # the batched-aggregate kernels (bit-identical to the per-tuple fold for
-# every builtin aggregate).
+# every builtin aggregate), and SQL text to plan (FuzzPlanQuery: the 22
+# workload queries through sql.PlanQuery; any input may error, none may
+# panic).
 fuzz-seeds:
-	$(GO) test -run '^Fuzz' ./internal/storage ./internal/core ./internal/dist ./internal/serve ./internal/agg
+	$(GO) test -run '^Fuzz' ./internal/storage ./internal/core ./internal/dist ./internal/serve ./internal/agg ./internal/sql
 
 # Actually fuzz one target (open-ended; ctrl-C when satisfied), e.g.
 # make fuzz FUZZ=FuzzAddBatchEquivalence FUZZPKG=./internal/agg FUZZTIME=2m

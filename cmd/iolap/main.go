@@ -171,51 +171,40 @@ func main() {
 		}
 		return
 	}
-	if *interactive {
-		session, _, err := buildSession(*workloadName, *scale, *seed, *csvSpec, *iolSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "iolap:", err)
-			os.Exit(1)
-		}
-		opts := &iolap.Options{
-			Batches: *batches, Trials: *trials, Slack: *slack,
-			Seed: *seed, Stream: *stream, StratifyBy: *stratify,
-			Workers: *workers, StateBudgetBytes: *stateBudget,
-		}
-		if err := repl(session, opts, os.Stdin, os.Stdout, *maxRows); err != nil {
-			fmt.Fprintln(os.Stderr, "iolap:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	cfg := runConfig{
-		workload: *workloadName, scale: *scale, query: *queryName, sql: *sqlText,
-		stream: *stream, batches: *batches, trials: *trials, slack: *slack,
-		seed: *seed, mode: *mode, csvSpec: *csvSpec, iolSpec: *iolSpec,
-		stratify: *stratify, showPlan: *showPlan, showStats: *showStats,
-		maxRows: *maxRows, workers: *workers, stateBudget: *stateBudget,
-		distAddrs: *distAddrs, distPartition: *distPart,
-		distElastic: *distElastic, distCompress: *distCompress,
-	}
-	if err := run(cfg); err != nil {
+	session, queries, err := buildSession(*workloadName, *scale, *seed, *csvSpec, *iolSpec)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "iolap:", err)
 		os.Exit(1)
 	}
-}
-
-// runConfig carries the non-interactive CLI flags into run.
-type runConfig struct {
-	workload, query, sql, stream    string
-	mode, csvSpec, iolSpec          string
-	stratify, distAddrs             string
-	distPartition, distElastic      string
-	scale, batches, trials, maxRows int
-	workers                         int
-	slack                           float64
-	seed                            uint64
-	stateBudget                     int64
-	showPlan, showStats             bool
-	distCompress                    bool
+	opts := &iolap.Options{
+		Batches: *batches, Trials: *trials, Slack: *slack,
+		Seed: *seed, Stream: *stream, StratifyBy: *stratify,
+		Workers: *workers, StateBudgetBytes: *stateBudget,
+	}
+	if *interactive {
+		err = repl(session, opts, os.Stdin, os.Stdout, *maxRows)
+	} else {
+		// The one-shot run alone honours -mode and the -dist family.
+		opts.DistCompress = *distCompress
+		opts.DistElasticAddr = *distElastic
+		if *distAddrs != "" {
+			opts.DistWorkers = strings.Split(*distAddrs, ",")
+		}
+		if *distPart != "" {
+			opts.DistPartitionTables = strings.Split(*distPart, ",")
+		}
+		var query string
+		if opts.Mode, err = parseMode(*mode); err == nil {
+			query, err = pickQuery(queries, *queryName, *sqlText, opts)
+		}
+		if err == nil {
+			err = run(session, query, opts, *showPlan, *showStats, *maxRows)
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "iolap:", err)
+		os.Exit(1)
+	}
 }
 
 // buildSession constructs the session from workload/csv/iol flags.
@@ -304,85 +293,47 @@ func repl(session *iolap.Session, opts *iolap.Options, in io.Reader, out io.Writ
 	}
 }
 
-func run(cfg runConfig) error {
-	var session *iolap.Session
-	var queries []iolap.BenchQuery
-	switch {
-	case cfg.csvSpec != "":
-		s := iolap.NewSession()
-		if err := loadCSV(s, cfg.csvSpec); err != nil {
-			return err
-		}
-		session = s
-	case cfg.iolSpec != "":
-		s := iolap.NewSession()
-		if err := loadIOL(s, cfg.iolSpec); err != nil {
-			return err
-		}
-		session = s
-	case cfg.workload == "tpch":
-		session, queries = iolap.NewTPCHSession(cfg.scale, int64(cfg.seed))
-	case cfg.workload == "conviva":
-		session, queries = iolap.NewConvivaSession(cfg.scale, int64(cfg.seed))
-	default:
-		return fmt.Errorf("pick -workload tpch|conviva, -csv name=path, or -iol name=path")
-	}
-
-	query := cfg.sql
-	stream := cfg.stream
-	if cfg.query != "" {
-		found := false
-		for _, q := range queries {
-			if strings.EqualFold(q.Name, cfg.query) {
-				query = q.SQL
-				if stream == "" {
-					stream = q.Stream
-				}
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("unknown query %q", cfg.query)
-		}
-	}
-	if query == "" {
-		return fmt.Errorf("provide -query or -sql")
-	}
-
-	var mode iolap.Mode
-	switch strings.ToLower(cfg.mode) {
+// parseMode maps the -mode flag to an engine mode.
+func parseMode(name string) (iolap.Mode, error) {
+	switch strings.ToLower(name) {
 	case "iolap":
-		mode = iolap.ModeIOLAP
+		return iolap.ModeIOLAP, nil
 	case "opt1":
-		mode = iolap.ModeOPT1
+		return iolap.ModeOPT1, nil
 	case "hda":
-		mode = iolap.ModeHDA
-	default:
-		return fmt.Errorf("unknown mode %q", cfg.mode)
+		return iolap.ModeHDA, nil
 	}
+	return 0, fmt.Errorf("unknown mode %q", name)
+}
 
-	opts := &iolap.Options{
-		Mode: mode, Batches: cfg.batches, Trials: cfg.trials, Slack: cfg.slack,
-		Seed: cfg.seed, Stream: stream, StratifyBy: cfg.stratify,
-		Workers: cfg.workers, StateBudgetBytes: cfg.stateBudget,
+// pickQuery resolves -query / -sql to the SQL text to run. A built-in query
+// also supplies the table to stream, unless -stream already named one.
+func pickQuery(queries []iolap.BenchQuery, name, sqlText string, opts *iolap.Options) (string, error) {
+	if name == "" {
+		if sqlText == "" {
+			return "", fmt.Errorf("provide -query or -sql")
+		}
+		return sqlText, nil
 	}
-	if cfg.distAddrs != "" {
-		opts.DistWorkers = strings.Split(cfg.distAddrs, ",")
+	for _, q := range queries {
+		if strings.EqualFold(q.Name, name) {
+			if opts.Stream == "" {
+				opts.Stream = q.Stream
+			}
+			return q.SQL, nil
+		}
 	}
-	opts.DistCompress = cfg.distCompress
-	if cfg.distPartition != "" {
-		opts.DistPartitionTables = strings.Split(cfg.distPartition, ",")
-	}
-	if cfg.distElastic != "" {
-		opts.DistElasticAddr = cfg.distElastic
-	}
+	return "", fmt.Errorf("unknown query %q", name)
+}
 
+// run executes one query incrementally, printing every refined result.
+func run(session *iolap.Session, query string, opts *iolap.Options, showPlan, showStats bool, maxRows int) error {
 	cur, err := session.Query(query, opts)
 	if err != nil {
 		return err
 	}
 	defer cur.Close()
-	if cfg.showPlan {
+	if showPlan {
 		fmt.Println(cur.Plan())
 	}
 	for cur.Next() {
@@ -396,8 +347,8 @@ func run(cfg runConfig) error {
 		if u.WireShuffleBytes > 0 || u.WireBroadcastBytes > 0 {
 			fmt.Printf("    wire: %d B shuffle, %d B broadcast\n", u.WireShuffleBytes, u.WireBroadcastBytes)
 		}
-		printRows(u, cfg.maxRows)
-		if cfg.showStats {
+		printRows(u, maxRows)
+		if showStats {
 			for _, st := range cur.OpStats() {
 				fmt.Printf("    [%-9s] news=%-7d unc=%-7d state=%dB spilled=%d\n",
 					st.Kind, st.News, st.Unc, st.StateBytes, st.SpilledRows)

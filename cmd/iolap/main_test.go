@@ -146,38 +146,53 @@ func TestLoadCSVErrors(t *testing.T) {
 	}
 }
 
-// baseCfg is the tiny-workload smoke configuration the CLI tests vary.
-func baseCfg() runConfig {
-	return runConfig{
-		workload: "conviva", scale: 200, query: "C3", batches: 2, trials: 10,
-		slack: 2.0, seed: 1, mode: "iolap", maxRows: 3,
+// runC3 drives the CLI's one-shot path end to end on a tiny built-in workload:
+// buildSession, pickQuery, run. tweak adjusts the options first.
+func runC3(t *testing.T, showStats bool, tweak func(*iolap.Options)) error {
+	t.Helper()
+	session, queries, err := buildSession("conviva", 200, 1, "", "")
+	if err != nil {
+		t.Fatal(err)
 	}
+	opts := &iolap.Options{Batches: 2, Trials: 10, Slack: 2.0, Seed: 1}
+	tweak(opts)
+	query, err := pickQuery(queries, "C3", "", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Stream == "" {
+		t.Fatal("a built-in query must name its streamed table")
+	}
+	return run(session, query, opts, false, showStats, 3)
 }
 
 func TestRunWorkloadQuery(t *testing.T) {
-	// Smoke test: the CLI path end to end on a tiny built-in workload —
-	// once in memory, once with all join state forced through spill files.
-	if err := run(baseCfg()); err != nil {
+	// Smoke test: once in memory, once with all join state forced through
+	// spill files.
+	if err := runC3(t, false, func(*iolap.Options) {}); err != nil {
 		t.Fatal(err)
 	}
-	spill := baseCfg()
-	spill.showStats = true
-	spill.stateBudget = -1
-	if err := run(spill); err != nil {
+	if err := runC3(t, true, func(o *iolap.Options) { o.StateBudgetBytes = -1 }); err != nil {
 		t.Fatalf("full-spill run: %v", err)
 	}
-	if err := run(runConfig{batches: 2, trials: 10, slack: 2.0, seed: 1, mode: "iolap", maxRows: 3}); err == nil {
+	if _, _, err := buildSession("", 200, 1, "", ""); err == nil {
 		t.Error("missing workload/csv must fail")
 	}
-	bad := baseCfg()
-	bad.query = "NOPE"
-	if err := run(bad); err == nil {
+	_, queries, _ := buildSession("conviva", 200, 1, "", "")
+	if _, err := pickQuery(queries, "NOPE", "", &iolap.Options{}); err == nil {
 		t.Error("unknown query must fail")
 	}
-	bad = baseCfg()
-	bad.mode = "badmode"
-	if err := run(bad); err == nil {
+	if _, err := pickQuery(queries, "", "", &iolap.Options{}); err == nil {
+		t.Error("neither -query nor -sql must fail")
+	}
+	if q, err := pickQuery(queries, "", "SELECT 1", &iolap.Options{}); err != nil || q != "SELECT 1" {
+		t.Errorf("ad-hoc SQL = %q, %v", q, err)
+	}
+	if _, err := parseMode("badmode"); err == nil {
 		t.Error("unknown mode must fail")
+	}
+	if m, err := parseMode("OPT1"); err != nil || m != iolap.ModeOPT1 {
+		t.Errorf("parseMode(OPT1) = %v, %v", m, err)
 	}
 }
 
@@ -194,14 +209,11 @@ func TestRunDistributed(t *testing.T) {
 		go dist.Serve(l, dist.WorkerOptions{Workers: 1})
 		addrs[i] = l.Addr().String()
 	}
-	cfg := baseCfg()
-	cfg.distAddrs = strings.Join(addrs, ",")
-	if err := run(cfg); err != nil {
+	if err := runC3(t, false, func(o *iolap.Options) { o.DistWorkers = addrs }); err != nil {
 		t.Fatalf("distributed run: %v", err)
 	}
 	// A dead address must fail the dial, not hang.
-	cfg.distAddrs = "127.0.0.1:1"
-	if err := run(cfg); err == nil {
+	if err := runC3(t, false, func(o *iolap.Options) { o.DistWorkers = []string{"127.0.0.1:1"} }); err == nil {
 		t.Error("unreachable worker must fail")
 	}
 }

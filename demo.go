@@ -21,7 +21,6 @@ func fromWorkload(w *workload.Workload) (*Session, []BenchQuery) {
 	s.funcs = w.Funcs
 	s.aggs = w.Aggs
 	for name, r := range w.Tables {
-		s.schemas[name] = r.Schema
 		s.tables[name] = r
 		s.streamed[name] = false
 	}

@@ -1,6 +1,9 @@
 package iolap
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -60,4 +63,142 @@ func hasMainPackage(dir string) bool {
 		}
 	}
 	return false
+}
+
+var (
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	// pkg.Name or pkg.Type.Member, and Type.Member with no package in front.
+	citedPkgIdent  = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
+	citedTypeIdent = regexp.MustCompile(`(?:^|[^\w.])([A-Z]\w*)\.([A-Za-z_]\w*)`)
+)
+
+// pkgDecls maps a package's top-level identifiers to their members: the
+// methods and fields of a type, nothing for a function, constant or variable.
+type pkgDecls map[string]map[string]bool
+
+func (d pkgDecls) member(typ, name string) {
+	if d[typ] == nil {
+		d[typ] = map[string]bool{}
+	}
+	d[typ][name] = true
+}
+
+// parseDecls reads the non-test files of one package directory.
+func parseDecls(t *testing.T, dir string) pkgDecls {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := pkgDecls{}
+	declare := func(name string) {
+		if _, ok := d[name]; !ok {
+			d[name] = nil
+		}
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if decl.Recv == nil {
+						declare(decl.Name.Name)
+						continue
+					}
+					recv := decl.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						d.member(id.Name, decl.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						switch spec := spec.(type) {
+						case *ast.ValueSpec:
+							for _, n := range spec.Names {
+								declare(n.Name)
+							}
+						case *ast.TypeSpec:
+							declare(spec.Name.Name)
+							var fields *ast.FieldList
+							switch typ := spec.Type.(type) {
+							case *ast.StructType:
+								fields = typ.Fields
+							case *ast.InterfaceType:
+								fields = typ.Methods
+							default:
+								continue
+							}
+							for _, f := range fields.List {
+								for _, n := range f.Names {
+									d.member(spec.Name.Name, n.Name)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return d
+}
+
+// TestDocsCiteExistingIdentifiers: inside a code span of the docs, a
+// `pkg.Name` whose pkg is a directory under internal/ must be an identifier
+// that package declares, a `pkg.Type.Member` must also be a method or field
+// of that type, and a bare `Type.Member` whose Type an internal package (or
+// the root package) declares must be a member of it in at least one of them —
+// so a deleted function, method or field cannot stay cited as if it existed.
+func TestDocsCiteExistingIdentifiers(t *testing.T) {
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	internal := map[string]pkgDecls{}
+	for _, d := range dirs {
+		if d.IsDir() {
+			internal[d.Name()] = parseDecls(t, filepath.Join("internal", d.Name()))
+		}
+	}
+	all := []pkgDecls{parseDecls(t, ".")}
+	for _, d := range internal {
+		all = append(all, d)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpan.FindAll(text, -1) {
+			span := string(span[1 : len(span)-1])
+			for _, m := range citedPkgIdent.FindAllStringSubmatch(span, -1) {
+				pkg, name, member := m[1], m[2], m[3]
+				decls, ok := internal[pkg]
+				if !ok {
+					continue
+				}
+				if members, ok := decls[name]; !ok {
+					t.Errorf("%s cites `%s.%s`, which internal/%s does not declare", doc, pkg, name, pkg)
+				} else if member != "" && members != nil && !members[member] {
+					t.Errorf("%s cites `%s.%s.%s`, but %s.%s has no such method or field", doc, pkg, name, member, pkg, name)
+				}
+			}
+			for _, m := range citedTypeIdent.FindAllStringSubmatch(span, -1) {
+				typ, member := m[1], m[2]
+				declared, found := false, false
+				for _, decls := range all {
+					if members := decls[typ]; members != nil {
+						declared = true
+						found = found || members[member]
+					}
+				}
+				if declared && !found {
+					t.Errorf("%s cites `%s.%s`, but no package's %s has such a method or field", doc, typ, member, typ)
+				}
+			}
+		}
+	}
 }

@@ -26,9 +26,6 @@ type Accumulator interface {
 	// Add folds in one value with the given weight (tuple multiplicity,
 	// possibly multiplied by a bootstrap Poisson weight).
 	Add(v float64, weight float64)
-	// Sub removes a previously added value; used when a recomputed
-	// non-deterministic contribution is retracted between batches.
-	Sub(v float64, weight float64)
 	// Result reads the raw aggregate given the extensive scale factor.
 	Result(scale float64) float64
 	// Merge folds another accumulator of the same type into this one.
@@ -51,9 +48,6 @@ type Func struct {
 	// not smooth; they are supported exactly but get one-sided monotone
 	// variation ranges instead of bootstrap ranges.
 	Smooth bool
-	// Invertible marks aggregates whose Sub is exact, allowing retraction
-	// without rebuilds (SUM/COUNT/AVG/VAR yes, MIN/MAX no).
-	Invertible bool
 	// AcceptsAny marks aggregates whose argument may be non-numeric
 	// (COUNT(DISTINCT x)); callers feed rel.Value.NumericKey instead of
 	// skipping non-numeric inputs.
@@ -109,7 +103,6 @@ func (r *Registry) Lookup(name string) (*Func, bool) {
 type sumAcc struct{ sum float64 }
 
 func (a *sumAcc) Add(v, w float64)             { a.sum += v * w }
-func (a *sumAcc) Sub(v, w float64)             { a.sum -= v * w }
 func (a *sumAcc) Result(scale float64) float64 { return a.sum * scale }
 func (a *sumAcc) Merge(o Accumulator)          { a.sum += o.(*sumAcc).sum }
 func (a *sumAcc) Clone() Accumulator           { c := *a; return &c }
@@ -119,7 +112,6 @@ func (a *sumAcc) SizeBytes() int               { return 16 }
 type countAcc struct{ n float64 }
 
 func (a *countAcc) Add(_, w float64)             { a.n += w }
-func (a *countAcc) Sub(_, w float64)             { a.n -= w }
 func (a *countAcc) Result(scale float64) float64 { return a.n * scale }
 func (a *countAcc) Merge(o Accumulator)          { a.n += o.(*countAcc).n }
 func (a *countAcc) Clone() Accumulator           { c := *a; return &c }
@@ -130,7 +122,6 @@ func (a *countAcc) SizeBytes() int               { return 16 }
 type avgAcc struct{ sum, n float64 }
 
 func (a *avgAcc) Add(v, w float64) { a.sum += v * w; a.n += w }
-func (a *avgAcc) Sub(v, w float64) { a.sum -= v * w; a.n -= w }
 func (a *avgAcc) Result(float64) float64 {
 	if a.n == 0 {
 		return math.NaN()
@@ -150,7 +141,6 @@ func (a *avgAcc) SizeBytes() int     { return 24 }
 type varAcc struct{ sum, sumSq, n float64 }
 
 func (a *varAcc) Add(v, w float64) { a.sum += v * w; a.sumSq += v * v * w; a.n += w }
-func (a *varAcc) Sub(v, w float64) { a.sum -= v * w; a.sumSq -= v * v * w; a.n -= w }
 func (a *varAcc) Result(float64) float64 {
 	if a.n == 0 {
 		return math.NaN()
@@ -180,7 +170,7 @@ func (a *stddevAcc) Result(scale float64) float64 {
 func (a *stddevAcc) Merge(o Accumulator) { a.varAcc.Merge(&o.(*stddevAcc).varAcc) }
 func (a *stddevAcc) Clone() Accumulator  { c := *a; return &c }
 
-// minAcc / maxAcc are exact but non-invertible and non-smooth.
+// minAcc / maxAcc are exact but non-smooth.
 type minAcc struct {
 	val float64
 	set bool
@@ -194,9 +184,6 @@ func (a *minAcc) Add(v, w float64) {
 		a.val = v
 		a.set = true
 	}
-}
-func (a *minAcc) Sub(float64, float64) {
-	panic("agg: MIN does not support retraction")
 }
 func (a *minAcc) Result(float64) float64 {
 	if !a.set {
@@ -227,9 +214,6 @@ func (a *maxAcc) Add(v, w float64) {
 		a.val = v
 		a.set = true
 	}
-}
-func (a *maxAcc) Sub(float64, float64) {
-	panic("agg: MAX does not support retraction")
 }
 func (a *maxAcc) Result(float64) float64 {
 	if !a.set {
@@ -264,9 +248,6 @@ func (a *distinctAcc) Add(v, w float64) {
 	}
 	a.seen[v] = struct{}{}
 }
-func (a *distinctAcc) Sub(float64, float64) {
-	panic("agg: COUNT(DISTINCT) does not support retraction")
-}
 func (a *distinctAcc) Result(float64) float64 { return float64(len(a.seen)) }
 func (a *distinctAcc) Merge(o Accumulator) {
 	b := o.(*distinctAcc)
@@ -289,24 +270,24 @@ func (a *distinctAcc) SizeBytes() int { return 48 + 16*len(a.seen) }
 
 func builtinAggs() []Func {
 	return []Func{
-		{Name: "SUM", TakesArg: true, Smooth: true, Invertible: true, kind: kSum,
+		{Name: "SUM", TakesArg: true, Smooth: true, kind: kSum,
 			New: func() Accumulator { return &sumAcc{} }},
-		{Name: "COUNT", TakesArg: false, Smooth: true, Invertible: true,
+		{Name: "COUNT", TakesArg: false, Smooth: true,
 			AcceptsAny: true, // COUNT(expr) counts non-NULL rows of any type
 			kind:       kCount,
 			New:        func() Accumulator { return &countAcc{} }},
-		{Name: "AVG", TakesArg: true, Smooth: true, Invertible: true, kind: kAvg,
+		{Name: "AVG", TakesArg: true, Smooth: true, kind: kAvg,
 			New: func() Accumulator { return &avgAcc{} }},
-		{Name: "VAR", TakesArg: true, Smooth: true, Invertible: true, kind: kVar,
+		{Name: "VAR", TakesArg: true, Smooth: true, kind: kVar,
 			New: func() Accumulator { return &varAcc{} }},
-		{Name: "STDDEV", TakesArg: true, Smooth: true, Invertible: true, kind: kStddev,
+		{Name: "STDDEV", TakesArg: true, Smooth: true, kind: kStddev,
 			New: func() Accumulator { return &stddevAcc{} }},
-		{Name: "MIN", TakesArg: true, Smooth: false, Invertible: false, kind: kMin,
+		{Name: "MIN", TakesArg: true, Smooth: false, kind: kMin,
 			New: func() Accumulator { return &minAcc{} }},
-		{Name: "COUNTD", TakesArg: true, Smooth: false, Invertible: false,
+		{Name: "COUNTD", TakesArg: true, Smooth: false,
 			AcceptsAny: true,
 			New:        func() Accumulator { return &distinctAcc{} }},
-		{Name: "MAX", TakesArg: true, Smooth: false, Invertible: false, kind: kMax,
+		{Name: "MAX", TakesArg: true, Smooth: false, kind: kMax,
 			New: func() Accumulator { return &maxAcc{} }},
 	}
 }
@@ -402,22 +383,6 @@ func (v *Vector) AddRep(val float64, vals []float64, mult float64, poisson []flo
 			x = vals[b]
 		}
 		acc.Add(x, w)
-	}
-}
-
-// Sub retracts a previously added value (invertible aggregates only).
-func (v *Vector) Sub(val, mult float64, poisson []float64) {
-	if v.bank != nil {
-		bankSub(v.Fn.kind, v.bank, v.slots(), val, mult, poisson)
-		return
-	}
-	v.main.Sub(val, mult)
-	for b, acc := range v.reps {
-		w := mult
-		if poisson != nil {
-			w *= poisson[b]
-		}
-		acc.Sub(val, w)
 	}
 }
 

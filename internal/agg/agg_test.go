@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func lookup(t *testing.T, name string) *Func {
@@ -26,10 +25,6 @@ func TestSum(t *testing.T) {
 	}
 	if got := a.Result(3); got != 60 {
 		t.Errorf("scaled sum = %v, want 60", got)
-	}
-	a.Sub(5, 2)
-	if got := a.Result(1); got != 10 {
-		t.Errorf("after retraction = %v, want 10", got)
 	}
 }
 
@@ -106,12 +101,6 @@ func TestMinMax(t *testing.T) {
 	if !math.IsNaN(empty.Result(1)) {
 		t.Error("empty MIN should be NaN")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MIN.Sub should panic (non-invertible)")
-		}
-	}()
-	mn.Sub(3, 1)
 }
 
 func TestMergeEquivalence(t *testing.T) {
@@ -156,28 +145,12 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-func TestSumInvertibleProperty(t *testing.T) {
-	f := func(vals []float64) bool {
-		a := (&sumAcc{})
-		for _, v := range vals {
-			a.Add(math.Mod(v, 1e6), 1)
-		}
-		for _, v := range vals {
-			a.Sub(math.Mod(v, 1e6), 1)
-		}
-		return math.Abs(a.Result(1)) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestUDAFRegistration(t *testing.T) {
 	r := NewRegistry()
 	// Geometric mean: a smooth, sketchable UDAF (sum of logs).
 	type geo struct{ logSum, n float64 }
 	err := r.Register(Func{
-		Name: "GEOMEAN", TakesArg: true, Smooth: true, Invertible: true,
+		Name: "GEOMEAN", TakesArg: true, Smooth: true,
 		New: func() Accumulator { return &geoAcc{} },
 	})
 	if err != nil {
@@ -206,12 +179,6 @@ func (a *geoAcc) Add(v, w float64) {
 	if v > 0 {
 		a.logSum += math.Log(v) * w
 		a.n += w
-	}
-}
-func (a *geoAcc) Sub(v, w float64) {
-	if v > 0 {
-		a.logSum -= math.Log(v) * w
-		a.n -= w
 	}
 }
 func (a *geoAcc) Result(float64) float64 {
@@ -267,15 +234,12 @@ func TestVectorAddRep(t *testing.T) {
 	}
 }
 
-func TestVectorSubMergeClone(t *testing.T) {
+func TestVectorMergeClone(t *testing.T) {
 	f := lookup(t, "SUM")
 	v := NewVector(f, 2)
 	v.Add(10, 1, []float64{1, 2})
 	snap := v.Clone()
-	v.Sub(10, 1, []float64{1, 2})
-	if v.Result(1) != 0 {
-		t.Error("vector retraction failed")
-	}
+	v.Add(5, 1, nil)
 	if snap.Result(1) != 10 {
 		t.Error("clone must be isolated")
 	}

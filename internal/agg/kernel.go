@@ -52,12 +52,6 @@ func (k kernelKind) width() int {
 	return 0
 }
 
-// invertible reports whether the kernel supports Sub (mirrors Func.Invertible
-// for the builtins; MIN/MAX panic exactly like their interface twins).
-func (k kernelKind) invertible() bool {
-	return k == kSum || k == kCount || k == kAvg || k == kVar || k == kStddev
-}
-
 // bankAddMain folds one input into the main slot (slot 0) with weight mult —
 // the Main.Add(val, mult) of the interface path.
 func bankAddMain(k kernelKind, bank []float64, slots int, val, mult float64) {
@@ -278,67 +272,6 @@ func bankAddRange(k kernelKind, bank []float64, slots, lo, hi int, val float64, 
 				set[i] = 1
 			}
 		}
-	}
-}
-
-// bankSub retracts a previously added value from the main slot and every
-// replicate — the Sub of invertible aggregates. Non-invertible kinds panic
-// with the interface accumulators' message.
-func bankSub(k kernelKind, bank []float64, slots int, val, mult float64, poisson []float64) {
-	B := slots - 1
-	switch k {
-	case kSum:
-		bank[0] -= val * mult
-		s := bank[1 : 1+B]
-		if poisson != nil {
-			for i := range s {
-				s[i] -= val * (mult * poisson[i])
-			}
-		} else {
-			for i := range s {
-				s[i] -= val * mult
-			}
-		}
-	case kCount:
-		bank[0] -= mult
-		s := bank[1 : 1+B]
-		if poisson != nil {
-			for i := range s {
-				s[i] -= mult * poisson[i]
-			}
-		} else {
-			for i := range s {
-				s[i] -= mult
-			}
-		}
-	case kAvg:
-		bank[0] -= val * mult
-		bank[slots] -= mult
-		for b := 0; b < B; b++ {
-			w := mult
-			if poisson != nil {
-				w *= poisson[b]
-			}
-			bank[1+b] -= val * w
-			bank[slots+1+b] -= w
-		}
-	case kVar, kStddev:
-		bank[0] -= val * mult
-		bank[slots] -= val * val * mult
-		bank[2*slots] -= mult
-		for b := 0; b < B; b++ {
-			w := mult
-			if poisson != nil {
-				w *= poisson[b]
-			}
-			bank[1+b] -= val * w
-			bank[slots+1+b] -= val * val * w
-			bank[2*slots+1+b] -= w
-		}
-	case kMin:
-		panic("agg: MIN does not support retraction")
-	case kMax:
-		panic("agg: MAX does not support retraction")
 	}
 }
 

@@ -45,7 +45,7 @@ func randWeights(rng *rand.Rand, trials int) []float64 {
 // TestKernelOracleEquivalenceFuzz drives a kernel vector and an interface
 // oracle vector through the same randomized operation sequence —
 // Add/AddRep (with and without per-trial value vectors and weight
-// vectors), Sub on invertible kinds, Merge, Clone, Reset — and demands
+// vectors), Merge, Clone, Reset — and demands
 // bit-identical results after every step. This is the contract the whole
 // PR rests on: the bank representation is a layout change, not a numeric
 // one.
@@ -66,13 +66,6 @@ func TestKernelOracleEquivalenceFuzz(t *testing.T) {
 				if ov.bank != nil {
 					t.Fatal("NewVectorOracle picked the bank path")
 				}
-				// Retractions replay previously added (val, mult, weights)
-				// triples so sums actually return to prior states.
-				type added struct {
-					val, mult float64
-					w         []float64
-				}
-				var history []added
 				for step := 0; step < 200; step++ {
 					val := float64(rng.Intn(2000)-1000) / 8.0
 					mult := float64(1 + rng.Intn(3))
@@ -85,7 +78,6 @@ func TestKernelOracleEquivalenceFuzz(t *testing.T) {
 					case op < 4: // Add
 						kv.Add(val, mult, w)
 						ov.Add(val, mult, w)
-						history = append(history, added{val, mult, w})
 					case op < 6: // AddRep with a per-trial value vector
 						reps := make([]float64, trials)
 						for i := range reps {
@@ -93,13 +85,6 @@ func TestKernelOracleEquivalenceFuzz(t *testing.T) {
 						}
 						kv.AddRep(val, reps, mult, w)
 						ov.AddRep(val, reps, mult, w)
-					case op < 7: // Sub (invertible kinds only)
-						if fn.Invertible && len(history) > 0 {
-							h := history[len(history)-1]
-							history = history[:len(history)-1]
-							kv.Sub(h.val, h.mult, h.w)
-							ov.Sub(h.val, h.mult, h.w)
-						}
 					case op < 8: // Merge a freshly built pair
 						ko, oo := NewVector(fn, trials), NewVectorOracle(fn, trials)
 						for j := 0; j < 3; j++ {
@@ -119,7 +104,6 @@ func TestKernelOracleEquivalenceFuzz(t *testing.T) {
 						if rng.Intn(4) == 0 {
 							kv.Reset()
 							ov.Reset()
-							history = history[:0]
 						}
 					}
 					bitsEqual(t, ctx, kv, ov)
@@ -199,24 +183,6 @@ func TestKernelFoldEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelSubPanicsMatchOracle pins the non-invertible kinds' panic
-// behaviour to the interface accumulators' message.
-func TestKernelSubPanicsMatchOracle(t *testing.T) {
-	for _, name := range []string{"MIN", "MAX"} {
-		fn := lookup(t, name)
-		v := NewVector(fn, 4)
-		func() {
-			defer func() {
-				want := "agg: " + name + " does not support retraction"
-				if got := recover(); got != want {
-					t.Errorf("%s Sub panic = %v, want %q", name, got, want)
-				}
-			}()
-			v.Sub(1, 1, nil)
-		}()
-	}
-}
-
 // TestVectorAddZeroAllocs pins the per-tuple hot path: folding a value into
 // a bank vector — main slot plus all B replicates, with a Poisson weight
 // vector — must not allocate. This is the property the whole flat-bank
@@ -240,13 +206,6 @@ func TestVectorAddZeroAllocs(t *testing.T) {
 			v.AddRep(3.25, reps, 1, w)
 		}); got != 0 {
 			t.Errorf("%s Vector.AddRep allocates %v per call, want 0", name, got)
-		}
-		if fn.Invertible {
-			if got := testing.AllocsPerRun(100, func() {
-				v.Sub(3.25, 1, w)
-			}); got != 0 {
-				t.Errorf("%s Vector.Sub allocates %v per call, want 0", name, got)
-			}
 		}
 	}
 }

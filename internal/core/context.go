@@ -229,7 +229,6 @@ type aggTable struct {
 type batchContext struct {
 	batch  int     // 1-based engine batch number
 	scale  float64 // m_i = |D| / |D_i|
-	scaleN int     // physical |D_i| (for diagnostics)
 	trials int
 
 	// delta holds this batch's new rows per streamed table name.
@@ -268,6 +267,32 @@ type batchContext struct {
 	// streamed scans attach column banks to their output and downstream
 	// operators take the batched paths where their gates allow.
 	vec bool
+}
+
+// newBatchContext builds the context of one step: the step is labelled batch,
+// consumes delta, and leaves seen of the streamed table's total rows
+// processed. It is the one place Options.Mode decodes into the lazy / prune /
+// hdaAgg switches. What only a full engine has — metrics, worker pool,
+// transport, column banks — the engine attaches afterwards; a context without
+// them runs every operator inline on the row paths.
+func newBatchContext(opts Options, batch, seen, total int, delta map[string]*rel.Relation, dims dbView, cost *cluster.CostModel) *batchContext {
+	scale := 1.0
+	if seen > 0 {
+		scale = float64(total) / float64(seen)
+	}
+	return &batchContext{
+		batch:  batch,
+		scale:  scale,
+		exact:  seen >= total,
+		trials: opts.Trials,
+		delta:  delta,
+		dims:   dims,
+		tables: make(map[int]*aggTable),
+		lazy:   opts.Mode == ModeIOLAP,
+		prune:  opts.Mode != ModeHDA,
+		hdaAgg: opts.Mode == ModeHDA,
+		cost:   cost,
+	}
 }
 
 // fanout reports whether a site of the given operator class processing n

@@ -309,28 +309,13 @@ func (e *Engine) restoreSnapshot(s engineSnap) {
 }
 
 func (e *Engine) newBatchContext(deltaRows *rel.Relation, seenAfter int) *batchContext {
-	scale := 1.0
-	if seenAfter > 0 {
-		scale = float64(e.totalRows) / float64(seenAfter)
-	}
-	return &batchContext{
-		batch:   e.batch,
-		scale:   scale,
-		scaleN:  seenAfter,
-		exact:   seenAfter >= e.totalRows,
-		trials:  e.opts.Trials,
-		delta:   map[string]*rel.Relation{e.streamedTable: deltaRows},
-		dims:    e.db,
-		tables:  make(map[int]*aggTable),
-		lazy:    e.opts.Mode == ModeIOLAP,
-		prune:   e.opts.Mode != ModeHDA,
-		hdaAgg:  e.opts.Mode == ModeHDA,
-		metrics: &e.metrics,
-		pool:    e.pool,
-		cost:    e.cost,
-		exch:    e.exch,
-		vec:     !e.opts.NoVectorize,
-	}
+	bc := newBatchContext(e.opts, e.batch, seenAfter, e.totalRows,
+		map[string]*rel.Relation{e.streamedTable: deltaRows}, e.db, e.cost)
+	bc.metrics = &e.metrics
+	bc.pool = e.pool
+	bc.exch = e.exch
+	bc.vec = !e.opts.NoVectorize
+	return bc
 }
 
 // mergeDeltas concatenates the deltas of batches (from, to] (1-based).

@@ -549,7 +549,7 @@ func TestUDFAndUDAFQueries(t *testing.T) {
 	}
 	aggs := agg.NewRegistry()
 	if err := aggs.Register(agg.Func{
-		Name: "GEOMEAN", TakesArg: true, Smooth: true, Invertible: true,
+		Name: "GEOMEAN", TakesArg: true, Smooth: true,
 		New: func() agg.Accumulator { return &geoAcc{} },
 	}); err != nil {
 		t.Fatal(err)
@@ -590,12 +590,6 @@ func (a *geoAcc) Add(v, w float64) {
 	if v > 0 {
 		a.logSum += math.Log(v) * w
 		a.n += w
-	}
-}
-func (a *geoAcc) Sub(v, w float64) {
-	if v > 0 {
-		a.logSum -= math.Log(v) * w
-		a.n -= w
 	}
 }
 func (a *geoAcc) Result(float64) float64 {

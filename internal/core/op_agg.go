@@ -295,7 +295,7 @@ type foldKind uint8
 const (
 	// foldCertain is a new certain row: its certain-argument specs fold
 	// permanently into the sketch (its uncertain-argument ones fold from the
-	// lineage clone, every batch).
+	// lineage set, every batch).
 	foldCertain foldKind = iota
 	// foldLineage is a retained lineage row: its uncertain-argument specs
 	// fold into this batch's scratch vectors.
@@ -402,7 +402,7 @@ func (o *opAgg) columnar(bc *batchContext, in output) *colBatch {
 
 // assignCertain resolves the group of every new certain row, in arrival
 // order, and does the per-row bookkeeping that must be sequential: group
-// creation (deterministic group order), support counts, lineage clones.
+// creation (deterministic group order), support counts, lineage retention.
 func (o *opAgg) assignCertain(news []delta.Row, cb *colBatch) []foldEntry {
 	ents := resized(o.fs.ents, len(news))
 	for j := range news {
@@ -415,7 +415,7 @@ func (o *opAgg) assignCertain(news []delta.Row, cb *colBatch) []foldEntry {
 		g.certain = true
 		g.support++
 		if o.lazySpecs > 0 {
-			g.lazy.Add(r.Clone())
+			g.lazy.Add(*r)
 		}
 		ents[j] = foldEntry{g: g, row: r, src: int32(src), kind: foldCertain}
 	}

@@ -315,13 +315,13 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 			out.news = o.probeInto(out.news, lo.news, lKeys, newR, true, bc, lcb)
 		}
 	}
-	// Fold this batch's certain rows into the stores (rows are cloned: store
-	// contents are immutable once added).
+	// Fold this batch's certain rows into the stores, which share them
+	// (delta.Row: rows are immutable).
 	if o.lStore != nil {
-		o.lStore.AddBatch(lo.news, true, bc.par(cluster.CostJoinBuild, len(lo.news)))
+		o.lStore.AddBatch(lo.news, false, bc.par(cluster.CostJoinBuild, len(lo.news)))
 	}
 	if o.rStore != nil && !o.sharedR {
-		o.rStore.AddBatch(ro.news, true, bc.par(cluster.CostJoinBuild, len(ro.news)))
+		o.rStore.AddBatch(ro.news, false, bc.par(cluster.CostJoinBuild, len(ro.news)))
 	}
 	// Tuple-uncertain combinations, recomputed every batch:
 	// U_L ⋈ C_R, C_L ⋈ U_R, U_L ⋈ U_R.

@@ -7,6 +7,7 @@ import (
 	"iolap/internal/cluster"
 	"iolap/internal/delta"
 	"iolap/internal/plan"
+	"iolap/internal/rel"
 )
 
 type opScan struct {
@@ -95,10 +96,11 @@ func (o *opScan) step(bc *batchContext) (output, error) {
 		out := output{news: rows}
 		if bc.vec && o.wantCB {
 			// Columnar companion view over just the banks the plan's
-			// consumers read; a storage-decoded delta arrives with a full
-			// cached view and serves the subset for free. Weights are not
-			// part of the view: every consumer reads them from the rows.
-			out.cb = &colBatch{cols: d.ColumnarSubset(o.cbNeed)}
+			// consumers read, built from the delta's tuples every batch
+			// (nothing caches a view: a narrow one is cheaper to rebuild
+			// than to share). Weights are not part of the view: every
+			// consumer reads them from the rows.
+			out.cb = &colBatch{cols: rel.ToColumnsSubset(d.Schema, d.Tuples, o.cbNeed)}
 		}
 		o.record(out)
 		return out, nil

@@ -192,7 +192,7 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 				out.news = append(out.news, r)
 			case expr.False:
 			default:
-				o.state.Add(r.Clone())
+				o.state.Add(r)
 				if vs[i].pass {
 					out.unc = append(out.unc, r)
 				}
@@ -223,7 +223,9 @@ var regenSink atomic.Int64
 // cloned and its uncertain attributes re-fetched through the per-batch
 // broadcast-joined aggregate output — which is what "regenerating the tuple
 // from scratch" costs in-process (the paper's version additionally pays
-// I/O and shuffle, which the cluster metrics account separately).
+// I/O and shuffle, which the cluster metrics account separately). The clone
+// is that cost and the engine's only write to row values: it lands in the
+// private copy, never in r, which state and snapshots share (delta.Row).
 func regenerate(r delta.Row, bc *batchContext) {
 	rr := r.Clone()
 	for i, v := range rr.Vals {

@@ -34,14 +34,9 @@ func (o *opSink) step(bc *batchContext) (output, error) {
 	if err != nil {
 		return output{}, err
 	}
-	for _, r := range in.news {
-		o.certain.Add(r.Clone())
-	}
+	o.certain.Rows = append(o.certain.Rows, in.news...)
 	bc.recomputed += len(in.unc)
-	o.lastUnc = o.lastUnc[:0]
-	for _, r := range in.unc {
-		o.lastUnc = append(o.lastUnc, r.Clone())
-	}
+	o.lastUnc = append(o.lastUnc[:0], in.unc...)
 	o.newsN, o.uncN = len(in.news), len(in.unc)
 	return output{}, nil
 }
@@ -117,7 +112,7 @@ func (o *opSink) materialize(bc *batchContext) (*rel.Relation, [][]bootstrap.Est
 }
 
 // sinkSnap is a truncation snapshot: the certain set is append-only with
-// immutable rows (cloned on arrival), so its length suffices; lastUnc is
+// immutable rows, so its length suffices; lastUnc is
 // transient and recomputed by the replay batch.
 type sinkSnap struct {
 	certainLen int

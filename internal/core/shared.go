@@ -172,17 +172,11 @@ func (c *compiled) buildFrozenStore(sub plan.Node, rkeys []int, an *plan.Analysi
 	if err != nil {
 		return nil, err
 	}
-	bc := &batchContext{
-		batch:  1,
-		scale:  1,
-		delta:  map[string]*rel.Relation{},
-		dims:   c.db,
-		tables: make(map[int]*aggTable),
-		lazy:   o2.Mode == ModeIOLAP,
-		prune:  o2.Mode != ModeHDA,
-		hdaAgg: o2.Mode == ModeHDA,
-		cost:   cluster.NewCostModel(0),
-	}
+	// A bare context (no pool, metrics or column banks): the one step runs
+	// inside the cache's build callback, on whichever session got there first,
+	// and must cost and count nothing on that session's engine. A static
+	// subtree reads no delta and no scale.
+	bc := newBatchContext(o2, 1, 0, 0, nil, c.db, cluster.NewCostModel(0))
 	out, err := root.step(bc)
 	if err != nil {
 		return nil, err
@@ -191,7 +185,7 @@ func (c *compiled) buildFrozenStore(sub plan.Node, rkeys []int, an *plan.Analysi
 		return nil, fmt.Errorf("core: shared build side emitted %d uncertain rows (subtree is not certain)", len(out.unc))
 	}
 	store := delta.NewHashStore(rkeys)
-	store.AddBatch(out.news, true, nil)
+	store.AddBatch(out.news, false, nil)
 	return store, nil
 }
 
@@ -210,9 +204,9 @@ func nextSharedAggID() int {
 }
 
 // sharedStepResult is one memoized step of a shared aggregate subtree. All
-// fields are immutable once memoized: op_agg allocates a fresh published
-// table and fresh rows every step, so handing the same result to many
-// sessions is safe.
+// fields are immutable once memoized — rows always are (delta.Row), and
+// op_agg builds a new published table every step — so handing the same
+// result to many sessions is safe.
 type sharedStepResult struct {
 	news, unc  []delta.Row
 	table      *aggTable
@@ -295,31 +289,22 @@ func (en *sharedAggEntry) stepRange(path string, from, to int) (*sharedStepResul
 			merged.Tuples = append(merged.Tuples, en.deltas[b-1].Tuples...)
 		}
 	}
-	scale := 1.0
-	if seen > 0 {
-		scale = float64(en.totalRows) / float64(seen)
-	}
-	bc := &batchContext{
-		batch:  to,
-		scale:  scale,
-		scaleN: seen,
-		exact:  seen >= en.totalRows,
-		trials: en.opts.Trials,
-		delta:  map[string]*rel.Relation{en.table: merged},
-		dims:   en.db,
-		tables: make(map[int]*aggTable),
-		lazy:   en.opts.Mode == ModeIOLAP,
-		prune:  en.opts.Mode != ModeHDA,
-		hdaAgg: en.opts.Mode == ModeHDA,
-		cost:   en.cost,
-	}
+	// A bare context (no pool, metrics or column banks): the step runs under
+	// en.mu on behalf of every holding session, so it borrows no session's
+	// workers, books no traffic on any session's metrics, and takes the row
+	// paths the entry's operators were marked for (markColumnar off).
+	bc := newBatchContext(en.opts, to, seen, en.totalRows,
+		map[string]*rel.Relation{en.table: merged}, en.db, en.cost)
 	out, err := en.root.step(bc)
 	if err != nil {
 		return nil, err
 	}
+	// Capacity-clamped: every holder gets these slices, and a parent that
+	// appends to its child's output (opUnion) must copy, not write into the
+	// memo's spare capacity.
 	res := &sharedStepResult{
-		news:       out.news,
-		unc:        out.unc,
+		news:       out.news[:len(out.news):len(out.news)],
+		unc:        out.unc[:len(out.unc):len(out.unc)],
 		table:      bc.tables[en.id],
 		failures:   bc.failures,
 		recomputed: bc.recomputed,

@@ -110,7 +110,7 @@ func planGolden(t *testing.T, c goldenCase) plan.Node {
 	}
 	aggs := agg.NewRegistry()
 	if err := aggs.Register(agg.Func{
-		Name: "GEOMEAN", TakesArg: true, Smooth: true, Invertible: true,
+		Name: "GEOMEAN", TakesArg: true, Smooth: true,
 		New: func() agg.Accumulator { return &geoAcc{} },
 	}); err != nil {
 		t.Fatal(err)

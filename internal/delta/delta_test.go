@@ -47,31 +47,97 @@ func TestCombineWeights(t *testing.T) {
 	CombineWeights(a, b[:2])
 }
 
+// TestRowSetSnapshotRestore pins what §5.1 recovery relies on: a snapshot is a
+// private slice of shared, immutable rows — nothing done to the live set
+// afterwards (appends, the in-place compaction a SELECT performs, Clear)
+// reaches it, a restore leaves it reusable, and neither direction costs more
+// than the one header slice.
 func TestRowSetSnapshotRestore(t *testing.T) {
+	ints := func(s *RowSet) []int64 {
+		out := make([]int64, s.Len())
+		for i, r := range s.Rows {
+			out[i] = r.Vals[0].Int()
+		}
+		return out
+	}
+	same := func(got []int64, want ...int64) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
 	var s RowSet
-	s.Add(row(rel.Int(1)))
-	s.Add(row(rel.Int(2)))
+	for i := int64(1); i <= 4; i++ {
+		s.Add(row(rel.Int(i)))
+	}
 	snap := s.Snapshot()
-	s.Add(row(rel.Int(3)))
-	s.Rows[0].Vals[0] = rel.Int(99)
-	if snap.Len() != 2 || snap.Rows[0].Vals[0].Int() != 1 {
-		t.Error("snapshot must be isolated")
+	if s.SizeBytes() != snap.SizeBytes() || s.SizeBytes() <= 24 {
+		t.Errorf("size: live %d, snapshot %d", s.SizeBytes(), snap.SizeBytes())
 	}
-	s.Restore(snap)
-	if s.Len() != 2 || s.Rows[0].Vals[0].Int() != 1 {
-		t.Error("restore must recover the snapshot contents")
+	if &snap.Rows[0].Vals[0] != &s.Rows[0].Vals[0] {
+		t.Error("snapshot must share the rows' values, not copy them")
 	}
-	// Restore re-clones: mutating restored state must not corrupt snap.
-	s.Rows[0].Vals[0] = rel.Int(5)
-	if snap.Rows[0].Vals[0].Int() != 1 {
-		t.Error("restore must re-clone rows")
+
+	s.Add(row(rel.Int(5)))
+	// In-place compaction, as opSelect.step does it: drop rows 1 and 3.
+	kept := s.Rows[:0]
+	for _, r := range s.Rows {
+		if v := r.Vals[0].Int(); v != 1 && v != 3 {
+			kept = append(kept, r)
+		}
 	}
-	if s.SizeBytes() <= 0 {
-		t.Error("size must be positive")
+	s.Rows = kept
+	if !same(ints(&s), 2, 4, 5) {
+		t.Fatalf("compacted live set = %v", ints(&s))
+	}
+	if !same(ints(snap), 1, 2, 3, 4) {
+		t.Errorf("snapshot after Add + compaction = %v, want [1 2 3 4]", ints(snap))
 	}
 	s.Clear()
-	if s.Len() != 0 {
-		t.Error("clear failed")
+	s.Add(row(rel.Int(9)))
+	if !same(ints(snap), 1, 2, 3, 4) {
+		t.Errorf("snapshot after Clear + Add = %v, want [1 2 3 4]", ints(snap))
+	}
+
+	// Restore, diverge again, restore again: the snapshot is reusable.
+	for round := 0; round < 2; round++ {
+		s.Restore(snap)
+		if !same(ints(&s), 1, 2, 3, 4) {
+			t.Fatalf("round %d: restored = %v, want [1 2 3 4]", round, ints(&s))
+		}
+		s.Rows = s.Rows[:1]
+		s.Add(row(rel.Int(7)))
+		if !same(ints(snap), 1, 2, 3, 4) {
+			t.Fatalf("round %d: snapshot after post-restore writes = %v", round, ints(snap))
+		}
+	}
+
+	// Cost: one allocation per snapshot (the header slice), none per restore
+	// into sufficient capacity — at any size.
+	for _, n := range []int{4, 4096} {
+		var big RowSet
+		for i := 0; i < n; i++ {
+			big.Add(row(rel.Int(int64(i))))
+		}
+		var live RowSet
+		live.Rows = make([]Row, 0, n)
+		sn := big.Snapshot()
+		if got := testing.AllocsPerRun(20, func() { live.Restore(sn) }); got != 0 {
+			t.Errorf("n=%d: Restore into sufficient capacity = %v allocs, want 0", n, got)
+		}
+		if live.Len() != n {
+			t.Fatalf("n=%d: restored %d rows", n, live.Len())
+		}
+		rows := 0
+		got := testing.AllocsPerRun(20, func() { rows = big.Snapshot().Len() })
+		if rows != n || got != 1 {
+			t.Errorf("n=%d: Snapshot = %v allocs (%d rows), want 1", n, got, rows)
+		}
 	}
 }
 

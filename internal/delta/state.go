@@ -14,17 +14,27 @@ import (
 	"iolap/internal/rel"
 )
 
-// Row is the unit of dataflow between online operators: a tuple, its
+// Row is the unit of dataflow between online operators: a tuple and its
 // bootstrap Poisson weight vector (nil for rows not derived from a streamed
-// relation), and the key under which it entered the operator (memoised for
-// cheap state management).
+// relation).
+//
+// A Row is an immutable value. Whoever builds a row allocates its Vals (or
+// aliases a base-table tuple's, which the engine never writes either), and
+// nobody writes Vals, Mult or W afterwards: uncertain attributes are lineage
+// references resolved at use time (Section 6.2), so a remembered row never
+// has to be rewritten. Operator state, snapshots, restores and the shared-
+// state memo therefore hold the row headers they were handed and share the
+// backing arrays; only the slice that holds the headers is private to its
+// owner. TestStateSharesImmutableRows (internal/core) enforces it.
 type Row struct {
 	Vals []rel.Value
 	Mult float64
 	W    []float64
 }
 
-// Clone deep-copies the row's values (weights are immutable and shared).
+// Clone returns a row with a private copy of the values. Nothing needs one
+// for safety (rows are immutable); core's regenerate calls it because the
+// copy is the OPT1/HDA refresh cost it simulates.
 func (r Row) Clone() Row {
 	vals := make([]rel.Value, len(r.Vals))
 	copy(vals, r.Vals)
@@ -85,22 +95,17 @@ func (s *RowSet) SizeBytes() int {
 	return n
 }
 
-// Snapshot deep-copies the set.
+// Snapshot copies the row headers into a slice of the snapshot's own: the
+// rows are immutable and shared, but the live slice is not — a SELECT
+// compacts its set in place.
 func (s *RowSet) Snapshot() *RowSet {
-	out := &RowSet{Rows: make([]Row, len(s.Rows))}
-	for i, r := range s.Rows {
-		out.Rows[i] = r.Clone()
-	}
-	return out
+	return &RowSet{Rows: append([]Row(nil), s.Rows...)}
 }
 
-// Restore replaces the contents with a snapshot (which must not be mutated
-// afterwards; Restore re-clones).
+// Restore replaces the contents with a snapshot's, into the live slice's own
+// backing array; the snapshot is left untouched and can be restored again.
 func (s *RowSet) Restore(snap *RowSet) {
-	s.Rows = make([]Row, len(snap.Rows))
-	for i, r := range snap.Rows {
-		s.Rows[i] = r.Clone()
-	}
+	s.Rows = append(s.Rows[:0], snap.Rows...)
 }
 
 // storeShards is the fixed internal shard count of a HashStore. A key lives
@@ -228,7 +233,9 @@ func (h *HashStore) addKeyed(s int, k string, r Row) {
 	h.size += sz
 }
 
-// AddBatch inserts a slice of rows, cloning each first when clone is set.
+// AddBatch inserts a slice of rows. clone copies each row's values first; no
+// engine call sets it (rows are immutable, the store shares them) and the
+// parameter survives only because bench/probes.go calls this signature.
 // With a multi-worker pool the build runs partition-parallel: keys are
 // encoded chunk-parallel, rows are bucketed by shard in input order, and one
 // worker owns each shard — so every key's row list ends up in exactly the
@@ -393,7 +400,7 @@ func (h *HashStore) SpilledRows() int {
 }
 
 // HashSnap is a truncation snapshot of a HashStore. The store is
-// append-only and rows are immutable once added (Add clones), so a snapshot
+// append-only and rows are immutable, so a snapshot
 // needs only the per-key TOTAL row counts — spilled prefix plus hot suffix —
 // O(keys) instead of O(rows), which keeps the controller's per-batch
 // snapshots cheap even when a join caches an entire fact side. Counting

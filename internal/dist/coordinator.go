@@ -251,19 +251,7 @@ func (c *Coordinator) Setup(db *exec.DB, streamed map[string]bool, sqlText strin
 // performs) and slices each eligible table into opts.Partitions hash
 // partitions by its join key.
 func (c *Coordinator) partitionTables(db *exec.DB, streamed map[string]bool, sqlText string, opts core.Options) error {
-	cat := sql.NewCatalog()
-	for _, name := range db.Tables() {
-		r, ok := db.Get(name)
-		if !ok {
-			return fmt.Errorf("dist: table %q vanished during setup", name)
-		}
-		cat.AddTable(name, r.Schema, streamed[name])
-	}
-	stmt, err := sql.Parse(sqlText)
-	if err != nil {
-		return fmt.Errorf("dist: partition setup parse: %w", err)
-	}
-	node, _, err := sql.NewPlanner(cat, expr.NewRegistry(), agg.NewRegistry()).Plan(stmt)
+	node, _, err := sql.PlanQuery(sqlText, sql.CatalogOf(db, streamed, ""), expr.NewRegistry(), agg.NewRegistry())
 	if err != nil {
 		return fmt.Errorf("dist: partition setup plan: %w", err)
 	}

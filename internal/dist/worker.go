@@ -222,24 +222,20 @@ func (w *workerSession) run() error {
 }
 
 // buildReplica constructs the worker's engine from the Setup blueprint,
-// following the same catalog → planner → engine path the root package uses,
-// so plan shape and operator numbering match the coordinator exactly.
+// following the same sql.PlanQuery → engine path the root package uses, so
+// plan shape and operator numbering match the coordinator exactly.
 // Scheduling-only options are chosen locally: replicas run memory-only (no
 // spill budget) and size their own pools.
 func buildReplica(s *setupMsg, wopts WorkerOptions, exch core.Exchanger) (*core.Engine, error) {
 	db := exec.NewDB()
-	cat := sql.NewCatalog()
+	streamed := make(map[string]bool, len(s.tables))
 	for _, t := range s.tables {
 		db.Put(t.name, t.rel)
-		cat.AddTable(t.name, t.rel.Schema, t.streamed)
-	}
-	stmt, err := sql.Parse(s.sqlText)
-	if err != nil {
-		return nil, fmt.Errorf("dist: worker parse: %w", err)
+		streamed[t.name] = t.streamed
 	}
 	// Fresh registries: queries using custom UDFs/UDAs cannot run
 	// distributed (the planner errors here and Setup fails loudly).
-	node, _, err := sql.NewPlanner(cat, expr.NewRegistry(), agg.NewRegistry()).Plan(stmt)
+	node, _, err := sql.PlanQuery(s.sqlText, sql.CatalogOf(db, streamed, ""), expr.NewRegistry(), agg.NewRegistry())
 	if err != nil {
 		return nil, fmt.Errorf("dist: worker plan: %w", err)
 	}

@@ -137,7 +137,7 @@ func TestCompileVecEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r := vecTestRelation(rng, 50+rng.Intn(150))
-		cols := r.Columnar()
+		cols := rel.ToColumns(r.Schema, r.Tuples)
 		for trial := 0; trial < 60; trial++ {
 			pred := vecTestPred(rng, len(r.Schema), 3)
 			vp, ok := CompileVec(pred)
@@ -203,7 +203,7 @@ func TestCompileVecConstFold(t *testing.T) {
 		pass := make([]bool, 1)
 		r := rel.NewRelation(rel.Schema{{Name: "x", Type: rel.KInt}})
 		r.Append(rel.Int(0))
-		vp.EvalCols(r.Columnar(), 0, 1, pass)
+		vp.EvalCols(rel.ToColumns(r.Schema, r.Tuples), 0, 1, pass)
 		if pass[0] != c.want {
 			t.Fatalf("%v %v %v: folded verdict %v, want %v", c.l, c.op, c.r, pass[0], c.want)
 		}

@@ -9,8 +9,9 @@ import (
 // column (float64/int64 slabs, dictionary-coded strings) plus a validity
 // bitmap when the column has NULLs, and an optional multiplicity slab. The
 // hot pipeline (scan → select → join probe → aggregate fold) reads banks
-// batch-at-a-time; everything else keeps using the row view, which both
-// sides can materialise from the other without losing a bit.
+// batch-at-a-time; everything else keeps using the row view. Banks are built
+// from rows (ToColumns) and give every cell back exactly (Columns.Value);
+// nothing caches a view — the scan builds the one its plan reads, per batch.
 
 // Bitmap is a fixed-length bitset used for column validity (bit set =
 // value present) and row selections.
@@ -363,56 +364,4 @@ func (c *Columns) EncodeKeyInto(buf []byte, row int, cols []int) []byte {
 		buf = v.appendTo(buf)
 	}
 	return buf
-}
-
-// Relation materialises the row view. All rows share one backing Value slab
-// (the same layout the block decoder produces), and the result's columnar
-// cache is seeded with c so a round-trip is free.
-func (c *Columns) Relation() *Relation {
-	out := &Relation{Schema: c.Schema, Tuples: make([]Tuple, c.N)}
-	w := len(c.Schema)
-	vals := make([]Value, c.N*w)
-	for i := 0; i < c.N; i++ {
-		row := vals[i*w : (i+1)*w : (i+1)*w]
-		for col := 0; col < w; col++ {
-			row[col] = c.Value(col, i)
-		}
-		out.Tuples[i] = Tuple{Vals: row, Mult: c.Mult(i)}
-	}
-	if c.built == nil {
-		// Only a full view may seed the cache: Columnar() promises every
-		// bank materialised.
-		out.cols.Store(c)
-	}
-	return out
-}
-
-// Columnar returns the columnar view of the relation, building and caching
-// it on first use. Only growth invalidates the cache (the view covers a
-// prefix check via length); callers that rewrite Tuples in place at
-// constant length must not hold a previously obtained view — no engine
-// path does. Safe for concurrent use: racing builders store equivalent
-// views and either one wins.
-func (r *Relation) Columnar() *Columns {
-	if c := r.cols.Load(); c != nil && c.N == len(r.Tuples) {
-		return c
-	}
-	c := ToColumns(r.Schema, r.Tuples)
-	r.cols.Store(c)
-	return c
-}
-
-// ColumnarSubset returns a columnar view covering at least the columns
-// marked in need. A cached full view (storage-decoded blocks arrive with
-// one) serves any subset for free; otherwise a transient subset view is
-// built and NOT cached — it is cheaper to rebuild a narrow view per batch
-// than to widen a cached one under concurrent readers.
-func (r *Relation) ColumnarSubset(need []bool) *Columns {
-	if c := r.cols.Load(); c != nil && c.N == len(r.Tuples) {
-		return c
-	}
-	if need == nil {
-		return r.Columnar()
-	}
-	return ToColumnsSubset(r.Schema, r.Tuples, need)
 }

@@ -85,13 +85,13 @@ func sameVal(a, b Value) bool {
 	return a.Equal(b)
 }
 
-// TestColumnsRoundTrip checks that ToColumns → Value / Relation reconstructs
-// every cell (including NaN payload bits), multiplicity, and NULL exactly.
+// TestColumnsRoundTrip checks that ToColumns → Value reconstructs every cell
+// (including NaN payload bits), multiplicity, and NULL exactly.
 func TestColumnsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, withRefs := range []bool{false, true} {
 		r := randomRelation(rng, 200, withRefs)
-		c := r.Columnar()
+		c := ToColumns(r.Schema, r.Tuples)
 		if c.HasRefs() != withRefs {
 			t.Fatalf("HasRefs() = %v, want %v", c.HasRefs(), withRefs)
 		}
@@ -112,23 +112,6 @@ func TestColumnsRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		back := c.Relation()
-		if back.Len() != r.Len() {
-			t.Fatalf("materialised %d rows, want %d", back.Len(), r.Len())
-		}
-		for row := range back.Tuples {
-			if back.Tuples[row].Mult != r.Tuples[row].Mult {
-				t.Fatalf("row %d: materialised mult differs", row)
-			}
-			for col := range back.Tuples[row].Vals {
-				if !sameVal(back.Tuples[row].Vals[col], r.Tuples[row].Vals[col]) {
-					t.Fatalf("cell (%d,%d): materialised value differs", col, row)
-				}
-			}
-		}
-		if back.Columnar() != c {
-			t.Fatalf("materialised relation did not keep the columnar cache")
-		}
 	}
 }
 
@@ -137,7 +120,7 @@ func TestColumnsRoundTrip(t *testing.T) {
 func TestColumnsEncodeKeyParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	r := randomRelation(rng, 150, false)
-	c := r.Columnar()
+	c := ToColumns(r.Schema, r.Tuples)
 	var buf []byte
 	for trial := 0; trial < 50; trial++ {
 		cols := rng.Perm(len(r.Schema))[:1+rng.Intn(len(r.Schema))]
@@ -156,7 +139,7 @@ func TestColumnsEncodeKeyParity(t *testing.T) {
 func TestColumnsArgValueParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	r := randomRelation(rng, 200, false)
-	c := r.Columnar()
+	c := ToColumns(r.Schema, r.Tuples)
 	for row, tp := range r.Tuples {
 		for col, v := range tp.Vals {
 			for _, any := range []bool{false, true} {
@@ -180,36 +163,20 @@ func TestColumnsArgValueParity(t *testing.T) {
 	}
 }
 
-// TestColumnarCache checks the cache is reused at constant length and
-// rebuilt after growth.
-func TestColumnarCache(t *testing.T) {
-	r := NewRelation(Schema{{Name: "x", Type: KInt}})
-	r.Append(Int(1))
-	c1 := r.Columnar()
-	if r.Columnar() != c1 {
-		t.Fatalf("cache not reused at constant length")
-	}
-	r.Append(Int(2))
-	c2 := r.Columnar()
-	if c2 == c1 || c2.N != 2 {
-		t.Fatalf("cache not rebuilt after append: %v (N=%d)", c2 == c1, c2.N)
-	}
-}
-
 // TestColumnsMults checks the all-ones multiplicity fast path keeps Mults
 // nil.
 func TestColumnsMults(t *testing.T) {
 	r := NewRelation(Schema{{Name: "x", Type: KInt}})
 	r.Append(Int(1))
 	r.Append(Int(2))
-	if c := r.Columnar(); c.Mults != nil {
+	if c := ToColumns(r.Schema, r.Tuples); c.Mults != nil {
 		t.Fatalf("all-ones relation built a Mults slab")
 	}
 }
 
 // TestColumnsSubsetView checks subset views are lossless through every
-// accessor — built banks read columnar, unbuilt banks fall back to the
-// source tuples — and that they never seed a relation's full-view cache.
+// accessor: built banks read columnar, unbuilt banks fall back to the source
+// tuples.
 func TestColumnsSubsetView(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, withRefs := range []bool{false, true} {
@@ -248,18 +215,6 @@ func TestColumnsSubsetView(t *testing.T) {
 			if string(got) != string(want) {
 				t.Fatalf("row %d: subset key %q, want %q", row, got, want)
 			}
-		}
-		if back := sub.Relation(); back.Columnar() == sub {
-			t.Fatalf("subset view must not seed the columnar cache")
-		}
-		// ColumnarSubset prefers a cached full view and never caches a
-		// subset build.
-		if r.ColumnarSubset(need) == full {
-			t.Fatalf("no cache seeded yet: expected a fresh subset view")
-		}
-		cached := r.Columnar()
-		if r.ColumnarSubset(need) != cached {
-			t.Fatalf("cached full view should serve any subset")
 		}
 	}
 }

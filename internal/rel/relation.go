@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Tuple is a row with a real-valued multiplicity (Appendix A generalises bag
@@ -37,11 +36,6 @@ func (t Tuple) SizeBytes() int {
 type Relation struct {
 	Schema Schema
 	Tuples []Tuple
-
-	// cols caches the Columnar() view; stale entries are detected by row
-	// count, and concurrent readers over shared relations (serve cohorts)
-	// may race to build — both produce equivalent views.
-	cols atomic.Pointer[Columns]
 }
 
 // NewRelation returns an empty relation with the given schema.

@@ -75,9 +75,6 @@ type Config struct {
 	// (0 = unlimited). The cap follows the same reject-or-queue policy as
 	// the byte budget.
 	MaxSessions int
-	// DefaultSessionBytes overrides the default admission reservation
-	// (default DefaultSessionBytes).
-	DefaultSessionBytes int64
 	// DisableStateSharing turns off the cross-session shared-state cache
 	// (DESIGN.md §13): every session builds private operator state, as
 	// before PR 9. Sharing never changes results — this switch exists for
@@ -89,9 +86,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Batches <= 0 {
 		c.Batches = 10
-	}
-	if c.DefaultSessionBytes <= 0 {
-		c.DefaultSessionBytes = DefaultSessionBytes
 	}
 	return c
 }
@@ -119,7 +113,7 @@ type SessionOptions struct {
 	// StateBudgetBytes is the session's state reservation: admission
 	// charges it against the tenant budget, and when positive the
 	// session's engine enforces it as the resident join-state budget
-	// (spilling beyond it). Zero reserves Config.DefaultSessionBytes for
+	// (spilling beyond it). Zero reserves DefaultSessionBytes for
 	// admission and leaves spilling off.
 	StateBudgetBytes int64
 }
@@ -407,20 +401,6 @@ func NewEngine(db *exec.DB, streamed map[string]bool, funcs *expr.Registry, aggs
 	return e
 }
 
-// catalog builds the SQL catalog with the session's stream override applied.
-func (e *Engine) catalog(streamOverride string) *sql.Catalog {
-	cat := sql.NewCatalog()
-	for _, name := range e.db.Tables() {
-		r, _ := e.db.Get(name)
-		st := e.streamed[name]
-		if streamOverride != "" {
-			st = name == streamOverride
-		}
-		cat.AddTable(name, r.Schema, st)
-	}
-	return cat
-}
-
 // scheduleLocked returns (building if needed) the shared batch schedule of a
 // streamed table. Callers hold e.mu.
 func (e *Engine) scheduleLocked(table string) ([]*rel.Relation, error) {
@@ -446,12 +426,7 @@ func (e *Engine) scheduleLocked(table string) ([]*rel.Relation, error) {
 // exhausted it is rejected with ErrBudgetExhausted, or queued FIFO when
 // Config.QueueOnBudget is set. Open never blocks on other sessions.
 func (e *Engine) Open(query string, opts SessionOptions) (*Session, error) {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	pl := sql.NewPlanner(e.catalog(opts.Stream), e.funcs, e.aggs)
-	node, pp, err := pl.Plan(stmt)
+	node, pp, err := sql.PlanQuery(query, sql.CatalogOf(e.db, e.streamed, opts.Stream), e.funcs, e.aggs)
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +447,7 @@ func (e *Engine) Open(query string, opts SessionOptions) (*Session, error) {
 	}
 	reserve := opts.StateBudgetBytes
 	if reserve <= 0 {
-		reserve = e.cfg.DefaultSessionBytes
+		reserve = DefaultSessionBytes
 	}
 	e.nextID++
 	s := &Session{

@@ -44,6 +44,39 @@ func (c *Catalog) Streamed(name string) bool {
 	return c.streamed[strings.ToLower(name)]
 }
 
+// Tables is where a catalog reads its tables from; *exec.DB implements it.
+type Tables interface {
+	Tables() []string
+	Get(name string) (*rel.Relation, bool)
+}
+
+// CatalogOf builds the catalog of every table in src. A table streams when
+// streamed marks it — unless stream is non-empty, which overrides the marks:
+// then exactly the table it names streams.
+func CatalogOf(src Tables, streamed map[string]bool, stream string) *Catalog {
+	cat := NewCatalog()
+	for _, name := range src.Tables() {
+		r, _ := src.Get(name)
+		st := streamed[name]
+		if stream != "" {
+			st = name == stream
+		}
+		cat.AddTable(name, r.Schema, st)
+	}
+	return cat
+}
+
+// PlanQuery is the way from SQL text to a finalized plan: parse, then plan
+// against the catalog and registries. Every error is the parser's or the
+// planner's own; no input panics.
+func PlanQuery(text string, cat *Catalog, funcs *expr.Registry, aggs *agg.Registry) (plan.Node, *PostProcess, error) {
+	stmt, err := Parse(text)
+	if err != nil {
+		return nil, nil, err
+	}
+	return NewPlanner(cat, funcs, aggs).Plan(stmt)
+}
+
 // PostProcess carries ORDER BY / LIMIT, applied to materialised results
 // outside the incremental plan (ordering is presentation, not algebra).
 type PostProcess struct {

@@ -146,15 +146,15 @@ func RegisterConvivaUDAFs(r *agg.Registry) {
 		}
 	}
 	must(r.Register(agg.Func{
-		Name: "GEOMEAN", TakesArg: true, Smooth: true, Invertible: true,
+		Name: "GEOMEAN", TakesArg: true, Smooth: true,
 		New: func() agg.Accumulator { return &logMeanAcc{} },
 	}))
 	must(r.Register(agg.Func{
-		Name: "HARMONIC", TakesArg: true, Smooth: true, Invertible: true,
+		Name: "HARMONIC", TakesArg: true, Smooth: true,
 		New: func() agg.Accumulator { return &harmonicAcc{} },
 	}))
 	must(r.Register(agg.Func{
-		Name: "RMS", TakesArg: true, Smooth: true, Invertible: true,
+		Name: "RMS", TakesArg: true, Smooth: true,
 		New: func() agg.Accumulator { return &rmsAcc{} },
 	}))
 }
@@ -166,12 +166,6 @@ func (a *logMeanAcc) Add(v, w float64) {
 	if v > 0 {
 		a.logSum += math.Log(v) * w
 		a.n += w
-	}
-}
-func (a *logMeanAcc) Sub(v, w float64) {
-	if v > 0 {
-		a.logSum -= math.Log(v) * w
-		a.n -= w
 	}
 }
 func (a *logMeanAcc) Result(float64) float64 {
@@ -198,12 +192,6 @@ func (a *harmonicAcc) Add(v, w float64) {
 		a.n += w
 	}
 }
-func (a *harmonicAcc) Sub(v, w float64) {
-	if v > 0 {
-		a.invSum -= w / v
-		a.n -= w
-	}
-}
 func (a *harmonicAcc) Result(float64) float64 {
 	if a.invSum == 0 {
 		return math.NaN()
@@ -225,10 +213,6 @@ type rmsAcc struct{ sqSum, n float64 }
 func (a *rmsAcc) Add(v, w float64) {
 	a.sqSum += v * v * w
 	a.n += w
-}
-func (a *rmsAcc) Sub(v, w float64) {
-	a.sqSum -= v * v * w
-	a.n -= w
 }
 func (a *rmsAcc) Result(float64) float64 {
 	if a.n == 0 {

@@ -64,19 +64,7 @@ func (w *Workload) DB() *exec.DB {
 
 // Catalog builds a SQL catalog streaming exactly the given table.
 func (w *Workload) Catalog(streamed string) *sql.Catalog {
-	cat := sql.NewCatalog()
-	for name, r := range w.Tables {
-		cat.AddTable(name, bareSchema(r.Schema), name == streamed)
-	}
-	return cat
-}
-
-func bareSchema(s rel.Schema) rel.Schema {
-	out := make(rel.Schema, len(s))
-	for i, c := range s {
-		out[i] = rel.Column{Name: c.Name, Type: c.Type}
-	}
-	return out
+	return sql.CatalogOf(w.DB(), nil, streamed)
 }
 
 // Query returns the named query.
@@ -91,12 +79,7 @@ func (w *Workload) Query(name string) (Query, bool) {
 
 // Plan parses and plans one workload query.
 func (w *Workload) Plan(q Query) (plan.Node, *sql.PostProcess, error) {
-	stmt, err := sql.Parse(q.SQL)
-	if err != nil {
-		return nil, nil, fmt.Errorf("workload %s/%s: %w", w.Name, q.Name, err)
-	}
-	pl := sql.NewPlanner(w.Catalog(q.Stream), w.Funcs, w.Aggs)
-	node, pp, err := pl.Plan(stmt)
+	node, pp, err := sql.PlanQuery(q.SQL, w.Catalog(q.Stream), w.Funcs, w.Aggs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("workload %s/%s: %w", w.Name, q.Name, err)
 	}

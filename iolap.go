@@ -247,7 +247,6 @@ func (u *Update) MaxRelStdev() float64 {
 // Session holds tables, registered functions and catalog metadata.
 type Session struct {
 	tables   map[string]*rel.Relation
-	schemas  map[string]rel.Schema
 	streamed map[string]bool
 	// formats records the on-disk layout each table was loaded from
 	// (storage.Table.Format()); tables built in memory have no entry.
@@ -261,7 +260,6 @@ type Session struct {
 func NewSession() *Session {
 	return &Session{
 		tables:   make(map[string]*rel.Relation),
-		schemas:  make(map[string]rel.Schema),
 		streamed: make(map[string]bool),
 		formats:  make(map[string]string),
 		funcs:    expr.NewRegistry(),
@@ -282,7 +280,6 @@ func (s *Session) CreateTable(name string, cols []Column, streamed bool) error {
 	for i, c := range cols {
 		schema[i] = rel.Column{Name: c.Name, Type: c.Type.kind()}
 	}
-	s.schemas[name] = schema
 	s.tables[name] = rel.NewRelation(schema)
 	s.streamed[name] = streamed
 	return nil
@@ -301,7 +298,6 @@ func (s *Session) DropTable(name string) error {
 		return fmt.Errorf("iolap: unknown table %q", name)
 	}
 	delete(s.tables, name)
-	delete(s.schemas, name)
 	delete(s.streamed, name)
 	delete(s.formats, name)
 	return nil
@@ -333,7 +329,7 @@ func (s *Session) Insert(name string, rows [][]interface{}) error {
 	if !ok {
 		return fmt.Errorf("iolap: unknown table %q", name)
 	}
-	schema := s.schemas[name]
+	schema := table.Schema
 	for _, row := range rows {
 		if len(row) != len(schema) {
 			return fmt.Errorf("iolap: row width %d != schema width %d", len(row), len(schema))
@@ -437,7 +433,7 @@ func (s *Session) RegisterUDAF(u UDAF) error {
 		return fmt.Errorf("iolap: UDAF %q needs a state constructor", u.Name)
 	}
 	return s.aggs.Register(agg.Func{
-		Name: u.Name, TakesArg: true, Smooth: true, Invertible: false,
+		Name: u.Name, TakesArg: true, Smooth: true,
 		New: func() agg.Accumulator { return &udafAdapter{state: u.New(), newState: u.New} },
 	})
 }
@@ -448,7 +444,6 @@ type udafAdapter struct {
 }
 
 func (a *udafAdapter) Add(v, w float64)             { a.state.Add(v, w) }
-func (a *udafAdapter) Sub(float64, float64)         { panic("iolap: UDAF retraction unsupported") }
 func (a *udafAdapter) Result(scale float64) float64 { return a.state.Result(scale) }
 func (a *udafAdapter) Merge(o agg.Accumulator)      { a.state.Merge(o.(*udafAdapter).state) }
 func (a *udafAdapter) Clone() agg.Accumulator {
@@ -467,7 +462,6 @@ func (s *Session) LoadBlockTable(name string, r io.Reader, streamed bool) (int, 
 	if err != nil {
 		return 0, err
 	}
-	s.schemas[name] = table.Rel.Schema
 	s.tables[name] = table.Rel
 	s.streamed[name] = streamed
 	s.formats[name] = table.Format()
@@ -498,18 +492,6 @@ func (s *Session) WriteBlockTable(name string, w io.Writer, blockRows int, compr
 	return storage.WriteColumnar(w, r, blockRows, compress)
 }
 
-func (s *Session) catalog(streamOverride string) *sql.Catalog {
-	cat := sql.NewCatalog()
-	for name, schema := range s.schemas {
-		streamed := s.streamed[name]
-		if streamOverride != "" {
-			streamed = name == streamOverride
-		}
-		cat.AddTable(name, schema, streamed)
-	}
-	return cat
-}
-
 func (s *Session) db() *exec.DB {
 	db := exec.NewDB()
 	for name, r := range s.tables {
@@ -521,16 +503,12 @@ func (s *Session) db() *exec.DB {
 // Exec runs the query once, exactly, over all data (the traditional batch
 // baseline).
 func (s *Session) Exec(query string) (*Update, error) {
-	stmt, err := sql.Parse(query)
+	db := s.db()
+	node, pp, err := sql.PlanQuery(query, sql.CatalogOf(db, s.streamed, ""), s.funcs, s.aggs)
 	if err != nil {
 		return nil, err
 	}
-	pl := sql.NewPlanner(s.catalog(""), s.funcs, s.aggs)
-	node, pp, err := pl.Plan(stmt)
-	if err != nil {
-		return nil, err
-	}
-	out, err := exec.Run(node, s.db())
+	out, err := exec.Run(node, db)
 	if err != nil {
 		return nil, err
 	}
@@ -557,16 +535,12 @@ func (s *Session) Query(query string, opts *Options) (*Cursor, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	pl := sql.NewPlanner(s.catalog(opts.Stream), s.funcs, s.aggs)
-	node, pp, err := pl.Plan(stmt)
-	if err != nil {
-		return nil, err
-	}
 	db := s.db()
+	cat := sql.CatalogOf(db, s.streamed, opts.Stream)
+	node, pp, err := sql.PlanQuery(query, cat, s.funcs, s.aggs)
+	if err != nil {
+		return nil, err
+	}
 	coreOpts := core.Options{
 		Mode:       opts.Mode,
 		Batches:    opts.Batches,
@@ -603,13 +577,9 @@ func (s *Session) Query(query string, opts *Options) (*Cursor, error) {
 				dist.WorkerOptions{Workers: opts.Workers})
 		}
 		coord = dist.NewCoordinator(conns, dist.Config{MinRows: opts.DistMinRows})
-		streamedOf := make(map[string]bool, len(s.schemas))
-		for name := range s.schemas {
-			streamed := s.streamed[name]
-			if opts.Stream != "" {
-				streamed = name == opts.Stream
-			}
-			streamedOf[name] = streamed
+		streamedOf := make(map[string]bool, len(s.tables))
+		for name := range s.tables {
+			streamedOf[name] = cat.Streamed(name)
 		}
 		if err := coord.Setup(db, streamedOf, query, coreOpts); err != nil {
 			coord.Close()

@@ -16,64 +16,22 @@ var (
 	ErrSessionCancelled = serve.ErrCancelled
 )
 
-// ServeOptions tunes a serving engine (see Session.NewServer).
-type ServeOptions struct {
-	// Batches is the shared mini-batch count per streamed table (default
-	// 10). It is engine-level: sharing one scan requires every session on a
-	// table to agree on its schedule.
-	Batches int
-	// TenantBudgetBytes caps the summed state reservations of one tenant's
-	// live sessions (0 = unlimited).
-	TenantBudgetBytes int64
-	// QueueOnBudget queues sessions FIFO at the budget boundary instead of
-	// rejecting them with ErrBudgetExhausted.
-	QueueOnBudget bool
-	// MaxSessions caps concurrently admitted sessions across all tenants
-	// (0 = unlimited).
-	MaxSessions int
-	// DisableStateSharing turns off the cross-session shared-state cache:
-	// sessions with equivalent plan subtrees then build private operator
-	// state instead of sharing one copy. Results are identical either way.
-	DisableStateSharing bool
-}
+// ServeOptions tunes a serving engine (see Session.NewServer): the shared
+// batch count, the per-tenant state budget and its reject-or-queue policy,
+// the session cap, and the shared-state switch.
+type ServeOptions = serve.Config
 
 // ServeSessionOptions tunes one serving session. Schedule-shaping options
 // are absent by design — the scan schedule belongs to the server.
-type ServeSessionOptions struct {
-	// Tenant names the budget the session is charged to.
-	Tenant string
-	// Stream overrides which table is processed online for this query.
-	Stream string
-	// Mode selects the delta algorithm (default ModeIOLAP).
-	Mode Mode
-	// Trials is the bootstrap replicate count (default 100).
-	Trials int
-	// Slack is the variation-range slack ε (default 2.0).
-	Slack float64
-	// Seed drives the session's bootstrap randomness.
-	Seed uint64
-	// Workers bounds the session's partition parallelism.
-	Workers int
-	// StateBudgetBytes is the session's admission reservation against the
-	// tenant budget, and (when positive) its engine's resident join-state
-	// budget.
-	StateBudgetBytes int64
-}
+type ServeSessionOptions = serve.SessionOptions
 
-func (o *ServeSessionOptions) internal() serve.SessionOptions {
-	if o == nil {
-		return serve.SessionOptions{}
+// orZero dereferences an optional options pointer; nil means defaults.
+func orZero[T any](p *T) T {
+	if p == nil {
+		var zero T
+		return zero
 	}
-	return serve.SessionOptions{
-		Tenant:           o.Tenant,
-		Stream:           o.Stream,
-		Mode:             o.Mode,
-		Trials:           o.Trials,
-		Slack:            o.Slack,
-		Seed:             o.Seed,
-		Workers:          o.Workers,
-		StateBudgetBytes: o.StateBudgetBytes,
-	}
+	return *p
 }
 
 // Server is a long-lived multi-query serving engine over a snapshot of the
@@ -91,28 +49,14 @@ type Server struct {
 // snapshot is by reference — do not mutate tables already handed to a
 // server. opts may be nil for defaults.
 func (s *Session) NewServer(opts *ServeOptions) *Server {
-	if opts == nil {
-		opts = &ServeOptions{}
-	}
-	streamed := make(map[string]bool, len(s.streamed))
-	for name, st := range s.streamed {
-		streamed[name] = st
-	}
-	eng := serve.NewEngine(s.db(), streamed, s.funcs, s.aggs, serve.Config{
-		Batches:             opts.Batches,
-		TenantBudgetBytes:   opts.TenantBudgetBytes,
-		QueueOnBudget:       opts.QueueOnBudget,
-		MaxSessions:         opts.MaxSessions,
-		DisableStateSharing: opts.DisableStateSharing,
-	})
-	return &Server{eng: eng}
+	return &Server{eng: serve.NewEngine(s.db(), s.streamed, s.funcs, s.aggs, orZero(opts))}
 }
 
 // Open admits an in-process serving session; iterate its estimate stream
 // with the returned cursor. The error unwraps to ErrBudgetExhausted when
 // admission was refused.
 func (sv *Server) Open(query string, opts *ServeSessionOptions) (*ServeCursor, error) {
-	s, err := sv.eng.Open(query, opts.internal())
+	s, err := sv.eng.Open(query, orZero(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +200,7 @@ func DialServer(addr string) (*ServeClient, error) {
 
 // Open admits a remote serving session.
 func (c *ServeClient) Open(query string, opts *ServeSessionOptions) (*ServeCursor, error) {
-	s, err := c.c.Open(query, opts.internal())
+	s, err := c.c.Open(query, orZero(opts))
 	if err != nil {
 		return nil, err
 	}
