@@ -19,7 +19,7 @@ import (
 	"iolap/internal/sql"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate testdata/trajectory.golden")
+var updateGolden = flag.Bool("update", false, "regenerate the golden files of the tests selected by -run (testdata/trajectory.golden, testdata/exchange.golden)")
 
 // goldenCase is one (query, fixture, engine options) whose whole trajectory
 // is pinned in testdata/trajectory.golden.
@@ -77,6 +77,13 @@ func goldenCases(t *testing.T) []goldenCase {
 			(SELECT cdn, AVG(play_time) AS apt FROM sessions GROUP BY cdn) t, cdns c
 			WHERE t.cdn = c.cdn GROUP BY c.region`, opts: base},
 	}
+	// Result sets wide enough for the sink to materialise chunk-parallel:
+	// certain rows with estimate columns, and tuple-uncertain rows.
+	cases = append(cases,
+		goldenCase{name: "wide_result", query: `SELECT session_id, COUNT(*) AS n, AVG(play_time) AS a
+			FROM sessions GROUP BY session_id`, opts: base},
+		goldenCase{name: "wide_result/nested", query: `SELECT session_id, play_time FROM sessions
+			WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions)`, opts: base})
 	// Every nested theorem query under the full system, and the two the
 	// equivalence suites lean on under the ablation modes too.
 	for _, q := range theoremQueries {
@@ -163,11 +170,12 @@ func trajectoryDigest(t *testing.T, c goldenCase, opts Options) uint64 {
 
 const trajectoryGoldenPath = "testdata/trajectory.golden"
 
-func readTrajectoryGolden(t *testing.T) map[string]uint64 {
+// readGolden parses a golden file of "<key> <hex word>" lines.
+func readGolden(t *testing.T, path string) map[string]uint64 {
 	t.Helper()
-	f, err := os.Open(trajectoryGoldenPath)
+	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("%v (run `go test ./internal/core -run TestTrajectoryGolden -update` at a commit whose trajectories are trusted)", err)
+		t.Fatalf("%v (run the test with -update at a commit whose behaviour is trusted)", err)
 	}
 	defer f.Close()
 	want := map[string]uint64{}
@@ -179,11 +187,11 @@ func readTrajectoryGolden(t *testing.T) map[string]uint64 {
 		}
 		fields := strings.Fields(line)
 		if len(fields) != 2 {
-			t.Fatalf("%s: malformed line %q", trajectoryGoldenPath, line)
+			t.Fatalf("%s: malformed line %q", path, line)
 		}
 		d, err := strconv.ParseUint(fields[1], 16, 64)
 		if err != nil {
-			t.Fatalf("%s: %q: %v", trajectoryGoldenPath, line, err)
+			t.Fatalf("%s: %q: %v", path, line, err)
 		}
 		want[fields[0]] = d
 	}
@@ -210,7 +218,7 @@ func readTrajectoryGolden(t *testing.T) map[string]uint64 {
 func TestTrajectoryGolden(t *testing.T) {
 	var want map[string]uint64
 	if !*updateGolden {
-		want = readTrajectoryGolden(t)
+		want = readGolden(t, trajectoryGoldenPath)
 	}
 	got := map[string]uint64{}
 	for _, c := range goldenCases(t) {
@@ -253,21 +261,29 @@ func TestTrajectoryGolden(t *testing.T) {
 	if !*updateGolden {
 		return
 	}
+	writeGolden(t, trajectoryGoldenPath, got,
+		"# Trajectory digests pinned by TestTrajectoryGolden: <case>/B<trials> <fnv64a over per-batch core.ResultDigest>.\n"+
+			"# Regenerate only as a deliberate digest epoch: go test ./internal/core -run TestTrajectoryGolden -update\n")
+}
+
+// writeGolden writes got under header, one "<key> <hex word>" line per key,
+// sorted.
+func writeGolden(t *testing.T, path string, got map[string]uint64, header string) {
+	t.Helper()
 	keys := make([]string, 0, len(got))
 	for k := range got {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var b strings.Builder
-	b.WriteString("# Trajectory digests pinned by TestTrajectoryGolden: <case>/B<trials> <fnv64a over per-batch core.ResultDigest>.\n")
-	b.WriteString("# Regenerate only as a deliberate digest epoch: go test ./internal/core -run TestTrajectoryGolden -update\n")
+	b.WriteString(header)
 	for _, k := range keys {
 		fmt.Fprintf(&b, "%s %016x\n", k, got[k])
 	}
-	if err := os.MkdirAll(filepath.Dir(trajectoryGoldenPath), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(trajectoryGoldenPath, []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
