@@ -202,3 +202,127 @@ func TestDocsCiteExistingIdentifiers(t *testing.T) {
 		}
 	}
 }
+
+// orphanAllowed lists the exported functions and methods under internal/ that
+// no non-test file references, each with the reason it stays. A key is a
+// directory ("internal/x/"), a file, a type ("pkg.Type.") or one name
+// ("pkg.Name", "pkg.Type.Name").
+var orphanAllowed = map[string]string{
+	"internal/wire/wiretest/":         "test support: the corruption table and fuzz harness every codec's tests instantiate",
+	"internal/delta/rules.go":         "the reference delta rules of Section 4.2 that the operators are tested against",
+	"internal/dist/faultconn.go":      "fault seam: the dist tests fail, stall and count connection operations through it",
+	"storage.FaultFS.":                "fault seam: the spill tests inject write and sync failures through it",
+	"storage.NewFaultFS":              "fault seam (storage.FaultFS)",
+	"storage.MemFS.Crash":             "fault seam: drops what was never synced, the crash the spill recovery tests replay",
+	"exec.Executor.SetCutover":        "the fixed-cutover test hook: the equivalence suites pin it to 1 to force every parallel path",
+	"cluster.Metrics.SpillProbeSkips": "the spill tests assert the min-max filters' skip count, a schedule-independent number",
+	"cluster.Metrics.SpillBloomSkips": "as SpillProbeSkips, for the per-run Bloom filters",
+	"dist.Coordinator.WorkerErrors":   "the failure-model tests read why each worker was expelled",
+	"dist.countingConn.Totals":        "the wire-accounting test reads one connection's byte totals",
+	"delta.HashStore.Each":            "the immutability and spill tests walk a store's rows, resident and spilled",
+	"rel.Relation.AppendMult":         "fixture builder: a tuple with a multiplicity, for the exec, dist and rel tests",
+	"rel.Relation.Card":               "bag cardinality, the invariant the Canon property test holds",
+	"bootstrap.Quantile":              "the unsorted-input form the quantile tests drive the interpolation through",
+	"bootstrap.Summarize":             "the allocating form SummarizeInto is tested against",
+	"bootstrap.PoissonSource.Weights": "the allocating form WeightsInto is tested against",
+	"agg.Vector.AddRep":               "the per-entry fold that AddBatchRun's contract (agg/batch.go) is stated in",
+}
+
+// TestNoOrphanExports: every exported function or method declared in a
+// non-test file under internal/ is referenced — by name, as a selector or as
+// a same-package identifier — from some non-test file of the module or of
+// bench/, or sits on orphanAllowed with the reason it stays. An export that
+// only its own unit test calls is API nobody asked for; it is deleted with
+// that test, not kept.
+func TestNoOrphanExports(t *testing.T) {
+	type decl struct{ file, dir, qual string }
+	var decls []decl
+	selUses := map[string]int{}              // x.Name, anywhere
+	identUses := map[string]map[string]int{} // dir -> bare Name
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if identUses[dir] == nil {
+			identUses[dir] = map[string]int{}
+		}
+		declNames := map[*ast.Ident]bool{} // identifiers that are not bare uses
+		for _, d := range file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declNames[fd.Name] = true
+			if !fd.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
+				continue
+			}
+			qual := file.Name.Name + "."
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if idx, ok := recv.(*ast.IndexExpr); ok {
+					recv = idx.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					qual += id.Name + "."
+				}
+			}
+			decls = append(decls, decl{file: filepath.ToSlash(path), dir: dir, qual: qual + fd.Name.Name})
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				selUses[n.Sel.Name]++
+				declNames[n.Sel] = true // visited before its children: not a bare identifier
+			case *ast.Ident:
+				if !declNames[n] {
+					identUses[dir][n.Name]++
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	for _, d := range decls {
+		name := d.qual[strings.LastIndex(d.qual, ".")+1:]
+		isMethod := strings.Count(d.qual, ".") == 2
+		if selUses[name] > 0 || (!isMethod && identUses[d.dir][name] > 0) {
+			continue
+		}
+		allowed := false
+		for _, key := range []string{d.qual, d.qual[:len(d.qual)-len(name)], d.file, d.dir + "/"} {
+			if _, ok := orphanAllowed[key]; ok {
+				allowed, used[key] = true, true
+			}
+		}
+		if !allowed {
+			t.Errorf("%s: exported %s is referenced by no non-test file (delete it, or add it to orphanAllowed with the reason it stays)", d.file, d.qual)
+		}
+	}
+	for key := range orphanAllowed {
+		if !used[key] {
+			t.Errorf("orphanAllowed[%q] excuses nothing any more: remove the entry", key)
+		}
+	}
+}

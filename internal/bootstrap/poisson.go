@@ -178,6 +178,22 @@ type Estimate struct {
 	RelStd float64 // relative standard deviation |stdev/value|
 }
 
+// MaxRelStdev returns the worst relative standard deviation across all
+// uncertain cells of a result's estimates — a single accuracy number to stop
+// on, and the accuracy axis of Figure 7(a). Cells without spread (certain or
+// non-numeric) do not count.
+func MaxRelStdev(ests [][]Estimate) float64 {
+	worst := 0.0
+	for _, row := range ests {
+		for _, e := range row {
+			if e.Stdev > 0 && e.RelStd > worst {
+				worst = e.RelStd
+			}
+		}
+	}
+	return worst
+}
+
 // Summarize computes an Estimate from the running value and its replicate
 // outputs (one sort shared by both confidence bounds).
 func Summarize(value float64, reps []float64) Estimate {

@@ -120,9 +120,6 @@ func (r *Range) Current() Interval {
 	return r.history[len(r.history)-1]
 }
 
-// At returns the recorded range after observation k (0-based).
-func (r *Range) At(k int) Interval { return r.history[k] }
-
 // envelope builds [min−ε·σ, max+ε·σ] over the running value and replicates.
 func (r *Range) envelope(value float64, reps []float64) Interval {
 	lo, hi := value, value

@@ -34,8 +34,13 @@ func NewPool(n int) *Pool {
 	return &Pool{workers: n}
 }
 
-// Workers returns the parallelism.
-func (p *Pool) Workers() int { return p.workers }
+// Workers returns the parallelism; a nil pool is the inline pool of one.
+func (p *Pool) Workers() int {
+	if p == nil {
+		return 1
+	}
+	return p.workers
+}
 
 // chunkSplit is how many MapChunks chunks each worker gets beyond its even
 // share: extra granularity lets the work-stealing scheduler rebalance
@@ -73,23 +78,6 @@ func (p *Pool) MapChunks(n int, fn func(chunk, lo, hi int)) {
 	p.Map(c, func(i int) {
 		fn(i, i*n/c, (i+1)*n/c)
 	})
-}
-
-// Partition splits a relation into p partitions round-robin (block-wise
-// assignment is what the paper's default block randomness gives; callers
-// that need value-hash partitioning use PartitionByKey).
-func Partition(r *rel.Relation, p int) []*rel.Relation {
-	if p <= 0 {
-		p = 1
-	}
-	out := make([]*rel.Relation, p)
-	for i := range out {
-		out[i] = rel.NewRelation(r.Schema)
-	}
-	for i, t := range r.Tuples {
-		out[i%p].Tuples = append(out[i%p].Tuples, t)
-	}
-	return out
 }
 
 // PartitionByKey splits a relation into p partitions by hashing the given
@@ -171,18 +159,11 @@ func Shuffle(r *rel.Relation, seed uint64) *rel.Relation {
 	return out
 }
 
-// Metrics accumulates exchange traffic. All methods are safe for concurrent
-// use. Alongside bytes it counts *events* (non-empty exchanges): per-op
-// averages derived from the counters (bytes per shuffle, shuffles per
-// batch) are only meaningful when zero-byte records don't inflate the
-// denominator, so empty records are dropped at the source — Record* with
-// nothing to ship is a no-op.
+// Metrics accumulates exchange traffic in bytes. All methods are safe for
+// concurrent use; recording nothing (n <= 0) is a no-op.
 type Metrics struct {
 	shuffleBytes    atomic.Int64
 	broadcastBytes  atomic.Int64
-	shuffleRows     atomic.Int64
-	shuffleEvents   atomic.Int64
-	broadcastEvents atomic.Int64
 	spillWritten    atomic.Int64
 	spillRead       atomic.Int64
 	spillProbeSkips atomic.Int64
@@ -191,50 +172,26 @@ type Metrics struct {
 	wireBroadcast   atomic.Int64
 }
 
-// RecordShuffle notes bytes that a hash repartition would ship.
-func (m *Metrics) RecordShuffle(r *rel.Relation) {
-	if m == nil || r.Len() == 0 {
-		return
-	}
-	m.shuffleBytes.Add(int64(r.SizeBytes()))
-	m.shuffleRows.Add(int64(r.Len()))
-	m.shuffleEvents.Add(1)
-}
-
-// RecordShuffleBytes notes raw shuffle bytes. Empty exchanges (n <= 0) are
-// not recorded: they would contribute nothing to the byte totals but skew
-// every per-event shuffle statistic.
+// RecordShuffleBytes notes bytes that a hash repartition would ship.
 func (m *Metrics) RecordShuffleBytes(n int) {
 	if m == nil || n <= 0 {
 		return
 	}
 	m.shuffleBytes.Add(int64(n))
-	m.shuffleEvents.Add(1)
 }
 
-// RecordBroadcast notes bytes that a broadcast join would replicate to every
-// worker (counted once; the per-worker fan-out is a constant factor).
-func (m *Metrics) RecordBroadcast(r *rel.Relation) {
-	if m == nil || r.Len() == 0 {
-		return
-	}
-	m.broadcastBytes.Add(int64(r.SizeBytes()))
-	m.broadcastEvents.Add(1)
-}
-
-// RecordBroadcastBytes notes raw broadcast bytes (n <= 0 is a no-op, as for
-// RecordShuffleBytes).
+// RecordBroadcastBytes notes bytes that a broadcast join would replicate to
+// every worker (counted once; the per-worker fan-out is a constant factor).
 func (m *Metrics) RecordBroadcastBytes(n int) {
 	if m == nil || n <= 0 {
 		return
 	}
 	m.broadcastBytes.Add(int64(n))
-	m.broadcastEvents.Add(1)
 }
 
 // RecordSpillWrite notes bytes written to spill files when join state is
 // evicted under memory pressure. Spill traffic is local disk I/O, not
-// exchange, so it is excluded from TotalBytes.
+// exchange.
 func (m *Metrics) RecordSpillWrite(n int) {
 	if m == nil || n <= 0 {
 		return
@@ -320,25 +277,10 @@ func (m *Metrics) ShuffleBytes() int64 { return m.shuffleBytes.Load() }
 // BroadcastBytes returns total broadcast bytes.
 func (m *Metrics) BroadcastBytes() int64 { return m.broadcastBytes.Load() }
 
-// ShuffleRows returns total shuffled physical rows.
-func (m *Metrics) ShuffleRows() int64 { return m.shuffleRows.Load() }
-
-// ShuffleEvents returns the number of non-empty shuffle exchanges recorded.
-func (m *Metrics) ShuffleEvents() int64 { return m.shuffleEvents.Load() }
-
-// BroadcastEvents returns the number of non-empty broadcasts recorded.
-func (m *Metrics) BroadcastEvents() int64 { return m.broadcastEvents.Load() }
-
-// TotalBytes returns all bytes shipped.
-func (m *Metrics) TotalBytes() int64 { return m.ShuffleBytes() + m.BroadcastBytes() }
-
 // Reset zeroes the counters.
 func (m *Metrics) Reset() {
 	m.shuffleBytes.Store(0)
 	m.broadcastBytes.Store(0)
-	m.shuffleRows.Store(0)
-	m.shuffleEvents.Store(0)
-	m.broadcastEvents.Store(0)
 	m.spillWritten.Store(0)
 	m.spillRead.Store(0)
 	m.spillProbeSkips.Store(0)

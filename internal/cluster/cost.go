@@ -146,24 +146,6 @@ func (m *CostModel) Observe(c OpClass, rows int, d time.Duration, workers int) {
 	m.perRowNs[c] += ewmaAlpha * (perRow - m.perRowNs[c])
 }
 
-// Timed runs f, feeds the measurement into the class EWMA, and returns f's
-// wall clock (handy for callers that also report durations).
-func (m *CostModel) Timed(c OpClass, rows, workers int, f func()) time.Duration {
-	t0 := time.Now()
-	f()
-	d := time.Since(t0)
-	m.Observe(c, rows, d, workers)
-	return d
-}
-
-// PerRowNs exposes the current estimate for diagnostics and tests.
-func (m *CostModel) PerRowNs(c OpClass) float64 {
-	if m == nil {
-		return 0
-	}
-	return m.perRowNs[c]
-}
-
 // Snapshot exports the per-class EWMA estimates keyed by class name (not
 // ordinal, so readers survive class reorderings).
 func (m *CostModel) Snapshot() map[string]float64 {
@@ -176,4 +158,3 @@ func (m *CostModel) Snapshot() map[string]float64 {
 	}
 	return out
 }
-

@@ -15,7 +15,7 @@ func TestCostSnapshot(t *testing.T) {
 		t.Fatalf("snapshot has %d classes, want %d", len(snap), numOpClasses)
 	}
 	for c := OpClass(0); c < numOpClasses; c++ {
-		if got, want := snap[c.String()], m.PerRowNs(c); got != want {
+		if got, want := snap[c.String()], m.perRowNs[c]; got != want {
 			t.Errorf("%v: snapshot %v, want %v", c, got, want)
 		}
 	}

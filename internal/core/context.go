@@ -254,15 +254,14 @@ type batchContext struct {
 	metrics    *cluster.Metrics
 	recomputed int // tuples recomputed this batch (Fig 8(e,f))
 	failures   []failure
-	pool       *cluster.Pool
-	// exch, when non-nil, distributes the row-parallel operator sites over
-	// remote replicas (see exchange.go). Nil means purely local execution.
+	// run schedules every row-parallel site of the batch (site, and the
+	// sites without a span codec, which call it directly). It is the
+	// engine's: its cost model keeps learning across the run. The zero
+	// Runner of a bare context runs every site inline.
+	run cluster.Runner
+	// exch, when non-nil, distributes the sites that have a span codec over
+	// remote replicas (site, exchange.go). Nil means purely local execution.
 	exch Exchanger
-	// cost is the engine's adaptive cutover model (engine state shared by
-	// every batch, so the EWMA keeps learning across the run). The old
-	// design — a mutable package-level parThreshold the tests overwrote —
-	// was a data race under `go test -race -parallel`.
-	cost *cluster.CostModel
 	// vec enables the columnar batch pipeline (off under Options.NoVectorize):
 	// streamed scans attach column banks to their output and downstream
 	// operators take the batched paths where their gates allow.
@@ -272,10 +271,10 @@ type batchContext struct {
 // newBatchContext builds the context of one step: the step is labelled batch,
 // consumes delta, and leaves seen of the streamed table's total rows
 // processed. It is the one place Options.Mode decodes into the lazy / prune /
-// hdaAgg switches. What only a full engine has — metrics, worker pool,
+// hdaAgg switches. What only a full engine has — metrics, site runner,
 // transport, column banks — the engine attaches afterwards; a context without
 // them runs every operator inline on the row paths.
-func newBatchContext(opts Options, batch, seen, total int, delta map[string]*rel.Relation, dims dbView, cost *cluster.CostModel) *batchContext {
+func newBatchContext(opts Options, batch, seen, total int, delta map[string]*rel.Relation, dims dbView) *batchContext {
 	scale := 1.0
 	if seen > 0 {
 		scale = float64(total) / float64(seen)
@@ -291,38 +290,6 @@ func newBatchContext(opts Options, batch, seen, total int, delta map[string]*rel
 		lazy:   opts.Mode == ModeIOLAP,
 		prune:  opts.Mode != ModeHDA,
 		hdaAgg: opts.Mode == ModeHDA,
-		cost:   cost,
-	}
-}
-
-// fanout reports whether a site of the given operator class processing n
-// rows should use the worker pool. Every parallel path it gates is
-// bit-identical to its sequential fallback (deterministic shard → ordered
-// merge), so the answer affects only scheduling, never results — which is
-// what makes a wall-clock-adaptive cutover safe.
-func (bc *batchContext) fanout(c cluster.OpClass, n int) bool {
-	return bc.pool != nil && bc.pool.Workers() > 1 && n >= bc.cost.Threshold(c)
-}
-
-// par returns the pool when a site with n rows should fan out, nil otherwise
-// (for callees that take an optional pool, like delta.HashStore.AddBatch).
-func (bc *batchContext) par(c cluster.OpClass, n int) *cluster.Pool {
-	if bc.fanout(c, n) {
-		return bc.pool
-	}
-	return nil
-}
-
-// mapChunks runs fill over [0, n) — chunk-parallel when the class cutover
-// says the batch is worth fanning out — and feeds the measured per-row cost
-// back into the engine's model.
-func (bc *batchContext) mapChunks(c cluster.OpClass, n int, fill func(lo, hi int)) {
-	if bc.fanout(c, n) {
-		bc.cost.Timed(c, n, bc.pool.Workers(), func() {
-			bc.pool.MapChunks(n, func(_, lo, hi int) { fill(lo, hi) })
-		})
-	} else {
-		bc.cost.Timed(c, n, 1, func() { fill(0, n) })
 	}
 }
 

@@ -79,17 +79,7 @@ type Update struct {
 
 // MaxRelStdev returns the worst relative standard deviation across all
 // uncertain numeric cells — the accuracy axis of Figure 7(a).
-func (u *Update) MaxRelStdev() float64 {
-	worst := 0.0
-	for _, row := range u.Estimates {
-		for _, e := range row {
-			if e.Stdev > 0 && e.RelStd > worst {
-				worst = e.RelStd
-			}
-		}
-	}
-	return worst
-}
+func (u *Update) MaxRelStdev() float64 { return bootstrap.MaxRelStdev(u.Estimates) }
 
 // Engine is the iOLAP query controller (Section 7): it partitions the
 // streamed input into mini-batches, schedules the delta query on each batch,
@@ -110,11 +100,10 @@ type Engine struct {
 	base          engineSnap
 	needSnapshots bool
 	metrics       cluster.Metrics
-	pool          *cluster.Pool
-	// cost is the engine's adaptive parallel-cutover model; it lives on the
-	// engine (not the batch context, not the package) so the per-class EWMA
-	// keeps learning across batches and concurrent engines cannot race.
-	cost *cluster.CostModel
+	// run schedules the row-parallel sites of every batch; it lives on the
+	// engine (not the batch context, not the package) so its cost model keeps
+	// learning across batches and concurrent engines cannot race.
+	run cluster.Runner
 
 	// spill is the join-state budget (nil when StateBudgetBytes is 0);
 	// spillDirOwned is a temp directory the engine created for spill files
@@ -217,8 +206,7 @@ func NewEngine(root plan.Node, db *exec.DB, opts Options) (*Engine, error) {
 	e.streamedTable = table
 	e.deltas = deltas
 	e.totalRows = totalRows
-	e.pool = cluster.NewPool(opts.Workers)
-	e.cost = cluster.NewCostModel(opts.ParThreshold)
+	e.run = cluster.NewRunner(opts.Workers, opts.ParThreshold)
 	e.exch = opts.Exchange
 	e.needSnapshots = comp.nested && opts.Mode != ModeHDA && opts.Trials > 0
 	e.base = e.takeSnapshot(0)
@@ -310,9 +298,9 @@ func (e *Engine) restoreSnapshot(s engineSnap) {
 
 func (e *Engine) newBatchContext(deltaRows *rel.Relation, seenAfter int) *batchContext {
 	bc := newBatchContext(e.opts, e.batch, seenAfter, e.totalRows,
-		map[string]*rel.Relation{e.streamedTable: deltaRows}, e.db, e.cost)
+		map[string]*rel.Relation{e.streamedTable: deltaRows}, e.db)
 	bc.metrics = &e.metrics
-	bc.pool = e.pool
+	bc.run = e.run
 	bc.exch = e.exch
 	bc.vec = !e.opts.NoVectorize
 	return bc
@@ -558,7 +546,7 @@ func (e *Engine) TotalSpillBytesRead() int64 { return e.committedSpillRead }
 
 // CostSnapshot exports the adaptive cost model's per-class estimates (the
 // learned ns/row the parallel cutovers derive from).
-func (e *Engine) CostSnapshot() map[string]float64 { return e.cost.Snapshot() }
+func (e *Engine) CostSnapshot() map[string]float64 { return e.run.CostSnapshot() }
 
 // WireStats returns the cumulative measured transport traffic of a
 // distributed run (zero for local engines): worker→coordinator bytes as
@@ -607,13 +595,6 @@ func (e *Engine) OpStats() []OpStat {
 		out = append(out, st)
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // clampBatches bounds the requested batch count by the row count (a batch

@@ -1,6 +1,6 @@
 // Distributed-site plumbing: the Exchanger seam the internal/dist transport
-// plugs into, plus the span codecs for the three row-parallel operator sites
-// that ship work across process boundaries.
+// plugs into, the one function that decides whether a site's spans travel
+// (site), and the span codecs of the sites that can.
 //
 // The execution model is SPMD replica lockstep: every participant
 // (coordinator and each remote worker) holds a full deterministic engine
@@ -56,31 +56,42 @@ type Exchanger interface {
 // paths); Engine.Step recovers the panic and surfaces it as the batch error.
 type distPanic struct{ err error }
 
-// distSite reports whether a site of n rows runs through the exchanger.
-// Deterministic across replicas: every participant evaluates the same n
-// against the same MinRows, so they agree on the exchange call sequence.
-func (bc *batchContext) distSite(n int) bool {
-	return bc.exch != nil && n >= bc.exch.MinRows()
+// spanCodec is how a site's spans cross the transport: encode frames the
+// span [lo, hi) the replica just computed, merge applies one span's payload
+// (every span's, the replica's own included, in ascending order).
+type spanCodec struct {
+	encode func(lo, hi int) ([]byte, error)
+	merge  func(lo, hi int, payload []byte) error
+	// partial marks a site over state no replica holds whole (a partitioned
+	// build side): there is no local fallback, so it ships whenever a
+	// transport is attached, whatever its size.
+	partial bool
 }
 
-// exchange runs a distributed site, converting transport failure into a
-// batch abort.
-func (bc *batchContext) exchange(class cluster.OpClass, n int, compute func(lo, hi int) ([]byte, error), merge func(lo, hi int, payload []byte) error) {
-	if err := bc.exch.Exchange(class, n, compute, merge); err != nil {
+// site runs one row-parallel site of n rows: span(p, lo, hi) computes rows
+// [lo, hi) on p, the pool the gate granted the range (nil: inline). It is the
+// one fork between local and distributed execution. Without a transport, or
+// below its MinRows, the site runs on the batch's runner — gated, clocked —
+// as span(p, 0, n), and site reports false. Otherwise the spans travel: the
+// replica computes each span the exchanger hands it, gated by the span's own
+// size and not clocked, every replica applies all spans through codec.merge,
+// and site reports true. The fork depends only on n, never on clocks, so
+// replicas agree on the exchange call sequence; transport failure aborts the
+// batch.
+func (bc *batchContext) site(class cluster.OpClass, n int, codec spanCodec, span func(p *cluster.Pool, lo, hi int)) bool {
+	if bc.exch == nil || (!codec.partial && n < bc.exch.MinRows()) {
+		bc.run.Run(class, n, func(p *cluster.Pool) { span(p, 0, n) })
+		return false
+	}
+	err := bc.exch.Exchange(class, n,
+		func(lo, hi int) ([]byte, error) {
+			span(bc.run.Gate(class, hi-lo), lo, hi)
+			return codec.encode(lo, hi)
+		}, codec.merge)
+	if err != nil {
 		panic(distPanic{fmt.Errorf("core: distributed %v site (%d rows): %w", class, n, err)})
 	}
-}
-
-// spanChunks runs fill over [lo, hi) — the replica's local share of a
-// distributed site — fanning out over the local pool when the span alone
-// clears the class cutover. Slot-indexed fills keep it order-independent.
-func (bc *batchContext) spanChunks(c cluster.OpClass, lo, hi int, fill func(lo, hi int)) {
-	n := hi - lo
-	if bc.fanout(c, n) {
-		bc.pool.MapChunks(n, func(_, a, b int) { fill(lo+a, lo+b) })
-	} else if n > 0 {
-		fill(lo, hi)
-	}
+	return true
 }
 
 // ---------------------------------------------------------------------------

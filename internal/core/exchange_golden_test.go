@@ -55,7 +55,7 @@ func TestExchangeSequenceGolden(t *testing.T) {
 	cases := goldenCases(t)
 	// Partitioned shipping: bucket geometry, no MinRows gate. The one
 	// participant holds the whole build side, so it owns every bucket.
-	for _, c := range goldenCases(t) {
+	for _, c := range cases {
 		if c.name == "join_dim_group" {
 			c.name += "/partitioned"
 			c.opts.PartitionTables, c.opts.Partitions = []string{"cdns"}, 3

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"time"
 
 	"iolap/internal/agg"
 	"iolap/internal/bootstrap"
@@ -461,40 +460,38 @@ func (o *opAgg) fold(bc *batchContext, ents []foldEntry, cb *colBatch, scratch b
 		n := min(len(ents), foldBlock)
 		block := ents[:n]
 		ents = ents[n:]
+		round := func(p *cluster.Pool) {
+			o.evaluate(bc, block, cb, p)
+			o.gather(block, scratch)
+			o.ingest(p, n)
+		}
 		// Trial-free folds cost ~1/(1+B) of a bootstrap fold per row;
-		// feeding them into the fold EWMA would poison the cutover, so they
-		// neither fan out nor report.
-		par := o.trials > 0 && bc.fanout(cluster.CostFold, n)
-		t0 := time.Now()
-		o.evaluate(bc, block, cb, par)
-		o.gather(block, scratch)
-		o.ingest(bc, n, par)
+		// feeding them into the fold estimate would poison the cutover, so
+		// they neither fan out nor report.
 		if o.trials > 0 {
-			w := 1
-			if par {
-				w = bc.pool.Workers()
-			}
-			bc.cost.Observe(cluster.CostFold, n, time.Since(t0), w)
+			bc.run.Run(cluster.CostFold, n, round)
+		} else {
+			round(nil)
 		}
 	}
 }
 
 // evaluate fills the block's argument values (and, for lazy specs, replicate
-// inputs) — chunk-parallel when par: it is a pure read of the rows and the
-// published tables, and for lazy specs it is where the fold's time goes
-// (O(trials) expression evaluations per row, plus the lineage row's
-// regeneration in the non-lazy modes).
-func (o *opAgg) evaluate(bc *batchContext, ents []foldEntry, cb *colBatch, par bool) {
+// inputs) — chunked over p: it is a pure read of the rows and the published
+// tables, and for lazy specs it is where the fold's time goes (O(trials)
+// expression evaluations per row, plus the lineage row's regeneration in the
+// non-lazy modes).
+func (o *opAgg) evaluate(bc *batchContext, ents []foldEntry, cb *colBatch, p *cluster.Pool) {
 	f := &o.fs
 	n, B := len(ents), o.trials
 	f.val = resized(f.val, n*len(o.specs))
 	f.ok = resized(f.ok, n*len(o.specs))
 	f.rep = resized(f.rep, n*o.lazySpecs*B)
-	if par {
-		bc.pool.MapChunks(n, func(_, lo, hi int) { o.evaluateSpan(bc, ents, cb, lo, hi) })
-	} else {
+	if p == nil { // the common case, kept free of the span closure
 		o.evaluateSpan(bc, ents, cb, 0, n)
+		return
 	}
+	p.Span(0, n, func(lo, hi int) { o.evaluateSpan(bc, ents, cb, lo, hi) })
 }
 
 // evaluateSpan evaluates entries [lo, hi) of the block; spans write disjoint
@@ -599,32 +596,32 @@ func (o *opAgg) gather(ents []foldEntry, scratch bool) {
 
 // ingest folds every group's runs into their vectors. Groups own distinct
 // vectors, so any schedule gives the same result; inline they fold in
-// first-touch order. Under par a group holding more than an even per-worker
+// first-touch order. On a pool a group holding more than an even per-worker
 // share of the block cannot be balanced by placement (on skewed keys one
 // worker would inherit nearly the whole block), so its runs split the
 // replicate dimension across the pool; the rest become size-hinted tasks
 // for the stealing scheduler, so many small groups pack evenly no matter
 // how the keys hash.
-func (o *opAgg) ingest(bc *batchContext, n int, par bool) {
+func (o *opAgg) ingest(p *cluster.Pool, n int) {
 	f := &o.fs
-	if !par {
+	if p == nil {
 		for gi := range f.groups {
 			o.ingestGroup(gi, nil, 0)
 		}
 		return
 	}
-	w := bc.pool.Workers()
+	w := p.Workers()
 	light := f.light[:0]
 	for gi := range f.groups {
 		if f.size(gi)*w > n {
-			o.ingestGroup(gi, bc.pool.Map, w)
+			o.ingestGroup(gi, p.Map, w)
 		} else {
 			light = append(light, int32(gi))
 		}
 	}
 	f.light = light
 	if len(light) > 0 {
-		bc.pool.MapSized(len(light),
+		p.MapSized(len(light),
 			func(i int) int { return f.size(int(light[i])) },
 			func(i int) { o.ingestGroup(int(light[i]), nil, 0) })
 	}

@@ -116,55 +116,35 @@ func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, 
 		}
 		return o.joinRows(m, p)
 	}
-	// probeSpan probes rows [lo, hi) and returns the matches in probe order
-	// (per-chunk buffers concatenated in chunk order — identical to the
-	// sequential nested loop over the span).
-	probeSpan := func(lo, hi int) []delta.Row {
-		n := hi - lo
-		if !bc.fanout(cluster.CostJoinProbe, n) {
-			var buf []delta.Row
-			bc.cost.Timed(cluster.CostJoinProbe, n, 1, func() {
-				buf = o.probeRange(buf, probe, probeKeys, store, cb, join, lo, hi)
-			})
-			return buf
-		}
-		outs := make([][]delta.Row, bc.pool.Chunks(n))
-		bc.cost.Timed(cluster.CostJoinProbe, n, bc.pool.Workers(), func() {
-			bc.pool.MapChunks(n, func(c, a, b int) {
-				outs[c] = o.probeRange(nil, probe, probeKeys, store, cb, join, lo+a, lo+b)
-			})
+	// buf holds the matches this replica probed, in probe order: all of them
+	// locally, one span's under a transport — where the joined rows travel as
+	// spill-codec payloads and every replica appends the merged spans in span
+	// order (the same ordered merge, across machines).
+	var buf []delta.Row
+	shipped := bc.site(cluster.CostJoinProbe, len(probe), spanCodec{
+		encode: func(lo, hi int) ([]byte, error) { return encodeRowSpan(buf) },
+		merge: func(lo, hi int, p []byte) error {
+			rows, err := decodeRowSpan(p)
+			dst = append(dst, rows...)
+			return err
+		},
+	}, func(p *cluster.Pool, lo, hi int) {
+		buf = cluster.CollectSpan(p, lo, hi, func(a, b int) []delta.Row {
+			return o.probeRange(probe, probeKeys, store, cb, join, a, b)
 		})
-		var buf []delta.Row
-		for _, b := range outs {
-			buf = append(buf, b...)
-		}
-		return buf
-	}
-	if bc.distSite(len(probe)) {
-		// Distributed shard shipping: each replica probes one span, the
-		// joined rows travel as spill-codec payloads, and every replica
-		// appends the merged spans in span order — the same ordered merge,
-		// across machines.
-		bc.exchange(cluster.CostJoinProbe, len(probe),
-			func(lo, hi int) ([]byte, error) { return encodeRowSpan(probeSpan(lo, hi)) },
-			func(lo, hi int, p []byte) error {
-				rows, err := decodeRowSpan(p)
-				if err != nil {
-					return err
-				}
-				dst = append(dst, rows...)
-				return nil
-			})
+	})
+	if shipped {
 		return dst
 	}
-	return append(dst, probeSpan(0, len(probe))...)
+	return append(dst, buf...)
 }
 
 // probeRange is probeInto's inner loop over probe rows [lo, hi): the
 // columnar form encodes each key from the banks and probes by bytes, the
 // row form gathers values per row. Both index the same hot map with the
 // same key bytes, so matches and their order are identical.
-func (o *opJoin) probeRange(buf []delta.Row, probe []delta.Row, probeKeys []int, store *delta.HashStore, cb *colBatch, join func(p, m delta.Row) delta.Row, lo, hi int) []delta.Row {
+func (o *opJoin) probeRange(probe []delta.Row, probeKeys []int, store *delta.HashStore, cb *colBatch, join func(p, m delta.Row) delta.Row, lo, hi int) []delta.Row {
+	var buf []delta.Row
 	if cb != nil {
 		var kb [96]byte
 		key := kb[:0]
@@ -213,31 +193,35 @@ func (o *opJoin) probePartitioned(dst []delta.Row, probe []delta.Row, probeKeys 
 		buckets[i] = cluster.KeyBucket(scratch, o.partBuckets)
 	}
 	perProbe := make([][]delta.Row, len(probe))
-	bc.exchange(cluster.CostProbePart, o.partBuckets,
-		func(lo, hi int) ([]byte, error) {
-			var idx []int
-			var matches [][]delta.Row
-			for i, b := range buckets {
-				if b < lo || b >= hi {
-					continue
-				}
-				p := probe[i]
-				ms := store.Probe(p.Vals, probeKeys)
-				if len(ms) == 0 {
-					continue
-				}
-				joined := make([]delta.Row, len(ms))
-				for j, m := range ms {
-					joined[j] = o.joinRows(p, m)
-				}
-				idx = append(idx, i)
-				matches = append(matches, joined)
-			}
-			return encodePartProbeSpan(idx, matches)
-		},
-		func(lo, hi int, p []byte) error {
+	// idx and matches are the span this replica probed: the probe rows routed
+	// to its buckets that found matches, and their joined rows.
+	var idx []int
+	var matches [][]delta.Row
+	bc.site(cluster.CostProbePart, o.partBuckets, spanCodec{
+		partial: true,
+		encode:  func(lo, hi int) ([]byte, error) { return encodePartProbeSpan(idx, matches) },
+		merge: func(lo, hi int, p []byte) error {
 			return decodePartProbeSpan(p, lo, hi, buckets, perProbe)
-		})
+		},
+	}, func(_ *cluster.Pool, lo, hi int) {
+		idx, matches = nil, nil
+		for i, b := range buckets {
+			if b < lo || b >= hi {
+				continue
+			}
+			p := probe[i]
+			ms := store.Probe(p.Vals, probeKeys)
+			if len(ms) == 0 {
+				continue
+			}
+			joined := make([]delta.Row, len(ms))
+			for j, m := range ms {
+				joined[j] = o.joinRows(p, m)
+			}
+			idx = append(idx, i)
+			matches = append(matches, joined)
+		}
+	})
 	for i := range probe {
 		dst = append(dst, perProbe[i]...)
 	}
@@ -308,7 +292,7 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 	}
 	if len(lo.news) > 0 && rEmitted {
 		newR := delta.NewHashStore(rKeys)
-		newR.AddBatch(ro.news, false, bc.par(cluster.CostJoinBuild, len(ro.news)))
+		newR.AddBatch(ro.news, false, bc.run.Gate(cluster.CostJoinBuild, len(ro.news)))
 		if partitioned {
 			out.news = o.probePartitioned(out.news, lo.news, lKeys, newR, bc)
 		} else {
@@ -318,10 +302,10 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 	// Fold this batch's certain rows into the stores, which share them
 	// (delta.Row: rows are immutable).
 	if o.lStore != nil {
-		o.lStore.AddBatch(lo.news, false, bc.par(cluster.CostJoinBuild, len(lo.news)))
+		o.lStore.AddBatch(lo.news, false, bc.run.Gate(cluster.CostJoinBuild, len(lo.news)))
 	}
 	if o.rStore != nil && !o.sharedR {
-		o.rStore.AddBatch(ro.news, false, bc.par(cluster.CostJoinBuild, len(ro.news)))
+		o.rStore.AddBatch(ro.news, false, bc.run.Gate(cluster.CostJoinBuild, len(ro.news)))
 	}
 	// Tuple-uncertain combinations, recomputed every batch:
 	// U_L ⋈ C_R, C_L ⋈ U_R, U_L ⋈ U_R.
@@ -343,7 +327,7 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 	}
 	if len(lo.unc) > 0 && len(ro.unc) > 0 {
 		uncR := delta.NewHashStore(rKeys)
-		uncR.AddBatch(ro.unc, false, bc.par(cluster.CostJoinBuild, len(ro.unc)))
+		uncR.AddBatch(ro.unc, false, bc.run.Gate(cluster.CostJoinBuild, len(ro.unc)))
 		out.unc = o.probeInto(out.unc, lo.unc, lKeys, uncR, true, bc, nil)
 	}
 	o.record(out)

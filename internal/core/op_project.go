@@ -40,7 +40,7 @@ func (o *opProject) apply(rows []delta.Row, bc *batchContext) []delta.Row {
 			out[ri] = delta.Row{Vals: vals, Mult: r.Mult, W: r.W}
 		}
 	}
-	bc.mapChunks(cluster.CostProject, len(rows), fill)
+	bc.run.Chunks(cluster.CostProject, len(rows), fill)
 	return out
 }
 

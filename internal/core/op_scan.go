@@ -82,7 +82,7 @@ func (o *opScan) step(bc *batchContext) (output, error) {
 		// Only weighted scans feed the scan EWMA: the unweighted fill is a
 		// different (much cheaper) operation and would drag the estimate.
 		if o.poisson != nil {
-			bc.mapChunks(cluster.CostScan, d.Len(), func(lo, hi int) {
+			bc.run.Chunks(cluster.CostScan, d.Len(), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					fill(i)
 				}

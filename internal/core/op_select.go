@@ -89,18 +89,12 @@ func (o *opSelect) classifyAll(rows []delta.Row, bc *batchContext, regen bool) [
 			vs[i] = v
 		}
 	}
-	if bc.distSite(len(rows)) {
-		// Distributed site: each replica classifies one contiguous span and
-		// every replica applies the merged verdict bytes for all spans.
-		bc.exchange(cluster.CostSelect, len(rows),
-			func(lo, hi int) ([]byte, error) {
-				bc.spanChunks(cluster.CostSelect, lo, hi, fill)
-				return encodeVerdictSpan(vs, lo, hi), nil
-			},
-			func(lo, hi int, p []byte) error { return decodeVerdictSpan(vs, lo, hi, p) })
-		return vs
-	}
-	bc.mapChunks(cluster.CostSelect, len(rows), fill)
+	// Under a transport each replica classifies one contiguous span and every
+	// replica applies the merged verdict bytes of all spans.
+	bc.site(cluster.CostSelect, len(rows), spanCodec{
+		encode: func(lo, hi int) ([]byte, error) { return encodeVerdictSpan(vs, lo, hi), nil },
+		merge:  func(lo, hi int, p []byte) error { return decodeVerdictSpan(vs, lo, hi, p) },
+	}, func(p *cluster.Pool, lo, hi int) { p.Span(lo, hi, fill) })
 	return vs
 }
 
@@ -113,16 +107,10 @@ func (o *opSelect) filterAll(rows []delta.Row, bc *batchContext) []bool {
 			pass[i] = evalTrue(o.node.Pred, rows[i], bc)
 		}
 	}
-	if bc.distSite(len(rows)) {
-		bc.exchange(cluster.CostSelect, len(rows),
-			func(lo, hi int) ([]byte, error) {
-				bc.spanChunks(cluster.CostSelect, lo, hi, fill)
-				return encodeBoolSpan(pass, lo, hi), nil
-			},
-			func(lo, hi int, p []byte) error { return decodeBoolSpan(pass, lo, hi, p) })
-		return pass
-	}
-	bc.mapChunks(cluster.CostSelect, len(rows), fill)
+	bc.site(cluster.CostSelect, len(rows), spanCodec{
+		encode: func(lo, hi int) ([]byte, error) { return encodeBoolSpan(pass, lo, hi), nil },
+		merge:  func(lo, hi int, p []byte) error { return decodeBoolSpan(pass, lo, hi, p) },
+	}, func(p *cluster.Pool, lo, hi int) { p.Span(lo, hi, fill) })
 	return pass
 }
 
@@ -165,7 +153,7 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 			// the row path's acceptance test — so the appended rows and
 			// their order match the row branch exactly.
 			pass = make([]bool, len(in.news))
-			bc.mapChunks(cluster.CostSelect, len(in.news), func(lo, hi int) {
+			bc.run.Chunks(cluster.CostSelect, len(in.news), func(lo, hi int) {
 				o.vec.EvalCols(cb.cols, lo, hi, pass[lo:hi])
 			})
 			sel := make([]int32, 0, len(in.news))

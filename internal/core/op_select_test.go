@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"iolap/internal/bootstrap"
-	"iolap/internal/cluster"
 	"iolap/internal/delta"
 	"iolap/internal/expr"
 	"iolap/internal/plan"
@@ -38,7 +37,6 @@ func testBC(batch int, val float64, lo, hi float64) *batchContext {
 		tables: make(map[int]*aggTable),
 		lazy:   true,
 		prune:  true,
-		pool:   cluster.NewPool(1),
 	}
 	bc.publish(7, &aggTable{
 		groupCols: 0,

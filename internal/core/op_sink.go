@@ -88,26 +88,14 @@ func (o *opSink) materialize(bc *batchContext) (*rel.Relation, [][]bootstrap.Est
 			ests[idx] = rowEst
 		}
 	}
-	if bc.distSite(len(rows)) {
-		// Distributed site: each replica materialises one span (tuples and
-		// bootstrap estimates), and every replica applies the merged spans
-		// from the same bytes — so the delivered result, including estimate
-		// bit patterns, is identical on all replicas.
-		bc.exchange(cluster.CostSink, len(rows),
-			func(lo, hi int) ([]byte, error) {
-				bc.spanChunks(cluster.CostSink, lo, hi, emitRange)
-				return encodeSinkSpan(res, ests, lo, hi, len(o.exprs))
-			},
-			func(lo, hi int, p []byte) error {
-				return decodeSinkSpan(res, ests, lo, hi, len(o.exprs), p)
-			})
-		return res, ests
-	}
-	if bc.pool != nil && len(rows) >= 64 && bc.trials > 0 {
-		bc.pool.MapChunks(len(rows), func(_, lo, hi int) { emitRange(lo, hi) })
-	} else {
-		emitRange(0, len(rows))
-	}
+	// Under a transport each replica materialises one span (tuples and
+	// bootstrap estimates) and every replica applies the merged spans from
+	// the same bytes — so the delivered result, estimate bit patterns
+	// included, is identical on all replicas.
+	bc.site(cluster.CostSink, len(rows), spanCodec{
+		encode: func(lo, hi int) ([]byte, error) { return encodeSinkSpan(res, ests, lo, hi, len(o.exprs)) },
+		merge:  func(lo, hi int, p []byte) error { return decodeSinkSpan(res, ests, lo, hi, len(o.exprs), p) },
+	}, func(p *cluster.Pool, lo, hi int) { p.Span(lo, hi, emitRange) })
 	return res, ests
 }
 

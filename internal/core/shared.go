@@ -43,7 +43,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"iolap/internal/cluster"
 	"iolap/internal/delta"
 	"iolap/internal/plan"
 	"iolap/internal/rel"
@@ -172,11 +171,11 @@ func (c *compiled) buildFrozenStore(sub plan.Node, rkeys []int, an *plan.Analysi
 	if err != nil {
 		return nil, err
 	}
-	// A bare context (no pool, metrics or column banks): the one step runs
+	// A bare context (no workers, metrics or column banks): the one step runs
 	// inside the cache's build callback, on whichever session got there first,
 	// and must cost and count nothing on that session's engine. A static
 	// subtree reads no delta and no scale.
-	bc := newBatchContext(o2, 1, 0, 0, nil, c.db, cluster.NewCostModel(0))
+	bc := newBatchContext(o2, 1, 0, 0, nil, c.db)
 	out, err := root.step(bc)
 	if err != nil {
 		return nil, err
@@ -235,8 +234,7 @@ type sharedAggEntry struct {
 	cur    string                       // path of the live operator state
 	states map[string][]interface{}     // per-op snapshots by path
 	memo   map[string]*sharedStepResult // step results by path+":"+to
-	cost   *cluster.CostModel
-	bytes  int64 // high-water resident footprint of ops (lock-free reads)
+	bytes  int64                        // high-water resident footprint of ops (lock-free reads)
 }
 
 func pathKey(path string, to int) string {
@@ -289,12 +287,12 @@ func (en *sharedAggEntry) stepRange(path string, from, to int) (*sharedStepResul
 			merged.Tuples = append(merged.Tuples, en.deltas[b-1].Tuples...)
 		}
 	}
-	// A bare context (no pool, metrics or column banks): the step runs under
+	// A bare context (no workers, metrics or column banks): the step runs under
 	// en.mu on behalf of every holding session, so it borrows no session's
 	// workers, books no traffic on any session's metrics, and takes the row
 	// paths the entry's operators were marked for (markColumnar off).
 	bc := newBatchContext(en.opts, to, seen, en.totalRows,
-		map[string]*rel.Relation{en.table: merged}, en.db, en.cost)
+		map[string]*rel.Relation{en.table: merged}, en.db)
 	out, err := en.root.step(bc)
 	if err != nil {
 		return nil, err
@@ -477,7 +475,6 @@ func (c *compiled) buildSharedAggEntry(t *plan.Aggregate, table string, totalRow
 		root:      root,
 		states:    make(map[string][]interface{}),
 		memo:      make(map[string]*sharedStepResult),
-		cost:      cluster.NewCostModel(0),
 	}
 	ra, ok := root.(*opAgg)
 	if !ok {

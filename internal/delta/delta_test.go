@@ -98,11 +98,6 @@ func TestRowSetSnapshotRestore(t *testing.T) {
 	if !same(ints(snap), 1, 2, 3, 4) {
 		t.Errorf("snapshot after Add + compaction = %v, want [1 2 3 4]", ints(snap))
 	}
-	s.Clear()
-	s.Add(row(rel.Int(9)))
-	if !same(ints(snap), 1, 2, 3, 4) {
-		t.Errorf("snapshot after Clear + Add = %v, want [1 2 3 4]", ints(snap))
-	}
 
 	// Restore, diverge again, restore again: the snapshot is reusable.
 	for round := 0; round < 2; round++ {

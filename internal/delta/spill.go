@@ -238,14 +238,6 @@ func NewSpillPolicy(budget int64, fs storage.FS, m *cluster.Metrics) *SpillPolic
 	return &SpillPolicy{budget: budget, fs: fs, metrics: m}
 }
 
-// Budget returns the resident-byte budget.
-func (p *SpillPolicy) Budget() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.budget
-}
-
 // Register places a store under this policy's budget, enabling spill for it.
 // Must be called before the store holds any rows. Nil-safe.
 func (p *SpillPolicy) Register(h *HashStore) {

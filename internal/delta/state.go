@@ -83,9 +83,6 @@ func (s *RowSet) Add(r Row) { s.Rows = append(s.Rows, r) }
 // Len returns the number of rows.
 func (s *RowSet) Len() int { return len(s.Rows) }
 
-// Clear empties the set, keeping capacity.
-func (s *RowSet) Clear() { s.Rows = s.Rows[:0] }
-
 // SizeBytes estimates the state footprint.
 func (s *RowSet) SizeBytes() int {
 	n := 24

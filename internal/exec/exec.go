@@ -63,21 +63,21 @@ func (db *DB) Tables() []string {
 }
 
 // Executor evaluates plans with a fixed worker pool and an adaptive
-// sequential/parallel cutover. The cutover is executor state — an EWMA of
-// measured per-row cost per operator class (cluster.CostModel) — not a
+// sequential/parallel cutover (cluster.Runner). The cutover is executor
+// state — an EWMA of measured per-row cost per operator class — not a
 // package variable, so concurrent executors (and the tests that force the
 // parallel paths onto small fixtures) cannot race on each other's tuning.
 // An Executor is not safe for concurrent use; create one per goroutine.
 type Executor struct {
-	pool *cluster.Pool
-	cost *cluster.CostModel
+	workers int
+	run     cluster.Runner
 }
 
 // NewExecutor returns an executor with the given parallelism (0 selects
 // GOMAXPROCS, 1 forces sequential execution) and an adaptive cutover that
 // improves as the executor runs more plans.
 func NewExecutor(workers int) *Executor {
-	return &Executor{pool: cluster.NewPool(workers), cost: cluster.NewCostModel(0)}
+	return &Executor{workers: workers, run: cluster.NewRunner(workers, 0)}
 }
 
 // SetCutover pins the sequential/parallel cutover to a fixed row count for
@@ -85,19 +85,13 @@ func NewExecutor(workers int) *Executor {
 // test hook that replaced the old mutable package-level threshold: the
 // equivalence suites pin it to 1 to force every parallel path onto small
 // fixtures.
-func (x *Executor) SetCutover(n int) {
-	if n > 0 {
-		x.cost = cluster.NewCostModel(n)
-	} else {
-		x.cost = cluster.NewCostModel(0)
-	}
-}
+func (x *Executor) SetCutover(n int) { x.run = cluster.NewRunner(x.workers, n) }
 
 // Run evaluates the plan against the database and returns the result
 // relation. The plan must be finalized and valid. The result is identical
 // at any worker count.
 func (x *Executor) Run(root plan.Node, db *DB) (*rel.Relation, error) {
-	e := &executor{db: db, pool: x.pool, cost: x.cost}
+	e := &executor{db: db, run: x.run}
 	return e.eval(root)
 }
 
@@ -112,31 +106,12 @@ func RunWorkers(root plan.Node, db *DB, workers int) (*rel.Relation, error) {
 	return NewExecutor(workers).Run(root, db)
 }
 
+// executor is one plan evaluation. Every row-parallel site runs on run,
+// which gates it, clocks it and cuts it; each parallel form is bit-identical
+// to its inline one, so the runner's answer never shows in a result.
 type executor struct {
-	db   *DB
-	pool *cluster.Pool
-	cost *cluster.CostModel
-}
-
-// fanout reports whether a site of the given class processing n tuples
-// should use the pool. The answer affects only scheduling, never results:
-// every parallel path gated by it is bit-identical to its sequential
-// fallback.
-func (e *executor) fanout(c cluster.OpClass, n int) bool {
-	return e.pool.Workers() > 1 && n >= e.cost.Threshold(c)
-}
-
-// mapChunks runs fill over [0, n) — chunk-parallel when the class cutover
-// says the batch is worth fanning out — and feeds the measured per-row cost
-// back into the executor's model.
-func (e *executor) mapChunks(c cluster.OpClass, n int, fill func(lo, hi int)) {
-	if e.fanout(c, n) {
-		e.cost.Timed(c, n, e.pool.Workers(), func() {
-			e.pool.MapChunks(n, func(_, lo, hi int) { fill(lo, hi) })
-		})
-	} else {
-		e.cost.Timed(c, n, 1, func() { fill(0, n) })
-	}
+	db  *DB
+	run cluster.Runner
 }
 
 func (e *executor) eval(n plan.Node) (*rel.Relation, error) {
@@ -157,7 +132,7 @@ func (e *executor) eval(n plan.Node) (*rel.Relation, error) {
 		}
 		out := rel.NewRelation(in.Schema)
 		keep := make([]bool, len(in.Tuples))
-		e.mapChunks(cluster.CostSelect, len(in.Tuples), func(lo, hi int) {
+		e.run.Chunks(cluster.CostSelect, len(in.Tuples), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				v := t.Pred.Eval(in.Tuples[i].Vals, nil)
 				keep[i] = !v.IsNull() && v.Kind() == rel.KBool && v.Bool()
@@ -177,7 +152,7 @@ func (e *executor) eval(n plan.Node) (*rel.Relation, error) {
 		}
 		out := rel.NewRelation(t.Out)
 		out.Tuples = make([]rel.Tuple, len(in.Tuples))
-		e.mapChunks(cluster.CostProject, len(in.Tuples), func(lo, hi int) {
+		e.run.Chunks(cluster.CostProject, len(in.Tuples), func(lo, hi int) {
 			for ti := lo; ti < hi; ti++ {
 				tp := in.Tuples[ti]
 				vals := make([]rel.Value, len(t.Exprs))
@@ -238,19 +213,17 @@ func (e *executor) buildIndex(tuples []rel.Tuple, keyCols []int) *[joinShards]ma
 	for i := range shards {
 		shards[i] = make(map[string][]rel.Tuple)
 	}
-	if !e.fanout(cluster.CostJoinBuild, len(tuples)) {
-		e.cost.Timed(cluster.CostJoinBuild, len(tuples), 1, func() {
+	e.run.Run(cluster.CostJoinBuild, len(tuples), func(p *cluster.Pool) {
+		if p == nil {
 			for _, tp := range tuples {
 				k := rel.EncodeKey(tp.Vals, keyCols)
 				s := joinShard(k)
 				shards[s][k] = append(shards[s][k], tp)
 			}
-		})
-		return &shards
-	}
-	e.cost.Timed(cluster.CostJoinBuild, len(tuples), e.pool.Workers(), func() {
+			return
+		}
 		keys := make([]string, len(tuples))
-		e.pool.MapChunks(len(tuples), func(_, lo, hi int) {
+		p.Span(0, len(tuples), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				keys[i] = rel.EncodeKey(tuples[i].Vals, keyCols)
 			}
@@ -263,7 +236,7 @@ func (e *executor) buildIndex(tuples []rel.Tuple, keyCols []int) *[joinShards]ma
 		// Size-hinted shard scheduling: under skewed keys one shard holds
 		// most rows; seeding the deques by shard size keeps the heavy shard
 		// alone on a worker while its siblings share the rest.
-		e.pool.MapSized(joinShards, func(s int) int { return len(byShard[s]) }, func(s int) {
+		p.MapSized(joinShards, func(s int) int { return len(byShard[s]) }, func(s int) {
 			m := shards[s]
 			for _, i := range byShard[s] {
 				m[keys[i]] = append(m[keys[i]], tuples[i])
@@ -310,26 +283,12 @@ func (e *executor) hashJoin(l, r *rel.Relation, lKeys, rKeys []int, out rel.Sche
 		}
 		return dst
 	}
-	if !e.fanout(cluster.CostJoinProbe, len(probe)) {
-		e.cost.Timed(cluster.CostJoinProbe, len(probe), 1, func() {
-			for _, p := range probe {
-				res.Tuples = emit(res.Tuples, p)
-			}
-		})
-		return res
-	}
-	e.cost.Timed(cluster.CostJoinProbe, len(probe), e.pool.Workers(), func() {
-		outs := make([][]rel.Tuple, e.pool.Chunks(len(probe)))
-		e.pool.MapChunks(len(probe), func(c, lo, hi int) {
-			var buf []rel.Tuple
-			for i := lo; i < hi; i++ {
-				buf = emit(buf, probe[i])
-			}
-			outs[c] = buf
-		})
-		for _, b := range outs {
-			res.Tuples = append(res.Tuples, b...)
+	res.Tuples = cluster.Collect(e.run, cluster.CostJoinProbe, len(probe), func(lo, hi int) []rel.Tuple {
+		var buf []rel.Tuple
+		for _, p := range probe[lo:hi] {
+			buf = emit(buf, p)
 		}
+		return buf
 	})
 	return res
 }
@@ -348,8 +307,7 @@ func joinTuple(l, r rel.Tuple) rel.Tuple {
 // unscaled COUNT) comes back as INT when the value is integral, FLOAT
 // otherwise — never losing precision to the declared kind.
 func Aggregate(in *rel.Relation, t *plan.Aggregate, scale float64) *rel.Relation {
-	e := &executor{pool: cluster.NewPool(1), cost: cluster.NewCostModel(0)}
-	return e.aggregate(in, t, scale)
+	return (&executor{}).aggregate(in, t, scale)
 }
 
 func (e *executor) aggregate(in *rel.Relation, t *plan.Aggregate, scale float64) *rel.Relation {
@@ -389,46 +347,8 @@ func (e *executor) aggregate(in *rel.Relation, t *plan.Aggregate, scale float64)
 	}
 	groups := make(map[string]*group)
 	var order []string
-	if e.fanout(cluster.CostFold, len(in.Tuples)) {
-		// Parallel fold: groups are created sequentially in first-seen order;
-		// one task per group folds that group's tuples in input order — the
-		// same add sequence per accumulator as the sequential loop, whichever
-		// worker runs it. Size hints (the group's row count) let the
-		// work-stealing scheduler keep a zipf-heavy group alone on a worker
-		// instead of serialising a whole creation-index shard behind it.
-		e.cost.Timed(cluster.CostFold, len(in.Tuples), e.pool.Workers(), func() {
-			var glist []*group
-			rowsOf := make(map[*group][]int32)
-			for ti, tp := range in.Tuples {
-				if tp.Mult == 0 {
-					continue
-				}
-				k := rel.EncodeKey(tp.Vals, t.GroupBy)
-				g, ok := groups[k]
-				if !ok {
-					g = newGroup(tp)
-					groups[k] = g
-					order = append(order, k)
-					glist = append(glist, g)
-				}
-				rowsOf[g] = append(rowsOf[g], int32(ti))
-			}
-			e.pool.MapSized(len(glist),
-				func(gi int) int { return len(rowsOf[glist[gi]]) },
-				func(gi int) {
-					g := glist[gi]
-					for _, ti := range rowsOf[g] {
-						tp := in.Tuples[ti]
-						for i := range t.Aggs {
-							if v, ok := argVal(i, tp); ok {
-								g.accs[i].Add(v, tp.Mult)
-							}
-						}
-					}
-				})
-		})
-	} else {
-		e.cost.Timed(cluster.CostFold, len(in.Tuples), 1, func() {
+	e.run.Run(cluster.CostFold, len(in.Tuples), func(p *cluster.Pool) {
+		if p == nil {
 			for _, tp := range in.Tuples {
 				if tp.Mult == 0 {
 					continue
@@ -446,8 +366,44 @@ func (e *executor) aggregate(in *rel.Relation, t *plan.Aggregate, scale float64)
 					}
 				}
 			}
-		})
-	}
+			return
+		}
+		// On a pool: groups are created sequentially in first-seen order;
+		// one task per group folds that group's tuples in input order — the
+		// same add sequence per accumulator as the inline loop, whichever
+		// worker runs it. Size hints (the group's row count) let the
+		// work-stealing scheduler keep a zipf-heavy group alone on a worker
+		// instead of serialising a whole creation-index shard behind it.
+		var glist []*group
+		rowsOf := make(map[*group][]int32)
+		for ti, tp := range in.Tuples {
+			if tp.Mult == 0 {
+				continue
+			}
+			k := rel.EncodeKey(tp.Vals, t.GroupBy)
+			g, ok := groups[k]
+			if !ok {
+				g = newGroup(tp)
+				groups[k] = g
+				order = append(order, k)
+				glist = append(glist, g)
+			}
+			rowsOf[g] = append(rowsOf[g], int32(ti))
+		}
+		p.MapSized(len(glist),
+			func(gi int) int { return len(rowsOf[glist[gi]]) },
+			func(gi int) {
+				g := glist[gi]
+				for _, ti := range rowsOf[g] {
+					tp := in.Tuples[ti]
+					for i := range t.Aggs {
+						if v, ok := argVal(i, tp); ok {
+							g.accs[i].Add(v, tp.Mult)
+						}
+					}
+				}
+			})
+	})
 	// SQL semantics: a global aggregate (no GROUP BY) over empty input
 	// still yields one row (COUNT = 0, AVG = NaN/NULL-like).
 	if len(t.GroupBy) == 0 && len(order) == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"iolap/internal/cluster"
 	"iolap/internal/expr"
 	"iolap/internal/plan"
 	"iolap/internal/rel"
@@ -199,6 +200,32 @@ func TestExecutorCutoverIsInstanceState(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestExecutorClocksEverySite pins the runner's clock on the exact executor:
+// a select-join-aggregate plan moves exactly the classes it has sites of off
+// their cold-start priors, and a pinned cutover (SetCutover) moves none.
+func TestExecutorClocksEverySite(t *testing.T) {
+	db, root := factDimDB(600, 9), factDimPlan(t)
+	prior := cluster.NewCostModel(0).Snapshot()
+	ran := map[string]bool{}
+	for _, c := range []cluster.OpClass{cluster.CostSelect, cluster.CostJoinBuild, cluster.CostJoinProbe, cluster.CostFold} {
+		ran[c.String()] = true
+	}
+	x := NewExecutor(4)
+	for _, fixed := range []bool{false, true} {
+		if fixed {
+			x.SetCutover(1)
+		}
+		if _, err := x.Run(root, db); err != nil {
+			t.Fatal(err)
+		}
+		for class, ns := range x.run.CostSnapshot() {
+			if moved := ns != prior[class]; moved != (ran[class] && !fixed) {
+				t.Errorf("fixed=%v: %s estimate %v (prior %v)", fixed, class, ns, prior[class])
+			}
 		}
 	}
 }

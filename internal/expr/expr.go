@@ -798,14 +798,3 @@ func (e *In) String() string {
 	b.WriteByte(')')
 	return b.String()
 }
-
-// HasUncertain reports whether any column read by e is listed in the
-// uncertain-column set; used by compile-time uncertainty tagging (§4.1).
-func HasUncertain(e Expr, uncertain map[int]bool) bool {
-	for _, c := range e.Cols(nil) {
-		if uncertain[c] {
-			return true
-		}
-	}
-	return false
-}

@@ -433,16 +433,6 @@ func TestExprStrings(t *testing.T) {
 	}
 }
 
-func TestHasUncertain(t *testing.T) {
-	e := NewArith(Add, col(0, rel.KFloat), col(2, rel.KFloat))
-	if !HasUncertain(e, map[int]bool{2: true}) {
-		t.Error("col 2 is uncertain")
-	}
-	if HasUncertain(e, map[int]bool{1: true}) {
-		t.Error("col 1 unused")
-	}
-}
-
 func TestFuncIntervalConservative(t *testing.T) {
 	r := NewRegistry()
 	f, _ := r.Lookup("LN") // no IntervalFn

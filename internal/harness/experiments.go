@@ -80,15 +80,8 @@ func Fig7a(cfg Config) ([]*Result, error) {
 		fmt.Sprintf("baseline (batch engine, exact) latency: %s ms", ms(baseLat)),
 		fmt.Sprintf("first approximate answer after %s ms (%.1f%% of baseline)",
 			ms(run.updates[0].Duration),
-			100*float64(run.updates[0].Duration)/float64(max64(1, int64(baseLat)))))
+			100*float64(run.updates[0].Duration)/float64(max(1, int64(baseLat)))))
 	return []*Result{res}, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // fig7 runs the Figure 7(b)/(c) comparison for one workload: baseline vs
@@ -597,8 +590,8 @@ func Spill(cfg Config) ([]*Result, error) {
 		budget int64
 	}{
 		{"unlimited", 0},
-		{"peak/2", max64(1, int64(peak/2))},
-		{"peak/8", max64(1, int64(peak/8))},
+		{"peak/2", max(1, int64(peak/2))},
+		{"peak/8", max(1, int64(peak/8))},
 		{"zero", -1},
 	}
 	res := &Result{

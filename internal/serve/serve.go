@@ -139,17 +139,7 @@ type Update struct {
 
 // MaxRelStdev returns the worst relative standard deviation across all
 // uncertain cells — a single accuracy number to stop on.
-func (u *Update) MaxRelStdev() float64 {
-	worst := 0.0
-	for _, row := range u.Estimates {
-		for _, e := range row {
-			if e.Stdev > 0 && e.RelStd > worst {
-				worst = e.RelStd
-			}
-		}
-	}
-	return worst
-}
+func (u *Update) MaxRelStdev() float64 { return bootstrap.MaxRelStdev(u.Estimates) }
 
 // SessionState is the lifecycle position of a session.
 type SessionState int32

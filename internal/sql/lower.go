@@ -195,10 +195,10 @@ func (pl *Planner) aggFunc(fc *FuncCall) (*agg.Func, error) {
 }
 
 // lowerConjuncts lowers and conjoins a list of predicates.
-func (pl *Planner) lowerConjuncts(conjs []ExprNode, schema rel.Schema, aggMap map[string]int, _ map[int]int) (expr.Expr, error) {
+func (pl *Planner) lowerConjuncts(conjs []ExprNode, schema rel.Schema, aggMap map[string]int) (expr.Expr, error) {
 	var out expr.Expr
 	for _, c := range conjs {
-		e, err := pl.lowerExpr(c, schema, aggMap, nil)
+		e, err := pl.lowerExpr(c, schema, aggMap)
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +214,7 @@ func (pl *Planner) lowerConjuncts(conjs []ExprNode, schema rel.Schema, aggMap ma
 // lowerExpr lowers an AST expression against a schema. aggMap, when present,
 // maps canonical aggregate-call keys to output columns (post-aggregation
 // lowering for HAVING and select items).
-func (pl *Planner) lowerExpr(e ExprNode, schema rel.Schema, aggMap map[string]int, _ map[int]int) (expr.Expr, error) {
+func (pl *Planner) lowerExpr(e ExprNode, schema rel.Schema, aggMap map[string]int) (expr.Expr, error) {
 	switch t := e.(type) {
 	case *Ident:
 		idx, err := schema.Resolve(t.Qual, t.Name)
@@ -237,11 +237,11 @@ func (pl *Planner) lowerExpr(e ExprNode, schema rel.Schema, aggMap map[string]in
 			return expr.NewConst(rel.Null()), nil
 		}
 	case *BinOp:
-		l, err := pl.lowerExpr(t.L, schema, aggMap, nil)
+		l, err := pl.lowerExpr(t.L, schema, aggMap)
 		if err != nil {
 			return nil, err
 		}
-		r, err := pl.lowerExpr(t.R, schema, aggMap, nil)
+		r, err := pl.lowerExpr(t.R, schema, aggMap)
 		if err != nil {
 			return nil, err
 		}
@@ -275,7 +275,7 @@ func (pl *Planner) lowerExpr(e ExprNode, schema rel.Schema, aggMap map[string]in
 		}
 		return nil, fmt.Errorf("sql: unknown operator %q", t.Op)
 	case *UnOp:
-		inner, err := pl.lowerExpr(t.E, schema, aggMap, nil)
+		inner, err := pl.lowerExpr(t.E, schema, aggMap)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +300,7 @@ func (pl *Planner) lowerExpr(e ExprNode, schema rel.Schema, aggMap map[string]in
 		}
 		args := make([]expr.Expr, len(t.Args))
 		for i, a := range t.Args {
-			arg, err := pl.lowerExpr(a, schema, aggMap, nil)
+			arg, err := pl.lowerExpr(a, schema, aggMap)
 			if err != nil {
 				return nil, err
 			}
@@ -310,11 +310,11 @@ func (pl *Planner) lowerExpr(e ExprNode, schema rel.Schema, aggMap map[string]in
 	case *CaseExpr:
 		var pairs []expr.Expr
 		for _, w := range t.Whens {
-			cond, err := pl.lowerExpr(w.Cond, schema, aggMap, nil)
+			cond, err := pl.lowerExpr(w.Cond, schema, aggMap)
 			if err != nil {
 				return nil, err
 			}
-			then, err := pl.lowerExpr(w.Then, schema, aggMap, nil)
+			then, err := pl.lowerExpr(w.Then, schema, aggMap)
 			if err != nil {
 				return nil, err
 			}
@@ -323,22 +323,22 @@ func (pl *Planner) lowerExpr(e ExprNode, schema rel.Schema, aggMap map[string]in
 		var elseE expr.Expr
 		if t.Else != nil {
 			var err error
-			elseE, err = pl.lowerExpr(t.Else, schema, aggMap, nil)
+			elseE, err = pl.lowerExpr(t.Else, schema, aggMap)
 			if err != nil {
 				return nil, err
 			}
 		}
 		return expr.NewCase(pairs, elseE), nil
 	case *BetweenExpr:
-		v, err := pl.lowerExpr(t.E, schema, aggMap, nil)
+		v, err := pl.lowerExpr(t.E, schema, aggMap)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := pl.lowerExpr(t.Lo, schema, aggMap, nil)
+		lo, err := pl.lowerExpr(t.Lo, schema, aggMap)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := pl.lowerExpr(t.Hi, schema, aggMap, nil)
+		hi, err := pl.lowerExpr(t.Hi, schema, aggMap)
 		if err != nil {
 			return nil, err
 		}
@@ -350,13 +350,13 @@ func (pl *Planner) lowerExpr(e ExprNode, schema rel.Schema, aggMap map[string]in
 		if t.Sub != nil {
 			return nil, fmt.Errorf("sql: IN (subquery) only supported as a WHERE conjunct")
 		}
-		v, err := pl.lowerExpr(t.E, schema, aggMap, nil)
+		v, err := pl.lowerExpr(t.E, schema, aggMap)
 		if err != nil {
 			return nil, err
 		}
 		list := make([]expr.Expr, len(t.List))
 		for i, item := range t.List {
-			li, err := pl.lowerExpr(item, schema, aggMap, nil)
+			li, err := pl.lowerExpr(item, schema, aggMap)
 			if err != nil {
 				return nil, err
 			}
@@ -364,7 +364,7 @@ func (pl *Planner) lowerExpr(e ExprNode, schema rel.Schema, aggMap map[string]in
 		}
 		return expr.NewIn(v, list, t.Inv), nil
 	case *LikeExpr:
-		v, err := pl.lowerExpr(t.E, schema, aggMap, nil)
+		v, err := pl.lowerExpr(t.E, schema, aggMap)
 		if err != nil {
 			return nil, err
 		}
@@ -500,7 +500,7 @@ func (pl *Planner) attachSubqueryConjunct(node plan.Node, c ExprNode, outer rel.
 		}
 		width := len(node.Schema())
 		joined := plan.NewJoin(node, subNode, outerKeys, innerKeys)
-		l, err := pl.lowerExpr(lhs, node.Schema(), nil, nil)
+		l, err := pl.lowerExpr(lhs, node.Schema(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -536,7 +536,7 @@ func requalify(n plan.Node, q string) {
 // attachHavingSubquery handles a HAVING conjunct containing a scalar
 // subquery (e.g. TPC-H Q11): join the aggregate output with the subquery and
 // filter.
-func (pl *Planner) attachHavingSubquery(cur plan.Node, c ExprNode, aggMap map[string]int, _ map[int]int, _ rel.Schema) (plan.Node, error) {
+func (pl *Planner) attachHavingSubquery(cur plan.Node, c ExprNode, aggMap map[string]int) (plan.Node, error) {
 	b, ok := c.(*BinOp)
 	if !ok {
 		return nil, fmt.Errorf("sql: unsupported HAVING subquery conjunct %T", c)
@@ -576,7 +576,7 @@ func (pl *Planner) attachHavingSubquery(cur plan.Node, c ExprNode, aggMap map[st
 	requalify(subNode, fmt.Sprintf("__subq%d", pl.subqSeq))
 	width := len(cur.Schema())
 	joined := plan.NewJoin(cur, subNode, nil, nil)
-	l, err := pl.lowerExpr(lhs, cur.Schema(), aggMap, nil)
+	l, err := pl.lowerExpr(lhs, cur.Schema(), aggMap)
 	if err != nil {
 		return nil, err
 	}
@@ -621,7 +621,7 @@ func (pl *Planner) planScalarSubquery(stmt *SelectStmt, outer rel.Schema) (plan.
 	var corrs []corr
 	var innerConjs []ExprNode
 	for _, c := range splitConjuncts(stmt.Where) {
-		if _, err := pl.lowerExpr(c, inner, nil, nil); err == nil {
+		if _, err := pl.lowerExpr(c, inner, nil); err == nil {
 			innerConjs = append(innerConjs, c)
 			continue
 		}
@@ -710,7 +710,7 @@ func (pl *Planner) planScalarSubquery(stmt *SelectStmt, outer rel.Schema) (plan.
 			if len(fc.Args) != 1 {
 				return nil, nil, nil, 0, fmt.Errorf("sql: aggregate %s takes one argument", fc.Name)
 			}
-			arg, err := pl.lowerExpr(fc.Args[0], baseSchema, nil, nil)
+			arg, err := pl.lowerExpr(fc.Args[0], baseSchema, nil)
 			if err != nil {
 				return nil, nil, nil, 0, err
 			}
@@ -728,7 +728,7 @@ func (pl *Planner) planScalarSubquery(stmt *SelectStmt, outer rel.Schema) (plan.
 		exprs = append(exprs, expr.NewCol(i, c.Name, c.Type))
 		names = append(names, c.Name)
 	}
-	valExpr, err := pl.lowerExpr(item, aggNode.Schema(), aggMap, nil)
+	valExpr, err := pl.lowerExpr(item, aggNode.Schema(), aggMap)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}

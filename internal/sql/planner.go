@@ -413,7 +413,7 @@ func (pl *Planner) planFromJoin(stmt *SelectStmt, outer rel.Schema) (plan.Node, 
 	}
 	// 3. Residual filters (deterministic, pre-subquery).
 	if len(residual) > 0 {
-		pred, err := pl.lowerConjuncts(residual, node.Schema(), nil, nil)
+		pred, err := pl.lowerConjuncts(residual, node.Schema(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -473,7 +473,7 @@ func (pl *Planner) finishSelect(stmt *SelectStmt, node plan.Node, outer rel.Sche
 		exprs := make([]expr.Expr, len(stmt.Items))
 		names := make([]string, len(stmt.Items))
 		for i, item := range stmt.Items {
-			e, err := pl.lowerExpr(item.Expr, inSchema, nil, nil)
+			e, err := pl.lowerExpr(item.Expr, inSchema, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -513,7 +513,7 @@ func (pl *Planner) finishSelect(stmt *SelectStmt, node plan.Node, outer rel.Sche
 			names = append(names, c.Name)
 		}
 		for j, g := range computed {
-			e, err := pl.lowerExpr(g, inSchema, nil, nil)
+			e, err := pl.lowerExpr(g, inSchema, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -551,7 +551,7 @@ func (pl *Planner) finishSelect(stmt *SelectStmt, node plan.Node, outer rel.Sche
 				if len(fc.Args) != 1 {
 					return fmt.Errorf("sql: aggregate %s takes one argument", fn.Name)
 				}
-				arg, err := pl.lowerExpr(fc.Args[0], inSchema, nil, nil)
+				arg, err := pl.lowerExpr(fc.Args[0], inSchema, nil)
 				if err != nil {
 					return err
 				}
@@ -578,15 +578,10 @@ func (pl *Planner) finishSelect(stmt *SelectStmt, node plan.Node, outer rel.Sche
 	}
 	aggNode := plan.NewAggregate(node, groupIdx, specs)
 	var cur plan.Node = aggNode
-	// Post-aggregation lowering maps: aggregate call -> output col,
-	// group-by source col -> output col.
+	// Post-aggregation lowering map: aggregate call -> output col.
 	aggMap := map[string]int{}
 	for key, si := range aggCalls {
 		aggMap[key] = len(groupIdx) + si
-	}
-	groupMap := map[int]int{}
-	for outPos, srcIdx := range groupIdx {
-		groupMap[srcIdx] = outPos
 	}
 	// HAVING: may itself contain scalar subqueries (e.g. TPC-H Q11).
 	if stmt.Having != nil {
@@ -595,7 +590,7 @@ func (pl *Planner) finishSelect(stmt *SelectStmt, node plan.Node, outer rel.Sche
 		for _, c := range havingConjs {
 			if hasSubquery(c) {
 				var err error
-				cur, err = pl.attachHavingSubquery(cur, c, aggMap, groupMap, inSchema)
+				cur, err = pl.attachHavingSubquery(cur, c, aggMap)
 				if err != nil {
 					return nil, err
 				}
@@ -604,7 +599,7 @@ func (pl *Planner) finishSelect(stmt *SelectStmt, node plan.Node, outer rel.Sche
 			}
 		}
 		if len(plainConjs) > 0 {
-			pred, err := pl.lowerConjuncts(plainConjs, cur.Schema(), aggMap, groupMap)
+			pred, err := pl.lowerConjuncts(plainConjs, cur.Schema(), aggMap)
 			if err != nil {
 				return nil, err
 			}
@@ -623,7 +618,7 @@ func (pl *Planner) finishSelect(stmt *SelectStmt, node plan.Node, outer rel.Sche
 			names[i] = itemName(item, i)
 			continue
 		}
-		e, err := pl.lowerExpr(item.Expr, cur.Schema(), aggMap, groupMap)
+		e, err := pl.lowerExpr(item.Expr, cur.Schema(), aggMap)
 		if err != nil {
 			return nil, err
 		}

@@ -520,13 +520,37 @@ func (s *Session) Exec(query string) (*Update, error) {
 
 // Cursor iterates the refined partial results of an incremental query.
 type Cursor struct {
-	engine   *core.Engine
-	pp       *sql.PostProcess
-	cur      *Update
-	err      error
+	engine *core.Engine
+	pp     *sql.PostProcess
+	cur    *Update
+	err    error
+	distRun
+}
+
+// distRun is the distributed set-up of one query: the coordinator, the stop
+// function of loopback workers and the listener for mid-query joins. The zero
+// value is a local run.
+type distRun struct {
 	coord    *dist.Coordinator
 	stopLoop func()
 	joinL    net.Listener
+}
+
+// stop tears the set-up down — no new joiners, then the coordinator (which
+// releases the workers' query state), then the loopback workers. Idempotent;
+// coord stays set so a closed cursor still reports its wire totals.
+func (d *distRun) stop() {
+	if d.joinL != nil {
+		d.joinL.Close()
+		d.joinL = nil
+	}
+	if d.coord != nil {
+		d.coord.Close()
+	}
+	if d.stopLoop != nil {
+		d.stopLoop()
+		d.stopLoop = nil
+	}
 }
 
 // Query compiles the SQL text and prepares incremental execution; iterate
@@ -555,66 +579,61 @@ func (s *Session) Query(query string, opts *Options) (*Cursor, error) {
 		StateBudgetBytes: opts.StateBudgetBytes,
 		SpillDir:         opts.SpillDir,
 	}
-	var coord *dist.Coordinator
-	var stopLoop func()
-	var joinL net.Listener
+	var d distRun
 	if len(opts.DistWorkers) > 0 || opts.DistLoopback > 0 {
-		coreOpts.WireCompression = opts.DistCompress
-		if len(opts.DistPartitionTables) > 0 {
-			coreOpts.PartitionTables = opts.DistPartitionTables
-			if coreOpts.Partitions = len(opts.DistWorkers); coreOpts.Partitions == 0 {
-				coreOpts.Partitions = opts.DistLoopback
-			}
-		}
-		var conns []net.Conn
-		if len(opts.DistWorkers) > 0 {
-			conns, err = dist.Dial(opts.DistWorkers, 0)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			conns, stopLoop = dist.StartLoopback(opts.DistLoopback,
-				dist.WorkerOptions{Workers: opts.Workers})
-		}
-		coord = dist.NewCoordinator(conns, dist.Config{MinRows: opts.DistMinRows})
-		streamedOf := make(map[string]bool, len(s.tables))
-		for name := range s.tables {
-			streamedOf[name] = cat.Streamed(name)
-		}
-		if err := coord.Setup(db, streamedOf, query, coreOpts); err != nil {
-			coord.Close()
-			if stopLoop != nil {
-				stopLoop()
-			}
+		if d, err = s.startDist(query, opts, db, cat, &coreOpts); err != nil {
 			return nil, err
 		}
-		if opts.DistElasticAddr != "" {
-			joinL, err = net.Listen("tcp", opts.DistElasticAddr)
-			if err != nil {
-				coord.Close()
-				if stopLoop != nil {
-					stopLoop()
-				}
-				return nil, err
-			}
-			coord.AcceptJoiners(joinL)
-		}
-		coreOpts.Exchange = coord
 	}
 	eng, err := core.NewEngine(node, db, coreOpts)
 	if err != nil {
-		if coord != nil {
-			coord.Close()
-			if stopLoop != nil {
-				stopLoop()
-			}
-			if joinL != nil {
-				joinL.Close()
-			}
-		}
+		d.stop()
 		return nil, err
 	}
-	return &Cursor{engine: eng, pp: pp, coord: coord, stopLoop: stopLoop, joinL: joinL}, nil
+	return &Cursor{engine: eng, pp: pp, distRun: d}, nil
+}
+
+// startDist connects the query's workers (dialled, or loopback goroutines),
+// ships them the set-up, opens the join listener when asked to, and points
+// coreOpts at the coordinator. On error nothing is left running.
+func (s *Session) startDist(query string, opts *Options, db *exec.DB, cat *sql.Catalog, coreOpts *core.Options) (d distRun, err error) {
+	defer func() {
+		if err != nil {
+			d.stop()
+		}
+	}()
+	coreOpts.WireCompression = opts.DistCompress
+	if len(opts.DistPartitionTables) > 0 {
+		coreOpts.PartitionTables = opts.DistPartitionTables
+		if coreOpts.Partitions = len(opts.DistWorkers); coreOpts.Partitions == 0 {
+			coreOpts.Partitions = opts.DistLoopback
+		}
+	}
+	var conns []net.Conn
+	if len(opts.DistWorkers) > 0 {
+		if conns, err = dist.Dial(opts.DistWorkers, 0); err != nil {
+			return d, err
+		}
+	} else {
+		conns, d.stopLoop = dist.StartLoopback(opts.DistLoopback,
+			dist.WorkerOptions{Workers: opts.Workers})
+	}
+	d.coord = dist.NewCoordinator(conns, dist.Config{MinRows: opts.DistMinRows})
+	streamedOf := make(map[string]bool, len(s.tables))
+	for name := range s.tables {
+		streamedOf[name] = cat.Streamed(name)
+	}
+	if err = d.coord.Setup(db, streamedOf, query, *coreOpts); err != nil {
+		return d, err
+	}
+	if opts.DistElasticAddr != "" {
+		if d.joinL, err = net.Listen("tcp", opts.DistElasticAddr); err != nil {
+			return d, err
+		}
+		d.coord.AcceptJoiners(d.joinL)
+	}
+	coreOpts.Exchange = d.coord
+	return d, nil
 }
 
 // Next advances to the next mini-batch result; it returns false when all
@@ -706,17 +725,7 @@ func (c *Cursor) DistElasticAddr() string {
 // it is a no-op otherwise, and idempotent.
 func (c *Cursor) Close() error {
 	err := c.engine.Close()
-	if c.joinL != nil {
-		c.joinL.Close()
-		c.joinL = nil
-	}
-	if c.coord != nil {
-		c.coord.Close()
-	}
-	if c.stopLoop != nil {
-		c.stopLoop()
-		c.stopLoop = nil
-	}
+	c.stop()
 	return err
 }
 
