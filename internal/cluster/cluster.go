@@ -15,6 +15,7 @@ package cluster
 import (
 	"math/bits"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"iolap/internal/rel"
@@ -42,42 +43,152 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// chunkSplit is how many MapChunks chunks each worker gets beyond its even
-// share: extra granularity lets the work-stealing scheduler rebalance
-// chunks whose per-row cost is skewed (a probe chunk full of heavy-group
-// matches, a classify chunk of wide rows).
-const chunkSplit = 4
+// The pool's scheduler is one loop, claim: a call cuts its index space into
+// contiguous chunks, starts min(workers, chunks) goroutines, and each claims
+// the next chunk index from one shared counter until none are left. Every
+// chunk is an independent, deterministic unit whose outputs land in
+// caller-owned slots, so the claim order moves execution, never a result —
+// the bit-identical-at-any-worker-count invariant of DESIGN.md §7. Balance
+// comes from the cuts: there are several per worker, and MapSized's carry
+// near-equal cost, so a worker that drew a heavy chunk simply claims fewer.
 
-// Chunks returns the number of contiguous chunks MapChunks would use for n
-// items: min(chunkSplit·workers, n) on a parallel pool, 1 otherwise. It
+// Granularity: Map and MapSized cut at most chunksPerWorker chunks per
+// worker, Span and CollectSpan chunkSplit — enough claims to even out skewed
+// chunk costs (a heavy group, a probe chunk full of matches), few enough
+// that claiming stays a rounding error beside the work.
+const (
+	chunksPerWorker = 8
+	chunkSplit      = 4
+)
+
+// chunk is a half-open range of task indices.
+type chunk struct{ lo, hi int }
+
+// claim runs task(i) for every i in [0, c) on min(w, c) goroutines, each
+// taking the next index from one counter. The first panic stops further
+// claims and is re-raised on the caller after every goroutine has returned,
+// so a panicking chunk can neither deadlock the pool nor kill the process
+// from a worker goroutine. A single goroutine's worth runs inline.
+func claim(w, c int, task func(i int)) {
+	if w = min(w, c); w <= 1 {
+		for i := 0; i < c; i++ {
+			task(i)
+		}
+		return
+	}
+	var s struct {
+		next   atomic.Int64
+		wg     sync.WaitGroup
+		failed atomic.Bool
+		val    interface{}
+	}
+	work := func() {
+		defer s.wg.Done()
+		defer func() {
+			if r := recover(); r != nil {
+				s.next.Store(int64(c))
+				if s.failed.CompareAndSwap(false, true) {
+					s.val = r
+				}
+			}
+		}()
+		for i := int(s.next.Add(1)) - 1; i < c; i = int(s.next.Add(1)) - 1 {
+			task(i)
+		}
+	}
+	s.wg.Add(w)
+	for g := 0; g < w; g++ {
+		go work()
+	}
+	s.wg.Wait()
+	if s.failed.Load() {
+		panic(s.val)
+	}
+}
+
+// Map runs fn(i) for i in [0, n) on the pool and blocks until all complete.
+// Execution order is unspecified; callers must make fn(i) independent of
+// scheduling (every call site in this repository writes to slot i or an
+// owned shard). If fn panics, the first panic is re-raised on the caller's
+// goroutine after all workers have stopped.
+func (p *Pool) Map(n int, fn func(i int)) {
+	if p.workers == 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	c := min(n, p.workers*chunksPerWorker)
+	claim(p.workers, c, func(k int) {
+		for i := k * n / c; i < (k+1)*n/c; i++ {
+			fn(i)
+		}
+	})
+}
+
+// MapSized runs fn(i) for i in [0, n) like Map, but cuts the index space by
+// per-task size hints (arbitrary non-negative cost units, e.g. row counts)
+// instead of by count: cuts follow the size prefix sums (sizedCuts), so a
+// zipf-distributed tail packs evenly. The hints affect scheduling only —
+// results are identical to Map for any hint function.
+func (p *Pool) MapSized(n int, size func(i int) int, fn func(i int)) {
+	var cuts []chunk
+	if p.workers > 1 && n > 1 {
+		sizes := make([]int, n)
+		for i := range sizes {
+			sizes[i] = max(size(i), 0)
+		}
+		cuts = sizedCuts(sizes, min(p.workers, n))
+	}
+	if cuts == nil {
+		p.Map(n, fn)
+		return
+	}
+	claim(p.workers, len(cuts), func(k int) {
+		for i := cuts[k].lo; i < cuts[k].hi; i++ {
+			fn(i)
+		}
+	})
+}
+
+// sizedCuts cuts [0, len(sizes)) wherever the cumulative size reaches a
+// budget of total / (w · chunksPerWorker), so cuts carry near-equal cost and
+// a task heavier than the budget is a cut of its own; nil when every size is
+// zero. A pure function of its inputs: the placement analysis of
+// skew_bench_test.go list-schedules exactly these cuts.
+func sizedCuts(sizes []int, w int) []chunk {
+	total := 0
+	for _, s := range sizes {
+		total += s
+	}
+	if total == 0 {
+		return nil
+	}
+	budget := total/(w*chunksPerWorker) + 1
+	var cuts []chunk
+	acc, lo := 0, 0
+	for i, s := range sizes {
+		acc += s
+		if acc >= budget {
+			cuts = append(cuts, chunk{lo, i + 1})
+			lo, acc = i+1, 0
+		}
+	}
+	if lo < len(sizes) {
+		cuts = append(cuts, chunk{lo, len(sizes)})
+	}
+	return cuts
+}
+
+// Chunks returns the number of contiguous chunks Span and CollectSpan cut n
+// items into: min(chunkSplit·workers, n) on a parallel pool, 1 otherwise. It
 // depends only on (n, workers), never on scheduling, so callers can
 // pre-allocate per-chunk outputs.
 func (p *Pool) Chunks(n int) int {
 	if p.workers == 1 || n <= 1 {
 		return 1
 	}
-	c := p.workers * chunkSplit
-	if c > n {
-		c = n
-	}
-	return c
-}
-
-// MapChunks splits [0, n) into Chunks(n) contiguous index ranges of
-// near-equal size and runs fn(chunk, lo, hi) for each on the pool. Because
-// the chunk boundaries are a pure function of (n, workers), a caller that
-// writes each chunk's results into its own slot and concatenates the slots
-// in chunk order obtains output bit-identical to the sequential loop — the
-// deterministic shard → ordered merge discipline every parallel operator in
-// this repository follows.
-func (p *Pool) MapChunks(n int, fn func(chunk, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	c := p.Chunks(n)
-	p.Map(c, func(i int) {
-		fn(i, i*n/c, (i+1)*n/c)
-	})
+	return min(n, p.workers*chunkSplit)
 }
 
 // PartitionByKey splits a relation into p partitions by hashing the given

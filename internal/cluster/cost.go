@@ -45,7 +45,7 @@ func (c OpClass) String() string {
 }
 
 // parallelWorkNs is the amount of single-threaded work below which fanning
-// out is not worth the dispatch cost (goroutine spawn + deque traffic for a
+// out is not worth the dispatch cost (goroutine spawn + chunk claims for a
 // pool's worth of workers, ~5–20µs on commodity hardware, with margin).
 const parallelWorkNs = 100_000
 

@@ -79,12 +79,14 @@ func Collect[T any](r Runner, class OpClass, n int, span func(lo, hi int) []T) [
 // nil pool runs fill(lo, hi) inline. Unlike Runner.Chunks it neither gates
 // nor clocks: it is the cut alone, for a range whose gate was already taken.
 func (p *Pool) Span(lo, hi int, fill func(lo, hi int)) {
+	n := hi - lo
 	switch {
-	case hi <= lo:
+	case n <= 0:
 	case p == nil:
 		fill(lo, hi)
 	default:
-		p.MapChunks(hi-lo, func(_, a, b int) { fill(lo+a, lo+b) })
+		c := p.Chunks(n)
+		claim(p.workers, c, func(i int) { fill(lo+i*n/c, lo+(i+1)*n/c) })
 	}
 }
 
@@ -92,14 +94,16 @@ func (p *Pool) Span(lo, hi int, fill func(lo, hi int)) {
 // chunk of [lo, hi) and the results are concatenated in chunk order; a nil
 // pool returns span(lo, hi).
 func CollectSpan[T any](p *Pool, lo, hi int, span func(lo, hi int) []T) []T {
-	if hi <= lo {
+	n := hi - lo
+	if n <= 0 {
 		return nil
 	}
 	if p == nil {
 		return span(lo, hi)
 	}
-	outs := make([][]T, p.Chunks(hi-lo))
-	p.MapChunks(hi-lo, func(c, a, b int) { outs[c] = span(lo+a, lo+b) })
+	c := p.Chunks(n)
+	outs := make([][]T, c)
+	claim(p.workers, c, func(i int) { outs[i] = span(lo+i*n/c, lo+(i+1)*n/c) })
 	var out []T
 	for _, o := range outs {
 		out = append(out, o...)

@@ -6,22 +6,21 @@ import (
 )
 
 // SkewWorkload is the zipf-skewed aggregate-fold fixture of the skew tests
-// and benchmarks below. It reproduces, at the
-// scheduling layer, the shape that motivated the work-stealing scheduler: a
-// grouped bootstrap fold where group sizes follow a steep zipf law and the
-// head group holds most of the batch (~83% at the default exponent), so any
-// scheme that assigns whole groups to workers by hash degenerates to
-// single-worker execution.
+// and benchmarks below. It reproduces, at the scheduling layer, the shape the
+// engine's fold schedule is built for: a grouped bootstrap fold where group
+// sizes follow a steep zipf law and the head group holds most of the batch
+// (~83% at the default exponent), so any scheme that assigns whole groups to
+// workers by hash degenerates to single-worker execution.
 //
 // Two fold schedules are provided over identical data:
 //
-//   - RunSteal is the current engine schedule: groups heavier than an even
+//   - RunSized is the current engine schedule: groups heavier than an even
 //     per-worker share split their replicate dimension across workers
 //     (each accumulator slot still receives its adds in row order), and the
-//     light tail is size-hinted tasks on the work-stealing pool.
-//   - RunAtomic is the PR-1 schedule: w ownership shards, groups dealt to
-//     shards round-robin, dispatched by the atomic-counter scheduler
-//     (MapAtomic in steal_test.go — a test-only baseline).
+//     light tail is size-hinted tasks (MapSized) on the claim loop.
+//   - RunAtomic is the original schedule: w ownership shards, groups dealt
+//     to shards round-robin, dispatched by the per-index atomic counter
+//     (MapAtomic in pool_test.go — a test-only baseline).
 //
 // Both produce bit-identical accumulators (and therefore checksums) at any
 // worker count — the benchmark measures scheduling, never results.
@@ -114,9 +113,9 @@ func checksum(accs [][]float64) float64 {
 	return s
 }
 
-// RunSteal folds with the current engine schedule (heavy-group replicate
-// split + size-hinted light tail on the stealing scheduler).
-func (wl *SkewWorkload) RunSteal(p *Pool) float64 {
+// RunSized folds with the current engine schedule (heavy-group replicate
+// split + size-hinted light tail on the claim loop).
+func (wl *SkewWorkload) RunSized(p *Pool) float64 {
 	w := p.Workers()
 	total := len(wl.Rows)
 	accs := wl.newAccs()
@@ -145,10 +144,10 @@ func (wl *SkewWorkload) RunSteal(p *Pool) float64 {
 	return checksum(accs)
 }
 
-// RunAtomic folds with the PR-1 schedule: one ownership shard per worker,
-// groups dealt round-robin, atomic-counter dispatch. On the zipf fixture the
-// head group pins one shard while the counter has nothing left to hand the
-// other workers.
+// RunAtomic folds with the original schedule: one ownership shard per
+// worker, groups dealt round-robin, atomic-counter dispatch. On the zipf
+// fixture the head group pins one shard while the counter has nothing left to
+// hand the other workers.
 func (wl *SkewWorkload) RunAtomic(p *Pool) float64 {
 	w := p.Workers()
 	accs := wl.newAccs()
@@ -161,64 +160,69 @@ func (wl *SkewWorkload) RunAtomic(p *Pool) float64 {
 }
 
 // BalanceSpeedup returns the parallel speedup each schedule's work placement
-// implies at the given worker count: total work divided by the busiest
-// worker's share (the critical path), in units of row×trial-slot adds. For
-// the atomic schedule the shard ownership is static, so the figure is exact.
-// For the stealing schedule it is computed from the initial size-hinted
-// placement, which stealing can only improve — a lower bound. The figure is
+// implies at the given worker count: total work divided by the critical
+// path, in units of row×trial-slot adds. The atomic schedule's shard
+// ownership is static, so its figure is exact. The sized schedule is modelled
+// as the claim loop runs it when a chunk's time is proportional to its size:
+// each heavy group's Map is a fork-join whose critical path is its largest
+// trial share, and the light tail's size cuts are list-scheduled, in claim
+// order, onto the earliest-free worker (claimMakespan). The figure is
 // machine-independent: it is what the wall-clock benchmark converges to on
 // hardware with at least `workers` free cores, and it is the honest skew
 // metric on hosts with fewer.
-func (wl *SkewWorkload) BalanceSpeedup(workers int) (steal, atomic float64) {
-	w := workers
-	if w < 1 {
-		w = 1
-	}
+func (wl *SkewWorkload) BalanceSpeedup(workers int) (sized, atomic float64) {
+	w := max(workers, 1)
 	total := int64(len(wl.Rows)) * int64(wl.Trials)
-	perWorker := make([]int64, w)
+	trials := int64(wl.Trials)
 
-	// Steal schedule: heavy groups split trial slots across the w map
-	// indices; the light tail follows MapSized's seeding.
-	nRows := len(wl.Rows)
+	// Sized schedule: one fork-join per heavy group, then the light tail.
+	var path int64
 	var light []int
-	for g, rows := range wl.Groups {
-		if len(rows)*w > nRows {
-			for k := 0; k < w; k++ {
-				slots := (k+1)*wl.Trials/w - k*wl.Trials/w
-				perWorker[k] += int64(len(rows)) * int64(slots)
-			}
+	for _, rows := range wl.Groups {
+		if len(rows)*w > len(wl.Rows) {
+			path += int64(len(rows)) * ((trials + int64(w) - 1) / int64(w))
 		} else {
-			light = append(light, g)
+			light = append(light, len(rows))
 		}
 	}
-	if len(light) > 0 && w > 1 {
-		sizes := make([]int, len(light))
-		sum := 0
-		for i, g := range light {
-			sizes[i] = len(wl.Groups[g])
-			sum += sizes[i]
-		}
-		for k, chunks := range sizedAssign(len(light), w, sizes, sum) {
-			for _, c := range chunks {
-				for i := c.lo; i < c.hi; i++ {
-					perWorker[k] += int64(sizes[i]) * int64(wl.Trials)
-				}
-			}
-		}
-	} else {
-		for _, g := range light {
-			perWorker[0] += int64(len(wl.Groups[g])) * int64(wl.Trials)
-		}
-	}
-	steal = float64(total) / float64(maxI64(perWorker))
+	path += claimMakespan(light, w) * trials
+	sized = float64(total) / float64(path)
 
 	// Atomic schedule: static round-robin shard ownership.
 	shardWork := make([]int64, w)
 	for g, rows := range wl.Groups {
-		shardWork[g%w] += int64(len(rows)) * int64(wl.Trials)
+		shardWork[g%w] += int64(len(rows)) * trials
 	}
 	atomic = float64(total) / float64(maxI64(shardWork))
-	return steal, atomic
+	return sized, atomic
+}
+
+// claimMakespan is the finishing time of MapSized over tasks of the given
+// sizes on w workers, when a task's time is its size: the cuts MapSized
+// claims (sizedCuts, one cut inline) go, in claim order, to the
+// earliest-free worker — what one shared counter produces.
+func claimMakespan(sizes []int, w int) int64 {
+	if len(sizes) == 0 {
+		return 0
+	}
+	w = min(w, len(sizes))
+	cuts := []chunk{{0, len(sizes)}}
+	if w > 1 {
+		cuts = sizedCuts(sizes, w)
+	}
+	free := make([]int64, w)
+	for _, c := range cuts {
+		k := 0
+		for j := range free {
+			if free[j] < free[k] {
+				k = j
+			}
+		}
+		for i := c.lo; i < c.hi; i++ {
+			free[k] += int64(sizes[i])
+		}
+	}
+	return maxI64(free)
 }
 
 func maxI64(xs []int64) int64 {
@@ -236,11 +240,11 @@ func maxI64(xs []int64) int64 {
 // scheduling cost only, never different answers.
 func TestSkewWorkloadSchedulesAgree(t *testing.T) {
 	wl := NewSkewWorkload(1<<12, 64, 16)
-	ref := wl.RunSteal(NewPool(1))
+	ref := wl.RunSized(NewPool(1))
 	for _, w := range []int{1, 2, 8} {
 		p := NewPool(w)
-		if got := wl.RunSteal(p); got != ref {
-			t.Errorf("RunSteal workers=%d: checksum %v, want %v", w, got, ref)
+		if got := wl.RunSized(p); got != ref {
+			t.Errorf("RunSized workers=%d: checksum %v, want %v", w, got, ref)
 		}
 		if got := wl.RunAtomic(p); got != ref {
 			t.Errorf("RunAtomic workers=%d: checksum %v, want %v", w, got, ref)
@@ -253,31 +257,32 @@ func TestSkewWorkloadSchedulesAgree(t *testing.T) {
 
 // TestSkewBalanceSpeedupSeparates pins the acceptance numbers on the zipf
 // fixture in the machine-independent placement metric (see BalanceSpeedup):
-// at 8 workers the stealing schedule must reach at least 2x while the
-// atomic shard-ownership schedule stays under 1.3x, because the head group
-// pins one shard. Wall-clock benchmarks converge to these figures on hosts
-// with enough free cores; the placement metric holds on any host.
+// at 8 workers the sized schedule must reach at least 2x while the atomic
+// shard-ownership schedule stays under 1.3x, because the head group pins one
+// shard. Wall-clock benchmarks converge to these figures on hosts with enough
+// free cores; the placement metric holds on any host.
 func TestSkewBalanceSpeedupSeparates(t *testing.T) {
 	wl := NewSkewWorkload(1<<15, 256, 64)
-	steal, atomic := wl.BalanceSpeedup(8)
-	if steal < 2.0 {
-		t.Errorf("steal schedule balance speedup at 8 workers = %.2fx, want >= 2x", steal)
-	}
-	if atomic >= 1.3 {
-		t.Errorf("atomic schedule balance speedup at 8 workers = %.2fx, want < 1.3x", atomic)
-	}
 	if s1, a1 := wl.BalanceSpeedup(1); s1 != 1 || a1 != 1 {
 		t.Errorf("single-worker balance speedup = %.2f/%.2f, want 1/1", s1, a1)
 	}
-	// The metric must be monotone non-decreasing for the stealing schedule:
+	// The metric must be monotone non-decreasing for the sized schedule:
 	// more workers can only shorten the critical path of its placement.
 	prev := 0.0
 	for _, w := range []int{1, 2, 4, 8} {
-		s, _ := wl.BalanceSpeedup(w)
+		s, a := wl.BalanceSpeedup(w)
+		t.Logf("workers=%d: sized %.2fx, atomic %.2fx", w, s, a)
 		if s < prev {
-			t.Errorf("steal balance speedup regressed at %d workers: %.2f < %.2f", w, s, prev)
+			t.Errorf("sized balance speedup regressed at %d workers: %.2f < %.2f", w, s, prev)
 		}
 		prev = s
+	}
+	sized, atomic := wl.BalanceSpeedup(8)
+	if sized < 2.0 {
+		t.Errorf("sized schedule balance speedup at 8 workers = %.2fx, want >= 2x", sized)
+	}
+	if atomic >= 1.3 {
+		t.Errorf("atomic schedule balance speedup at 8 workers = %.2fx, want < 1.3x", atomic)
 	}
 }
 
@@ -296,15 +301,15 @@ func benchSkew(b *testing.B, run func(*SkewWorkload, *Pool) float64) {
 	}
 }
 
-// BenchmarkSkewSteal measures the zipf fold under the work-stealing schedule
+// BenchmarkSkewSized measures the zipf fold under the engine schedule
 // (heavy-group replicate split + size-hinted light tail).
-func BenchmarkSkewSteal(b *testing.B) {
-	benchSkew(b, func(wl *SkewWorkload, p *Pool) float64 { return wl.RunSteal(p) })
+func BenchmarkSkewSized(b *testing.B) {
+	benchSkew(b, func(wl *SkewWorkload, p *Pool) float64 { return wl.RunSized(p) })
 }
 
-// BenchmarkSkewAtomic measures the same fold under the PR-1 atomic-counter
-// shard-ownership schedule; on this fixture its speedup plateaus near 1×
-// because the head group pins a single worker.
+// BenchmarkSkewAtomic measures the same fold under the original
+// atomic-counter shard-ownership schedule; on this fixture its speedup
+// plateaus near 1× because the head group pins a single worker.
 func BenchmarkSkewAtomic(b *testing.B) {
 	benchSkew(b, func(wl *SkewWorkload, p *Pool) float64 { return wl.RunAtomic(p) })
 }

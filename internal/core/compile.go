@@ -491,14 +491,14 @@ func mayGrow(root plan.Node, numOps int, an *plan.Analysis) []bool {
 
 // markColumnar decides, per streamed scan, whether attaching the columnar
 // companion batch pays for itself — and which banks it must materialise.
-// The batch flows scan → select → join probe and is consumed by a
-// vectorized predicate (opSelect.vec), a batched key probe
-// (opJoin.probeCB), or an aggregate whose arguments are all bare columns
-// (opAgg.columnar); every other operator drops it. A scan with no
-// downstream consumer skips the columnar build entirely, and a consuming
-// plan gets a subset view covering exactly the predicate, key, and argument
-// columns — a high-cardinality column outside that set would otherwise pay
-// a bank (worst case a dictionary insert per row) for nothing.
+// The batch flows scan → select → aggregate and is consumed by a
+// vectorized predicate (opSelect.vec) or an aggregate whose arguments are
+// all bare columns (opAgg.columnar); every other operator drops it. A scan
+// with no downstream consumer skips the columnar build entirely, and a
+// consuming plan gets a subset view covering exactly the predicate, group
+// key, and argument columns — a high-cardinality column outside that set
+// would otherwise pay a bank (worst case a dictionary insert per row) for
+// nothing.
 //
 // wanted reports whether op's parent consumes its output batch, and need
 // the columns the parent reads — in the coordinate space of op's output
@@ -531,14 +531,7 @@ func markColumnar(op operator, wanted bool, need []bool) {
 		markColumnar(o.l, false, nil)
 		markColumnar(o.r, false, nil)
 	case *opJoin:
-		// probeCB consumes the probe (left) side's batch, reading only the
-		// probe key columns; partitioned shipping routes through
-		// probePartitioned, which stays on rows.
-		leftNeed := make([]bool, o.lw)
-		for _, col := range o.node.LKeys {
-			leftNeed[col] = true
-		}
-		markColumnar(o.l, o.partBuckets == 0, leftNeed)
+		markColumnar(o.l, false, nil)
 		markColumnar(o.r, false, nil)
 	case *opAgg:
 		childNeed := make([]bool, len(o.node.Child.Schema()))
@@ -623,7 +616,7 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 			// join probes the store read-only (shared.go).
 			stub := &opSharedBuild{node: t.R}
 			c.ops = append(c.ops, stub)
-			op := &opJoin{node: t, l: l, r: stub, lw: len(t.L.Schema()), rStore: store, sharedR: true}
+			op := &opJoin{node: t, l: l, r: stub, rStore: store, sharedR: true}
 			c.ops = append(c.ops, op)
 			return op, nil
 		}

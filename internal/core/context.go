@@ -177,11 +177,11 @@ type Options struct {
 	SharedState SharedStateCache
 	// NoVectorize forces the row-at-a-time operator paths, disabling the
 	// columnar mini-batch pipeline (DESIGN.md §14: scan-attached column
-	// banks, selection-vector SELECT, batched join probes and aggregate
-	// folds). The vectorized paths perform the same floating-point
-	// operations in the same order as the row paths — the equivalence
-	// suites run both and assert bit-identical updates — so this is an
-	// execution-layout switch and a debugging oracle, never a semantic one.
+	// banks, selection-vector SELECT and column-fed aggregate folds). The
+	// vectorized paths perform the same floating-point operations in the
+	// same order as the row paths — the equivalence suites run both and
+	// assert bit-identical updates — so this is an execution-layout switch
+	// and a debugging oracle, never a semantic one.
 	NoVectorize bool
 }
 
@@ -291,16 +291,6 @@ func newBatchContext(opts Options, batch, seen, total int, delta map[string]*rel
 		prune:  opts.Mode != ModeHDA,
 		hdaAgg: opts.Mode == ModeHDA,
 	}
-}
-
-// weightArena returns one contiguous float64 arena of rows×trials for a
-// scan's per-tuple bootstrap weight vectors. Rows retain their W slices past
-// the batch (join state, lineage), so the arena cannot be recycled — but
-// carving every vector out of one slab replaces rows allocations with one
-// per scan per batch, and keeps a batch's weight vectors contiguous for the
-// fold kernels' sequential reads.
-func (bc *batchContext) weightArena(rows, trials int) []float64 {
-	return make([]float64, rows*trials)
 }
 
 // failure records one variation-range integrity violation (Section 5.1).

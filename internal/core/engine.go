@@ -9,6 +9,7 @@ import (
 	"iolap/internal/cluster"
 	"iolap/internal/delta"
 	"iolap/internal/exec"
+	"iolap/internal/expr"
 	"iolap/internal/plan"
 	"iolap/internal/rel"
 	"iolap/internal/storage"
@@ -325,15 +326,19 @@ func (e *Engine) Step() (u *Update, err error) {
 		return nil, fmt.Errorf("core: all %d batches processed", len(e.deltas))
 	}
 	// A transport failure surfaces from deep inside an operator site as a
-	// distPanic (operator signatures stay error-free); convert it into the
-	// batch error here. Anything else keeps panicking.
+	// distPanic, a failing user function as an expr.UDFPanic (operator
+	// signatures stay error-free); convert either into the batch error here.
+	// Anything else keeps panicking.
 	defer func() {
 		if r := recover(); r != nil {
-			dp, ok := r.(distPanic)
-			if !ok {
+			switch p := r.(type) {
+			case distPanic:
+				u, err = nil, p.err
+			case expr.UDFPanic:
+				u, err = nil, p
+			default:
 				panic(r)
 			}
-			u, err = nil, dp.err
 		}
 	}()
 	start := time.Now()

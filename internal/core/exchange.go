@@ -12,7 +12,7 @@
 // collected and merged in span order, and the merged byte payloads are
 // applied identically on every replica. Because span boundaries are a pure
 // function of (n, participant count) — the same i·n/p arithmetic as
-// cluster.Pool.MapChunks — and the codecs round-trip values bit-exactly,
+// cluster.Pool.Span — and the codecs round-trip values bit-exactly,
 // distributed output is bit-identical to the local Workers=1 run (the
 // DESIGN.md §7 invariant extended across machines; see DESIGN.md §9).
 package core

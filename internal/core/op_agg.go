@@ -600,8 +600,8 @@ func (o *opAgg) gather(ents []foldEntry, scratch bool) {
 // share of the block cannot be balanced by placement (on skewed keys one
 // worker would inherit nearly the whole block), so its runs split the
 // replicate dimension across the pool; the rest become size-hinted tasks
-// for the stealing scheduler, so many small groups pack evenly no matter
-// how the keys hash.
+// (Pool.MapSized), so many small groups pack evenly no matter how the keys
+// hash.
 func (o *opAgg) ingest(p *cluster.Pool, n int) {
 	f := &o.fs
 	if p == nil {

@@ -20,7 +20,6 @@ type opJoin struct {
 	node           *plan.Join
 	l, r           operator
 	lStore, rStore *delta.HashStore
-	lw             int // left schema width
 	// partBuckets > 0 marks the right side as a partitioned-shipping table
 	// (Options.PartitionTables): each distributed replica holds only one
 	// hash partition of it, so probes route through bucket-geometry
@@ -42,7 +41,7 @@ type opJoin struct {
 // that accumulate across batches — register with the engine's spill policy;
 // the transient per-batch stores step() builds stay memory-only.
 func newOpJoin(t *plan.Join, l, r operator, cacheL, cacheR bool, spill *delta.SpillPolicy) *opJoin {
-	op := &opJoin{node: t, l: l, r: r, lw: len(t.L.Schema())}
+	op := &opJoin{node: t, l: l, r: r}
 	if cacheL {
 		op.lStore = delta.NewHashStore(t.LKeys)
 		spill.Register(op.lStore)
@@ -86,30 +85,14 @@ func (o *opJoin) joinRows(l, r delta.Row) delta.Row {
 	return delta.Row{Vals: vals, Mult: l.Mult * r.Mult, W: delta.CombineWeights(l.W, r.W)}
 }
 
-// probeCB returns the probe side's columnar view when the batched key
-// encoder may drive the probe: local execution only (exchange payloads
-// keep the row path) and no unresolved refs (EncodeKeyInto from banks has
-// no Resolver). A narrowed selection is fine — src() maps output position
-// to source row.
-func (o *opJoin) probeCB(bc *batchContext, in output) *colBatch {
-	cb := in.cb
-	if cb == nil || !bc.vec || bc.exch != nil || cb.cols.HasRefs() {
-		return nil
-	}
-	return cb
-}
-
 // probeInto joins each probe-side row against the store and appends the
 // matches to dst in probe order (store rows in insertion order per key —
 // exactly the sequential nested loop's output). Large probe sets fan out
 // over contiguous chunks whose per-chunk buffers are concatenated in chunk
 // order; the store is read-only during the probe, so this is the
 // deterministic shard → ordered merge pattern. probeIsLeft orients the
-// output row (probe ⋈ match vs match ⋈ probe). cb, when non-nil, is the
-// probe side's columnar view: keys encode straight from the column banks
-// (byte-identical to the row encoder) and the probe skips the per-row
-// value gather.
-func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, store *delta.HashStore, probeIsLeft bool, bc *batchContext, cb *colBatch) []delta.Row {
+// output row (probe ⋈ match vs match ⋈ probe).
+func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, store *delta.HashStore, probeIsLeft bool, bc *batchContext) []delta.Row {
 	join := func(p, m delta.Row) delta.Row {
 		if probeIsLeft {
 			return o.joinRows(p, m)
@@ -130,40 +113,19 @@ func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, 
 		},
 	}, func(p *cluster.Pool, lo, hi int) {
 		buf = cluster.CollectSpan(p, lo, hi, func(a, b int) []delta.Row {
-			return o.probeRange(probe, probeKeys, store, cb, join, a, b)
+			var out []delta.Row
+			for _, r := range probe[a:b] {
+				for _, m := range store.Probe(r.Vals, probeKeys) {
+					out = append(out, join(r, m))
+				}
+			}
+			return out
 		})
 	})
 	if shipped {
 		return dst
 	}
 	return append(dst, buf...)
-}
-
-// probeRange is probeInto's inner loop over probe rows [lo, hi): the
-// columnar form encodes each key from the banks and probes by bytes, the
-// row form gathers values per row. Both index the same hot map with the
-// same key bytes, so matches and their order are identical.
-func (o *opJoin) probeRange(probe []delta.Row, probeKeys []int, store *delta.HashStore, cb *colBatch, join func(p, m delta.Row) delta.Row, lo, hi int) []delta.Row {
-	var buf []delta.Row
-	if cb != nil {
-		var kb [96]byte
-		key := kb[:0]
-		for i := lo; i < hi; i++ {
-			p := probe[i]
-			key = cb.cols.EncodeKeyInto(key[:0], cb.src(i), probeKeys)
-			for _, m := range store.ProbeKey(key) {
-				buf = append(buf, join(p, m))
-			}
-		}
-		return buf
-	}
-	for i := lo; i < hi; i++ {
-		p := probe[i]
-		for _, m := range store.Probe(p.Vals, probeKeys) {
-			buf = append(buf, join(p, m))
-		}
-	}
-	return buf
 }
 
 // probePartitioned probes a partitioned build store. Exchange geometry is
@@ -184,7 +146,7 @@ func (o *opJoin) probePartitioned(dst []delta.Row, probe []delta.Row, probeKeys 
 	if bc.exch == nil {
 		// Local execution holds the full table; the plain sequential probe
 		// is the oracle the exchange path must match bit-for-bit.
-		return o.probeInto(dst, probe, probeKeys, store, true, bc, nil)
+		return o.probeInto(dst, probe, probeKeys, store, true, bc)
 	}
 	buckets := make([]int, len(probe))
 	var scratch []byte
@@ -269,7 +231,6 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 		}
 	}
 	partitioned := o.partBuckets > 0
-	lcb := o.probeCB(bc, lo)
 	// Certain deltas (classic delta-join over the certain parts):
 	// ΔL ⋈ C_R(old), C_L(old) ⋈ ΔR, ΔL ⋈ ΔR. Probes run partition-parallel
 	// over the probe side; builds run partition-parallel over shards.
@@ -277,11 +238,11 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 		if partitioned {
 			out.news = o.probePartitioned(out.news, lo.news, lKeys, o.rStore, bc)
 		} else {
-			out.news = o.probeInto(out.news, lo.news, lKeys, o.rStore, true, bc, lcb)
+			out.news = o.probeInto(out.news, lo.news, lKeys, o.rStore, true, bc)
 		}
 	}
 	if o.lStore != nil {
-		out.news = o.probeInto(out.news, ro.news, rKeys, o.lStore, false, bc, nil)
+		out.news = o.probeInto(out.news, ro.news, rKeys, o.lStore, false, bc)
 	}
 	// The transient ΔL⋈ΔR branch must take the same side on every replica:
 	// a partitioned right side emits different (possibly zero) row counts per
@@ -296,7 +257,7 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 		if partitioned {
 			out.news = o.probePartitioned(out.news, lo.news, lKeys, newR, bc)
 		} else {
-			out.news = o.probeInto(out.news, lo.news, lKeys, newR, true, bc, lcb)
+			out.news = o.probeInto(out.news, lo.news, lKeys, newR, true, bc)
 		}
 	}
 	// Fold this batch's certain rows into the stores, which share them
@@ -318,17 +279,17 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 			if partitioned {
 				out.unc = o.probePartitioned(out.unc, lo.unc, lKeys, o.rStore, bc)
 			} else {
-				out.unc = o.probeInto(out.unc, lo.unc, lKeys, o.rStore, true, bc, nil)
+				out.unc = o.probeInto(out.unc, lo.unc, lKeys, o.rStore, true, bc)
 			}
 		}
 	}
 	if len(ro.unc) > 0 && o.lStore != nil {
-		out.unc = o.probeInto(out.unc, ro.unc, rKeys, o.lStore, false, bc, nil)
+		out.unc = o.probeInto(out.unc, ro.unc, rKeys, o.lStore, false, bc)
 	}
 	if len(lo.unc) > 0 && len(ro.unc) > 0 {
 		uncR := delta.NewHashStore(rKeys)
 		uncR.AddBatch(ro.unc, false, bc.run.Gate(cluster.CostJoinBuild, len(ro.unc)))
-		out.unc = o.probeInto(out.unc, lo.unc, lKeys, uncR, true, bc, nil)
+		out.unc = o.probeInto(out.unc, lo.unc, lKeys, uncR, true, bc)
 	}
 	o.record(out)
 	return out, nil

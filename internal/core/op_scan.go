@@ -62,12 +62,13 @@ func (o *opScan) step(bc *batchContext) (output, error) {
 		// One weight slab per batch: every tuple's vector is a capped
 		// sub-slice filled in place, so weight derivation performs no
 		// per-tuple allocation on either the sequential or parallel path
-		// (disjoint sub-slices make the parallel fill race-free).
+		// (disjoint sub-slices make the parallel fill race-free). Rows keep
+		// their W slices past the batch, so the slab is never recycled.
 		var slab []float64
 		trials := 0
 		if o.poisson != nil {
 			trials = o.poisson.Trials()
-			slab = bc.weightArena(d.Len(), trials)
+			slab = make([]float64, d.Len()*trials)
 		}
 		fill := func(i int) {
 			tp := d.Tuples[i]

@@ -7,13 +7,13 @@ import (
 
 // The columnar batch pipeline (DESIGN.md §14) promises bit-identical
 // updates to the row-at-a-time paths: the vectorized select fills its
-// selection vector with exactly the row path's acceptance verdicts, the
-// columnar join probe encodes byte-identical keys, and the aggregate fold
-// reads the same group keys and argument values from the column banks as
-// from the rows. This suite enforces the promise by running each query
-// shape with Options.NoVectorize on and off — at Workers 1 and 4, so both
-// schedules of every operator face both input forms — and comparing every
-// Update field exactly (relations, bootstrap estimates, accounting metrics).
+// selection vector with exactly the row path's acceptance verdicts, and the
+// aggregate fold reads the same group keys and argument values from the
+// column banks as from the rows. This suite enforces the promise by running
+// each query shape with Options.NoVectorize on and off — at Workers 1 and 4,
+// so both schedules of every operator face both input forms — and comparing
+// every Update field exactly (relations, bootstrap estimates, accounting
+// metrics).
 func TestVectorizeEquivalence(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -28,8 +28,8 @@ func TestVectorizeEquivalence(t *testing.T) {
 		// feeds the batched fold through a narrowed selection vector.
 		{"flat_filter_agg", theoremQuery(t, "flat_filter_agg"),
 			Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3}, false, false},
-		// Streamed fact ⋈ static dimension: the probe side carries column
-		// banks, so keys encode straight from the banks (ProbeKey path).
+		// Streamed fact ⋈ static dimension: the probe reads rows, so the
+		// columnar batch ends at the join.
 		{"join_dim_group", theoremQuery(t, "join_dim_group"),
 			Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3}, false, false},
 		{"union_all", theoremQuery(t, "union_all"),

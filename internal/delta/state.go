@@ -249,7 +249,7 @@ func (h *HashStore) AddBatch(rows []Row, clone bool, pool *cluster.Pool) {
 		return
 	}
 	keys := make([]string, len(rows))
-	pool.MapChunks(len(rows), func(_, lo, hi int) {
+	pool.Span(0, len(rows), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			keys[i] = rel.EncodeKey(rows[i].Vals, h.keys)
 		}
@@ -261,9 +261,9 @@ func (h *HashStore) AddBatch(rows []Row, clone bool, pool *cluster.Pool) {
 	}
 	var ns, sizes [storeShards]int
 	// Shard row counts are the size hints: with skewed keys a few shards
-	// hold most of the batch, and the hints let the pool's stealing
-	// scheduler seed the big shards across different workers instead of
-	// dealing them round-robin.
+	// hold most of the batch, and the hints give each big shard a cut of its
+	// own, so the pool's workers claim them separately instead of one
+	// worker taking a run of them.
 	pool.MapSized(storeShards,
 		func(s int) int { return len(byShard[s]) },
 		func(s int) {
@@ -305,14 +305,6 @@ func (h *HashStore) Probe(probeVals []rel.Value, probeKeys []int) []Row {
 	// a shard with spilled rows materialises the key string.
 	var kb [96]byte
 	buf := rel.EncodeKeyInto(kb[:0], probeVals, probeKeys)
-	return h.ProbeKey(buf)
-}
-
-// ProbeKey is Probe for callers that already hold the encoded key bytes —
-// the columnar join path encodes keys straight from column banks
-// (rel.Columns.EncodeKeyInto) and probes with the buffer, skipping the
-// per-row value gather. Same concurrency contract as Probe.
-func (h *HashStore) ProbeKey(buf []byte) []Row {
 	s := shardOfBytes(buf)
 	sh := &h.shards[s]
 	hot := sh.hot[string(buf)]

@@ -49,7 +49,7 @@ const (
 const protoVersion = 3
 
 // assignSpans splits [0, n) into p contiguous spans with boundaries i·n/p —
-// the same arithmetic as cluster.Pool.MapChunks, and a pure function of
+// the same arithmetic as cluster.Pool.Span, and a pure function of
 // (n, p), so every replica derives the identical assignment without
 // communication. Participant 0 is the coordinator; participant i+1 is the
 // worker at index i of the batch's frozen live list.

@@ -19,6 +19,7 @@ import (
 
 	"iolap/internal/agg"
 	"iolap/internal/cluster"
+	"iolap/internal/expr"
 	"iolap/internal/plan"
 	"iolap/internal/rel"
 )
@@ -89,8 +90,18 @@ func (x *Executor) SetCutover(n int) { x.run = cluster.NewRunner(x.workers, n) }
 
 // Run evaluates the plan against the database and returns the result
 // relation. The plan must be finalized and valid. The result is identical
-// at any worker count.
-func (x *Executor) Run(root plan.Node, db *DB) (*rel.Relation, error) {
+// at any worker count. A user function that panics (expr.UDFPanic) fails the
+// run with that error; any other panic keeps unwinding.
+func (x *Executor) Run(root plan.Node, db *DB) (out *rel.Relation, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p, ok := r.(expr.UDFPanic)
+			if !ok {
+				panic(r)
+			}
+			out, err = nil, p
+		}
+	}()
 	e := &executor{db: db, run: x.run}
 	return e.eval(root)
 }
@@ -234,8 +245,8 @@ func (e *executor) buildIndex(tuples []rel.Tuple, keyCols []int) *[joinShards]ma
 			byShard[s] = append(byShard[s], int32(i))
 		}
 		// Size-hinted shard scheduling: under skewed keys one shard holds
-		// most rows; seeding the deques by shard size keeps the heavy shard
-		// alone on a worker while its siblings share the rest.
+		// most rows; cutting by shard size makes the heavy shard a claim of
+		// its own while the workers share its siblings.
 		p.MapSized(joinShards, func(s int) int { return len(byShard[s]) }, func(s int) {
 			m := shards[s]
 			for _, i := range byShard[s] {
@@ -371,9 +382,9 @@ func (e *executor) aggregate(in *rel.Relation, t *plan.Aggregate, scale float64)
 		// On a pool: groups are created sequentially in first-seen order;
 		// one task per group folds that group's tuples in input order — the
 		// same add sequence per accumulator as the inline loop, whichever
-		// worker runs it. Size hints (the group's row count) let the
-		// work-stealing scheduler keep a zipf-heavy group alone on a worker
-		// instead of serialising a whole creation-index shard behind it.
+		// worker runs it. Size hints (the group's row count) make a
+		// zipf-heavy group a claim of its own instead of serialising a whole
+		// creation-index shard behind it.
 		var glist []*group
 		rowsOf := make(map[*group][]int32)
 		for ti, tp := range in.Tuples {

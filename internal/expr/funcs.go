@@ -27,6 +27,31 @@ type ScalarFunc struct {
 	IntervalFn func(args []bootstrap.Interval) bootstrap.Interval
 }
 
+// UDFPanic is what a panic inside user-supplied code — a UDF's function, a
+// UDAF's state — is re-raised as (GuardUDF). core.Engine.Step and
+// exec.Executor.Run return it as the query's error, so one bad function fails
+// its query rather than the process; any other panic is an engine bug and
+// keeps unwinding.
+type UDFPanic struct {
+	Func  string
+	Value interface{}
+}
+
+func (p UDFPanic) Error() string {
+	return fmt.Sprintf("user function %s panicked: %v", p.Func, p.Value)
+}
+
+// GuardUDF, deferred around a call into user code, re-raises a panic as a
+// UDFPanic naming the function.
+func GuardUDF(name string) {
+	if r := recover(); r != nil {
+		if _, ok := r.(UDFPanic); !ok {
+			r = UDFPanic{Func: name, Value: r}
+		}
+		panic(r)
+	}
+}
+
 // Registry maps function names to implementations. The zero value is empty;
 // NewRegistry returns one preloaded with the builtins.
 type Registry struct {

@@ -391,6 +391,7 @@ func (s *Session) RegisterUDF(name string, minArgs, maxArgs int, fn func(args []
 	return s.funcs.Register(expr.ScalarFunc{
 		Name: name, MinArgs: minArgs, MaxArgs: maxArgs, RetType: rel.KFloat,
 		Fn: func(args []rel.Value) rel.Value {
+			defer expr.GuardUDF(name)
 			converted := make([]interface{}, len(args))
 			for i, a := range args {
 				converted[i] = fromValue(a)
@@ -434,22 +435,46 @@ func (s *Session) RegisterUDAF(u UDAF) error {
 	}
 	return s.aggs.Register(agg.Func{
 		Name: u.Name, TakesArg: true, Smooth: true,
-		New: func() agg.Accumulator { return &udafAdapter{state: u.New(), newState: u.New} },
+		New: func() agg.Accumulator {
+			defer expr.GuardUDF(u.Name)
+			return &udafAdapter{name: u.Name, state: u.New(), newState: u.New}
+		},
 	})
 }
 
+// udafAdapter runs a UDAF's state as an agg.Accumulator. Every call into the
+// user's state is guarded: a panic there fails the query (expr.UDFPanic).
 type udafAdapter struct {
+	name     string
 	state    UDAFState
 	newState func() UDAFState
 }
 
-func (a *udafAdapter) Add(v, w float64)             { a.state.Add(v, w) }
-func (a *udafAdapter) Result(scale float64) float64 { return a.state.Result(scale) }
-func (a *udafAdapter) Merge(o agg.Accumulator)      { a.state.Merge(o.(*udafAdapter).state) }
-func (a *udafAdapter) Clone() agg.Accumulator {
-	return &udafAdapter{state: a.state.Clone(), newState: a.newState}
+func (a *udafAdapter) Add(v, w float64) {
+	defer expr.GuardUDF(a.name)
+	a.state.Add(v, w)
 }
-func (a *udafAdapter) Reset()         { a.state = a.newState() }
+
+func (a *udafAdapter) Result(scale float64) float64 {
+	defer expr.GuardUDF(a.name)
+	return a.state.Result(scale)
+}
+
+func (a *udafAdapter) Merge(o agg.Accumulator) {
+	defer expr.GuardUDF(a.name)
+	a.state.Merge(o.(*udafAdapter).state)
+}
+
+func (a *udafAdapter) Clone() agg.Accumulator {
+	defer expr.GuardUDF(a.name)
+	return &udafAdapter{name: a.name, state: a.state.Clone(), newState: a.newState}
+}
+
+func (a *udafAdapter) Reset() {
+	defer expr.GuardUDF(a.name)
+	a.state = a.newState()
+}
+
 func (a *udafAdapter) SizeBytes() int { return 64 }
 
 // LoadBlockTable reads a block-table file (the format cmd/datagen writes
