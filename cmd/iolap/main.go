@@ -60,7 +60,6 @@ func main() {
 		serveNoShare = flag.Bool("serve-no-share", false, "disable the cross-session shared-state cache (every -serve session builds private operator state)")
 		joinAddr     = flag.String("join", "", "dial a coordinator's -dist-elastic address and join its running query as a worker (exits when the query ends)")
 		distAddrs    = flag.String("dist", "", "comma-separated worker addresses (host:port,...): distribute execution across them (results identical to local)")
-		distPart     = flag.String("dist-partition", "", "comma-separated static build tables to hash-partition across workers, one partition per worker, instead of replicating (needs -dist; results identical)")
 		distCompress = flag.Bool("dist-compress", false, "flate-compress distributed wire traffic (setup tables and large span payloads; results identical)")
 		distElastic  = flag.String("dist-elastic", "", "host:port to accept workers joining mid-query (needs -dist; joiners replay completed batches and enter at the next batch boundary)")
 		convertSpec  = flag.String("convert", "", "rewrite a loaded table as a columnar v2 block file and exit: name=path (load the source via -iol, -csv, or -workload)")
@@ -189,9 +188,6 @@ func main() {
 		opts.DistElasticAddr = *distElastic
 		if *distAddrs != "" {
 			opts.DistWorkers = strings.Split(*distAddrs, ",")
-		}
-		if *distPart != "" {
-			opts.DistPartitionTables = strings.Split(*distPart, ",")
 		}
 		var query string
 		if opts.Mode, err = parseMode(*mode); err == nil {

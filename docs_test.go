@@ -209,7 +209,7 @@ func TestDocsCiteExistingIdentifiers(t *testing.T) {
 // ("pkg.Name", "pkg.Type.Name").
 var orphanAllowed = map[string]string{
 	"internal/wire/wiretest/":         "test support: the corruption table and fuzz harness every codec's tests instantiate",
-	"internal/leakcheck/":             "test support: the goroutine-leak guard the cluster, core, serve and dist TestMains run",
+	"internal/leakcheck/":             "test support: the goroutine-leak guard the root, cluster, core, serve, share and dist TestMains run",
 	"internal/delta/rules.go":         "the reference delta rules of Section 4.2 that the operators are tested against",
 	"internal/dist/faultconn.go":      "fault seam: the dist tests fail, stall and count connection operations through it",
 	"storage.FaultFS.":                "fault seam: the spill tests inject write and sync failures through it",

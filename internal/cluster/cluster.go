@@ -204,32 +204,24 @@ func PartitionByKey(r *rel.Relation, keys []int, p int) []*rel.Relation {
 	var scratch []byte
 	for _, t := range r.Tuples {
 		scratch = rel.EncodeKeyInto(scratch[:0], t.Vals, keys)
-		b := KeyBucket(scratch, p)
+		b := keyBucket(scratch, p)
 		out[b].Tuples = append(out[b].Tuples, t)
 	}
 	return out
 }
 
-// KeyHash is the FNV-1a hash over canonical key bytes (rel.EncodeKeyInto)
-// that defines the PartitionByKey placement. Exported so probe-side code
-// (partitioned join shipping in internal/core) can route probe rows to the
-// same bucket as the build rows they match.
-func KeyHash(key []byte) uint64 {
-	var h uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 0x100000001b3
-	}
-	return h
-}
-
-// KeyBucket maps canonical key bytes to one of p partitions, the shared
-// routing function for build-side placement and probe-side shipping.
-func KeyBucket(key []byte, p int) int {
+// keyBucket maps canonical key bytes (rel.EncodeKeyInto) to one of p
+// partitions by their FNV-1a hash: the PartitionByKey placement.
+func keyBucket(key []byte, p int) int {
 	if p <= 1 {
 		return 0
 	}
-	return int(KeyHash(key) % uint64(p))
+	var h uint64 = 0xcbf29ce484222325
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= 0x100000001b3
+	}
+	return int(h % uint64(p))
 }
 
 // Shuffle returns a deterministic pseudo-random permutation of the

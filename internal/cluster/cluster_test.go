@@ -91,9 +91,9 @@ func TestPartitionByKeyAllocs(t *testing.T) {
 	}
 }
 
-func TestKeyBucketMatchesPartitionByKey(t *testing.T) {
-	// Probe-side routing (KeyBucket over encoded key bytes) must agree with
-	// build-side placement for every tuple.
+func Test_keyBucketMatchesPartitionByKey(t *testing.T) {
+	// keyBucket over encoded key bytes must agree with PartitionByKey's
+	// placement for every tuple.
 	r := intRel(200)
 	keys := []int{0}
 	const p = 8
@@ -107,11 +107,11 @@ func TestKeyBucketMatchesPartitionByKey(t *testing.T) {
 	var scratch []byte
 	for _, tp := range r.Tuples {
 		scratch = rel.EncodeKeyInto(scratch[:0], tp.Vals, keys)
-		if got := KeyBucket(scratch, p); got != want[tp.Vals[0].Int()] {
-			t.Fatalf("KeyBucket(%d) = %d, PartitionByKey placed it in %d", tp.Vals[0].Int(), got, want[tp.Vals[0].Int()])
+		if got := keyBucket(scratch, p); got != want[tp.Vals[0].Int()] {
+			t.Fatalf("keyBucket(%d) = %d, PartitionByKey placed it in %d", tp.Vals[0].Int(), got, want[tp.Vals[0].Int()])
 		}
 	}
-	if KeyBucket([]byte("x"), 0) != 0 || KeyBucket([]byte("x"), 1) != 0 {
+	if keyBucket([]byte("x"), 0) != 0 || keyBucket([]byte("x"), 1) != 0 {
 		t.Error("p <= 1 collapses to bucket 0")
 	}
 }

@@ -26,15 +26,11 @@ const (
 	CostFold
 	// CostSink is sink materialisation (estimate summarisation).
 	CostSink
-	// CostProbePart is a hash-join probe against a partitioned (non-replicated)
-	// build store: the exchange geometry is partition buckets, not row spans.
-	CostProbePart
 	numOpClasses
 )
 
 var opClassNames = [numOpClasses]string{
 	"scan", "select", "project", "join-build", "join-probe", "fold", "sink",
-	"probe-part",
 }
 
 func (c OpClass) String() string {
@@ -70,7 +66,6 @@ var coldStartNs = [numOpClasses]float64{
 	CostJoinProbe: 200,
 	CostFold:      800, // O(trials) adds per row: fan out early
 	CostSink:      800,
-	CostProbePart: 200, // same kernel as CostJoinProbe, bucket-routed
 }
 
 // CostModel picks the sequential/parallel cutover per operator class from an

@@ -40,9 +40,6 @@ type compiled struct {
 	// spill is the engine's join-state budget; persistent join stores are
 	// registered with it at build time (nil = never spill).
 	spill *delta.SpillPolicy
-	// partKeys maps each partitioned-shipping table (Options.PartitionTables)
-	// to its build-side join key columns, validated by partitionKeyColumns.
-	partKeys map[string][]int
 
 	// db is the database the plan compiles against; shared-state builds
 	// (shared.go) need it to replay static subtrees at compile time.
@@ -83,16 +80,6 @@ func compile(root plan.Node, db *exec.DB, opts Options, spill *delta.SpillPolicy
 	scaleExp := plan.ScaleExp(norm, n)
 	grow := mayGrow(norm, n, an)
 	c := &compiled{analysis: an, norm: norm, spill: spill, db: db}
-	if len(opts.PartitionTables) > 0 {
-		if opts.Partitions <= 0 {
-			return nil, fmt.Errorf("core: PartitionTables set but Partitions is %d (must be > 0)", opts.Partitions)
-		}
-		pk, err := partitionKeyColumns(norm, opts.PartitionTables)
-		if err != nil {
-			return nil, err
-		}
-		c.partKeys = pk
-	}
 	// Variation ranges exist to prune classification decisions; queries
 	// without nested (uncertainty-coupled) aggregates never classify, so
 	// tracking ranges there would only add overhead and spurious
@@ -378,89 +365,6 @@ func checkResidualProjects(root plan.Node, an *plan.Analysis) error {
 	return err
 }
 
-// partitionKeyColumns validates every requested partitioned-shipping table
-// against the normalized plan and returns its build-side join key columns
-// (indices into the table's schema, usable with cluster.PartitionByKey).
-//
-// Eligibility is deliberately narrow — the shapes where a replica holding
-// only one hash partition of the table still computes bit-identical results
-// through bucket-routed exchange spans:
-//
-//   - static (non-streamed): the partition is shipped once at setup;
-//   - appears exactly once in the plan: a second scan of the same table
-//     would need the full relation;
-//   - the direct scan child of a keyed join's RIGHT (build) side: an
-//     intervening operator (e.g. a pushed-down Select) would run a
-//     row-parallel site over replica-divergent row counts, and a left-side
-//     build would reorder emission against the probe stream.
-func partitionKeyColumns(norm plan.Node, tables []string) (map[string][]int, error) {
-	want := make(map[string]bool, len(tables))
-	for _, t := range tables {
-		if t == "" {
-			return nil, fmt.Errorf("core: empty partitioned table name")
-		}
-		want[t] = true
-	}
-	scanCount := map[string]int{}
-	keyCols := map[string][]int{}
-	var walkErr error
-	fail := func(format string, args ...interface{}) {
-		if walkErr == nil {
-			walkErr = fmt.Errorf(format, args...)
-		}
-	}
-	plan.Walk(norm, func(n plan.Node) {
-		switch t := n.(type) {
-		case *plan.Scan:
-			scanCount[t.Table]++
-			if want[t.Table] && t.Streamed {
-				fail("core: partitioned table %q is streamed; only static build sides can ship partitioned", t.Table)
-			}
-		case *plan.Join:
-			if s, ok := t.L.(*plan.Scan); ok && want[s.Table] {
-				fail("core: partitioned table %q is the probe (left) side of join #%d; only the build (right) side can ship partitioned", s.Table, t.ID())
-			}
-			if s, ok := t.R.(*plan.Scan); ok && want[s.Table] {
-				if len(t.RKeys) == 0 {
-					fail("core: partitioned table %q feeds a cross join; partitioned shipping needs join keys", s.Table)
-				}
-				keyCols[s.Table] = t.RKeys
-			}
-		}
-	})
-	if walkErr != nil {
-		return nil, walkErr
-	}
-	for t := range want {
-		switch {
-		case scanCount[t] == 0:
-			return nil, fmt.Errorf("core: partitioned table %q does not appear in the plan", t)
-		case scanCount[t] > 1:
-			return nil, fmt.Errorf("core: partitioned table %q appears %d times in the plan; partitioned shipping needs exactly one scan", t, scanCount[t])
-		case keyCols[t] == nil:
-			return nil, fmt.Errorf("core: partitioned table %q is not the direct scan child of a join's build side (predicates pushed onto the table also disqualify it)", t)
-		}
-	}
-	return keyCols, nil
-}
-
-// PartitionKeys validates opts' partitioned-shipping request against a
-// planned query and returns each partitioned table's build-side key columns.
-// The dist coordinator uses it to slice setup payloads with exactly the
-// routing compile wires into the replicas (same normalization pipeline).
-func PartitionKeys(root plan.Node, opts Options) (map[string][]int, error) {
-	if opts.Mode == ModeHDA && !opts.NoViewletRewrites {
-		root = plan.NewRewriter(agg.NewRegistry()).Rewrite(root)
-		plan.Finalize(root)
-	}
-	norm, _, _, err := normalizePlan(root)
-	if err != nil {
-		return nil, err
-	}
-	plan.Finalize(norm)
-	return partitionKeyColumns(norm, opts.PartitionTables)
-}
-
 // mayGrow computes, per node, whether the operator can emit new
 // certain-multiplicity rows after its first batch — the condition under
 // which the opposite join side must keep state (Section 4.2's JOIN rule).
@@ -625,19 +529,6 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 			return nil, err
 		}
 		op := newOpJoin(t, l, r, cacheL, cacheR, c.spill)
-		if scan, ok := t.R.(*plan.Scan); ok && c.partKeys != nil {
-			if _, isPart := c.partKeys[scan.Table]; isPart {
-				if op.lStore != nil {
-					// Cannot happen for an eligible shape (a static certain
-					// right side never forces a cached left), but guard it:
-					// probing replica-divergent partial ro.news into lStore
-					// would break the SPMD exchange lockstep.
-					return nil, fmt.Errorf("core: partitioned table %q: join #%d caches its left side", scan.Table, t.ID())
-				}
-				op.partBuckets = opts.Partitions
-				op.partScan = r.(*opScan)
-			}
-		}
 		c.ops = append(c.ops, op)
 		return op, nil
 

@@ -134,22 +134,6 @@ type Options struct {
 	// bit-identical to local execution (see exchange.go and DESIGN.md §9).
 	// Nil (the default) means purely local execution.
 	Exchange Exchanger
-	// PartitionTables names static build-side tables shipped partitioned
-	// (non-replicated) under distributed execution: each worker receives only
-	// its hash partition (cluster.PartitionByKey over the build-side join
-	// keys) and probes against it via bucket-routed exchange spans. Eligible
-	// tables must be static, appear exactly once in the plan, and be the
-	// direct scan child of a keyed join's right (build) side — compile
-	// rejects anything else loudly. Unlike the scheduling-only options, this
-	// changes the exchange call geometry, so it must be identical on every
-	// replica (the dist setup message ships it).
-	PartitionTables []string
-	// Partitions is the number of hash partitions P for PartitionTables,
-	// fixed for the query lifetime regardless of workers joining or leaving.
-	// Worker rank r (1 ≤ r ≤ P) owns partition r-1; the coordinator computes
-	// orphaned partitions locally. Required (> 0) when PartitionTables is
-	// set.
-	Partitions int
 	// WireCompression flate-compresses distributed wire traffic: the Setup
 	// table broadcast (columnar blocks) and span/merged payloads above a
 	// size threshold. Transport-only — compression changes bytes on the

@@ -62,10 +62,6 @@ type distPanic struct{ err error }
 type spanCodec struct {
 	encode func(lo, hi int) ([]byte, error)
 	merge  func(lo, hi int, payload []byte) error
-	// partial marks a site over state no replica holds whole (a partitioned
-	// build side): there is no local fallback, so it ships whenever a
-	// transport is attached, whatever its size.
-	partial bool
 }
 
 // site runs one row-parallel site of n rows: span(p, lo, hi) computes rows
@@ -79,7 +75,7 @@ type spanCodec struct {
 // replicas agree on the exchange call sequence; transport failure aborts the
 // batch.
 func (bc *batchContext) site(class cluster.OpClass, n int, codec spanCodec, span func(p *cluster.Pool, lo, hi int)) bool {
-	if bc.exch == nil || (!codec.partial && n < bc.exch.MinRows()) {
+	if bc.exch == nil || n < bc.exch.MinRows() {
 		bc.run.Run(class, n, func(p *cluster.Pool) { span(p, 0, n) })
 		return false
 	}
@@ -156,37 +152,28 @@ func decodeBoolSpan(pass []bool, lo, hi int, p []byte) error {
 // codec (bit-exact floats, lineage refs included): a row count followed by
 // the length-prefixed rows.
 func encodeRowSpan(rows []delta.Row) ([]byte, error) {
-	return appendRows(wire.AppendUvarint(nil, uint64(len(rows))), rows)
+	out := wire.AppendUvarint(nil, uint64(len(rows)))
+	var err error
+	for _, row := range rows {
+		if out, err = storage.AppendSpillRow(out, row.Vals, row.Mult, row.W); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func decodeRowSpan(p []byte) ([]delta.Row, error) {
 	r := wire.NewReader(p)
-	rows := readRows(r, r.Count("row count"))
-	if err := r.Done("row span"); err != nil {
-		return nil, fmt.Errorf("core: row span: %w", err)
-	}
-	return rows, nil
-}
-
-func appendRows(dst []byte, rows []delta.Row) ([]byte, error) {
-	var err error
-	for _, row := range rows {
-		if dst, err = storage.AppendSpillRow(dst, row.Vals, row.Mult, row.W); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-// readRows decodes n spill rows; n must already be bounded by the payload
-// (Reader.Count), since it sizes the result.
-func readRows(r *wire.Reader, n int) []delta.Row {
+	n := r.Count("row count")
 	rows := make([]delta.Row, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		vals, mult, w := storage.ReadSpillRow(r)
 		rows = append(rows, delta.Row{Vals: vals, Mult: mult, W: w})
 	}
-	return rows
+	if err := r.Done("row span"); err != nil {
+		return nil, fmt.Errorf("core: row span: %w", err)
+	}
+	return rows, nil
 }
 
 // AppendEstimates appends each estimate as five F64 words — Value, Stdev,
@@ -253,60 +240,5 @@ func decodeSinkSpan(res *rel.Relation, ests [][]bootstrap.Estimate, lo, hi, widt
 	}
 	copy(res.Tuples[lo:hi], tuples)
 	copy(ests[lo:hi], rowEsts)
-	return nil
-}
-
-// encodePartProbeSpan frames one bucket span of a partitioned probe: an
-// entry count, then per probe row with matches (ascending probe index) the
-// index, its match count, and the joined rows as spill rows. Zero-match
-// probe rows are omitted — absence decodes as no matches.
-func encodePartProbeSpan(idx []int, matches [][]delta.Row) ([]byte, error) {
-	out := wire.AppendUvarint(nil, uint64(len(idx)))
-	var err error
-	for e, i := range idx {
-		out = wire.AppendUvarint(out, uint64(i))
-		out = wire.AppendUvarint(out, uint64(len(matches[e])))
-		if out, err = appendRows(out, matches[e]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// decodePartProbeSpan scatters one bucket span's matches into perProbe,
-// validating that every entry's probe row routes to a bucket inside
-// [lo, hi) and that indices are strictly ascending. It must not assume a
-// single bucket per span: a self-exchange (joiner catch-up replay) merges
-// the whole [0, P) range in one payload.
-func decodePartProbeSpan(p []byte, lo, hi int, buckets []int, perProbe [][]delta.Row) error {
-	r := wire.NewReader(p)
-	n := r.Count("entry count")
-	prev := -1
-	type entry struct {
-		idx  int
-		rows []delta.Row
-	}
-	entries := make([]entry, 0, n)
-	for e := 0; e < n && r.Err() == nil; e++ {
-		iv := r.Uvarint("probe index")
-		if r.Err() != nil {
-			break
-		}
-		if iv >= uint64(len(buckets)) || int(iv) <= prev {
-			return fmt.Errorf("core: part-probe span: probe index %d out of order or range", iv)
-		}
-		i := int(iv)
-		if buckets[i] < lo || buckets[i] >= hi {
-			return fmt.Errorf("core: part-probe span [%d,%d): probe row %d routes to bucket %d", lo, hi, i, buckets[i])
-		}
-		prev = i
-		entries = append(entries, entry{idx: i, rows: readRows(r, r.Count("match count"))})
-	}
-	if err := r.Done("part-probe span"); err != nil {
-		return fmt.Errorf("core: part-probe span: %w", err)
-	}
-	for _, e := range entries {
-		perProbe[e.idx] = e.rows
-	}
 	return nil
 }

@@ -42,7 +42,7 @@ const exchangeGoldenPath = "testdata/exchange.golden"
 // calls of the whole run and the payload bytes of each, as one word. The
 // words were generated at a commit that predates the site runner, so they
 // hold the sequence a replica built from that commit expects (protoVersion
-// 3: replicas in lockstep must agree on it call for call and byte for byte).
+// 3, unchanged by 4: replicas in lockstep must agree on it call for call and byte for byte).
 // Each case runs at Workers {1, 4} with the cutover pinned to one row — a
 // replica's local fan-out must not show in its payloads — and must also land
 // on the local trajectory of testdata/trajectory.golden.
@@ -52,18 +52,8 @@ func TestExchangeSequenceGolden(t *testing.T) {
 		want = readGolden(t, exchangeGoldenPath)
 	}
 	local := readGolden(t, trajectoryGoldenPath)
-	cases := goldenCases(t)
-	// Partitioned shipping: bucket geometry, no MinRows gate. The one
-	// participant holds the whole build side, so it owns every bucket.
-	for _, c := range cases {
-		if c.name == "join_dim_group" {
-			c.name += "/partitioned"
-			c.opts.PartitionTables, c.opts.Partitions = []string{"cdns"}, 3
-			cases = append(cases, c)
-		}
-	}
 	got := map[string]uint64{}
-	for _, c := range cases {
+	for _, c := range goldenCases(t) {
 		for _, trials := range []int{0, 25} {
 			c, trials := c, trials
 			key := fmt.Sprintf("%s/B%d", c.name, trials)
@@ -92,8 +82,7 @@ func TestExchangeSequenceGolden(t *testing.T) {
 					if x.sites == 0 {
 						t.Errorf("workers=%d: no site reached the transport", workers)
 					}
-					localKey := strings.Replace(key, "/partitioned", "", 1)
-					if l, ok := local[localKey]; !ok || traj != l {
+					if l, ok := local[key]; !ok || traj != l {
 						t.Errorf("workers=%d: trajectory %016x under the transport, local golden %016x", workers, traj, l)
 					}
 				}

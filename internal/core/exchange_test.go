@@ -13,7 +13,7 @@ import (
 )
 
 // Span fixtures: small, but every value kind (lineage refs included),
-// non-unit multiplicities, weights, NaN/Inf/-0 floats and an empty match list.
+// non-unit multiplicities, weights and NaN/Inf/-0 floats.
 
 var spanVerdicts = []selVerdict{{expr.True, true}, {expr.False, false}, {expr.Unknown, true}, {expr.Unknown, false}}
 
@@ -36,14 +36,6 @@ func spanSink() (*rel.Relation, [][]bootstrap.Estimate) {
 	}
 	return res, ests
 }
-
-// Part-probe fixture: five probe rows routed to buckets 0..2; rows 1 and 4
-// have matches, row 3 an explicitly empty entry.
-var (
-	spanBuckets = []int{0, 1, 2, 1, 0}
-	spanIdx     = []int{1, 3, 4}
-	spanMatches = [][]delta.Row{spanRows, {}, spanRows[:1]}
-)
 
 // mustEncode(t)(encode(...)) unwraps an encoder's (bytes, error) result.
 func mustEncode(t testing.TB) func([]byte, error) []byte {
@@ -112,35 +104,13 @@ func spanMessages(t testing.TB) []wiretest.Message {
 				return encodeSinkSpan(out, oe, 0, 2, 2)
 			},
 		},
-		{
-			Name:  "part-probe span",
-			Valid: mustEncode(t)(encodePartProbeSpan(spanIdx, spanMatches)),
-			Recode: func(p []byte) ([]byte, error) {
-				perProbe := make([][]delta.Row, len(spanBuckets))
-				if err := decodePartProbeSpan(p, 0, 3, spanBuckets, perProbe); err != nil {
-					return nil, err
-				}
-				var idx []int
-				var matches [][]delta.Row
-				for i, rows := range perProbe {
-					if rows != nil {
-						idx, matches = append(idx, i), append(matches, rows)
-					}
-				}
-				return encodePartProbeSpan(idx, matches)
-			},
-			Lies: [][]byte{
-				wire.AppendUvarint(nil, 1<<40), // entry count
-				wire.AppendUvarint(wire.AppendUvarint(wire.AppendUvarint(nil, 1), 1), 1<<40), // match count of entry 0
-			},
-		},
 	}
 }
 
 // TestSpanDecodersRejectCorruption: lying counts, truncation at every byte
 // offset and trailing bytes return errors — never a panic or an allocation
-// sized off the wire (the row and part-probe span decoders trusted their
-// counts before the port onto wire.Reader).
+// sized off the wire (the row span decoder trusted its count before the
+// port onto wire.Reader).
 func TestSpanDecodersRejectCorruption(t *testing.T) { wiretest.Check(t, spanMessages(t)) }
 
 func FuzzWire(f *testing.F) { wiretest.Fuzz(f, spanMessages(f)) }
@@ -150,11 +120,10 @@ func FuzzWire(f *testing.F) { wiretest.Fuzz(f, spanMessages(f)) }
 // not a format change.
 func TestSpanGoldenBytes(t *testing.T) {
 	want := map[string]string{
-		"verdict span":    "05000602",
-		"bool span":       "0100000101",
-		"row span":        "023103020d0402633103000000000000f0ff000000000000f03f03000000000000f03f00000000000000000000000000000040140300010105060203677c78000000000000044000",
-		"sink span":       "16020401610377be9f1a2fdd5e40000000000000f03f000000000000000000000000000000000000000000000000000000000000000000000000000000000077be9f1a2fdd5e40000000000000f83f0000000000005e400000000000805f40fa7e6abc7493883f140200030000000000000080000000000000c03f0000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000f87f0100000000000000000000000000000000000000000000000000000000000000",
-		"part-probe span": "0301023103020d0402633103000000000000f0ff000000000000f03f03000000000000f03f00000000000000000000000000000040140300010105060203677c78000000000000044000030004013103020d0402633103000000000000f0ff000000000000f03f03000000000000f03f00000000000000000000000000000040",
+		"verdict span": "05000602",
+		"bool span":    "0100000101",
+		"row span":     "023103020d0402633103000000000000f0ff000000000000f03f03000000000000f03f00000000000000000000000000000040140300010105060203677c78000000000000044000",
+		"sink span":    "16020401610377be9f1a2fdd5e40000000000000f03f000000000000000000000000000000000000000000000000000000000000000000000000000000000077be9f1a2fdd5e40000000000000f83f0000000000005e400000000000805f40fa7e6abc7493883f140200030000000000000080000000000000c03f0000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000f87f0100000000000000000000000000000000000000000000000000000000000000",
 	}
 	wiretest.Golden(t, spanMessages(t), want)
 }

@@ -20,14 +20,6 @@ type opJoin struct {
 	node           *plan.Join
 	l, r           operator
 	lStore, rStore *delta.HashStore
-	// partBuckets > 0 marks the right side as a partitioned-shipping table
-	// (Options.PartitionTables): each distributed replica holds only one
-	// hash partition of it, so probes route through bucket-geometry
-	// exchanges (cluster.CostProbePart over partBuckets logical buckets)
-	// instead of row spans. partScan is the right child's static scan, whose
-	// justEmitted flag replaces the replica-divergent len(ro.news) guard.
-	partBuckets int
-	partScan    *opScan
 	// sharedR marks rStore as a frozen store owned by the shared-state
 	// cache (shared.go): the build subtree ran once at acquire time, so the
 	// store is complete and immutable. The join never writes it, excludes
@@ -128,68 +120,6 @@ func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, 
 	return append(dst, buf...)
 }
 
-// probePartitioned probes a partitioned build store. Exchange geometry is
-// the P hash buckets, not row spans: the replica owning partition b probes
-// all probe rows routed to bucket b against its partition, which yields
-// exactly the full store's matches for those rows (a key's rows live whole
-// in one partition, in full-store insertion order). Merged payloads scatter
-// matches back to probe indices, and the final append walks probe order —
-// byte-identical to the sequential full-store loop. There is no MinRows
-// gate: a replica with a partial store cannot fall back to local compute,
-// so every replica must agree to exchange whenever a transport is attached.
-func (o *opJoin) probePartitioned(dst []delta.Row, probe []delta.Row, probeKeys []int, store *delta.HashStore, bc *batchContext) []delta.Row {
-	if len(probe) == 0 {
-		// Identical on every replica: probe rows come from the streamed
-		// delta, which all replicas hold whole.
-		return dst
-	}
-	if bc.exch == nil {
-		// Local execution holds the full table; the plain sequential probe
-		// is the oracle the exchange path must match bit-for-bit.
-		return o.probeInto(dst, probe, probeKeys, store, true, bc)
-	}
-	buckets := make([]int, len(probe))
-	var scratch []byte
-	for i, p := range probe {
-		scratch = rel.EncodeKeyInto(scratch[:0], p.Vals, probeKeys)
-		buckets[i] = cluster.KeyBucket(scratch, o.partBuckets)
-	}
-	perProbe := make([][]delta.Row, len(probe))
-	// idx and matches are the span this replica probed: the probe rows routed
-	// to its buckets that found matches, and their joined rows.
-	var idx []int
-	var matches [][]delta.Row
-	bc.site(cluster.CostProbePart, o.partBuckets, spanCodec{
-		partial: true,
-		encode:  func(lo, hi int) ([]byte, error) { return encodePartProbeSpan(idx, matches) },
-		merge: func(lo, hi int, p []byte) error {
-			return decodePartProbeSpan(p, lo, hi, buckets, perProbe)
-		},
-	}, func(_ *cluster.Pool, lo, hi int) {
-		idx, matches = nil, nil
-		for i, b := range buckets {
-			if b < lo || b >= hi {
-				continue
-			}
-			p := probe[i]
-			ms := store.Probe(p.Vals, probeKeys)
-			if len(ms) == 0 {
-				continue
-			}
-			joined := make([]delta.Row, len(ms))
-			for j, m := range ms {
-				joined[j] = o.joinRows(p, m)
-			}
-			idx = append(idx, i)
-			matches = append(matches, joined)
-		}
-	})
-	for i := range probe {
-		dst = append(dst, perProbe[i]...)
-	}
-	return dst
-}
-
 func (o *opJoin) step(bc *batchContext) (output, error) {
 	lo, err := o.l.step(bc)
 	if err != nil {
@@ -230,35 +160,19 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 			bc.metrics.RecordShuffleBytes(n + m)
 		}
 	}
-	partitioned := o.partBuckets > 0
 	// Certain deltas (classic delta-join over the certain parts):
 	// ΔL ⋈ C_R(old), C_L(old) ⋈ ΔR, ΔL ⋈ ΔR. Probes run partition-parallel
 	// over the probe side; builds run partition-parallel over shards.
 	if o.rStore != nil {
-		if partitioned {
-			out.news = o.probePartitioned(out.news, lo.news, lKeys, o.rStore, bc)
-		} else {
-			out.news = o.probeInto(out.news, lo.news, lKeys, o.rStore, true, bc)
-		}
+		out.news = o.probeInto(out.news, lo.news, lKeys, o.rStore, true, bc)
 	}
 	if o.lStore != nil {
 		out.news = o.probeInto(out.news, ro.news, rKeys, o.lStore, false, bc)
 	}
-	// The transient ΔL⋈ΔR branch must take the same side on every replica:
-	// a partitioned right side emits different (possibly zero) row counts per
-	// replica, so the guard keys off the scan's emission step instead.
-	rEmitted := len(ro.news) > 0
-	if partitioned {
-		rEmitted = o.partScan.justEmitted
-	}
-	if len(lo.news) > 0 && rEmitted {
+	if len(lo.news) > 0 && len(ro.news) > 0 {
 		newR := delta.NewHashStore(rKeys)
 		newR.AddBatch(ro.news, false, bc.run.Gate(cluster.CostJoinBuild, len(ro.news)))
-		if partitioned {
-			out.news = o.probePartitioned(out.news, lo.news, lKeys, newR, bc)
-		} else {
-			out.news = o.probeInto(out.news, lo.news, lKeys, newR, true, bc)
-		}
+		out.news = o.probeInto(out.news, lo.news, lKeys, newR, true, bc)
 	}
 	// Fold this batch's certain rows into the stores, which share them
 	// (delta.Row: rows are immutable).
@@ -276,11 +190,7 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 			return output{}, fmt.Errorf("core: join #%d: left tuple uncertainty requires a cached right side", o.node.ID())
 		}
 		if o.rStore != nil {
-			if partitioned {
-				out.unc = o.probePartitioned(out.unc, lo.unc, lKeys, o.rStore, bc)
-			} else {
-				out.unc = o.probeInto(out.unc, lo.unc, lKeys, o.rStore, true, bc)
-			}
+			out.unc = o.probeInto(out.unc, lo.unc, lKeys, o.rStore, true, bc)
 		}
 	}
 	if len(ro.unc) > 0 && o.lStore != nil {

@@ -16,11 +16,6 @@ type opScan struct {
 	poisson *bootstrap.PoissonSource // nil when trials == 0 or scan is static
 	next    uint64                   // per-table tuple index for weight derivation
 	done    bool                     // static side fully emitted
-	// justEmitted is true exactly on the step where the static side emitted
-	// its rows. Partitioned joins key their transient ΔL⋈ΔR branch off it
-	// instead of len(ro.news) > 0, which would diverge across replicas
-	// holding different (possibly empty) partitions of the table.
-	justEmitted bool
 	// wantCB marks that some downstream operator consumes the columnar
 	// companion batch (markColumnar); scans whose plan has no vectorized
 	// consumer skip the columnar build entirely. cbNeed is the column set
@@ -30,9 +25,8 @@ type opScan struct {
 }
 
 type scanSnap struct {
-	next        uint64
-	done        bool
-	justEmitted bool
+	next uint64
+	done bool
 }
 
 func newOpScan(t *plan.Scan, opts Options) *opScan {
@@ -107,12 +101,10 @@ func (o *opScan) step(bc *batchContext) (output, error) {
 		return out, nil
 	}
 	if o.done {
-		o.justEmitted = false
 		o.record(output{})
 		return output{}, nil
 	}
 	o.done = true
-	o.justEmitted = true
 	src, ok := bc.dims.Get(o.node.Table)
 	if !ok {
 		return output{}, fmt.Errorf("core: unknown table %q", o.node.Table)
@@ -126,12 +118,7 @@ func (o *opScan) step(bc *batchContext) (output, error) {
 	return out, nil
 }
 
-func (o *opScan) snapshot() interface{} {
-	return scanSnap{next: o.next, done: o.done, justEmitted: o.justEmitted}
-}
-func (o *opScan) restore(snap interface{}) {
-	s := snap.(scanSnap)
-	o.next, o.done, o.justEmitted = s.next, s.done, s.justEmitted
-}
-func (o *opScan) stateBytes() int { return 0 }
-func (o *opScan) kind() string    { return "scan" }
+func (o *opScan) snapshot() interface{}    { return scanSnap{next: o.next, done: o.done} }
+func (o *opScan) restore(snap interface{}) { s := snap.(scanSnap); o.next, o.done = s.next, s.done }
+func (o *opScan) stateBytes() int          { return 0 }
+func (o *opScan) kind() string             { return "scan" }

@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 
 	"iolap/internal/delta"
+	"iolap/internal/expr"
 	"iolap/internal/plan"
 	"iolap/internal/rel"
 	"iolap/internal/share"
@@ -72,6 +73,20 @@ func (c *compiled) releaseShared() {
 		r()
 	}
 	c.releases = nil
+}
+
+// udfBuildError, deferred in a shared-state build callback, returns a
+// panicking user function (expr.UDFPanic) as the build's error, so the cache
+// fails the entry and NewEngine fails the query. Any other panic keeps
+// unwinding.
+func udfBuildError(err *error) {
+	if r := recover(); r != nil {
+		p, ok := r.(expr.UDFPanic)
+		if !ok {
+			panic(r)
+		}
+		*err = p
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -126,17 +141,17 @@ func staticCertainSubtree(n plan.Node) bool {
 //   - only the right side caches (cacheR && !cacheL): a static certain
 //     build side never forces a cached left, and the frozen-store argument
 //     covers exactly this orientation;
-//   - keyed joins only, local execution only (no dist exchange, no
-//     partitioned shipping).
+//   - keyed joins only, local execution only (no dist exchange).
 func (c *compiled) acquireSharedBuild(t *plan.Join, cacheL, cacheR bool, an *plan.Analysis, scaleExp []int, grow []bool, opts Options) (*delta.HashStore, bool, error) {
-	if opts.SharedState == nil || opts.Exchange != nil || len(c.partKeys) > 0 {
+	if opts.SharedState == nil || opts.Exchange != nil {
 		return nil, false, nil
 	}
 	if !cacheR || cacheL || len(t.RKeys) == 0 || !staticCertainSubtree(t.R) {
 		return nil, false, nil
 	}
 	key := fmt.Sprintf("join|rk=%v|%s", t.RKeys, share.Fingerprint(t.R))
-	v, release, hit, err := opts.SharedState.Acquire(key, func() (any, error) {
+	v, release, hit, err := opts.SharedState.Acquire(key, func() (_ any, err error) {
+		defer udfBuildError(&err)
 		st, err := c.buildFrozenStore(t.R, t.RKeys, an, scaleExp, grow, opts)
 		if err != nil {
 			return nil, err
@@ -166,7 +181,6 @@ func (c *compiled) buildFrozenStore(sub plan.Node, rkeys []int, an *plan.Analysi
 	o2 := opts
 	o2.SharedState = nil
 	o2.Exchange = nil
-	o2.PartitionTables = nil
 	root, err := b.build(sub, an, scaleExp, grow, o2, false)
 	if err != nil {
 		return nil, err
@@ -406,7 +420,7 @@ func hasAggregateBelow(n plan.Node) bool {
 //     canonical subtree fingerprint, seed/trials/slack/min-support, range
 //     tracking, and the schedule identity (table, batch count, total rows).
 func (c *compiled) acquireSharedAgg(t *plan.Aggregate, an *plan.Analysis, scaleExp []int, grow []bool, opts Options, trackRanges bool) (operator, bool, error) {
-	if opts.SharedState == nil || opts.Exchange != nil || len(c.partKeys) > 0 {
+	if opts.SharedState == nil || opts.Exchange != nil {
 		return nil, false, nil
 	}
 	if t == c.norm || opts.Mode != ModeIOLAP || len(opts.Deltas) == 0 {
@@ -433,7 +447,8 @@ func (c *compiled) acquireSharedAgg(t *plan.Aggregate, an *plan.Analysis, scaleE
 	key := fmt.Sprintf("agg|mode=%d|trials=%d|seed=%d|slack=%g|minsup=%d|ranges=%v|table=%s|p=%d|n=%d|%s",
 		opts.Mode, opts.Trials, opts.Seed, opts.Slack, opts.MinRangeSupport, trackRanges,
 		table, len(opts.Deltas), totalRows, share.Fingerprint(t))
-	v, release, hit, err := opts.SharedState.Acquire(key, func() (any, error) {
+	v, release, hit, err := opts.SharedState.Acquire(key, func() (_ any, err error) {
+		defer udfBuildError(&err)
 		return c.buildSharedAggEntry(t, table, totalRows, an, scaleExp, grow, opts, trackRanges)
 	})
 	if err != nil {
@@ -458,7 +473,6 @@ func (c *compiled) buildSharedAggEntry(t *plan.Aggregate, table string, totalRow
 	o2 := opts
 	o2.SharedState = nil
 	o2.Exchange = nil
-	o2.PartitionTables = nil
 	root, err := b.build(t, an, scaleExp, grow, o2, trackRanges)
 	if err != nil {
 		return nil, err

@@ -1,15 +1,14 @@
 // Message payload codecs. Everything a worker needs to build its engine
 // replica travels in one Setup frame: the engine options that affect results,
-// the SQL text, and the full serialized tables. Since protocol v3 tables ship
-// as columnar blocks (the internal/storage block codec: per-column banks,
-// optional flate compression) with a per-table row-codec fallback for
-// contents the block codec rejects; both round-trip values — float bit
-// patterns included — exactly. Scheduling-only options (Workers,
-// ParThreshold, the spill budget) are deliberately not shipped: they affect
-// placement, never results, so each participant picks its own. Compression
-// is transport-only the same way: it changes bytes on the wire, never the
-// decoded rows, so digests and the bit-identity contract are computed over
-// decoded contents and hold at any compression setting.
+// the SQL text, and the full serialized tables. Tables ship as columnar
+// blocks (the internal/storage block codec: per-column banks, optional flate
+// compression), which round-trip values — float bit patterns included —
+// exactly. Scheduling-only options (Workers, ParThreshold, the spill budget)
+// are deliberately not shipped: they affect placement, never results, so
+// each participant picks its own. Compression is transport-only the same
+// way: it changes bytes on the wire, never the decoded rows, so digests and
+// the bit-identity contract are computed over decoded contents and hold at
+// any compression setting.
 package dist
 
 import (
@@ -20,12 +19,6 @@ import (
 	"iolap/internal/rel"
 	"iolap/internal/storage"
 	"iolap/internal/wire"
-)
-
-// Setup table serialization formats (1 byte per table).
-const (
-	tableFormatRows  = 0 // spill-row codec, one row per frame entry
-	tableFormatBlock = 1 // columnar blocks (internal/storage block codec)
 )
 
 // wireCompressMin is the payload size below which span/merged blobs are
@@ -105,12 +98,8 @@ type tableData struct {
 
 // encodeSetup serializes the replica blueprint for one worker. Tables are
 // emitted in exec.DB.Tables() order (sorted), so every worker sees the same
-// catalog construction order. partSlices, when a table name is present,
-// substitutes that relation for the full table — partitioned shipping sends
-// each initial worker only its hash partition of the build-side tables.
-// Joiners always receive full tables: the catch-up replay probes every
-// bucket locally.
-func encodeSetup(rank, minRows int, opts core.Options, sqlText string, db *exec.DB, streamed map[string]bool, catchUp int, startSeq, lastDigest uint64, partSlices map[string]*rel.Relation) ([]byte, error) {
+// catalog construction order.
+func encodeSetup(rank, minRows int, opts core.Options, sqlText string, db *exec.DB, streamed map[string]bool, catchUp int, startSeq, lastDigest uint64) ([]byte, error) {
 	p := wire.AppendUvarint(nil, protoVersion)
 	p = wire.AppendUvarint(p, uint64(rank))
 	p = wire.AppendUvarint(p, uint64(minRows))
@@ -129,11 +118,6 @@ func encodeSetup(rank, minRows int, opts core.Options, sqlText string, db *exec.
 	p = wire.AppendBool(p, opts.NoViewletRewrites)
 	p = wire.AppendVarint(p, int64(opts.BlockRows))
 	p = wire.AppendStr(p, opts.StratifyBy)
-	p = wire.AppendVarint(p, int64(opts.Partitions))
-	p = wire.AppendUvarint(p, uint64(len(opts.PartitionTables)))
-	for _, t := range opts.PartitionTables {
-		p = wire.AppendStr(p, t)
-	}
 	p = wire.AppendBool(p, opts.WireCompression)
 
 	p = wire.AppendStr(p, sqlText)
@@ -144,9 +128,6 @@ func encodeSetup(rank, minRows int, opts core.Options, sqlText string, db *exec.
 		r, ok := db.Get(name)
 		if !ok {
 			return nil, fmt.Errorf("dist: table %q vanished during setup", name)
-		}
-		if slice, ok := partSlices[name]; ok {
-			r = slice
 		}
 		p = wire.AppendStr(p, name)
 		p = wire.AppendBool(p, streamed[name])
@@ -164,29 +145,11 @@ func encodeSetup(rank, minRows int, opts core.Options, sqlText string, db *exec.
 	return p, nil
 }
 
-// appendTable serializes one relation's contents. Columnar blocks are the
-// default; contents the block codec rejects (KRef lineage values — possible
-// only for mid-pipeline state, never base catalogs, but the fallback keeps
-// the codec total) ship row-at-a-time with the spill-row codec.
+// appendTable encodes the relation as length-framed columnar blocks of at
+// most storage.BlockMaxRows rows each. Base tables hold no KRef lineage
+// values (only aggregates publish them), so the block codec takes every
+// catalog; contents it rejects fail the Setup.
 func appendTable(p []byte, r *rel.Relation, compress bool) ([]byte, error) {
-	blocks, err := appendTableBlocks(nil, r, compress)
-	if err == nil {
-		p = append(p, tableFormatBlock)
-		return append(p, blocks...), nil
-	}
-	p = append(p, tableFormatRows)
-	p = wire.AppendUvarint(p, uint64(len(r.Tuples)))
-	for _, t := range r.Tuples {
-		if p, err = storage.AppendSpillRow(p, t.Vals, t.Mult, nil); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// appendTableBlocks encodes the relation as length-framed columnar blocks of
-// at most storage.BlockMaxRows rows each.
-func appendTableBlocks(p []byte, r *rel.Relation, compress bool) ([]byte, error) {
 	nb := (len(r.Tuples) + storage.BlockMaxRows - 1) / storage.BlockMaxRows
 	p = wire.AppendUvarint(p, uint64(nb))
 	for lo := 0; lo < len(r.Tuples); lo += storage.BlockMaxRows {
@@ -226,11 +189,6 @@ func decodeSetup(p []byte) (*setupMsg, error) {
 	s.opts.NoViewletRewrites = r.Bool("noViewletRewrites")
 	s.opts.BlockRows = int(r.Varint("blockRows"))
 	s.opts.StratifyBy = r.Str("stratifyBy")
-	s.opts.Partitions = int(r.Varint("partitions"))
-	npt := r.Count("partition table count")
-	for i := 0; i < npt && r.Err() == nil; i++ {
-		s.opts.PartitionTables = append(s.opts.PartitionTables, r.Str("partition table"))
-	}
 	s.opts.WireCompression = r.Bool("wireCompression")
 	s.sqlText = r.Str("sql")
 
@@ -255,35 +213,23 @@ func decodeSetup(p []byte) (*setupMsg, error) {
 	return s, nil
 }
 
-// decodeTable reads one table's contents in either serialization format.
-// Counts are bounded by the remaining payload before any allocation is sized
-// from them (every row and every block consumes at least one byte, so
-// remaining-bytes is a sound upper bound for both).
+// decodeTable reads one table's columnar blocks. The block count is bounded
+// by the remaining payload (every block consumes at least one byte) before
+// any loop runs on it.
 func decodeTable(r *wire.Reader, name string, schema rel.Schema) *rel.Relation {
 	rln := rel.NewRelation(schema)
-	switch format := r.Byte("table format"); format {
-	case tableFormatBlock:
-		nb := r.Count("block count")
-		for i := 0; i < nb && r.Err() == nil; i++ {
-			enc := r.Bytes("block")
-			if r.Err() != nil {
-				break
-			}
-			tuples, err := storage.DecodeBlock(enc, schema)
-			if err != nil {
-				r.Fail(fmt.Errorf("dist: table %q block %d: %w", name, i, err))
-				break
-			}
-			rln.Tuples = append(rln.Tuples, tuples...)
+	nb := r.Count("block count")
+	for i := 0; i < nb && r.Err() == nil; i++ {
+		enc := r.Bytes("block")
+		if r.Err() != nil {
+			break
 		}
-	case tableFormatRows:
-		nr := r.Count("row count")
-		for j := 0; j < nr && r.Err() == nil; j++ {
-			vals, mult, _ := storage.ReadSpillRow(r)
-			rln.Tuples = append(rln.Tuples, rel.Tuple{Vals: vals, Mult: mult})
+		tuples, err := storage.DecodeBlock(enc, schema)
+		if err != nil {
+			r.Fail(fmt.Errorf("dist: table %q block %d: %w", name, i, err))
+			break
 		}
-	default:
-		r.Fail(fmt.Errorf("dist: table %q: unknown serialization format %d", name, format))
+		rln.Tuples = append(rln.Tuples, tuples...)
 	}
 	return rln
 }

@@ -41,13 +41,9 @@ import (
 	"sync"
 	"time"
 
-	"iolap/internal/agg"
 	"iolap/internal/cluster"
 	"iolap/internal/core"
 	"iolap/internal/exec"
-	"iolap/internal/expr"
-	"iolap/internal/rel"
-	"iolap/internal/sql"
 	"iolap/internal/wire"
 )
 
@@ -176,9 +172,6 @@ type Coordinator struct {
 	bpStreamed map[string]bool
 	bpSQL      string
 	bpOpts     core.Options
-	// partParts maps each partitioned table to its P hash partitions;
-	// initial worker rank r ≤ P is shipped only partition r-1.
-	partParts map[string][]*rel.Relation
 
 	completed  int    // batches fully finished (joiner catch-up count)
 	lastDigest uint64 // result digest of the last completed batch
@@ -205,24 +198,15 @@ func NewCoordinator(conns []net.Conn, cfg Config) *Coordinator {
 // Setup ships the replica blueprint — tables, streamed flags, SQL text and
 // the result-relevant engine options — to every worker and waits for each to
 // build its engine. Any worker failing setup fails the whole call: a
-// mis-provisioned cluster should be loud, not silently smaller. When
-// opts.PartitionTables is set, the named build-side tables are hash-
-// partitioned here and each initial worker rank r ≤ opts.Partitions receives
-// only partition r-1 of them, shrinking setup wire bytes; every other table
-// (and every later joiner) ships whole.
+// mis-provisioned cluster should be loud, not silently smaller.
 func (c *Coordinator) Setup(db *exec.DB, streamed map[string]bool, sqlText string, opts core.Options) error {
 	if c.setup {
 		return fmt.Errorf("dist: coordinator already set up")
 	}
 	c.setup = true
 	c.bpDB, c.bpStreamed, c.bpSQL, c.bpOpts = db, streamed, sqlText, opts
-	if len(opts.PartitionTables) > 0 {
-		if err := c.partitionTables(db, streamed, sqlText, opts); err != nil {
-			return err
-		}
-	}
 	for _, p := range c.peers {
-		payload, err := encodeSetup(p.rank, c.cfg.MinRows, opts, sqlText, db, streamed, 0, 0, 0, c.sliceFor(p.rank))
+		payload, err := encodeSetup(p.rank, c.cfg.MinRows, opts, sqlText, db, streamed, 0, 0, 0)
 		if err != nil {
 			return err
 		}
@@ -244,44 +228,6 @@ func (c *Coordinator) Setup(db *exec.DB, streamed map[string]bool, sqlText strin
 		}
 	}
 	return nil
-}
-
-// partitionTables validates the partitioned-shipping request against the
-// query plan (the same core.PartitionKeys check every replica's compile
-// performs) and slices each eligible table into opts.Partitions hash
-// partitions by its join key.
-func (c *Coordinator) partitionTables(db *exec.DB, streamed map[string]bool, sqlText string, opts core.Options) error {
-	node, _, err := sql.PlanQuery(sqlText, sql.CatalogOf(db, streamed, ""), expr.NewRegistry(), agg.NewRegistry())
-	if err != nil {
-		return fmt.Errorf("dist: partition setup plan: %w", err)
-	}
-	keys, err := core.PartitionKeys(node, opts)
-	if err != nil {
-		return err
-	}
-	c.partParts = make(map[string][]*rel.Relation, len(keys))
-	for name, cols := range keys {
-		r, ok := db.Get(name)
-		if !ok {
-			return fmt.Errorf("dist: table %q vanished during setup", name)
-		}
-		c.partParts[name] = cluster.PartitionByKey(r, cols, opts.Partitions)
-	}
-	return nil
-}
-
-// sliceFor returns the per-table partition overrides for a worker rank, or
-// nil when the rank owns no partition (rank 0, ranks beyond P, and every
-// joiner — joiners need full tables for the catch-up replay).
-func (c *Coordinator) sliceFor(rank int) map[string]*rel.Relation {
-	if len(c.partParts) == 0 || rank < 1 || rank > c.bpOpts.Partitions {
-		return nil
-	}
-	m := make(map[string]*rel.Relation, len(c.partParts))
-	for name, parts := range c.partParts {
-		m[name] = parts[rank-1]
-	}
-	return m
 }
 
 // Admit queues a freshly-connected worker for admission at the next batch
@@ -364,8 +310,8 @@ func (c *Coordinator) drainJoiners() {
 	}
 }
 
-// admitJoiner hands one new connection the replica blueprint (full tables —
-// the replay probes every partition) with the catch-up count, the exchange
+// admitJoiner hands one new connection the replica blueprint with the
+// catch-up count, the exchange
 // sequence to adopt, and the digest its replay must reproduce, then waits
 // for it to report ready. The joiner replays all completed batches before
 // answering, so a msgSetupOK means its replica state is bit-identical to
@@ -386,7 +332,7 @@ func (c *Coordinator) admitJoiner(conn net.Conn) error {
 	p := &peer{rank: rank, conn: conn, cost: cluster.NewCostModel(0), lastHeard: time.Now()}
 	c.peers = append(c.peers, p)
 	c.mu.Unlock()
-	payload, err := encodeSetup(rank, c.cfg.MinRows, c.bpOpts, c.bpSQL, c.bpDB, c.bpStreamed, c.completed, c.seq, c.lastDigest, nil)
+	payload, err := encodeSetup(rank, c.cfg.MinRows, c.bpOpts, c.bpSQL, c.bpDB, c.bpStreamed, c.completed, c.seq, c.lastDigest)
 	if err != nil {
 		c.markDead(p, err)
 		return err
@@ -510,9 +456,6 @@ func (c *Coordinator) Exchange(class cluster.OpClass, n int, compute func(lo, hi
 	seq := c.seq
 	c.seq++
 	parts := c.batchLive // frozen; may contain peers that died mid-batch
-	if class == cluster.CostProbePart {
-		return c.exchangePartitioned(seq, class, n, parts, compute, merge)
-	}
 	var spans [][2]int
 	if len(c.batchWeights) == len(parts)+1 {
 		spans = weightedSpans(n, c.batchWeights)
@@ -569,78 +512,6 @@ func (c *Coordinator) Exchange(class cluster.OpClass, n int, compute func(lo, hi
 
 	// Broadcast the complete merged site so every surviving replica applies
 	// the identical bytes.
-	mp := encodeMerged(seq, spans, payloads, c.bpOpts.WireCompression)
-	for _, w := range parts {
-		if !w.dead {
-			if err := c.send(w, msgMerged, mp); err != nil {
-				c.cfg.Logf("dist: seq %d: merged broadcast to worker %d: %v", seq, w.rank, err)
-			}
-		}
-	}
-	return nil
-}
-
-// exchangePartitioned runs a partitioned-probe site. The geometry is n hash
-// buckets, not row spans: worker rank r (1 ≤ r ≤ n) owns bucket r-1 as the
-// singleton span [r-1, r), every other live worker ships an empty [0, 0)
-// span as a liveness marker, and the coordinator computes every orphaned
-// bucket — one with no live owner — against its own full build store.
-// Restricting a full-store probe to bucket b's probe rows yields exactly the
-// partition-b results (all rows of a key hash to one bucket, per-key
-// insertion order is preserved), so local recovery needs no partition state
-// and partitioned spans are never re-dispatched to other workers, which in
-// general hold only their own partition.
-func (c *Coordinator) exchangePartitioned(seq uint64, class cluster.OpClass, n int, parts []*peer, compute func(lo, hi int) ([]byte, error), merge func(lo, hi int, payload []byte) error) error {
-	payloads := make([][]byte, n)
-	owner := make([]*peer, n) // frozen owner of each bucket, nil if none
-	for _, w := range parts {
-		lo, hi := 0, 0
-		if w.rank >= 1 && w.rank <= n {
-			lo, hi = w.rank-1, w.rank
-			owner[lo] = w
-		}
-		pl, nanos, ok := c.awaitSpan(w, seq, lo, hi)
-		if !ok {
-			continue // a dead owner's bucket is recovered below
-		}
-		if hi > lo {
-			payloads[lo] = pl
-			w.cost.Observe(class, hi-lo, time.Duration(nanos), 1)
-		}
-	}
-	spans := make([][2]int, n)
-	for b := 0; b < n; b++ {
-		spans[b] = [2]int{b, b + 1}
-		if payloads[b] != nil {
-			continue
-		}
-		if owner[b] != nil {
-			c.redispatched++ // frozen owner died; the coordinator recovers its bucket
-		}
-		t0 := time.Now()
-		pl, err := compute(b, b+1)
-		if err != nil {
-			return err
-		}
-		c.selfCost.Observe(class, 1, time.Since(t0), 1)
-		payloads[b] = pl
-	}
-	for b := 0; b < n; b++ {
-		if err := merge(b, b+1, payloads[b]); err != nil {
-			if owner[b] == nil || owner[b].dead {
-				return err // locally computed: a local bug, not a peer failure
-			}
-			c.markDead(owner[b], fmt.Errorf("dist: worker %d sent unmergeable bucket: %w", owner[b].rank, err))
-			pl, cerr := compute(b, b+1)
-			if cerr != nil {
-				return cerr
-			}
-			payloads[b] = pl
-			if err := merge(b, b+1, pl); err != nil {
-				return err
-			}
-		}
-	}
 	mp := encodeMerged(seq, spans, payloads, c.bpOpts.WireCompression)
 	for _, w := range parts {
 		if !w.dead {

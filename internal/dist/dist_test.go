@@ -570,7 +570,7 @@ func TestWorkerRejectsLyingSpanBounds(t *testing.T) {
 				}()
 				done <- ServeConn(sConn, WorkerOptions{IdleTimeout: time.Second})
 			}()
-			setup, err := encodeSetup(1, 1, baseOpts(), distQueries[0].query, testDB(200, 11, 0), streamedTables, 0, 0, 0, nil)
+			setup, err := encodeSetup(1, 1, baseOpts(), distQueries[0].query, testDB(200, 11, 0), streamedTables, 0, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

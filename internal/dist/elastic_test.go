@@ -5,7 +5,6 @@
 package dist
 
 import (
-	"math/rand"
 	"net"
 	"reflect"
 	"sync"
@@ -15,7 +14,6 @@ import (
 	"iolap/internal/cluster"
 	"iolap/internal/core"
 	"iolap/internal/exec"
-	"iolap/internal/rel"
 )
 
 // joinWorker spins up a fresh pipe-backed worker and queues it for admission
@@ -162,141 +160,6 @@ func TestJoinerDiesAndRejoins(t *testing.T) {
 	}
 	if err := coord.WorkerErrors()[3]; err == nil {
 		t.Fatal("dead joiner (rank 3) has no recorded error")
-	}
-}
-
-// bigDB is the partitioned-shipping fixture: a fact table joining a build
-// dimension large enough that shipping it whole to every worker dominates
-// setup wire bytes.
-func bigDB(nSessions, nCdns int, seed int64) *exec.DB {
-	rng := rand.New(rand.NewSource(seed))
-	db := exec.NewDB()
-	r := rel.NewRelation(sessionsSchema())
-	for i := 0; i < nSessions; i++ {
-		r.Append(
-			rel.String("s"+itoa(i)),
-			rel.Float(float64(10+rng.Intn(500))/10),
-			rel.Float(float64(300+rng.Intn(6000))/10),
-			rel.String("c"+itoa(rng.Intn(nCdns))),
-		)
-	}
-	db.Put("sessions", r)
-	cdns := rel.NewRelation(cdnsSchema())
-	for i := 0; i < nCdns; i++ {
-		cdns.Append(rel.String("c"+itoa(i)), rel.String("r"+itoa(i%8)))
-	}
-	db.Put("cdns", cdns)
-	return db
-}
-
-// runDistOpts is runDist but records the post-setup wire broadcast bytes, so
-// the partitioned-shipping saving can be isolated from batch traffic.
-func runDistSetupBytes(t testing.TB, conns []net.Conn, db *exec.DB, query string, opts core.Options, cfg Config) ([]summary, int64) {
-	t.Helper()
-	coord := NewCoordinator(conns, cfg)
-	defer coord.Close()
-	if err := coord.Setup(db, streamedTables, query, opts); err != nil {
-		t.Fatalf("setup: %v", err)
-	}
-	_, setupBytes := coord.WireStats()
-	opts.Exchange = coord
-	eng := buildEngine(t, db, query, opts)
-	defer eng.Close()
-	var out []summary
-	for !eng.Done() {
-		u, err := coord.Step(eng)
-		if err != nil {
-			t.Fatalf("dist step: %v", err)
-		}
-		out = append(out, summarize(t, u))
-	}
-	return out, setupBytes
-}
-
-// TestPartitionedShippingEquivalenceAndWireSavings runs the dim-join with the
-// build table shipped whole (replicated) and hash-partitioned, checks both
-// against the local oracle bit-for-bit, and checks that partitioned setup
-// ships measurably fewer bytes.
-func TestPartitionedShippingEquivalenceAndWireSavings(t *testing.T) {
-	query := distQueries[1].query
-	const workers = 4
-	popts := baseOpts()
-	popts.PartitionTables = []string{"cdns"}
-	popts.Partitions = workers
-
-	// Partition options must not perturb the local oracle.
-	local := runLocal(t, bigDB(160, 64, 9), query, baseOpts())
-	localPart := runLocal(t, bigDB(160, 64, 9), query, popts)
-	assertSameRun(t, "local_part_vs_local", localPart, local)
-
-	connsR, stopR := StartLoopback(workers, WorkerOptions{})
-	gotR, setupRepl := runDistSetupBytes(t, connsR, bigDB(160, 64, 9), query, baseOpts(), forceDist())
-	stopR()
-	assertSameRun(t, "replicated", gotR, local)
-
-	connsP, stopP := StartLoopback(workers, WorkerOptions{})
-	gotP, setupPart := runDistSetupBytes(t, connsP, bigDB(160, 64, 9), query, popts, forceDist())
-	stopP()
-	assertSameRun(t, "partitioned", gotP, local)
-
-	if setupPart >= setupRepl {
-		t.Fatalf("partitioned setup shipped %d bytes, replicated %d: no saving", setupPart, setupRepl)
-	}
-	t.Logf("setup broadcast: replicated %d B, partitioned %d B (%.1f%% saved)",
-		setupRepl, setupPart, 100*(1-float64(setupPart)/float64(setupRepl)))
-}
-
-// TestPartitionedElasticKillAndJoin exercises the partitioned geometry under
-// membership churn: the owner of bucket 0 dies mid-run (the coordinator must
-// recover the orphaned bucket from its full store) and a full-table joiner
-// arrives — results stay bit-identical at every fault point. At least one
-// fault point must land mid-exchange, so the frozen-owner redispatch path is
-// exercised, not just the already-dead orphan path.
-func TestPartitionedElasticKillAndJoin(t *testing.T) {
-	query := distQueries[1].query
-	const workers = 2
-	popts := baseOpts()
-	popts.PartitionTables = []string{"cdns"}
-	popts.Partitions = workers
-	local := runLocal(t, bigDB(160, 64, 9), query, popts)
-
-	sawRedispatch := false
-	for failAt := 8; failAt <= 28; failAt += 4 {
-		conns, stop := StartLoopback(workers, WorkerOptions{})
-		fc := NewFaultConn(conns[0]) // rank 1: owner of bucket 0
-		fc.KillOnFault(true)
-		fc.FailReadAt(failAt)
-		cfg := forceDist()
-		cfg.SpanDeadline = 100 * time.Millisecond
-		cfg.Retries = 1
-		hooks := []batchHook{{after: 2, fn: func(c *Coordinator) { joinWorker(c, WorkerOptions{}, nil) }}}
-		got, coord := runDistHooks(t, []net.Conn{fc, conns[1]}, bigDB(160, 64, 9), query, popts, cfg, hooks)
-		assertSameRun(t, "part_kill_join_"+itoa(failAt), got, local)
-		if coord.LiveWorkers() >= workers+1 {
-			t.Errorf("failAt=%d: fault never killed the bucket owner", failAt)
-		}
-		if total, _ := coord.Redispatched(); total > 0 {
-			sawRedispatch = true
-		}
-		stop()
-	}
-	if !sawRedispatch {
-		t.Error("no fault point landed mid-exchange: orphaned-bucket recovery never counted a frozen owner")
-	}
-}
-
-// TestPartitionSetupRejectsIneligible: asking to partition a table that is
-// not a static build side must fail Setup loudly, not silently replicate.
-func TestPartitionSetupRejectsIneligible(t *testing.T) {
-	popts := baseOpts()
-	popts.PartitionTables = []string{"sessions"} // streamed probe side
-	popts.Partitions = 2
-	conns, stop := StartLoopback(1, WorkerOptions{})
-	defer stop()
-	coord := NewCoordinator(conns, forceDist())
-	defer coord.Close()
-	if err := coord.Setup(testDB(30, 1, 0), streamedTables, distQueries[1].query, popts); err == nil {
-		t.Fatal("partitioning a streamed table must fail setup")
 	}
 }
 

@@ -46,7 +46,9 @@ const (
 // Version 3 switched Setup table shipping to the columnar block codec (with
 // a row-codec fallback flag per table), added the WireCompression option to
 // the Setup payload, and framed span/merged payloads as compressible blobs.
-const protoVersion = 3
+// Version 4 dropped partitioned shipping and the per-table format byte from
+// Setup: every table ships whole, as columnar blocks.
+const protoVersion = 4
 
 // assignSpans splits [0, n) into p contiguous spans with boundaries i·n/p —
 // the same arithmetic as cluster.Pool.Span, and a pure function of

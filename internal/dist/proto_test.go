@@ -5,13 +5,13 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"iolap/internal/core"
 	"iolap/internal/exec"
 	"iolap/internal/rel"
-	"iolap/internal/storage"
 	"iolap/internal/wire"
 )
 
@@ -55,7 +55,7 @@ func TestSetupRoundTrip(t *testing.T) {
 		SnapshotKeep: 3, MinRangeSupport: 5, PreShuffle: true,
 		NoViewletRewrites: true, BlockRows: 4, StratifyBy: "k",
 	}
-	p, err := encodeSetup(2, 16, opts, "SELECT 1", db, map[string]bool{"stream": true}, 4, 17, 0xfeed, nil)
+	p, err := encodeSetup(2, 16, opts, "SELECT 1", db, map[string]bool{"stream": true}, 4, 17, 0xfeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSetupRoundTrip(t *testing.T) {
 func TestSetupRejectsCorruptPayload(t *testing.T) {
 	db := exec.NewDB()
 	db.Put("t", rel.NewRelation(rel.Schema{{Name: "x", Type: rel.KInt}}))
-	p, err := encodeSetup(1, 32, core.Options{}, "q", db, nil, 0, 0, 0, nil)
+	p, err := encodeSetup(1, 32, core.Options{}, "q", db, nil, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +100,12 @@ func TestSetupRejectsCorruptPayload(t *testing.T) {
 	}
 	if _, err := decodeSetup(append(append([]byte{}, p...), 0)); err == nil {
 		t.Error("trailing bytes: expected error")
+	}
+	// A v3 coordinator's Setup (partitioned shipping, per-table format byte)
+	// must fail loudly, not decode into a diverging replica.
+	v3 := append(wire.AppendUvarint(nil, 3), p[len(wire.AppendUvarint(nil, protoVersion)):]...)
+	if _, err := decodeSetup(v3); err == nil || !strings.Contains(err.Error(), "protocol version mismatch") {
+		t.Errorf("version-3 setup: err = %v, want a protocol version mismatch", err)
 	}
 }
 
@@ -192,60 +198,33 @@ func TestFaultConnKillOnFault(t *testing.T) {
 	}
 }
 
-// TestDecodeTableRejectsLyingCounts pins the bounds-guarded count fix: a row
-// or block count promising more entries than the remaining payload could
+// TestDecodeTableRejectsLyingCounts pins the bounds-guarded count fix: a
+// block count promising more blocks than the remaining payload could
 // possibly hold must be rejected up front, never trusted.
 func TestDecodeTableRejectsLyingCounts(t *testing.T) {
-	schema := rel.Schema{{Name: "x", Type: rel.KInt}}
-	row, err := storage.AppendSpillRow(nil, []rel.Value{rel.Int(1)}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := append([]byte{tableFormatRows}, wire.AppendUvarint(nil, 1<<40)...)
-	rows = append(rows, row...)
-	r := wire.NewReader(rows)
-	decodeTable(r, "t", schema)
-	if r.Err() == nil {
-		t.Error("lying row count accepted")
-	}
-
-	blocks := append([]byte{tableFormatBlock}, wire.AppendUvarint(nil, 1<<40)...)
-	r = wire.NewReader(blocks)
-	decodeTable(r, "t", schema)
+	r := wire.NewReader(wire.AppendUvarint(nil, 1<<40))
+	decodeTable(r, "t", rel.Schema{{Name: "x", Type: rel.KInt}})
 	if r.Err() == nil {
 		t.Error("lying block count accepted")
 	}
-
-	r = wire.NewReader([]byte{0x7f})
-	decodeTable(r, "t", schema)
-	if r.Err() == nil {
-		t.Error("unknown table format accepted")
-	}
 }
 
-// TestSetupRowFallbackForRefs: a table holding lineage references — which the
-// block codec rejects — round-trips through the per-table row-codec fallback,
-// with compression enabled everywhere else.
-func TestSetupRowFallbackForRefs(t *testing.T) {
+// TestSetupRejectsRefTable: a table the block codec rejects — one holding
+// lineage references, which base tables never do — fails Setup with an error
+// naming the table.
+func TestSetupRejectsRefTable(t *testing.T) {
 	db := exec.NewDB()
 	r := rel.NewRelation(rel.Schema{{Name: "v", Type: rel.KFloat}})
 	r.Append(rel.NewRef(rel.Ref{Op: 3, Key: "g|x", Col: 1}))
 	r.Append(rel.Float(2.5))
 	db.Put("refs", r)
-	opts := core.Options{WireCompression: true}
-	p, err := encodeSetup(1, 8, opts, "q", db, nil, 0, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := decodeSetup(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.opts.WireCompression {
-		t.Error("WireCompression option did not survive the round trip")
-	}
-	if len(s.tables) != 1 || !reflect.DeepEqual(s.tables[0].rel.Tuples, r.Tuples) {
-		t.Fatalf("ref table did not round-trip: %+v", s.tables)
+	conns, stop := StartLoopback(1, WorkerOptions{})
+	defer stop()
+	coord := NewCoordinator(conns, forceDist())
+	defer coord.Close()
+	err := coord.Setup(db, nil, "SELECT v FROM refs", core.Options{WireCompression: true})
+	if err == nil || !strings.Contains(err.Error(), `"refs"`) {
+		t.Fatalf("setup err = %v, want a failure naming table \"refs\"", err)
 	}
 }
 

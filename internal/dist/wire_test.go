@@ -10,9 +10,8 @@ import (
 	"iolap/internal/wire/wiretest"
 )
 
-// wireSetup is the Setup fixture: every option non-default, one block-format
-// table with a non-unit multiplicity and one the block codec rejects (a
-// lineage ref), so both table serializations are on the wire.
+// wireSetup is the Setup fixture: every option non-default and one table
+// with a non-unit multiplicity and a null.
 func wireSetup(t testing.TB) []byte {
 	db := exec.NewDB()
 	r := rel.NewRelation(rel.Schema{
@@ -24,16 +23,12 @@ func wireSetup(t testing.TB) []byte {
 	r.AppendMult(2.5, rel.String("b"), rel.Float(0.1), rel.Int(9))
 	r.Append(rel.String("a"), rel.Null(), rel.Int(10))
 	db.Put("stream", r)
-	refs := rel.NewRelation(rel.Schema{{Name: "v", Type: rel.KFloat}})
-	refs.Append(rel.NewRef(rel.Ref{Op: 3, Key: "g|x", Col: 1}))
-	db.Put("refs", refs)
 	opts := core.Options{
 		Mode: core.ModeOPT1, Batches: 7, Trials: -1, Slack: 1.5, Seed: 42,
 		SnapshotKeep: 3, MinRangeSupport: 5, PreShuffle: true,
 		NoViewletRewrites: true, BlockRows: 4, StratifyBy: "k",
-		Partitions: 2, PartitionTables: []string{"refs"},
 	}
-	p, err := encodeSetup(2, 16, opts, "SELECT 1", db, map[string]bool{"stream": true}, 4, 17, 0xfeed, nil)
+	p, err := encodeSetup(2, 16, opts, "SELECT 1", db, map[string]bool{"stream": true}, 4, 17, 0xfeed)
 	if err != nil {
 		t.Fatalf("encode setup: %v", err)
 	}
@@ -50,7 +45,7 @@ func recodeSetup(p []byte) ([]byte, error) {
 		db.Put(td.name, td.rel)
 		streamed[td.name] = td.streamed
 	}
-	return encodeSetup(s.rank, s.minRows, s.opts, s.sqlText, db, streamed, s.catchUp, s.startSeq, s.lastDigest, nil)
+	return encodeSetup(s.rank, s.minRows, s.opts, s.sqlText, db, streamed, s.catchUp, s.startSeq, s.lastDigest)
 }
 
 // wireMessages lists every dist payload codec once for the shared
@@ -144,10 +139,11 @@ func FuzzWire(f *testing.F) { wiretest.Fuzz(f, wireMessages(f)) }
 
 // TestGoldenBytes pins every message encoding to the bytes protocol v3
 // produced before the codecs moved onto internal/wire (captured at the
-// parent commit): the port is a replace, not a format change.
+// parent commit): the port is a replace, not a format change. Only setup has
+// changed since, in v4 (no partition fields, no per-table format byte).
 func TestGoldenBytes(t *testing.T) {
 	want := map[string]string{
-		"setup":     "0302100411edfe000000000000020e01000000000000f83f2a00000000000000060a010108016b04010472656673000853454c45435420310204726566730001000176030001110105060203677c78000000000000f03f000673747265616d010301730363646e040001780300016b0201013f0103033b01000000000000f03f0000000000000440000000000000f03f05000201610162000100030103000000000000f43f9a9999999999b93f0200051802",
+		"setup":     "0402100411edfe000000000000020e01000000000000f83f2a00000000000000060a010108016b000853454c4543542031010673747265616d010301730363646e040001780300016b02013f0103033b01000000000000f03f0000000000000440000000000000f03f05000201610162000100030103000000000000f43f9a9999999999b93f0200051802",
 		"step":      "05030103040410100820",
 		"span":      "090a14d2090003070809",
 		"compute":   "030405",

@@ -251,8 +251,7 @@ func buildReplica(s *setupMsg, wopts WorkerOptions, exch core.Exchanger) (*core.
 
 // Exchange implements core.Exchanger for the worker side of a site: compute
 // this replica's span (derived from its position in the frozen live list and
-// the batch's weight vector, or — for a partitioned probe — from bucket
-// ownership by rank), ship it with its measured compute nanos, then serve
+// the batch's weight vector), ship it with its measured compute nanos, then serve
 // compute requests (re-dispatched spans of dead peers) until the merged site
 // arrives, and apply it. In selfMode (catch-up replay) the whole site is
 // computed and merged locally with no frames.
@@ -266,34 +265,24 @@ func (w *workerSession) Exchange(class cluster.OpClass, n int, compute func(lo, 
 	}
 	seq := w.seq
 	w.seq++
-	var lo, hi int
-	if class == cluster.CostProbePart {
-		// Partitioned-probe geometry: n is the bucket count and rank r owns
-		// bucket r-1. Ranks beyond the partition count (joiners, extra
-		// workers) ship an empty span as a liveness marker.
-		if w.rank >= 1 && w.rank <= n {
-			lo, hi = w.rank-1, w.rank
+	p := len(w.live) + 1
+	idx := -1
+	for i, rk := range w.live {
+		if rk == w.rank {
+			idx = i + 1
+			break
 		}
-	} else {
-		p := len(w.live) + 1
-		idx := -1
-		for i, rk := range w.live {
-			if rk == w.rank {
-				idx = i + 1
-				break
-			}
-		}
-		if idx < 0 {
-			return fmt.Errorf("dist: worker rank %d missing from live set %v", w.rank, w.live)
-		}
-		var spans [][2]int
-		if len(w.weights) == p {
-			spans = weightedSpans(n, w.weights)
-		} else {
-			spans = assignSpans(n, p)
-		}
-		lo, hi = spans[idx][0], spans[idx][1]
 	}
+	if idx < 0 {
+		return fmt.Errorf("dist: worker rank %d missing from live set %v", w.rank, w.live)
+	}
+	var spans [][2]int
+	if len(w.weights) == p {
+		spans = weightedSpans(n, w.weights)
+	} else {
+		spans = assignSpans(n, p)
+	}
+	lo, hi := spans[idx][0], spans[idx][1]
 	t0 := time.Now()
 	pl, err := compute(lo, hi)
 	if err != nil {
@@ -359,9 +348,9 @@ func (w *workerSession) Exchange(class cluster.OpClass, n int, compute func(lo, 
 	}
 }
 
-// checkSpan rejects coordinator-sent span bounds outside the site's n items
-// (buckets, for a partitioned probe) before compute or merge slice with
-// them. The frame decoders cannot: only the site knows n.
+// checkSpan rejects coordinator-sent span bounds outside the site's n rows
+// before compute or merge slice with them. The frame decoders cannot: only
+// the site knows n.
 func checkSpan(what string, lo, hi, n int) error {
 	if lo < 0 || lo > hi || hi > n {
 		return fmt.Errorf("dist: %s span [%d,%d) outside a site of %d", what, lo, hi, n)

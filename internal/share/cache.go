@@ -1,6 +1,7 @@
 package share
 
 import (
+	"fmt"
 	"sync"
 )
 
@@ -66,7 +67,9 @@ func NewCache() *Cache {
 // On success release must be called exactly once when the holder is done
 // with the value (calling it more than once is safe — extra calls are
 // no-ops). If build fails the entry is removed, the error is returned to
-// every waiter, and nothing needs releasing.
+// every waiter, and nothing needs releasing. If build panics the entry is
+// removed the same way, waiters get an error, and the panic continues on
+// the builder's goroutine.
 func (c *Cache) Acquire(key string, build func() (any, error)) (val any, release func(), hit bool, err error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -95,20 +98,36 @@ func (c *Cache) Acquire(key string, build func() (any, error)) (val any, release
 
 	// Build outside the cache lock: builds compile plans and replay scans,
 	// and must not serialize unrelated keys behind each other.
+	built := false
+	defer func() {
+		if !built {
+			r := recover()
+			c.fail(e, fmt.Errorf("share: building %q panicked: %v", key, r))
+			panic(r)
+		}
+	}()
 	v, err := build()
-	c.mu.Lock()
+	built = true
 	if err != nil {
-		delete(c.entries, key)
-		e.err = err
-		close(e.ready)
-		c.mu.Unlock()
+		c.fail(e, err)
 		return nil, nil, false, err
 	}
+	c.mu.Lock()
 	e.val = v
 	close(e.ready)
 	c.notePeakLocked()
 	c.mu.Unlock()
 	return v, c.releaser(e), false, nil
+}
+
+// fail ends e's build with err: the entry leaves the map, so the next Acquire
+// builds again, and every waiter wakes to err.
+func (c *Cache) fail(e *entry, err error) {
+	c.mu.Lock()
+	delete(c.entries, e.key)
+	e.err = err
+	close(e.ready)
+	c.mu.Unlock()
 }
 
 // releaser returns the once-guarded refcount decrement for e.

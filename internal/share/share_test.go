@@ -2,9 +2,11 @@ package share
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"iolap/internal/agg"
 	"iolap/internal/expr"
@@ -241,6 +243,59 @@ func TestCacheBuildErrorPropagates(t *testing.T) {
 	release()
 	if st := c.Stats(); st.Live != 0 {
 		t.Fatalf("leak: %+v", st)
+	}
+}
+
+// TestCacheBuildPanicFailsWaiters: a build that panics re-panics on its
+// caller, a waiter that joined mid-build gets an error instead of blocking
+// forever, and the next Acquire builds again.
+func TestCacheBuildPanicFailsWaiters(t *testing.T) {
+	c := NewCache()
+	building, unblock := make(chan struct{}), make(chan struct{})
+	panicked := make(chan interface{})
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Acquire("k", func() (any, error) {
+			close(building)
+			<-unblock
+			panic("build blew up")
+		})
+	}()
+	<-building
+	waiterErr := make(chan error)
+	go func() {
+		_, _, _, err := c.Acquire("k", func() (any, error) { return &sizedVal{n: 1}, nil })
+		waiterErr <- err
+	}()
+	// Let the build fail only once the waiter holds a ref on its entry.
+	for {
+		c.mu.Lock()
+		refs := c.entries["k"].refs
+		c.mu.Unlock()
+		if refs == 2 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(unblock)
+	if r := <-panicked; r != "build blew up" {
+		t.Fatalf("builder recovered %v, want its own panic", r)
+	}
+	select {
+	case err := <-waiterErr:
+		if err == nil || !strings.Contains(err.Error(), "build blew up") {
+			t.Fatalf("waiter err = %v, want the build's panic", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked after the build panicked")
+	}
+	v, release, hit, err := c.Acquire("k", func() (any, error) { return &sizedVal{n: 1}, nil })
+	if err != nil || hit || v == nil {
+		t.Fatalf("acquire after panicked build: hit=%v err=%v", hit, err)
+	}
+	release()
+	if st := c.Stats(); st.Live != 0 || st.Misses != 2 {
+		t.Fatalf("stats after rebuild: %+v", st)
 	}
 }
 

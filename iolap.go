@@ -165,14 +165,6 @@ type Options struct {
 	// (default 32 rows). Deterministic: it affects which sites distribute,
 	// identically on every replica, never results.
 	DistMinRows int
-	// DistPartitionTables lists static build-side tables to hash-partition
-	// across workers (one partition per worker) instead of replicating:
-	// each worker receives only its partition at setup, cutting setup
-	// broadcast bytes for large dimension tables. Every listed table must be
-	// a static (non-streamed) direct build side of a keyed join, or Query
-	// fails. Results stay bit-identical — partitioning changes shipping,
-	// never answers.
-	DistPartitionTables []string
 	// DistElasticAddr, when set with the Dist options, listens on this
 	// host:port for workers joining mid-query: a joiner receives the
 	// blueprint, replays completed batches to the coordinator's verified
@@ -628,12 +620,6 @@ func (s *Session) startDist(query string, opts *Options, db *exec.DB, cat *sql.C
 		}
 	}()
 	coreOpts.WireCompression = opts.DistCompress
-	if len(opts.DistPartitionTables) > 0 {
-		coreOpts.PartitionTables = opts.DistPartitionTables
-		if coreOpts.Partitions = len(opts.DistWorkers); coreOpts.Partitions == 0 {
-			coreOpts.Partitions = opts.DistLoopback
-		}
-	}
 	var conns []net.Conn
 	if len(opts.DistWorkers) > 0 {
 		if conns, err = dist.Dial(opts.DistWorkers, 0); err != nil {

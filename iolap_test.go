@@ -504,9 +504,8 @@ func TestDistLoopbackFacade(t *testing.T) {
 }
 
 // TestDistElasticFacade covers the public elastic path: DistElasticAddr
-// opens a join listener, a worker dialing it mid-query replays in, the
-// dimension table ships hash-partitioned — and results stay bit-identical
-// to the local run.
+// opens a join listener, a worker dialing it mid-query replays in, and
+// results stay bit-identical to the local run.
 func TestDistElasticFacade(t *testing.T) {
 	mk := func() *Session {
 		s := NewSession()
@@ -554,7 +553,6 @@ func TestDistElasticFacade(t *testing.T) {
 	opts := base
 	opts.DistLoopback = 2
 	opts.DistMinRows = 1
-	opts.DistPartitionTables = []string{"cdns"}
 	opts.DistElasticAddr = "127.0.0.1:0"
 	cur, err := mk().Query(query, &opts)
 	if err != nil {

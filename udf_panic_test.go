@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"iolap/internal/core"
 	"iolap/internal/expr"
@@ -111,23 +112,7 @@ func TestUDFPanicFailsOnlyItsServedSession(t *testing.T) {
 	s := boomSession(t)
 	const good = "SELECT k, SUM(v) AS s FROM t GROUP BY k"
 	opts := &ServeSessionOptions{Stream: "t", Trials: 10, Seed: 7, Workers: 4}
-	drain := func(c *ServeCursor) (out []*Update, err error) {
-		for c.Next() {
-			out = append(out, c.Update())
-		}
-		return out, c.Err()
-	}
-
-	solo := s.NewServer(&ServeOptions{Batches: 4})
-	cur, err := solo.Open(good, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := drain(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo.Close()
+	want := soloServed(t, s, good, opts)
 
 	sv := s.NewServer(&ServeOptions{Batches: 4})
 	defer sv.Close()
@@ -135,22 +120,102 @@ func TestUDFPanicFailsOnlyItsServedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur, err = sv.Open(good, opts); err != nil {
+	cur, err := sv.Open(good, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	var badErr, goodErr error
 	var got []*Update
 	wg.Add(2)
-	go func() { defer wg.Done(); _, badErr = drain(bad) }()
-	go func() { defer wg.Done(); got, goodErr = drain(cur) }()
+	go func() { defer wg.Done(); _, badErr = drainServed(bad) }()
+	go func() { defer wg.Done(); got, goodErr = drainServed(cur) }()
 	wg.Wait()
 	checkUDFPanic(t, badErr, "BOOM")
 	if goodErr != nil {
 		t.Fatalf("concurrent session failed: %v", goodErr)
 	}
+	checkSameUpdates(t, got, want)
+}
+
+// TestUDFPanicInSharedBuildFailsOpen: a UDF that panics while the serving
+// engine builds a shared join build side fails that Open with the UDF's
+// error, and so does the next Open of the same query, which builds again
+// instead of waiting on the failed build. A good session on the same server
+// then matches its solo run.
+func TestUDFPanicInSharedBuildFailsOpen(t *testing.T) {
+	s := boomSession(t)
+	s.MustCreateTable("d", []Column{{Name: "dk", Type: TInt}, {Name: "dv", Type: TFloat}}, Static)
+	dims := make([][]interface{}, 7)
+	for k := range dims {
+		dims[k] = []interface{}{int64(k), float64(120 + k)} // dk = 3 holds dv = 123
+	}
+	s.MustInsert("d", dims)
+	const (
+		bad  = "SELECT t.k, SUM(t.v) AS s FROM t, (SELECT dk FROM d WHERE BOOM(dv) > 0) x WHERE t.k = x.dk GROUP BY t.k"
+		good = "SELECT t.k, SUM(t.v) AS s FROM t, (SELECT dk FROM d WHERE dv > 0) x WHERE t.k = x.dk GROUP BY t.k"
+	)
+	opts := &ServeSessionOptions{Stream: "t", Trials: 10, Seed: 7, Workers: 4}
+	want := soloServed(t, s, good, opts)
+
+	sv := s.NewServer(&ServeOptions{Batches: 4})
+	defer sv.Close()
+	for i := 1; i <= 2; i++ {
+		opened := make(chan error, 1)
+		go func() {
+			cur, err := sv.Open(bad, opts)
+			if cur != nil {
+				cur.Close()
+			}
+			opened <- err
+		}()
+		select {
+		case err := <-opened:
+			checkUDFPanic(t, err, "BOOM")
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Open %d of the panicking query still blocked", i)
+		}
+	}
+	cur, err := sv.Open(good, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := drainServed(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSameUpdates(t, got, want)
+}
+
+// drainServed collects a serving cursor's updates until it ends.
+func drainServed(c *ServeCursor) (out []*Update, err error) {
+	for c.Next() {
+		out = append(out, c.Update())
+	}
+	return out, c.Err()
+}
+
+// soloServed runs query alone on a fresh four-batch server.
+func soloServed(t *testing.T, s *Session, query string, opts *ServeSessionOptions) []*Update {
+	t.Helper()
+	sv := s.NewServer(&ServeOptions{Batches: 4})
+	defer sv.Close()
+	cur, err := sv.Open(query, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := drainServed(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkSameUpdates asserts a served trajectory equals the solo one bit for bit.
+func checkSameUpdates(t *testing.T, got, want []*Update) {
+	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("concurrent session delivered %d updates, solo %d", len(got), len(want))
+		t.Fatalf("session delivered %d updates, solo %d", len(got), len(want))
 	}
 	for i := range want {
 		if !reflect.DeepEqual(updateBits(got[i]), updateBits(want[i])) {
