@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race fuzz-seeds fuzz alloc-test bench bench-smoke profile check
+.PHONY: build test vet lint race fuzz-seeds fuzz alloc-test bench bench-smoke ab profile check
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,35 @@ bench-smoke:
 # at zero. GOMAXPROCS irrelevant — the tests cover Workers=1 and parallel.
 alloc-test:
 	$(GO) test -run 'Alloc' ./internal/agg ./internal/bootstrap ./internal/cluster ./internal/core ./internal/rel ./internal/serve
+
+# Paired A/B of one benchmark workload, the working tree against PARENT, with
+# no edit under bench/: PARENT is checked out as a git worktree under .ab/
+# (an existing .ab/parent checkout is moved to PARENT instead), and PAIRS
+# pairs of `bench/run.sh --workload $(W)` run in alternating order (parent
+# first on odd pairs, change first on even ones). Each run appends one line
+# to .ab/$(W).jsonl (delete it to start a fresh comparison), and
+# `go run ./cmd/experiments -exp ab` reports every .ab/*.jsonl: per end-to-end
+# metric, both medians, the median per-pair change/parent ratio and the pairs
+# the change won.
+#   make ab W=flat_boot PAIRS=5 PARENT=HEAD~1
+W ?= flat_boot
+PAIRS ?= 5
+PARENT ?= HEAD
+ab:
+	@rev=$$(git rev-parse --verify -q '$(PARENT)^{commit}') || { echo "ab: no commit $(PARENT)"; exit 1; }; \
+	if [ -d .ab/parent ]; then git -C .ab/parent checkout -q --detach $$rev; \
+	else mkdir -p .ab && git worktree add -q --detach .ab/parent $$rev; fi
+	@for i in $$(seq $(PAIRS)); do \
+		sides="parent change"; [ $$((i % 2)) -eq 0 ] && sides="change parent"; \
+		for side in $$sides; do \
+			root=.; [ $$side = parent ] && root=.ab/parent; \
+			out=$$(bash $$root/bench/run.sh --workload $(W) --seed 7 --seconds 12 --trace 0) || exit 1; \
+			printf '{"side":"%s","context":%s,"result":%s}\n' $$side \
+				"$$(printf '%s\n' "$$out" | head -n 1)" "$$(printf '%s\n' "$$out" | tail -n 1)" >> .ab/$(W).jsonl; \
+			echo "ab: $(W) pair $$i/$(PAIRS): $$side done"; \
+		done; \
+	done
+	$(GO) run ./cmd/experiments -exp ab
 
 # Profile a full engine run: cmd/iolap grew -cpuprofile/-memprofile; this
 # target produces both under ./profiles for `go tool pprof`.

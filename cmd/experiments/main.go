@@ -5,6 +5,7 @@
 //	experiments                       # run everything at default scale
 //	experiments -exp fig8ab           # one experiment
 //	experiments -tpch 20000 -conviva 20000 -batches 20 -trials 100
+//	experiments -exp ab               # report the paired runs of `make ab`
 package main
 
 import (
@@ -35,6 +36,18 @@ func main() {
 	if *list {
 		for _, e := range harness.All() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Paper)
+		}
+		fmt.Printf("%-10s %s\n", "ab", "(tool) paired parent/change benchmark runs recorded by `make ab` under .ab/")
+		return
+	}
+	if *expID == "ab" {
+		results, err := abReport(".ab", "BENCHMARK.json")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments: ab:", err)
+			os.Exit(1)
+		}
+		for _, r := range results {
+			r.Print(os.Stdout)
 		}
 		return
 	}

@@ -223,9 +223,7 @@ var orphanAllowed = map[string]string{
 	"delta.HashStore.Each":            "the immutability and spill tests walk a store's rows, resident and spilled",
 	"rel.Relation.AppendMult":         "fixture builder: a tuple with a multiplicity, for the exec, dist and rel tests",
 	"rel.Relation.Card":               "bag cardinality, the invariant the Canon property test holds",
-	"bootstrap.Quantile":              "the unsorted-input form the quantile tests drive the interpolation through",
 	"bootstrap.Summarize":             "the allocating form SummarizeInto is tested against",
-	"bootstrap.PoissonSource.Weights": "the allocating form WeightsInto is tested against",
 	"agg.Vector.AddRep":               "the per-entry fold that AddBatchRun's contract (agg/batch.go) is stated in",
 }
 

@@ -24,12 +24,6 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// uniform maps a 64-bit state to (0,1).
-func uniform(x uint64) float64 {
-	u := splitmix64(x)
-	return (float64(u>>11) + 0.5) / (1 << 53)
-}
-
 // PoissonSource derives deterministic Poisson(1) weight vectors. The same
 // (seed, index) always yields the same vector, which keeps every engine mode
 // and the failure-recovery replay bit-for-bit reproducible.
@@ -50,51 +44,65 @@ func NewPoissonSource(seed uint64, trials int) *PoissonSource {
 // Trials returns the replicate count B.
 func (p *PoissonSource) Trials() int { return p.trials }
 
-// Weights returns the Poisson(1) weight vector for the tuple with the given
-// global index. The returned slice is freshly allocated. Each tuple gets an
-// independent SplitMix64 stream seeded from (seed, index); draws within the
-// vector advance the stream sequentially, which keeps the generator
-// deterministic while costing one mix per uniform.
-func (p *PoissonSource) Weights(index uint64) []float64 {
-	return p.WeightsInto(index, make([]float64, p.trials))
-}
-
-// WeightsInto fills dst (which must have length Trials) with the weight
-// vector for the given tuple index and returns it — the allocation-free form
-// of Weights for callers that own scratch.
+// WeightsInto fills dst (which must have length Trials) with the Poisson(1)
+// weight vector of the tuple with the given global index and returns it.
+//
+// Each tuple gets an independent SplitMix64 stream seeded from (seed, index),
+// and the vector is Knuth's method walked along it: a draw multiplies
+// uniforms into a running product until the product falls to e^-1 or below,
+// and its weight is the number of uniforms that did not (about two uniforms
+// per draw in expectation). The walk takes one uniform per iteration and
+// never branches on it (poissonStep), so the mixes pipeline and no draw pays
+// a mispredicted loop exit; it consumes the stream exactly as a per-draw loop
+// would, so the vector is the same.
 func (p *PoissonSource) WeightsInto(index uint64, dst []float64) []float64 {
 	if len(dst) != p.trials {
 		panic("bootstrap: WeightsInto dst length != trials")
 	}
 	state := splitmix64(p.seed ^ index*0x9e3779b97f4a7c15)
-	for b := range dst {
-		dst[b] = float64(poisson1(&state))
+	b, k, prod := 0, 0, 1.0
+	for b < len(dst) {
+		state += 0x9e3779b97f4a7c15
+		z := state
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		z ^= z >> 31
+		b, k, prod = poissonStep(dst, b, k, prod, (float64(z>>11)+0.5)/(1<<53))
 	}
 	return dst
 }
 
-// poisson1 draws one Poisson(1) variate via Knuth's method, advancing the
-// stream state. With lambda=1, e^-1 ~= 0.3679 and the loop runs ~2
-// iterations in expectation.
-func poisson1(state *uint64) int {
-	const expNeg1 = 0.36787944117144233
-	k := 0
-	prod := 1.0
-	for {
-		*state += 0x9e3779b97f4a7c15
-		z := *state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		prod *= (float64(z>>11) + 0.5) / (1 << 53)
-		if prod <= expNeg1 {
-			return k
-		}
-		k++
-		if k > 64 { // numerically impossible tail guard
-			return k
-		}
+// expNeg1Bits is e^-1 as IEEE-754 bits. Positive doubles order as their bit
+// patterns, so for the running product (always > 0) the draw's stopping
+// test prod <= e^-1 is Float64bits(prod) <= expNeg1Bits.
+const (
+	expNeg1Bits = 0x3fd78b56362cef38 // math.Float64bits(0.36787944117144233)
+	oneBits     = 0x3ff0000000000000 // math.Float64bits(1)
+)
+
+// poissonStep folds one uniform u into the draw in progress — k uniforms so
+// far kept the running product prod above e^-1 — and returns the walk's next
+// (b, k, prod). When the product falls to e^-1 or below, the draw ends: k is
+// its weight, written to dst[b], and the walk moves to draw b+1 with k = 0,
+// prod = 1. The stopping test becomes an all-ones-or-zero mask (done, the
+// sign of the bit-pattern difference), which selects both the reset and how
+// far b advances, so the only branch is the tail guard: a draw whose first 65
+// uniforms all keep the product above e^-1 (numerically impossible) emits 65
+// after the 65th. dst[b] is stored on every step; only the store of the step
+// that ends a draw survives. Small enough to inline into WeightsInto's loop
+// (go build -gcflags=-m).
+func poissonStep(dst []float64, b, k int, prod, u float64) (int, int, float64) {
+	bits := math.Float64bits(prod * u)
+	done := int(int64(bits-expNeg1Bits-1) >> 63) // -1 iff bits <= expNeg1Bits, else 0
+	dst[b] = float64(k)
+	b -= done
+	k = (k + 1) &^ done
+	prod = math.Float64frombits(bits&^uint64(done) | oneBits&uint64(done))
+	if k > 64 {
+		dst[b] = 65
+		b, k, prod = b+1, 0, 1
 	}
+	return b, k, prod
 }
 
 // Mean returns the arithmetic mean of xs (NaN for empty input).

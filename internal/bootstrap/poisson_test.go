@@ -6,11 +6,111 @@ import (
 	"testing/quick"
 )
 
+// poisson1 is the reference draw WeightsInto must reproduce: one Poisson(1)
+// variate by Knuth's method, one SplitMix64 mix per uniform, advancing the
+// tuple's stream state. With lambda=1, e^-1 ~= 0.3679 and the loop runs ~2
+// iterations in expectation.
+func poisson1(state *uint64) int {
+	const expNeg1 = 0.36787944117144233
+	k := 0
+	prod := 1.0
+	for {
+		*state += 0x9e3779b97f4a7c15
+		z := *state
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		z ^= z >> 31
+		prod *= (float64(z>>11) + 0.5) / (1 << 53)
+		if prod <= expNeg1 {
+			return k
+		}
+		k++
+		if k > 64 { // numerically impossible tail guard
+			return k
+		}
+	}
+}
+
+// knuthWeights fills w with the per-draw reference vector of one tuple.
+func knuthWeights(seed, index uint64, w []float64) []float64 {
+	state := splitmix64(seed ^ index*0x9e3779b97f4a7c15)
+	for b := range w {
+		w[b] = float64(poisson1(&state))
+	}
+	return w
+}
+
+// weights is an allocating WeightsInto.
+func weights(p *PoissonSource, index uint64) []float64 {
+	return p.WeightsInto(index, make([]float64, p.Trials()))
+}
+
+// TestWeightsIntoMatchesKnuth pins the branch-free walk to the per-draw
+// reference bit for bit, at replicate counts around and far past the 64
+// uniforms a tail-guarded draw can consume.
+func TestWeightsIntoMatchesKnuth(t *testing.T) {
+	if math.Float64bits(0.36787944117144233) != expNeg1Bits {
+		t.Fatalf("expNeg1Bits %#x, want %#x", uint64(expNeg1Bits), math.Float64bits(0.36787944117144233))
+	}
+	for _, trials := range []int{1, 25, 63, 64, 65, 100, 257} {
+		const seed = 0x5eed
+		src := NewPoissonSource(seed, trials)
+		dst, ref := make([]float64, trials), make([]float64, trials)
+		for i := uint64(0); i < 200_000; i++ {
+			got := src.WeightsInto(i, dst)
+			want := knuthWeights(seed, i, ref)
+			for b := range want {
+				if math.Float64bits(got[b]) != math.Float64bits(want[b]) {
+					t.Fatalf("B=%d tuple %d trial %d: WeightsInto %v, Knuth %v", trials, i, b, got[b], want[b])
+				}
+			}
+		}
+	}
+}
+
+// TestPoissonTailGuard drives the walk's step with the largest uniform below
+// 1, which keeps the product above e^-1 for far longer than 65 uniforms: like
+// poisson1, the draw must stay open for 64 of them and emit 65 on the 65th.
+func TestPoissonTailGuard(t *testing.T) {
+	const u = 1 - 0x1p-53
+	dst := []float64{-1, -1}
+	b, k, prod := 0, 0, 1.0
+	for i := 1; i <= 64; i++ {
+		if b, k, prod = poissonStep(dst, b, k, prod, u); b != 0 || k != i {
+			t.Fatalf("uniform %d: b=%d k=%d, want the draw still open (b=0, k=%d)", i, b, k, i)
+		}
+	}
+	b, k, prod = poissonStep(dst, b, k, prod, u)
+	if b != 1 || dst[0] != 65 || k != 0 || prod != 1 {
+		t.Fatalf("uniform 65: b=%d dst[0]=%v k=%d prod=%v, want b=1 dst[0]=65 and a fresh draw", b, dst[0], k, prod)
+	}
+	if dst[1] != -1 {
+		t.Fatalf("the guard wrote past its draw: dst[1]=%v", dst[1])
+	}
+}
+
+// BenchmarkWeightsInto and BenchmarkKnuthWeights time one B=100 vector of the
+// branch-free walk and of the per-draw reference loop it replaced.
+func BenchmarkWeightsInto(b *testing.B) {
+	src := NewPoissonSource(42, 100)
+	dst := make([]float64, 100)
+	for i := 0; i < b.N; i++ {
+		src.WeightsInto(uint64(i), dst)
+	}
+}
+
+func BenchmarkKnuthWeights(b *testing.B) {
+	dst := make([]float64, 100)
+	for i := 0; i < b.N; i++ {
+		knuthWeights(42, uint64(i), dst)
+	}
+}
+
 func TestPoissonSourceDeterministic(t *testing.T) {
 	a := NewPoissonSource(42, 50)
 	b := NewPoissonSource(42, 50)
 	for i := uint64(0); i < 100; i++ {
-		wa, wb := a.Weights(i), b.Weights(i)
+		wa, wb := weights(a, i), weights(b, i)
 		for j := range wa {
 			if wa[j] != wb[j] {
 				t.Fatalf("weights not deterministic at tuple %d trial %d", i, j)
@@ -24,7 +124,7 @@ func TestPoissonSourceSeedSensitivity(t *testing.T) {
 	b := NewPoissonSource(2, 100)
 	same := 0
 	for i := uint64(0); i < 50; i++ {
-		wa, wb := a.Weights(i), b.Weights(i)
+		wa, wb := weights(a, i), weights(b, i)
 		for j := range wa {
 			if wa[j] == wb[j] {
 				same++
@@ -43,7 +143,7 @@ func TestPoissonMoments(t *testing.T) {
 	n := 20000
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {
-		w := src.Weights(uint64(i))[0]
+		w := weights(src, uint64(i))[0]
 		if w < 0 || w != math.Trunc(w) {
 			t.Fatalf("weight %v is not a non-negative integer", w)
 		}

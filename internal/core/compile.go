@@ -484,6 +484,13 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 				op.vec = vp
 			}
 		}
+		if sc, ok := child.(*opScan); ok && sc.poisson != nil && !uncPred {
+			// Draw late: the select weights only the scan rows it keeps. A
+			// certain predicate settles every row on arrival, so no scan row
+			// reaches state or the output unweighted.
+			sc.lateDraw = true
+			op.draw = sc
+		}
 		c.ops = append(c.ops, op)
 		return op, nil
 

@@ -15,7 +15,12 @@ type opScan struct {
 	node    *plan.Scan
 	poisson *bootstrap.PoissonSource // nil when trials == 0 or scan is static
 	next    uint64                   // per-table tuple index for weight derivation
+	base    uint64                   // tuple index of the current batch's first row
 	done    bool                     // static side fully emitted
+	// lateDraw marks a weighted scan whose parent select draws the weights
+	// of just the rows it keeps (compiled.build): the scan then emits rows
+	// without W, and no vector the select would discard is ever drawn.
+	lateDraw bool
 	// wantCB marks that some downstream operator consumes the columnar
 	// companion batch (markColumnar); scans whose plan has no vectorized
 	// consumer skip the columnar build entirely. cbNeed is the column set
@@ -52,42 +57,14 @@ func (o *opScan) step(bc *batchContext) (output, error) {
 			return output{}, fmt.Errorf("core: no delta for streamed table %q", o.node.Table)
 		}
 		rows := make([]delta.Row, d.Len())
-		base := o.next
-		// One weight slab per batch: every tuple's vector is a capped
-		// sub-slice filled in place, so weight derivation performs no
-		// per-tuple allocation on either the sequential or parallel path
-		// (disjoint sub-slices make the parallel fill race-free). Rows keep
-		// their W slices past the batch, so the slab is never recycled.
-		var slab []float64
-		trials := 0
-		if o.poisson != nil {
-			trials = o.poisson.Trials()
-			slab = make([]float64, d.Len()*trials)
+		for i, tp := range d.Tuples {
+			rows[i] = delta.Row{Vals: tp.Vals, Mult: tp.Mult}
 		}
-		fill := func(i int) {
-			tp := d.Tuples[i]
-			var w []float64
-			if o.poisson != nil {
-				w = o.poisson.WeightsInto(base+uint64(i), slab[i*trials:(i+1)*trials:(i+1)*trials])
-			}
-			rows[i] = delta.Row{Vals: tp.Vals, Mult: tp.Mult, W: w}
-		}
-		// Weight derivation is per-tuple-index deterministic, so the
-		// partition-parallel path is bit-identical to the sequential one.
-		// Only weighted scans feed the scan EWMA: the unweighted fill is a
-		// different (much cheaper) operation and would drag the estimate.
-		if o.poisson != nil {
-			bc.run.Chunks(cluster.CostScan, d.Len(), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					fill(i)
-				}
-			})
-		} else {
-			for i := range rows {
-				fill(i)
-			}
-		}
+		o.base = o.next
 		o.next += uint64(d.Len())
+		if o.poisson != nil && !o.lateDraw {
+			drawWeights(bc, rows, nil, o.poisson, o.base)
+		}
 		out := output{news: rows}
 		if bc.vec && o.wantCB {
 			// Columnar companion view over just the banks the plan's
@@ -122,3 +99,31 @@ func (o *opScan) snapshot() interface{}    { return scanSnap{next: o.next, done:
 func (o *opScan) restore(snap interface{}) { s := snap.(scanSnap); o.next, o.done = s.next, s.done }
 func (o *opScan) stateBytes() int          { return 0 }
 func (o *opScan) kind() string             { return "scan" }
+
+// drawWeights gives rows[k] the bootstrap weight vector of tuple base+idx[k]
+// (base+k when idx is nil). It is the one place a row's weights are drawn: by
+// a weighted scan for all its rows, or by the select directly above one for
+// the rows that survive its filter (idx then lists their positions in the
+// scan's batch). A vector is a pure function of (salted seed, tuple index),
+// so who draws it, and when, never shows in the weights.
+//
+// Every vector is a capped sub-slice of one slab per call, so drawing costs
+// no per-row allocation and keeps the vectors contiguous for the fold
+// kernels' sequential reads; rows keep their W slices past the batch, so the
+// slab is never recycled. Disjoint sub-slices make the chunked fill race-free
+// and bit-identical to the sequential one. Only drawn rows feed the scan
+// class estimate: the weight-free header fill is a different, much cheaper
+// operation and would drag it.
+func drawWeights(bc *batchContext, rows []delta.Row, idx []int32, src *bootstrap.PoissonSource, base uint64) {
+	trials := src.Trials()
+	slab := make([]float64, len(rows)*trials)
+	bc.run.Chunks(cluster.CostScan, len(rows), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			i := uint64(k)
+			if idx != nil {
+				i = uint64(idx[k])
+			}
+			rows[k].W = src.WeightsInto(base+i, slab[k*trials:(k+1)*trials:(k+1)*trials])
+		}
+	})
+}

@@ -32,6 +32,12 @@ type opSelect struct {
 	// the row path.
 	vec   *expr.Vectorized
 	state delta.RowSet // the non-deterministic set U_i
+	// draw, when non-nil, is the streamed weighted scan directly below whose
+	// rows this select weights after filtering (compiled.build): survivors
+	// get their vectors here, dropped rows never get one. keep is the row
+	// branch's survivor-position scratch, reused across batches.
+	draw *opScan
+	keep []int32
 }
 
 // vecBatch returns the input's columnar view when this step may take the
@@ -145,18 +151,19 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 	}
 	// 2. New certain input rows.
 	if len(in.news) > 0 && !o.predUncertain {
-		var pass []bool
+		n0 := len(out.news)
+		var sel []int32 // survivor positions in in.news
 		if cb := o.vecBatch(bc, in); cb != nil {
 			// Columnar filter: the predicate evaluates whole column spans
 			// into the selection slice, chunk-parallel (EvalCols is
 			// stateless). Verdict-identical to filterAll — CompileVec pins
 			// the row path's acceptance test — so the appended rows and
 			// their order match the row branch exactly.
-			pass = make([]bool, len(in.news))
+			pass := make([]bool, len(in.news))
 			bc.run.Chunks(cluster.CostSelect, len(in.news), func(lo, hi int) {
 				o.vec.EvalCols(cb.cols, lo, hi, pass[lo:hi])
 			})
-			sel := make([]int32, 0, len(in.news))
+			sel = make([]int32, 0, len(in.news))
 			for i, r := range in.news {
 				if pass[i] {
 					out.news = append(out.news, r)
@@ -165,12 +172,19 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 			}
 			out.cb = &colBatch{cols: cb.cols, sel: sel}
 		} else {
-			pass = o.filterAll(in.news, bc)
+			pass := o.filterAll(in.news, bc)
+			sel = o.keep[:0]
 			for i, r := range in.news {
 				if pass[i] {
 					out.news = append(out.news, r)
+					sel = append(sel, int32(i))
 				}
 			}
+			o.keep = sel
+		}
+		if o.draw != nil {
+			// Row i of the scan's batch is tuple base+i of its stream.
+			drawWeights(bc, out.news[n0:], sel, o.draw.poisson, o.draw.base)
 		}
 	} else if len(in.news) > 0 {
 		vs := o.classifyAll(in.news, bc, false)
