@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"iolap/internal/delta"
+	"iolap/internal/plan"
 )
 
 // knuthPoisson1 is the per-draw reference of the weight stream: one Poisson(1)
@@ -100,6 +101,11 @@ func TestSelectDrawsSurvivorWeights(t *testing.T) {
 		scanDraw   bool // some scan draws for itself
 	}{
 		{"sorted_cut", fmt.Sprintf(`SELECT cdn, SUM(play_time) AS s FROM sessions WHERE buffer_time > %v GROUP BY cdn`, cut),
+			true, true, false},
+		// Two selects over two scans of one table: a batch where the first
+		// keeps nothing must leave no slab for the second to slice.
+		{"sorted_cut_union", fmt.Sprintf(`SELECT play_time AS v FROM sessions WHERE buffer_time > %v
+			UNION ALL SELECT buffer_time AS v FROM sessions WHERE cdn = 'east'`, cut),
 			true, true, false},
 		{"flat_filter_agg", theoremQuery(t, "flat_filter_agg"), false, true, false},
 		{"union_all", theoremQuery(t, "union_all"), false, true, false},
@@ -209,5 +215,171 @@ func checkDraws(t *testing.T, name, query string, sorted, wantSelectDraw, wantSc
 	}
 	if sorted && !(none && all) {
 		t.Fatalf("%s: want a batch where no row survives (%v) and one where every row does (%v)", name, none, all)
+	}
+}
+
+// slabTap records, per step, the batch base and the rows of a scan that
+// weighs its whole batch.
+type slabTap struct {
+	*opScan
+	bases []uint64
+	steps [][]delta.Row
+}
+
+func (t *slabTap) step(bc *batchContext) (output, error) {
+	out, err := t.opScan.step(bc)
+	t.bases = append(t.bases, t.base)
+	t.steps = append(t.steps, out.news)
+	return out, err
+}
+
+// drawConfigs is the execution matrix of the slab tests: worker count, row or
+// column path, and the parallel cutover, none of which may show in a weight.
+func drawConfigs() []Options {
+	var cfgs []Options
+	for _, workers := range []int{1, 4} {
+		for _, novec := range []bool{false, true} {
+			for _, cutover := range []int{0, 1} {
+				cfgs = append(cfgs, Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3,
+					Workers: workers, NoVectorize: novec, ParThreshold: cutover})
+			}
+		}
+	}
+	return cfgs
+}
+
+// checkSharedSlabs runs query step by step and checks, for every call a step
+// made (a step that recovers makes more than one), that the scans weighing
+// their whole batch hold the same vectors — row i of each points at the same
+// backing floats — bit-equal to a fresh WeightsInto(base+i), and that every
+// survivor of a late-drawing select points at its row's vector in that slab.
+// It returns the number of whole-batch scans, the survivors checked, and the
+// engine's recoveries.
+func checkSharedSlabs(t *testing.T, query string, sorted bool, opts Options) (scans, survivors, recoveries int) {
+	t.Helper()
+	name := fmt.Sprintf("w%d/novec=%v/cutover=%d/sorted=%v", opts.Workers, opts.NoVectorize, opts.ParThreshold, sorted)
+	db := testDB(240, 11)
+	if sorted {
+		sortSessionsByBufferTime(db)
+	}
+	eng, err := NewEngine(planQuery(t, query), db, opts)
+	if err != nil {
+		t.Fatalf("%s: engine: %v", name, err)
+	}
+	var taps []*slabTap
+	var sels []*tapOp
+	for _, op := range eng.comp.ops {
+		tapChildren(op, func(child operator) operator {
+			switch o := child.(type) {
+			case *opScan:
+				if o.poisson != nil && !o.lateDraw {
+					tp := &slabTap{opScan: o}
+					taps = append(taps, tp)
+					return tp
+				}
+			case *opSelect:
+				if o.draw != nil {
+					tp := &tapOp{operator: o}
+					sels = append(sels, tp)
+					return tp
+				}
+			}
+			return child
+		})
+	}
+	if len(taps) == 0 {
+		t.Fatalf("%s: no scan weighs its whole batch", name)
+	}
+	ref := newOpScan(plan.NewScan("sessions", "", nil, true), opts).poisson
+	want := make([]float64, opts.Trials)
+	for c := 0; !eng.Done(); {
+		if _, err := eng.Step(); err != nil {
+			t.Fatalf("%s: step: %v", name, err)
+		}
+		for ; c < len(taps[0].steps); c++ {
+			base, full := taps[0].bases[c], taps[0].steps[c]
+			for i, r := range full {
+				ref.WeightsInto(base+uint64(i), want)
+				for b := range want {
+					if math.Float64bits(r.W[b]) != math.Float64bits(want[b]) {
+						t.Fatalf("%s: call %d row %d trial %d: weight %v, fresh draw %v", name, c, i, b, r.W[b], want[b])
+					}
+				}
+			}
+			for k, tp := range taps[1:] {
+				if len(tp.steps) != len(taps[0].steps) || tp.bases[c] != base || len(tp.steps[c]) != len(full) {
+					t.Fatalf("%s: call %d: scan %d stepped out of line with scan 0", name, c, k+1)
+				}
+				for i, r := range tp.steps[c] {
+					if &r.W[0] != &full[i].W[0] {
+						t.Fatalf("%s: call %d: scan %d row %d does not share the batch slab", name, c, k+1, i)
+					}
+				}
+			}
+			pos := make(map[string]int, len(full))
+			for i, r := range full {
+				pos[r.Vals[0].Str()] = i
+			}
+			for _, sel := range sels {
+				for _, r := range sel.steps[c] {
+					if i, ok := pos[r.Vals[0].Str()]; !ok || &r.W[0] != &full[i].W[0] {
+						t.Fatalf("%s: call %d: select survivor %v is not sliced from the batch slab", name, c, r.Vals[0])
+					}
+					survivors++
+				}
+			}
+		}
+	}
+	return len(taps), survivors, eng.TotalRecoveries()
+}
+
+// TestScansShareBatchWeights: a streamed table is weighed once per batch.
+// The first scan of it that weighs its whole batch draws the slab, and every
+// later one slices the same vectors from it (opScan.weigh). The shapes scan
+// the table twice, outer and inner: a cross join with a scalar subquery (C1),
+// a correlated subquery (C2) and an IN subquery with HAVING (Q18). Sorted
+// arrival forces §5.1 replays, whose fresh context draws the merged delta's
+// slab once and shares it the same way.
+func TestScansShareBatchWeights(t *testing.T) {
+	shapes := []struct{ name, query string }{
+		{"cross_join", theoremQuery(t, "sbi_nested_scalar")},
+		{"correlated", theoremQuery(t, "nested_correlated")},
+		{"in_subquery", theoremQuery(t, "nested_in_having")},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			recoveries := 0
+			for _, opts := range drawConfigs() {
+				for _, sorted := range []bool{false, true} {
+					scans, _, rec := checkSharedSlabs(t, sh.query, sorted, opts)
+					if scans < 2 {
+						t.Fatalf("%d scans weigh their whole batch, want the outer and the inner one", scans)
+					}
+					recoveries += rec
+				}
+			}
+			t.Logf("%d recoveries", recoveries)
+			if recoveries == 0 {
+				t.Error("sorted arrival forced no recovery")
+			}
+		})
+	}
+}
+
+// TestSelectSlicesScanSlab: a late-drawing select over one scan of a table
+// that another scan weighs in full takes its survivors' vectors from that
+// slab and draws none. The outer scan of the scalar subquery below steps
+// first (a join steps its left side first) and draws the batch; the inner
+// scan's select keeps the 'east' rows and slices their vectors out of it.
+func TestSelectSlicesScanSlab(t *testing.T) {
+	q := `SELECT AVG(play_time) AS apt FROM sessions
+		WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions WHERE cdn = 'east')`
+	for _, opts := range drawConfigs() {
+		for _, sorted := range []bool{false, true} {
+			if _, survivors, _ := checkSharedSlabs(t, q, sorted, opts); survivors == 0 {
+				t.Fatalf("w%d/novec=%v/cutover=%d/sorted=%v: no select survivor was sliced from a slab",
+					opts.Workers, opts.NoVectorize, opts.ParThreshold, sorted)
+			}
+		}
 	}
 }

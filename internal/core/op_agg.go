@@ -716,9 +716,15 @@ func (o *opAgg) publish(bc *batchContext) output {
 	for _, key := range o.order {
 		g := o.groups[key]
 		pending := g.pendEpoch == o.epoch
+		// Only an emitted group needs its row: a certain group leaves once
+		// (every batch under HDA), an uncertain one while it has pending rows.
+		emit := (g.certain && (hdaRecompute || !g.emitted)) || (pending && (hdaRecompute || !g.certain))
 		pub := &aggPub{vals: make([]expr.UncValue, len(o.specs))}
-		rowVals := make([]rel.Value, 0, len(g.key)+len(o.specs))
-		rowVals = append(rowVals, g.key...)
+		var rowVals []rel.Value
+		if emit {
+			rowVals = make([]rel.Value, 0, len(g.key)+len(o.specs))
+			rowVals = append(rowVals, g.key...)
+		}
 		for si := range o.specs {
 			sp := &o.specs[si]
 			vec := g.sketch[si]
@@ -754,6 +760,9 @@ func (o *opAgg) publish(bc *batchContext) output {
 				rng = bootstrap.Point(val)
 			}
 			pub.vals[si] = expr.UncValue{Value: rel.Float(val), Reps: reps, Range: rng}
+			if !emit {
+				continue
+			}
 			if sp.uncertainOut && !hdaRecompute {
 				rowVals = append(rowVals, rel.NewRef(rel.Ref{Op: o.pubID, Key: key, Col: sp.outCol}))
 			} else {
@@ -761,21 +770,17 @@ func (o *opAgg) publish(bc *batchContext) output {
 			}
 		}
 		table.byKey[key] = pub
-		if hdaRecompute {
-			// Delete+insert value updates: every live group flows as a
-			// tuple-uncertain row, every batch.
-			if g.certain || pending {
-				out.unc = append(out.unc, delta.Row{Vals: rowVals, Mult: 1})
-			}
+		if !emit {
 			continue
 		}
-		if g.certain {
-			if !g.emitted {
-				g.emitted = true
-				out.news = append(out.news, delta.Row{Vals: rowVals, Mult: 1})
-			}
-		} else if pending {
-			out.unc = append(out.unc, delta.Row{Vals: rowVals, Mult: 1})
+		// Delete+insert value updates under HDA: every live group flows as a
+		// tuple-uncertain row, every batch.
+		row := delta.Row{Vals: rowVals, Mult: 1}
+		if g.certain && !hdaRecompute {
+			g.emitted = true
+			out.news = append(out.news, row)
+		} else {
+			out.unc = append(out.unc, row)
 		}
 	}
 	bc.publish(o.pubID, table)

@@ -19,7 +19,7 @@ type opScan struct {
 	done    bool                     // static side fully emitted
 	// lateDraw marks a weighted scan whose parent select draws the weights
 	// of just the rows it keeps (compiled.build): the scan then emits rows
-	// without W, and no vector the select would discard is ever drawn.
+	// without W, and the select never draws a vector it would discard.
 	lateDraw bool
 	// wantCB marks that some downstream operator consumes the columnar
 	// companion batch (markColumnar); scans whose plan has no vectorized
@@ -63,7 +63,7 @@ func (o *opScan) step(bc *batchContext) (output, error) {
 		o.base = o.next
 		o.next += uint64(d.Len())
 		if o.poisson != nil && !o.lateDraw {
-			drawWeights(bc, rows, nil, o.poisson, o.base)
+			o.weigh(bc, rows, nil, len(rows))
 		}
 		out := output{news: rows}
 		if bc.vec && o.wantCB {
@@ -100,21 +100,47 @@ func (o *opScan) restore(snap interface{}) { s := snap.(scanSnap); o.next, o.don
 func (o *opScan) stateBytes() int          { return 0 }
 func (o *opScan) kind() string             { return "scan" }
 
+// weigh gives rows their weight vectors, where rows[k] is row idx[k] of this
+// scan's n-row batch (row k when idx is nil): the scan weighs its whole batch,
+// a late-drawing select just its survivors. A table's batch is drawn in full
+// at most once: if an earlier scan of the table drew this batch's slab, the
+// vectors are capped sub-slices of it. Otherwise they are drawn here, and a
+// draw of all n rows (in order: idx, if any, is then 0..n-1) becomes the
+// table's slab for the rest of the batch. Every scan of one table salts the
+// same stream and steps over the same deltas, so a slab with the same
+// (base, n) holds exactly the vectors a fresh draw would.
+func (o *opScan) weigh(bc *batchContext, rows []delta.Row, idx []int32, n int) {
+	if s, ok := bc.slabs[o.node.Table]; ok && s.base == o.base && s.n == n {
+		t := o.poisson.Trials()
+		for k := range rows {
+			i := k
+			if idx != nil {
+				i = int(idx[k])
+			}
+			rows[k].W = s.w[i*t : (i+1)*t : (i+1)*t]
+		}
+		return
+	}
+	w := drawWeights(bc, rows, idx, o.poisson, o.base)
+	if len(rows) == n {
+		bc.slabs[o.node.Table] = weightSlab{base: o.base, n: n, w: w}
+	}
+}
+
 // drawWeights gives rows[k] the bootstrap weight vector of tuple base+idx[k]
-// (base+k when idx is nil). It is the one place a row's weights are drawn: by
-// a weighted scan for all its rows, or by the select directly above one for
-// the rows that survive its filter (idx then lists their positions in the
-// scan's batch). A vector is a pure function of (salted seed, tuple index),
-// so who draws it, and when, never shows in the weights.
+// (base+k when idx is nil) and returns the slab it drew them into. It is the
+// one place a row's weights are drawn, for opScan.weigh. A vector is a pure
+// function of (salted seed, tuple index), so who draws it, and when, never
+// shows in the weights.
 //
 // Every vector is a capped sub-slice of one slab per call, so drawing costs
 // no per-row allocation and keeps the vectors contiguous for the fold
 // kernels' sequential reads; rows keep their W slices past the batch, so the
 // slab is never recycled. Disjoint sub-slices make the chunked fill race-free
 // and bit-identical to the sequential one. Only drawn rows feed the scan
-// class estimate: the weight-free header fill is a different, much cheaper
-// operation and would drag it.
-func drawWeights(bc *batchContext, rows []delta.Row, idx []int32, src *bootstrap.PoissonSource, base uint64) {
+// class estimate: the weight-free header fill and slab slicing are different,
+// much cheaper operations and would drag it.
+func drawWeights(bc *batchContext, rows []delta.Row, idx []int32, src *bootstrap.PoissonSource, base uint64) []float64 {
 	trials := src.Trials()
 	slab := make([]float64, len(rows)*trials)
 	bc.run.Chunks(cluster.CostScan, len(rows), func(lo, hi int) {
@@ -126,4 +152,5 @@ func drawWeights(bc *batchContext, rows []delta.Row, idx []int32, src *bootstrap
 			rows[k].W = src.WeightsInto(base+i, slab[k*trials:(k+1)*trials:(k+1)*trials])
 		}
 	})
+	return slab
 }

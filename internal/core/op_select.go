@@ -34,8 +34,8 @@ type opSelect struct {
 	state delta.RowSet // the non-deterministic set U_i
 	// draw, when non-nil, is the streamed weighted scan directly below whose
 	// rows this select weights after filtering (compiled.build): survivors
-	// get their vectors here, dropped rows never get one. keep is the row
-	// branch's survivor-position scratch, reused across batches.
+	// get their vectors here (opScan.weigh), dropped rows never get one. keep
+	// is the row branch's survivor-position scratch, reused across batches.
 	draw *opScan
 	keep []int32
 }
@@ -183,8 +183,9 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 			o.keep = sel
 		}
 		if o.draw != nil {
-			// Row i of the scan's batch is tuple base+i of its stream.
-			drawWeights(bc, out.news[n0:], sel, o.draw.poisson, o.draw.base)
+			// Survivor k is row sel[k] of the scan's batch: sliced from the
+			// table's batch slab if another scan drew it, drawn here if not.
+			o.draw.weigh(bc, out.news[n0:], sel, len(in.news))
 		}
 	} else if len(in.news) > 0 {
 		vs := o.classifyAll(in.news, bc, false)
