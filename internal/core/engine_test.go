@@ -74,13 +74,27 @@ func testDB(n int, seed int64) *exec.DB {
 	cdns.Append(rel.String("west"), rel.String("us-west"))
 	cdns.Append(rel.String("eu"), rel.String("europe"))
 	db.Put("cdns", cdns)
+	// tags has several rows per cdn: a join on it matches one session 1:n.
+	tags := rel.NewRelation(tagsSchema())
+	for _, t := range [][2]string{{"east", "video"}, {"east", "live"}, {"west", "video"}, {"eu", "video"}, {"eu", "live"}, {"eu", "ads"}} {
+		tags.Append(rel.String(t[0]), rel.String(t[1]))
+	}
+	db.Put("tags", tags)
 	return db
+}
+
+func tagsSchema() rel.Schema {
+	return rel.Schema{
+		{Name: "cdn", Type: rel.KString},
+		{Name: "tag", Type: rel.KString},
+	}
 }
 
 func testCatalog() *sql.Catalog {
 	cat := sql.NewCatalog()
 	cat.AddTable("sessions", sessionsSchema(), true)
 	cat.AddTable("cdns", cdnsSchema(), false)
+	cat.AddTable("tags", tagsSchema(), false)
 	return cat
 }
 

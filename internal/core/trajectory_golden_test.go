@@ -36,6 +36,22 @@ type goldenCase struct {
 	wantRecovery bool
 }
 
+// lateJoinQueries filter above joins of the streamed sessions with the static
+// cdns and tags (several rows per cdn), with the streamed side left (pending
+// L), right (pending R: batch 1's ΔL ⋈ ΔR builds on the streamed rows), 1:n,
+// and two joins deep.
+var lateJoinQueries = []struct{ name, query string }{
+	{"pending_l", `SELECT c.region, SUM(s.play_time) AS spt, COUNT(*) AS n FROM sessions s, cdns c
+		WHERE s.cdn = c.cdn AND c.region <> 'europe' AND s.buffer_time > 20 GROUP BY c.region`},
+	{"pending_r", `SELECT c.region, SUM(s.play_time) AS spt, COUNT(*) AS n FROM cdns c, sessions s
+		WHERE c.cdn = s.cdn AND c.region <> 'us-west' AND s.buffer_time > 20 GROUP BY c.region`},
+	{"one_to_many", `SELECT t.tag, AVG(s.play_time) AS apt, COUNT(*) AS n FROM sessions s, tags t
+		WHERE s.cdn = t.cdn AND t.tag <> 'ads' AND s.buffer_time > 15 GROUP BY t.tag`},
+	{"two_joins", `SELECT c.region, t.tag, SUM(s.play_time) AS spt FROM cdns c, sessions s, tags t
+		WHERE c.cdn = s.cdn AND s.cdn = t.cdn AND t.tag <> 'video' AND s.buffer_time > 25
+		GROUP BY c.region, t.tag`},
+}
+
 const aggOverAgg = `SELECT SUM(t.apt) AS s, VAR(t.apt) AS v, COUNT(*) AS n FROM
 			(SELECT cdn, AVG(play_time) AS apt FROM sessions GROUP BY cdn) t`
 
@@ -90,6 +106,11 @@ func goldenCases(t *testing.T) []goldenCase {
 		if q.nested {
 			cases = append(cases, goldenCase{name: q.name + "/iolap", query: q.query, opts: base})
 		}
+	}
+	// A certain select over a chain of joins down to the streamed scan, the
+	// shapes of TPC-H Q3, Q7, Q11 and Q17 (lateJoinQueries).
+	for _, q := range lateJoinQueries {
+		cases = append(cases, goldenCase{name: "late_join/" + q.name, query: q.query, opts: base})
 	}
 	for _, m := range []Mode{ModeOPT1, ModeHDA} {
 		suffix := "/" + strings.ToLower(m.String())
@@ -166,6 +187,56 @@ func trajectoryDigest(t *testing.T, c goldenCase, opts Options) uint64 {
 		h.Write(word[:])
 	}
 	return h.Sum64()
+}
+
+// lateJoinExchange pins the per-batch modeled {ShuffleBytes, BroadcastBytes}
+// of the late_join cases at B = 25, generated at a commit where every streamed
+// row was weighed before its first join. The model ships weights with the
+// tuples, so a join charges 8·B bytes per row of a weighted side whether or
+// not that row's vector is drawn yet (DESIGN.md §10).
+var lateJoinExchange = map[string][][2]int64{
+	"late_join/pending_l":   {{19073, 960}, {21164, 960}, {18484, 960}, {20455, 960}, {19278, 960}, {18901, 960}},
+	"late_join/pending_r":   {{19791, 960}, {19966, 960}, {19987, 960}, {18108, 960}, {20379, 960}, {21168, 960}},
+	"late_join/one_to_many": {{33350, 960}, {34843, 960}, {33736, 960}, {31125, 960}, {32981, 960}, {34543, 960}},
+	"late_join/two_joins":   {{37414, 792}, {36324, 792}, {38547, 792}, {34694, 792}, {40292, 792}, {40770, 792}},
+}
+
+// TestLateJoinExchangeBytes: where a streamed row's weights are drawn never
+// shows in the modeled exchange bytes (figures 9(c) and 10(d)).
+func TestLateJoinExchangeBytes(t *testing.T) {
+	n := 0
+	for _, c := range goldenCases(t) {
+		want, ok := lateJoinExchange[c.name]
+		if !ok {
+			continue
+		}
+		n++
+		for _, workers := range []int{1, 4} {
+			for _, novec := range []bool{false, true} {
+				opts := c.opts
+				opts.Trials, opts.Workers, opts.ParThreshold, opts.NoVectorize = 25, workers, 1, novec
+				eng, err := NewEngine(planGolden(t, c), testDB(c.n, c.dbSeed), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				us, err := eng.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(us) != len(want) {
+					t.Fatalf("%s: %d batches, want %d", c.name, len(us), len(want))
+				}
+				for i, u := range us {
+					if got := [2]int64{u.ShuffleBytes, u.BroadcastBytes}; got != want[i] {
+						t.Errorf("%s w%d novec=%v batch %d: shuffle/broadcast %v, pinned %v", c.name, workers, novec, u.Batch, got, want[i])
+					}
+				}
+			}
+		}
+	}
+	if n != len(lateJoinExchange) {
+		t.Fatalf("%d of %d pinned cases are golden cases", n, len(lateJoinExchange))
+	}
 }
 
 const trajectoryGoldenPath = "testdata/trajectory.golden"
