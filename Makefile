@@ -11,10 +11,13 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet always; staticcheck when the host has it (the tool
-# is not vendored — lint degrades gracefully rather than failing the build
-# on machines without it).
+# Static analysis: go vet and gofmt always (lint fails on any tracked Go file
+# gofmt would rewrite); staticcheck when the host has it (the tool is not
+# vendored — lint degrades gracefully rather than failing the build on
+# machines without it).
 lint: vet
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "lint: gofmt would rewrite:"; echo "$$unformatted"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
 	else \
@@ -74,8 +77,8 @@ alloc-test:
 # first on odd pairs, change first on even ones). Each run appends one line
 # to .ab/$(W).jsonl (delete it to start a fresh comparison), and
 # `go run ./cmd/experiments -exp ab` reports every .ab/*.jsonl: per end-to-end
-# metric, both medians, the median per-pair change/parent ratio and the pairs
-# the change won.
+# metric, both medians, the median per-pair change/parent ratio with a
+# bootstrap 95% interval on it, and the pairs the change won.
 #   make ab W=flat_boot PAIRS=5 PARENT=HEAD~1
 W ?= flat_boot
 PAIRS ?= 5

@@ -36,8 +36,9 @@ type abRun struct {
 // abReport summarises the paired A/B runs recorded under dir. Per workload
 // file, the k-th parent run pairs with the k-th change run in file order, and
 // every end-to-end metric of the benchmark declaration at declPath reports
-// both sides' medians, the median of the per-pair change/parent ratios, and
-// in how many pairs the change was better in the metric's own direction.
+// both sides' medians, the median of the per-pair change/parent ratios with a
+// bootstrap 95% interval on it (fmtCI), and in how many pairs the change was
+// better in the metric's own direction.
 func abReport(dir, declPath string) ([]*harness.Result, error) {
 	var decl struct {
 		EndToEnd []struct {
@@ -73,7 +74,7 @@ func abReport(dir, declPath string) ([]*harness.Result, error) {
 		r := &harness.Result{
 			ID:     "ab",
 			Title:  fmt.Sprintf("%s, %d pairs (%s)", strings.TrimSuffix(filepath.Base(path), ".jsonl"), pairs, path),
-			Header: []string{"metric", "better", "parent_median", "change_median", "ratio_median", "change_won"},
+			Header: []string{"metric", "better", "parent_median", "change_median", "ratio_median", "ratio_ci95", "change_won"},
 		}
 		for _, m := range decl.EndToEnd {
 			var pv, cv, ratios []float64
@@ -89,7 +90,7 @@ func abReport(dir, declPath string) ([]*harness.Result, error) {
 				}
 			}
 			r.Rows = append(r.Rows, []string{m.Name, m.Better, fmtMedian(pv), fmtMedian(cv), fmtMedian(ratios),
-				fmt.Sprintf("%d/%d", won, pairs)})
+				fmtCI(ratios), fmt.Sprintf("%d/%d", won, pairs)})
 		}
 		for _, side := range []string{"parent", "change"} {
 			r.Notes = append(r.Notes, abSideNote(side, sides[side][:pairs]))
@@ -149,4 +150,42 @@ func fmtMedian(xs []float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.4g", bootstrap.Quantile(xs, 0.5))
+}
+
+// ciTrials and ciSeed fix the resampling of fmtCI, so a report is
+// reproducible from its .jsonl files.
+const (
+	ciTrials = 1000
+	ciSeed   = 7
+)
+
+// fmtCI is a 95% bootstrap interval on the median of ratios: trial b weighs
+// pair k by a Poisson(1) draw (the engine's own resampling scheme,
+// bootstrap.PoissonSource, pair k as tuple k) and takes the median of the
+// weighted multiset; the interval is the 2.5% and 97.5% quantiles of the
+// trials' medians (bootstrap.Summarize). A trial that draws no pair is
+// skipped. With few pairs the interval is coarse.
+func fmtCI(ratios []float64) string {
+	src := bootstrap.NewPoissonSource(ciSeed, ciTrials)
+	w := make([][]float64, len(ratios))
+	for k := range ratios {
+		w[k] = src.WeightsInto(uint64(k), make([]float64, ciTrials))
+	}
+	var medians, sample []float64
+	for b := 0; b < ciTrials; b++ {
+		sample = sample[:0]
+		for k, r := range ratios {
+			for c := 0; c < int(w[k][b]); c++ {
+				sample = append(sample, r)
+			}
+		}
+		if len(sample) > 0 {
+			medians = append(medians, bootstrap.Quantile(sample, 0.5))
+		}
+	}
+	if len(medians) == 0 {
+		return "-"
+	}
+	e := bootstrap.Summarize(0, medians)
+	return fmt.Sprintf("[%.4g, %.4g]", e.CILo, e.CIHi)
 }

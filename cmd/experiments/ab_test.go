@@ -10,6 +10,8 @@ import (
 
 // TestABReport: runs pair in file order per side, ratios are change/parent,
 // a pair is won in the metric's own direction, and an unpaired run is left out.
+// With three pairs the bootstrap interval on the median ratio spans the
+// smallest to the largest ratio.
 func TestABReport(t *testing.T) {
 	dir := t.TempDir()
 	decl := filepath.Join(dir, "BENCHMARK.json")
@@ -38,8 +40,8 @@ func TestABReport(t *testing.T) {
 		t.Fatalf("results %+v", results)
 	}
 	want := [][]string{
-		{"overhead_x", "lower", "6", "2", "0.4", "3/3"},        // ratios 0.5, 0.4, 0.25
-		{"tuples_per_s", "higher", "100", "150", "1.5", "2/3"}, // ratios 1.5, 0.9, 2
+		{"overhead_x", "lower", "6", "2", "0.4", "[0.25, 0.5]", "3/3"},     // ratios 0.5, 0.4, 0.25
+		{"tuples_per_s", "higher", "100", "150", "1.5", "[0.9, 2]", "2/3"}, // ratios 1.5, 0.9, 2
 	}
 	if len(results[0].Rows) != len(want) {
 		t.Fatalf("rows %v, want %v", results[0].Rows, want)
@@ -54,5 +56,30 @@ func TestABReport(t *testing.T) {
 	}
 	if _, err := abReport(t.TempDir(), decl); err == nil {
 		t.Error("a directory with no recorded runs must be an error")
+	}
+}
+
+// TestRatioCI: the interval on the median ratio is reproducible, lies within
+// the ratios, shrinks to a point when every pair agrees, tightens as
+// agreeing pairs accumulate, and is "-" with no ratio.
+func TestRatioCI(t *testing.T) {
+	if got := fmtCI([]float64{1, 1, 1}); got != "[1, 1]" {
+		t.Errorf("equal ratios: %s", got)
+	}
+	if got := fmtCI(nil); got != "-" {
+		t.Errorf("no ratio: %s", got)
+	}
+	few := []float64{0.7, 0.72, 0.75, 0.69, 0.9}
+	if a, b := fmtCI(few), fmtCI(few); a != b {
+		t.Errorf("not reproducible: %s vs %s", a, b)
+	}
+	var lo, hi float64
+	if _, err := fmt.Sscanf(fmtCI(few), "[%g, %g]", &lo, &hi); err != nil || lo < 0.69 || hi > 0.9 || lo > 0.72 || hi < 0.72 {
+		t.Errorf("five pairs, median 0.72: interval [%g, %g] (%v)", lo, hi, err)
+	}
+	many := append(append([]float64(nil), few...), 0.71, 0.72, 0.73, 0.72, 0.71, 0.72, 0.73, 0.72, 0.71, 0.72)
+	var lo2, hi2 float64
+	if _, err := fmt.Sscanf(fmtCI(many), "[%g, %g]", &lo2, &hi2); err != nil || hi2-lo2 >= hi-lo {
+		t.Errorf("fifteen pairs: interval [%g, %g] not tighter than five pairs' [%g, %g] (%v)", lo2, hi2, lo, hi, err)
 	}
 }

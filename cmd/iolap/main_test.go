@@ -234,10 +234,10 @@ func TestREPL(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"conviva_sessions (200 rows, memory)", // \tables
-		"batch 2/2",                   // query ran to completion
-		"error:",                      // bad SQL surfaced, loop continued
-		"streaming",                   // \stream ack
-		"Aggregate",                   // \plan output
+		"batch 2/2",                           // query ran to completion
+		"error:",                              // bad SQL surfaced, loop continued
+		"streaming",                           // \stream ack
+		"Aggregate",                           // \plan output
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("REPL output missing %q:\n%s", want, got)

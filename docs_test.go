@@ -223,7 +223,6 @@ var orphanAllowed = map[string]string{
 	"delta.HashStore.Each":            "the immutability and spill tests walk a store's rows, resident and spilled",
 	"rel.Relation.AppendMult":         "fixture builder: a tuple with a multiplicity, for the exec, dist and rel tests",
 	"rel.Relation.Card":               "bag cardinality, the invariant the Canon property test holds",
-	"bootstrap.Summarize":             "the allocating form SummarizeInto is tested against",
 	"agg.Vector.AddRep":               "the per-entry fold that AddBatchRun's contract (agg/batch.go) is stated in",
 }
 

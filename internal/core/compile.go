@@ -455,6 +455,39 @@ func markColumnar(op operator, wanted bool, need []bool) {
 	// their operators and are walked by their builders (shared.go).
 }
 
+// lateScan walks down from a certain select's child through joins to a
+// weighted streamed scan whose weights the select may draw after filtering,
+// and marks the joins on the way (opJoin.late). A join is passed when the
+// scan's side keeps no store, so its rows never enter state weight-free, and
+// the other side holds no streamed scan, so all the weights of a joined row
+// are the scan row's. Under a transport the walk passes no join: probe spans
+// ship rows through the spill-row codec, which carries no output.prov.
+func lateScan(op operator, opts Options) *opScan {
+	switch o := op.(type) {
+	case *opScan:
+		if o.poisson != nil {
+			return o
+		}
+	case *opJoin:
+		if opts.Exchange != nil {
+			return nil
+		}
+		if o.lStore == nil && len(plan.StreamedScans(o.node.R)) == 0 {
+			if sc := lateScan(o.l, opts); sc != nil {
+				o.late = lateL
+				return sc
+			}
+		}
+		if o.rStore == nil && len(plan.StreamedScans(o.node.L)) == 0 {
+			if sc := lateScan(o.r, opts); sc != nil {
+				o.late = lateR
+				return sc
+			}
+		}
+	}
+	return nil
+}
+
 // build constructs the online operator for a plan node.
 func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []bool, opts Options, trackRanges bool) (operator, error) {
 	switch t := n.(type) {
@@ -484,12 +517,14 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 				op.vec = vp
 			}
 		}
-		if sc, ok := child.(*opScan); ok && sc.poisson != nil && !uncPred {
+		if !uncPred {
 			// Draw late: the select weights only the scan rows it keeps. A
 			// certain predicate settles every row on arrival, so no scan row
 			// reaches state or the output unweighted.
-			sc.lateDraw = true
-			op.draw = sc
+			if sc := lateScan(child, opts); sc != nil {
+				sc.lateDraw = true
+				op.draw = sc
+			}
 		}
 		c.ops = append(c.ops, op)
 		return op, nil

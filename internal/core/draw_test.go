@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"iolap/internal/delta"
+	"iolap/internal/exec"
 	"iolap/internal/plan"
+	"iolap/internal/rel"
+	"iolap/internal/share"
 )
 
 // knuthPoisson1 is the per-draw reference of the weight stream: one Poisson(1)
@@ -216,6 +219,177 @@ func checkDraws(t *testing.T, name, query string, sorted, wantSelectDraw, wantSc
 	if sorted && !(none && all) {
 		t.Fatalf("%s: want a batch where no row survives (%v) and one where every row does (%v)", name, none, all)
 	}
+}
+
+// TestSelectDrawsThroughJoins: a certain select over a chain of joins down to
+// a streamed weighted scan draws the weights of the joined rows it keeps, and
+// the scan draws none (compile's lateScan, output.prov). Every survivor carries
+// the Knuth reference vector of the session it was joined from, with the
+// streamed side left, right (batch 1 builds on the streamed rows), matched 1:n,
+// two joins deep, against a frozen shared build side, and under a nested
+// query whose sorted arrival forces §5.1 recoveries; sorted arrival with a cut
+// also gives batches where the select keeps nothing. In repeats_fill_batch a
+// 1:n join hands the select exactly a batch's count of survivors, each session
+// twice: that draw must not become the table's slab for the whole-batch scan
+// stepping after it.
+func TestSelectDrawsThroughJoins(t *testing.T) {
+	sorted := testDB(240, 11)
+	sortSessionsByBufferTime(sorted)
+	sessions, _ := sorted.Get("sessions")
+	cut := sessions.Tuples[100].Vals[1].Float()
+	late := map[string]string{}
+	for _, q := range lateJoinQueries {
+		late[q.name] = q.query
+	}
+	cases := []struct {
+		name             string
+		query            string
+		prep             func(*exec.DB) // fixture rewrite, if any
+		shared           bool
+		none, recoveries bool // want a batch that keeps nothing / a recovery
+	}{
+		{name: "pending_l_cut", query: fmt.Sprintf(`SELECT c.region, SUM(s.play_time) AS spt FROM sessions s, cdns c
+			WHERE s.cdn = c.cdn AND c.region <> 'europe' AND s.buffer_time > %v GROUP BY c.region`, cut),
+			prep: sortSessionsByBufferTime, none: true},
+		{name: "pending_l", query: late["pending_l"]},
+		{name: "pending_r", query: late["pending_r"]},
+		{name: "one_to_many", query: late["one_to_many"]},
+		{name: "two_joins", query: late["two_joins"]},
+		{name: "shared_build", query: late["pending_l"], shared: true},
+		{name: "nested_recovery", query: `SELECT AVG(s.play_time) AS apt FROM sessions s, cdns c
+			WHERE s.cdn = c.cdn AND c.region <> 'europe' AND s.buffer_time > (SELECT AVG(buffer_time) FROM sessions)`,
+			prep: sortSessionsByBufferTime, recoveries: true},
+		{name: "repeats_fill_batch", query: `SELECT s.session_id AS id, s.play_time AS v FROM sessions s, tags t
+			WHERE s.cdn = t.cdn AND s.cdn = 'east' UNION ALL SELECT session_id AS id, buffer_time AS v FROM sessions`,
+			prep: alternateEastWest},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			var none bool
+			recoveries := 0
+			for _, opts := range drawConfigs() {
+				n, rec := checkJoinDraws(t, c.query, c.prep, c.shared, opts)
+				none = none || n
+				recoveries += rec
+			}
+			if c.none && !none {
+				t.Error("no batch where the select keeps nothing")
+			}
+			if c.recoveries && recoveries == 0 {
+				t.Error("sorted arrival forced no recovery")
+			}
+		})
+	}
+}
+
+// alternateEastWest makes the sessions' cdn alternate east, west: a batch of
+// an even row count holds as many east sessions as west ones.
+func alternateEastWest(db *exec.DB) {
+	sessions, _ := db.Get("sessions")
+	for i, tp := range sessions.Tuples {
+		tp.Vals[3] = rel.String([]string{"east", "west"}[i%2])
+	}
+}
+
+// checkJoinDraws runs query and checks that some select draws through a join,
+// that its scan emits no weights, and that every row the select emits, and
+// every row of a scan that weighs its whole batch, carries its session's
+// reference vector. It reports whether a step of the select kept nothing of a
+// non-empty scan batch, and the engine's recoveries.
+func checkJoinDraws(t *testing.T, query string, prep func(*exec.DB), shared bool, opts Options) (none bool, recoveries int) {
+	t.Helper()
+	name := fmt.Sprintf("w%d/novec=%v/cutover=%d", opts.Workers, opts.NoVectorize, opts.ParThreshold)
+	db := testDB(240, 11)
+	if prep != nil {
+		prep(db)
+	}
+	sessions, _ := db.Get("sessions")
+	index := map[string]uint64{} // session id -> global tuple index
+	for i, tp := range sessions.Tuples {
+		index[tp.Vals[0].Str()] = uint64(i)
+	}
+	if shared {
+		opts.SharedState = share.NewCache()
+	}
+	eng, err := NewEngine(planQuery(t, query), db, opts)
+	if err != nil {
+		t.Fatalf("%s: engine: %v", name, err)
+	}
+	defer eng.Close()
+	throughJoin, sharedLate := false, false
+	var scanTap, drawTap *tapOp
+	var wholeTaps []*tapOp
+	id := -1 // session_id's column in the drawing select's rows
+	for _, op := range eng.comp.ops {
+		if j, ok := op.(*opJoin); ok && j.late != lateNone {
+			throughJoin = true
+			sharedLate = sharedLate || j.sharedR
+		}
+		tapChildren(op, func(child operator) operator {
+			switch o := child.(type) {
+			case *opScan:
+				switch {
+				case o.lateDraw:
+					scanTap = &tapOp{operator: child}
+					return scanTap
+				case o.poisson != nil:
+					tp := &tapOp{operator: child}
+					wholeTaps = append(wholeTaps, tp)
+					return tp
+				}
+			case *opSelect:
+				if _, isJoin := o.child.(*opJoin); isJoin && o.draw != nil {
+					drawTap = &tapOp{operator: child}
+					for i, col := range o.node.Schema() {
+						if col.Name == "session_id" {
+							id = i
+						}
+					}
+					return drawTap
+				}
+			}
+			return child
+		})
+	}
+	if !throughJoin || drawTap == nil || scanTap == nil || id < 0 {
+		t.Fatalf("%s: no select draws through a join (late join %v, drawing select %v, late scan %v)",
+			name, throughJoin, drawTap != nil, scanTap != nil)
+	}
+	if shared && !sharedLate {
+		t.Fatalf("%s: the late join does not probe a frozen shared build side", name)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatalf("%s: run: %v", name, err)
+	}
+	for s, rows := range scanTap.steps {
+		for _, r := range rows {
+			if r.W != nil {
+				t.Fatalf("%s: the scan below a drawing select emitted weights", name)
+			}
+		}
+		none = none || (len(rows) > 0 && len(drawTap.steps[s]) == 0)
+	}
+	check := func(tp *tapOp, id int) {
+		for _, rows := range tp.steps {
+			for _, r := range rows {
+				want := knuthWeights(opts.Seed, "sessions", index[r.Vals[id].Str()], opts.Trials)
+				if len(r.W) != len(want) {
+					t.Fatalf("%s: row %v has %d weights, want %d", name, r.Vals, len(r.W), len(want))
+				}
+				for b := range want {
+					if math.Float64bits(r.W[b]) != math.Float64bits(want[b]) {
+						t.Fatalf("%s: row %v trial %d: weight %v, reference %v", name, r.Vals, b, r.W[b], want[b])
+					}
+				}
+			}
+		}
+	}
+	check(drawTap, id)
+	for _, tp := range wholeTaps {
+		check(tp, 0)
+	}
+	return none, eng.TotalRecoveries()
 }
 
 // slabTap records, per step, the batch base and the rows of a scan that

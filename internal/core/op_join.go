@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"iolap/internal/cluster"
 	"iolap/internal/delta"
@@ -27,7 +28,21 @@ type opJoin struct {
 	// snapshot/restore — restoring an immutable value is the identity, so
 	// §5.1 replay touches it once (at probe time), not per session.
 	sharedR bool
+	// late is the side (lateL or lateR; lateNone for neither) whose news
+	// come weight-free from a scan that a select above draws for
+	// (compiled.build). That side keeps no store and the other holds no
+	// streamed scan, so every news row of the join is built from one late
+	// row, and the join reports which in output.prov.
+	late lateSide
 }
+
+type lateSide uint8
+
+const (
+	lateNone lateSide = iota
+	lateL
+	lateR
+)
 
 // newOpJoin builds the join operator. The persistent side stores — the ones
 // that accumulate across batches — register with the engine's spill policy;
@@ -83,8 +98,9 @@ func (o *opJoin) joinRows(l, r delta.Row) delta.Row {
 // over contiguous chunks whose per-chunk buffers are concatenated in chunk
 // order; the store is read-only during the probe, so this is the
 // deterministic shard → ordered merge pattern. probeIsLeft orients the
-// output row (probe ⋈ match vs match ⋈ probe).
-func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, store *delta.HashStore, probeIsLeft bool, bc *batchContext) []delta.Row {
+// output row (probe ⋈ match vs match ⋈ probe). counts, when non-nil, receives
+// each probe row's match count, written by the chunk that probes it.
+func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, store *delta.HashStore, probeIsLeft bool, counts []int32, bc *batchContext) []delta.Row {
 	join := func(p, m delta.Row) delta.Row {
 		if probeIsLeft {
 			return o.joinRows(p, m)
@@ -106,9 +122,13 @@ func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, 
 	}, func(p *cluster.Pool, lo, hi int) {
 		buf = cluster.CollectSpan(p, lo, hi, func(a, b int) []delta.Row {
 			var out []delta.Row
-			for _, r := range probe[a:b] {
-				for _, m := range store.Probe(r.Vals, probeKeys) {
+			for i, r := range probe[a:b] {
+				ms := store.Probe(r.Vals, probeKeys)
+				for _, m := range ms {
 					out = append(out, join(r, m))
+				}
+				if counts != nil {
+					counts[a+i] = int32(len(ms))
 				}
 			}
 			return out
@@ -118,6 +138,64 @@ func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, 
 		return dst
 	}
 	return append(dst, buf...)
+}
+
+// probeNews appends in.news ⋈ store to out.news; when in is the late side
+// (late), out.prov gains the scan-batch row (in.pos) of each match's probe
+// row, expanded from the per-probe match counts, so 1:n matches repeat it.
+func (o *opJoin) probeNews(out *output, in output, late bool, keys []int, store *delta.HashStore, probeIsLeft bool, bc *batchContext) {
+	if !late {
+		out.news = o.probeInto(out.news, in.news, keys, store, probeIsLeft, nil, bc)
+		return
+	}
+	counts := make([]int32, len(in.news))
+	n0 := len(out.news)
+	out.news = o.probeInto(out.news, in.news, keys, store, probeIsLeft, counts, bc)
+	out.prov = slices.Grow(out.prov, len(out.news)-n0)
+	for i, c := range counts {
+		for p := in.pos(i); c > 0; c-- {
+			out.prov = append(out.prov, p)
+		}
+	}
+}
+
+// probeLateBuild is batch 1's ΔL ⋈ ΔR when ΔR is the late side: the build
+// side is the late rows, and a HashStore probe returns rows, not positions.
+// A transient key → positions index over ΔR stands in for the per-batch
+// store; it keeps the same per-key insertion order, so the output order is
+// the store's, and each match's position is at hand for out.prov.
+func (o *opJoin) probeLateBuild(out *output, lo, ro output, bc *batchContext) {
+	lKeys, rKeys := o.node.LKeys, o.node.RKeys
+	keys := make([]string, len(ro.news))
+	bc.run.Gate(cluster.CostJoinBuild, len(ro.news)).Span(0, len(ro.news), func(a, b int) {
+		for i := a; i < b; i++ {
+			keys[i] = rel.EncodeKey(ro.news[i].Vals, rKeys)
+		}
+	})
+	index := make(map[string][]int32, len(keys))
+	for i, k := range keys {
+		index[k] = append(index[k], int32(i))
+	}
+	type match struct {
+		row delta.Row
+		pos int32
+	}
+	ms := cluster.Collect(bc.run, cluster.CostJoinProbe, len(lo.news), func(a, b int) []match {
+		var kb [96]byte
+		var ms []match
+		for _, l := range lo.news[a:b] {
+			for _, i := range index[string(rel.EncodeKeyInto(kb[:0], l.Vals, lKeys))] {
+				ms = append(ms, match{o.joinRows(l, ro.news[i]), ro.pos(int(i))})
+			}
+		}
+		return ms
+	})
+	out.news = slices.Grow(out.news, len(ms))
+	out.prov = slices.Grow(out.prov, len(ms))
+	for _, m := range ms {
+		out.news = append(out.news, m.row)
+		out.prov = append(out.prov, m.pos)
+	}
 }
 
 func (o *opJoin) step(bc *batchContext) (output, error) {
@@ -148,6 +226,14 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 		for _, r := range ro.unc {
 			m += r.SizeBytes()
 		}
+		// The model ships weights with the tuples: a late side's rows are
+		// charged their B weights though the select above draws them later.
+		switch o.late {
+		case lateL:
+			n += 8 * bc.trials * len(lo.news)
+		case lateR:
+			m += 8 * bc.trials * len(ro.news)
+		}
 		if len(lKeys) == 0 {
 			// Cross join: nothing repartitions. The scalar side is
 			// replicated to every worker, which is broadcast traffic, not
@@ -164,15 +250,19 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 	// ΔL ⋈ C_R(old), C_L(old) ⋈ ΔR, ΔL ⋈ ΔR. Probes run partition-parallel
 	// over the probe side; builds run partition-parallel over shards.
 	if o.rStore != nil {
-		out.news = o.probeInto(out.news, lo.news, lKeys, o.rStore, true, bc)
+		o.probeNews(&out, lo, o.late == lateL, lKeys, o.rStore, true, bc)
 	}
 	if o.lStore != nil {
-		out.news = o.probeInto(out.news, ro.news, rKeys, o.lStore, false, bc)
+		o.probeNews(&out, ro, o.late == lateR, rKeys, o.lStore, false, bc)
 	}
 	if len(lo.news) > 0 && len(ro.news) > 0 {
-		newR := delta.NewHashStore(rKeys)
-		newR.AddBatch(ro.news, false, bc.run.Gate(cluster.CostJoinBuild, len(ro.news)))
-		out.news = o.probeInto(out.news, lo.news, lKeys, newR, true, bc)
+		if o.late == lateR {
+			o.probeLateBuild(&out, lo, ro, bc)
+		} else {
+			newR := delta.NewHashStore(rKeys)
+			newR.AddBatch(ro.news, false, bc.run.Gate(cluster.CostJoinBuild, len(ro.news)))
+			o.probeNews(&out, lo, o.late == lateL, lKeys, newR, true, bc)
+		}
 	}
 	// Fold this batch's certain rows into the stores, which share them
 	// (delta.Row: rows are immutable).
@@ -190,16 +280,16 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 			return output{}, fmt.Errorf("core: join #%d: left tuple uncertainty requires a cached right side", o.node.ID())
 		}
 		if o.rStore != nil {
-			out.unc = o.probeInto(out.unc, lo.unc, lKeys, o.rStore, true, bc)
+			out.unc = o.probeInto(out.unc, lo.unc, lKeys, o.rStore, true, nil, bc)
 		}
 	}
 	if len(ro.unc) > 0 && o.lStore != nil {
-		out.unc = o.probeInto(out.unc, ro.unc, rKeys, o.lStore, false, bc)
+		out.unc = o.probeInto(out.unc, ro.unc, rKeys, o.lStore, false, nil, bc)
 	}
 	if len(lo.unc) > 0 && len(ro.unc) > 0 {
 		uncR := delta.NewHashStore(rKeys)
 		uncR.AddBatch(ro.unc, false, bc.run.Gate(cluster.CostJoinBuild, len(ro.unc)))
-		out.unc = o.probeInto(out.unc, lo.unc, lKeys, uncR, true, bc)
+		out.unc = o.probeInto(out.unc, lo.unc, lKeys, uncR, true, nil, bc)
 	}
 	o.record(out)
 	return out, nil

@@ -17,9 +17,10 @@ type opScan struct {
 	next    uint64                   // per-table tuple index for weight derivation
 	base    uint64                   // tuple index of the current batch's first row
 	done    bool                     // static side fully emitted
-	// lateDraw marks a weighted scan whose parent select draws the weights
-	// of just the rows it keeps (compiled.build): the scan then emits rows
-	// without W, and the select never draws a vector it would discard.
+	// lateDraw marks a weighted scan whose weights a select above it draws
+	// for just the rows it keeps, directly or through joins (compiled.build):
+	// the scan then emits rows without W, and the select never draws a
+	// vector it would discard.
 	lateDraw bool
 	// wantCB marks that some downstream operator consumes the columnar
 	// companion batch (markColumnar); scans whose plan has no vectorized
@@ -63,7 +64,7 @@ func (o *opScan) step(bc *batchContext) (output, error) {
 		o.base = o.next
 		o.next += uint64(d.Len())
 		if o.poisson != nil && !o.lateDraw {
-			o.weigh(bc, rows, nil, len(rows))
+			o.weigh(bc, rows, nil)
 		}
 		out := output{news: rows}
 		if bc.vec && o.wantCB {
@@ -100,16 +101,17 @@ func (o *opScan) restore(snap interface{}) { s := snap.(scanSnap); o.next, o.don
 func (o *opScan) stateBytes() int          { return 0 }
 func (o *opScan) kind() string             { return "scan" }
 
-// weigh gives rows their weight vectors, where rows[k] is row idx[k] of this
-// scan's n-row batch (row k when idx is nil): the scan weighs its whole batch,
-// a late-drawing select just its survivors. A table's batch is drawn in full
-// at most once: if an earlier scan of the table drew this batch's slab, the
-// vectors are capped sub-slices of it. Otherwise they are drawn here, and a
-// draw of all n rows (in order: idx, if any, is then 0..n-1) becomes the
-// table's slab for the rest of the batch. Every scan of one table salts the
-// same stream and steps over the same deltas, so a slab with the same
-// (base, n) holds exactly the vectors a fresh draw would.
-func (o *opScan) weigh(bc *batchContext, rows []delta.Row, idx []int32, n int) {
+// weigh gives rows their weight vectors, where rows[k] is built from row
+// idx[k] of this scan's batch (row k when idx is nil): the scan weighs its
+// whole batch, a late-drawing select just its survivors. Through a 1:n join
+// idx may repeat a row. A table's batch is drawn in full at most once: if an
+// earlier scan of the table drew this batch's slab, the vectors are capped
+// sub-slices of it. Otherwise they are drawn here, and a draw of exactly rows
+// 0..n-1 in order becomes the table's slab for the rest of the batch. Every
+// scan of one table salts the same stream and steps over the same deltas, so
+// a slab with the same (base, n) holds exactly the vectors a fresh draw would.
+func (o *opScan) weigh(bc *batchContext, rows []delta.Row, idx []int32) {
+	n := int(o.next - o.base)
 	if s, ok := bc.slabs[o.node.Table]; ok && s.base == o.base && s.n == n {
 		t := o.poisson.Trials()
 		for k := range rows {
@@ -122,9 +124,19 @@ func (o *opScan) weigh(bc *batchContext, rows []delta.Row, idx []int32, n int) {
 		return
 	}
 	w := drawWeights(bc, rows, idx, o.poisson, o.base)
-	if len(rows) == n {
+	if len(rows) == n && isIdentity(idx) {
 		bc.slabs[o.node.Table] = weightSlab{base: o.base, n: n, w: w}
 	}
+}
+
+// isIdentity reports whether idx is nil or 0, 1, …, len(idx)-1.
+func isIdentity(idx []int32) bool {
+	for k, i := range idx {
+		if int(i) != k {
+			return false
+		}
+	}
+	return true
 }
 
 // drawWeights gives rows[k] the bootstrap weight vector of tuple base+idx[k]

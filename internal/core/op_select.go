@@ -32,10 +32,11 @@ type opSelect struct {
 	// the row path.
 	vec   *expr.Vectorized
 	state delta.RowSet // the non-deterministic set U_i
-	// draw, when non-nil, is the streamed weighted scan directly below whose
-	// rows this select weights after filtering (compiled.build): survivors
-	// get their vectors here (opScan.weigh), dropped rows never get one. keep
-	// is the row branch's survivor-position scratch, reused across batches.
+	// draw, when non-nil, is the streamed weighted scan below, directly or
+	// through joins, whose rows this select weights after filtering
+	// (compiled.build): survivors get their vectors here (opScan.weigh),
+	// dropped rows never get one. keep is the row branch's scratch of the
+	// survivors' scan-batch rows, reused across batches.
 	draw *opScan
 	keep []int32
 }
@@ -152,8 +153,10 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 	// 2. New certain input rows.
 	if len(in.news) > 0 && !o.predUncertain {
 		n0 := len(out.news)
-		var sel []int32 // survivor positions in in.news
+		var sel []int32 // survivors' rows in the scan's batch (output.pos)
 		if cb := o.vecBatch(bc, in); cb != nil {
+			// Only a scan attaches a batch and joins drop it, so in.prov is
+			// nil here: positions in in.news are the scan's rows.
 			// Columnar filter: the predicate evaluates whole column spans
 			// into the selection slice, chunk-parallel (EvalCols is
 			// stateless). Verdict-identical to filterAll — CompileVec pins
@@ -177,15 +180,16 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 			for i, r := range in.news {
 				if pass[i] {
 					out.news = append(out.news, r)
-					sel = append(sel, int32(i))
+					sel = append(sel, in.pos(i))
 				}
 			}
 			o.keep = sel
 		}
 		if o.draw != nil {
-			// Survivor k is row sel[k] of the scan's batch: sliced from the
-			// table's batch slab if another scan drew it, drawn here if not.
-			o.draw.weigh(bc, out.news[n0:], sel, len(in.news))
+			// Survivor k is built from row sel[k] of the scan's batch: its
+			// vector is sliced from the table's batch slab if another scan
+			// drew it, drawn here if not.
+			o.draw.weigh(bc, out.news[n0:], sel)
 		}
 	} else if len(in.news) > 0 {
 		vs := o.classifyAll(in.news, bc, false)

@@ -24,6 +24,19 @@ type output struct {
 	// narrows it with a selection vector; every other operator drops it
 	// (the zero value), falling back to the row form downstream.
 	cb *colBatch
+	// prov is set on the path from a late-drawn scan up through joins to the
+	// select that draws for it (compiled.build): news[j] is built from row
+	// prov[j] of the scan's batch; nil means the identity (row j). It travels
+	// beside the rows, not in delta.Row, so no other row grows by a word.
+	prov []int32
+}
+
+// pos returns the scan-batch row that news[j] is built from (output.prov).
+func (o *output) pos(j int) int32 {
+	if o.prov == nil {
+		return int32(j)
+	}
+	return o.prov[j]
 }
 
 // colBatch is the columnar companion of an output's certain rows. The row

@@ -19,14 +19,34 @@ func benchPipeline(b *testing.B, query string, trials int, noVec bool) {
 	}
 }
 
-func BenchmarkPipeRowAgg(b *testing.B) { benchPipeline(b, `SELECT cdn, SUM(play_time) AS s, AVG(buffer_time) AS a FROM sessions GROUP BY cdn`, 100, true) }
-func BenchmarkPipeVecAgg(b *testing.B) { benchPipeline(b, `SELECT cdn, SUM(play_time) AS s, AVG(buffer_time) AS a FROM sessions GROUP BY cdn`, 100, false) }
-func BenchmarkPipeRowFil(b *testing.B) { benchPipeline(b, `SELECT cdn, SUM(play_time) AS s FROM sessions WHERE buffer_time > 25 GROUP BY cdn`, 100, true) }
-func BenchmarkPipeVecFil(b *testing.B) { benchPipeline(b, `SELECT cdn, SUM(play_time) AS s FROM sessions WHERE buffer_time > 25 GROUP BY cdn`, 100, false) }
-func BenchmarkPipeRowMin(b *testing.B) { benchPipeline(b, `SELECT cdn, MIN(buffer_time) AS m, MAX(play_time) AS x FROM sessions GROUP BY cdn`, 100, true) }
-func BenchmarkPipeVecMin(b *testing.B) { benchPipeline(b, `SELECT cdn, MIN(buffer_time) AS m, MAX(play_time) AS x FROM sessions GROUP BY cdn`, 100, false) }
+func BenchmarkPipeRowAgg(b *testing.B) {
+	benchPipeline(b, `SELECT cdn, SUM(play_time) AS s, AVG(buffer_time) AS a FROM sessions GROUP BY cdn`, 100, true)
+}
+func BenchmarkPipeVecAgg(b *testing.B) {
+	benchPipeline(b, `SELECT cdn, SUM(play_time) AS s, AVG(buffer_time) AS a FROM sessions GROUP BY cdn`, 100, false)
+}
+func BenchmarkPipeRowFil(b *testing.B) {
+	benchPipeline(b, `SELECT cdn, SUM(play_time) AS s FROM sessions WHERE buffer_time > 25 GROUP BY cdn`, 100, true)
+}
+func BenchmarkPipeVecFil(b *testing.B) {
+	benchPipeline(b, `SELECT cdn, SUM(play_time) AS s FROM sessions WHERE buffer_time > 25 GROUP BY cdn`, 100, false)
+}
+func BenchmarkPipeRowMin(b *testing.B) {
+	benchPipeline(b, `SELECT cdn, MIN(buffer_time) AS m, MAX(play_time) AS x FROM sessions GROUP BY cdn`, 100, true)
+}
+func BenchmarkPipeVecMin(b *testing.B) {
+	benchPipeline(b, `SELECT cdn, MIN(buffer_time) AS m, MAX(play_time) AS x FROM sessions GROUP BY cdn`, 100, false)
+}
 
-func BenchmarkPipeRowFil0(b *testing.B) { benchPipeline(b, `SELECT cdn, SUM(play_time) AS s FROM sessions WHERE buffer_time > 25 AND cdn = 'east' GROUP BY cdn`, 0, true) }
-func BenchmarkPipeVecFil0(b *testing.B) { benchPipeline(b, `SELECT cdn, SUM(play_time) AS s FROM sessions WHERE buffer_time > 25 AND cdn = 'east' GROUP BY cdn`, 0, false) }
-func BenchmarkPipeRowJoin0(b *testing.B) { benchPipeline(b, `SELECT region, COUNT(*) AS c FROM sessions, cdns WHERE sessions.cdn = cdns.cdn AND buffer_time > 25 GROUP BY region`, 0, true) }
-func BenchmarkPipeVecJoin0(b *testing.B) { benchPipeline(b, `SELECT region, COUNT(*) AS c FROM sessions, cdns WHERE sessions.cdn = cdns.cdn AND buffer_time > 25 GROUP BY region`, 0, false) }
+func BenchmarkPipeRowFil0(b *testing.B) {
+	benchPipeline(b, `SELECT cdn, SUM(play_time) AS s FROM sessions WHERE buffer_time > 25 AND cdn = 'east' GROUP BY cdn`, 0, true)
+}
+func BenchmarkPipeVecFil0(b *testing.B) {
+	benchPipeline(b, `SELECT cdn, SUM(play_time) AS s FROM sessions WHERE buffer_time > 25 AND cdn = 'east' GROUP BY cdn`, 0, false)
+}
+func BenchmarkPipeRowJoin0(b *testing.B) {
+	benchPipeline(b, `SELECT region, COUNT(*) AS c FROM sessions, cdns WHERE sessions.cdn = cdns.cdn AND buffer_time > 25 GROUP BY region`, 0, true)
+}
+func BenchmarkPipeVecJoin0(b *testing.B) {
+	benchPipeline(b, `SELECT region, COUNT(*) AS c FROM sessions, cdns WHERE sessions.cdn = cdns.cdn AND buffer_time > 25 GROUP BY region`, 0, false)
+}

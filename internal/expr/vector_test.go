@@ -190,7 +190,7 @@ func TestCompileVecConstFold(t *testing.T) {
 	}{
 		{Lt, rel.Int(1), rel.Float(1.5), true},
 		{Eq, rel.String("a"), rel.String("b"), false},
-		{Ne, rel.Null(), rel.Int(1), false},     // NULL rejects every comparison
+		{Ne, rel.Null(), rel.Int(1), false},                       // NULL rejects every comparison
 		{Eq, rel.Float(math.NaN()), rel.Float(math.NaN()), false}, // NaN matches nothing
 	} {
 		vp, ok := CompileVec(&Cmp{Op: c.op, L: &Const{V: c.l}, R: &Const{V: c.r}})
