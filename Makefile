@@ -27,11 +27,10 @@ lint: vet
 # The equivalence suites force every partition-parallel path; -race proves
 # the shard-ownership claims of DESIGN.md §7 hold under the race detector —
 # including the spill fault-injection tests, whose concurrent probes read
-# spill files while workers insert into sibling shards, the dist
-# equivalence suite (DESIGN.md §9), whose loopback workers run full engine
-# replicas on goroutines inside the test process, and the serving-engine
-# suite (DESIGN.md §12), whose concurrent sessions share one scan cohort
-# and whose stress test churns opens/cancels/closes from many goroutines.
+# spill files while workers insert into sibling shards, and the
+# serving-engine suite (DESIGN.md §12), whose concurrent sessions share one
+# scan cohort and whose stress test churns opens/cancels/closes from many
+# goroutines.
 race:
 	$(GO) test -race ./...
 
@@ -39,13 +38,12 @@ race:
 # f.Add seed goes through the spill-row / block / table-file codec round-trip
 # properties, the wire-message decoders (FuzzWire: one harness in
 # internal/wire/wiretest, parameterised by message type, instantiated over the
-# core span codecs, the dist protocol and the serve session protocol), and
-# the batched-aggregate kernels (bit-identical to the per-tuple fold for
-# every builtin aggregate), and SQL text to plan (FuzzPlanQuery: the 22
-# workload queries through sql.PlanQuery; any input may error, none may
-# panic).
+# serve session protocol), the batched-aggregate kernels (bit-identical to the
+# per-tuple fold for every builtin aggregate), and SQL text to plan
+# (FuzzPlanQuery: the 22 workload queries through sql.PlanQuery; any input
+# may error, none may panic).
 fuzz-seeds:
-	$(GO) test -run '^Fuzz' ./internal/storage ./internal/core ./internal/dist ./internal/serve ./internal/agg ./internal/sql
+	$(GO) test -run '^Fuzz' ./internal/storage ./internal/serve ./internal/agg ./internal/sql
 
 # Actually fuzz one target (open-ended; ctrl-C when satisfied), e.g.
 # make fuzz FUZZ=FuzzAddBatchEquivalence FUZZPKG=./internal/agg FUZZTIME=2m

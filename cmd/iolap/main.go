@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -28,7 +27,6 @@ import (
 	"time"
 
 	"iolap"
-	"iolap/internal/dist"
 )
 
 func main() {
@@ -52,16 +50,11 @@ func main() {
 		maxRows      = flag.Int("maxrows", 10, "result rows to display per update")
 		workers      = flag.Int("workers", 0, "partition-parallel workers (0 = GOMAXPROCS; results identical at any count)")
 		stateBudget  = flag.Int64("state-budget", 0, "join-state budget in bytes: above it cold shards spill to disk (0 = unlimited, negative = spill everything; results identical at any budget)")
-		workerAddr   = flag.String("worker", "", "run as a distributed worker listening on host:port (serves coordinators forever; ignores the query flags)")
 		serveAddr    = flag.String("serve", "", "run as a serving endpoint on host:port: admit concurrent online-aggregation sessions from remote clients over the loaded tables, one shared scan per streamed table (ignores the query flags)")
 		serveBudget  = flag.Int64("serve-tenant-budget", 0, "per-tenant state-budget cap in bytes for -serve admission (0 = unlimited)")
 		serveQueue   = flag.Bool("serve-queue", false, "queue sessions FIFO at the -serve budget boundary instead of rejecting them")
 		serveMax     = flag.Int("serve-max-sessions", 0, "cap on concurrently admitted -serve sessions (0 = unlimited)")
 		serveNoShare = flag.Bool("serve-no-share", false, "disable the cross-session shared-state cache (every -serve session builds private operator state)")
-		joinAddr     = flag.String("join", "", "dial a coordinator's -dist-elastic address and join its running query as a worker (exits when the query ends)")
-		distAddrs    = flag.String("dist", "", "comma-separated worker addresses (host:port,...): distribute execution across them (results identical to local)")
-		distCompress = flag.Bool("dist-compress", false, "flate-compress distributed wire traffic (setup tables and large span payloads; results identical)")
-		distElastic  = flag.String("dist-elastic", "", "host:port to accept workers joining mid-query (needs -dist; joiners replay completed batches and enter at the next batch boundary)")
 		convertSpec  = flag.String("convert", "", "rewrite a loaded table as a columnar v2 block file and exit: name=path (load the source via -iol, -csv, or -workload)")
 		convertRows  = flag.Int("convert-block-rows", 0, "rows per block for -convert (0 = storage default)")
 		convertRaw   = flag.Bool("convert-no-compress", false, "disable per-block flate compression for -convert")
@@ -98,16 +91,6 @@ func main() {
 			}
 		}()
 	}
-	if *workerAddr != "" {
-		log.SetPrefix("iolap-worker ")
-		if err := dist.ListenAndServe(*workerAddr, dist.WorkerOptions{
-			Workers: *workers, Logf: log.Printf,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "iolap:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *serveAddr != "" {
 		log.SetPrefix("iolap-serve ")
 		session, _, err := buildSession(*workloadName, *scale, *seed, *csvSpec, *iolSpec)
@@ -143,21 +126,6 @@ func main() {
 		}()
 		select {} // serve until killed
 	}
-	if *joinAddr != "" {
-		log.SetPrefix("iolap-worker ")
-		conn, err := net.Dial("tcp", *joinAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "iolap:", err)
-			os.Exit(1)
-		}
-		err = dist.ServeConn(conn, dist.WorkerOptions{Workers: *workers, Logf: log.Printf})
-		conn.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "iolap:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *convertSpec != "" {
 		session, _, err := buildSession(*workloadName, *scale, *seed, *csvSpec, *iolSpec)
 		if err != nil {
@@ -183,12 +151,7 @@ func main() {
 	if *interactive {
 		err = repl(session, opts, os.Stdin, os.Stdout, *maxRows)
 	} else {
-		// The one-shot run alone honours -mode and the -dist family.
-		opts.DistCompress = *distCompress
-		opts.DistElasticAddr = *distElastic
-		if *distAddrs != "" {
-			opts.DistWorkers = strings.Split(*distAddrs, ",")
-		}
+		// The one-shot run alone honours -mode.
 		var query string
 		if opts.Mode, err = parseMode(*mode); err == nil {
 			query, err = pickQuery(queries, *queryName, *sqlText, opts)
@@ -340,9 +303,6 @@ func run(session *iolap.Session, query string, opts *iolap.Options, showPlan, sh
 		if u.SpillBytesWritten > 0 || u.SpillBytesRead > 0 {
 			fmt.Printf("    spill: %d B written, %d B read\n", u.SpillBytesWritten, u.SpillBytesRead)
 		}
-		if u.WireShuffleBytes > 0 || u.WireBroadcastBytes > 0 {
-			fmt.Printf("    wire: %d B shuffle, %d B broadcast\n", u.WireShuffleBytes, u.WireBroadcastBytes)
-		}
 		printRows(u, maxRows)
 		if showStats {
 			for _, st := range cur.OpStats() {
@@ -356,10 +316,6 @@ func run(session *iolap.Session, query string, opts *iolap.Options, showPlan, sh
 	}
 	if n := cur.Recoveries(); n > 0 {
 		fmt.Printf("failure recoveries: %d\n", n)
-	}
-	if sh, bc := cur.WireStats(); sh > 0 || bc > 0 {
-		fmt.Printf("wire totals: %d B shuffle, %d B broadcast, %d workers live\n",
-			sh, bc, cur.DistLiveWorkers())
 	}
 	return nil
 }

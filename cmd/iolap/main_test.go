@@ -2,14 +2,12 @@ package main
 
 import (
 	"bytes"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"iolap"
-	"iolap/internal/dist"
 )
 
 func TestSniffType(t *testing.T) {
@@ -193,28 +191,6 @@ func TestRunWorkloadQuery(t *testing.T) {
 	}
 	if m, err := parseMode("OPT1"); err != nil || m != iolap.ModeOPT1 {
 		t.Errorf("parseMode(OPT1) = %v, %v", m, err)
-	}
-}
-
-func TestRunDistributed(t *testing.T) {
-	// End-to-end CLI path over real TCP: start two worker listeners (the
-	// body of `iolap -worker`), then run with -dist pointing at them.
-	addrs := make([]string, 2)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		go dist.Serve(l, dist.WorkerOptions{Workers: 1})
-		addrs[i] = l.Addr().String()
-	}
-	if err := runC3(t, false, func(o *iolap.Options) { o.DistWorkers = addrs }); err != nil {
-		t.Fatalf("distributed run: %v", err)
-	}
-	// A dead address must fail the dial, not hang.
-	if err := runC3(t, false, func(o *iolap.Options) { o.DistWorkers = []string{"127.0.0.1:1"} }); err == nil {
-		t.Error("unreachable worker must fail")
 	}
 }
 

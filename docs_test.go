@@ -209,19 +209,16 @@ func TestDocsCiteExistingIdentifiers(t *testing.T) {
 // ("pkg.Name", "pkg.Type.Name").
 var orphanAllowed = map[string]string{
 	"internal/wire/wiretest/":         "test support: the corruption table and fuzz harness every codec's tests instantiate",
-	"internal/leakcheck/":             "test support: the goroutine-leak guard the root, cluster, core, serve, share and dist TestMains run",
+	"internal/leakcheck/":             "test support: the goroutine-leak guard the root, cluster, core, serve and share TestMains run",
 	"internal/delta/rules.go":         "the reference delta rules of Section 4.2 that the operators are tested against",
-	"internal/dist/faultconn.go":      "fault seam: the dist tests fail, stall and count connection operations through it",
 	"storage.FaultFS.":                "fault seam: the spill tests inject write and sync failures through it",
 	"storage.NewFaultFS":              "fault seam (storage.FaultFS)",
 	"storage.MemFS.Crash":             "fault seam: drops what was never synced, the crash the spill recovery tests replay",
 	"exec.Executor.SetCutover":        "the fixed-cutover test hook: the equivalence suites pin it to 1 to force every parallel path",
 	"cluster.Metrics.SpillProbeSkips": "the spill tests assert the min-max filters' skip count, a schedule-independent number",
 	"cluster.Metrics.SpillBloomSkips": "as SpillProbeSkips, for the per-run Bloom filters",
-	"dist.Coordinator.WorkerErrors":   "the failure-model tests read why each worker was expelled",
-	"dist.countingConn.Totals":        "the wire-accounting test reads one connection's byte totals",
 	"delta.HashStore.Each":            "the immutability and spill tests walk a store's rows, resident and spilled",
-	"rel.Relation.AppendMult":         "fixture builder: a tuple with a multiplicity, for the exec, dist and rel tests",
+	"rel.Relation.AppendMult":         "fixture builder: a tuple with a multiplicity, for the core, exec, rel and workload tests",
 	"rel.Relation.Card":               "bag cardinality, the invariant the Canon property test holds",
 	"agg.Vector.AddRep":               "the per-entry fold that AddBatchRun's contract (agg/batch.go) is stated in",
 }

@@ -271,8 +271,6 @@ type Metrics struct {
 	spillRead       atomic.Int64
 	spillProbeSkips atomic.Int64
 	spillBloomSkips atomic.Int64
-	wireShuffle     atomic.Int64
-	wireBroadcast   atomic.Int64
 }
 
 // RecordShuffleBytes notes bytes that a hash repartition would ship.
@@ -341,33 +339,6 @@ func (m *Metrics) RecordSpillBloomSkip() {
 // short-circuited after the min-max filters passed.
 func (m *Metrics) SpillBloomSkips() int64 { return m.spillBloomSkips.Load() }
 
-// RecordWireShuffle notes bytes actually measured on a transport connection
-// carrying partition results toward the coordinator (the distributed
-// analogue of shuffle traffic). Unlike the modeled Record*Bytes counters,
-// wire counters report what a real deployment shipped, frame headers
-// included.
-func (m *Metrics) RecordWireShuffle(n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.wireShuffle.Add(int64(n))
-}
-
-// RecordWireBroadcast notes measured bytes fanning out from the coordinator
-// to workers (setup, batch control, merged results).
-func (m *Metrics) RecordWireBroadcast(n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.wireBroadcast.Add(int64(n))
-}
-
-// WireShuffleBytes returns measured worker-to-coordinator wire bytes.
-func (m *Metrics) WireShuffleBytes() int64 { return m.wireShuffle.Load() }
-
-// WireBroadcastBytes returns measured coordinator-to-worker wire bytes.
-func (m *Metrics) WireBroadcastBytes() int64 { return m.wireBroadcast.Load() }
-
 // SpillBytesWritten returns total bytes written to spill files.
 func (m *Metrics) SpillBytesWritten() int64 { return m.spillWritten.Load() }
 
@@ -388,6 +359,4 @@ func (m *Metrics) Reset() {
 	m.spillRead.Store(0)
 	m.spillProbeSkips.Store(0)
 	m.spillBloomSkips.Store(0)
-	m.wireShuffle.Store(0)
-	m.wireBroadcast.Store(0)
 }

@@ -18,25 +18,24 @@ func sizesUnderTest(workers int) []int {
 }
 
 // TestMapRunsEachIndexOnce checks exactly-once execution through every
-// chunked entry point: Map, Span (over an offset range) and CollectSpan,
-// whose concatenation must also come back in index order.
+// chunked entry point: Map, Span and CollectSpan, whose concatenation must
+// also come back in index order.
 func TestMapRunsEachIndexOnce(t *testing.T) {
-	const off = 5
 	entries := map[string]func(t *testing.T, p *Pool, n int, run func(i int)){
 		"Map": func(_ *testing.T, p *Pool, n int, run func(i int)) { p.Map(n, run) },
 		"Span": func(_ *testing.T, p *Pool, n int, run func(i int)) {
-			p.Span(off, off+n, func(lo, hi int) {
+			p.Span(n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					run(i - off)
+					run(i)
 				}
 			})
 		},
 		"CollectSpan": func(t *testing.T, p *Pool, n int, run func(i int)) {
-			got := CollectSpan(p, off, off+n, func(lo, hi int) []int {
+			got := CollectSpan(p, n, func(lo, hi int) []int {
 				var out []int
 				for i := lo; i < hi; i++ {
-					run(i - off)
-					out = append(out, i-off)
+					run(i)
+					out = append(out, i)
 				}
 				return out
 			})
@@ -139,7 +138,7 @@ func TestCollectSpanPanicReachesCallerOnce(t *testing.T) {
 					}
 				}
 			}()
-			CollectSpan(p, 0, 1000, func(lo, hi int) []int {
+			CollectSpan(p, 1000, func(lo, hi int) []int {
 				if lo <= 500 && 500 < hi {
 					ran.Add(1)
 					panic("chunk exploded")

@@ -63,7 +63,7 @@ func (r Runner) Run(class OpClass, n int, body func(p *Pool)) {
 // [lo, hi) into slots the caller owns, so any cut of [0, n) fills the same
 // slots with the same values.
 func (r Runner) Chunks(class OpClass, n int, fill func(lo, hi int)) {
-	r.Run(class, n, func(p *Pool) { p.Span(0, n, fill) })
+	r.Run(class, n, func(p *Pool) { p.Span(n, fill) })
 }
 
 // Collect runs an order-preserving site: span(lo, hi) returns the results of
@@ -71,39 +71,37 @@ func (r Runner) Chunks(class OpClass, n int, fill func(lo, hi int)) {
 // chunk order — the output of span(0, n).
 func Collect[T any](r Runner, class OpClass, n int, span func(lo, hi int) []T) []T {
 	var out []T
-	r.Run(class, n, func(p *Pool) { out = CollectSpan(p, 0, n, span) })
+	r.Run(class, n, func(p *Pool) { out = CollectSpan(p, n, span) })
 	return out
 }
 
-// Span runs fill over [lo, hi), cut into the pool's chunks of the range; a
-// nil pool runs fill(lo, hi) inline. Unlike Runner.Chunks it neither gates
-// nor clocks: it is the cut alone, for a range whose gate was already taken.
-func (p *Pool) Span(lo, hi int, fill func(lo, hi int)) {
-	n := hi - lo
+// Span runs fill over [0, n), cut into the pool's chunks of the range; a nil
+// pool runs fill(0, n) inline. Unlike Runner.Chunks it neither gates nor
+// clocks: it is the cut alone, for a range whose gate was already taken.
+func (p *Pool) Span(n int, fill func(lo, hi int)) {
 	switch {
 	case n <= 0:
 	case p == nil:
-		fill(lo, hi)
+		fill(0, n)
 	default:
 		c := p.Chunks(n)
-		claim(p.workers, c, func(i int) { fill(lo+i*n/c, lo+(i+1)*n/c) })
+		claim(p.workers, c, func(i int) { fill(i*n/c, (i+1)*n/c) })
 	}
 }
 
 // CollectSpan is the order-preserving counterpart of Span: span runs per
-// chunk of [lo, hi) and the results are concatenated in chunk order; a nil
-// pool returns span(lo, hi).
-func CollectSpan[T any](p *Pool, lo, hi int, span func(lo, hi int) []T) []T {
-	n := hi - lo
+// chunk of [0, n) and the results are concatenated in chunk order; a nil
+// pool returns span(0, n).
+func CollectSpan[T any](p *Pool, n int, span func(lo, hi int) []T) []T {
 	if n <= 0 {
 		return nil
 	}
 	if p == nil {
-		return span(lo, hi)
+		return span(0, n)
 	}
 	c := p.Chunks(n)
 	outs := make([][]T, c)
-	claim(p.workers, c, func(i int) { outs[i] = span(lo+i*n/c, lo+(i+1)*n/c) })
+	claim(p.workers, c, func(i int) { outs[i] = span(i*n/c, (i+1)*n/c) })
 	var out []T
 	for _, o := range outs {
 		out = append(out, o...)

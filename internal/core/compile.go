@@ -460,26 +460,22 @@ func markColumnar(op operator, wanted bool, need []bool) {
 // and marks the joins on the way (opJoin.late). A join is passed when the
 // scan's side keeps no store, so its rows never enter state weight-free, and
 // the other side holds no streamed scan, so all the weights of a joined row
-// are the scan row's. Under a transport the walk passes no join: probe spans
-// ship rows through the spill-row codec, which carries no output.prov.
-func lateScan(op operator, opts Options) *opScan {
+// are the scan row's.
+func lateScan(op operator) *opScan {
 	switch o := op.(type) {
 	case *opScan:
 		if o.poisson != nil {
 			return o
 		}
 	case *opJoin:
-		if opts.Exchange != nil {
-			return nil
-		}
 		if o.lStore == nil && len(plan.StreamedScans(o.node.R)) == 0 {
-			if sc := lateScan(o.l, opts); sc != nil {
+			if sc := lateScan(o.l); sc != nil {
 				o.late = lateL
 				return sc
 			}
 		}
 		if o.rStore == nil && len(plan.StreamedScans(o.node.L)) == 0 {
-			if sc := lateScan(o.r, opts); sc != nil {
+			if sc := lateScan(o.r); sc != nil {
 				o.late = lateR
 				return sc
 			}
@@ -516,12 +512,10 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 			if vp, ok := expr.CompileVec(t.Pred); ok {
 				op.vec = vp
 			}
-		}
-		if !uncPred {
 			// Draw late: the select weights only the scan rows it keeps. A
 			// certain predicate settles every row on arrival, so no scan row
 			// reaches state or the output unweighted.
-			if sc := lateScan(child, opts); sc != nil {
+			if sc := lateScan(child); sc != nil {
 				sc.lateDraw = true
 				op.draw = sc
 			}

@@ -128,19 +128,6 @@ type Options struct {
 	SpillFS storage.FS
 	// SpillDir is the directory for spill files when SpillFS is nil.
 	SpillDir string
-	// Exchange connects the engine to a distributed transport
-	// (internal/dist): row-parallel operator sites ship contiguous spans to
-	// remote replicas and apply the merged results from identical bytes,
-	// bit-identical to local execution (see exchange.go and DESIGN.md §9).
-	// Nil (the default) means purely local execution.
-	Exchange Exchanger
-	// WireCompression flate-compresses distributed wire traffic: the Setup
-	// table broadcast (columnar blocks) and span/merged payloads above a
-	// size threshold. Transport-only — compression changes bytes on the
-	// wire, never the decoded rows, so digests and the bit-identity
-	// contract are unaffected. The dist setup message ships it so every
-	// replica compresses symmetrically.
-	WireCompression bool
 	// Deltas, when non-empty, supplies the mini-batch schedule directly
 	// instead of having the engine partition the streamed table itself:
 	// element i is batch i+1's delta relation. This is the shared-scan seam
@@ -238,14 +225,10 @@ type batchContext struct {
 	metrics    *cluster.Metrics
 	recomputed int // tuples recomputed this batch (Fig 8(e,f))
 	failures   []failure
-	// run schedules every row-parallel site of the batch (site, and the
-	// sites without a span codec, which call it directly). It is the
+	// run schedules every row-parallel site of the batch. It is the
 	// engine's: its cost model keeps learning across the run. The zero
 	// Runner of a bare context runs every site inline.
 	run cluster.Runner
-	// exch, when non-nil, distributes the sites that have a span codec over
-	// remote replicas (site, exchange.go). Nil means purely local execution.
-	exch Exchanger
 	// vec enables the columnar batch pipeline (off under Options.NoVectorize):
 	// streamed scans attach column banks to their output and downstream
 	// operators take the batched paths where their gates allow.
@@ -270,8 +253,8 @@ type weightSlab struct {
 // consumes delta, and leaves seen of the streamed table's total rows
 // processed. It is the one place Options.Mode decodes into the lazy / prune /
 // hdaAgg switches. What only a full engine has — metrics, site runner,
-// transport, column banks — the engine attaches afterwards; a context without
-// them runs every operator inline on the row paths.
+// column banks — the engine attaches afterwards; a context without them runs
+// every operator inline on the row paths.
 func newBatchContext(opts Options, batch, seen, total int, delta map[string]*rel.Relation, dims dbView) *batchContext {
 	scale := 1.0
 	if seen > 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"testing"
 
@@ -86,9 +85,7 @@ func tapChildren(op operator, tap func(operator) operator) {
 // scan draws the weights of the rows it keeps, and the scan draws none; every
 // other weighted scan draws for all its rows. Either way every row leaving the
 // drawing operator carries the Knuth reference vector of its tuple's global
-// index, on the vectorized and row branches, at any worker count and cutover,
-// and under a transport (whose select sites ship verdicts, so each replica
-// draws its own survivors).
+// index, on the vectorized and row branches, at any worker count and cutover.
 func TestSelectDrawsSurvivorWeights(t *testing.T) {
 	// Sorted by buffer_time, the six streamed batches of 40 rows run from
 	// nothing surviving "buffer_time > cut" to everything surviving it.
@@ -119,20 +116,9 @@ func TestSelectDrawsSurvivorWeights(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				for _, novec := range []bool{false, true} {
-					for _, cutover := range []int{0, 1} {
-						for _, dist := range []bool{false, true} {
-							opts := Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3,
-								Workers: workers, NoVectorize: novec, ParThreshold: cutover}
-							if dist {
-								opts.Exchange = &recordingExchanger{seq: fnv.New64a()}
-							}
-							name := fmt.Sprintf("w%d/novec=%v/cutover=%d/dist=%v", workers, novec, cutover, dist)
-							checkDraws(t, name, c.query, c.sorted, c.selectDraw, c.scanDraw, opts)
-						}
-					}
-				}
+			for _, opts := range drawConfigs() {
+				name := fmt.Sprintf("w%d/novec=%v/cutover=%d", opts.Workers, opts.NoVectorize, opts.ParThreshold)
+				checkDraws(t, name, c.query, c.sorted, c.selectDraw, c.scanDraw, opts)
 			}
 		})
 	}

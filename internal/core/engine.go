@@ -60,14 +60,6 @@ type Update struct {
 	// back by probes. Local disk I/O, so not part of the data-shipped
 	// metric.
 	SpillBytesWritten, SpillBytesRead int64
-	// WireShuffleBytes / WireBroadcastBytes are bytes actually measured on
-	// transport connections by the distributed runtime this batch (frame
-	// headers included): worker→coordinator traffic is shuffle,
-	// coordinator→worker fan-out is broadcast. Zero for local runs. Unlike
-	// ShuffleBytes/BroadcastBytes — the modeled exchange volume, which is
-	// identical across local and distributed runs — these depend on the
-	// live worker set, so equivalence comparisons exclude them.
-	WireShuffleBytes, WireBroadcastBytes int64
 	// Recoveries counts failure-recovery events triggered this batch
 	// (variation-range integrity violations, Section 5.1, and failed spill
 	// enforcement).
@@ -111,9 +103,6 @@ type Engine struct {
 	// and removes on Close.
 	spill         *delta.SpillPolicy
 	spillDirOwned string
-
-	// exch is the distributed transport hook (nil for local execution).
-	exch Exchanger
 
 	// committed* accumulate exchange and spill traffic of successful
 	// attempts only: each batch's figures are measured per attempt and
@@ -208,7 +197,6 @@ func NewEngine(root plan.Node, db *exec.DB, opts Options) (*Engine, error) {
 	e.deltas = deltas
 	e.totalRows = totalRows
 	e.run = cluster.NewRunner(opts.Workers, opts.ParThreshold)
-	e.exch = opts.Exchange
 	e.needSnapshots = comp.nested && opts.Mode != ModeHDA && opts.Trials > 0
 	e.base = e.takeSnapshot(0)
 	return e, nil
@@ -302,7 +290,6 @@ func (e *Engine) newBatchContext(deltaRows *rel.Relation, seenAfter int) *batchC
 		map[string]*rel.Relation{e.streamedTable: deltaRows}, e.db)
 	bc.metrics = &e.metrics
 	bc.run = e.run
-	bc.exch = e.exch
 	bc.vec = !e.opts.NoVectorize
 	return bc
 }
@@ -325,20 +312,16 @@ func (e *Engine) Step() (u *Update, err error) {
 	if e.Done() {
 		return nil, fmt.Errorf("core: all %d batches processed", len(e.deltas))
 	}
-	// A transport failure surfaces from deep inside an operator site as a
-	// distPanic, a failing user function as an expr.UDFPanic (operator
-	// signatures stay error-free); convert either into the batch error here.
-	// Anything else keeps panicking.
+	// A failing user function surfaces from deep inside an operator as an
+	// expr.UDFPanic (operator signatures stay error-free); convert it into
+	// the batch error here. Anything else keeps panicking.
 	defer func() {
 		if r := recover(); r != nil {
-			switch p := r.(type) {
-			case distPanic:
-				u, err = nil, p.err
-			case expr.UDFPanic:
-				u, err = nil, p
-			default:
+			p, ok := r.(expr.UDFPanic)
+			if !ok {
 				panic(r)
 			}
+			u, err = nil, p
 		}
 	}()
 	start := time.Now()
@@ -353,10 +336,6 @@ func (e *Engine) Step() (u *Update, err error) {
 		broadcastBefore = e.metrics.BroadcastBytes()
 		spillWrittenBefore = e.metrics.SpillBytesWritten()
 		spillReadBefore = e.metrics.SpillBytesRead()
-	}
-	var wireShuffleBefore, wireBroadcastBefore int64
-	if e.exch != nil {
-		wireShuffleBefore, wireBroadcastBefore = e.exch.WireStats()
 	}
 	// Snapshot the pre-batch state for recovery. Queries that track no
 	// variation ranges can never fail an integrity check, so they skip
@@ -471,11 +450,6 @@ func (e *Engine) Step() (u *Update, err error) {
 	e.committedBroadcast += u.BroadcastBytes
 	e.committedSpillWritten += u.SpillBytesWritten
 	e.committedSpillRead += u.SpillBytesRead
-	if e.exch != nil {
-		ws, wb := e.exch.WireStats()
-		u.WireShuffleBytes = ws - wireShuffleBefore
-		u.WireBroadcastBytes = wb - wireBroadcastBefore
-	}
 	for _, op := range e.comp.ops {
 		if op.kind() == "join" {
 			u.JoinStateBytes += op.stateBytes()
@@ -531,14 +505,10 @@ func (e *Engine) Run() ([]*Update, error) {
 	return out, nil
 }
 
-// TotalShuffleBytes returns cumulative repartition traffic. Totals cover
-// committed (successful) attempts only, so they equal the sum of the
-// per-batch Update figures and never double-count a §5.1 replay.
-func (e *Engine) TotalShuffleBytes() int64 { return e.committedShuffle }
-
 // TotalExchangeBytes returns cumulative exchange traffic of both kinds
-// (shuffle + broadcast) — the Fig 9(c)/10(d) "data shipped" total.
-// Committed attempts only (see TotalShuffleBytes).
+// (shuffle + broadcast) — the Fig 9(c)/10(d) "data shipped" total. It
+// covers committed (successful) attempts only, so it equals the sum of the
+// per-batch Update figures and never double-counts a §5.1 replay.
 func (e *Engine) TotalExchangeBytes() int64 { return e.committedShuffle + e.committedBroadcast }
 
 // TotalSpillBytesWritten returns cumulative bytes evicted to spill files by
@@ -552,16 +522,6 @@ func (e *Engine) TotalSpillBytesRead() int64 { return e.committedSpillRead }
 // CostSnapshot exports the adaptive cost model's per-class estimates (the
 // learned ns/row the parallel cutovers derive from).
 func (e *Engine) CostSnapshot() map[string]float64 { return e.run.CostSnapshot() }
-
-// WireStats returns the cumulative measured transport traffic of a
-// distributed run (zero for local engines): worker→coordinator bytes as
-// shuffle, coordinator→worker bytes as broadcast.
-func (e *Engine) WireStats() (shuffle, broadcast int64) {
-	if e.exch == nil {
-		return 0, 0
-	}
-	return e.exch.WireStats()
-}
 
 // SpilledRows returns the join-state rows currently living on disk.
 func (e *Engine) SpilledRows() int { return e.spill.SpilledRows() }

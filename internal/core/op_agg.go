@@ -491,7 +491,7 @@ func (o *opAgg) evaluate(bc *batchContext, ents []foldEntry, cb *colBatch, p *cl
 		o.evaluateSpan(bc, ents, cb, 0, n)
 		return
 	}
-	p.Span(0, n, func(lo, hi int) { o.evaluateSpan(bc, ents, cb, lo, hi) })
+	p.Span(n, func(lo, hi int) { o.evaluateSpan(bc, ents, cb, lo, hi) })
 }
 
 // evaluateSpan evaluates entries [lo, hi) of the block; spans write disjoint

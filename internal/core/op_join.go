@@ -107,37 +107,20 @@ func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, 
 		}
 		return o.joinRows(m, p)
 	}
-	// buf holds the matches this replica probed, in probe order: all of them
-	// locally, one span's under a transport — where the joined rows travel as
-	// spill-codec payloads and every replica appends the merged spans in span
-	// order (the same ordered merge, across machines).
-	var buf []delta.Row
-	shipped := bc.site(cluster.CostJoinProbe, len(probe), spanCodec{
-		encode: func(lo, hi int) ([]byte, error) { return encodeRowSpan(buf) },
-		merge: func(lo, hi int, p []byte) error {
-			rows, err := decodeRowSpan(p)
-			dst = append(dst, rows...)
-			return err
-		},
-	}, func(p *cluster.Pool, lo, hi int) {
-		buf = cluster.CollectSpan(p, lo, hi, func(a, b int) []delta.Row {
-			var out []delta.Row
-			for i, r := range probe[a:b] {
-				ms := store.Probe(r.Vals, probeKeys)
-				for _, m := range ms {
-					out = append(out, join(r, m))
-				}
-				if counts != nil {
-					counts[a+i] = int32(len(ms))
-				}
+	matches := cluster.Collect(bc.run, cluster.CostJoinProbe, len(probe), func(a, b int) []delta.Row {
+		var out []delta.Row
+		for i, r := range probe[a:b] {
+			ms := store.Probe(r.Vals, probeKeys)
+			for _, m := range ms {
+				out = append(out, join(r, m))
 			}
-			return out
-		})
+			if counts != nil {
+				counts[a+i] = int32(len(ms))
+			}
+		}
+		return out
 	})
-	if shipped {
-		return dst
-	}
-	return append(dst, buf...)
+	return append(dst, matches...)
 }
 
 // probeNews appends in.news ⋈ store to out.news; when in is the late side
@@ -167,7 +150,7 @@ func (o *opJoin) probeNews(out *output, in output, late bool, keys []int, store 
 func (o *opJoin) probeLateBuild(out *output, lo, ro output, bc *batchContext) {
 	lKeys, rKeys := o.node.LKeys, o.node.RKeys
 	keys := make([]string, len(ro.news))
-	bc.run.Gate(cluster.CostJoinBuild, len(ro.news)).Span(0, len(ro.news), func(a, b int) {
+	bc.run.Gate(cluster.CostJoinBuild, len(ro.news)).Span(len(ro.news), func(a, b int) {
 		for i := a; i < b; i++ {
 			keys[i] = rel.EncodeKey(ro.news[i].Vals, rKeys)
 		}

@@ -43,16 +43,15 @@ type opSelect struct {
 
 // vecBatch returns the input's columnar view when this step may take the
 // vectorized filter: a compiled deterministic predicate, a dense (identity
-// selection) batch with no unresolved refs (EvalCols has no Resolver), no
-// distributed transport (span exchanges must keep the row path's message
-// geometry), and no pending non-deterministic state (promoted state rows
-// would interleave with the filtered news, breaking the selection
-// vector's correspondence — with a deterministic predicate the state is
-// always empty, so this is a pure invariant check).
+// selection) batch with no unresolved refs (EvalCols has no Resolver), and
+// no pending non-deterministic state (promoted state rows would interleave
+// with the filtered news, breaking the selection vector's correspondence —
+// with a deterministic predicate the state is always empty, so this is a
+// pure invariant check).
 func (o *opSelect) vecBatch(bc *batchContext, in output) *colBatch {
 	cb := in.cb
-	if o.vec == nil || cb == nil || !bc.vec || bc.exch != nil ||
-		cb.sel != nil || cb.cols.HasRefs() || o.state.Len() > 0 {
+	if o.vec == nil || cb == nil || !bc.vec || cb.sel != nil ||
+		cb.cols.HasRefs() || o.state.Len() > 0 {
 		return nil
 	}
 	return cb
@@ -96,12 +95,7 @@ func (o *opSelect) classifyAll(rows []delta.Row, bc *batchContext, regen bool) [
 			vs[i] = v
 		}
 	}
-	// Under a transport each replica classifies one contiguous span and every
-	// replica applies the merged verdict bytes of all spans.
-	bc.site(cluster.CostSelect, len(rows), spanCodec{
-		encode: func(lo, hi int) ([]byte, error) { return encodeVerdictSpan(vs, lo, hi), nil },
-		merge:  func(lo, hi int, p []byte) error { return decodeVerdictSpan(vs, lo, hi, p) },
-	}, func(p *cluster.Pool, lo, hi int) { p.Span(lo, hi, fill) })
+	bc.run.Chunks(cluster.CostSelect, len(rows), fill)
 	return vs
 }
 
@@ -114,10 +108,7 @@ func (o *opSelect) filterAll(rows []delta.Row, bc *batchContext) []bool {
 			pass[i] = evalTrue(o.node.Pred, rows[i], bc)
 		}
 	}
-	bc.site(cluster.CostSelect, len(rows), spanCodec{
-		encode: func(lo, hi int) ([]byte, error) { return encodeBoolSpan(pass, lo, hi), nil },
-		merge:  func(lo, hi int, p []byte) error { return decodeBoolSpan(pass, lo, hi, p) },
-	}, func(p *cluster.Pool, lo, hi int) { p.Span(lo, hi, fill) })
+	bc.run.Chunks(cluster.CostSelect, len(rows), fill)
 	return pass
 }
 

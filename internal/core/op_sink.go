@@ -88,14 +88,7 @@ func (o *opSink) materialize(bc *batchContext) (*rel.Relation, [][]bootstrap.Est
 			ests[idx] = rowEst
 		}
 	}
-	// Under a transport each replica materialises one span (tuples and
-	// bootstrap estimates) and every replica applies the merged spans from
-	// the same bytes — so the delivered result, estimate bit patterns
-	// included, is identical on all replicas.
-	bc.site(cluster.CostSink, len(rows), spanCodec{
-		encode: func(lo, hi int) ([]byte, error) { return encodeSinkSpan(res, ests, lo, hi, len(o.exprs)) },
-		merge:  func(lo, hi int, p []byte) error { return decodeSinkSpan(res, ests, lo, hi, len(o.exprs), p) },
-	}, func(p *cluster.Pool, lo, hi int) { p.Span(lo, hi, emitRange) })
+	bc.run.Chunks(cluster.CostSink, len(rows), emitRange)
 	return res, ests
 }
 

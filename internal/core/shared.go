@@ -141,9 +141,9 @@ func staticCertainSubtree(n plan.Node) bool {
 //   - only the right side caches (cacheR && !cacheL): a static certain
 //     build side never forces a cached left, and the frozen-store argument
 //     covers exactly this orientation;
-//   - keyed joins only, local execution only (no dist exchange).
+//   - keyed joins only.
 func (c *compiled) acquireSharedBuild(t *plan.Join, cacheL, cacheR bool, an *plan.Analysis, scaleExp []int, grow []bool, opts Options) (*delta.HashStore, bool, error) {
-	if opts.SharedState == nil || opts.Exchange != nil {
+	if opts.SharedState == nil {
 		return nil, false, nil
 	}
 	if !cacheR || cacheL || len(t.RKeys) == 0 || !staticCertainSubtree(t.R) {
@@ -180,7 +180,6 @@ func (c *compiled) buildFrozenStore(sub plan.Node, rkeys []int, an *plan.Analysi
 	b := &compiled{analysis: an, norm: c.norm, db: c.db}
 	o2 := opts
 	o2.SharedState = nil
-	o2.Exchange = nil
 	root, err := b.build(sub, an, scaleExp, grow, o2, false)
 	if err != nil {
 		return nil, err
@@ -414,13 +413,13 @@ func hasAggregateBelow(n plan.Node) bool {
 //     them would only dedupe byte-identical queries while perturbing the
 //     budget arithmetic callers rely on — inner subquery aggregates are
 //     where the overlap win lives);
-//   - ModeIOLAP, local execution, caller-supplied schedule (the serving
-//     engine), exactly one streamed scan and no nested aggregate below;
+//   - ModeIOLAP, caller-supplied schedule (the serving engine), exactly
+//     one streamed scan and no nested aggregate below;
 //   - the cache key carries every parameter that shapes the state: the
 //     canonical subtree fingerprint, seed/trials/slack/min-support, range
 //     tracking, and the schedule identity (table, batch count, total rows).
 func (c *compiled) acquireSharedAgg(t *plan.Aggregate, an *plan.Analysis, scaleExp []int, grow []bool, opts Options, trackRanges bool) (operator, bool, error) {
-	if opts.SharedState == nil || opts.Exchange != nil {
+	if opts.SharedState == nil {
 		return nil, false, nil
 	}
 	if t == c.norm || opts.Mode != ModeIOLAP || len(opts.Deltas) == 0 {
@@ -472,7 +471,6 @@ func (c *compiled) buildSharedAggEntry(t *plan.Aggregate, table string, totalRow
 	b := &compiled{analysis: an, norm: c.norm, db: c.db}
 	o2 := opts
 	o2.SharedState = nil
-	o2.Exchange = nil
 	root, err := b.build(t, an, scaleExp, grow, o2, trackRanges)
 	if err != nil {
 		return nil, err

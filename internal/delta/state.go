@@ -249,7 +249,7 @@ func (h *HashStore) AddBatch(rows []Row, clone bool, pool *cluster.Pool) {
 		return
 	}
 	keys := make([]string, len(rows))
-	pool.Span(0, len(rows), func(lo, hi int) {
+	pool.Span(len(rows), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			keys[i] = rel.EncodeKey(rows[i].Vals, h.keys)
 		}

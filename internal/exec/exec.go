@@ -234,7 +234,7 @@ func (e *executor) buildIndex(tuples []rel.Tuple, keyCols []int) *[joinShards]ma
 			return
 		}
 		keys := make([]string, len(tuples))
-		p.Span(0, len(tuples), func(lo, hi int) {
+		p.Span(len(tuples), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				keys[i] = rel.EncodeKey(tuples[i].Vals, keyCols)
 			}

@@ -2,11 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"net"
 	"time"
 
 	"iolap/internal/core"
-	"iolap/internal/dist"
 	"iolap/internal/storage"
 	"iolap/internal/workload"
 )
@@ -685,219 +683,4 @@ func ScaleSensitivity(cfg Config) ([]*Result, error) {
 	res.Notes = append(res.Notes,
 		"expected: ND fraction falls and the HDA/iOLAP gap widens as data grows (group support reaches the range threshold)")
 	return []*Result{res}, nil
-}
-
-// Dist compares local, loopback-distributed, and TCP-distributed execution
-// of the exchange-heavy TPC-H queries: same results bit for bit, modeled
-// exchange volume unchanged (the replicas compute redundantly by design),
-// and the measured wire traffic of the real transport on top.
-func Dist(cfg Config) ([]*Result, error) {
-	cfg = cfg.WithDefaults()
-	w := cfg.tpch()
-	res := &Result{
-		ID:    "dist",
-		Title: "TPC-H Q3/Q17: local vs distributed (2 workers), loopback and TCP",
-		Header: []string{"query", "transport", "total_ms", "model_shuffle_kb",
-			"model_bcast_kb", "wire_shuffle_kb", "wire_bcast_kb", "identical"},
-		Notes: []string{
-			"modeled exchange bytes are identical across transports by construction (SPMD replicas)",
-			"wire bytes are measured on the transport: zero for local, real frames otherwise",
-		},
-	}
-	for _, name := range []string{"Q3", "Q17"} {
-		q, ok := w.Query(name)
-		if !ok {
-			return nil, fmt.Errorf("dist: no %s in workload %s", name, w.Name)
-		}
-		opts := core.Options{Batches: cfg.Batches, Trials: cfg.Trials,
-			Slack: cfg.Slack, Seed: cfg.Seed, Workers: 1}
-		ref, err := runQuery(w, q, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, distRow(name, "local", ref, ref, 0, 0))
-
-		for _, transport := range []string{"loopback", "tcp"} {
-			run, wireSh, wireBc, err := runQueryDist(w, q, opts, transport)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, distRow(name, transport, run, ref, wireSh, wireBc))
-		}
-	}
-	return []*Result{res}, nil
-}
-
-func distRow(query, transport string, run, ref *queryRun, wireSh, wireBc int64) []string {
-	return []string{
-		query, transport, ms(run.totalLatency()),
-		kb(run.engine.TotalShuffleBytes()),
-		kb(run.engine.TotalExchangeBytes() - run.engine.TotalShuffleBytes()),
-		kb(wireSh), kb(wireBc), yesNo(run.identicalTo(ref)),
-	}
-}
-
-// runQueryDist executes one query through a dist.Coordinator over the given
-// transport ("loopback" or "tcp") with two workers, returning the run plus
-// the coordinator's measured wire totals.
-func runQueryDist(w *workload.Workload, q workload.Query, opts core.Options, transport string) (*queryRun, int64, int64, error) {
-	const workers = 2
-	var conns []net.Conn
-	var cleanup func()
-	switch transport {
-	case "loopback":
-		conns, cleanup = dist.StartLoopback(workers, dist.WorkerOptions{Workers: 1})
-	case "tcp":
-		addrs := make([]string, workers)
-		var listeners []net.Listener
-		for i := range addrs {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			listeners = append(listeners, l)
-			go dist.Serve(l, dist.WorkerOptions{Workers: 1})
-			addrs[i] = l.Addr().String()
-		}
-		var err error
-		conns, err = dist.Dial(addrs, 0)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		cleanup = func() {
-			for _, l := range listeners {
-				l.Close()
-			}
-		}
-	default:
-		return nil, 0, 0, fmt.Errorf("dist: unknown transport %q", transport)
-	}
-	defer cleanup()
-
-	coord := dist.NewCoordinator(conns, dist.Config{MinRows: 1})
-	defer coord.Close()
-	streamed := make(map[string]bool, len(w.Tables))
-	for name := range w.Tables {
-		streamed[name] = name == q.Stream
-	}
-	if err := coord.Setup(w.DB(), streamed, q.SQL, opts); err != nil {
-		return nil, 0, 0, fmt.Errorf("%s/%s (%s): %w", w.Name, q.Name, transport, err)
-	}
-	opts.Exchange = coord
-
-	node, _, err := w.Plan(q)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	eng, err := core.NewEngine(node, w.DB(), opts)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("%s/%s (%s): %w", w.Name, q.Name, transport, err)
-	}
-	var updates []*core.Update
-	for !eng.Done() {
-		u, err := coord.Step(eng)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("%s/%s (%s): %w", w.Name, q.Name, transport, err)
-		}
-		if u == nil {
-			break
-		}
-		updates = append(updates, u)
-	}
-	wireSh, wireBc := coord.WireStats()
-	return &queryRun{query: q, updates: updates, engine: eng}, wireSh, wireBc, nil
-}
-
-// DistElastic exercises elastic membership on TPC-H Q3 over loopback
-// workers: a worker joining mid-query (catch-up replay), a worker killed
-// mid-batch (span re-dispatch), and both at once — every variant must
-// reproduce the local run bit for bit.
-func DistElastic(cfg Config) ([]*Result, error) {
-	cfg = cfg.WithDefaults()
-	w := cfg.tpch()
-	res := &Result{
-		ID:    "dist-elastic",
-		Title: "TPC-H Q3: elastic distributed execution (2 workers, loopback)",
-		Header: []string{"scenario", "total_ms", "final_workers", "redispatched",
-			"identical"},
-		Notes: []string{
-			"join: a third worker connects after batch 2, replays the completed batches, and serves the rest",
-			"kill: a fault closes one worker's conn mid-batch; its spans are re-dispatched",
-			"results must be bit-identical to local in every scenario (frozen per-batch live sets)",
-		},
-	}
-	q, ok := w.Query("Q3")
-	if !ok {
-		return nil, fmt.Errorf("dist-elastic: no Q3 in workload %s", w.Name)
-	}
-	opts := core.Options{Batches: cfg.Batches, Trials: cfg.Trials,
-		Slack: cfg.Slack, Seed: cfg.Seed, Workers: 1}
-	ref, err := runQuery(w, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, scenario := range []string{"join", "kill", "join+kill"} {
-		run, live, redisp, err := runQueryElastic(w, q, opts, scenario)
-		if err != nil {
-			return nil, fmt.Errorf("dist-elastic/%s: %w", scenario, err)
-		}
-		res.Rows = append(res.Rows, []string{
-			scenario, ms(run.totalLatency()), fmt.Sprint(live),
-			fmt.Sprint(redisp), yesNo(run.identicalTo(ref)),
-		})
-	}
-	return []*Result{res}, nil
-}
-
-// runQueryElastic runs q over two loopback workers while applying the
-// membership scenario: "join" admits a third worker after batch 2, "kill"
-// injects a mid-batch connection fault on worker 1, "join+kill" does both.
-func runQueryElastic(w *workload.Workload, q workload.Query, opts core.Options, scenario string) (*queryRun, int, int, error) {
-	conns, cleanup := dist.StartLoopback(2, dist.WorkerOptions{Workers: 1})
-	defer cleanup()
-	wire := []net.Conn{conns[0], conns[1]}
-	if scenario == "kill" || scenario == "join+kill" {
-		fc := dist.NewFaultConn(conns[0])
-		fc.KillOnFault(true)
-		fc.FailReadAt(13)
-		wire[0] = fc
-	}
-	coord := dist.NewCoordinator(wire, dist.Config{
-		MinRows: 1, SpanDeadline: 100 * time.Millisecond, Retries: 1})
-	defer coord.Close()
-	streamed := make(map[string]bool, len(w.Tables))
-	for name := range w.Tables {
-		streamed[name] = name == q.Stream
-	}
-	if err := coord.Setup(w.DB(), streamed, q.SQL, opts); err != nil {
-		return nil, 0, 0, err
-	}
-	opts.Exchange = coord
-
-	node, _, err := w.Plan(q)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	eng, err := core.NewEngine(node, w.DB(), opts)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	var updates []*core.Update
-	for !eng.Done() {
-		u, err := coord.Step(eng)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		updates = append(updates, u)
-		if len(updates) == 2 && (scenario == "join" || scenario == "join+kill") {
-			cc, sc := net.Pipe()
-			go func() {
-				dist.ServeConn(sc, dist.WorkerOptions{Workers: 1})
-				sc.Close()
-			}()
-			coord.Admit(cc)
-		}
-	}
-	redisp, _ := coord.Redispatched()
-	return &queryRun{query: q, updates: updates, engine: eng}, coord.LiveWorkers(), redisp, nil
 }

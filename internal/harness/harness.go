@@ -128,8 +128,6 @@ func All() []Experiment {
 		{ID: "fig10ef", Paper: "Figure 10(e,f) slack sweep, TPC-H", Run: Fig10ef},
 		{ID: "spill", Paper: "(extra) join-state budget vs spill traffic, TPC-H Q17", Run: Spill},
 		{ID: "scale", Paper: "(extra) scale sensitivity of the tiny-group deviations", Run: ScaleSensitivity},
-		{ID: "dist", Paper: "(extra) local vs loopback vs TCP distributed execution, TPC-H Q3/Q17", Run: Dist},
-		{ID: "dist-elastic", Paper: "(extra) elastic distributed execution: mid-query join, kill, join+kill", Run: DistElastic},
 		{ID: "serve", Paper: "(extra) multi-query serving: concurrent sessions over one shared scan", Run: Serve},
 	}
 }

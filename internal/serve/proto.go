@@ -22,10 +22,8 @@ import (
 // unanswered Open — clients serialize Opens), then per session any number of
 // Estimate frames followed by exactly one Done.
 
-// Session frame types. The byte values share nothing with the dist
-// execution protocol — the two never share a connection — but start at 0x20
-// so a stray cross-wired peer fails loudly on an unknown type instead of
-// half-parsing.
+// Session frame types. They start at 0x20 so a stray cross-wired peer fails
+// loudly on an unknown type instead of half-parsing.
 const (
 	frOpen     byte = 0x20 + iota // c→s: version, tenant, options, query
 	frCancel                      // c→s: sid — tear the session down
@@ -36,8 +34,7 @@ const (
 	frDone                        // s→c: sid, code, message
 )
 
-// sessionProtoVersion guards against mixed binaries, like the dist
-// protocol's version byte.
+// sessionProtoVersion guards against mixed binaries.
 const sessionProtoVersion = 1
 
 // OpenErr / Done status codes.

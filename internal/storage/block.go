@@ -1,7 +1,7 @@
-// Schema-aware columnar block codec — the wire/spill format for bulk row
-// shipping (dist Setup tables) where the row-at-a-time spill codec pays a tag
-// byte per cell, a length prefix per row, and eight multiplicity bytes per
-// tuple. A block turns n rows into per-column banks:
+// Schema-aware columnar block codec — the bulk row format of .iol table files,
+// where the row-at-a-time spill codec would pay a tag byte per cell, a length
+// prefix per row, and eight multiplicity bytes per tuple. A block turns n rows
+// into per-column banks:
 //
 //	byte    header: low 4 bits format version (1), bit 4 set when the body
 //	        is flate-compressed
@@ -29,7 +29,7 @@
 //	            (the fallback for columns whose cells mix kinds)
 //
 // KRef cells are deliberately rejected: lineage references only occur in
-// mid-pipeline state, which ships and spills through the row codec
+// mid-pipeline state, which spills through the row codec
 // (AppendSpillRow). Encoders that may see KRef fall back to rows on error.
 //
 // Decoding is strict and allocation-bounded: every count is validated
@@ -124,7 +124,7 @@ func EncodeBlock(dst []byte, schema rel.Schema, tuples []rel.Tuple, compress boo
 	flags := byte(blockVersion)
 	stored := body
 	if compress && len(body) >= blockCompressMin {
-		if comp := Deflate(nil, body); len(comp) < len(body) {
+		if comp := deflate(nil, body); len(comp) < len(body) {
 			flags |= blockFlagFlate
 			stored = comp
 		}
@@ -321,7 +321,7 @@ func DecodeBlock(b []byte, schema rel.Schema) ([]rel.Tuple, error) {
 	body := hdr.Rest()
 	if flags&blockFlagFlate != 0 {
 		var err error
-		if body, err = Inflate(body, int(rawLen)); err != nil {
+		if body, err = inflate(body, int(rawLen)); err != nil {
 			return nil, err
 		}
 	} else if uint64(len(body)) != rawLen {

@@ -8,12 +8,10 @@
 // row always begins with its payload-length uvarint, and the payload is never
 // empty (it holds at least a value count, the multiplicity and a weight
 // count), so a raw run can never start with 0x00. Callers framing other data
-// kinds must carry their own compressed/raw flag (the dist wire codec does).
+// kinds must carry their own compressed/raw flag (the block codec does).
 //
-// Compression is deterministic for a fixed input and level, which the
-// bit-identity story leans on: every replica spilling the same shard contents
-// produces the same file bytes, and wire accounting of post-compression bytes
-// is worker-invariant.
+// Compression is deterministic for a fixed input and level: spilling the same
+// shard contents produces the same file bytes at any worker count.
 
 package storage
 
@@ -50,9 +48,9 @@ var flateReaders = sync.Pool{
 	New: func() interface{} { return flate.NewReader(bytes.NewReader(nil)) },
 }
 
-// Deflate appends the flate compression of src to dst and returns the
+// deflate appends the flate compression of src to dst and returns the
 // extended slice.
-func Deflate(dst, src []byte) []byte {
+func deflate(dst, src []byte) []byte {
 	buf := bytes.NewBuffer(dst)
 	fw := flateWriters.Get().(*flate.Writer)
 	fw.Reset(buf)
@@ -62,10 +60,10 @@ func Deflate(dst, src []byte) []byte {
 	return buf.Bytes()
 }
 
-// Inflate decompresses exactly rawLen bytes of flate stream from src,
+// inflate decompresses exactly rawLen bytes of flate stream from src,
 // erroring on truncation, trailing garbage, or a stream that decodes to a
 // different length.
-func Inflate(src []byte, rawLen int) ([]byte, error) {
+func inflate(src []byte, rawLen int) ([]byte, error) {
 	// Deflate expands at most 1032:1 (one bit-pair can emit 258 bytes), so a
 	// header promising more than the stream could hold is a lie — rejected
 	// before the output buffer is sized from it.
@@ -99,7 +97,7 @@ func CompressChunk(b []byte, min int) []byte {
 	hdr := make([]byte, 1, 1+binary.MaxVarintLen64)
 	hdr[0] = chunkMagic
 	hdr = binary.AppendUvarint(hdr, uint64(len(b)))
-	out := Deflate(hdr, b)
+	out := deflate(hdr, b)
 	if len(out) >= len(b) {
 		return b
 	}
@@ -121,5 +119,5 @@ func ExpandChunk(b []byte) ([]byte, error) {
 	if n <= 0 || rawLen > maxChunkRaw {
 		return nil, fmt.Errorf("storage: bad chunk raw-length header")
 	}
-	return Inflate(b[1+n:], int(rawLen))
+	return inflate(b[1+n:], int(rawLen))
 }

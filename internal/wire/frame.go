@@ -1,9 +1,9 @@
 // Package wire is the one byte-level layer under everything that crosses a
-// process or file boundary (DESIGN.md §15): the length-prefixed frame both
-// network protocols speak (internal/dist, internal/serve) and the payload
-// primitives — Append* encoders with a matching latching, bounds-checked
-// Reader — that every message, span and block codec is written in. It
-// imports only the standard library, so any package may depend on it.
+// process or file boundary (DESIGN.md §15): the length-prefixed frame the
+// serve protocol speaks (internal/serve) and the payload primitives —
+// Append* encoders with a matching latching, bounds-checked Reader — that
+// every message and block codec is written in. It imports only the standard
+// library, so any package may depend on it.
 package wire
 
 import (
@@ -12,14 +12,13 @@ import (
 	"io"
 )
 
-// maxFrame bounds a single frame (1 GiB). Large sites split across spans stay
-// far below it; the limit exists so a corrupt length prefix cannot drive a
-// multi-gigabyte allocation.
+// maxFrame bounds a single frame (1 GiB), so a corrupt length prefix cannot
+// drive a multi-gigabyte allocation.
 const maxFrame = 1 << 30
 
-// FrameOverhead is the wire cost of a frame beyond its payload: the 4-byte
+// frameOverhead is the wire cost of a frame beyond its payload: the 4-byte
 // length prefix plus the type byte.
-const FrameOverhead = 5
+const frameOverhead = 5
 
 // WriteFrame sends one frame — 4-byte big-endian length, one type byte, then
 // the payload (the length counts the type byte plus payload) — as a single
@@ -28,10 +27,10 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload)+1 > maxFrame {
 		return fmt.Errorf("wire: frame type %d too large: %d bytes", typ, len(payload))
 	}
-	buf := make([]byte, FrameOverhead+len(payload))
+	buf := make([]byte, frameOverhead+len(payload))
 	binary.BigEndian.PutUint32(buf, uint32(len(payload)+1))
 	buf[4] = typ
-	copy(buf[FrameOverhead:], payload)
+	copy(buf[frameOverhead:], payload)
 	_, err := w.Write(buf)
 	return err
 }

@@ -39,13 +39,11 @@ package iolap
 import (
 	"fmt"
 	"io"
-	"net"
 	"sort"
 
 	"iolap/internal/agg"
 	"iolap/internal/bootstrap"
 	"iolap/internal/core"
-	"iolap/internal/dist"
 	"iolap/internal/exec"
 	"iolap/internal/expr"
 	"iolap/internal/rel"
@@ -145,38 +143,6 @@ type Options struct {
 	// SpillDir hosts the spill files (default: a temp directory owned and
 	// removed by the cursor).
 	SpillDir string
-	// DistWorkers lists remote worker addresses (host:port, each running
-	// `iolap -worker`). Non-empty enables distributed execution: each
-	// worker receives the tables and query at cursor creation, holds a full
-	// engine replica, and computes contiguous spans of the row-parallel
-	// operator sites. Results are bit-identical to local execution at any
-	// worker count, including after mid-batch worker failure (dead workers'
-	// spans are re-dispatched; the query degrades to local rather than
-	// failing). Queries using RegisterUDF/RegisterUDAF functions cannot run
-	// distributed — workers cannot replicate Go closures — and fail at
-	// Query. Call Cursor.Close to release the connections.
-	DistWorkers []string
-	// DistLoopback, when positive, runs that many in-process loopback
-	// workers instead of remote ones — the same code path over synchronous
-	// in-memory pipes, for tests and demos. Ignored when DistWorkers is
-	// set.
-	DistLoopback int
-	// DistMinRows is the smallest operator site worth shipping to workers
-	// (default 32 rows). Deterministic: it affects which sites distribute,
-	// identically on every replica, never results.
-	DistMinRows int
-	// DistElasticAddr, when set with the Dist options, listens on this
-	// host:port for workers joining mid-query: a joiner receives the
-	// blueprint, replays completed batches to the coordinator's verified
-	// digest, and enters the live set at the next batch boundary. Scaling
-	// up (or workers dying) never changes results.
-	DistElasticAddr string
-	// DistCompress flate-compresses distributed wire traffic: the setup
-	// table broadcast (shipped as columnar blocks) and span/merged payloads
-	// above a size threshold. Transport-only — it changes bytes on the
-	// wire, never decoded rows, so results stay bit-identical with it on
-	// or off. Worth enabling whenever workers are across a real network.
-	DistCompress bool
 }
 
 // Estimate is the bootstrap error summary of one numeric output cell.
@@ -215,11 +181,6 @@ type Update struct {
 	// SpillBytesWritten / SpillBytesRead are this batch's join-state
 	// spill-file traffic (zero unless Options.StateBudgetBytes is set).
 	SpillBytesWritten, SpillBytesRead int64
-	// WireShuffleBytes / WireBroadcastBytes are bytes measured on the
-	// distributed transport this batch (zero for local runs):
-	// worker→coordinator span collection is shuffle, coordinator→worker
-	// fan-out is broadcast.
-	WireShuffleBytes, WireBroadcastBytes int64
 }
 
 // MaxRelStdev returns the worst relative standard deviation across all
@@ -541,33 +502,6 @@ type Cursor struct {
 	pp     *sql.PostProcess
 	cur    *Update
 	err    error
-	distRun
-}
-
-// distRun is the distributed set-up of one query: the coordinator, the stop
-// function of loopback workers and the listener for mid-query joins. The zero
-// value is a local run.
-type distRun struct {
-	coord    *dist.Coordinator
-	stopLoop func()
-	joinL    net.Listener
-}
-
-// stop tears the set-up down — no new joiners, then the coordinator (which
-// releases the workers' query state), then the loopback workers. Idempotent;
-// coord stays set so a closed cursor still reports its wire totals.
-func (d *distRun) stop() {
-	if d.joinL != nil {
-		d.joinL.Close()
-		d.joinL = nil
-	}
-	if d.coord != nil {
-		d.coord.Close()
-	}
-	if d.stopLoop != nil {
-		d.stopLoop()
-		d.stopLoop = nil
-	}
 }
 
 // Query compiles the SQL text and prepares incremental execution; iterate
@@ -596,55 +530,11 @@ func (s *Session) Query(query string, opts *Options) (*Cursor, error) {
 		StateBudgetBytes: opts.StateBudgetBytes,
 		SpillDir:         opts.SpillDir,
 	}
-	var d distRun
-	if len(opts.DistWorkers) > 0 || opts.DistLoopback > 0 {
-		if d, err = s.startDist(query, opts, db, cat, &coreOpts); err != nil {
-			return nil, err
-		}
-	}
 	eng, err := core.NewEngine(node, db, coreOpts)
 	if err != nil {
-		d.stop()
 		return nil, err
 	}
-	return &Cursor{engine: eng, pp: pp, distRun: d}, nil
-}
-
-// startDist connects the query's workers (dialled, or loopback goroutines),
-// ships them the set-up, opens the join listener when asked to, and points
-// coreOpts at the coordinator. On error nothing is left running.
-func (s *Session) startDist(query string, opts *Options, db *exec.DB, cat *sql.Catalog, coreOpts *core.Options) (d distRun, err error) {
-	defer func() {
-		if err != nil {
-			d.stop()
-		}
-	}()
-	coreOpts.WireCompression = opts.DistCompress
-	var conns []net.Conn
-	if len(opts.DistWorkers) > 0 {
-		if conns, err = dist.Dial(opts.DistWorkers, 0); err != nil {
-			return d, err
-		}
-	} else {
-		conns, d.stopLoop = dist.StartLoopback(opts.DistLoopback,
-			dist.WorkerOptions{Workers: opts.Workers})
-	}
-	d.coord = dist.NewCoordinator(conns, dist.Config{MinRows: opts.DistMinRows})
-	streamedOf := make(map[string]bool, len(s.tables))
-	for name := range s.tables {
-		streamedOf[name] = cat.Streamed(name)
-	}
-	if err = d.coord.Setup(db, streamedOf, query, *coreOpts); err != nil {
-		return d, err
-	}
-	if opts.DistElasticAddr != "" {
-		if d.joinL, err = net.Listen("tcp", opts.DistElasticAddr); err != nil {
-			return d, err
-		}
-		d.coord.AcceptJoiners(d.joinL)
-	}
-	coreOpts.Exchange = d.coord
-	return d, nil
+	return &Cursor{engine: eng, pp: pp}, nil
 }
 
 // Next advances to the next mini-batch result; it returns false when all
@@ -653,13 +543,7 @@ func (c *Cursor) Next() bool {
 	if c.err != nil || c.engine.Done() {
 		return false
 	}
-	var u *core.Update
-	var err error
-	if c.coord != nil {
-		u, err = c.coord.Step(c.engine)
-	} else {
-		u, err = c.engine.Step()
-	}
+	u, err := c.engine.Step()
 	if err != nil {
 		c.err = err
 		return false
@@ -699,46 +583,10 @@ func (c *Cursor) Recoveries() int { return c.engine.TotalRecoveries() }
 // row per operator class, the input of the parallel cutovers).
 func (c *Cursor) CostSnapshot() map[string]float64 { return c.engine.CostSnapshot() }
 
-// WireStats reports total bytes measured on the distributed transport so
-// far — worker→coordinator (shuffle) and coordinator→worker (broadcast).
-// Both are zero for local runs.
-func (c *Cursor) WireStats() (shuffleBytes, broadcastBytes int64) {
-	if c.coord == nil {
-		return 0, 0
-	}
-	return c.coord.WireStats()
-}
-
-// DistLiveWorkers returns how many remote workers are still healthy (zero
-// for local runs). A query that started with N workers keeps producing
-// correct results as workers die — down to zero, at which point the
-// coordinator computes everything locally.
-func (c *Cursor) DistLiveWorkers() int {
-	if c.coord == nil {
-		return 0
-	}
-	return c.coord.LiveWorkers()
-}
-
-// DistElasticAddr returns the resolved address the cursor listens on for
-// mid-query worker joins — what to advertise to new workers. Empty unless
-// Options.DistElasticAddr was set.
-func (c *Cursor) DistElasticAddr() string {
-	if c.joinL == nil {
-		return ""
-	}
-	return c.joinL.Addr().String()
-}
-
-// Close releases the cursor's spill files and their temp directory, if any,
-// and shuts down distributed workers' query state. Call it when done
-// iterating a query that set Options.StateBudgetBytes or the Dist options;
-// it is a no-op otherwise, and idempotent.
-func (c *Cursor) Close() error {
-	err := c.engine.Close()
-	c.stop()
-	return err
-}
+// Close releases the cursor's spill files and their temp directory, if any.
+// Call it when done iterating a query that set Options.StateBudgetBytes; it
+// is a no-op otherwise, and idempotent.
+func (c *Cursor) Close() error { return c.engine.Close() }
 
 // Plan renders the compiled online plan (diagnostics).
 func (c *Cursor) Plan() string { return c.engine.PlanString() }
@@ -779,9 +627,6 @@ func convertUpdate(u *core.Update, pp *sql.PostProcess) *Update {
 
 		SpillBytesWritten: u.SpillBytesWritten,
 		SpillBytesRead:    u.SpillBytesRead,
-
-		WireShuffleBytes:   u.WireShuffleBytes,
-		WireBroadcastBytes: u.WireBroadcastBytes,
 	}
 	// ORDER BY / LIMIT apply per delivered result; estimate alignment is
 	// preserved by sorting indexes alongside.

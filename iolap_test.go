@@ -2,14 +2,8 @@ package iolap
 
 import (
 	"math"
-	"net"
-	"reflect"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
-
-	"iolap/internal/dist"
 )
 
 // paperSession loads the paper's Figure 2(b) Sessions example.
@@ -375,6 +369,14 @@ func TestOpStats(t *testing.T) {
 	if scanNews != 3 { // batch 1 of 2 over 6 rows
 		t.Errorf("scan news = %d, want 3", scanNews)
 	}
+	if len(cur.CostSnapshot()) == 0 {
+		t.Error("cost snapshot empty")
+	}
+	for i := 0; i < 2; i++ { // Close is idempotent
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestTableManagement(t *testing.T) {
@@ -405,204 +407,5 @@ func TestTableManagement(t *testing.T) {
 	}
 	if len(u.Columns) != 3 || u.Rows[0][2].(float64) != 617 {
 		t.Errorf("SELECT * via facade wrong: %v %v", u.Columns, u.Rows)
-	}
-}
-
-// bigSession builds a session large enough that distributed runs actually
-// ship spans (the coordinator skips sites below DistMinRows).
-func bigSession(t *testing.T) *Session {
-	t.Helper()
-	s := NewSession()
-	s.MustCreateTable("sessions", []Column{
-		{Name: "session_id", Type: TString},
-		{Name: "cdn", Type: TString},
-		{Name: "buffer_time", Type: TFloat},
-		{Name: "play_time", Type: TFloat},
-	}, Streamed)
-	cdns := []string{"east", "west", "south"}
-	rows := make([][]interface{}, 240)
-	for i := range rows {
-		rows[i] = []interface{}{
-			"s" + strconv.Itoa(i), cdns[i%len(cdns)],
-			float64((i * 37) % 101), float64((i*53)%211) + 10,
-		}
-	}
-	s.MustInsert("sessions", rows)
-	return s
-}
-
-// TestDistLoopbackFacade checks the public distributed path end to end:
-// Options.DistLoopback must reproduce the local run bit for bit, and the
-// measured wire traffic must surface on the Update and the Cursor.
-func TestDistLoopbackFacade(t *testing.T) {
-	query := `SELECT cdn, AVG(play_time) AS apt FROM sessions
-		WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions)
-		GROUP BY cdn ORDER BY cdn`
-	base := Options{Batches: 4, Trials: 20, Seed: 7, Workers: 1}
-
-	collect := func(opts Options) []*Update {
-		t.Helper()
-		cur, err := bigSession(t).Query(query, &opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cur.Close()
-		var us []*Update
-		for cur.Next() {
-			us = append(us, cur.Update())
-		}
-		if err := cur.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return us
-	}
-
-	local := collect(base)
-	distOpts := base
-	distOpts.DistLoopback = 2
-	distOpts.DistMinRows = 1
-	cur, err := bigSession(t).Query(query, &distOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	if got := cur.DistLiveWorkers(); got != 2 {
-		t.Fatalf("live workers = %d, want 2", got)
-	}
-	var wireSh, wireBc int64
-	for i := 0; cur.Next(); i++ {
-		u := cur.Update()
-		if i >= len(local) {
-			t.Fatal("distributed run produced extra batches")
-		}
-		want := local[i]
-		if !reflect.DeepEqual(u.Rows, want.Rows) || !reflect.DeepEqual(u.Estimates, want.Estimates) {
-			t.Fatalf("batch %d diverges from local:\n dist %v\nlocal %v", u.Batch, u.Rows, want.Rows)
-		}
-		if u.Recomputed != want.Recomputed || u.Fraction != want.Fraction {
-			t.Fatalf("batch %d metrics diverge", u.Batch)
-		}
-		wireSh += u.WireShuffleBytes
-		wireBc += u.WireBroadcastBytes
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if wireSh == 0 || wireBc == 0 {
-		t.Errorf("per-batch wire bytes missing: shuffle %d broadcast %d", wireSh, wireBc)
-	}
-	totSh, totBc := cur.WireStats()
-	if totSh < wireSh || totBc < wireBc {
-		t.Errorf("cursor wire totals %d/%d below per-batch sums %d/%d", totSh, totBc, wireSh, wireBc)
-	}
-	if snap := cur.CostSnapshot(); len(snap) == 0 {
-		t.Error("cost snapshot empty")
-	}
-	if err := cur.Close(); err != nil { // idempotent with the defer
-		t.Fatal(err)
-	}
-}
-
-// TestDistElasticFacade covers the public elastic path: DistElasticAddr
-// opens a join listener, a worker dialing it mid-query replays in, and
-// results stay bit-identical to the local run.
-func TestDistElasticFacade(t *testing.T) {
-	mk := func() *Session {
-		s := NewSession()
-		s.MustCreateTable("sessions", []Column{
-			{Name: "session_id", Type: TString},
-			{Name: "cdn", Type: TString},
-			{Name: "play_time", Type: TFloat},
-		}, Streamed)
-		rows := make([][]interface{}, 200)
-		for i := range rows {
-			rows[i] = []interface{}{
-				"s" + strconv.Itoa(i), "c" + strconv.Itoa((i*13)%40),
-				float64((i*53)%211) + 10,
-			}
-		}
-		s.MustInsert("sessions", rows)
-		dims := make([][]interface{}, 40)
-		for i := range dims {
-			dims[i] = []interface{}{"c" + strconv.Itoa(i), "r" + strconv.Itoa(i%4)}
-		}
-		s.MustCreateTable("cdns", []Column{
-			{Name: "cdn", Type: TString},
-			{Name: "region", Type: TString},
-		}, false)
-		s.MustInsert("cdns", dims)
-		return s
-	}
-	query := `SELECT c.region, SUM(s.play_time) AS spt FROM sessions s, cdns c
-		WHERE s.cdn = c.cdn GROUP BY c.region ORDER BY region`
-	base := Options{Batches: 5, Trials: 15, Seed: 3, Workers: 1}
-
-	localCur, err := mk().Query(query, &base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer localCur.Close()
-	var local []*Update
-	for localCur.Next() {
-		local = append(local, localCur.Update())
-	}
-	if err := localCur.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	opts := base
-	opts.DistLoopback = 2
-	opts.DistMinRows = 1
-	opts.DistElasticAddr = "127.0.0.1:0"
-	cur, err := mk().Query(query, &opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	addr := cur.DistElasticAddr()
-	if addr == "" {
-		t.Fatal("no elastic join address")
-	}
-	for i := 0; cur.Next(); i++ {
-		u := cur.Update()
-		want := local[i]
-		if !reflect.DeepEqual(u.Rows, want.Rows) || !reflect.DeepEqual(u.Estimates, want.Estimates) {
-			t.Fatalf("batch %d diverges from local:\n dist %v\nlocal %v", u.Batch, u.Rows, want.Rows)
-		}
-		if i == 1 { // a third worker joins mid-query over TCP
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatalf("join dial: %v", err)
-			}
-			go func() {
-				dist.ServeConn(conn, dist.WorkerOptions{Workers: 1})
-				conn.Close()
-			}()
-			// Give the accept loop time to queue the conn: admission itself
-			// happens deterministically at the next batch boundary.
-			time.Sleep(300 * time.Millisecond)
-		}
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got := cur.DistLiveWorkers(); got != 3 {
-		t.Fatalf("live workers after join = %d, want 3", got)
-	}
-}
-
-// TestDistRejectsUDF: user-defined functions cannot be replicated to
-// workers, so a distributed query using one must fail at Query, loudly.
-func TestDistRejectsUDF(t *testing.T) {
-	s := bigSession(t)
-	if err := s.RegisterUDF("half", 1, 1, func(args []interface{}) interface{} {
-		return args[0].(float64) / 2
-	}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := s.Query("SELECT AVG(half(play_time)) FROM sessions",
-		&Options{Batches: 2, Trials: 10, Seed: 1, DistLoopback: 2})
-	if err == nil {
-		t.Fatal("distributed UDF query must fail at Query")
 	}
 }
