@@ -39,11 +39,13 @@ race:
 # properties, the wire-message decoders (FuzzWire: one harness in
 # internal/wire/wiretest, parameterised by message type, instantiated over the
 # serve session protocol), the batched-aggregate kernels (bit-identical to the
-# per-tuple fold for every builtin aggregate), and SQL text to plan
+# per-tuple fold for every builtin aggregate), SQL text to plan
 # (FuzzPlanQuery: the 22 workload queries through sql.PlanQuery; any input
-# may error, none may panic).
+# may error, none may panic), and the bootstrap summary (FuzzSummarizeSelect:
+# the confidence bounds by selection equal a full sort's, NaN, ±Inf, ±0 and
+# ties included).
 fuzz-seeds:
-	$(GO) test -run '^Fuzz' ./internal/storage ./internal/serve ./internal/agg ./internal/sql
+	$(GO) test -run '^Fuzz' ./internal/storage ./internal/serve ./internal/agg ./internal/sql ./internal/bootstrap
 
 # Actually fuzz one target (open-ended; ctrl-C when satisfied), e.g.
 # make fuzz FUZZ=FuzzAddBatchEquivalence FUZZPKG=./internal/agg FUZZTIME=2m

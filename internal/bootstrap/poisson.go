@@ -160,7 +160,9 @@ func Quantile(xs []float64, q float64) float64 {
 	return quantileSorted(sorted, q)
 }
 
-// quantileSorted interpolates a quantile over pre-sorted data.
+// quantileSorted interpolates a quantile over pre-sorted data. For 0 < q < 1
+// it reads only positions i = int(q·(n−1)) and i+1, so data in which just
+// those hold their sorted values will do (selectQuantiles).
 func quantileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]
@@ -175,6 +177,67 @@ func quantileSorted(sorted []float64, q float64) float64 {
 		return sorted[i]
 	}
 	return sorted[i]*(1-frac) + sorted[i+1]*frac
+}
+
+// selectQuantiles reorders xs so that every position quantileSorted reads for
+// the quantiles qs (ascending, each in (0, 1)) holds the value sort.Float64s
+// would put there: a selection, linear in len(xs) in expectation where the
+// sort is n·log n. The order is sort.Float64s's, NaNs first; like it, the
+// selection does not order -0 against +0.
+func selectQuantiles(xs []float64, qs ...float64) {
+	done := 0 // xs[:done] orders no later than xs[done:]
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[done] = xs[done], x
+			done++
+		}
+	}
+	for _, q := range qs {
+		i := int(q * float64(len(xs)-1))
+		for k := i; k <= i+1 && k < len(xs); k++ {
+			if k >= done {
+				selectKth(xs[done:], k-done)
+				done = k + 1
+			}
+		}
+	}
+}
+
+// selectKth reorders xs, which holds no NaN, so that xs[k] is its k-th
+// smallest value, no value before it is greater and none after it is smaller
+// (Hoare's FIND with a median-of-three pivot).
+func selectKth(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		if a > b {
+			a, b = b, a
+		}
+		if b > c {
+			b = c
+		}
+		pivot := max(a, b) // the median of the three
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
 }
 
 // Estimate summarises one uncertain value's bootstrap distribution.
@@ -203,17 +266,20 @@ func MaxRelStdev(ests [][]Estimate) float64 {
 }
 
 // Summarize computes an Estimate from the running value and its replicate
-// outputs (one sort shared by both confidence bounds).
+// outputs (one selection shared by both confidence bounds).
 func Summarize(value float64, reps []float64) Estimate {
 	e, _ := SummarizeInto(value, reps, nil)
 	return e
 }
 
-// SummarizeInto is Summarize with a caller-owned sort buffer: reps is copied
-// into scratch (grown as needed) and sorted there, so a caller summarising
-// many groups pays one buffer for all of them instead of one sort-copy per
-// call. The (possibly grown) scratch is returned for reuse; reps itself is
-// never reordered.
+// SummarizeInto is Summarize with a caller-owned selection buffer: reps is
+// copied into scratch (grown as needed), and the four order statistics the
+// confidence bounds interpolate between are selected there — the values a
+// sort would put in those places, without sorting. A caller summarising many
+// groups pays one buffer for all of them. The (possibly grown) scratch is
+// returned for reuse; reps itself is never reordered. The bounds equal a
+// full sort's bit for bit, except that where reps mix −0 and +0 a zero
+// bound may carry the other sign: neither orders the two zeros.
 func SummarizeInto(value float64, reps []float64, scratch []float64) (Estimate, []float64) {
 	e := Estimate{Value: value}
 	if len(reps) == 0 {
@@ -223,11 +289,11 @@ func SummarizeInto(value float64, reps []float64, scratch []float64) (Estimate, 
 	if cap(scratch) < len(reps) {
 		scratch = make([]float64, len(reps))
 	}
-	sorted := scratch[:len(reps)]
-	copy(sorted, reps)
-	sort.Float64s(sorted)
-	e.CILo = quantileSorted(sorted, 0.025)
-	e.CIHi = quantileSorted(sorted, 0.975)
+	sel := scratch[:len(reps)]
+	copy(sel, reps)
+	selectQuantiles(sel, 0.025, 0.975)
+	e.CILo = quantileSorted(sel, 0.025)
+	e.CIHi = quantileSorted(sel, 0.975)
 	if value != 0 {
 		e.RelStd = math.Abs(e.Stdev / value)
 	} else {

@@ -76,15 +76,15 @@ func TestEngineAllocsPerTupleSteadyState(t *testing.T) {
 	// guard for the fold's scratch (a per-batch map, a per-group slice), not a
 	// target. ParThreshold 1 makes Workers=4 take the parallel schedule on
 	// every batch, so the count does not depend on the adaptive cutover.
-	manyGroups := func() *exec.DB {
-		// 1,500 groups of 1-2 rows per 2,000-row batch, all created by the
-		// warm-up batch.
-		db := testDB(n, 42)
-		src, _ := db.Get("sessions")
-		for i := range src.Tuples {
-			src.Tuples[i].Vals[3] = rel.String("g" + itoa(i%1500))
+	cdnKeys := func(keys int) func() *exec.DB {
+		return func() *exec.DB {
+			db := testDB(n, 42)
+			src, _ := db.Get("sessions")
+			for i := range src.Tuples {
+				src.Tuples[i].Vals[3] = rel.String("g" + itoa(i%keys))
+			}
+			return db
 		}
-		return db
 	}
 	shapes := []struct {
 		name, q string
@@ -95,12 +95,18 @@ func TestEngineAllocsPerTupleSteadyState(t *testing.T) {
 		{"join_dim_group", theoremQuery(t, "join_dim_group"), nil, [2]float64{1.14, 1.31}}, // parent: 1.034, 1.184,
 		// Phase B: pending rows re-folded into scratch vectors every batch.
 		// Re-pinned when state began sharing rows (no ND-set, lineage or
-		// snapshot clones): measured ×1.1.
+		// snapshot clones): measured ×1.1. Its allocations are the pending
+		// ND-set rows, not snapshots, so chained snapshots do not move it.
 		{"nested_correlated", theoremQuery(t, "nested_correlated"), nil, [2]float64{3.40, 3.70}}, // measured: 3.088, 3.360,
-		// Re-pinned when publish stopped building rows for groups it does not
-		// emit: measured ×1.1.
+		// 1,500 groups of 1-2 rows per 2,000-row batch, all created by the
+		// warm-up batch. Re-pinned when publish carved its table from
+		// per-batch slabs: measured ×1.1.
 		{"many_groups", `SELECT cdn, SUM(play_time) AS spt, AVG(buffer_time) AS abt FROM sessions GROUP BY cdn`,
-			manyGroups, [2]float64{4.99, 5.02}}, // measured: 4.532, 4.557,
+			cdnKeys(1500), [2]float64{1.69, 1.72}}, // measured: 1.533, 1.565; parent: 4.531, 4.556,
+		// The correlated query over 8,000 inner groups, a quarter of them
+		// touched per batch: snapshots copy only the touched groups.
+		{"nested_many_groups", theoremQuery(t, "nested_correlated"),
+			cdnKeys(8000), [2]float64{21.1, 21.4}}, // measured: 19.214, 19.418; parent: 43.365, 43.569,
 	}
 	for _, sh := range shapes {
 		for wi, workers := range []int{1, 4} {

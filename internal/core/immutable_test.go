@@ -73,9 +73,11 @@ func (l *rowLedger) walk(e *Engine) {
 			switch s := s.(type) {
 			case *delta.RowSet:
 				set("select snapshot", s)
-			case aggSnap:
-				for _, g := range s.groups {
-					set("aggregate snapshot", &g.lazy)
+			case *aggSnap:
+				for link := s; link != nil; link = link.prev {
+					for _, g := range link.groups {
+						set("aggregate snapshot", &delta.RowSet{Rows: g.lazy})
+					}
 				}
 			}
 		}

@@ -83,6 +83,14 @@ type opAgg struct {
 	// groupBytes is the estimated per-group sketch footprint (constant per
 	// operator), precomputed so stateBytes never allocates probe vectors.
 	groupBytes int
+
+	// Chained snapshots (DESIGN.md §6). last is the snapshot the live state
+	// was last taken into or restored from; dirty lists the groups mutated
+	// since, each once: a group is on it iff its dirtyGen is gen, and every
+	// snapshot or restore starts a new generation.
+	last  *aggSnap
+	dirty []*aggGroup
+	gen   int
 }
 
 // aggSpecC is one compiled aggregate.
@@ -96,7 +104,8 @@ type aggSpecC struct {
 }
 
 type aggGroup struct {
-	key    []rel.Value
+	name   string        // the group's key in groups and order
+	key    []rel.Value   // immutable: snapshots share it
 	sketch []*agg.Vector // per spec (allocated lazily per group)
 	lazy   delta.RowSet  // lineage rows (only with lazy specs)
 	ranges []*bootstrap.Range
@@ -107,6 +116,8 @@ type aggGroup struct {
 	support int
 	certain bool
 	emitted bool
+	// dirtyGen is the snapshot generation the group was last marked dirty in.
+	dirtyGen int
 
 	// Per-batch working values, not state — a snapshot never holds them and
 	// a restore may leave them stale, which the tags make harmless: the
@@ -134,6 +145,7 @@ func newOpAgg(t *plan.Aggregate, child operator, an *plan.Analysis, scaleExp int
 		trackRanges: trackRanges,
 		groups:      make(map[string]*aggGroup),
 		uncInput:    make(map[int]bool),
+		gen:         1,
 	}
 	for i, u := range childInfo.UncertainCols {
 		if u {
@@ -191,6 +203,7 @@ func (o *opAgg) anyUncertainOut() bool {
 // newGroup registers a group under key with the given grouping values.
 func (o *opAgg) newGroup(key string, keyVals []rel.Value) *aggGroup {
 	g := &aggGroup{
+		name:   key,
 		key:    keyVals,
 		sketch: make([]*agg.Vector, len(o.specs)),
 		ranges: make([]*bootstrap.Range, len(o.specs)),
@@ -207,7 +220,17 @@ func (o *opAgg) newGroup(key string, keyVals []rel.Value) *aggGroup {
 	}
 	o.groups[key] = g
 	o.order = append(o.order, key)
+	o.touch(g)
 	return g
+}
+
+// touch marks g dirty: mutated since the last snapshot or restore, so the
+// next snapshot copies it.
+func (o *opAgg) touch(g *aggGroup) {
+	if g.dirtyGen != o.gen {
+		g.dirtyGen = o.gen
+		o.dirty = append(o.dirty, g)
+	}
 }
 
 // rowGroup resolves a row's group through the reusable key scratch: the map
@@ -411,6 +434,7 @@ func (o *opAgg) assignCertain(news []delta.Row, cb *colBatch) []foldEntry {
 			src = cb.src(j)
 		}
 		g := o.rowGroup(r.Vals, cb, src)
+		o.touch(g)
 		g.certain = true
 		g.support++
 		if o.lazySpecs > 0 {
@@ -701,6 +725,11 @@ func (o *opAgg) step(bc *batchContext) (output, error) {
 // publish reads every group's results (sketch merged with this batch's
 // scratch), observes the variation ranges, publishes the output table for
 // lineage resolution and emits rows.
+//
+// The table's entries, their values and their replicates are carved from
+// three slabs allocated fresh each batch. A published table is immutable and
+// outlives the batch (Engine.lastBC, a shared entry's memo), so no slab is
+// ever reused.
 func (o *opAgg) publish(bc *batchContext) output {
 	scale := 1.0
 	for k := 0; k < o.scaleExp; k++ {
@@ -712,14 +741,19 @@ func (o *opAgg) publish(bc *batchContext) output {
 	// recomputes; there are no stable lineage references.
 	hdaRecompute := bc.hdaAgg && o.anyUncertainOut()
 	table := &aggTable{groupCols: len(o.node.GroupBy), byKey: make(map[string]*aggPub, len(o.groups))}
+	S, B := len(o.specs), o.trials
+	pubs := make([]aggPub, len(o.order))
+	vals := make([]expr.UncValue, len(o.order)*S)
+	reps := make([]float64, len(o.order)*S*B)
 	var out output
-	for _, key := range o.order {
+	for gi, key := range o.order {
 		g := o.groups[key]
 		pending := g.pendEpoch == o.epoch
 		// Only an emitted group needs its row: a certain group leaves once
 		// (every batch under HDA), an uncertain one while it has pending rows.
 		emit := (g.certain && (hdaRecompute || !g.emitted)) || (pending && (hdaRecompute || !g.certain))
-		pub := &aggPub{vals: make([]expr.UncValue, len(o.specs))}
+		pub := &pubs[gi]
+		pub.vals = vals[gi*S : (gi+1)*S : (gi+1)*S]
 		var rowVals []rel.Value
 		if emit {
 			rowVals = make([]rel.Value, 0, len(g.key)+len(o.specs))
@@ -744,14 +778,16 @@ func (o *opAgg) publish(bc *batchContext) output {
 				vec = buf
 			}
 			val := vec.Result(scale)
-			var reps []float64
-			if o.trials > 0 {
-				reps = vec.RepResults(scale, nil)
+			var rs []float64
+			if B > 0 {
+				at := (gi*S + si) * B
+				rs = vec.RepResults(scale, reps[at:at+B:at+B])
 			}
 			rng := bootstrap.Full()
 			if o.trackRanges && sp.uncertainOut && g.ranges[si] != nil &&
-				o.trials > 0 && bc.prune && g.support >= o.minSupport {
-				ok, recoverTo := g.ranges[si].Observe(bc.batch, val, reps)
+				B > 0 && bc.prune && g.support >= o.minSupport {
+				o.touch(g)
+				ok, recoverTo := g.ranges[si].Observe(bc.batch, val, rs)
 				if !ok {
 					bc.failures = append(bc.failures, failure{op: o.pubID, recoverTo: recoverTo})
 				}
@@ -759,7 +795,7 @@ func (o *opAgg) publish(bc *batchContext) output {
 			} else if !sp.uncertainOut {
 				rng = bootstrap.Point(val)
 			}
-			pub.vals[si] = expr.UncValue{Value: rel.Float(val), Reps: reps, Range: rng}
+			pub.vals[si] = expr.UncValue{Value: rel.Float(val), Reps: rs, Range: rng}
 			if !emit {
 				continue
 			}
@@ -777,6 +813,7 @@ func (o *opAgg) publish(bc *batchContext) output {
 		// tuple-uncertain row, every batch.
 		row := delta.Row{Vals: rowVals, Mult: 1}
 		if g.certain && !hdaRecompute {
+			o.touch(g)
 			g.emitted = true
 			out.news = append(out.news, row)
 		} else {
@@ -788,14 +825,7 @@ func (o *opAgg) publish(bc *batchContext) output {
 	// (Section 6.2's broadcast join) — replication traffic, not a
 	// repartition, so it books as broadcast bytes.
 	if bc.metrics != nil {
-		n := 0
-		for _, pub := range table.byKey {
-			n += 48
-			for _, uv := range pub.vals {
-				n += 16 + 8*len(uv.Reps)
-			}
-		}
-		bc.metrics.RecordBroadcastBytes(n)
+		bc.metrics.RecordBroadcastBytes(len(pubs) * (48 + S*(16+8*B)))
 	}
 	return out
 }
@@ -803,81 +833,130 @@ func (o *opAgg) publish(bc *batchContext) output {
 // aggGroupSnap is one group's state in compact snapshot form: vector
 // sketches are stored as bank slabs (agg.VectorSnap), not cloned Vectors —
 // the snapshot holds one contiguous copy per sketch and restore replays it
-// into the live group's banks in place.
+// into the live group's banks in place. The key and the lineage rows are
+// shared: the key never changes, and the lineage set only grows, so a
+// capacity-clamped header of it is a copy.
 type aggGroupSnap struct {
 	key     []rel.Value
 	sketch  []*agg.VectorSnap
-	lazy    delta.RowSet
+	lazy    []delta.Row
 	ranges  []*bootstrap.Range
 	support int
 	certain bool
 	emitted bool
 }
 
+// aggSnapFullEvery bounds a snapshot chain: every aggSnapFullEvery-th
+// snapshot is a full copy, so a restore walks at most that many links and a
+// chain pins at most that many snapshots.
+const aggSnapFullEvery = 8
+
+// aggSnap is one link of a snapshot chain (DESIGN.md §6). It holds the groups
+// mutated since prev, the snapshot the state was taken or restored from,
+// and every group when it is a full copy (prev nil). A group's version at this
+// snapshot is the one in the newest link that holds it.
 type aggSnap struct {
 	groups map[string]*aggGroupSnap
-	order  []string
+	order  []string // capacity-clamped: the live order only ever appends to it
+	prev   *aggSnap
+	depth  int // links below this one
 }
 
 func (o *opAgg) snapshot() interface{} {
-	s := aggSnap{groups: make(map[string]*aggGroupSnap, len(o.groups)), order: append([]string(nil), o.order...)}
-	for k, g := range o.groups {
-		ng := &aggGroupSnap{
-			key:     append([]rel.Value(nil), g.key...),
-			sketch:  make([]*agg.VectorSnap, len(g.sketch)),
-			ranges:  make([]*bootstrap.Range, len(g.ranges)),
-			support: g.support,
-			certain: g.certain,
-			emitted: g.emitted,
+	s := &aggSnap{order: o.order[:len(o.order):len(o.order)]}
+	if o.last == nil || o.last.depth+1 >= aggSnapFullEvery {
+		s.groups = make(map[string]*aggGroupSnap, len(o.order))
+		for _, k := range o.order {
+			s.groups[k] = snapGroup(o.groups[k])
 		}
-		for i, v := range g.sketch {
-			ng.sketch[i] = v.Snapshot()
+	} else {
+		s.prev, s.depth = o.last, o.last.depth+1
+		s.groups = make(map[string]*aggGroupSnap, len(o.dirty))
+		for _, g := range o.dirty {
+			s.groups[g.name] = snapGroup(g)
 		}
-		for i, r := range g.ranges {
-			if r != nil {
-				ng.ranges[i] = r.Snapshot()
-			}
-		}
-		ng.lazy.Restore(&g.lazy)
-		s.groups[k] = ng
 	}
+	o.settle(s)
 	return s
 }
 
-func (o *opAgg) restore(snap interface{}) {
-	s := snap.(aggSnap)
-	old := o.groups
-	o.groups = make(map[string]*aggGroup, len(s.groups))
-	o.order = append([]string(nil), s.order...)
-	for k, g := range s.groups {
-		// Reuse the live group where one survives: the sketch banks are
-		// restored in place by a slab copy instead of reallocating. The
-		// snapshot stays untouched either way — the same snap may be
-		// replayed again by a later recovery attempt.
-		ng := old[k]
-		if ng == nil || len(ng.sketch) != len(g.sketch) {
-			ng = &aggGroup{sketch: make([]*agg.Vector, len(g.sketch))}
-		}
-		ng.key = append(ng.key[:0], g.key...)
-		ng.support, ng.certain, ng.emitted = g.support, g.certain, g.emitted
-		for i, vs := range g.sketch {
-			if ng.sketch[i] == nil || !vs.RestoreInto(ng.sketch[i]) {
-				ng.sketch[i] = vs.Materialize()
-			}
-		}
-		if len(ng.ranges) != len(g.ranges) {
-			ng.ranges = make([]*bootstrap.Range, len(g.ranges))
-		}
-		for i, r := range g.ranges {
-			if r != nil {
-				ng.ranges[i] = r.Snapshot()
-			} else {
-				ng.ranges[i] = nil
-			}
-		}
-		ng.lazy.Restore(&g.lazy)
-		o.groups[k] = ng
+func snapGroup(g *aggGroup) *aggGroupSnap {
+	gs := &aggGroupSnap{
+		key:     g.key,
+		sketch:  make([]*agg.VectorSnap, len(g.sketch)),
+		lazy:    g.lazy.Rows[:len(g.lazy.Rows):len(g.lazy.Rows)],
+		ranges:  make([]*bootstrap.Range, len(g.ranges)),
+		support: g.support,
+		certain: g.certain,
+		emitted: g.emitted,
 	}
+	for i, v := range g.sketch {
+		gs.sketch[i] = v.Snapshot()
+	}
+	for i, r := range g.ranges {
+		if r != nil {
+			gs.ranges[i] = r.Snapshot()
+		}
+	}
+	return gs
+}
+
+// settle records s as the snapshot the live state equals and starts a new
+// dirty generation.
+func (o *opAgg) settle(s *aggSnap) {
+	o.last = s
+	o.dirty = o.dirty[:0]
+	o.gen++
+}
+
+// restore rebuilds the state of any snapshot — the engine's newest or an
+// older one, or a shared entry's snapshot of another path — by walking its
+// chain from the newest link down, each group taken from the first link
+// that holds it. Snapshots are never written, so the same one may be
+// restored again.
+func (o *opAgg) restore(snap interface{}) {
+	s := snap.(*aggSnap)
+	old := o.groups
+	o.groups = make(map[string]*aggGroup, len(s.order))
+	o.order = s.order
+	for link := s; link != nil; link = link.prev {
+		for k, gs := range link.groups {
+			if _, newer := o.groups[k]; newer {
+				continue
+			}
+			o.groups[k] = restoreGroup(old[k], k, gs)
+		}
+	}
+	o.settle(s)
+}
+
+// restoreGroup writes gs into ng, the live group under the same key, reusing
+// its sketch banks (a slab copy each); ng nil or misshapen is replaced.
+func restoreGroup(ng *aggGroup, k string, gs *aggGroupSnap) *aggGroup {
+	if ng == nil || len(ng.sketch) != len(gs.sketch) {
+		ng = &aggGroup{sketch: make([]*agg.Vector, len(gs.sketch))}
+	}
+	ng.name, ng.key = k, gs.key
+	ng.support, ng.certain, ng.emitted = gs.support, gs.certain, gs.emitted
+	for i, vs := range gs.sketch {
+		if ng.sketch[i] == nil || !vs.RestoreInto(ng.sketch[i]) {
+			ng.sketch[i] = vs.Materialize()
+		}
+	}
+	if len(ng.ranges) != len(gs.ranges) {
+		ng.ranges = make([]*bootstrap.Range, len(gs.ranges))
+	}
+	for i, r := range gs.ranges {
+		if r != nil {
+			ng.ranges[i] = r.Snapshot()
+		} else {
+			ng.ranges[i] = nil
+		}
+	}
+	// Clamped, so the next lineage row reallocates instead of writing
+	// into an array snapshots share.
+	ng.lazy.Rows = gs.lazy
+	return ng
 }
 
 func (o *opAgg) stateBytes() int {

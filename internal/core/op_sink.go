@@ -55,9 +55,9 @@ func (o *opSink) materialize(bc *batchContext) (*rel.Relation, [][]bootstrap.Est
 	res.Tuples = make([]rel.Tuple, len(rows))
 	ests := make([][]bootstrap.Estimate, len(rows))
 	// emitRange renders rows [lo, hi) sharing one replicate buffer and one
-	// SummarizeInto sort scratch per range — each (row, column) estimate
-	// consumes its replicates before the next reuses the buffers, so a lane
-	// pays two allocations total instead of two per uncertain cell.
+	// SummarizeInto scratch per range — each (row, column) estimate consumes
+	// its replicates before the next reuses the buffers, so a lane pays two
+	// allocations total instead of two per uncertain cell.
 	emitRange := func(lo, hi int) {
 		var reps, scratch []float64
 		if bc.trials > 0 {
@@ -68,20 +68,18 @@ func (o *opSink) materialize(bc *batchContext) (*rel.Relation, [][]bootstrap.Est
 			vals := make([]rel.Value, len(o.exprs))
 			rowEst := make([]bootstrap.Estimate, len(o.exprs))
 			for i, e := range o.exprs {
-				v := e.Eval(r.Vals, bc)
-				vals[i] = v
-				if o.unc[i] && bc.trials > 0 && !bc.exact && v.IsNumeric() {
-					for b := 0; b < bc.trials; b++ {
-						rv := e.EvalRep(r.Vals, bc, b)
-						if rv.IsNumeric() {
-							reps[b] = rv.Float()
-						} else {
-							reps[b] = math.NaN()
-						}
+				if !o.unc[i] || bc.trials == 0 || bc.exact {
+					v := e.Eval(r.Vals, bc)
+					vals[i] = v
+					if v.IsNumeric() {
+						rowEst[i] = bootstrap.Estimate{Value: v.Float()}
 					}
+					continue
+				}
+				v := cellReps(e, r.Vals, bc, reps)
+				vals[i] = v
+				if v.IsNumeric() {
 					rowEst[i], scratch = bootstrap.SummarizeInto(v.Float(), reps, scratch)
-				} else if v.IsNumeric() {
-					rowEst[i] = bootstrap.Estimate{Value: v.Float()}
 				}
 			}
 			res.Tuples[idx] = rel.Tuple{Vals: vals, Mult: r.Mult * scale}
@@ -90,6 +88,38 @@ func (o *opSink) materialize(bc *batchContext) (*rel.Relation, [][]bootstrap.Est
 	}
 	bc.run.Chunks(cluster.CostSink, len(rows), emitRange)
 	return res, ests
+}
+
+// cellReps evaluates one uncertain cell: it returns e's value over row and,
+// when that is numeric, fills reps with its B replicates (NaN where a
+// replicate is not numeric). A bare column over a lineage ref — every
+// aggregate output column — resolves the ref once and copies its replicates;
+// any other expression evaluates replicate by replicate.
+func cellReps(e expr.Expr, row []rel.Value, bc *batchContext, reps []float64) rel.Value {
+	if c, ok := e.(*expr.Col); ok && row[c.Idx].IsRef() {
+		uv, ok := bc.ResolveRef(row[c.Idx].Ref())
+		if !ok {
+			return rel.Null()
+		}
+		if uv.Value.IsNumeric() {
+			for b := copy(reps, uv.Reps); b < len(reps); b++ {
+				reps[b] = uv.Value.Float()
+			}
+		}
+		return uv.Value
+	}
+	v := e.Eval(row, bc)
+	if !v.IsNumeric() {
+		return v
+	}
+	for b := range reps {
+		if rv := e.EvalRep(row, bc, b); rv.IsNumeric() {
+			reps[b] = rv.Float()
+		} else {
+			reps[b] = math.NaN()
+		}
+	}
+	return v
 }
 
 // sinkSnap is a truncation snapshot: the certain set is append-only with
