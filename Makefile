@@ -24,10 +24,11 @@ lint: vet
 		echo "lint: staticcheck not installed, ran go vet only" ; \
 	fi
 
-# The equivalence suites force every partition-parallel path; -race proves
-# the shard-ownership claims of DESIGN.md §7 hold under the race detector —
-# including the spill fault-injection tests, whose concurrent probes read
-# spill files while workers insert into sibling shards, and the
+# TestExecutionLattice forces every partition-parallel path (DESIGN.md §16);
+# -race proves the shard-ownership claims of DESIGN.md §7 hold under the race
+# detector — including its shared cells, whose two engines step concurrently
+# over one share.Cache, the spill fault-injection tests, whose concurrent
+# probes read spill files while workers insert into sibling shards, and the
 # serving-engine suite (DESIGN.md §12), whose concurrent sessions share one
 # scan cohort and whose stress test churns opens/cancels/closes from many
 # goroutines.
@@ -41,11 +42,12 @@ race:
 # serve session protocol), the batched-aggregate kernels (bit-identical to the
 # per-tuple fold for every builtin aggregate), SQL text to plan
 # (FuzzPlanQuery: the 22 workload queries through sql.PlanQuery; any input
-# may error, none may panic), and the bootstrap summary (FuzzSummarizeSelect:
+# may error, none may panic), the bootstrap summary (FuzzSummarizeSelect:
 # the confidence bounds by selection equal a full sort's, NaN, ±Inf, ±0 and
-# ties included).
+# ties included), and Theorem 1 (FuzzTheorem1Lattice: one generated plan per
+# seed through every cell of the execution lattice).
 fuzz-seeds:
-	$(GO) test -run '^Fuzz' ./internal/storage ./internal/serve ./internal/agg ./internal/sql ./internal/bootstrap
+	$(GO) test -run '^Fuzz' ./internal/storage ./internal/serve ./internal/agg ./internal/sql ./internal/bootstrap ./internal/core
 
 # Actually fuzz one target (open-ended; ctrl-C when satisfied), e.g.
 # make fuzz FUZZ=FuzzAddBatchEquivalence FUZZPKG=./internal/agg FUZZTIME=2m

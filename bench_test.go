@@ -185,8 +185,7 @@ func BenchmarkBootstrapOverhead(b *testing.B) {
 // BenchmarkParallelJoinAggregate measures the partition-parallel delta
 // pipeline on a large-batch join+aggregate (TPC-H Q3: customer ⋈ lineorder,
 // grouped) at increasing worker counts. Results are bit-identical at every
-// worker count — the equivalence suites in internal/core and internal/exec
-// enforce it — so this bench isolates the scheduling win: on a multi-core
+// worker count — the execution lattice of internal/core enforces it — so this bench isolates the scheduling win: on a multi-core
 // machine 8 workers should beat 1 by ≥2×; on a single-CPU host they tie.
 func BenchmarkParallelJoinAggregate(b *testing.B) {
 	w := workload.TPCH(workload.TPCHScale{Fact: 40000, Seed: 7})

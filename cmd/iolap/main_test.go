@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"iolap"
+	"iolap/internal/storage"
 )
 
 func TestSniffType(t *testing.T) {
@@ -120,6 +121,10 @@ func TestConvertRoundTrip(t *testing.T) {
 	}
 	if err := convertTable(src, "nosuch="+path, 0, true); err == nil {
 		t.Error("unknown table must fail")
+	}
+	if err := convertTable(src, "conviva_sessions="+path, storage.BlockMaxRows+1, true); err == nil ||
+		!strings.Contains(err.Error(), "BlockMaxRows") {
+		t.Errorf("blocks above the codec cap: err = %v, want one naming BlockMaxRows", err)
 	}
 }
 

@@ -214,7 +214,7 @@ var orphanAllowed = map[string]string{
 	"storage.FaultFS.":                "fault seam: the spill tests inject write and sync failures through it",
 	"storage.NewFaultFS":              "fault seam (storage.FaultFS)",
 	"storage.MemFS.Crash":             "fault seam: drops what was never synced, the crash the spill recovery tests replay",
-	"exec.Executor.SetCutover":        "the fixed-cutover test hook: the equivalence suites pin it to 1 to force every parallel path",
+	"exec.Executor.SetCutover":        "the fixed-cutover test hook: the execution lattice pins it to 1 to force every parallel path",
 	"cluster.Metrics.SpillProbeSkips": "the spill tests assert the min-max filters' skip count, a schedule-independent number",
 	"cluster.Metrics.SpillBloomSkips": "as SpillProbeSkips, for the per-run Bloom filters",
 	"delta.HashStore.Each":            "the immutability and spill tests walk a store's rows, resident and spilled",

@@ -302,7 +302,7 @@ func builtinAggs() []Func {
 // COUNT(DISTINCT) fall back to one interface accumulator per replicate.
 // Both representations perform identical floating-point operations in the
 // same order, so results are bit-identical (NewVectorOracle forces the
-// interface path for the equivalence suite).
+// interface path for FuzzAddBatchEquivalence).
 type Vector struct {
 	Fn     *Func
 	trials int

@@ -72,10 +72,6 @@ type Options struct {
 	Seed uint64
 	// Workers bounds partition parallelism (default GOMAXPROCS).
 	Workers int
-	// SnapshotKeep is how many recent per-batch state snapshots the
-	// controller retains for failure recovery (default 8). Failures
-	// reaching further back recover from scratch.
-	SnapshotKeep int
 	// MinRangeSupport is the minimum number of input rows a group must
 	// have accumulated before its variation ranges become binding
 	// (default 20). Below it the range stays unbounded: dependent rows
@@ -109,8 +105,8 @@ type Options struct {
 	// adaptive: the engine learns an EWMA of measured per-row cost per
 	// operator class and derives the cutover from it (cluster.CostModel).
 	// Either way the cutover affects scheduling only, never results — the
-	// equivalence suites pin it to 1 to force every parallel path onto
-	// small fixtures.
+	// execution lattice (DESIGN.md §16) pins it to 1 to force every
+	// parallel path onto small fixtures.
 	ParThreshold int
 	// StateBudgetBytes bounds the resident (in-memory) join-state bytes.
 	// When the cached join sides exceed it after a batch, the engine's
@@ -119,7 +115,7 @@ type Options struct {
 	// spilling entirely; negative means a zero-byte budget — every
 	// enforcement pushes all join state to disk. Like Workers and
 	// ParThreshold, the budget affects placement only, never results: the
-	// equivalence suites assert bit-identical output at every budget.
+	// execution lattice asserts bit-identical output at every budget.
 	StateBudgetBytes int64
 	// SpillFS overrides where spill files live (fault-injection tests use
 	// storage.MemFS / storage.FaultFS). Nil selects the real filesystem
@@ -150,8 +146,8 @@ type Options struct {
 	// columnar mini-batch pipeline (DESIGN.md §14: scan-attached column
 	// banks, selection-vector SELECT and column-fed aggregate folds). The
 	// vectorized paths perform the same floating-point operations in the
-	// same order as the row paths — the equivalence suites run both and
-	// assert bit-identical updates — so this is an execution-layout switch
+	// same order as the row paths — the execution lattice runs both and
+	// asserts bit-identical updates — so this is an execution-layout switch
 	// and a debugging oracle, never a semantic one.
 	NoVectorize bool
 }
@@ -168,9 +164,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Slack == 0 {
 		o.Slack = 2.0
-	}
-	if o.SnapshotKeep <= 0 {
-		o.SnapshotKeep = 8
 	}
 	if o.MinRangeSupport == 0 {
 		o.MinRangeSupport = 20

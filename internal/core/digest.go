@@ -15,9 +15,9 @@ import (
 // in delivery order) and every estimate's five float64 bit patterns
 // (AppendEstimates). It is the repo's one statement of "bit-identical" for a
 // (result, estimates) pair: serve compares served and solo trajectories with
-// it, the harness "identical" columns and the equivalence suites' helpers
-// call it. A tuple the spill-row codec cannot encode (a surviving lineage
-// ref) is an error, never a match.
+// it, and the harness "identical" columns and the execution lattice call it.
+// A tuple the spill-row codec cannot encode (a surviving lineage ref) is an
+// error, never a match.
 func ResultDigest(result *rel.Relation, ests [][]bootstrap.Estimate) (uint64, error) {
 	h := fnv.New64a()
 	var buf []byte

@@ -15,6 +15,11 @@ import (
 	"iolap/internal/storage"
 )
 
+// snapshotKeep is how many recent per-batch state snapshots the controller
+// retains for failure recovery. Failures reaching further back recover from
+// scratch.
+const snapshotKeep = 8
+
 // Update is the refined partial result delivered after one mini-batch.
 type Update struct {
 	// Batch is the 1-based mini-batch number; Batches is the total p.
@@ -92,6 +97,7 @@ type Engine struct {
 	snaps         []engineSnap
 	base          engineSnap
 	needSnapshots bool
+	keepSnaps     int // len(snaps) bound: snapshotKeep, lowered by tests
 	metrics       cluster.Metrics
 	// run schedules the row-parallel sites of every batch; it lives on the
 	// engine (not the batch context, not the package) so its cost model keeps
@@ -129,7 +135,7 @@ func NewEngine(root plan.Node, db *exec.DB, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	// The engine shell exists before compilation because the spill policy
 	// the join stores register with points at the engine's metrics.
-	e := &Engine{opts: opts, db: db}
+	e := &Engine{opts: opts, db: db, keepSnaps: snapshotKeep}
 	if err := e.initSpill(); err != nil {
 		return nil, err
 	}
@@ -343,8 +349,8 @@ func (e *Engine) Step() (u *Update, err error) {
 	if e.needSnapshots {
 		snap := e.takeSnapshot(e.batch)
 		e.snaps = append(e.snaps, snap)
-		if len(e.snaps) > e.opts.SnapshotKeep {
-			e.snaps = e.snaps[len(e.snaps)-e.opts.SnapshotKeep:]
+		if len(e.snaps) > e.keepSnaps {
+			e.snaps = e.snaps[len(e.snaps)-e.keepSnaps:]
 		}
 	}
 	e.batch++
@@ -602,7 +608,8 @@ func ContiguousDeltas(src *rel.Relation, p int) []*rel.Relation {
 // preserving within-stratum order. Proportional allocation keeps the
 // uniform scale m_i = |D|/|D_i| exact while guaranteeing every stratum is
 // represented from the first batch — the stratified-sampling extension of
-// Section 9.
+// Section 9. Boundaries round up, so a stratum with fewer rows than p puts
+// its first row in batch 1 (and leaves later batches without it).
 func stratifyBatches(src *rel.Relation, idx, p int) []*rel.Relation {
 	strata := make(map[string][]rel.Tuple)
 	var order []string
@@ -618,8 +625,8 @@ func stratifyBatches(src *rel.Relation, idx, p int) []*rel.Relation {
 		d := rel.NewRelation(src.Schema)
 		for _, k := range order {
 			rows := strata[k]
-			lo := i * len(rows) / p
-			hi := (i + 1) * len(rows) / p
+			lo := (i*len(rows) + p - 1) / p
+			hi := ((i+1)*len(rows) + p - 1) / p
 			d.Tuples = append(d.Tuples, rows[lo:hi:hi]...)
 		}
 		deltas[i] = d

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -113,30 +112,6 @@ func TestMinRangeSupportControlsPruning(t *testing.T) {
 	}
 }
 
-func TestDeepNestingINWithCorrelatedScalar(t *testing.T) {
-	// Q20 shape on the sessions schema: IN-subquery containing a
-	// correlated scalar subquery two levels down.
-	q := `SELECT COUNT(*) AS n FROM sessions
-		WHERE cdn IN (SELECT cdn FROM cdns
-			WHERE region = 'us-east' OR region = 'us-west' OR region = 'europe')
-		AND play_time > (SELECT 0.5 * AVG(play_time) FROM sessions i WHERE i.cdn = sessions.cdn)`
-	theorem1(t, q, 200, Options{Batches: 5, Trials: 20, Seed: 6})
-}
-
-func TestMultipleSubqueriesInOneWhere(t *testing.T) {
-	q := `SELECT COUNT(*) AS n FROM sessions
-		WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions)
-		AND play_time < (SELECT AVG(play_time) FROM sessions)`
-	theorem1(t, q, 200, Options{Batches: 5, Trials: 20, Seed: 7})
-}
-
-func TestAggregateOverDerivedAggregate(t *testing.T) {
-	// Aggregate of an aggregate via a derived table.
-	q := `SELECT AVG(d.apt) AS m FROM
-		(SELECT cdn, AVG(play_time) AS apt FROM sessions GROUP BY cdn) AS d`
-	theorem1(t, q, 200, Options{Batches: 5, Trials: 20, Seed: 8})
-}
-
 func TestVerySmallInputs(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		db := testDB(n, 71)
@@ -174,49 +149,6 @@ func TestEmptyStreamedTable(t *testing.T) {
 	}
 	if got := u.Result.Tuples[0].Vals[0].Float(); got != 0 {
 		t.Errorf("count over empty table = %v", got)
-	}
-}
-
-func TestEmptyInnerAggregateNaNSemantics(t *testing.T) {
-	// The inner aggregate's filter excludes everything: AVG over empty
-	// input is NaN, comparisons against NaN are false — engine and oracle
-	// must agree.
-	q := `SELECT COUNT(*) AS n FROM sessions
-		WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions WHERE buffer_time > 1000000)`
-	theorem1(t, q, 100, Options{Batches: 4, Trials: 10, Seed: 9})
-}
-
-func TestFilteredInnerSubqueryGroups(t *testing.T) {
-	// The correlated inner has an extra filter, so some outer groups may
-	// (temporarily or permanently) have no inner match — join semantics
-	// must match the oracle.
-	q := `SELECT COUNT(*) AS n FROM sessions s
-		WHERE s.play_time > (SELECT AVG(play_time) FROM sessions i
-			WHERE i.cdn = s.cdn AND i.buffer_time > 30)`
-	theorem1(t, q, 220, Options{Batches: 6, Trials: 15, Seed: 10})
-}
-
-// TestTheorem1TemplateFuzz sweeps a parameterised family of nested queries
-// over random datasets and batch counts.
-func TestTheorem1TemplateFuzz(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long test")
-	}
-	rng := rand.New(rand.NewSource(99))
-	templates := []string{
-		`SELECT COUNT(*) AS n FROM sessions WHERE buffer_time > (SELECT %.2f * AVG(buffer_time) FROM sessions)`,
-		`SELECT cdn, SUM(play_time) AS s FROM sessions WHERE play_time < (SELECT %.2f * AVG(play_time) FROM sessions) GROUP BY cdn`,
-		`SELECT AVG(play_time) AS a FROM sessions WHERE buffer_time BETWEEN %.2f AND 60`,
-	}
-	for trial := 0; trial < 10; trial++ {
-		tpl := templates[rng.Intn(len(templates))]
-		factor := 0.5 + rng.Float64()
-		q := fmt.Sprintf(tpl, factor)
-		n := 80 + rng.Intn(150)
-		p := 2 + rng.Intn(6)
-		theorem1(t, q, n, Options{
-			Batches: p, Trials: 10 + rng.Intn(20), Seed: uint64(trial + 1),
-		})
 	}
 }
 
@@ -276,19 +208,6 @@ func TestEngineSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUnionOfTwoStreamedBranches(t *testing.T) {
-	q := `SELECT SUM(play_time) AS s FROM sessions WHERE cdn = 'east'
-		UNION ALL
-		SELECT SUM(buffer_time) AS s FROM sessions WHERE cdn = 'west'`
-	theorem1(t, q, 180, Options{Batches: 5, Trials: 15, Seed: 12})
-}
-
-func TestGroupByMultipleColumns(t *testing.T) {
-	q := `SELECT cdn, session_id, COUNT(*) AS n FROM sessions
-		WHERE buffer_time > 15 GROUP BY cdn, session_id`
-	theorem1(t, q, 60, Options{Batches: 3, Trials: 10, Seed: 13})
-}
-
 func TestPlanFingerprintStableAcrossCompiles(t *testing.T) {
 	db := testDB(50, 91)
 	root := planQuery(t, sbiQuery)
@@ -305,21 +224,16 @@ func TestPlanFingerprintStableAcrossCompiles(t *testing.T) {
 	}
 }
 
-func TestCountDistinctTheorem1(t *testing.T) {
-	// COUNT(DISTINCT x) is exact on D_i (unscaled) and non-smooth: its
-	// dependents stay non-deterministic but every partial result matches
-	// the oracle.
-	theorem1(t, `SELECT cdn, COUNT(DISTINCT play_time) AS d FROM sessions GROUP BY cdn`,
-		120, Options{Batches: 4, Trials: 10, Seed: 31})
-}
-
 func TestStratifiedBatchingCoverageAndCorrectness(t *testing.T) {
 	// Sort the data by cdn so un-stratified contiguous batches would see a
-	// single stratum first; stratified batching must cover all three from
-	// batch 1, and every partial result must still be Q(D_i, m_i) for the
-	// engine's actual stream order.
+	// single stratum first; stratified batching must cover all four from
+	// batch 1 — the rare one has fewer rows than there are batches — and
+	// every partial result must still be Q(D_i, m_i) for the engine's actual
+	// stream order.
 	db := testDB(240, 107)
 	sessions, _ := db.Get("sessions")
+	sessions.Append(rel.String("r0"), rel.Float(12), rel.Float(300), rel.String("rare"))
+	sessions.Append(rel.String("r1"), rel.Float(40), rel.Float(90), rel.String("rare"))
 	sort.SliceStable(sessions.Tuples, func(i, j int) bool {
 		return sessions.Tuples[i].Vals[3].Str() < sessions.Tuples[j].Vals[3].Str()
 	})
@@ -350,9 +264,9 @@ func TestStratifiedBatchingCoverageAndCorrectness(t *testing.T) {
 		if !rel.EqualBag(u.Result, want, 1e-6) {
 			t.Fatalf("stratified batch %d diverged", u.Batch)
 		}
-		// Stratified coverage: every batch's partial result has all 3 CDNs.
-		if u.Result.Len() != 3 {
-			t.Errorf("batch %d covers %d strata, want 3", u.Batch, u.Result.Len())
+		// Stratified coverage: every batch's partial result has all 4 CDNs.
+		if u.Result.Len() != 4 {
+			t.Errorf("batch %d covers %d strata, want 4", u.Batch, u.Result.Len())
 		}
 	}
 	// Contrast: without stratification on sorted data, batch 1 sees 1 cdn.
@@ -374,28 +288,6 @@ func TestStratifyUnknownColumn(t *testing.T) {
 	root := planQuery(t, `SELECT COUNT(*) AS n FROM sessions`)
 	if _, err := NewEngine(root, db, Options{StratifyBy: "nope"}); err == nil {
 		t.Error("unknown stratify column must be rejected")
-	}
-}
-
-func TestParallelFoldMatchesSequential(t *testing.T) {
-	// Above the parallel-fold threshold, single-worker and multi-worker
-	// engines must produce identical results (group sharding makes the
-	// fold deterministic).
-	db := testDB(6000, 113)
-	root := planQuery(t, `SELECT cdn, SUM(play_time) AS s, AVG(buffer_time) AS a, COUNT(*) AS n
-		FROM sessions GROUP BY cdn`)
-	run := func(workers int) *rel.Relation {
-		eng, err := NewEngine(root, db, Options{Batches: 2, Trials: 20, Seed: 7, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		updates := stepAll(t, eng)
-		return updates[len(updates)-1].Result
-	}
-	seq := run(1)
-	par := run(8)
-	if !rel.EqualBag(seq, par, 1e-9) {
-		t.Errorf("parallel fold diverged\nseq:\n%s\npar:\n%s", seq, par)
 	}
 }
 
@@ -520,12 +412,4 @@ func TestConcurrentEnginesShareDatabase(t *testing.T) {
 			t.Errorf("engine %d final result differs", i)
 		}
 	}
-}
-
-func TestGroupByExpressionTheorem1(t *testing.T) {
-	// Computed group keys flow through the engine exactly (the
-	// pre-projection stays below the aggregate as a residual project).
-	theorem1(t, `SELECT buffer_time - buffer_time % 10 AS bucket, COUNT(*) AS n, AVG(play_time) AS a
-		FROM sessions GROUP BY buffer_time - buffer_time % 10`,
-		200, Options{Batches: 5, Trials: 15, Seed: 41})
 }

@@ -12,51 +12,43 @@ import (
 	"iolap/internal/rel"
 )
 
-// TestTheorem1PlanFuzz generates random plans directly over the plan
-// algebra (bypassing the SQL planner) and checks every engine batch against
-// the exact oracle, across all three modes. This is the broadest Theorem-1
-// net: shapes include flat aggregation, scalar-subquery crosses, grouped
-// decorrelated joins, unions and HAVING filters, with random aggregate
-// functions, comparison operators, constants and batch counts.
-func TestTheorem1PlanFuzz(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long test")
+// fuzzCase draws one plan and its options from rng: the table, the plan,
+// then mode, batch count, trials and slack. The shapes include flat
+// aggregation, scalar-subquery crosses, grouped decorrelated joins, unions
+// and HAVING filters, with random aggregate functions, comparison operators
+// and constants.
+func fuzzCase(t testing.TB, name string, rng *rand.Rand, seed uint64) latticeCase {
+	t.Helper()
+	f := newPlanFuzzer(rng)
+	root := f.gen()
+	if _, err := plan.Analyze(root, plan.Finalize(root)); err != nil {
+		t.Fatalf("%s: generated invalid plan: %v\n%s", name, err, plan.Format(root))
 	}
-	rng := rand.New(rand.NewSource(4242))
-	for trial := 0; trial < 60; trial++ {
-		f := newPlanFuzzer(rng)
-		root := f.gen()
-		n := plan.Finalize(root)
-		if _, err := plan.Analyze(root, n); err != nil {
-			t.Fatalf("trial %d: generated invalid plan: %v\n%s", trial, err, plan.Format(root))
-		}
-		mode := []Mode{ModeIOLAP, ModeIOLAP, ModeOPT1, ModeHDA}[rng.Intn(4)]
-		opts := Options{
-			Mode:    mode,
+	return latticeCase{
+		name:     name,
+		root:     root,
+		db:       f.db,
+		streamed: "fuzz",
+		opts: Options{
+			Mode:    []Mode{ModeIOLAP, ModeIOLAP, ModeOPT1, ModeHDA}[rng.Intn(4)],
 			Batches: 2 + rng.Intn(5),
 			Trials:  5 + rng.Intn(20),
-			Seed:    uint64(trial + 1),
+			Seed:    seed,
 			Slack:   []float64{0.5, 1, 2}[rng.Intn(3)],
-		}
-		eng, err := NewEngine(root, f.db, opts)
-		if err != nil {
-			t.Fatalf("trial %d: engine: %v\n%s", trial, err, plan.Format(root))
-		}
-		seen := 0
-		for !eng.Done() {
-			u, err := eng.Step()
-			if err != nil {
-				t.Fatalf("trial %d batch: %v\n%s", trial, err, plan.Format(root))
-			}
-			seen += eng.deltas[u.Batch-1].Len()
-			want := oracle(t, root, f.db, "fuzz", seen)
-			if !rel.EqualBag(u.Result, want, 1e-6) {
-				t.Fatalf("trial %d (%v, p=%d, seed=%d): batch %d diverged\nplan:\n%s\ngot:\n%s\nwant:\n%s",
-					trial, mode, opts.Batches, opts.Seed, u.Batch,
-					plan.Format(root), clipStr(u.Result.String()), clipStr(want.String()))
-			}
-		}
+		},
 	}
+}
+
+// FuzzTheorem1Lattice draws one plan per seed and runs it through the
+// execution lattice: the reference cell against the exact oracle, every
+// other cell against the reference cell.
+func FuzzTheorem1Lattice(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 99, 4242} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		runLattice(t, fuzzCase(t, "fuzz", rand.New(rand.NewSource(seed)), uint64(seed)))
+	})
 }
 
 func clipStr(s string) string {

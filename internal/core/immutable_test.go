@@ -120,13 +120,7 @@ func TestStateSharesImmutableRows(t *testing.T) {
 				if spill {
 					opts.StateBudgetBytes, opts.SpillFS = -1, storage.NewMemFS()
 				}
-				db := testDB(c.n, c.dbSeed)
-				if c.skewed {
-					skewSessions(db)
-				}
-				if c.sorted {
-					sortSessionsByBufferTime(db)
-				}
+				db := goldenDB(c)
 				before := baseTuples(db)
 				eng, err := NewEngine(planGolden(t, c), db, opts)
 				if err != nil {

@@ -84,8 +84,8 @@ func NewExecutor(workers int) *Executor {
 // SetCutover pins the sequential/parallel cutover to a fixed row count for
 // every operator class (n <= 0 restores the adaptive model). This is the
 // test hook that replaced the old mutable package-level threshold: the
-// equivalence suites pin it to 1 to force every parallel path onto small
-// fixtures.
+// execution lattice of internal/core pins it to 1 to force every parallel
+// path onto small fixtures.
 func (x *Executor) SetCutover(n int) { x.run = cluster.NewRunner(x.workers, n) }
 
 // Run evaluates the plan against the database and returns the result

@@ -4,6 +4,7 @@
 package leakcheck
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -19,10 +20,14 @@ const settle = 3 * time.Second
 // Main runs the package's tests, then waits up to settle for the goroutine
 // count to drop back to its value before the tests ran. If it does not, the
 // binary fails and every goroutine's stack is printed. Call it as the whole
-// body of TestMain.
+// body of TestMain. A -fuzz run is not checked: the fuzzing engine's own
+// signal handler outlives the tests.
 func Main(m *testing.M) {
 	before := runtime.NumGoroutine()
 	code := m.Run()
+	if f := flag.Lookup("test.fuzz"); f != nil && f.Value.String() != "" {
+		os.Exit(code)
+	}
 	deadline := time.Now().Add(settle)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

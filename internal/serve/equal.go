@@ -10,8 +10,8 @@ import (
 // BitIdentical reports whether two estimate trajectories are the same run:
 // same length, and every update equal batch for batch — labels, Fraction by
 // math.Float64bits, columns, and the (result, estimates) pair by
-// core.ResultDigest, the repo's equivalence contract. The equivalence suite
-// and the serve harness experiment use it to prove that sharing a scan with
+// core.ResultDigest, the repo's equivalence contract. The serve tests and
+// the serve harness experiment use it to prove that sharing a scan with
 // N-1 other sessions never perturbs a session's results.
 func BitIdentical(a, b []*Update) bool {
 	if len(a) != len(b) {

@@ -15,8 +15,9 @@
 // Because each session's pipeline is a private core.Engine over the shared
 // schedule, a session's estimate trajectory is bit-identical to a solo run
 // of the same query with the same options — concurrency changes wall clock
-// and memory footprint, never results. The equivalence suite enforces this
-// with math.Float64bits comparisons.
+// and memory footprint, never results. The execution lattice of
+// internal/core (DESIGN.md §16) and this package's TestStaggeredOpensAndCancels
+// enforce it digest for digest.
 //
 // Admission control is budget-based: every session reserves
 // StateBudgetBytes (or DefaultSessionBytes) against its tenant's budget at

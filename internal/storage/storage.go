@@ -65,10 +65,14 @@ const DefaultBlockRows = 1024
 // WriteColumnar serialises a relation in the v2 tagged-block format: each
 // block is stored with the §11 columnar codec (optionally flate-compressed)
 // unless it contains cells the codec rejects (lineage KRefs), in which case
-// that block alone falls back to the v1 row encoding.
+// that block alone falls back to the v1 row encoding. blockRows may not
+// exceed BlockMaxRows, the codec's cap.
 func WriteColumnar(w io.Writer, r *rel.Relation, blockRows int, compress bool) error {
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
+	}
+	if blockRows > BlockMaxRows {
+		return fmt.Errorf("storage: %d rows per block exceeds BlockMaxRows %d", blockRows, BlockMaxRows)
 	}
 	bw := bufio.NewWriter(w)
 	if err := writeHeader(bw, r.Schema); err != nil {
@@ -88,13 +92,20 @@ func WriteColumnar(w io.Writer, r *rel.Relation, blockRows int, compress bool) e
 			bw.Write(enc)
 			continue
 		}
-		bw.WriteByte(tblockRows)
-		writeUvarint(bw, uint64(len(tuples)))
+		// A row is its values in the spill codec's tagged encoding.
+		rows := scratch[:0]
 		for _, tp := range tuples {
-			if err := writeRow(bw, tp.Vals); err != nil {
-				return err
+			for _, v := range tp.Vals {
+				var err error
+				if rows, err = appendSpillValue(rows, v); err != nil {
+					return err
+				}
 			}
 		}
+		scratch = rows
+		bw.WriteByte(tblockRows)
+		writeUvarint(bw, uint64(len(tuples)))
+		bw.Write(rows)
 	}
 	bw.WriteByte(tblockEnd)
 	return bw.Flush()
@@ -117,47 +128,6 @@ func writeUvarint(w *bufio.Writer, v uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)
 	w.Write(buf[:n])
-}
-
-func writeRow(w *bufio.Writer, vals []rel.Value) error {
-	for _, v := range vals {
-		w.WriteByte(byte(v.Kind()))
-		switch v.Kind() {
-		case rel.KNull:
-		case rel.KBool:
-			if v.Bool() {
-				w.WriteByte(1)
-			} else {
-				w.WriteByte(0)
-			}
-		case rel.KInt:
-			var buf [binary.MaxVarintLen64]byte
-			n := binary.PutVarint(buf[:], v.Int())
-			w.Write(buf[:n])
-		case rel.KFloat:
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.Float()))
-			w.Write(buf[:])
-		case rel.KString:
-			s := v.Str()
-			writeUvarint(w, uint64(len(s)))
-			w.WriteString(s)
-		case rel.KRef:
-			// Lineage references, same payload as the spill row codec:
-			// varint op, varint col, uvarint key length + key bytes.
-			r := v.Ref()
-			var buf [binary.MaxVarintLen64]byte
-			n := binary.PutVarint(buf[:], int64(r.Op))
-			w.Write(buf[:n])
-			n = binary.PutVarint(buf[:], int64(r.Col))
-			w.Write(buf[:n])
-			writeUvarint(w, uint64(len(r.Key)))
-			w.WriteString(r.Key)
-		default:
-			return fmt.Errorf("storage: cannot serialise %v values", v.Kind())
-		}
-	}
-	return nil
 }
 
 // Table is a materialised block table: the relation plus its block

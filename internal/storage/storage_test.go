@@ -2,9 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"encoding/hex"
+	"io"
 	"math"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
 	"iolap/internal/rel"
@@ -249,6 +252,44 @@ func TestColumnarRefFallback(t *testing.T) {
 	for i := range src.Tuples {
 		if !src.Tuples[i].Vals[2].Equal(table.Rel.Tuples[i].Vals[2]) {
 			t.Fatalf("row %d ref cell lost", i)
+		}
+	}
+}
+
+// TestColumnarRowBlockBytes pins the row-block fallback's bytes (a KRef
+// column, every kind, NULLs). The constant was generated by a writer with its
+// own row encoder, so files stay byte-identical now that the fallback encodes
+// through the spill codec.
+func TestColumnarRowBlockBytes(t *testing.T) {
+	const want = "494f4c320502696402046e616d6504017603026f6b01076c696e6561676505010202050404656173740300000000000004400101050a0202673102d8040003000000000000c0bf0100050e0000020e0101050a0000040002c3bc00000000"
+	r := rel.NewRelation(rel.Schema{
+		{Name: "id", Type: rel.KInt},
+		{Name: "name", Type: rel.KString},
+		{Name: "v", Type: rel.KFloat},
+		{Name: "ok", Type: rel.KBool},
+		{Name: "lineage", Type: rel.KRef},
+	})
+	r.Append(rel.Int(-3), rel.String("east"), rel.Float(2.5), rel.Bool(true), rel.NewRef(rel.Ref{Op: 5, Key: "g1", Col: 1}))
+	r.Append(rel.Int(300), rel.Null(), rel.Float(-0.125), rel.Bool(false), rel.NewRef(rel.Ref{Op: 7, Key: "", Col: 0}))
+	r.Append(rel.Null(), rel.String("ü"), rel.Null(), rel.Null(), rel.Null())
+	for _, compress := range []bool{false, true} {
+		var buf bytes.Buffer
+		if err := WriteColumnar(&buf, r, 2, compress); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != want {
+			t.Errorf("compress=%v: bytes\n%s\nwant\n%s", compress, got, want)
+		}
+	}
+}
+
+// TestWriteColumnarBlockCap: a block larger than the codec's cap is an error
+// naming the cap, not a silent fallback to uncompressed row blocks.
+func TestWriteColumnarBlockCap(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		err := WriteColumnar(io.Discard, sampleRel(10), BlockMaxRows+1, compress)
+		if err == nil || !strings.Contains(err.Error(), "BlockMaxRows") {
+			t.Errorf("compress=%v: err = %v, want one naming BlockMaxRows", compress, err)
 		}
 	}
 }
