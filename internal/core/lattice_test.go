@@ -566,24 +566,23 @@ func runLattice(t *testing.T, c latticeCase) uint64 {
 			t.Logf("plan:\n%s", plan.Format(c.root))
 		}
 	})
-	var ref []*Update
-	var refRun cellRun
+	var ref cellRun // the reference cell's run
 	var oracles []*rel.Relation
 	var joins, sharable bool
 	want := c.want
 	sameBudget := map[int64][]*Update{}
 	for i, cell := range latticeCells() {
 		t.Run(cell.name, func(t *testing.T) {
-			if i > 0 && ref == nil {
+			if i > 0 && ref.us == nil {
 				t.Skip("the reference cell failed")
 			}
 			runs, hits := runCell(t, c, cell)
 			if i == 0 {
 				oracles = checkReference(t, c, runs[0])
-				refRun, ref = runs[0], runs[0].us
-				joins, sharable = joinShape(runs[0].eng)
+				ref = runs[0]
+				joins, sharable = joinShape(ref.eng)
 				if !c.golden {
-					want = digestUpdates(t, ref)
+					want = digestUpdates(t, ref.us)
 				}
 			}
 			for j, r := range runs {
@@ -591,7 +590,7 @@ func runLattice(t *testing.T, c latticeCase) uint64 {
 				if d := digestUpdates(t, r.us); d != want {
 					t.Errorf("%s: trajectory digest %016x, reference %016x", label, d, want)
 				}
-				base, skip := ref, []string(nil)
+				base, skip := ref.us, []string(nil)
 				if r.cfg.budget != 0 {
 					skip = budgetFields
 				}
@@ -611,6 +610,11 @@ func runLattice(t *testing.T, c latticeCase) uint64 {
 					t.Errorf("%s: a zero-byte budget wrote no spill file; the cell tests nothing", label)
 				}
 			}
+			if cell.shared() {
+				// Sessions on one cache differ in nothing but Workers and
+				// NoVectorize, so they match field for field.
+				compareUpdates(t, "engine 1 vs engine 0", runs[0].us, runs[1].us)
+			}
 			if cell.shared() && sharable && hits == 0 {
 				t.Errorf("no share.Cache hits on a plan that builds a join on a static table")
 			}
@@ -622,7 +626,7 @@ func runLattice(t *testing.T, c latticeCase) uint64 {
 		if oracles == nil {
 			t.Skip("the reference cell failed")
 		}
-		for i, got := range oracleRuns(t, c, refRun, 8) {
+		for i, got := range oracleRuns(t, c, ref, 8) {
 			d1, err1 := ResultDigest(oracles[i], nil)
 			d8, err8 := ResultDigest(got, nil)
 			if err1 != nil || err8 != nil || d1 != d8 {
