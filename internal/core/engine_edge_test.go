@@ -112,6 +112,12 @@ func TestMinRangeSupportControlsPruning(t *testing.T) {
 	}
 }
 
+func TestDeepNestingINWithCorrelatedScalar(t *testing.T) { theorem1Named(t, "in_and_correlated") }
+
+func TestMultipleSubqueriesInOneWhere(t *testing.T) { theorem1Named(t, "two_subqueries") }
+
+func TestAggregateOverDerivedAggregate(t *testing.T) { theorem1Named(t, "aggregate_of_derived") }
+
 func TestVerySmallInputs(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		db := testDB(n, 71)
@@ -149,6 +155,21 @@ func TestEmptyStreamedTable(t *testing.T) {
 	}
 	if got := u.Result.Tuples[0].Vals[0].Float(); got != 0 {
 		t.Errorf("count over empty table = %v", got)
+	}
+}
+
+func TestEmptyInnerAggregateNaNSemantics(t *testing.T) { theorem1Named(t, "empty_inner_nan") }
+
+func TestFilteredInnerSubqueryGroups(t *testing.T) { theorem1Named(t, "filtered_correlated") }
+
+// TestTheorem1TemplateFuzz sweeps a parameterised family of nested queries
+// over random datasets and batch counts.
+func TestTheorem1TemplateFuzz(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long test")
+	}
+	for _, q := range templateShapes() {
+		theorem1(t, q.query, q.n, q.opts)
 	}
 }
 
@@ -208,6 +229,10 @@ func TestEngineSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+func TestUnionOfTwoStreamedBranches(t *testing.T) { theorem1Named(t, "union_of_aggregates") }
+
+func TestGroupByMultipleColumns(t *testing.T) { theorem1Named(t, "group_by_two_columns") }
+
 func TestPlanFingerprintStableAcrossCompiles(t *testing.T) {
 	db := testDB(50, 91)
 	root := planQuery(t, sbiQuery)
@@ -223,6 +248,8 @@ func TestPlanFingerprintStableAcrossCompiles(t *testing.T) {
 		t.Error("normalization must be deterministic")
 	}
 }
+
+func TestCountDistinctTheorem1(t *testing.T) { theorem1Named(t, "count_distinct") }
 
 func TestStratifiedBatchingCoverageAndCorrectness(t *testing.T) {
 	// Sort the data by cdn so un-stratified contiguous batches would see a
@@ -288,6 +315,28 @@ func TestStratifyUnknownColumn(t *testing.T) {
 	root := planQuery(t, `SELECT COUNT(*) AS n FROM sessions`)
 	if _, err := NewEngine(root, db, Options{StratifyBy: "nope"}); err == nil {
 		t.Error("unknown stratify column must be rejected")
+	}
+}
+
+func TestParallelFoldMatchesSequential(t *testing.T) {
+	// Above the parallel-fold threshold, single-worker and multi-worker
+	// engines must produce identical results (group sharding makes the
+	// fold deterministic).
+	db := testDB(6000, 113)
+	root := planQuery(t, `SELECT cdn, SUM(play_time) AS s, AVG(buffer_time) AS a, COUNT(*) AS n
+		FROM sessions GROUP BY cdn`)
+	run := func(workers int) *rel.Relation {
+		eng, err := NewEngine(root, db, Options{Batches: 2, Trials: 20, Seed: 7, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		updates := stepAll(t, eng)
+		return updates[len(updates)-1].Result
+	}
+	seq := run(1)
+	par := run(8)
+	if !rel.EqualBag(seq, par, 1e-9) {
+		t.Errorf("parallel fold diverged\nseq:\n%s\npar:\n%s", seq, par)
 	}
 }
 
@@ -413,3 +462,5 @@ func TestConcurrentEnginesShareDatabase(t *testing.T) {
 		}
 	}
 }
+
+func TestGroupByExpressionTheorem1(t *testing.T) { theorem1Named(t, "group_by_expression") }

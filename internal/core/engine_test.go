@@ -145,6 +145,32 @@ func oracleDB(db *exec.DB, streamed string, seen int) *exec.DB {
 	return odb
 }
 
+// theorem1 runs the engine over all batches and checks every partial result
+// against the oracle.
+func theorem1(t *testing.T, query string, n int, opts Options) *Engine {
+	t.Helper()
+	db := testDB(n, 42)
+	root := planQuery(t, query)
+	eng, err := NewEngine(root, db, opts)
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	seen := 0
+	for !eng.Done() {
+		u, err := eng.Step()
+		if err != nil {
+			t.Fatalf("step %d: %v", eng.batch, err)
+		}
+		seen = int(math.Round(u.Fraction * float64(n)))
+		want := oracle(t, root, db, "sessions", seen)
+		if !rel.EqualBag(u.Result, want, 1e-6) {
+			t.Fatalf("batch %d (%s): result diverges from Q(D_i, m_i)\nquery: %s\ngot:\n%s\nwant:\n%s",
+				u.Batch, opts.Mode, query, u.Result, want)
+		}
+	}
+	return eng
+}
+
 // ---------------------------------------------------------------------------
 // Theorem 1 across query shapes and modes
 
@@ -174,6 +200,45 @@ var theoremQueries = []struct {
 		FROM sessions GROUP BY cdn`, false},
 	{"arith_over_nested", `SELECT COUNT(*) AS n FROM sessions
 		WHERE play_time / 60 < (SELECT AVG(play_time) / 30 FROM sessions)`, true},
+}
+
+func TestTheorem1IOLAP(t *testing.T) {
+	for _, q := range theoremQueries {
+		q := q
+		t.Run(q.name, func(t *testing.T) {
+			eng := theorem1(t, q.query, 240, Options{Mode: ModeIOLAP, Batches: 8, Trials: 40, Seed: 1})
+			if eng.Nested() != q.nested {
+				t.Errorf("nested classification = %v, want %v", eng.Nested(), q.nested)
+			}
+		})
+	}
+}
+
+func TestTheorem1OPT1(t *testing.T) {
+	for _, q := range theoremQueries {
+		q := q
+		t.Run(q.name, func(t *testing.T) {
+			theorem1(t, q.query, 160, Options{Mode: ModeOPT1, Batches: 5, Trials: 30, Seed: 2})
+		})
+	}
+}
+
+func TestTheorem1HDA(t *testing.T) {
+	for _, q := range theoremQueries {
+		q := q
+		t.Run(q.name, func(t *testing.T) {
+			theorem1(t, q.query, 160, Options{Mode: ModeHDA, Batches: 5, Seed: 3})
+		})
+	}
+}
+
+// TestTheorem1ManySeeds fuzzes the SBI query across seeds and batch counts.
+func TestTheorem1ManySeeds(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, p := range []int{3, 7} {
+			theorem1(t, sbiQuery, 150, Options{Mode: ModeIOLAP, Batches: p, Trials: 25, Seed: seed})
+		}
+	}
 }
 
 // TestTheorem1UnderRecovery feeds adversarially sorted data (ascending
@@ -477,6 +542,30 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, err := eng.Step(); err == nil {
 		t.Error("Step past completion must error")
+	}
+}
+
+func TestDeterministicAcrossRuns(t *testing.T) {
+	run := func() *rel.Relation {
+		db := testDB(150, 37)
+		root := planQuery(t, sbiQuery)
+		eng, err := NewEngine(root, db, Options{Batches: 5, Trials: 20, Seed: 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last *Update
+		for !eng.Done() {
+			u, err := eng.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = u
+		}
+		return last.Result
+	}
+	a, b := run(), run()
+	if !rel.EqualBag(a, b, 0) {
+		t.Error("engine must be deterministic for a fixed seed")
 	}
 }
 

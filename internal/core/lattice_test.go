@@ -192,6 +192,9 @@ func runGolden(t *testing.T, c goldenCase, opts Options) []*Update {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	if c.wantRecovery && opts.Trials > 0 && eng.TotalRecoveries() == 0 {
+		t.Fatalf("recovery fixture no longer triggers recoveries; the case pins nothing about replay")
+	}
 	return us
 }
 
@@ -287,6 +290,10 @@ func TestLateJoinExchangeBytes(t *testing.T) {
 }
 
 const trajectoryGoldenPath = "testdata/trajectory.golden"
+
+// trajectoryGoldenHeader heads the file whichever test rewrites it.
+const trajectoryGoldenHeader = "# Trajectory digests pinned by TestExecutionLattice: <case>/B<trials> <fnv64a over per-batch core.ResultDigest>.\n" +
+	"# Regenerate only as a deliberate digest epoch: go test ./internal/core -run TestExecutionLattice -update\n"
 
 // readGolden parses a golden file of "<key> <hex word>" lines.
 func readGolden(t *testing.T, path string) map[string]uint64 {
@@ -661,9 +668,7 @@ func TestExecutionLattice(t *testing.T) {
 	if *updateGolden {
 		// Cleanup runs once every parallel case has finished.
 		t.Cleanup(func() {
-			writeGolden(t, trajectoryGoldenPath, got,
-				"# Trajectory digests pinned by TestExecutionLattice: <case>/B<trials> <fnv64a over per-batch core.ResultDigest>.\n"+
-					"# Regenerate only as a deliberate digest epoch: go test ./internal/core -run TestExecutionLattice -update\n")
+			writeGolden(t, trajectoryGoldenPath, got, trajectoryGoldenHeader)
 		})
 	}
 	for _, gc := range goldenCases(t) {
@@ -717,6 +722,81 @@ func sessionsCase(t *testing.T, name, query string, n int, opts Options) lattice
 	}
 }
 
+// theorem1Shape is one query checked against the oracle over testDB(n, 42).
+type theorem1Shape struct {
+	name, query string
+	n           int
+	opts        Options
+}
+
+// theorem1Shapes are single-query Theorem-1 shapes, each a lattice case and a
+// named test of its own.
+var theorem1Shapes = []theorem1Shape{
+	// COUNT(DISTINCT) is exact on D_i (unscaled) and non-smooth.
+	{"count_distinct", `SELECT cdn, COUNT(DISTINCT play_time) AS d FROM sessions GROUP BY cdn`,
+		120, Options{Batches: 4, Trials: 10, Seed: 31}},
+	// Computed group keys: the pre-projection stays below the aggregate
+	// as a residual project.
+	{"group_by_expression", `SELECT buffer_time - buffer_time % 10 AS bucket, COUNT(*) AS n,
+		AVG(play_time) AS a FROM sessions GROUP BY buffer_time - buffer_time % 10`,
+		200, Options{Batches: 5, Trials: 15, Seed: 41}},
+	{"group_by_two_columns", `SELECT cdn, session_id, COUNT(*) AS n FROM sessions
+		WHERE buffer_time > 15 GROUP BY cdn, session_id`, 60, Options{Batches: 3, Trials: 10, Seed: 13}},
+	{"union_of_aggregates", `SELECT SUM(play_time) AS s FROM sessions WHERE cdn = 'east'
+		UNION ALL SELECT SUM(buffer_time) AS s FROM sessions WHERE cdn = 'west'`,
+		180, Options{Batches: 5, Trials: 15, Seed: 12}},
+	{"aggregate_of_derived", `SELECT AVG(d.apt) AS m FROM
+		(SELECT cdn, AVG(play_time) AS apt FROM sessions GROUP BY cdn) AS d`,
+		200, Options{Batches: 5, Trials: 20, Seed: 8}},
+	{"two_subqueries", `SELECT COUNT(*) AS n FROM sessions WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions)
+		AND play_time < (SELECT AVG(play_time) FROM sessions)`, 200, Options{Batches: 5, Trials: 20, Seed: 7}},
+	// The Q20 shape: an IN subquery beside a correlated scalar one.
+	{"in_and_correlated", `SELECT COUNT(*) AS n FROM sessions
+		WHERE cdn IN (SELECT cdn FROM cdns WHERE region = 'us-east' OR region = 'us-west' OR region = 'europe')
+		AND play_time > (SELECT 0.5 * AVG(play_time) FROM sessions i WHERE i.cdn = sessions.cdn)`,
+		200, Options{Batches: 5, Trials: 20, Seed: 6}},
+	// The inner filter excludes everything: AVG over empty input is NaN,
+	// and comparisons against NaN are false.
+	{"empty_inner_nan", `SELECT COUNT(*) AS n FROM sessions
+		WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions WHERE buffer_time > 1000000)`,
+		100, Options{Batches: 4, Trials: 10, Seed: 9}},
+	// Outer groups with no inner match, temporarily or for good.
+	{"filtered_correlated", `SELECT COUNT(*) AS n FROM sessions s WHERE s.play_time >
+		(SELECT AVG(play_time) FROM sessions i WHERE i.cdn = s.cdn AND i.buffer_time > 30)`,
+		220, Options{Batches: 6, Trials: 15, Seed: 10}},
+}
+
+// theorem1Named runs theorem1 on the named entry of theorem1Shapes.
+func theorem1Named(t *testing.T, name string) {
+	t.Helper()
+	for _, q := range theorem1Shapes {
+		if q.name == name {
+			theorem1(t, q.query, q.n, q.opts)
+			return
+		}
+	}
+	t.Fatalf("no theorem1 shape named %q", name)
+}
+
+// templateShapes draws a parameterised family of nested queries over random
+// dataset sizes and batch counts from rng 99.
+func templateShapes() []theorem1Shape {
+	rng := rand.New(rand.NewSource(99))
+	templates := []string{
+		`SELECT COUNT(*) AS n FROM sessions WHERE buffer_time > (SELECT %.2f * AVG(buffer_time) FROM sessions)`,
+		`SELECT cdn, SUM(play_time) AS s FROM sessions WHERE play_time < (SELECT %.2f * AVG(play_time) FROM sessions) GROUP BY cdn`,
+		`SELECT AVG(play_time) AS a FROM sessions WHERE buffer_time BETWEEN %.2f AND 60`,
+	}
+	var out []theorem1Shape
+	for trial := 0; trial < 10; trial++ {
+		q := fmt.Sprintf(templates[rng.Intn(len(templates))], 0.5+rng.Float64())
+		n, p := 80+rng.Intn(150), 2+rng.Intn(6)
+		out = append(out, theorem1Shape{query: q, n: n,
+			opts: Options{Batches: p, Trials: 10 + rng.Intn(20), Seed: uint64(trial + 1)}})
+	}
+	return out
+}
+
 // theorem1Cases are the cases whose reference is the oracle alone: every
 // theorem query in every mode, the SBI query over seeds and batch counts,
 // nine more shapes, a parameterised family of nested queries, and the 60
@@ -749,59 +829,13 @@ func theorem1Cases(t *testing.T) []latticeCase {
 				Options{Mode: ModeIOLAP, Batches: p, Trials: 25, Seed: seed}))
 		}
 	}
-	for _, q := range []struct {
-		name, query string
-		n           int
-		opts        Options
-	}{
-		// COUNT(DISTINCT) is exact on D_i (unscaled) and non-smooth.
-		{"count_distinct", `SELECT cdn, COUNT(DISTINCT play_time) AS d FROM sessions GROUP BY cdn`,
-			120, Options{Batches: 4, Trials: 10, Seed: 31}},
-		// Computed group keys: the pre-projection stays below the aggregate
-		// as a residual project.
-		{"group_by_expression", `SELECT buffer_time - buffer_time % 10 AS bucket, COUNT(*) AS n,
-			AVG(play_time) AS a FROM sessions GROUP BY buffer_time - buffer_time % 10`,
-			200, Options{Batches: 5, Trials: 15, Seed: 41}},
-		{"group_by_two_columns", `SELECT cdn, session_id, COUNT(*) AS n FROM sessions
-			WHERE buffer_time > 15 GROUP BY cdn, session_id`, 60, Options{Batches: 3, Trials: 10, Seed: 13}},
-		{"union_of_aggregates", `SELECT SUM(play_time) AS s FROM sessions WHERE cdn = 'east'
-			UNION ALL SELECT SUM(buffer_time) AS s FROM sessions WHERE cdn = 'west'`,
-			180, Options{Batches: 5, Trials: 15, Seed: 12}},
-		{"aggregate_of_derived", `SELECT AVG(d.apt) AS m FROM
-			(SELECT cdn, AVG(play_time) AS apt FROM sessions GROUP BY cdn) AS d`,
-			200, Options{Batches: 5, Trials: 20, Seed: 8}},
-		{"two_subqueries", `SELECT COUNT(*) AS n FROM sessions WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions)
-			AND play_time < (SELECT AVG(play_time) FROM sessions)`, 200, Options{Batches: 5, Trials: 20, Seed: 7}},
-		// The Q20 shape: an IN subquery beside a correlated scalar one.
-		{"in_and_correlated", `SELECT COUNT(*) AS n FROM sessions
-			WHERE cdn IN (SELECT cdn FROM cdns WHERE region = 'us-east' OR region = 'us-west' OR region = 'europe')
-			AND play_time > (SELECT 0.5 * AVG(play_time) FROM sessions i WHERE i.cdn = sessions.cdn)`,
-			200, Options{Batches: 5, Trials: 20, Seed: 6}},
-		// The inner filter excludes everything: AVG over empty input is NaN,
-		// and comparisons against NaN are false.
-		{"empty_inner_nan", `SELECT COUNT(*) AS n FROM sessions
-			WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions WHERE buffer_time > 1000000)`,
-			100, Options{Batches: 4, Trials: 10, Seed: 9}},
-		// Outer groups with no inner match, temporarily or for good.
-		{"filtered_correlated", `SELECT COUNT(*) AS n FROM sessions s WHERE s.play_time >
-			(SELECT AVG(play_time) FROM sessions i WHERE i.cdn = s.cdn AND i.buffer_time > 30)`,
-			220, Options{Batches: 6, Trials: 15, Seed: 10}},
-	} {
+	for _, q := range theorem1Shapes {
 		cases = append(cases, sessionsCase(t, "theorem1."+q.name, q.query, q.n, q.opts))
 	}
-	rng := rand.New(rand.NewSource(99))
-	templates := []string{
-		`SELECT COUNT(*) AS n FROM sessions WHERE buffer_time > (SELECT %.2f * AVG(buffer_time) FROM sessions)`,
-		`SELECT cdn, SUM(play_time) AS s FROM sessions WHERE play_time < (SELECT %.2f * AVG(play_time) FROM sessions) GROUP BY cdn`,
-		`SELECT AVG(play_time) AS a FROM sessions WHERE buffer_time BETWEEN %.2f AND 60`,
+	for i, q := range templateShapes() {
+		cases = append(cases, sessionsCase(t, fmt.Sprintf("theorem1.template.%d", i), q.query, q.n, q.opts))
 	}
-	for trial := 0; trial < 10; trial++ {
-		q := fmt.Sprintf(templates[rng.Intn(len(templates))], 0.5+rng.Float64())
-		n, p := 80+rng.Intn(150), 2+rng.Intn(6)
-		cases = append(cases, sessionsCase(t, fmt.Sprintf("theorem1.template.%d", trial), q, n,
-			Options{Batches: p, Trials: 10 + rng.Intn(20), Seed: uint64(trial + 1)}))
-	}
-	rng = rand.New(rand.NewSource(4242))
+	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 60; trial++ {
 		cases = append(cases, fuzzCase(t, fmt.Sprintf("fuzz.%d", trial), rng, uint64(trial+1)))
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"iolap/internal/storage"
@@ -31,6 +32,111 @@ func assertSameAnswers(t *testing.T, want, got []*Update) {
 	t.Helper()
 	if w, g := digestUpdates(t, want), digestUpdates(t, got); w != g {
 		t.Fatalf("trajectory digest %016x, want %016x", g, w)
+	}
+}
+
+// scrubSpillMetrics copies updates with the placement-dependent fields zeroed
+// so runs at different budgets can be compared with assertUpdatesIdentical:
+// a spilling run necessarily reports different resident/spill bytes than the
+// in-memory oracle, and those three fields are exactly the ones a budget is
+// allowed to change.
+func scrubSpillMetrics(us []*Update) []*Update {
+	out := make([]*Update, len(us))
+	for i, u := range us {
+		c := *u
+		c.JoinStateResidentBytes = 0
+		c.SpillBytesWritten = 0
+		c.SpillBytesRead = 0
+		out[i] = &c
+	}
+	return out
+}
+
+// TestBudgetEquivalenceSweep is the satellite-2 matrix: StateBudgetBytes in
+// {zero-byte, tiny, unbounded} × Workers in {1, 2, 8}, each cell compared
+// against the Workers=1 in-memory oracle. Within a budget, worker count must
+// not even change the spill metrics — eviction order and run layout are
+// deterministic — so same-budget pairs are compared unscrubbed.
+func TestBudgetEquivalenceSweep(t *testing.T) {
+	budgets := []struct {
+		name   string
+		budget int64
+	}{
+		{"full_spill", -1},     // zero-byte budget: all join state on disk
+		{"tiny", 32 << 10},     // partial spill under pressure
+		{"unbounded", 1 << 40}, // policy active, nothing ever evicted
+	}
+	cases := []struct {
+		name      string
+		query     string
+		n         int
+		dbSeed    int64
+		opts      Options
+		sorted    bool
+		skewed    bool
+		wantSpill bool // fixture has join state, so full_spill must hit disk
+	}{
+		{"flat_group_by", theoremQuery(t, "flat_group_by"), 240, 11,
+			Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3}, false, false, false},
+		{"join_dim_group", theoremQuery(t, "join_dim_group"), 240, 11,
+			Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3}, false, false, true},
+		{"sbi", sbiQuery, 240, 11,
+			Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3}, false, false, true},
+		{"skewed_group/join", theoremQuery(t, "join_dim_group"), 240, 11,
+			Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3}, false, true, true},
+		// Adversarial order + zero slack: variation-range failures fire, so
+		// snapshot restore and merged-delta replay run over spilled state.
+		{"recovery", sbiQuery, 200, 7,
+			Options{Mode: ModeIOLAP, Batches: 10, Trials: 20, Slack: 0, Seed: 4}, true, false, true},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			oracleOpts := c.opts
+			oracleOpts.Workers, oracleOpts.ParThreshold = 1, 1
+			oracle, oracleEng := runEngineUpdates(t, c.query, c.n, c.dbSeed, oracleOpts, c.sorted, c.skewed)
+			defer oracleEng.Close()
+			oracleScrub := scrubSpillMetrics(oracle)
+			for _, b := range budgets {
+				b := b
+				t.Run(b.name, func(t *testing.T) {
+					var runs [][]*Update
+					var engs []*Engine
+					for _, w := range []int{1, 2, 8} {
+						o := c.opts
+						o.Workers, o.ParThreshold = w, 1
+						o.StateBudgetBytes = b.budget
+						o.SpillFS = storage.NewMemFS()
+						us, eng := runEngineUpdates(t, c.query, c.n, c.dbSeed, o, c.sorted, c.skewed)
+						defer eng.Close()
+						// Budget changes placement, never results.
+						assertUpdatesIdentical(t, oracleScrub, scrubSpillMetrics(us))
+						runs = append(runs, us)
+						engs = append(engs, eng)
+					}
+					// Same budget, different workers: everything must match,
+					// spill metrics included.
+					assertUpdatesIdentical(t, runs[0], runs[1])
+					assertUpdatesIdentical(t, runs[0], runs[2])
+					for i, eng := range engs {
+						if eng.TotalRecoveries() != engs[0].TotalRecoveries() {
+							t.Errorf("TotalRecoveries diverges across workers: %d vs %d",
+								engs[0].TotalRecoveries(), eng.TotalRecoveries())
+						}
+						if c.wantSpill && b.budget < 0 && eng.TotalSpillBytesWritten() == 0 {
+							t.Errorf("run %d: full-spill budget never wrote a spill file; the case tests nothing", i)
+						}
+						if !c.wantSpill && eng.TotalSpillBytesWritten() != 0 {
+							t.Errorf("run %d: fixture without join state spilled %d bytes",
+								i, eng.TotalSpillBytesWritten())
+						}
+					}
+					if strings.HasPrefix(c.name, "recovery") && engs[0].TotalRecoveries() == 0 {
+						t.Fatal("recovery fixture no longer triggers recoveries; the case tests nothing")
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -117,6 +117,59 @@ func factDimPlan(t *testing.T) plan.Node {
 	return root
 }
 
+func assertRelIdentical(t *testing.T, a, b *rel.Relation) {
+	t.Helper()
+	if len(a.Tuples) != len(b.Tuples) {
+		t.Fatalf("row counts differ: %d vs %d", len(a.Tuples), len(b.Tuples))
+	}
+	for i := range a.Tuples {
+		ta, tb := a.Tuples[i], b.Tuples[i]
+		if ta.Mult != tb.Mult || len(ta.Vals) != len(tb.Vals) {
+			t.Fatalf("row %d: %v×%v vs %v×%v", i, ta.Vals, ta.Mult, tb.Vals, tb.Mult)
+		}
+		for c := range ta.Vals {
+			va, vb := ta.Vals[c], tb.Vals[c]
+			if va.Kind() != vb.Kind() || !va.Equal(vb) {
+				t.Fatalf("row %d col %d: %v (%s) vs %v (%s)", i, c, va, va.Kind(), vb, vb.Kind())
+			}
+		}
+	}
+}
+
+// TestRunWorkersEquivalence proves the exact baseline's parallel select, hash
+// join and aggregation are bit-identical to the sequential paths: same output
+// order, kinds, payloads and multiplicities at any worker count. The cutover
+// is pinned per Executor instance (SetCutover) rather than through a package
+// variable, so the forced sub-test cannot race with anything else under
+// `go test -race -parallel`.
+func TestRunWorkersEquivalence(t *testing.T) {
+	run := func(t *testing.T, nFact, nDim, cutover int) {
+		db := factDimDB(nFact, nDim)
+		root := factDimPlan(t)
+		seqEx, parEx := NewExecutor(1), NewExecutor(8)
+		if cutover > 0 {
+			seqEx.SetCutover(cutover)
+			parEx.SetCutover(cutover)
+		}
+		seq, err := seqEx.Run(root, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := parEx.Run(root, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seq.Tuples) != nDim {
+			t.Fatalf("expected one group per dim row, got %d", len(seq.Tuples))
+		}
+		assertRelIdentical(t, seq, par)
+	}
+	// Large fixture: the adaptive gate opens on its own.
+	t.Run("production_threshold", func(t *testing.T) { run(t, 8192, 50, 0) })
+	// Forced: every parallel site engages even on a small fixture.
+	t.Run("forced", func(t *testing.T) { run(t, 300, 7, 1) })
+}
+
 // TestExecutorCutoverIsInstanceState pins the satellite fix for the old
 // data race: two executors with different cutovers run concurrently without
 // observing each other's configuration (the old package-level parThreshold

@@ -95,6 +95,64 @@ func drain(s *Session) []*Update {
 	return out
 }
 
+// TestCrossSessionEquivalence is the tentpole contract: 8 concurrent
+// sessions — mixed query shapes, mixed Workers, distinct seeds — over one
+// shared scan, each bit-identical (math.Float64bits) to a solo run of the
+// same query over the same batch schedule.
+func TestCrossSessionEquivalence(t *testing.T) {
+	const batches = 6
+	db := testDB(1200, 42)
+	type slot struct {
+		query string
+		opts  SessionOptions
+	}
+	var slots []slot
+	for i, w := range []int{1, 4, 1, 4, 1, 4, 1, 4} {
+		slots = append(slots, slot{
+			query: testQueries[i%len(testQueries)],
+			opts:  SessionOptions{Trials: 20, Seed: uint64(100 + i), Workers: w},
+		})
+	}
+	oracles := make([][]*Update, len(slots))
+	for i, sl := range slots {
+		oracles[i] = soloTrajectory(t, db, sl.query, sl.opts, batches)
+		if len(oracles[i]) != batches {
+			t.Fatalf("slot %d: oracle has %d updates, want %d", i, len(oracles[i]), batches)
+		}
+	}
+
+	eng := NewEngine(db, testStreamed, nil, nil, Config{Batches: batches})
+	defer eng.Close()
+	got := make([][]*Update, len(slots))
+	errs := make([]error, len(slots))
+	var wg sync.WaitGroup
+	wg.Add(len(slots))
+	for i, sl := range slots {
+		go func(i int, sl slot) {
+			defer wg.Done()
+			s, err := eng.Open(sl.query, sl.opts)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = drain(s)
+			errs[i] = s.Err()
+		}(i, sl)
+	}
+	wg.Wait()
+	for i := range slots {
+		if errs[i] != nil {
+			t.Fatalf("slot %d: %v", i, errs[i])
+		}
+		if !BitIdentical(got[i], oracles[i]) {
+			t.Errorf("slot %d (workers=%d): shared-scan trajectory differs from solo run", i, slots[i].opts.Workers)
+		}
+	}
+	if st := eng.Snapshot(); st.Completed != int64(len(slots)) {
+		t.Errorf("completed = %d, want %d", st.Completed, len(slots))
+	}
+}
+
 // TestStaggeredOpensAndCancels covers the cohort mechanics: sessions opened
 // mid-run join later passes with full bit-identical trajectories, and a
 // cancelled session's delivered prefix is a bit-identical prefix of its solo

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"iolap/internal/agg"
@@ -48,6 +49,69 @@ var innerAggQueries = []string{
 	`SELECT AVG(play_time) AS apt FROM sessions WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions)`,
 	`SELECT COUNT(*) AS n FROM sessions WHERE buffer_time <= (SELECT AVG(buffer_time) FROM sessions)`,
 	`SELECT cdn, SUM(play_time) AS spt FROM sessions WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions) GROUP BY cdn`,
+}
+
+// TestSharedJoinBuildEquivalence is the tentpole contract for shared join
+// state: 8 concurrent sessions over 3 join-query variants — different SQL
+// text, aliases, filters, seeds, and Workers {1,4} — share one frozen build
+// store, and every trajectory stays bit-identical to a solo run with fully
+// private state.
+func TestSharedJoinBuildEquivalence(t *testing.T) {
+	const batches = 5
+	db, streamed := dimDB(1000, 21)
+	type slot struct {
+		query string
+		opts  SessionOptions
+	}
+	var slots []slot
+	for i := 0; i < 8; i++ {
+		slots = append(slots, slot{
+			query: joinQueries[i%len(joinQueries)],
+			opts:  SessionOptions{Trials: 10, Seed: uint64(500 + i), Workers: 1 + 3*(i%2)},
+		})
+	}
+	oracles := make([][]*Update, len(slots))
+	for i, sl := range slots {
+		oracles[i] = soloTrajectoryStreamed(t, db, streamed, sl.query, sl.opts, batches)
+	}
+
+	eng := NewEngine(db, streamed, nil, nil, Config{Batches: batches})
+	defer eng.Close()
+	got := make([][]*Update, len(slots))
+	errs := make([]error, len(slots))
+	var wg sync.WaitGroup
+	wg.Add(len(slots))
+	for i, sl := range slots {
+		go func(i int, sl slot) {
+			defer wg.Done()
+			s, err := eng.Open(sl.query, sl.opts)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = drain(s)
+			errs[i] = s.Err()
+		}(i, sl)
+	}
+	wg.Wait()
+	for i := range slots {
+		if errs[i] != nil {
+			t.Fatalf("slot %d: %v", i, errs[i])
+		}
+		if !BitIdentical(got[i], oracles[i]) {
+			t.Errorf("slot %d (workers=%d): shared-build trajectory differs from solo run",
+				i, slots[i].opts.Workers)
+		}
+	}
+	st := eng.Snapshot()
+	// The first open builds the frozen store; opens that raced it either hit
+	// the entry or waited for its build. At least one session must have hit.
+	if st.SharedStateHits == 0 {
+		t.Error("no shared-state hits across 8 overlapping join sessions")
+	}
+	if st.SharedStateHits > 0 && st.SharedStateBytesSaved <= 0 {
+		t.Errorf("hits=%d but bytes saved=%d", st.SharedStateHits, st.SharedStateBytesSaved)
+	}
 }
 
 // TestSharedInnerAggEquivalence: sessions whose outer queries differ but
