@@ -14,6 +14,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -355,26 +356,20 @@ func convertTable(s *iolap.Session, spec string, blockRows int, compress bool) e
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	// Encode in memory first, so a failed encode leaves an existing file
+	// at path untouched.
+	var buf bytes.Buffer
+	if err := s.WriteBlockTable(name, &buf, blockRows, compress); err != nil {
 		return err
 	}
-	if err := s.WriteBlockTable(name, f, blockRows, compress); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	info, err := os.Stat(path)
-	if err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
 		return err
 	}
 	comp := "flate"
 	if !compress {
 		comp = "raw"
 	}
-	fmt.Printf("wrote %s: %d rows, columnar v2 (%s), %d bytes\n", name, n, comp, info.Size())
+	fmt.Printf("wrote %s: %d rows, columnar v2 (%s), %d bytes\n", name, n, comp, buf.Len())
 	return nil
 }
 

@@ -122,9 +122,16 @@ func TestConvertRoundTrip(t *testing.T) {
 	if err := convertTable(src, "nosuch="+path, 0, true); err == nil {
 		t.Error("unknown table must fail")
 	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := convertTable(src, "conviva_sessions="+path, storage.BlockMaxRows+1, true); err == nil ||
 		!strings.Contains(err.Error(), "BlockMaxRows") {
 		t.Errorf("blocks above the codec cap: err = %v, want one naming BlockMaxRows", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("a failed convert changed the existing file (%d bytes, was %d; %v)", len(after), len(before), err)
 	}
 }
 

@@ -322,22 +322,10 @@ func TestParallelFoldMatchesSequential(t *testing.T) {
 	// Above the parallel-fold threshold, single-worker and multi-worker
 	// engines must produce identical results (group sharding makes the
 	// fold deterministic).
-	db := testDB(6000, 113)
-	root := planQuery(t, `SELECT cdn, SUM(play_time) AS s, AVG(buffer_time) AS a, COUNT(*) AS n
-		FROM sessions GROUP BY cdn`)
-	run := func(workers int) *rel.Relation {
-		eng, err := NewEngine(root, db, Options{Batches: 2, Trials: 20, Seed: 7, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		updates := stepAll(t, eng)
-		return updates[len(updates)-1].Result
-	}
-	seq := run(1)
-	par := run(8)
-	if !rel.EqualBag(seq, par, 1e-9) {
-		t.Errorf("parallel fold diverged\nseq:\n%s\npar:\n%s", seq, par)
-	}
+	c := goldenCase{query: `SELECT cdn, SUM(play_time) AS s, AVG(buffer_time) AS a, COUNT(*) AS n
+		FROM sessions GROUP BY cdn`, n: 6000, dbSeed: 113, adaptive: true,
+		opts: Options{Batches: 2, Trials: 20, Seed: 7}}
+	assertConfigsAgree(t, c.lattice(t), execConfig{workers: 1}, execConfig{workers: 8})
 }
 
 func TestBlockwiseBatchingCorrectAndBlockAligned(t *testing.T) {

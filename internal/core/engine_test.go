@@ -149,26 +149,7 @@ func oracleDB(db *exec.DB, streamed string, seen int) *exec.DB {
 // against the oracle.
 func theorem1(t *testing.T, query string, n int, opts Options) *Engine {
 	t.Helper()
-	db := testDB(n, 42)
-	root := planQuery(t, query)
-	eng, err := NewEngine(root, db, opts)
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	seen := 0
-	for !eng.Done() {
-		u, err := eng.Step()
-		if err != nil {
-			t.Fatalf("step %d: %v", eng.batch, err)
-		}
-		seen = int(math.Round(u.Fraction * float64(n)))
-		want := oracle(t, root, db, "sessions", seen)
-		if !rel.EqualBag(u.Result, want, 1e-6) {
-			t.Fatalf("batch %d (%s): result diverges from Q(D_i, m_i)\nquery: %s\ngot:\n%s\nwant:\n%s",
-				u.Batch, opts.Mode, query, u.Result, want)
-		}
-	}
-	return eng
+	return checkTheorem1(t, sessionsCase(t, query, query, n, opts))
 }
 
 // ---------------------------------------------------------------------------
@@ -546,27 +527,11 @@ func TestEngineValidation(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	run := func() *rel.Relation {
-		db := testDB(150, 37)
-		root := planQuery(t, sbiQuery)
-		eng, err := NewEngine(root, db, Options{Batches: 5, Trials: 20, Seed: 99})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var last *Update
-		for !eng.Done() {
-			u, err := eng.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			last = u
-		}
-		return last.Result
-	}
-	a, b := run(), run()
-	if !rel.EqualBag(a, b, 0) {
-		t.Error("engine must be deterministic for a fixed seed")
-	}
+	// Two runs at the default Workers and adaptive cutover: the engine is
+	// deterministic for a fixed seed.
+	c := goldenCase{query: sbiQuery, n: 150, dbSeed: 37, adaptive: true,
+		opts: Options{Batches: 5, Trials: 20, Seed: 99}}
+	assertConfigsAgree(t, c.lattice(t), execConfig{}, execConfig{})
 }
 
 func TestUDFAndUDAFQueries(t *testing.T) {

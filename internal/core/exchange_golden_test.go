@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"strings"
 	"testing"
 )
 
@@ -24,10 +23,10 @@ func exchangeSequence(us []*Update) uint64 {
 // case: for each, the per-batch sequence of {ShuffleBytes, BroadcastBytes}
 // as one word. TestLateJoinExchangeBytes spells out the late-join cases
 // batch by batch; this file carries the same pin for the whole corpus. Each
-// case runs at Workers {1, 4} with the cutover pinned to one row — the model
-// counts what a partitioned run would ship, so the local fan-out must not
-// show in it — and must also land on the trajectory of
-// testdata/trajectory.golden.
+// case runs at Workers {1, 4} with the cutover pinned to one row (the adaptive
+// case keeps its learned one) — the model counts what a partitioned run would
+// ship, so the local fan-out must not show in it — and must also land on the
+// trajectory of testdata/trajectory.golden.
 func TestExchangeSequenceGolden(t *testing.T) {
 	var want map[string]uint64
 	if !*updateGolden {
@@ -35,23 +34,16 @@ func TestExchangeSequenceGolden(t *testing.T) {
 	}
 	local := readGolden(t, trajectoryGoldenPath)
 	got := map[string]uint64{}
-	for _, c := range goldenCases(t) {
+	for _, gc := range goldenCases(t) {
 		for _, trials := range []int{0, 25} {
-			c, trials := c, trials
-			key := fmt.Sprintf("%s/B%d", c.name, trials)
+			key, c := gc.at(t, trials)
 			ref, seen := want[key]
-			t.Run(strings.ReplaceAll(key, "/", "."), func(t *testing.T) {
+			t.Run(c.name, func(t *testing.T) {
 				if !*updateGolden && !seen {
 					t.Fatalf("no golden entry for %s", key)
 				}
 				for _, workers := range []int{1, 4} {
-					opts := c.opts
-					opts.Trials = trials
-					if trials == 0 {
-						opts.Trials = -1 // 0 selects the default B
-					}
-					opts.Workers, opts.ParThreshold = workers, 1
-					us := runGolden(t, c, opts)
+					us := runAt(t, c, execConfig{workers: workers}).us
 					d := exchangeSequence(us)
 					if *updateGolden && !seen {
 						ref, seen = d, true

@@ -52,25 +52,7 @@ func TestTheorem1PlanFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 60; trial++ {
 		c := fuzzCase(t, fmt.Sprintf("trial %d", trial), rng, uint64(trial+1))
-		root, opts := c.root, c.opts
-		eng, err := NewEngine(root, c.db, opts)
-		if err != nil {
-			t.Fatalf("trial %d: engine: %v\n%s", trial, err, plan.Format(root))
-		}
-		seen := 0
-		for !eng.Done() {
-			u, err := eng.Step()
-			if err != nil {
-				t.Fatalf("trial %d batch: %v\n%s", trial, err, plan.Format(root))
-			}
-			seen += eng.deltas[u.Batch-1].Len()
-			want := oracle(t, root, c.db, c.streamed, seen)
-			if !rel.EqualBag(u.Result, want, 1e-6) {
-				t.Fatalf("trial %d (%v, p=%d, seed=%d): batch %d diverged\nplan:\n%s\ngot:\n%s\nwant:\n%s",
-					trial, opts.Mode, opts.Batches, opts.Seed, u.Batch,
-					plan.Format(root), clipStr(u.Result.String()), clipStr(want.String()))
-			}
-		}
+		t.Run(c.name, func(t *testing.T) { checkTheorem1(t, c) })
 	}
 }
 

@@ -135,11 +135,6 @@ func goldenCases(t *testing.T) []goldenCase {
 	// 4 batches of 1,600 rows: far above every cold-start cutover.
 	cases = append(cases, goldenCase{name: "join_dim_group/adaptive", query: theoremQuery(t, "join_dim_group"),
 		opts: Options{Mode: ModeIOLAP, Batches: 4, Seed: 5}, n: 6400, dbSeed: 21, adaptive: true})
-	for i := range cases {
-		if cases[i].n == 0 {
-			cases[i].n, cases[i].dbSeed = 240, 11
-		}
-	}
 	return cases
 }
 
@@ -169,9 +164,14 @@ func planGolden(t testing.TB, c goldenCase) plan.Node {
 	return node
 }
 
-// goldenDB builds a golden case's database.
+// goldenDB builds a golden case's database: testDB(240, 11) unless the case
+// sets n and dbSeed.
 func goldenDB(c goldenCase) *exec.DB {
-	db := testDB(c.n, c.dbSeed)
+	n, seed := c.n, c.dbSeed
+	if n == 0 {
+		n, seed = 240, 11
+	}
+	db := testDB(n, seed)
 	if c.skewed {
 		skewSessions(db)
 	}
@@ -181,21 +181,40 @@ func goldenDB(c goldenCase) *exec.DB {
 	return db
 }
 
-// runGolden runs the case to completion and returns every batch's update.
-func runGolden(t *testing.T, c goldenCase, opts Options) []*Update {
+// lattice is the golden case as a lattice case at its own Options.
+func (gc goldenCase) lattice(t testing.TB) latticeCase {
+	return latticeCase{
+		name:         gc.name,
+		root:         planGolden(t, gc),
+		db:           goldenDB(gc),
+		streamed:     "sessions",
+		opts:         gc.opts,
+		adaptive:     gc.adaptive,
+		wantRecovery: gc.wantRecovery,
+	}
+}
+
+// at is the golden case at B trials (0: the bootstrap off), with its golden
+// key <case>/B<trials>; the lattice case is named after the key.
+func (gc goldenCase) at(t testing.TB, trials int) (string, latticeCase) {
+	key := fmt.Sprintf("%s/B%d", gc.name, trials)
+	c := gc.lattice(t)
+	c.name = strings.ReplaceAll(key, "/", ".")
+	c.opts.Trials = trials
+	if trials == 0 {
+		c.opts.Trials = -1 // 0 selects the default B
+	}
+	return key, c
+}
+
+// updateDigest is core.ResultDigest of one batch's answer.
+func updateDigest(t *testing.T, u *Update) uint64 {
 	t.Helper()
-	eng, err := NewEngine(planGolden(t, c), goldenDB(c), opts)
+	d, err := ResultDigest(u.Result, u.Estimates)
 	if err != nil {
-		t.Fatalf("engine: %v", err)
+		t.Fatalf("batch %d: digest: %v", u.Batch, err)
 	}
-	us, err := eng.Run()
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if c.wantRecovery && opts.Trials > 0 && eng.TotalRecoveries() == 0 {
-		t.Fatalf("recovery fixture no longer triggers recoveries; the case pins nothing about replay")
-	}
-	return us
+	return d
 }
 
 // digestUpdates folds core.ResultDigest of every batch, in order, into one
@@ -205,11 +224,7 @@ func digestUpdates(t *testing.T, us []*Update) uint64 {
 	h := fnv.New64a()
 	var word [8]byte
 	for _, u := range us {
-		d, err := ResultDigest(u.Result, u.Estimates)
-		if err != nil {
-			t.Fatalf("batch %d: digest: %v", u.Batch, err)
-		}
-		binary.LittleEndian.PutUint64(word[:], d)
+		binary.LittleEndian.PutUint64(word[:], updateDigest(t, u))
 		h.Write(word[:])
 	}
 	return h.Sum64()
@@ -272,9 +287,9 @@ func TestLateJoinExchangeBytes(t *testing.T) {
 			continue
 		}
 		n++
-		opts := c.opts
-		opts.Trials = 25
-		us := runGolden(t, c, opts)
+		lc := c.lattice(t)
+		lc.opts.Trials = 25
+		us := runAt(t, lc, execConfig{workers: 1}).us
 		if len(us) != len(want) {
 			t.Fatalf("%s: %d batches, want %d", c.name, len(us), len(want))
 		}
@@ -290,10 +305,6 @@ func TestLateJoinExchangeBytes(t *testing.T) {
 }
 
 const trajectoryGoldenPath = "testdata/trajectory.golden"
-
-// trajectoryGoldenHeader heads the file whichever test rewrites it.
-const trajectoryGoldenHeader = "# Trajectory digests pinned by TestExecutionLattice: <case>/B<trials> <fnv64a over per-batch core.ResultDigest>.\n" +
-	"# Regenerate only as a deliberate digest epoch: go test ./internal/core -run TestExecutionLattice -update\n"
 
 // readGolden parses a golden file of "<key> <hex word>" lines.
 func readGolden(t *testing.T, path string) map[string]uint64 {
@@ -415,8 +426,7 @@ func latticeCells() []latticeCell {
 }
 
 // The Update fields an axis may change relative to the reference cell.
-// Result and Estimates are compared by digest and Duration is wall clock;
-// every other field must match.
+// Every other field must match, Duration (wall clock) aside.
 var (
 	// A budget moves join state between memory and spill files.
 	budgetFields = []string{"JoinStateResidentBytes", "SpillBytesWritten", "SpillBytesRead"}
@@ -424,22 +434,25 @@ var (
 	// sessions' private state and modeled exchange shrink.
 	sharedFields = []string{"JoinStateBytes", "JoinStateResidentBytes", "OtherStateBytes",
 		"SharedStateBytes", "ShuffleBytes", "BroadcastBytes"}
-	alwaysSkipped = []string{"Result", "Estimates", "Duration"}
 )
 
 // compareUpdates reports every field of got that differs from want, except
-// the skipped ones.
+// the skipped ones; Result and Estimates are compared batch by batch by
+// their ResultDigest.
 func compareUpdates(t *testing.T, label string, want, got []*Update, skip ...string) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Errorf("%s: %d updates, reference %d", label, len(got), len(want))
 		return
 	}
-	skipped := map[string]bool{}
-	for _, f := range append(skip, alwaysSkipped...) {
+	skipped := map[string]bool{"Result": true, "Estimates": true, "Duration": true}
+	for _, f := range skip {
 		skipped[f] = true
 	}
 	for i := range want {
+		if dw, dg := updateDigest(t, want[i]), updateDigest(t, got[i]); dw != dg {
+			t.Errorf("%s batch %d: result or estimates digest %016x, reference %016x", label, want[i].Batch, dg, dw)
+		}
 		a, b := reflect.ValueOf(*want[i]), reflect.ValueOf(*got[i])
 		for f := 0; f < a.NumField(); f++ {
 			name := a.Type().Field(f).Name
@@ -510,6 +523,25 @@ func runCell(t *testing.T, c latticeCase, cell latticeCell) ([]cellRun, int64) {
 	return runs, hits
 }
 
+// runAt runs the case in a one-engine cell at cfg. A recovery fixture must
+// recover.
+func runAt(t *testing.T, c latticeCase, cfg execConfig) cellRun {
+	t.Helper()
+	runs, _ := runCell(t, c, latticeCell{engines: []execConfig{cfg}})
+	r := runs[0]
+	if c.wantRecovery && c.opts.Trials > 0 && r.eng.TotalRecoveries() == 0 {
+		t.Fatalf("recovery fixture no longer triggers recoveries; the case pins nothing about replay")
+	}
+	return r
+}
+
+// assertConfigsAgree runs the case at a and at b; b's every batch must equal
+// a's, field for field and by result digest, except the skipped fields.
+func assertConfigsAgree(t *testing.T, c latticeCase, a, b execConfig, skip ...string) {
+	t.Helper()
+	compareUpdates(t, fmt.Sprintf("%+v vs %+v", b, a), runAt(t, c, a).us, runAt(t, c, b).us, skip...)
+}
+
 // joinShape reports whether the engine's join stores hold rows — the only
 // state a budget spills — and whether some keyed join builds on a static
 // subtree, join state every session shares through a share.Cache.
@@ -559,11 +591,22 @@ func checkReference(t *testing.T, c latticeCase, r cellRun) []*rel.Relation {
 	oracles := oracleRuns(t, c, r, 1)
 	for i, u := range r.us {
 		if !rel.EqualBag(u.Result, oracles[i], 1e-6) {
-			t.Fatalf("batch %d: result diverges from Q(D_i, m_i)\ngot:\n%s\nwant:\n%s",
-				u.Batch, clipStr(u.Result.String()), clipStr(oracles[i].String()))
+			t.Fatalf("batch %d (%v, p=%d, seed=%d): result diverges from Q(D_i, m_i)\nplan:\n%s\ngot:\n%s\nwant:\n%s",
+				u.Batch, c.opts.Mode, c.opts.Batches, c.opts.Seed, plan.Format(c.root),
+				clipStr(u.Result.String()), clipStr(oracles[i].String()))
 		}
 	}
 	return oracles
+}
+
+// checkTheorem1 runs the case once at its own Options — Workers, NoVectorize
+// and ParThreshold as given — and checks every batch against the oracle.
+func checkTheorem1(t *testing.T, c latticeCase) *Engine {
+	t.Helper()
+	c.adaptive = true
+	r := runAt(t, c, execConfig{workers: c.opts.Workers, novec: c.opts.NoVectorize})
+	checkReference(t, c, r)
+	return r.eng
 }
 
 // runLattice runs the case in every cell and returns the reference word.
@@ -668,25 +711,14 @@ func TestExecutionLattice(t *testing.T) {
 	if *updateGolden {
 		// Cleanup runs once every parallel case has finished.
 		t.Cleanup(func() {
-			writeGolden(t, trajectoryGoldenPath, got, trajectoryGoldenHeader)
+			writeGolden(t, trajectoryGoldenPath, got,
+				"# Trajectory digests pinned by TestExecutionLattice: <case>/B<trials> <fnv64a over per-batch core.ResultDigest>.\n"+
+					"# Regenerate only as a deliberate digest epoch: go test ./internal/core -run TestExecutionLattice -update\n")
 		})
 	}
 	for _, gc := range goldenCases(t) {
 		for _, trials := range []int{0, 25} {
-			key := fmt.Sprintf("%s/B%d", gc.name, trials)
-			c := latticeCase{
-				name:         strings.ReplaceAll(key, "/", "."),
-				root:         planGolden(t, gc),
-				db:           goldenDB(gc),
-				streamed:     "sessions",
-				opts:         gc.opts,
-				adaptive:     gc.adaptive,
-				wantRecovery: gc.wantRecovery,
-			}
-			c.opts.Trials = trials
-			if trials == 0 {
-				c.opts.Trials = -1 // 0 selects the default B
-			}
+			key, c := gc.at(t, trials)
 			c.want, c.golden = golden[key]
 			t.Run(c.name, func(t *testing.T) {
 				t.Parallel()
@@ -766,7 +798,7 @@ var theorem1Shapes = []theorem1Shape{
 		220, Options{Batches: 6, Trials: 15, Seed: 10}},
 }
 
-// theorem1Named runs theorem1 on the named entry of theorem1Shapes.
+// theorem1Named checks Theorem 1 on the named entry of theorem1Shapes.
 func theorem1Named(t *testing.T, name string) {
 	t.Helper()
 	for _, q := range theorem1Shapes {

@@ -27,7 +27,7 @@ func TestEverySiteIsClocked(t *testing.T) {
 			for _, fixed := range []int{0, 1} {
 				opts := c.opts
 				opts.Trials, opts.Workers, opts.ParThreshold = 25, 4, fixed
-				eng, err := NewEngine(planGolden(t, c), testDB(c.n, c.dbSeed), opts)
+				eng, err := NewEngine(planGolden(t, c), goldenDB(c), opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,22 +1,28 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"os"
-	"strings"
 	"testing"
 
 	"iolap/internal/storage"
 )
 
-// That a budget changes where join state lives, never what the engine
-// computes, is the budget axis of TestExecutionLattice. This file covers the
-// spill machinery around it: the owned temp directory and recovery from
-// spill-file faults via the Section 5.1 snapshot/replay path.
+// The spill policy promises that Options.StateBudgetBytes changes only WHERE
+// join state lives, never WHAT the engine computes: every update must stay
+// bit-identical to the in-memory sequential oracle at any budget, including a
+// zero-byte budget that forces the entire join state through spill files.
+// This suite sweeps budget × worker count over the equivalence fixtures
+// (including the skewed-group and failure-recovery shapes), as the budget
+// axis of TestExecutionLattice does for the golden cases, and separately
+// proves the engine recovers from spill-file faults via the Section 5.1
+// snapshot/replay path.
 
-// runJoinDim runs the join_dim_group theorem query over testDB(240, 11).
-func runJoinDim(t *testing.T, opts Options) ([]*Update, *Engine) {
+func runEngineUpdates(t *testing.T, query string, n int, dbSeed int64, opts Options, sorted, skewed bool) ([]*Update, *Engine) {
 	t.Helper()
-	eng, err := NewEngine(planQuery(t, theoremQuery(t, "join_dim_group")), testDB(240, 11), opts)
+	db := goldenDB(goldenCase{n: n, dbSeed: dbSeed, sorted: sorted, skewed: skewed})
+	eng, err := NewEngine(planQuery(t, query), db, opts)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -27,36 +33,37 @@ func runJoinDim(t *testing.T, opts Options) ([]*Update, *Engine) {
 	return us, eng
 }
 
-// assertSameAnswers compares the answers of two trajectories, batch by batch.
-func assertSameAnswers(t *testing.T, want, got []*Update) {
+// assertResultsIdentical compares only the user-visible answer — batch
+// labels, fraction, and the (result, estimates) pair by ResultDigest —
+// ignoring accounting metrics. It is the right comparison when one run
+// recovered and the other did not: recovery legitimately changes
+// Recomputed/ShuffleBytes/Recoveries, but the paper's replay protocol
+// guarantees the answer itself is unchanged.
+func assertResultsIdentical(t *testing.T, want, got []*Update) {
 	t.Helper()
-	if w, g := digestUpdates(t, want), digestUpdates(t, got); w != g {
-		t.Fatalf("trajectory digest %016x, want %016x", g, w)
+	if len(want) != len(got) {
+		t.Fatalf("update counts differ: %d vs %d", len(want), len(got))
 	}
-}
-
-// scrubSpillMetrics copies updates with the placement-dependent fields zeroed
-// so runs at different budgets can be compared with assertUpdatesIdentical:
-// a spilling run necessarily reports different resident/spill bytes than the
-// in-memory oracle, and those three fields are exactly the ones a budget is
-// allowed to change.
-func scrubSpillMetrics(us []*Update) []*Update {
-	out := make([]*Update, len(us))
-	for i, u := range us {
-		c := *u
-		c.JoinStateResidentBytes = 0
-		c.SpillBytesWritten = 0
-		c.SpillBytesRead = 0
-		out[i] = &c
+	for i := range want {
+		a, b := want[i], got[i]
+		if a.Batch != b.Batch || a.Batches != b.Batches {
+			t.Fatalf("update %d: batch labels differ: %d/%d vs %d/%d", i, a.Batch, a.Batches, b.Batch, b.Batches)
+		}
+		if math.Float64bits(a.Fraction) != math.Float64bits(b.Fraction) {
+			t.Errorf("batch %d: Fraction %v vs %v", a.Batch, a.Fraction, b.Fraction)
+		}
+		if da, db := updateDigest(t, a), updateDigest(t, b); da != db {
+			t.Fatalf("batch %d: result or estimates differ (digest %x vs %x)\nwant:\n%s\ngot:\n%s",
+				a.Batch, da, db, a.Result, b.Result)
+		}
 	}
-	return out
 }
 
 // TestBudgetEquivalenceSweep is the satellite-2 matrix: StateBudgetBytes in
 // {zero-byte, tiny, unbounded} × Workers in {1, 2, 8}, each cell compared
 // against the Workers=1 in-memory oracle. Within a budget, worker count must
 // not even change the spill metrics — eviction order and run layout are
-// deterministic — so same-budget pairs are compared unscrubbed.
+// deterministic — so same-budget pairs are compared field for field.
 func TestBudgetEquivalenceSweep(t *testing.T) {
 	budgets := []struct {
 		name   string
@@ -66,73 +73,45 @@ func TestBudgetEquivalenceSweep(t *testing.T) {
 		{"tiny", 32 << 10},     // partial spill under pressure
 		{"unbounded", 1 << 40}, // policy active, nothing ever evicted
 	}
+	base := Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3}
 	cases := []struct {
-		name      string
-		query     string
-		n         int
-		dbSeed    int64
-		opts      Options
-		sorted    bool
-		skewed    bool
+		goldenCase
 		wantSpill bool // fixture has join state, so full_spill must hit disk
 	}{
-		{"flat_group_by", theoremQuery(t, "flat_group_by"), 240, 11,
-			Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3}, false, false, false},
-		{"join_dim_group", theoremQuery(t, "join_dim_group"), 240, 11,
-			Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3}, false, false, true},
-		{"sbi", sbiQuery, 240, 11,
-			Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3}, false, false, true},
-		{"skewed_group/join", theoremQuery(t, "join_dim_group"), 240, 11,
-			Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3}, false, true, true},
+		{goldenCase{name: "flat_group_by", query: theoremQuery(t, "flat_group_by"), opts: base}, false},
+		{goldenCase{name: "join_dim_group", query: theoremQuery(t, "join_dim_group"), opts: base}, true},
+		{goldenCase{name: "sbi", query: sbiQuery, opts: base}, true},
+		{goldenCase{name: "skewed_group/join", query: theoremQuery(t, "join_dim_group"), opts: base, skewed: true}, true},
 		// Adversarial order + zero slack: variation-range failures fire, so
 		// snapshot restore and merged-delta replay run over spilled state.
-		{"recovery", sbiQuery, 200, 7,
-			Options{Mode: ModeIOLAP, Batches: 10, Trials: 20, Slack: 0, Seed: 4}, true, false, true},
+		{goldenCase{name: "recovery", query: sbiQuery, n: 200, dbSeed: 7, sorted: true, wantRecovery: true,
+			opts: Options{Mode: ModeIOLAP, Batches: 10, Trials: 20, Slack: 0, Seed: 4}}, true},
 	}
 	for _, c := range cases {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
-			oracleOpts := c.opts
-			oracleOpts.Workers, oracleOpts.ParThreshold = 1, 1
-			oracle, oracleEng := runEngineUpdates(t, c.query, c.n, c.dbSeed, oracleOpts, c.sorted, c.skewed)
-			defer oracleEng.Close()
-			oracleScrub := scrubSpillMetrics(oracle)
+			lc := c.lattice(t)
+			oracle := runAt(t, lc, execConfig{workers: 1})
 			for _, b := range budgets {
-				b := b
 				t.Run(b.name, func(t *testing.T) {
-					var runs [][]*Update
-					var engs []*Engine
+					var first []*Update
 					for _, w := range []int{1, 2, 8} {
-						o := c.opts
-						o.Workers, o.ParThreshold = w, 1
-						o.StateBudgetBytes = b.budget
-						o.SpillFS = storage.NewMemFS()
-						us, eng := runEngineUpdates(t, c.query, c.n, c.dbSeed, o, c.sorted, c.skewed)
-						defer eng.Close()
+						r := runAt(t, lc, execConfig{workers: w, budget: b.budget})
+						label := fmt.Sprintf("%d workers", w)
 						// Budget changes placement, never results.
-						assertUpdatesIdentical(t, oracleScrub, scrubSpillMetrics(us))
-						runs = append(runs, us)
-						engs = append(engs, eng)
-					}
-					// Same budget, different workers: everything must match,
-					// spill metrics included.
-					assertUpdatesIdentical(t, runs[0], runs[1])
-					assertUpdatesIdentical(t, runs[0], runs[2])
-					for i, eng := range engs {
-						if eng.TotalRecoveries() != engs[0].TotalRecoveries() {
-							t.Errorf("TotalRecoveries diverges across workers: %d vs %d",
-								engs[0].TotalRecoveries(), eng.TotalRecoveries())
+						compareUpdates(t, label, oracle.us, r.us, budgetFields...)
+						// Same budget, different workers: everything must
+						// match, spill metrics included.
+						if first == nil {
+							first = r.us
+						} else {
+							compareUpdates(t, label, first, r.us)
 						}
-						if c.wantSpill && b.budget < 0 && eng.TotalSpillBytesWritten() == 0 {
-							t.Errorf("run %d: full-spill budget never wrote a spill file; the case tests nothing", i)
+						if c.wantSpill && b.budget < 0 && r.eng.TotalSpillBytesWritten() == 0 {
+							t.Errorf("%s: full-spill budget never wrote a spill file; the case tests nothing", label)
 						}
-						if !c.wantSpill && eng.TotalSpillBytesWritten() != 0 {
-							t.Errorf("run %d: fixture without join state spilled %d bytes",
-								i, eng.TotalSpillBytesWritten())
+						if !c.wantSpill && r.eng.TotalSpillBytesWritten() != 0 {
+							t.Errorf("%s: fixture without join state spilled %d bytes", label, r.eng.TotalSpillBytesWritten())
 						}
-					}
-					if strings.HasPrefix(c.name, "recovery") && engs[0].TotalRecoveries() == 0 {
-						t.Fatal("recovery fixture no longer triggers recoveries; the case tests nothing")
 					}
 				})
 			}
@@ -145,15 +124,17 @@ func TestBudgetEquivalenceSweep(t *testing.T) {
 // files into it, and Close removes the whole thing. Results must still match
 // the in-memory run bit for bit.
 func TestSpillTempDirLifecycle(t *testing.T) {
+	query := theoremQuery(t, "join_dim_group")
 	opts := Options{Mode: ModeIOLAP, Batches: 4, Trials: 10, Seed: 3, Workers: 2, ParThreshold: 1}
 
-	want, memEng := runJoinDim(t, opts)
+	memOpts := opts
+	want, memEng := runEngineUpdates(t, query, 240, 11, memOpts, false, false)
 	defer memEng.Close()
 
 	diskOpts := opts
 	diskOpts.StateBudgetBytes = -1
-	got, eng := runJoinDim(t, diskOpts)
-	assertSameAnswers(t, want, got)
+	got, eng := runEngineUpdates(t, query, 240, 11, diskOpts, false, false)
+	assertResultsIdentical(t, want, got)
 	compareUpdates(t, "spilled", want, got, budgetFields...)
 
 	dir := eng.spillDirOwned
@@ -187,12 +168,13 @@ func TestSpillTempDirLifecycle(t *testing.T) {
 // replay — after which the run completes with answers bit-identical to the
 // fault-free in-memory oracle.
 func TestSpillFaultEngineRecovery(t *testing.T) {
+	query := theoremQuery(t, "join_dim_group")
 	base := Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3,
 		Workers: 2, ParThreshold: 1, StateBudgetBytes: -1}
 
 	oracleOpts := base
 	oracleOpts.StateBudgetBytes = 0 // in-memory, no spill machinery at all
-	oracle, oracleEng := runJoinDim(t, oracleOpts)
+	oracle, oracleEng := runEngineUpdates(t, query, 240, 11, oracleOpts, false, false)
 	defer oracleEng.Close()
 
 	// A clean spill run counts the deterministic write/sync schedule the
@@ -200,9 +182,9 @@ func TestSpillFaultEngineRecovery(t *testing.T) {
 	clean := storage.NewFaultFS(storage.NewMemFS())
 	cleanOpts := base
 	cleanOpts.SpillFS = clean
-	cleanUs, cleanEng := runJoinDim(t, cleanOpts)
+	cleanUs, cleanEng := runEngineUpdates(t, query, 240, 11, cleanOpts, false, false)
 	defer cleanEng.Close()
-	assertSameAnswers(t, oracle, cleanUs)
+	assertResultsIdentical(t, oracle, cleanUs)
 	if cleanEng.TotalRecoveries() != 0 {
 		t.Fatalf("clean spill run recovered %d times", cleanEng.TotalRecoveries())
 	}
@@ -226,7 +208,7 @@ func TestSpillFaultEngineRecovery(t *testing.T) {
 			sc.arm(ffs)
 			o := base
 			o.SpillFS = ffs
-			us, eng := runJoinDim(t, o)
+			us, eng := runEngineUpdates(t, query, 240, 11, o, false, false)
 			defer eng.Close()
 			if eng.TotalRecoveries() == 0 {
 				t.Fatal("injected spill fault triggered no recovery; the scenario tests nothing")
@@ -239,7 +221,7 @@ func TestSpillFaultEngineRecovery(t *testing.T) {
 				t.Errorf("per-update Recoveries sum %d != TotalRecoveries %d", recovered, eng.TotalRecoveries())
 			}
 			// The answer is untouched: replay rebuilds the exact state.
-			assertSameAnswers(t, oracle, us)
+			assertResultsIdentical(t, oracle, us)
 		})
 	}
 }

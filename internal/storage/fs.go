@@ -107,19 +107,6 @@ func (fs *MemFS) Crash() {
 	}
 }
 
-// Size returns the current byte size of a file (0 if absent).
-func (fs *MemFS) Size(name string) int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return int64(len(f.data))
-}
-
 // Bytes returns a copy of a file's current content (nil if absent).
 func (fs *MemFS) Bytes(name string) []byte {
 	fs.mu.Lock()
