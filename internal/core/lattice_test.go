@@ -37,6 +37,7 @@ type goldenCase struct {
 	n              int
 	dbSeed         int64
 	sorted, skewed bool
+	keys           int  // when set, the sessions' cdn takes keys distinct values (rekeyCDN)
 	udaf           bool // plan with the GEOMEAN test UDAF registered
 	// wantRecovery marks fixtures that must trigger at least one recovery
 	// when the bootstrap is on, or the case pins nothing about replay.
@@ -61,6 +62,12 @@ var lateJoinQueries = []struct{ name, query string }{
 		WHERE c.cdn = s.cdn AND s.cdn = t.cdn AND t.tag <> 'video' AND s.buffer_time > 25
 		GROUP BY c.region, t.tag`},
 }
+
+// nestedFewRead correlates with an inner AVG over every cdn group, but only
+// the ~5% of outer rows with play_time > 600 compare against it: over
+// rekeyCDN(8000) the batch reads a small share of the inner groups.
+const nestedFewRead = `SELECT COUNT(*) AS n FROM sessions s WHERE s.play_time > 600 AND
+			s.buffer_time > (SELECT AVG(buffer_time) FROM sessions i WHERE i.cdn = s.cdn)`
 
 const aggOverAgg = `SELECT SUM(t.apt) AS s, VAR(t.apt) AS v, COUNT(*) AS n FROM
 			(SELECT cdn, AVG(play_time) AS apt FROM sessions GROUP BY cdn) t`
@@ -135,6 +142,12 @@ func goldenCases(t *testing.T) []goldenCase {
 	// 4 batches of 1,600 rows: far above every cold-start cutover.
 	cases = append(cases, goldenCase{name: "join_dim_group/adaptive", query: theoremQuery(t, "join_dim_group"),
 		opts: Options{Mode: ModeIOLAP, Batches: 4, Seed: 5}, n: 6400, dbSeed: 21, adaptive: true})
+	// 8,000 inner groups of two rows, few of them read per batch. Two
+	// batches: while a group holds one row, the predicate compares that row
+	// with its own average, a tie the oracle's multiplicity-weighted AVG
+	// (x·m_i / m_i) breaks by rounding wherever m_i is not a power of two.
+	cases = append(cases, goldenCase{name: "nested_few_read", query: nestedFewRead,
+		opts: Options{Mode: ModeIOLAP, Batches: 2, Seed: 3}, n: 16000, dbSeed: 42, keys: 8000})
 	return cases
 }
 
@@ -172,6 +185,9 @@ func goldenDB(c goldenCase) *exec.DB {
 		n, seed = 240, 11
 	}
 	db := testDB(n, seed)
+	if c.keys > 0 {
+		rekeyCDN(db, c.keys)
+	}
 	if c.skewed {
 		skewSessions(db)
 	}
@@ -239,6 +255,15 @@ func sortSessionsByBufferTime(db *exec.DB) {
 	sort.SliceStable(src.Tuples, func(i, j int) bool {
 		return src.Tuples[i].Vals[1].Float() < src.Tuples[j].Vals[1].Float()
 	})
+}
+
+// rekeyCDN rewrites the sessions' cdn column to keys distinct values, row i
+// taking "g<i mod keys>".
+func rekeyCDN(db *exec.DB, keys int) {
+	src, _ := db.Get("sessions")
+	for i := range src.Tuples {
+		src.Tuples[i].Vals[3] = rel.String("g" + itoa(i%keys))
+	}
 }
 
 // skewSessions rewrites the sessions table so one group dominates: ~90% of
