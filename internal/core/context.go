@@ -174,19 +174,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// aggPub is one group's published uncertain outputs (indexed by aggregate
-// spec position).
-type aggPub struct {
-	vals []expr.UncValue
-}
-
-// aggTable is an aggregate operator's published output for lineage
-// resolution: the "broadcast-joined" relation of Section 6.2.
-type aggTable struct {
-	groupCols int
-	byKey     map[string]*aggPub
-}
-
 // batchContext carries one mini-batch's execution state. It implements
 // expr.Resolver: resolving a rel.Ref against the producing aggregate's
 // current output *is* the lazy evaluation of Section 6.2.
@@ -285,8 +272,8 @@ func (bc *batchContext) ResolveRef(r rel.Ref) (expr.UncValue, bool) {
 	if !ok {
 		return expr.UncValue{}, false
 	}
-	g, ok := t.byKey[r.Key]
-	if !ok {
+	g := t.lookup(r.Key)
+	if g == nil {
 		return expr.UncValue{}, false
 	}
 	idx := r.Col - t.groupCols

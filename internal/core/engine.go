@@ -118,7 +118,6 @@ type Engine struct {
 	committedSpillWritten, committedSpillRead int64
 
 	totalRecoveries int
-	lastBC          *batchContext
 }
 
 type engineSnap struct {
@@ -434,7 +433,6 @@ func (e *Engine) Step() (u *Update, err error) {
 			return nil, err
 		}
 	}
-	e.lastBC = bc
 	result, ests := e.comp.sink.materialize(bc)
 	u = &Update{
 		Batch:             e.batch,

@@ -216,9 +216,9 @@ func nextSharedAggID() int {
 }
 
 // sharedStepResult is one memoized step of a shared aggregate subtree. All
-// fields are immutable once memoized — rows always are (delta.Row), and
-// op_agg builds a new published table every step — so handing the same
-// result to many sessions is safe.
+// fields are immutable once memoized — rows always are (delta.Row), and the
+// published table is frozen (aggTable.freeze) — so handing the same result to
+// many sessions is safe.
 type sharedStepResult struct {
 	news, unc  []delta.Row
 	table      *aggTable
@@ -312,11 +312,14 @@ func (en *sharedAggEntry) stepRange(path string, from, to int) (*sharedStepResul
 	}
 	// Capacity-clamped: every holder gets these slices, and a parent that
 	// appends to its child's output (opUnion) must copy, not write into the
-	// memo's spare capacity.
+	// memo's spare capacity. Holders read the table after the entry has
+	// moved on, so it is frozen first.
+	table := bc.tables[en.id]
+	table.freeze()
 	res := &sharedStepResult{
 		news:       out.news[:len(out.news):len(out.news)],
 		unc:        out.unc[:len(out.unc):len(out.unc)],
-		table:      bc.tables[en.id],
+		table:      table,
 		failures:   bc.failures,
 		recomputed: bc.recomputed,
 	}
