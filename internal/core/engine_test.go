@@ -113,36 +113,36 @@ func planQuery(t testing.TB, query string) plan.Node {
 }
 
 // oracle evaluates the query exactly on D_i (the first `seen` rows of the
-// streamed table) with every streamed tuple carrying multiplicity m_i — the
-// definition of Q(D_i, m_i) in Section 2 and the reference of Theorem 1.
+// streamed table) at multiplicity m_i — the definition of Q(D_i, m_i) in
+// Section 2 and the reference of Theorem 1.
 func oracle(t testing.TB, root plan.Node, db *exec.DB, streamed string, seen int) *rel.Relation {
 	t.Helper()
-	out, err := exec.Run(root, oracleDB(db, streamed, seen))
+	odb, mi := oracleDB(db, streamed, seen)
+	out, err := exec.NewExecutor(0).RunScaled(root, odb, mi)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
 	return out
 }
 
-// oracleDB is db with the streamed table cut to D_i at multiplicity m_i.
-func oracleDB(db *exec.DB, streamed string, seen int) *exec.DB {
+// oracleDB is db with the streamed table cut to D_i, and m_i. The rows keep
+// their own multiplicity: exec.Executor.RunScaled applies m_i where the
+// engine does, so a one-row group's AVG is the row's value, not x·m_i/m_i.
+func oracleDB(db *exec.DB, streamed string, seen int) (*exec.DB, float64) {
 	src, _ := db.Get(streamed)
-	total := src.Len()
 	mi := 1.0
 	if seen > 0 {
-		mi = float64(total) / float64(seen)
+		mi = float64(src.Len()) / float64(seen)
 	}
 	part := rel.NewRelation(src.Schema)
-	for _, tp := range src.Tuples[:seen] {
-		part.AppendMult(mi*tp.Mult, tp.Vals...)
-	}
+	part.Tuples = src.Tuples[:seen:seen]
 	odb := exec.NewDB()
 	for _, name := range db.Tables() {
 		r, _ := db.Get(name)
 		odb.Put(name, r)
 	}
 	odb.Put(streamed, part)
-	return odb
+	return odb, mi
 }
 
 // theorem1 runs the engine over all batches and checks every partial result
