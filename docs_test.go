@@ -67,9 +67,10 @@ func hasMainPackage(dir string) bool {
 
 var (
 	codeSpan = regexp.MustCompile("`[^`\n]+`")
-	// pkg.Name or pkg.Type.Member, and Type.Member with no package in front.
+	// pkg.Name or pkg.Type.Member, and Type.Member with no package in front,
+	// the type exported or not.
 	citedPkgIdent  = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
-	citedTypeIdent = regexp.MustCompile(`(?:^|[^\w.])([A-Z]\w*)\.([A-Za-z_]\w*)`)
+	citedTypeIdent = regexp.MustCompile(`(?:^|[^\w.])([A-Za-z]\w*)\.([A-Za-z_]\w*)`)
 )
 
 // pkgDecls maps a package's top-level identifiers to their members: the
@@ -215,6 +216,7 @@ var orphanAllowed = map[string]string{
 	"storage.NewFaultFS":              "fault seam (storage.FaultFS)",
 	"storage.MemFS.Crash":             "fault seam: drops what was never synced, the crash the spill recovery tests replay",
 	"exec.Executor.SetCutover":        "the fixed-cutover test hook: the execution lattice pins it to 1 to force every parallel path",
+	"core.Engine.SetCutover":          "the fixed-cutover test hook: the execution lattice pins it to 1 to force every parallel path",
 	"cluster.Metrics.SpillProbeSkips": "the spill tests assert the min-max filters' skip count, a schedule-independent number",
 	"cluster.Metrics.SpillBloomSkips": "as SpillProbeSkips, for the per-run Bloom filters",
 	"delta.HashStore.Each":            "the immutability and spill tests walk a store's rows, resident and spilled",

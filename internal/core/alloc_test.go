@@ -11,7 +11,8 @@ import (
 // and returns heap allocations and bytes allocated per streamed tuple across
 // the steady-state batches (the first batch is excluded: it builds the
 // groups, scratch buffers, and weight slab capacity that later batches reuse).
-func measureAllocsPerTuple(t *testing.T, query string, db *exec.DB, opts Options) (allocs, bytes float64) {
+// cutover is the engine's parallel cutover (Engine.SetCutover; 0 adaptive).
+func measureAllocsPerTuple(t *testing.T, query string, db *exec.DB, opts Options, cutover int) (allocs, bytes float64) {
 	t.Helper()
 	src, _ := db.Get("sessions")
 	n := src.Len()
@@ -21,6 +22,7 @@ func measureAllocsPerTuple(t *testing.T, query string, db *exec.DB, opts Options
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
+	eng.SetCutover(cutover)
 	if _, err := eng.Step(); err != nil { // warm-up batch
 		t.Fatalf("warm-up step: %v", err)
 	}
@@ -54,15 +56,15 @@ func TestEngineAllocsPerTupleSteadyState(t *testing.T) {
 	queries := []struct{ name, q string }{
 		{"global_agg", `SELECT COUNT(*) AS n, AVG(buffer_time) AS abt, SUM(play_time) AS spt FROM sessions`},
 		{"group_by", `SELECT cdn, SUM(play_time) AS spt, STDDEV(buffer_time) AS sbt FROM sessions GROUP BY cdn`},
-		// Columnar scan -> vectorized select -> batched fold: the filter
-		// narrows the batch through a selection vector, so the fold gathers
-		// survivors straight from the scan's column banks.
+		// Columnar filter -> batched fold: the select builds the
+		// predicate's banks from the scan's batch, and the fold reads the
+		// survivors' keys and arguments from their rows.
 		{"filter_group_by", `SELECT cdn, SUM(play_time) AS spt, MIN(buffer_time) AS mbt
 			FROM sessions WHERE buffer_time > 25 GROUP BY cdn`},
 	}
 	for _, q := range queries {
 		for _, workers := range []int{1, 4} {
-			got, _ := measureAllocsPerTuple(t, q.q, testDB(n, 42), Options{Workers: workers})
+			got, _ := measureAllocsPerTuple(t, q.q, testDB(n, 42), Options{Workers: workers}, 0)
 			if got > bound {
 				t.Errorf("%s workers=%d: %.3f allocs/tuple, want <= %v", q.name, workers, got, bound)
 			}
@@ -73,7 +75,7 @@ func TestEngineAllocsPerTupleSteadyState(t *testing.T) {
 	// real per-tuple or per-group objects), so each bound is what the commit
 	// before the one-fold refactor measured, rounded up 10% — a regression
 	// guard for the fold's scratch (a per-batch map, a per-group slice), not a
-	// target. ParThreshold 1 makes Workers=4 take the parallel schedule on
+	// target. Cutover 1 makes Workers=4 take the parallel schedule on
 	// every batch, so the count does not depend on the adaptive cutover.
 	cdnKeys := func(keys int) func() *exec.DB {
 		return func() *exec.DB {
@@ -87,7 +89,7 @@ func TestEngineAllocsPerTupleSteadyState(t *testing.T) {
 		db      func() *exec.DB
 		bounds  [2]float64 // Workers 1, 4
 	}{
-		// Post-join fold: rows without a columnar view.
+		// Post-join fold.
 		{"join_dim_group", theoremQuery(t, "join_dim_group"), nil, [2]float64{1.14, 1.31}}, // parent: 1.034, 1.184,
 		// Phase B: pending rows re-folded into scratch vectors every batch.
 		// Re-pinned when state began sharing rows (no ND-set, lineage or
@@ -110,7 +112,7 @@ func TestEngineAllocsPerTupleSteadyState(t *testing.T) {
 			if sh.db != nil {
 				db = sh.db()
 			}
-			got, _ := measureAllocsPerTuple(t, sh.q, db, Options{Workers: workers, ParThreshold: 1})
+			got, _ := measureAllocsPerTuple(t, sh.q, db, Options{Workers: workers}, 1)
 			t.Logf("%s workers=%d: %.3f allocs/tuple (bound %v)", sh.name, workers, got, sh.bounds[wi])
 			if got > sh.bounds[wi] {
 				t.Errorf("%s workers=%d: %.3f allocs/tuple, want <= %v", sh.name, workers, got, sh.bounds[wi])
@@ -129,7 +131,7 @@ func TestEngineAllocBytesPerTuple(t *testing.T) {
 	const bound = 6860.0 // measured: 6235; parent: 9409
 	db := testDB(16000, 42)
 	rekeyCDN(db, 8000)
-	_, got := measureAllocsPerTuple(t, nestedFewRead, db, Options{Workers: 1, ParThreshold: 1})
+	_, got := measureAllocsPerTuple(t, nestedFewRead, db, Options{Workers: 1}, 1)
 	t.Logf("nested_few_read: %.0f bytes/tuple (bound %v)", got, bound)
 	if got > bound {
 		t.Errorf("nested_few_read: %.0f bytes/tuple, want <= %v", got, bound)

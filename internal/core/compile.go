@@ -120,7 +120,6 @@ func compile(root plan.Node, db *exec.DB, opts Options, spill *delta.SpillPolicy
 		scaleExp: scaleExp[norm.ID()],
 	}
 	c.ops = append(c.ops, c.sink)
-	markColumnar(child, false, nil)
 	seen := map[string]bool{}
 	for _, s := range plan.StreamedScans(norm) {
 		if !seen[s.Table] {
@@ -393,68 +392,6 @@ func mayGrow(root plan.Node, numOps int, an *plan.Analysis) []bool {
 	return grow
 }
 
-// markColumnar decides, per streamed scan, whether attaching the columnar
-// companion batch pays for itself — and which banks it must materialise.
-// The batch flows scan → select → aggregate and is consumed by a
-// vectorized predicate (opSelect.vec) or an aggregate whose arguments are
-// all bare columns (opAgg.columnar); every other operator drops it. A scan
-// with no downstream consumer skips the columnar build entirely, and a
-// consuming plan gets a subset view covering exactly the predicate, group
-// key, and argument columns — a high-cardinality column outside that set
-// would otherwise pay a bank (worst case a dictionary insert per row) for
-// nothing.
-//
-// wanted reports whether op's parent consumes its output batch, and need
-// the columns the parent reads — in the coordinate space of op's output
-// schema, which SELECT (the only operator that forwards a batch) shares
-// with its child.
-func markColumnar(op operator, wanted bool, need []bool) {
-	switch o := op.(type) {
-	case *opScan:
-		o.wantCB = wanted
-		o.cbNeed = need
-	case *opSelect:
-		// A compiled vector predicate consumes the batch itself and is the
-		// only path that forwards a (narrowed) batch downstream; without
-		// one the batch dies here no matter what the parent wants.
-		if o.vec == nil {
-			markColumnar(o.child, false, nil)
-			return
-		}
-		childNeed := make([]bool, len(o.node.Schema()))
-		if wanted {
-			copy(childNeed, need)
-		}
-		for _, col := range o.vec.Cols(nil) {
-			childNeed[col] = true
-		}
-		markColumnar(o.child, true, childNeed)
-	case *opProject:
-		markColumnar(o.child, false, nil)
-	case *opUnion:
-		markColumnar(o.l, false, nil)
-		markColumnar(o.r, false, nil)
-	case *opJoin:
-		markColumnar(o.l, false, nil)
-		markColumnar(o.r, false, nil)
-	case *opAgg:
-		childNeed := make([]bool, len(o.node.Child.Schema()))
-		for _, col := range o.node.GroupBy {
-			childNeed[col] = true
-		}
-		for _, col := range o.argCols {
-			if col >= 0 {
-				childNeed[col] = true
-			}
-		}
-		markColumnar(o.child, o.colArgs, childNeed)
-	case *opSink:
-		markColumnar(o.child, false, nil)
-	}
-	// opSharedBuild and opSharedAgg are leaves here: shared subtrees own
-	// their operators and are walked by their builders (shared.go).
-}
-
 // lateScan walks down from a certain select's child through joins to a
 // weighted streamed scan whose weights the select may draw after filtering,
 // and marks the joins on the way (opJoin.late). A join is passed when the
@@ -506,11 +443,18 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 		}
 		op := &opSelect{node: t, child: child, predUncertain: uncPred}
 		if !uncPred {
-			// Deterministic predicate: compile the columnar form once. A
-			// miss (shape outside CompileVec's subset) keeps vec nil and the
-			// operator on the row path.
-			if vp, ok := expr.CompileVec(t.Pred); ok {
-				op.vec = vp
+			// Deterministic predicate directly above a streamed scan:
+			// compile the columnar form once, and the banks it reads. A miss
+			// (another child, or a shape outside CompileVec's subset) keeps
+			// vec nil and the operator on the row path.
+			if sc, ok := child.(*opScan); ok && sc.node.Streamed {
+				if vp, ok := expr.CompileVec(t.Pred); ok {
+					op.vec, op.scan = vp, sc
+					op.need = make([]bool, len(t.Child.Schema()))
+					for _, col := range vp.Cols(nil) {
+						op.need[col] = true
+					}
+				}
 			}
 			// Draw late: the select weights only the scan rows it keeps. A
 			// certain predicate settles every row on arrival, so no scan row

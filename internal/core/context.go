@@ -100,22 +100,15 @@ type Options struct {
 	// stratified-sampling extension the paper leaves as future work
 	// (Section 9).
 	StratifyBy string
-	// ParThreshold, when positive, pins the sequential/parallel cutover to
-	// a fixed row count for every operator class. The default (0) is
-	// adaptive: the engine learns an EWMA of measured per-row cost per
-	// operator class and derives the cutover from it (cluster.CostModel).
-	// Either way the cutover affects scheduling only, never results — the
-	// execution lattice (DESIGN.md §16) pins it to 1 to force every
-	// parallel path onto small fixtures.
-	ParThreshold int
 	// StateBudgetBytes bounds the resident (in-memory) join-state bytes.
 	// When the cached join sides exceed it after a batch, the engine's
 	// SpillPolicy evicts cold HashStore shards to per-shard spill files and
 	// probes read them back transparently. 0 (the default) disables
 	// spilling entirely; negative means a zero-byte budget — every
-	// enforcement pushes all join state to disk. Like Workers and
-	// ParThreshold, the budget affects placement only, never results: the
-	// execution lattice asserts bit-identical output at every budget.
+	// enforcement pushes all join state to disk. Like Workers and the
+	// parallel cutover (Engine.SetCutover), the budget affects placement
+	// only, never results: the execution lattice asserts bit-identical
+	// output at every budget.
 	StateBudgetBytes int64
 	// SpillFS overrides where spill files live (fault-injection tests use
 	// storage.MemFS / storage.FaultFS). Nil selects the real filesystem
@@ -142,11 +135,11 @@ type Options struct {
 	// aggregate entries and is inert for solo engines. Results stay
 	// bit-identical to a private build; only memory ownership changes.
 	SharedState SharedStateCache
-	// NoVectorize forces the row-at-a-time operator paths, disabling the
-	// columnar mini-batch pipeline (DESIGN.md §14: scan-attached column
-	// banks, selection-vector SELECT and column-fed aggregate folds). The
-	// vectorized paths perform the same floating-point operations in the
-	// same order as the row paths — the execution lattice runs both and
+	// NoVectorize turns off the columnar filter (DESIGN.md §14): a
+	// deterministic SELECT directly above a streamed scan then evaluates its
+	// predicate row by row instead of over column banks built from the
+	// scan's batch. Every other operator reads rows either way. Both
+	// filters give the same verdicts — the execution lattice runs both and
 	// asserts bit-identical updates — so this is an execution-layout switch
 	// and a debugging oracle, never a semantic one.
 	NoVectorize bool
@@ -209,9 +202,9 @@ type batchContext struct {
 	// engine's: its cost model keeps learning across the run. The zero
 	// Runner of a bare context runs every site inline.
 	run cluster.Runner
-	// vec enables the columnar batch pipeline (off under Options.NoVectorize):
-	// streamed scans attach column banks to their output and downstream
-	// operators take the batched paths where their gates allow.
+	// vec enables the columnar filter (off under Options.NoVectorize): a
+	// select with a compiled predicate over a streamed scan builds its
+	// predicate's column banks from the scan's batch and filters over them.
 	vec bool
 	// slabs holds, by streamed table name, the slab of the first draw this
 	// batch that covered the table's whole batch (opScan.weigh). Every later
@@ -232,9 +225,9 @@ type weightSlab struct {
 // newBatchContext builds the context of one step: the step is labelled batch,
 // consumes delta, and leaves seen of the streamed table's total rows
 // processed. It is the one place Options.Mode decodes into the lazy / prune /
-// hdaAgg switches. What only a full engine has — metrics, site runner,
-// column banks — the engine attaches afterwards; a context without them runs
-// every operator inline on the row paths.
+// hdaAgg switches. What only a full engine has — metrics, site runner, the
+// columnar filter — the engine attaches afterwards; a context without them
+// runs every operator inline on the row paths.
 func newBatchContext(opts Options, batch, seen, total int, delta map[string]*rel.Relation, dims dbView) *batchContext {
 	scale := 1.0
 	if seen > 0 {

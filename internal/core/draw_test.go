@@ -117,14 +117,14 @@ func TestSelectDrawsSurvivorWeights(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			for _, opts := range drawConfigs() {
-				name := fmt.Sprintf("w%d/novec=%v/cutover=%d", opts.Workers, opts.NoVectorize, opts.ParThreshold)
+				name := fmt.Sprintf("w%d/novec=%v/cutover=%d", opts.Workers, opts.NoVectorize, opts.cutover)
 				checkDraws(t, name, c.query, c.sorted, c.selectDraw, c.scanDraw, opts)
 			}
 		})
 	}
 }
 
-func checkDraws(t *testing.T, name, query string, sorted, wantSelectDraw, wantScanDraw bool, opts Options) {
+func checkDraws(t *testing.T, name, query string, sorted, wantSelectDraw, wantScanDraw bool, opts drawConfig) {
 	t.Helper()
 	db := testDB(240, 11)
 	if sorted {
@@ -135,7 +135,7 @@ func checkDraws(t *testing.T, name, query string, sorted, wantSelectDraw, wantSc
 	for i, tp := range sessions.Tuples {
 		index[tp.Vals[0].Str()] = uint64(i)
 	}
-	eng, err := NewEngine(planQuery(t, query), db, opts)
+	eng, err := opts.newEngine(planQuery(t, query), db)
 	if err != nil {
 		t.Fatalf("%s: engine: %v", name, err)
 	}
@@ -283,9 +283,9 @@ func alternateEastWest(db *exec.DB) {
 // every row of a scan that weighs its whole batch, carries its session's
 // reference vector. It reports whether a step of the select kept nothing of a
 // non-empty scan batch, and the engine's recoveries.
-func checkJoinDraws(t *testing.T, query string, prep func(*exec.DB), shared bool, opts Options) (none bool, recoveries int) {
+func checkJoinDraws(t *testing.T, query string, prep func(*exec.DB), shared bool, opts drawConfig) (none bool, recoveries int) {
 	t.Helper()
-	name := fmt.Sprintf("w%d/novec=%v/cutover=%d", opts.Workers, opts.NoVectorize, opts.ParThreshold)
+	name := fmt.Sprintf("w%d/novec=%v/cutover=%d", opts.Workers, opts.NoVectorize, opts.cutover)
 	db := testDB(240, 11)
 	if prep != nil {
 		prep(db)
@@ -298,7 +298,7 @@ func checkJoinDraws(t *testing.T, query string, prep func(*exec.DB), shared bool
 	if shared {
 		opts.SharedState = share.NewCache()
 	}
-	eng, err := NewEngine(planQuery(t, query), db, opts)
+	eng, err := opts.newEngine(planQuery(t, query), db)
 	if err != nil {
 		t.Fatalf("%s: engine: %v", name, err)
 	}
@@ -393,15 +393,31 @@ func (t *slabTap) step(bc *batchContext) (output, error) {
 	return out, err
 }
 
+// drawConfig is one cell of the slab tests' matrix: the engine's options and
+// its parallel cutover (Engine.SetCutover).
+type drawConfig struct {
+	Options
+	cutover int
+}
+
+// newEngine builds the cell's engine.
+func (c drawConfig) newEngine(root plan.Node, db *exec.DB) (*Engine, error) {
+	eng, err := NewEngine(root, db, c.Options)
+	if err == nil {
+		eng.SetCutover(c.cutover)
+	}
+	return eng, err
+}
+
 // drawConfigs is the execution matrix of the slab tests: worker count, row or
 // column path, and the parallel cutover, none of which may show in a weight.
-func drawConfigs() []Options {
-	var cfgs []Options
+func drawConfigs() []drawConfig {
+	var cfgs []drawConfig
 	for _, workers := range []int{1, 4} {
 		for _, novec := range []bool{false, true} {
 			for _, cutover := range []int{0, 1} {
-				cfgs = append(cfgs, Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3,
-					Workers: workers, NoVectorize: novec, ParThreshold: cutover})
+				cfgs = append(cfgs, drawConfig{Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3,
+					Workers: workers, NoVectorize: novec}, cutover})
 			}
 		}
 	}
@@ -415,14 +431,14 @@ func drawConfigs() []Options {
 // survivor of a late-drawing select points at its row's vector in that slab.
 // It returns the number of whole-batch scans, the survivors checked, and the
 // engine's recoveries.
-func checkSharedSlabs(t *testing.T, query string, sorted bool, opts Options) (scans, survivors, recoveries int) {
+func checkSharedSlabs(t *testing.T, query string, sorted bool, opts drawConfig) (scans, survivors, recoveries int) {
 	t.Helper()
-	name := fmt.Sprintf("w%d/novec=%v/cutover=%d/sorted=%v", opts.Workers, opts.NoVectorize, opts.ParThreshold, sorted)
+	name := fmt.Sprintf("w%d/novec=%v/cutover=%d/sorted=%v", opts.Workers, opts.NoVectorize, opts.cutover, sorted)
 	db := testDB(240, 11)
 	if sorted {
 		sortSessionsByBufferTime(db)
 	}
-	eng, err := NewEngine(planQuery(t, query), db, opts)
+	eng, err := opts.newEngine(planQuery(t, query), db)
 	if err != nil {
 		t.Fatalf("%s: engine: %v", name, err)
 	}
@@ -450,7 +466,7 @@ func checkSharedSlabs(t *testing.T, query string, sorted bool, opts Options) (sc
 	if len(taps) == 0 {
 		t.Fatalf("%s: no scan weighs its whole batch", name)
 	}
-	ref := newOpScan(plan.NewScan("sessions", "", nil, true), opts).poisson
+	ref := newOpScan(plan.NewScan("sessions", "", nil, true), opts.Options).poisson
 	want := make([]float64, opts.Trials)
 	for c := 0; !eng.Done(); {
 		if _, err := eng.Step(); err != nil {
@@ -538,7 +554,7 @@ func TestSelectSlicesScanSlab(t *testing.T) {
 		for _, sorted := range []bool{false, true} {
 			if _, survivors, _ := checkSharedSlabs(t, q, sorted, opts); survivors == 0 {
 				t.Fatalf("w%d/novec=%v/cutover=%d/sorted=%v: no select survivor was sliced from a slab",
-					opts.Workers, opts.NoVectorize, opts.ParThreshold, sorted)
+					opts.Workers, opts.NoVectorize, opts.cutover, sorted)
 			}
 		}
 	}

@@ -62,9 +62,9 @@ func TestWorkerEquivalenceIntermediateWorkers(t *testing.T) {
 }
 
 // TestWorkerEquivalenceAboveThreshold repeats one shape with the adaptive
-// cutover (ParThreshold 0) and batches large enough to cross it, so the gate
-// itself — EWMA-derived thresholds deciding mid-run which sites fan out —
-// is covered too. The adaptive gate's timing-dependent choices must be
+// cutover (no Engine.SetCutover) and batches large enough to cross it, so the
+// gate itself — EWMA-derived thresholds deciding mid-run which sites fan
+// out — is covered too. The adaptive gate's timing-dependent choices must be
 // invisible in the output because every gated path is bit-identical.
 func TestWorkerEquivalenceAboveThreshold(t *testing.T) {
 	if testing.Short() {

@@ -116,7 +116,7 @@ func TestStateSharesImmutableRows(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				opts := c.opts
-				opts.Trials, opts.Workers, opts.ParThreshold = 25, 4, 1
+				opts.Trials, opts.Workers = 25, 4
 				if spill {
 					opts.StateBudgetBytes, opts.SpillFS = -1, storage.NewMemFS()
 				}
@@ -127,6 +127,7 @@ func TestStateSharesImmutableRows(t *testing.T) {
 					t.Fatalf("engine: %v", err)
 				}
 				defer eng.Close()
+				eng.SetCutover(1)
 				ledger := &rowLedger{t: t, seen: map[*rel.Value][]rel.Value{}}
 				for !eng.Done() {
 					if _, err := eng.Step(); err != nil {

@@ -95,12 +95,6 @@ type opAgg struct {
 	// map by string(keyBuf), which the compiler compiles to a no-copy,
 	// no-allocation access; only a genuinely new group materialises the key.
 	keyBuf []byte
-	// colArgs marks that every aggregate argument is COUNT(*) or a bare
-	// column (argCols holds the index, -1 for COUNT(*)), so keys and
-	// arguments can be read from a columnar view of the input without
-	// expression evaluation.
-	colArgs bool
-	argCols []int32
 	// fs is the fold's reusable working set.
 	fs foldScratch
 	// groupBytes is the estimated per-group sketch footprint (constant per
@@ -180,8 +174,6 @@ func newOpAgg(t *plan.Aggregate, child operator, an *plan.Analysis, scaleExp int
 			op.uncInput[i] = true
 		}
 	}
-	op.colArgs = true
-	op.argCols = make([]int32, len(t.Aggs))
 	for i, sp := range t.Aggs {
 		c := aggSpecC{
 			fn:     sp.Fn,
@@ -203,14 +195,6 @@ func newOpAgg(t *plan.Aggregate, child operator, an *plan.Analysis, scaleExp int
 		// newGroup gives exactly these specs a variation range.
 		op.binds = op.binds || trackRanges && opts.Trials > 0 && c.uncertainOut && sp.Fn.Smooth
 		op.valueOut = op.valueOut || !c.uncertainOut
-		op.argCols[i] = -1
-		if sp.Arg != nil {
-			if col, ok := sp.Arg.(*expr.Col); ok {
-				op.argCols[i] = int32(col.Idx)
-			} else {
-				op.colArgs = false
-			}
-		}
 		op.specs = append(op.specs, c)
 	}
 	op.fs.spec = make([]specRuns, len(op.specs))
@@ -280,15 +264,9 @@ func (o *opAgg) touch(g *aggGroup) {
 
 // rowGroup resolves a row's group through the reusable key scratch: the map
 // lookup indexes by string(keyBuf) without allocating; only a miss (a new
-// group) pays for materialising the key string. With a columnar view the key
-// bytes are encoded from row src of its banks — the columnar encoder is
-// byte-identical to the row one, so both forms find the same group.
-func (o *opAgg) rowGroup(vals []rel.Value, cb *colBatch, src int) *aggGroup {
-	if cb != nil {
-		o.keyBuf = cb.cols.EncodeKeyInto(o.keyBuf[:0], src, o.node.GroupBy)
-	} else {
-		o.keyBuf = rel.EncodeKeyInto(o.keyBuf[:0], vals, o.node.GroupBy)
-	}
+// group) pays for materialising the key string.
+func (o *opAgg) rowGroup(vals []rel.Value) *aggGroup {
+	o.keyBuf = rel.EncodeKeyInto(o.keyBuf[:0], vals, o.node.GroupBy)
 	if g, ok := o.groups[string(o.keyBuf)]; ok {
 		return g
 	}
@@ -385,7 +363,6 @@ func (k foldKind) applies(sp *aggSpecC) bool {
 type foldEntry struct {
 	g    *aggGroup
 	row  *delta.Row
-	src  int32 // the row's position in the columnar view, when there is one
 	kind foldKind
 }
 
@@ -451,34 +428,14 @@ func resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// columnar returns the input's columnar view when the fold may read group
-// keys and argument values from it instead of from the rows. The view never
-// changes what is folded — weights and multiplicities always come from the
-// rows — so only three conditions remain: bc.vec (Options.NoVectorize
-// promises that no operator reads column banks), colArgs (markColumnar asks
-// the scan for the key and argument banks only when every argument is a
-// bare column; on any other plan they are row-backed fallbacks, slower
-// through the view than from the row), and no lineage refs in the banks
-// (the columnar readers have no Resolver).
-func (o *opAgg) columnar(bc *batchContext, in output) *colBatch {
-	if in.cb == nil || !bc.vec || !o.colArgs || in.cb.cols.HasRefs() {
-		return nil
-	}
-	return in.cb
-}
-
 // assignCertain resolves the group of every new certain row, in arrival
 // order, and does the per-row bookkeeping that must be sequential: group
 // creation (deterministic group order), support counts, lineage retention.
-func (o *opAgg) assignCertain(news []delta.Row, cb *colBatch) []foldEntry {
+func (o *opAgg) assignCertain(news []delta.Row) []foldEntry {
 	ents := resized(o.fs.ents, len(news))
 	for j := range news {
 		r := &news[j]
-		src := 0
-		if cb != nil {
-			src = cb.src(j)
-		}
-		g := o.rowGroup(r.Vals, cb, src)
+		g := o.rowGroup(r.Vals)
 		o.touch(g)
 		o.visit(g)
 		g.certain = true
@@ -489,7 +446,7 @@ func (o *opAgg) assignCertain(news []delta.Row, cb *colBatch) []foldEntry {
 		if o.lazySpecs > 0 {
 			g.lazy.Add(*r)
 		}
-		ents[j] = foldEntry{g: g, row: r, src: int32(src), kind: foldCertain}
+		ents[j] = foldEntry{g: g, row: r, kind: foldCertain}
 	}
 	o.fs.ents = ents
 	return ents
@@ -511,7 +468,7 @@ func (o *opAgg) assignScratch(bc *batchContext, unc []delta.Row) []foldEntry {
 	}
 	bc.recomputed += len(unc)
 	for i := range unc {
-		g := o.rowGroup(unc[i].Vals, nil, 0)
+		g := o.rowGroup(unc[i].Vals)
 		g.pendEpoch = o.epoch
 		o.visit(g)
 		ents = append(ents, foldEntry{g: g, row: &unc[i], kind: foldPending})
@@ -523,19 +480,18 @@ func (o *opAgg) assignScratch(bc *batchContext, unc []delta.Row) []foldEntry {
 // fold is the operator's one fold body: it evaluates each entry's arguments,
 // gathers the entries of every (group, spec) pair into one run in arrival
 // order, and ingests each run into its vector — the group's sketch, or its
-// scratch vector when scratch is set. cb, when non-nil, is the columnar view
-// the (certain) entries read their arguments from.
+// scratch vector when scratch is set.
 //
 // Sequential and parallel execution are schedules of this body, not bodies
 // of their own: below the cutover (or at Workers=1) the same evaluate,
 // gather and ingest run inline.
-func (o *opAgg) fold(bc *batchContext, ents []foldEntry, cb *colBatch, scratch bool) {
+func (o *opAgg) fold(bc *batchContext, ents []foldEntry, scratch bool) {
 	for len(ents) > 0 {
 		n := min(len(ents), foldBlock)
 		block := ents[:n]
 		ents = ents[n:]
 		round := func(p *cluster.Pool) {
-			o.evaluate(bc, block, cb, p)
+			o.evaluate(bc, block, p)
 			o.gather(block, scratch)
 			o.ingest(p, n)
 		}
@@ -555,22 +511,22 @@ func (o *opAgg) fold(bc *batchContext, ents []foldEntry, cb *colBatch, scratch b
 // tables, and for lazy specs it is where the fold's time goes (O(trials)
 // expression evaluations per row, plus the lineage row's regeneration in the
 // non-lazy modes).
-func (o *opAgg) evaluate(bc *batchContext, ents []foldEntry, cb *colBatch, p *cluster.Pool) {
+func (o *opAgg) evaluate(bc *batchContext, ents []foldEntry, p *cluster.Pool) {
 	f := &o.fs
 	n, B := len(ents), o.trials
 	f.val = resized(f.val, n*len(o.specs))
 	f.ok = resized(f.ok, n*len(o.specs))
 	f.rep = resized(f.rep, n*o.lazySpecs*B)
 	if p == nil { // the common case, kept free of the span closure
-		o.evaluateSpan(bc, ents, cb, 0, n)
+		o.evaluateSpan(bc, ents, 0, n)
 		return
 	}
-	p.Span(n, func(lo, hi int) { o.evaluateSpan(bc, ents, cb, lo, hi) })
+	p.Span(n, func(lo, hi int) { o.evaluateSpan(bc, ents, lo, hi) })
 }
 
 // evaluateSpan evaluates entries [lo, hi) of the block; spans write disjoint
 // slots of the arenas.
-func (o *opAgg) evaluateSpan(bc *batchContext, ents []foldEntry, cb *colBatch, lo, hi int) {
+func (o *opAgg) evaluateSpan(bc *batchContext, ents []foldEntry, lo, hi int) {
 	f := &o.fs
 	n, B := len(ents), o.trials
 	for i := lo; i < hi; i++ {
@@ -583,10 +539,6 @@ func (o *opAgg) evaluateSpan(bc *batchContext, ents []foldEntry, cb *colBatch, l
 			at := si*n + i
 			f.ok[at] = false
 			if !e.kind.applies(sp) {
-				continue
-			}
-			if cb != nil && sp.arg != nil {
-				f.val[at], f.ok[at] = cb.cols.ArgValue(int(o.argCols[si]), int(e.src), sp.fn.AcceptsAny)
 				continue
 			}
 			f.val[at], f.ok[at] = argValue(sp, e.row, bc)
@@ -763,11 +715,10 @@ func (o *opAgg) step(bc *batchContext) (output, error) {
 		o.newGroup("", nil).certain = true
 	}
 	// Fold certain: new certain rows into the sketches.
-	cb := o.columnar(bc, in)
-	o.fold(bc, o.assignCertain(in.news, cb), cb, false)
+	o.fold(bc, o.assignCertain(in.news), false)
 	// Fold scratch: this batch's contributions of lineage rows (lazy
 	// re-evaluation) and pending tuple-uncertain rows.
-	o.fold(bc, o.assignScratch(bc, in.unc), nil, true)
+	o.fold(bc, o.assignScratch(bc, in.unc), true)
 	out := o.publish(bc)
 	o.record(out)
 	return out, nil

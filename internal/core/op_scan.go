@@ -7,7 +7,6 @@ import (
 	"iolap/internal/cluster"
 	"iolap/internal/delta"
 	"iolap/internal/plan"
-	"iolap/internal/rel"
 )
 
 type opScan struct {
@@ -22,12 +21,6 @@ type opScan struct {
 	// the scan then emits rows without W, and the select never draws a
 	// vector it would discard.
 	lateDraw bool
-	// wantCB marks that some downstream operator consumes the columnar
-	// companion batch (markColumnar); scans whose plan has no vectorized
-	// consumer skip the columnar build entirely. cbNeed is the column set
-	// those consumers read — the subset view materialises only these banks.
-	wantCB bool
-	cbNeed []bool
 }
 
 type scanSnap struct {
@@ -67,14 +60,6 @@ func (o *opScan) step(bc *batchContext) (output, error) {
 			o.weigh(bc, rows, nil)
 		}
 		out := output{news: rows}
-		if bc.vec && o.wantCB {
-			// Columnar companion view over just the banks the plan's
-			// consumers read, built from the delta's tuples every batch
-			// (nothing caches a view: a narrow one is cheaper to rebuild
-			// than to share). Weights are not part of the view: every
-			// consumer reads them from the rows.
-			out.cb = &colBatch{cols: rel.ToColumnsSubset(d.Schema, d.Tuples, o.cbNeed)}
-		}
 		o.record(out)
 		return out, nil
 	}

@@ -28,33 +28,39 @@ type opSelect struct {
 	child         operator
 	predUncertain bool
 	// vec is the columnar form of the predicate, compiled at build time for
-	// deterministic predicates inside expr.CompileVec's subset; nil keeps
-	// the row path.
+	// a deterministic predicate inside expr.CompileVec's subset directly
+	// above a streamed scan; nil keeps the row path. scan is that scan and
+	// need marks the predicate's columns, the only banks the select builds.
 	vec   *expr.Vectorized
+	scan  *opScan
+	need  []bool
 	state delta.RowSet // the non-deterministic set U_i
 	// draw, when non-nil, is the streamed weighted scan below, directly or
 	// through joins, whose rows this select weights after filtering
 	// (compiled.build): survivors get their vectors here (opScan.weigh),
-	// dropped rows never get one. keep is the row branch's scratch of the
-	// survivors' scan-batch rows, reused across batches.
+	// dropped rows never get one. keep is the scratch of the survivors'
+	// scan-batch rows, reused across batches.
 	draw *opScan
 	keep []int32
 }
 
-// vecBatch returns the input's columnar view when this step may take the
-// vectorized filter: a compiled deterministic predicate, a dense (identity
-// selection) batch with no unresolved refs (EvalCols has no Resolver), and
-// no pending non-deterministic state (promoted state rows would interleave
-// with the filtered news, breaking the selection vector's correspondence —
-// with a deterministic predicate the state is always empty, so this is a
-// pure invariant check).
-func (o *opSelect) vecBatch(bc *batchContext, in output) *colBatch {
-	cb := in.cb
-	if o.vec == nil || cb == nil || !bc.vec || cb.sel != nil ||
-		cb.cols.HasRefs() || o.state.Len() > 0 {
+// columns builds the predicate's column banks over the scan's batch when
+// this step may take the vectorized filter: a compiled predicate, the
+// columnar filter on (Options.NoVectorize off), no lineage refs in the banks
+// (EvalCols has no Resolver), and no pending non-deterministic state (with a
+// deterministic predicate the state is always empty, so this is a pure
+// invariant check). The child is the scan, so in.news[i] is tuple i of the
+// scan's delta. The banks live for this step only: nothing else reads them.
+func (o *opSelect) columns(bc *batchContext) *rel.Columns {
+	if o.vec == nil || !bc.vec || o.state.Len() > 0 {
 		return nil
 	}
-	return cb
+	d := bc.delta[o.scan.node.Table]
+	cols := rel.ToColumnsSubset(d.Schema, d.Tuples, o.need)
+	if cols.HasRefs() {
+		return nil
+	}
+	return cols
 }
 
 func (o *opSelect) classify(r delta.Row, bc *batchContext) expr.Tri {
@@ -144,38 +150,28 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 	// 2. New certain input rows.
 	if len(in.news) > 0 && !o.predUncertain {
 		n0 := len(out.news)
-		var sel []int32 // survivors' rows in the scan's batch (output.pos)
-		if cb := o.vecBatch(bc, in); cb != nil {
-			// Only a scan attaches a batch and joins drop it, so in.prov is
-			// nil here: positions in in.news are the scan's rows.
+		var pass []bool
+		if cols := o.columns(bc); cols != nil {
 			// Columnar filter: the predicate evaluates whole column spans
 			// into the selection slice, chunk-parallel (EvalCols is
 			// stateless). Verdict-identical to filterAll — CompileVec pins
 			// the row path's acceptance test — so the appended rows and
 			// their order match the row branch exactly.
-			pass := make([]bool, len(in.news))
+			pass = make([]bool, len(in.news))
 			bc.run.Chunks(cluster.CostSelect, len(in.news), func(lo, hi int) {
-				o.vec.EvalCols(cb.cols, lo, hi, pass[lo:hi])
+				o.vec.EvalCols(cols, lo, hi, pass[lo:hi])
 			})
-			sel = make([]int32, 0, len(in.news))
-			for i, r := range in.news {
-				if pass[i] {
-					out.news = append(out.news, r)
-					sel = append(sel, int32(i))
-				}
-			}
-			out.cb = &colBatch{cols: cb.cols, sel: sel}
 		} else {
-			pass := o.filterAll(in.news, bc)
-			sel = o.keep[:0]
-			for i, r := range in.news {
-				if pass[i] {
-					out.news = append(out.news, r)
-					sel = append(sel, in.pos(i))
-				}
-			}
-			o.keep = sel
+			pass = o.filterAll(in.news, bc)
 		}
+		sel := o.keep[:0] // survivors' rows in the scan's batch (output.pos)
+		for i, r := range in.news {
+			if pass[i] {
+				out.news = append(out.news, r)
+				sel = append(sel, in.pos(i))
+			}
+		}
+		o.keep = sel
 		if o.draw != nil {
 			// Survivor k is built from row sel[k] of the scan's batch: its
 			// vector is sliced from the table's batch slab if another scan

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"iolap/internal/delta"
-	"iolap/internal/rel"
-)
+import "iolap/internal/delta"
 
 // output is what an online operator emits for one mini-batch:
 //
@@ -19,11 +16,6 @@ import (
 type output struct {
 	news []delta.Row
 	unc  []delta.Row
-	// cb, when non-nil, is the columnar view of news (DESIGN.md §14):
-	// news[j] is row cb.src(j) of cb.cols. Streamed scans attach it; SELECT
-	// narrows it with a selection vector; every other operator drops it
-	// (the zero value), falling back to the row form downstream.
-	cb *colBatch
 	// prov is set on the path from a late-drawn scan up through joins to the
 	// select that draws for it (compiled.build): news[j] is built from row
 	// prov[j] of the scan's batch; nil means the identity (row j). It travels
@@ -37,24 +29,6 @@ func (o *output) pos(j int) int32 {
 		return int32(j)
 	}
 	return o.prov[j]
-}
-
-// colBatch is the columnar companion of an output's certain rows. The row
-// form stays authoritative — cb is an accelerator view over the same
-// tuples, so operators are free to ignore it.
-type colBatch struct {
-	cols *rel.Columns
-	// sel maps output position to source row: news[j] ↔ cols row sel[j];
-	// nil means the identity (news[j] ↔ row j).
-	sel []int32
-}
-
-// src returns the source-row index of output position j.
-func (cb *colBatch) src(j int) int {
-	if cb.sel == nil {
-		return j
-	}
-	return int(cb.sel[j])
 }
 
 // operator is one online operator (Section 7's "online operator

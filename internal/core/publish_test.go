@@ -85,12 +85,13 @@ func TestSharedMemoReadAfterEntryMoved(t *testing.T) {
 			var engs []*Engine
 			for _, cfg := range cfgs {
 				o := c.opts
-				o.Workers, o.NoVectorize, o.ParThreshold = cfg.workers, cfg.novec, 1
+				o.Workers, o.NoVectorize = cfg.workers, cfg.novec
 				o.Deltas, o.SharedState = deltas, cache
 				eng, err := NewEngine(c.root, c.db, o)
 				if err != nil {
 					t.Fatal(err)
 				}
+				eng.SetCutover(1)
 				defer eng.Close()
 				engs = append(engs, eng)
 			}
@@ -115,10 +116,11 @@ func TestSharedMemoReadAfterEntryMoved(t *testing.T) {
 func TestEngineStateFreedByOneGC(t *testing.T) {
 	db := testDB(2000, 42)
 	rekeyCDN(db, 1000)
-	eng, err := NewEngine(planQuery(t, nestedFewRead), db, Options{Batches: 4, Trials: 20, Workers: 2, ParThreshold: 1})
+	eng, err := NewEngine(planQuery(t, nestedFewRead), db, Options{Batches: 4, Trials: 20, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.SetCutover(1)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

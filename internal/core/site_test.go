@@ -26,11 +26,12 @@ func TestEverySiteIsClocked(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			for _, fixed := range []int{0, 1} {
 				opts := c.opts
-				opts.Trials, opts.Workers, opts.ParThreshold = 25, 4, fixed
+				opts.Trials, opts.Workers = 25, 4
 				eng, err := NewEngine(planGolden(t, c), goldenDB(c), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
+				eng.SetCutover(fixed)
 				if _, err := eng.Run(); err != nil {
 					t.Fatal(err)
 				}

@@ -26,6 +26,7 @@ func runEngineUpdates(t *testing.T, query string, n int, dbSeed int64, opts Opti
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
+	eng.SetCutover(1) // every parallel path, at any Workers above 1
 	us, err := eng.Run()
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -125,7 +126,7 @@ func TestBudgetEquivalenceSweep(t *testing.T) {
 // the in-memory run bit for bit.
 func TestSpillTempDirLifecycle(t *testing.T) {
 	query := theoremQuery(t, "join_dim_group")
-	opts := Options{Mode: ModeIOLAP, Batches: 4, Trials: 10, Seed: 3, Workers: 2, ParThreshold: 1}
+	opts := Options{Mode: ModeIOLAP, Batches: 4, Trials: 10, Seed: 3, Workers: 2}
 
 	memOpts := opts
 	want, memEng := runEngineUpdates(t, query, 240, 11, memOpts, false, false)
@@ -170,7 +171,7 @@ func TestSpillTempDirLifecycle(t *testing.T) {
 func TestSpillFaultEngineRecovery(t *testing.T) {
 	query := theoremQuery(t, "join_dim_group")
 	base := Options{Mode: ModeIOLAP, Batches: 6, Trials: 25, Seed: 3,
-		Workers: 2, ParThreshold: 1, StateBudgetBytes: -1}
+		Workers: 2, StateBudgetBytes: -1}
 
 	oracleOpts := base
 	oracleOpts.StateBudgetBytes = 0 // in-memory, no spill machinery at all

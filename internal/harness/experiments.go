@@ -634,10 +634,11 @@ func yesNo(b bool) string {
 	return "NO"
 }
 
-// ScaleSensitivity is an extra experiment (not a paper artifact): it shows
-// how the tiny-group deviations documented in EXPERIMENTS.md note (a) close
-// as the dataset grows — the non-deterministic fraction of the ND-heavy
-// Q17 shrinks and the HDA/iOLAP full-run ratio of the nested C8 grows.
+// ScaleSensitivity is an extra experiment (not a paper artifact): it tracks
+// the tiny-group deviations documented in EXPERIMENTS.md note (a) as the
+// dataset grows — the non-deterministic fraction of the ND-heavy Q17 and the
+// HDA/iOLAP full-run ratio of the nested C8. Q17's groups do not grow with
+// the data, so its ranges stay below MinRangeSupport at every scale.
 func ScaleSensitivity(cfg Config) ([]*Result, error) {
 	cfg = cfg.WithDefaults()
 	res := &Result{
@@ -681,6 +682,6 @@ func ScaleSensitivity(cfg Config) ([]*Result, error) {
 		})
 	}
 	res.Notes = append(res.Notes,
-		"expected: ND fraction falls and the HDA/iOLAP gap widens as data grows (group support reaches the range threshold)")
+		"expected: Q17's ND fraction stays flat as data grows: its groups do not grow with the data, so their support never reaches the range threshold")
 	return []*Result{res}, nil
 }

@@ -7,11 +7,11 @@ import (
 // Columnar storage for relations (DESIGN.md §14). A Columns value is the
 // in-memory twin of the §11 block codec layout: one typed bank per schema
 // column (float64/int64 slabs, dictionary-coded strings) plus a validity
-// bitmap when the column has NULLs, and an optional multiplicity slab. The
-// hot pipeline (scan → select → join probe → aggregate fold) reads banks
-// batch-at-a-time; everything else keeps using the row view. Banks are built
-// from rows (ToColumns) and give every cell back exactly (Columns.Value);
-// nothing caches a view — the scan builds the one its plan reads, per batch.
+// bitmap when the column has NULLs. The columnar filter (a select directly
+// above a streamed scan) reads banks batch-at-a-time; everything else keeps
+// using the row view. Banks are built from rows (ToColumns) and give every
+// cell back exactly (Columns.Value); nothing caches a view — the select
+// builds the one its predicate reads, per batch.
 
 // Bitmap is a fixed-length bitset used for column validity (bit set =
 // value present) and row selections.
@@ -67,7 +67,7 @@ type ColumnBank struct {
 }
 
 // Columns is the columnar view of a relation: N rows over Schema, one bank
-// per column. Mults is nil when every multiplicity is 1.
+// per column. Multiplicities are not part of the view.
 //
 // A subset view (ToColumnsSubset) materialises banks only for the columns
 // its consumer declared; the rest stay unbuilt (built[col] == false) and
@@ -77,7 +77,6 @@ type Columns struct {
 	Schema Schema
 	N      int
 	Banks  []ColumnBank
-	Mults  []float64
 
 	// rows/built are set only on subset views: rows is the source tuple
 	// slice backing unbuilt columns, built marks which banks materialised.
@@ -94,7 +93,6 @@ type Columns struct {
 func ToColumns(schema Schema, tuples []Tuple) *Columns {
 	n := len(tuples)
 	c := &Columns{Schema: schema, N: n, Banks: make([]ColumnBank, len(schema))}
-	c.buildMults(tuples)
 	for col := range schema {
 		c.buildBank(col, tuples)
 	}
@@ -102,10 +100,10 @@ func ToColumns(schema Schema, tuples []Tuple) *Columns {
 }
 
 // ToColumnsSubset converts only the columns marked in need (nil need means
-// every column), leaving the rest as row-backed fallbacks. The hot pipeline
-// uses it to skip banks no operator reads — a high-cardinality string
-// column outside the plan's predicate/key/argument set would otherwise pay
-// a dictionary insert per row for nothing.
+// every column), leaving the rest as row-backed fallbacks. The columnar
+// filter uses it to build only its predicate's banks — a high-cardinality
+// string column outside the predicate would otherwise pay a dictionary
+// insert per row for nothing.
 func ToColumnsSubset(schema Schema, tuples []Tuple, need []bool) *Columns {
 	if need == nil {
 		return ToColumns(schema, tuples)
@@ -117,7 +115,6 @@ func ToColumnsSubset(schema Schema, tuples []Tuple, need []bool) *Columns {
 		rows:   tuples,
 		built:  make([]bool, len(schema)),
 	}
-	c.buildMults(tuples)
 	for col := range schema {
 		if col < len(need) && need[col] {
 			c.buildBank(col, tuples)
@@ -125,19 +122,6 @@ func ToColumnsSubset(schema Schema, tuples []Tuple, need []bool) *Columns {
 		}
 	}
 	return c
-}
-
-// buildMults fills the multiplicity slab iff any row's differs from 1.
-func (c *Columns) buildMults(tuples []Tuple) {
-	for i := range tuples {
-		if tuples[i].Mult != 1 {
-			c.Mults = make([]float64, len(tuples))
-			for j := range tuples {
-				c.Mults[j] = tuples[j].Mult
-			}
-			return
-		}
-	}
 }
 
 // buildBank converts one column in a single optimistic pass: the first
@@ -262,14 +246,6 @@ func (c *Columns) mixedBank(b *ColumnBank, col int, tuples []Tuple) {
 // cannot resolve refs check this once per batch and fall back to rows.
 func (c *Columns) HasRefs() bool { return c.hasRefs }
 
-// Mult returns the row's multiplicity.
-func (c *Columns) Mult(row int) float64 {
-	if c.Mults == nil {
-		return 1
-	}
-	return c.Mults[row]
-}
-
 // Value reconstructs a cell exactly as it appeared in the source tuple.
 func (c *Columns) Value(col, row int) Value {
 	if c.built != nil && !c.built[col] {
@@ -308,47 +284,6 @@ func (c *Columns) IsNull(col, row int) bool {
 		return true
 	}
 	return b.Valid != nil && !b.Valid.Get(row)
-}
-
-// ArgValue reads a cell as an aggregate argument: the float64 the bank
-// kernels ingest, plus whether the cell participates at all. acceptAny
-// selects the COUNT convention (every non-NULL cell counts, non-numerics
-// via NumericKey) over the numeric one (non-numeric cells skip like NULLs).
-// Bit-identical to evaluating the column expression and applying the row
-// path's argument rules.
-func (c *Columns) ArgValue(col, row int, acceptAny bool) (float64, bool) {
-	b := &c.Banks[col]
-	if b.Mixed != nil || (c.built != nil && !c.built[col]) {
-		v := c.Value(col, row)
-		if v.kind == KNull {
-			return 0, false
-		}
-		if v.IsNumeric() {
-			return v.Float(), true
-		}
-		if acceptAny {
-			return v.NumericKey(), true
-		}
-		return 0, false
-	}
-	if b.Kind == KNull || (b.Valid != nil && !b.Valid.Get(row)) {
-		return 0, false
-	}
-	switch b.Kind {
-	case KInt:
-		return float64(b.Ints[row]), true
-	case KFloat:
-		return b.Floats[row], true
-	case KBool:
-		if acceptAny {
-			return Value{kind: KBool, i: b.Ints[row]}.NumericKey(), true
-		}
-	case KString:
-		if acceptAny {
-			return Value{kind: KString, s: b.Dict[b.Codes[row]]}.NumericKey(), true
-		}
-	}
-	return 0, false
 }
 
 // EncodeKeyInto appends the canonical key of row over cols to buf — byte-

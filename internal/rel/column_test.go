@@ -86,7 +86,7 @@ func sameVal(a, b Value) bool {
 }
 
 // TestColumnsRoundTrip checks that ToColumns → Value reconstructs every cell
-// (including NaN payload bits), multiplicity, and NULL exactly.
+// (including NaN payload bits) and NULL exactly.
 func TestColumnsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, withRefs := range []bool{false, true} {
@@ -99,9 +99,6 @@ func TestColumnsRoundTrip(t *testing.T) {
 			t.Fatalf("N = %d, want %d", c.N, r.Len())
 		}
 		for row, tp := range r.Tuples {
-			if c.Mult(row) != tp.Mult {
-				t.Fatalf("row %d: Mult %v, want %v", row, c.Mult(row), tp.Mult)
-			}
 			for col, want := range tp.Vals {
 				if got := c.Value(col, row); !sameVal(got, want) {
 					t.Fatalf("cell (%d,%d): got %v (%s), want %v (%s)",
@@ -134,46 +131,6 @@ func TestColumnsEncodeKeyParity(t *testing.T) {
 	}
 }
 
-// TestColumnsArgValueParity checks ArgValue against the row-path argument
-// rules for both the numeric and the accept-any (COUNT) conventions.
-func TestColumnsArgValueParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	r := randomRelation(rng, 200, false)
-	c := ToColumns(r.Schema, r.Tuples)
-	for row, tp := range r.Tuples {
-		for col, v := range tp.Vals {
-			for _, any := range []bool{false, true} {
-				var want float64
-				wantOK := false
-				if !v.IsNull() {
-					switch {
-					case v.IsNumeric():
-						want, wantOK = v.Float(), true
-					case any:
-						want, wantOK = v.NumericKey(), true
-					}
-				}
-				got, ok := c.ArgValue(col, row, any)
-				if ok != wantOK || (ok && math.Float64bits(got) != math.Float64bits(want)) {
-					t.Fatalf("cell (%d,%d) any=%v: ArgValue = (%v,%v), want (%v,%v)",
-						col, row, any, got, ok, want, wantOK)
-				}
-			}
-		}
-	}
-}
-
-// TestColumnsMults checks the all-ones multiplicity fast path keeps Mults
-// nil.
-func TestColumnsMults(t *testing.T) {
-	r := NewRelation(Schema{{Name: "x", Type: KInt}})
-	r.Append(Int(1))
-	r.Append(Int(2))
-	if c := ToColumns(r.Schema, r.Tuples); c.Mults != nil {
-		t.Fatalf("all-ones relation built a Mults slab")
-	}
-}
-
 // TestColumnsSubsetView checks subset views are lossless through every
 // accessor: built banks read columnar, unbuilt banks fall back to the source
 // tuples.
@@ -188,23 +145,12 @@ func TestColumnsSubsetView(t *testing.T) {
 		}
 		sub := ToColumnsSubset(r.Schema, r.Tuples, need)
 		for row, tp := range r.Tuples {
-			if sub.Mult(row) != tp.Mult {
-				t.Fatalf("row %d: Mult %v, want %v", row, sub.Mult(row), tp.Mult)
-			}
 			for col, want := range tp.Vals {
 				if got := sub.Value(col, row); !sameVal(got, want) {
 					t.Fatalf("cell (%d,%d) need=%v: got %v, want %v", col, row, need[col], got, want)
 				}
 				if got := sub.IsNull(col, row); got != want.IsNull() {
 					t.Fatalf("cell (%d,%d): IsNull %v, want %v", col, row, got, want.IsNull())
-				}
-				for _, acceptAny := range []bool{false, true} {
-					gv, gok := sub.ArgValue(col, row, acceptAny)
-					wv, wok := full.ArgValue(col, row, acceptAny)
-					if gok != wok || math.Float64bits(gv) != math.Float64bits(wv) {
-						t.Fatalf("cell (%d,%d) acceptAny=%v: ArgValue (%v,%v), want (%v,%v)",
-							col, row, acceptAny, gv, gok, wv, wok)
-					}
 				}
 			}
 		}

@@ -62,7 +62,7 @@ func checkUDFPanic(t *testing.T, err error, fn string) {
 }
 
 // forcedParallelCursor is Session.Query's cursor with every parallel site
-// forced on (core.Options.ParThreshold, which the facade does not expose).
+// forced on (core.Engine.SetCutover, which the facade does not expose).
 func forcedParallelCursor(t *testing.T, s *Session, query string, workers int) *Cursor {
 	t.Helper()
 	db := s.db()
@@ -70,10 +70,11 @@ func forcedParallelCursor(t *testing.T, s *Session, query string, workers int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(node, db, core.Options{Batches: 4, Trials: 10, Seed: 1, Workers: workers, ParThreshold: 1})
+	eng, err := core.NewEngine(node, db, core.Options{Batches: 4, Trials: 10, Seed: 1, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.SetCutover(1)
 	return &Cursor{engine: eng, pp: pp}
 }
 
