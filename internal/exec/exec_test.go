@@ -307,6 +307,86 @@ func TestAggregateHelperWithScale(t *testing.T) {
 	}
 }
 
+// TestRunScaledMatchesScaledRows holds RunScaled(root, D, m) to Q(D, m) read
+// literally: Run over D with every streamed row at multiplicity m.
+func TestRunScaledMatchesScaledRows(t *testing.T) {
+	const m = 2.5
+	sbi := func() plan.Node {
+		avg := mustAgg(t, "AVG")
+		inner := plan.NewAggregate(plan.NewScan("sessions", "si", sessionsSchema(), true), nil,
+			[]plan.AggSpec{{Fn: avg, Arg: expr.NewCol(1, "", rel.KFloat), Name: "avg_bt"}})
+		join := plan.NewJoin(plan.NewScan("sessions", "s", sessionsSchema(), true), inner, nil, nil)
+		sel := plan.NewSelect(join, expr.NewCmp(expr.Gt,
+			expr.NewCol(1, "", rel.KFloat), expr.NewCol(3, "", rel.KFloat)))
+		return plan.NewAggregate(sel, nil, []plan.AggSpec{
+			{Fn: avg, Arg: expr.NewCol(2, "", rel.KFloat), Name: "avg_pt"},
+			{Fn: mustAgg(t, "SUM"), Arg: expr.NewCol(2, "", rel.KFloat), Name: "sum_pt"},
+			{Fn: mustAgg(t, "COUNT"), Name: "n"},
+		})
+	}
+	rowsRoot := func() plan.Node {
+		return plan.NewSelect(plan.NewScan("sessions", "", sessionsSchema(), true), expr.NewCmp(expr.Gt,
+			expr.NewCol(1, "", rel.KFloat), expr.NewConst(rel.Float(30))))
+	}
+	sessions := NewDB()
+	sessions.Put("sessions", paperSessions())
+	for _, c := range []struct {
+		name     string
+		root     plan.Node
+		db       *DB
+		streamed string
+	}{
+		{"sbi", sbi(), sessions, "sessions"},
+		{"rows", rowsRoot(), sessions, "sessions"},
+		{"fact_dim", factDimPlan(t), factDimDB(500, 7), "fact"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			plan.Finalize(c.root)
+			got, err := NewExecutor(1).RunScaled(c.root, c.db, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, _ := c.db.Get(c.streamed)
+			rows := rel.NewRelation(src.Schema)
+			for _, tp := range src.Tuples {
+				rows.AppendMult(m*tp.Mult, tp.Vals...)
+			}
+			db := NewDB()
+			for _, name := range c.db.Tables() {
+				r, _ := c.db.Get(name)
+				db.Put(name, r)
+			}
+			db.Put(c.streamed, rows)
+			if want := runPlan(t, c.root, db); !rel.EqualBag(got, want, 1e-9) {
+				t.Errorf("RunScaled at m = %g:\n%s\nrows at multiplicity m:\n%s", m, got, want)
+			}
+		})
+	}
+}
+
+// TestRunScaledRejectsMixedUnion: a union of a streamed and a static side has
+// no single scale exponent, so RunScaled refuses it rather than scale the
+// static rows by m.
+func TestRunScaledRejectsMixedUnion(t *testing.T) {
+	db := NewDB()
+	db.Put("sessions", paperSessions())
+	u := plan.NewUnion(
+		plan.NewScan("sessions", "a", sessionsSchema(), true),
+		plan.NewScan("sessions", "b", sessionsSchema(), false))
+	plan.Finalize(u)
+	x := NewExecutor(1)
+	if _, err := x.RunScaled(u, db, 2); err == nil {
+		t.Error("RunScaled at m = 2 accepted a union of a streamed and a static side")
+	}
+	out, err := x.RunScaled(u, db, 1)
+	if err != nil {
+		t.Fatalf("RunScaled at m = 1: %v", err)
+	}
+	if out.Len() != 12 {
+		t.Errorf("RunScaled at m = 1: %d rows, want Run's 12", out.Len())
+	}
+}
+
 func TestZeroMultiplicityTuplesIgnoredByAggregate(t *testing.T) {
 	schema := rel.Schema{{Name: "x", Type: rel.KFloat}}
 	in := rel.NewRelation(schema)
