@@ -387,6 +387,22 @@ func (op CmpOp) String() string {
 	return [...]string{"=", "<>", "<", "<=", ">", ">="}[op]
 }
 
+// Mirror is the operator that gives the same verdict with its operands
+// swapped: a < b exactly when b > a.
+func (op CmpOp) Mirror() CmpOp {
+	switch op {
+	case Lt:
+		return Gt
+	case Le:
+		return Ge
+	case Gt:
+		return Lt
+	case Ge:
+		return Le
+	}
+	return op
+}
+
 // Cmp is a binary comparison node.
 type Cmp struct {
 	Op   CmpOp

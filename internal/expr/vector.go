@@ -118,25 +118,11 @@ func compileVecCmp(e *Cmp) (vecNode, bool) {
 	case lIsConst && rIsCol:
 		// const OP col normalises to col mirror(OP) const: Compare is
 		// antisymmetric, so the verdicts are identical row for row.
-		return colCmp{op: mirrorCmp(e.Op), idx: rc.Idx, cv: lv.V}, true
+		return colCmp{op: e.Op.Mirror(), idx: rc.Idx, cv: lv.V}, true
 	case lIsCol && rIsCol:
 		return colColCmp{op: e.Op, li: lc.Idx, ri: rc.Idx}, true
 	}
 	return nil, false
-}
-
-func mirrorCmp(op CmpOp) CmpOp {
-	switch op {
-	case Lt:
-		return Gt
-	case Le:
-		return Ge
-	case Gt:
-		return Lt
-	case Ge:
-		return Le
-	}
-	return op
 }
 
 // cmpVerdict applies a comparison operator to a three-way compare result —

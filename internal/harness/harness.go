@@ -229,7 +229,7 @@ func baseline(w *workload.Workload, q workload.Query) (time.Duration, *rel.Relat
 	if err != nil {
 		return 0, nil, err
 	}
-	pp.Apply(out)
+	out = pp.Apply(out)
 	return time.Since(start), out, nil
 }
 

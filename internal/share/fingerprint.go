@@ -162,11 +162,8 @@ func fpExpr(e expr.Expr) string {
 	case *expr.Cmp:
 		op, l, r := t.Op, fpExpr(t.L), fpExpr(t.R)
 		// a > b ≡ b < a; a >= b ≡ b <= a.
-		switch op {
-		case expr.Gt:
-			op, l, r = expr.Lt, r, l
-		case expr.Ge:
-			op, l, r = expr.Le, r, l
+		if op == expr.Gt || op == expr.Ge {
+			op, l, r = op.Mirror(), r, l
 		}
 		if (op == expr.Eq || op == expr.Ne) && r < l {
 			l, r = r, l

@@ -1,7 +1,5 @@
 package sql
 
-import "strings"
-
 // The AST mirrors the supported SQL surface. Expression nodes are untyped;
 // the planner resolves names and lowers them to internal/expr.
 
@@ -19,6 +17,9 @@ type SelectStmt struct {
 	Limit   int // -1 when absent
 	// UnionAll chains another SELECT with bag-union semantics.
 	UnionAll *SelectStmt
+	// aggPrefix prefixes the planner's aggregate output names: "sub_" on
+	// the GROUP BY form a correlated scalar subquery is rewritten to.
+	aggPrefix string
 }
 
 func (*SelectStmt) astNode() {}
@@ -173,50 +174,40 @@ type LikeExpr struct {
 func (*LikeExpr) astNode()  {}
 func (*LikeExpr) exprNode() {}
 
-// containsAggregate reports whether the expression contains an aggregate
-// call, consulting isAgg for UDAF names.
-func containsAggregate(e ExprNode, isAgg func(name string) bool) bool {
+// inspect walks the expression tree depth-first, in the manner of
+// go/ast.Inspect: it calls visit on each node, and descends into the node's
+// operands only when visit returns true. A subquery's statement is its own
+// scope and is not entered.
+func inspect(e ExprNode, visit func(ExprNode) bool) {
+	if e == nil || !visit(e) {
+		return
+	}
 	switch t := e.(type) {
-	case nil:
-		return false
-	case *Ident, *Lit, *Subquery:
-		return false
-	case *FuncCall:
-		if isAgg(strings.ToUpper(t.Name)) {
-			return true
-		}
-		for _, a := range t.Args {
-			if containsAggregate(a, isAgg) {
-				return true
-			}
-		}
-		return false
 	case *BinOp:
-		return containsAggregate(t.L, isAgg) || containsAggregate(t.R, isAgg)
+		inspect(t.L, visit)
+		inspect(t.R, visit)
 	case *UnOp:
-		return containsAggregate(t.E, isAgg)
+		inspect(t.E, visit)
+	case *FuncCall:
+		for _, a := range t.Args {
+			inspect(a, visit)
+		}
 	case *CaseExpr:
 		for _, w := range t.Whens {
-			if containsAggregate(w.Cond, isAgg) || containsAggregate(w.Then, isAgg) {
-				return true
-			}
+			inspect(w.Cond, visit)
+			inspect(w.Then, visit)
 		}
-		return containsAggregate(t.Else, isAgg)
+		inspect(t.Else, visit)
 	case *InExpr:
-		if containsAggregate(t.E, isAgg) {
-			return true
-		}
+		inspect(t.E, visit)
 		for _, item := range t.List {
-			if containsAggregate(item, isAgg) {
-				return true
-			}
+			inspect(item, visit)
 		}
-		return false
 	case *BetweenExpr:
-		return containsAggregate(t.E, isAgg) || containsAggregate(t.Lo, isAgg) ||
-			containsAggregate(t.Hi, isAgg)
+		inspect(t.E, visit)
+		inspect(t.Lo, visit)
+		inspect(t.Hi, visit)
 	case *LikeExpr:
-		return containsAggregate(t.E, isAgg)
+		inspect(t.E, visit)
 	}
-	return false
 }

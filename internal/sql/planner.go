@@ -90,37 +90,17 @@ type OrderKey struct {
 	Desc bool
 }
 
-// Apply sorts and truncates a materialised result in place and returns it.
+// Apply sorts and truncates a materialised result. The input is not
+// modified; a nil or no-op post-process returns it unchanged.
 func (pp *PostProcess) Apply(r *rel.Relation) *rel.Relation {
-	if pp == nil {
-		return r
-	}
-	if len(pp.Keys) > 0 {
-		sort.SliceStable(r.Tuples, func(i, j int) bool {
-			for _, k := range pp.Keys {
-				c := r.Tuples[i].Vals[k.Col].Compare(r.Tuples[j].Vals[k.Col])
-				if c == 0 {
-					continue
-				}
-				if k.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-	if pp.Limit >= 0 && pp.Limit < len(r.Tuples) {
-		r.Tuples = r.Tuples[:pp.Limit]
-	}
-	return r
+	out, _ := pp.ApplyWithEstimates(r, nil)
+	return out
 }
 
 // ApplyWithEstimates is Apply for an incremental result whose rows carry
 // aligned bootstrap error estimates: the estimate rows are sorted and
 // truncated alongside the tuples, so estimate [i][j] keeps describing row i
-// after ORDER BY / LIMIT. The inputs are not modified; a nil or no-op
-// post-process returns them unchanged.
+// after ORDER BY / LIMIT.
 func (pp *PostProcess) ApplyWithEstimates(r *rel.Relation, ests [][]bootstrap.Estimate) (*rel.Relation, [][]bootstrap.Estimate) {
 	if pp == nil || (len(pp.Keys) == 0 && pp.Limit < 0) {
 		return r, ests
@@ -182,7 +162,7 @@ func NewPlanner(cat *Catalog, funcs *expr.Registry, aggs *agg.Registry) *Planner
 // Plan lowers a statement to a finalized, validated plan plus its
 // post-processing spec.
 func (pl *Planner) Plan(stmt *SelectStmt) (plan.Node, *PostProcess, error) {
-	node, pp, err := pl.planSelect(stmt, nil)
+	node, pp, err := pl.planSelect(stmt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -198,15 +178,14 @@ func (pl *Planner) isAgg(name string) bool {
 	return ok
 }
 
-// planSelect lowers one SELECT (and any UNION ALL chain). outer is the
-// enclosing scope schema for correlated subqueries (nil at top level).
-func (pl *Planner) planSelect(stmt *SelectStmt, outer rel.Schema) (plan.Node, *PostProcess, error) {
-	node, err := pl.planSingle(stmt, outer)
+// planSelect lowers one SELECT (and any UNION ALL chain).
+func (pl *Planner) planSelect(stmt *SelectStmt) (plan.Node, *PostProcess, error) {
+	node, err := pl.planSingle(stmt)
 	if err != nil {
 		return nil, nil, err
 	}
 	for u := stmt.UnionAll; u != nil; u = u.UnionAll {
-		right, err := pl.planSingle(u, outer)
+		right, err := pl.planSingle(u)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -245,7 +224,7 @@ func (pl *Planner) resolveOrderKey(e ExprNode, out rel.Schema, stmt *SelectStmt)
 }
 
 // planSingle lowers one SELECT block (no UNION chain).
-func (pl *Planner) planSingle(stmt *SelectStmt, outer rel.Schema) (plan.Node, error) {
+func (pl *Planner) planSingle(stmt *SelectStmt) (plan.Node, error) {
 	if len(stmt.Items) == 0 {
 		return nil, fmt.Errorf("sql: empty select list")
 	}
@@ -253,22 +232,22 @@ func (pl *Planner) planSingle(stmt *SelectStmt, outer rel.Schema) (plan.Node, er
 		return nil, fmt.Errorf("sql: FROM is required")
 	}
 	// 1. FROM nodes.
-	node, err := pl.planFromJoin(stmt, outer)
+	node, err := pl.planFromJoin(stmt)
 	if err != nil {
 		return nil, err
 	}
-	return pl.finishSelect(stmt, node, outer)
+	return pl.finishSelect(stmt, node)
 }
 
 // planFromJoin builds the join tree over the FROM list, consuming equi-join
 // and residual WHERE conjuncts; subquery conjuncts are attached afterwards.
-func (pl *Planner) planFromJoin(stmt *SelectStmt, outer rel.Schema) (plan.Node, error) {
+func (pl *Planner) planFromJoin(stmt *SelectStmt) (plan.Node, error) {
 	type fromEntry struct {
 		node plan.Node
 	}
 	entries := make([]fromEntry, len(stmt.From))
 	for i, ref := range stmt.From {
-		n, err := pl.planTableRef(ref, outer)
+		n, err := pl.planTableRef(ref)
 		if err != nil {
 			return nil, err
 		}
@@ -423,7 +402,7 @@ func (pl *Planner) planFromJoin(stmt *SelectStmt, outer rel.Schema) (plan.Node, 
 	// subquery's aggregate output into the tree, Figure 2(a) style.
 	for _, c := range subqueryConjs {
 		var err error
-		node, err = pl.attachSubqueryConjunct(node, c, outer)
+		node, err = pl.attachSubqueryConjunct(node, c)
 		if err != nil {
 			return nil, err
 		}
@@ -432,7 +411,7 @@ func (pl *Planner) planFromJoin(stmt *SelectStmt, outer rel.Schema) (plan.Node, 
 }
 
 // finishSelect applies aggregation, HAVING and the final projection.
-func (pl *Planner) finishSelect(stmt *SelectStmt, node plan.Node, outer rel.Schema) (plan.Node, error) {
+func (pl *Planner) finishSelect(stmt *SelectStmt, node plan.Node) (plan.Node, error) {
 	inSchema := node.Schema()
 	// Expand SELECT * into one item per visible column. Columns
 	// synthesised by subquery compilation are hidden.
@@ -453,11 +432,9 @@ func (pl *Planner) finishSelect(stmt *SelectStmt, node plan.Node, outer rel.Sche
 				})
 			}
 		}
-		stmt = &SelectStmt{
-			Items: items, From: stmt.From, Where: stmt.Where,
-			GroupBy: stmt.GroupBy, Having: stmt.Having,
-			OrderBy: stmt.OrderBy, Limit: stmt.Limit,
-		}
+		expanded := *stmt
+		expanded.Items = items
+		stmt = &expanded
 	}
 	needsAgg := len(stmt.GroupBy) > 0
 	for _, item := range stmt.Items {
@@ -542,7 +519,7 @@ func (pl *Planner) finishSelect(stmt *SelectStmt, node plan.Node, outer rel.Sche
 			if err != nil {
 				return err
 			}
-			spec := plan.AggSpec{Fn: fn, Name: fmt.Sprintf("%s_%d", strings.ToLower(fn.Name), len(specs))}
+			spec := plan.AggSpec{Fn: fn, Name: fmt.Sprintf("%s%s_%d", stmt.aggPrefix, strings.ToLower(fn.Name), len(specs))}
 			if fc.Star {
 				if fn.Name != "COUNT" {
 					return fmt.Errorf("sql: %s(*) is not valid", fn.Name)
@@ -585,17 +562,15 @@ func (pl *Planner) finishSelect(stmt *SelectStmt, node plan.Node, outer rel.Sche
 	}
 	// HAVING: may itself contain scalar subqueries (e.g. TPC-H Q11).
 	if stmt.Having != nil {
-		havingConjs := splitConjuncts(stmt.Having)
 		var plainConjs []ExprNode
-		for _, c := range havingConjs {
-			if hasSubquery(c) {
-				var err error
-				cur, err = pl.attachHavingSubquery(cur, c, aggMap)
-				if err != nil {
-					return nil, err
-				}
-			} else {
+		for _, c := range splitConjuncts(stmt.Having) {
+			if !hasSubquery(c) {
 				plainConjs = append(plainConjs, c)
+				continue
+			}
+			var err error
+			if cur, err = pl.attachScalarComparison(cur, c, aggMap, nil); err != nil {
+				return nil, err
 			}
 		}
 		if len(plainConjs) > 0 {
@@ -651,9 +626,9 @@ func itemName(item SelectItem, i int) string {
 }
 
 // planTableRef lowers one FROM entry.
-func (pl *Planner) planTableRef(ref TableRef, outer rel.Schema) (plan.Node, error) {
+func (pl *Planner) planTableRef(ref TableRef) (plan.Node, error) {
 	if ref.Subquery != nil {
-		sub, _, err := pl.planSelect(ref.Subquery, outer)
+		sub, _, err := pl.planSelect(ref.Subquery)
 		if err != nil {
 			return nil, err
 		}

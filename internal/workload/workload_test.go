@@ -140,7 +140,7 @@ func TestAllQueriesRunOnBaseline(t *testing.T) {
 				t.Errorf("%s/%s exec: %v", w.Name, q.Name, err)
 				continue
 			}
-			pp.Apply(out)
+			out = pp.Apply(out)
 			if out.Len() == 0 && q.Name != "Q20" {
 				// Q20's triple filter can legitimately be empty at tiny
 				// scale; everything else must produce rows.

@@ -490,7 +490,7 @@ func (s *Session) Exec(query string) (*Update, error) {
 	if err != nil {
 		return nil, err
 	}
-	pp.Apply(out)
+	out = pp.Apply(out)
 	u := &Update{Batch: 1, Batches: 1, Fraction: 1}
 	fillUpdate(u, out, nil)
 	return u, nil
