@@ -297,6 +297,29 @@ func TestBudgetRejectBoundary(t *testing.T) {
 	}
 }
 
+// TestIllKindedQueryFailsItsOpen: a query whose operand kinds the evaluator
+// cannot take used to plan and then panic on the engine's scan goroutine,
+// taking the whole serving process down. Its open now fails with a plan
+// error, and the engine goes on serving other sessions.
+func TestIllKindedQueryFailsItsOpen(t *testing.T) {
+	eng := NewEngine(testDB(100, 1), testStreamed, nil, nil, Config{Batches: 4})
+	defer eng.Close()
+	if s, err := eng.Open(`SELECT cdn + 1 AS x FROM sessions`, SessionOptions{Stream: "sessions"}); err == nil {
+		s.Cancel()
+		t.Fatal("ill-kinded query opened; want a plan error")
+	}
+	s, err := eng.Open(testQueries[0], SessionOptions{Stream: "sessions", Trials: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(drain(s)); got != 4 {
+		t.Fatalf("healthy session delivered %d updates, want 4", got)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBudgetQueueFIFO(t *testing.T) {
 	db := testDB(100, 1)
 	eng := NewEngine(db, testStreamed, nil, nil, Config{
