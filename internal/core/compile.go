@@ -56,7 +56,7 @@ type compiled struct {
 // non-nil, is the resident-state budget the persistent join stores register
 // with; db backs compile-time shared-state builds (Options.SharedState).
 func compile(root plan.Node, db *exec.DB, opts Options, spill *delta.SpillPolicy) (*compiled, error) {
-	if opts.Mode == ModeHDA && !opts.NoViewletRewrites {
+	if opts.Mode == ModeHDA {
 		// DBToaster-style higher-order delta: apply the Appendix-B
 		// viewlet-transformation rewrites before execution.
 		root = plan.NewRewriter(agg.NewRegistry()).Rewrite(root)

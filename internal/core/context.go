@@ -83,10 +83,6 @@ type Options struct {
 	// (the Section 2 pre-processing tool); off by default because the
 	// workload generators already emit shuffled data.
 	PreShuffle bool
-	// NoViewletRewrites disables the Appendix-B viewlet-transformation
-	// plan rewrites that ModeHDA applies by default (DBToaster's
-	// higher-order delta = delta rules + viewlet transforms).
-	NoViewletRewrites bool
 	// BlockRows, when positive, enables the paper's default block-wise
 	// randomness (Section 2): the streamed table is cut into blocks of
 	// this many rows, whole blocks are randomly assigned to mini-batches

@@ -39,15 +39,6 @@ func TestHDAAppliesViewletRewrites(t *testing.T) {
 				u.Batch, u.Result, want)
 		}
 	}
-	// And the rewrite can be disabled.
-	eng2, err := NewEngine(root, db, Options{Mode: ModeHDA, Batches: 4, Trials: 10, Seed: 3,
-		NoViewletRewrites: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plan.Fingerprint(eng2.comp.norm), "__partial") {
-		t.Error("NoViewletRewrites must suppress the decomposition")
-	}
 }
 
 // TestDecomposableShapeUnderHDA drives the exact Eq. 1 pattern through the
@@ -58,24 +49,20 @@ func TestDecomposableShapeUnderHDA(t *testing.T) {
 		GROUP BY s.cdn`
 	db := testDB(160, 103)
 	root := planQuery(t, q)
-	for _, noRewrite := range []bool{false, true} {
-		eng, err := NewEngine(root, db, Options{
-			Mode: ModeHDA, Batches: 4, Trials: 10, Seed: 5, NoViewletRewrites: noRewrite,
-		})
+	eng, err := NewEngine(root, db, Options{Mode: ModeHDA, Batches: 4, Trials: 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for !eng.Done() {
+		u, err := eng.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := 0
-		for !eng.Done() {
-			u, err := eng.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			seen += eng.deltas[u.Batch-1].Len()
-			want := oracle(t, root, db, "sessions", seen)
-			if !rel.EqualBag(u.Result, want, 1e-6) {
-				t.Fatalf("noRewrite=%v: batch %d diverged", noRewrite, u.Batch)
-			}
+		seen += eng.deltas[u.Batch-1].Len()
+		want := oracle(t, root, db, "sessions", seen)
+		if !rel.EqualBag(u.Result, want, 1e-6) {
+			t.Fatalf("batch %d diverged", u.Batch)
 		}
 	}
 }
