@@ -211,7 +211,8 @@ func TestDocsCiteExistingIdentifiers(t *testing.T) {
 var orphanAllowed = map[string]string{
 	"internal/wire/wiretest/":         "test support: the corruption table and fuzz harness every codec's tests instantiate",
 	"internal/leakcheck/":             "test support: the goroutine-leak guard the root, cluster, core, serve and share TestMains run",
-	"internal/delta/rules.go":         "the reference delta rules of Section 4.2 that the operators are tested against",
+	"internal/delta/rules.go":         "the reference delta rules of Section 4.2, kept beside the operators that implement them; only their own tests call them",
+	"plan.Format":                     "prints a failing plan: the lattice, fuzz and planner tests report with it",
 	"storage.FaultFS.":                "fault seam: the spill tests inject write and sync failures through it",
 	"storage.NewFaultFS":              "fault seam (storage.FaultFS)",
 	"storage.MemFS.Crash":             "fault seam: drops what was never synced, the crash the spill recovery tests replay",
@@ -226,15 +227,17 @@ var orphanAllowed = map[string]string{
 }
 
 // TestNoOrphanExports: every exported function or method declared in a
-// non-test file under internal/ is referenced — by name, as a selector or as
-// a same-package identifier — from some non-test file of the module or of
-// bench/, or sits on orphanAllowed with the reason it stays. An export that
-// only its own unit test calls is API nobody asked for; it is deleted with
-// that test, not kept.
+// non-test file under internal/ is referenced from some non-test file of the
+// module or of bench/, or sits on orphanAllowed with the reason it stays. A
+// package-level function is referenced as pkg.Name or, inside its own
+// package, as a bare identifier; a method by any selector of its name. An
+// export that only its own unit test calls is API nobody asked for; it is
+// deleted with that test, not kept.
 func TestNoOrphanExports(t *testing.T) {
 	type decl struct{ file, dir, qual string }
 	var decls []decl
 	selUses := map[string]int{}              // x.Name, anywhere
+	pkgUses := map[string]int{}              // pkg.Name, by the imported package's name
 	identUses := map[string]map[string]int{} // dir -> bare Name
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
@@ -257,6 +260,16 @@ func TestNoOrphanExports(t *testing.T) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		if identUses[dir] == nil {
 			identUses[dir] = map[string]int{}
+		}
+		imports := map[string]string{} // local name -> package name
+		for _, imp := range file.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			name := path[strings.LastIndex(path, "/")+1:]
+			local := name
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = name
 		}
 		declNames := map[*ast.Ident]bool{} // identifiers that are not bare uses
 		for _, d := range file.Decls {
@@ -287,6 +300,9 @@ func TestNoOrphanExports(t *testing.T) {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				selUses[n.Sel.Name]++
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					pkgUses[imports[x.Name]+"."+n.Sel.Name]++
+				}
 				declNames[n.Sel] = true // visited before its children: not a bare identifier
 			case *ast.Ident:
 				if !declNames[n] {
@@ -303,8 +319,11 @@ func TestNoOrphanExports(t *testing.T) {
 	used := map[string]bool{}
 	for _, d := range decls {
 		name := d.qual[strings.LastIndex(d.qual, ".")+1:]
-		isMethod := strings.Count(d.qual, ".") == 2
-		if selUses[name] > 0 || (!isMethod && identUses[d.dir][name] > 0) {
+		if strings.Count(d.qual, ".") == 2 {
+			if selUses[name] > 0 {
+				continue
+			}
+		} else if pkgUses[d.qual] > 0 || identUses[d.dir][name] > 0 {
 			continue
 		}
 		allowed := false

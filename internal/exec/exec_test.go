@@ -287,7 +287,7 @@ func TestSBIEndToEnd(t *testing.T) {
 }
 
 func TestAggregateHelperWithScale(t *testing.T) {
-	// exec.Aggregate's scale parameter multiplies extensive results only.
+	// aggregate's scale parameter multiplies extensive results only.
 	schema := rel.Schema{{Name: "x", Type: rel.KFloat}}
 	in := rel.NewRelation(schema)
 	in.Append(rel.Float(10))
@@ -298,7 +298,7 @@ func TestAggregateHelperWithScale(t *testing.T) {
 		{Fn: mustAgg(t, "AVG"), Arg: expr.NewCol(0, "", rel.KFloat), Name: "a"},
 	})
 	in.Schema = node.Child.Schema()
-	out := Aggregate(in, node, 3)
+	out := (&executor{}).aggregate(in, node, 3)
 	if got := out.Tuples[0].Vals[0].Float(); got != 90 {
 		t.Errorf("scaled sum = %v, want 90", got)
 	}
@@ -396,7 +396,7 @@ func TestZeroMultiplicityTuplesIgnoredByAggregate(t *testing.T) {
 	node := plan.NewAggregate(scan, nil, []plan.AggSpec{
 		{Fn: mustAgg(t, "MAX"), Arg: expr.NewCol(0, "", rel.KFloat), Name: "m"}})
 	in.Schema = node.Child.Schema()
-	out := Aggregate(in, node, 1)
+	out := (&executor{}).aggregate(in, node, 1)
 	if got := out.Tuples[0].Vals[0].Float(); got != 10 {
 		t.Errorf("max = %v; zero-multiplicity tuples are semantically absent", got)
 	}

@@ -41,7 +41,7 @@ func TestAggregateResultKinds(t *testing.T) {
 	})
 	node.Out[0].Type = rel.KInt
 
-	out := Aggregate(paperSessions(), node, 1.0)
+	out := (&executor{}).aggregate(paperSessions(), node, 1.0)
 	vals := out.Tuples[0].Vals
 	if vals[0].Kind() != rel.KInt || vals[0].Int() != 6 {
 		t.Errorf("integral COUNT under KInt schema = %v (%s), want INT 6", vals[0], vals[0].Kind())
@@ -52,7 +52,7 @@ func TestAggregateResultKinds(t *testing.T) {
 
 	// Scaled mid-stream count 6 × 1.25 = 7.5 is not integral: the declared
 	// KInt must not truncate it.
-	scaled := Aggregate(paperSessions(), node, 1.25)
+	scaled := (&executor{}).aggregate(paperSessions(), node, 1.25)
 	sv := scaled.Tuples[0].Vals[0]
 	if sv.Kind() != rel.KFloat || sv.Float() != 7.5 {
 		t.Errorf("scaled COUNT under KInt schema = %v (%s), want FLOAT 7.5", sv, sv.Kind())
@@ -61,7 +61,7 @@ func TestAggregateResultKinds(t *testing.T) {
 	// The planner declares aggregate outputs KFloat; the default stays FLOAT
 	// even for integral counts.
 	def := plan.NewAggregate(scan, nil, []plan.AggSpec{{Fn: mustAgg(t, "COUNT"), Name: "n"}})
-	dv := Aggregate(paperSessions(), def, 1.0).Tuples[0].Vals[0]
+	dv := (&executor{}).aggregate(paperSessions(), def, 1.0).Tuples[0].Vals[0]
 	if dv.Kind() != rel.KFloat || dv.Float() != 6 {
 		t.Errorf("COUNT under default schema = %v (%s), want FLOAT 6", dv, dv.Kind())
 	}

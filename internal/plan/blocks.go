@@ -4,10 +4,9 @@ package plan
 // any combination of select/project/join/union operators capped by (at most)
 // one aggregate. Lineage is propagated in full within a block; across block
 // boundaries only (aggregate reference, group-by key) pairs flow, which is
-// what the rel.Ref value encodes. The partition below is used by the plan
-// inspector, the state-size accounting, and tests; the runtime gets the same
-// behaviour for free because aggregates emit Ref values for uncertain
-// columns.
+// what the rel.Ref value encodes. Only tests compute the partition below:
+// the runtime gets the same behaviour for free because aggregates emit Ref
+// values for uncertain columns.
 
 // Block is one lineage block: the ids of the member operators and the id of
 // the capping aggregate (-1 when the block is capped by the query root).
@@ -16,10 +15,10 @@ type Block struct {
 	CapAgg  int
 }
 
-// Blocks partitions the plan into lineage blocks, bottom-up. Every operator
+// lineageBlocks partitions the plan into lineage blocks, bottom-up. Every operator
 // belongs to exactly one block; an aggregate caps the block containing its
 // input subtree and starts lineage afresh above it.
-func Blocks(root Node) []Block {
+func lineageBlocks(root Node) []Block {
 	var blocks []Block
 	// blockOf[id] = index into blocks for the (open) block the node's
 	// output belongs to.

@@ -217,7 +217,7 @@ func TestUncertainJoinKeyRejected(t *testing.T) {
 func TestSBILineageBlocks(t *testing.T) {
 	root, inner, _, _ := buildSBI(t)
 	Finalize(root)
-	blocks := Blocks(root)
+	blocks := lineageBlocks(root)
 	if len(blocks) != 2 {
 		t.Fatalf("block count = %d, want 2 (paper §6.1)", len(blocks))
 	}
@@ -476,7 +476,7 @@ func TestBlocksOnFlatPlan(t *testing.T) {
 	root := NewAggregate(sel, nil, []AggSpec{{
 		Fn: mustAgg(t, "AVG"), Arg: expr.NewCol(2, "", rel.KFloat), Name: "a"}})
 	Finalize(root)
-	blocks := Blocks(root)
+	blocks := lineageBlocks(root)
 	if len(blocks) != 1 {
 		t.Fatalf("flat plan blocks = %d, want 1", len(blocks))
 	}
