@@ -110,9 +110,10 @@ func claim(w, c int, task func(i int)) {
 // Execution order is unspecified; callers must make fn(i) independent of
 // scheduling (every call site in this repository writes to slot i or an
 // owned shard). If fn panics, the first panic is re-raised on the caller's
-// goroutine after all workers have stopped.
+// goroutine after all workers have stopped. A nil pool runs fn inline, in
+// index order.
 func (p *Pool) Map(n int, fn func(i int)) {
-	if p.workers == 1 || n <= 1 {
+	if p == nil || p.workers == 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -133,7 +134,7 @@ func (p *Pool) Map(n int, fn func(i int)) {
 // results are identical to Map for any hint function.
 func (p *Pool) MapSized(n int, size func(i int) int, fn func(i int)) {
 	var cuts []chunk
-	if p.workers > 1 && n > 1 {
+	if p != nil && p.workers > 1 && n > 1 {
 		sizes := make([]int, n)
 		for i := range sizes {
 			sizes[i] = max(size(i), 0)
