@@ -209,21 +209,19 @@ func TestDocsCiteExistingIdentifiers(t *testing.T) {
 // directory ("internal/x/"), a file, a type ("pkg.Type.") or one name
 // ("pkg.Name", "pkg.Type.Name").
 var orphanAllowed = map[string]string{
-	"internal/wire/wiretest/":         "test support: the corruption table and fuzz harness every codec's tests instantiate",
-	"internal/leakcheck/":             "test support: the goroutine-leak guard the root, cluster, core, serve and share TestMains run",
-	"internal/delta/rules.go":         "the reference delta rules of Section 4.2, kept beside the operators that implement them; only their own tests call them",
-	"plan.Format":                     "prints a failing plan: the lattice, fuzz and planner tests report with it",
-	"storage.FaultFS.":                "fault seam: the spill tests inject write and sync failures through it",
-	"storage.NewFaultFS":              "fault seam (storage.FaultFS)",
-	"storage.MemFS.Crash":             "fault seam: drops what was never synced, the crash the spill recovery tests replay",
-	"exec.Executor.SetCutover":        "the fixed-cutover test hook: the execution lattice pins it to 1 to force every parallel path",
-	"core.Engine.SetCutover":          "the fixed-cutover test hook: the execution lattice pins it to 1 to force every parallel path",
-	"cluster.Metrics.SpillProbeSkips": "the spill tests assert the min-max filters' skip count, a schedule-independent number",
-	"cluster.Metrics.SpillBloomSkips": "as SpillProbeSkips, for the per-run Bloom filters",
-	"delta.HashStore.Each":            "the immutability and spill tests walk a store's rows, resident and spilled",
-	"rel.Relation.AppendMult":         "fixture builder: a tuple with a multiplicity, for the core, exec, rel and workload tests",
-	"rel.Relation.Card":               "bag cardinality, the invariant the Canon property test holds",
-	"agg.Vector.AddRep":               "the per-entry fold that AddBatchRun's contract (agg/batch.go) is stated in",
+	"internal/wire/wiretest/":  "test support: the corruption table and fuzz harness every codec's tests instantiate",
+	"internal/leakcheck/":      "test support: the goroutine-leak guard the root, cluster, core, serve and share TestMains run",
+	"internal/delta/rules.go":  "the reference delta rules of Section 4.2, kept beside the operators that implement them; only their own tests call them",
+	"plan.Format":              "prints a failing plan: the lattice, fuzz and planner tests report with it",
+	"storage.FaultFS.":         "fault seam: the spill tests inject write and sync failures through it",
+	"storage.NewFaultFS":       "fault seam (storage.FaultFS)",
+	"storage.MemFS.Crash":      "fault seam: drops what was never synced, the crash the spill recovery tests replay",
+	"exec.Executor.SetCutover": "the fixed-cutover test hook: the execution lattice pins it to 1 to force every parallel path",
+	"core.Engine.SetCutover":   "the fixed-cutover test hook: the execution lattice pins it to 1 to force every parallel path",
+	"delta.HashStore.Each":     "the immutability and spill tests walk a store's rows, resident and spilled",
+	"rel.Relation.AppendMult":  "fixture builder: a tuple with a multiplicity, for the core, exec, rel and workload tests",
+	"rel.Relation.Card":        "bag cardinality, the invariant the Canon property test holds",
+	"agg.Vector.AddRep":        "the per-entry fold that AddBatchRun's contract (agg/batch.go) is stated in",
 }
 
 // TestNoOrphanExports: every exported function or method declared in a

@@ -266,12 +266,10 @@ func Shuffle(r *rel.Relation, seed uint64) *rel.Relation {
 // Metrics accumulates exchange traffic in bytes. All methods are safe for
 // concurrent use; recording nothing (n <= 0) is a no-op.
 type Metrics struct {
-	shuffleBytes    atomic.Int64
-	broadcastBytes  atomic.Int64
-	spillWritten    atomic.Int64
-	spillRead       atomic.Int64
-	spillProbeSkips atomic.Int64
-	spillBloomSkips atomic.Int64
+	shuffleBytes   atomic.Int64
+	broadcastBytes atomic.Int64
+	spillWritten   atomic.Int64
+	spillRead      atomic.Int64
 }
 
 // RecordShuffleBytes notes bytes that a hash repartition would ship.
@@ -309,37 +307,6 @@ func (m *Metrics) RecordSpillRead(n int) {
 	m.spillRead.Add(int64(n))
 }
 
-// RecordSpillProbeSkip notes a probe that the per-run min-max key filters
-// resolved without touching the spill index or disk: the shard holds spilled
-// rows, but no run's key range covers the probed key. The count is a pure
-// function of the probe multiset and the (deterministic) spill schedule, so
-// it is identical at every worker count.
-func (m *Metrics) RecordSpillProbeSkip() {
-	if m == nil {
-		return
-	}
-	m.spillProbeSkips.Add(1)
-}
-
-// SpillProbeSkips returns how many probes the min-max filters short-circuited.
-func (m *Metrics) SpillProbeSkips() int64 { return m.spillProbeSkips.Load() }
-
-// RecordSpillBloomSkip notes a probe that fell inside some run's min-max key
-// range but that every covering run's Bloom filter rejected — the sparse
-// in-range miss the min-max filters cannot catch. Like the min-max skips,
-// the count is a pure function of the probe multiset and the deterministic
-// spill schedule, so it is identical at every worker count.
-func (m *Metrics) RecordSpillBloomSkip() {
-	if m == nil {
-		return
-	}
-	m.spillBloomSkips.Add(1)
-}
-
-// SpillBloomSkips returns how many probes the per-run Bloom filters
-// short-circuited after the min-max filters passed.
-func (m *Metrics) SpillBloomSkips() int64 { return m.spillBloomSkips.Load() }
-
 // SpillBytesWritten returns total bytes written to spill files.
 func (m *Metrics) SpillBytesWritten() int64 { return m.spillWritten.Load() }
 
@@ -358,6 +325,4 @@ func (m *Metrics) Reset() {
 	m.broadcastBytes.Store(0)
 	m.spillWritten.Store(0)
 	m.spillRead.Store(0)
-	m.spillProbeSkips.Store(0)
-	m.spillBloomSkips.Store(0)
 }

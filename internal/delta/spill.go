@@ -203,10 +203,6 @@ func (h *HashStore) spillShard(s int) error {
 		sh.onDisk += spans[i].n
 	}
 	sh.disk += len(buf)
-	// Keys were sorted above, so the run's min-max filter is its first and
-	// last key; the Bloom filter is built over exactly the run's key set.
-	sh.ranges = append(sh.ranges, keyRange{min: keys[0], max: keys[len(keys)-1]})
-	sh.blooms = append(sh.blooms, newBloom(keys))
 	sh.hot = make(map[string][]Row)
 	sh.mem = 0
 	h.sp.fileSize[s] = base + int64(len(buf))

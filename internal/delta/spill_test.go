@@ -386,165 +386,41 @@ func TestAddBatchParallelMatchesSequentialUnderSpill(t *testing.T) {
 	}
 }
 
-// TestMinMaxFilterSkipsAbsentKeys: probing a key outside every spill run's
-// [min,max] key range must answer from memory alone — counted as a spill
-// probe skip, with no disk read — while present keys still read their runs.
-func TestMinMaxFilterSkipsAbsentKeys(t *testing.T) {
+// TestProbeSpilledShardWithoutKeyReadsNothing: the exact spilled-key index
+// alone decides whether a probe touches disk. Once every shard has spilled,
+// a key with no spilled rows — one added hot afterwards, or one never added
+// — answers with exactly its hot rows and reads no spill bytes.
+func TestProbeSpilledShardWithoutKeyReadsNothing(t *testing.T) {
 	h, p, m := newSpillStore(t, 0)
+	twin := NewHashStore([]int{0})
 	p.Advance(1)
-	for k := 100; k < 120; k++ {
-		h.Add(keyInt(k, k))
-	}
-	if err := p.Enforce(); err != nil {
-		t.Fatal(err)
-	}
-	if h.SpilledRows() == 0 {
-		t.Fatal("zero budget should have spilled everything")
-	}
-
-	// Present keys pass the filter and read their runs.
-	readBefore := m.SpillBytesRead()
-	for k := 100; k < 120; k++ {
-		if got := probeKey(h, k); len(got) != 1 {
-			t.Fatalf("key %d: %d rows, want 1", k, len(got))
-		}
-	}
-	if m.SpillBytesRead() == readBefore {
-		t.Fatal("present keys should have read spill runs")
-	}
-	if m.SpillProbeSkips() != 0 {
-		t.Fatalf("present keys recorded %d skips", m.SpillProbeSkips())
-	}
-
-	// Hunt for absent keys whose encoding lands in a spilled shard but
-	// outside its run ranges: the filter must cut them off before the run
-	// index, recording a skip and reading nothing.
-	readBefore = m.SpillBytesRead()
-	filtered := 0
-	for k := 100000; k < 101000 && filtered < 5; k++ {
-		enc := rel.EncodeKey([]rel.Value{rel.Int(int64(k))}, []int{0})
-		sh := &h.shards[shardOf(enc)]
-		if sh.onDisk == 0 || sh.covers(enc) {
-			continue
-		}
-		if got := probeKey(h, k); len(got) != 0 {
-			t.Fatalf("absent key %d returned %d rows", k, len(got))
-		}
-		filtered++
-	}
-	if filtered == 0 {
-		t.Fatal("no probe key fell outside the min-max ranges; fixture too narrow")
-	}
-	if got := m.SpillProbeSkips(); got != int64(filtered) {
-		t.Fatalf("skips: %d, want %d", got, filtered)
-	}
-	if m.SpillBytesRead() != readBefore {
-		t.Fatal("min-max filtered probes must not touch disk")
-	}
-
-	// The filter is also range-correct: after a restore that empties the
-	// disk side, stale ranges must not linger.
-	snap := h.Snapshot()
-	h.Restore(snap)
-	for s := range h.shards {
-		if h.shards[s].onDisk == 0 && h.shards[s].ranges != nil {
-			// Ranges may stay as a superset only while rows remain on disk.
-			t.Fatalf("shard %d: empty disk side kept %d stale ranges", s, len(h.shards[s].ranges))
-		}
-	}
-}
-
-// TestBloomFilterSkipsSparseInRangeMisses: a probe key inside some run's
-// [min,max] interval but absent from the run's key set must be cut off by
-// the per-run Bloom filter — counted as a bloom skip, after the min-max
-// filter passed, with no disk read — while present keys still read their
-// runs without recording bloom skips.
-func TestBloomFilterSkipsSparseInRangeMisses(t *testing.T) {
-	h, p, m := newSpillStore(t, 0)
-	p.Advance(1)
-	// Even keys only: every odd key is a sparse in-range miss candidate.
 	for k := 0; k < 2000; k += 2 {
 		h.Add(keyInt(k, k))
 	}
 	if err := p.Enforce(); err != nil {
 		t.Fatal(err)
 	}
-	if h.SpilledRows() == 0 {
-		t.Fatal("zero budget should have spilled everything")
-	}
-
-	// Present keys pass both filters, read their runs, and record no skips.
-	for k := 0; k < 2000; k += 2 {
-		if got := probeKey(h, k); len(got) != 1 {
-			t.Fatalf("key %d: %d rows, want 1", k, len(got))
+	for s := range h.shards {
+		if h.shards[s].onDisk == 0 {
+			t.Fatalf("shard %d holds no spilled rows; fixture too narrow", s)
 		}
 	}
-	if m.SpillProbeSkips() != 0 || m.SpillBloomSkips() != 0 {
-		t.Fatalf("present keys recorded skips: minmax=%d bloom=%d",
-			m.SpillProbeSkips(), m.SpillBloomSkips())
+	p.Advance(2)
+	for k := 1; k < 2000; k += 2 {
+		h.Add(keyInt(k, k))
+		twin.Add(keyInt(k, k))
 	}
-
-	// Absent odd keys that fall inside a covering range must be rejected by
-	// the Bloom filter (bar the occasional false positive, which falls
-	// through to the exact run index and still answers from nothing).
-	readBefore := m.SpillBytesRead()
-	bloomFiltered := 0
-	for k := 1; k < 2000 && bloomFiltered < 20; k += 2 {
-		enc := rel.EncodeKey([]rel.Value{rel.Int(int64(k))}, []int{0})
-		sh := &h.shards[shardOf(enc)]
-		if sh.onDisk == 0 || !sh.covers(enc) {
-			continue // min-max filtered or resident: not a bloom case
-		}
-		if sh.mayContain(enc) {
-			continue // Bloom false positive: exact index still answers
-		}
+	read := m.SpillBytesRead()
+	for k := 1; k < 2000; k += 2 {
+		sameRows(t, probeKey(h, k), probeKey(twin, k), fmt.Sprintf("hot key %d", k))
+	}
+	for k := 100001; k < 102000; k += 2 {
 		if got := probeKey(h, k); len(got) != 0 {
 			t.Fatalf("absent key %d returned %d rows", k, len(got))
 		}
-		bloomFiltered++
 	}
-	if bloomFiltered == 0 {
-		t.Fatal("no odd key was bloom-filtered; fixture too narrow")
-	}
-	if got := m.SpillBloomSkips(); got != int64(bloomFiltered) {
-		t.Fatalf("bloom skips: %d, want %d", got, bloomFiltered)
-	}
-	if m.SpillBytesRead() != readBefore {
-		t.Fatal("bloom-filtered probes must not touch disk")
-	}
-
-	// After a restore that empties the disk side, filters must not linger.
-	snap := h.Snapshot()
-	h.Restore(snap)
-	for s := range h.shards {
-		if h.shards[s].onDisk == 0 && h.shards[s].blooms != nil {
-			t.Fatalf("shard %d: empty disk side kept %d stale blooms", s, len(h.shards[s].blooms))
-		}
-	}
-}
-
-// TestBloomNoFalseNegatives: every key a filter was built over must be
-// admitted — the property Probe's correctness rests on.
-func TestBloomNoFalseNegatives(t *testing.T) {
-	keys := make([]string, 0, 5000)
-	for i := 0; i < 5000; i++ {
-		keys = append(keys, fmt.Sprintf("2%d\x1f4key-%d", i*7, i))
-	}
-	b := newBloom(keys)
-	for _, k := range keys {
-		if !b.has(k) {
-			t.Fatalf("false negative for %q", k)
-		}
-	}
-	// And the filter actually filters: absent keys are mostly rejected.
-	rejected := 0
-	for i := 0; i < 5000; i++ {
-		if !b.has(fmt.Sprintf("2%d\x1f4other-%d", i*7+3, i)) {
-			rejected++
-		}
-	}
-	if rejected < 4900 {
-		t.Fatalf("only %d/5000 absent keys rejected; filter too weak", rejected)
+	if got := m.SpillBytesRead(); got != read {
+		t.Fatalf("probes of keys without spilled rows read %d spill bytes", got-read)
 	}
 }
 

@@ -119,53 +119,10 @@ const storeShards = 16
 type shard struct {
 	hot     map[string][]Row
 	spilled map[string][]spillRef // nil until the shard first spills
-	// ranges holds one min-max key filter per spill run (eviction event):
-	// runs encode keys in sorted order, so the first and last key bound
-	// everything in the run. A probe whose key falls outside every range
-	// cannot match any spilled row and skips the run index entirely. Ranges
-	// are only ever a superset of the live runs (Restore keeps them as-is
-	// while runs remain), which can cost a skip but never correctness.
-	ranges []keyRange
-	// blooms holds one Bloom filter per spill run, parallel to ranges,
-	// built over exactly the run's keys at spill time. Consulted after the
-	// min-max filter for sparse in-range misses; like ranges, filters stay
-	// a superset of the live runs under Restore (bloom.go).
-	blooms  []*bloom
-	mem     int // resident bytes of hot rows
-	disk    int // logical bytes of spilled rows
-	onDisk  int // spilled row count
-	lastAdd int // policy epoch of the last insert (coldness)
-}
-
-// keyRange is one spill run's [min, max] encoded-key interval.
-type keyRange struct {
-	min, max string
-}
-
-// covers reports whether any run's key range could contain k.
-func (sh *shard) covers(k string) bool {
-	for _, r := range sh.ranges {
-		if k >= r.min && k <= r.max {
-			return true
-		}
-	}
-	return false
-}
-
-// mayContain refines covers with the per-run Bloom filters: the key can only
-// be spilled if some run both spans it and bloom-admits it. A run without a
-// filter (never happens today, but nil stays safe) counts as "maybe".
-func (sh *shard) mayContain(k string) bool {
-	for i, r := range sh.ranges {
-		if k < r.min || k > r.max {
-			continue
-		}
-		if i < len(sh.blooms) && sh.blooms[i] != nil && !sh.blooms[i].has(k) {
-			continue
-		}
-		return true
-	}
-	return false
+	mem     int                   // resident bytes of hot rows
+	disk    int                   // logical bytes of spilled rows
+	onDisk  int                   // spilled row count
+	lastAdd int                   // policy epoch of the last insert (coldness)
 }
 
 // HashStore is a join side's accumulated certain rows, hashed by join key
@@ -190,18 +147,9 @@ func NewHashStore(keyCols []int) *HashStore {
 	return h
 }
 
-func shardOf(key string) int {
-	var f uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(key); i++ {
-		f ^= uint64(key[i])
-		f *= 0x100000001b3
-	}
-	return int(f % storeShards)
-}
-
-// shardOfBytes is shardOf over the raw key bytes (same FNV-1a stream, so the
-// two always agree for equal contents).
-func shardOfBytes(key []byte) int {
+// shardOf is the FNV-1a hash of a key's encoding, reduced to a shard. It
+// takes the encoded string and a probe's stack buffer alike, without a copy.
+func shardOf[K ~string | ~[]byte](key K) int {
 	var f uint64 = 0xcbf29ce484222325
 	for i := 0; i < len(key); i++ {
 		f ^= uint64(key[i])
@@ -299,41 +247,18 @@ func (h *HashStore) AddBatch(rows []Row, clone bool, pool *cluster.Pool) {
 // process-local scratch whose loss is unrecoverable within the process — the
 // engine's §5.1 snapshot/replay handles process-level failures.
 func (h *HashStore) Probe(probeVals []rel.Value, probeKeys []int) []Row {
-	// Encode the probe key into a stack buffer: the hot-map access indexes
-	// by string(buf), which the compiler compiles to a no-copy lookup, so
-	// the common all-resident probe allocates nothing. Only a probe against
-	// a shard with spilled rows materialises the key string.
+	// Encode the probe key into a stack buffer: the map accesses index by
+	// string(buf), which the compiler compiles to a no-copy lookup, so a
+	// probe allocates nothing unless it reads spilled rows.
 	var kb [96]byte
 	buf := rel.EncodeKeyInto(kb[:0], probeVals, probeKeys)
-	s := shardOfBytes(buf)
+	s := shardOf(buf)
 	sh := &h.shards[s]
 	hot := sh.hot[string(buf)]
-	if sh.onDisk == 0 {
-		return hot
+	if refs := sh.spilled[string(buf)]; len(refs) > 0 {
+		return append(h.sp.readRefs(nil, s, refs), hot...)
 	}
-	k := string(buf)
-	if !sh.covers(k) {
-		// Min-max filtered: the key is outside every run's range, so no
-		// spilled row can match. Counted so the experiments can report how
-		// often the filters save the run-index walk.
-		if h.sp != nil {
-			h.sp.policy.metrics.RecordSpillProbeSkip()
-		}
-		return hot
-	}
-	if !sh.mayContain(k) {
-		// Bloom filtered: inside some run's range, but every covering run's
-		// filter rejects the key — the sparse in-range miss.
-		if h.sp != nil {
-			h.sp.policy.metrics.RecordSpillBloomSkip()
-		}
-		return hot
-	}
-	refs := sh.spilled[k]
-	if len(refs) == 0 {
-		return hot
-	}
-	return append(h.sp.readRefs(nil, s, refs), hot...)
+	return hot
 }
 
 // Each visits all stored rows, spilled prefix before hot suffix per key.
@@ -502,12 +427,6 @@ func (h *HashStore) restoreShard(s int, snap *HashSnap) {
 			sh.disk += int(ref.bytes)
 			sh.onDisk += ref.n
 		}
-	}
-	if sh.onDisk == 0 {
-		// No spilled rows survive; drop the stale min-max and Bloom filters
-		// (while runs remain, both stay supersets, which is always safe).
-		sh.ranges = nil
-		sh.blooms = nil
 	}
 	if h.sp != nil {
 		h.sp.truncateTo(s, maxEnd)

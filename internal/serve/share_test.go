@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -305,4 +306,57 @@ func soloTrajectoryStreamed(t *testing.T, db *exec.DB, streamed map[string]bool,
 		out = append(out, convertUpdate(u, pp))
 	}
 	return out
+}
+
+// TestSharingKeepsShortCircuitOrder: AND stops at its first false operand,
+// so `buffer_time >= 2 AND BOOM(buffer_time) > 0` never calls BOOM below 2,
+// while its twin with the operands swapped does, and fails. The two inner
+// aggregates must not share state: in either open order, the original
+// delivers every update and the twin fails with BOOM's panic.
+func TestSharingKeepsShortCircuitOrder(t *testing.T) {
+	const batches = 4
+	const q = `SELECT cdn, COUNT(*) AS n FROM sessions WHERE play_time > (SELECT AVG(play_time) FROM sessions WHERE %s) GROUP BY cdn`
+	original := fmt.Sprintf(q, "buffer_time >= 2 AND BOOM(buffer_time) > 0")
+	twin := fmt.Sprintf(q, "BOOM(buffer_time) > 0 AND buffer_time >= 2")
+	funcs := expr.NewRegistry()
+	err := funcs.Register(expr.ScalarFunc{Name: "BOOM", MinArgs: 1, MaxArgs: 1, RetType: rel.KFloat,
+		Fn: func(args []rel.Value) rel.Value {
+			defer expr.GuardUDF("BOOM")
+			if args[0].Float() < 2 {
+				panic("below 2")
+			}
+			return args[0]
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := testDB(600, 9)
+	opts := SessionOptions{Trials: 8, Seed: 3}
+	for _, twinFirst := range []bool{false, true} {
+		eng := NewEngine(db, testStreamed, funcs, nil, Config{Batches: batches})
+		holdScans(eng, "sessions")
+		order := []string{original, twin}
+		if twinFirst {
+			order[0], order[1] = twin, original
+		}
+		var sessions [2]*Session
+		for i, query := range order {
+			if sessions[i], err = eng.Open(query, opts); err != nil {
+				eng.Close()
+				t.Fatal(err)
+			}
+		}
+		startScan(eng, "sessions")
+		for i, s := range sessions {
+			got := drain(s)
+			var p expr.UDFPanic
+			switch {
+			case order[i] == twin && !(errors.As(s.Err(), &p) && p.Func == "BOOM"):
+				t.Errorf("twinFirst=%v: twin ended with %v after %d updates, want BOOM's panic", twinFirst, s.Err(), len(got))
+			case order[i] == original && (s.Err() != nil || len(got) != batches):
+				t.Errorf("twinFirst=%v: original ended with %v after %d updates, want %d updates", twinFirst, s.Err(), len(got), batches)
+			}
+		}
+		eng.Close()
+	}
 }

@@ -14,14 +14,17 @@
 //   - Alias names never matter: scans fingerprint by (table, streamed),
 //     column references by index (the engine resolves names to positions at
 //     plan time), projection output names are ignored.
-//   - Commutative operators sort their operand fingerprints: AND, OR, =, <>,
-//   - and * are order-normalized, and a > b rewrites to b < a (>= to <=)
-//     so flipped comparisons collide. This is sound for state sharing
-//     because the engine evaluates both operands of these nodes with no
-//     side effects and IEEE addition/multiplication are commutative.
+//   - Comparisons normalize: = and <> sort their operand fingerprints, and
+//     a > b rewrites to b < a (>= to <=), so flipped comparisons collide.
+//     A comparison evaluates both operands whatever their values, so their
+//     order cannot change its result.
+//   - Every other operand order is kept as written. AND, OR and IN stop at
+//     the first operand that decides them, and a float + or * keeps the
+//     first NaN's payload (DESIGN.md §10), so swapping operands can change
+//     which error a row raises or which bits a result carries: two sessions
+//     that wrote them in different orders must not share state.
 //   - Join key pairs sort by (left, right) index: the pair list order does
 //     not change which rows join.
-//   - IN lists sort their element fingerprints (membership is order-free).
 //   - Union children do NOT sort: union emits left rows before right rows,
 //     and downstream state is order-sensitive.
 //   - Structure and table lineage are both part of the hash: the same
@@ -150,13 +153,7 @@ func fpExpr(e expr.Expr) string {
 		// Kind disambiguates 1 (int) from 1.0 (float) from '1'.
 		return fmt.Sprintf("k%d:%s", t.V.Kind(), t.V.String())
 	case *expr.Arith:
-		l, r := fpExpr(t.L), fpExpr(t.R)
-		if t.Op == expr.Add || t.Op == expr.Mul {
-			if r < l {
-				l, r = r, l
-			}
-		}
-		return fmt.Sprintf("(%s%s%s)", l, t.Op, r)
+		return fmt.Sprintf("(%s%s%s)", fpExpr(t.L), t.Op, fpExpr(t.R))
 	case *expr.Neg:
 		return "(neg " + fpExpr(t.E) + ")"
 	case *expr.Cmp:
@@ -170,17 +167,9 @@ func fpExpr(e expr.Expr) string {
 		}
 		return fmt.Sprintf("(%s%s%s)", l, op, r)
 	case *expr.And:
-		l, r := fpExpr(t.L), fpExpr(t.R)
-		if r < l {
-			l, r = r, l
-		}
-		return "(and " + l + " " + r + ")"
+		return "(and " + fpExpr(t.L) + " " + fpExpr(t.R) + ")"
 	case *expr.Or:
-		l, r := fpExpr(t.L), fpExpr(t.R)
-		if r < l {
-			l, r = r, l
-		}
-		return "(or " + l + " " + r + ")"
+		return "(or " + fpExpr(t.L) + " " + fpExpr(t.R) + ")"
 	case *expr.Not:
 		return "(not " + fpExpr(t.E) + ")"
 	case *expr.Case:
@@ -212,7 +201,6 @@ func fpExpr(e expr.Expr) string {
 		for i, it := range t.List {
 			items[i] = fpExpr(it)
 		}
-		sort.Strings(items)
 		inv := ""
 		if t.Inv {
 			inv = "!"

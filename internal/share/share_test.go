@@ -40,8 +40,6 @@ func TestFingerprintAliasInvariance(t *testing.T) {
 func TestFingerprintCommutativeNormalization(t *testing.T) {
 	base := scan("t", "", true)
 	cases := []struct{ l, r expr.Expr }{
-		{&expr.And{L: col(0), R: col(1)}, &expr.And{L: col(1), R: col(0)}},
-		{&expr.Or{L: col(0), R: col(1)}, &expr.Or{L: col(1), R: col(0)}},
 		{&expr.Cmp{Op: expr.Eq, L: col(0), R: col(1)}, &expr.Cmp{Op: expr.Eq, L: col(1), R: col(0)}},
 		{&expr.Cmp{Op: expr.Ne, L: col(0), R: col(1)}, &expr.Cmp{Op: expr.Ne, L: col(1), R: col(0)}},
 		// a > 5  ≡  5 < a
@@ -50,16 +48,29 @@ func TestFingerprintCommutativeNormalization(t *testing.T) {
 		// a >= 5  ≡  5 <= a
 		{&expr.Cmp{Op: expr.Ge, L: col(0), R: konst(rel.Float(5))},
 			&expr.Cmp{Op: expr.Le, L: konst(rel.Float(5)), R: col(0)}},
-		{&expr.Arith{Op: expr.Add, L: col(0), R: col(1)}, &expr.Arith{Op: expr.Add, L: col(1), R: col(0)}},
-		{&expr.Arith{Op: expr.Mul, L: col(0), R: col(1)}, &expr.Arith{Op: expr.Mul, L: col(1), R: col(0)}},
-		{&expr.In{E: col(0), List: []expr.Expr{konst(rel.Int(1)), konst(rel.Int(2))}},
-			&expr.In{E: col(0), List: []expr.Expr{konst(rel.Int(2)), konst(rel.Int(1))}}},
 	}
 	for i, c := range cases {
 		fl := Fingerprint(&plan.Select{Child: base, Pred: c.l})
 		fr := Fingerprint(&plan.Select{Child: base, Pred: c.r})
 		if fl != fr {
 			t.Errorf("case %d: commutative forms did not collide:\n  %q\n  %q", i, fl, fr)
+		}
+	}
+	// Operand order that evaluation can observe must NOT collide: AND, OR
+	// and IN stop early, and + and * keep the first NaN's payload.
+	kept := []struct{ l, r expr.Expr }{
+		{&expr.And{L: col(0), R: col(1)}, &expr.And{L: col(1), R: col(0)}},
+		{&expr.Or{L: col(0), R: col(1)}, &expr.Or{L: col(1), R: col(0)}},
+		{&expr.Arith{Op: expr.Add, L: col(0), R: col(1)}, &expr.Arith{Op: expr.Add, L: col(1), R: col(0)}},
+		{&expr.Arith{Op: expr.Mul, L: col(0), R: col(1)}, &expr.Arith{Op: expr.Mul, L: col(1), R: col(0)}},
+		{&expr.In{E: col(0), List: []expr.Expr{konst(rel.Int(1)), konst(rel.Int(2))}},
+			&expr.In{E: col(0), List: []expr.Expr{konst(rel.Int(2)), konst(rel.Int(1))}}},
+	}
+	for i, c := range kept {
+		fl := Fingerprint(&plan.Select{Child: base, Pred: c.l})
+		fr := Fingerprint(&plan.Select{Child: base, Pred: c.r})
+		if fl == fr {
+			t.Errorf("kept case %d: operand orders collided: %q", i, fl)
 		}
 	}
 	// Non-commutative must NOT collide.

@@ -166,7 +166,7 @@ func appendColumn(body []byte, tuples []rel.Tuple, col int) ([]byte, error) {
 		body = append(body, colMixed)
 		var err error
 		for i := range tuples {
-			body, err = appendSpillValue(body, tuples[i].Vals[col])
+			body, err = appendValue(body, tuples[i].Vals[col])
 			if err != nil {
 				return body, err
 			}
@@ -367,18 +367,14 @@ func decodeColumn(r *wire.Reader, tuples []rel.Tuple, col, n int) error {
 	case colNull:
 		return r.Err() // the zero Value is NULL
 	case colMixed:
-		for i := 0; i < n; i++ {
-			v, rest, err := decodeSpillValue(r.Rest())
-			if err != nil {
-				return err
-			}
+		for i := 0; i < n && r.Err() == nil; i++ {
+			v := readValue(r)
 			if v.Kind() == rel.KRef {
 				return fmt.Errorf("storage: block codec cannot hold REF values")
 			}
 			tuples[i].Vals[col] = v
-			r.Skip(r.Len() - len(rest))
 		}
-		return nil
+		return r.Err()
 	case colBool, colInt, colFloat, colStrRaw, colStrDict:
 	default:
 		return fmt.Errorf("bad encoding tag %d", tag)

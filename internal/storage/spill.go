@@ -45,7 +45,7 @@ func AppendSpillRow(dst []byte, vals []rel.Value, mult float64, w []float64) ([]
 
 	dst = binary.AppendUvarint(dst, uint64(len(vals)))
 	for _, v := range vals {
-		dst, _ = appendSpillValue(dst, v) // kinds pre-validated by the size pass
+		dst, _ = appendValue(dst, v) // kinds pre-validated by the size pass
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(mult))
 	dst = binary.AppendUvarint(dst, uint64(len(w)))
@@ -99,7 +99,10 @@ func spillRowPayloadSize(vals []rel.Value, w []float64) (int, error) {
 	return n, nil
 }
 
-func appendSpillValue(dst []byte, v rel.Value) ([]byte, error) {
+// appendValue appends one tagged value: its kind byte, then the payload the
+// package comment lists. It is the value codec of spill rows, row blocks of
+// table files and colMixed columns; decodeValue is its inverse.
+func appendValue(dst []byte, v rel.Value) ([]byte, error) {
 	dst = append(dst, byte(v.Kind()))
 	switch v.Kind() {
 	case rel.KNull:
@@ -124,7 +127,7 @@ func appendSpillValue(dst []byte, v rel.Value) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
 		dst = append(dst, r.Key...)
 	default:
-		return dst, fmt.Errorf("storage: cannot spill %v values", v.Kind())
+		return dst, fmt.Errorf("storage: cannot encode %v values", v.Kind())
 	}
 	return dst, nil
 }
@@ -163,7 +166,7 @@ func DecodeSpillRow(b []byte) (vals []rel.Value, mult float64, w []float64, size
 	p = p[n:]
 	vals = make([]rel.Value, nVals)
 	for i := range vals {
-		vals[i], p, err = decodeSpillValue(p)
+		vals[i], p, err = decodeValue(p)
 		if err != nil {
 			return nil, 0, nil, 0, err
 		}
@@ -203,9 +206,24 @@ func ReadSpillRow(r *wire.Reader) (vals []rel.Value, mult float64, w []float64) 
 	return vals, mult, w
 }
 
-func decodeSpillValue(p []byte) (rel.Value, []byte, error) {
+// readValue decodes the tagged value at r's cursor and advances r past it; a
+// malformed value latches its error on r.
+func readValue(r *wire.Reader) rel.Value {
+	v, rest, err := decodeValue(r.Rest())
+	if err != nil {
+		r.Fail(err)
+		return rel.Value{}
+	}
+	r.Skip(r.Len() - len(rest))
+	return v
+}
+
+// decodeValue decodes the tagged value at the front of p and returns the
+// bytes after it. Lengths are checked against len(p) before they slice or
+// copy anything.
+func decodeValue(p []byte) (rel.Value, []byte, error) {
 	if len(p) == 0 {
-		return rel.Value{}, nil, fmt.Errorf("storage: spill row missing value tag")
+		return rel.Value{}, nil, fmt.Errorf("storage: missing value tag")
 	}
 	kind := rel.Kind(p[0])
 	p = p[1:]
@@ -214,44 +232,44 @@ func decodeSpillValue(p []byte) (rel.Value, []byte, error) {
 		return rel.Null(), p, nil
 	case rel.KBool:
 		if len(p) == 0 {
-			return rel.Value{}, nil, fmt.Errorf("storage: spill bool missing payload")
+			return rel.Value{}, nil, fmt.Errorf("storage: bool value missing payload")
 		}
 		return rel.Bool(p[0] != 0), p[1:], nil
 	case rel.KInt:
 		i, n := binary.Varint(p)
 		if n <= 0 {
-			return rel.Value{}, nil, fmt.Errorf("storage: bad spill int")
+			return rel.Value{}, nil, fmt.Errorf("storage: bad int value")
 		}
 		return rel.Int(i), p[n:], nil
 	case rel.KFloat:
 		if len(p) < 8 {
-			return rel.Value{}, nil, fmt.Errorf("storage: spill float missing payload")
+			return rel.Value{}, nil, fmt.Errorf("storage: float value missing payload")
 		}
 		return rel.Float(math.Float64frombits(binary.LittleEndian.Uint64(p))), p[8:], nil
 	case rel.KString:
 		sLen, n := binary.Uvarint(p)
 		if n <= 0 || sLen > uint64(len(p)-n) {
-			return rel.Value{}, nil, fmt.Errorf("storage: bad spill string length")
+			return rel.Value{}, nil, fmt.Errorf("storage: bad string value length")
 		}
 		return rel.String(string(p[n : n+int(sLen)])), p[n+int(sLen):], nil
 	case rel.KRef:
 		op, n := binary.Varint(p)
 		if n <= 0 {
-			return rel.Value{}, nil, fmt.Errorf("storage: bad spill ref op")
+			return rel.Value{}, nil, fmt.Errorf("storage: bad ref value op")
 		}
 		p = p[n:]
 		col, n := binary.Varint(p)
 		if n <= 0 {
-			return rel.Value{}, nil, fmt.Errorf("storage: bad spill ref col")
+			return rel.Value{}, nil, fmt.Errorf("storage: bad ref value col")
 		}
 		p = p[n:]
 		kLen, n := binary.Uvarint(p)
 		if n <= 0 || kLen > uint64(len(p)-n) {
-			return rel.Value{}, nil, fmt.Errorf("storage: bad spill ref key length")
+			return rel.Value{}, nil, fmt.Errorf("storage: bad ref value key length")
 		}
 		key := string(p[n : n+int(kLen)])
 		return rel.NewRef(rel.Ref{Op: int(op), Key: key, Col: int(col)}), p[n+int(kLen):], nil
 	default:
-		return rel.Value{}, nil, fmt.Errorf("storage: bad spill value kind %d", kind)
+		return rel.Value{}, nil, fmt.Errorf("storage: bad value kind %d", kind)
 	}
 }

@@ -34,12 +34,14 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+	"io/fs"
 
 	"iolap/internal/rel"
+	"iolap/internal/wire"
 )
 
 var magic = [4]byte{'I', 'O', 'L', '1'}
@@ -51,13 +53,6 @@ const (
 	tblockRows     = 1 // row-format block (v1 encoding)
 	tblockColumnar = 2 // §11 columnar block (EncodeBlock body)
 )
-
-// maxBlockBytes bounds a columnar block body so a corrupt length prefix
-// cannot force a giant allocation before decoding fails.
-const maxBlockBytes = 64 << 20
-
-// maxStringBytes bounds one string cell for the same reason.
-const maxStringBytes = 1 << 28
 
 // DefaultBlockRows is the row count per block when unspecified.
 const DefaultBlockRows = 1024
@@ -92,12 +87,12 @@ func WriteColumnar(w io.Writer, r *rel.Relation, blockRows int, compress bool) e
 			bw.Write(enc)
 			continue
 		}
-		// A row is its values in the spill codec's tagged encoding.
+		// A row is its values in the tagged value encoding.
 		rows := scratch[:0]
 		for _, tp := range tuples {
 			for _, v := range tp.Vals {
 				var err error
-				if rows, err = appendSpillValue(rows, v); err != nil {
+				if rows, err = appendValue(rows, v); err != nil {
 					return err
 				}
 			}
@@ -174,194 +169,106 @@ func (t *Table) Block(i int) []rel.Tuple {
 }
 
 // Read deserialises a block table of either generation, dispatching on the
-// magic: "IOL1" row blocks or "IOL2" tagged columnar/row blocks.
+// magic: "IOL1" row blocks or "IOL2" tagged columnar/row blocks. It reads the
+// whole input and decodes it with one wire.Reader, so every count and length
+// is bounded by the bytes present, and bytes after the table are corruption.
 func Read(r io.Reader) (*Table, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
+	data, err := readAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
+	if len(data) < len(magic) {
+		return nil, fmt.Errorf("storage: %w", io.ErrUnexpectedEOF)
+	}
+	m := [4]byte(data)
 	if m != magic && m != magic2 {
 		return nil, fmt.Errorf("storage: bad magic %q", m)
 	}
-	nCols, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if nCols > maxBlockBytes {
-		return nil, fmt.Errorf("storage: implausible column count %d", nCols)
-	}
-	schema := make(rel.Schema, nCols)
+	in := wire.NewReader(data[len(m):])
+	schema := make(rel.Schema, in.Count("column count"))
 	for i := range schema {
-		nameLen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if nameLen > maxStringBytes {
-			return nil, fmt.Errorf("storage: implausible column name length %d", nameLen)
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, err
-		}
-		kind, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		schema[i] = rel.Column{Name: string(name), Type: rel.Kind(kind)}
+		schema[i].Name = in.Str("column name")
+		schema[i].Type = rel.Kind(in.Byte("column kind"))
 	}
-	t := &Table{Rel: rel.NewRelation(schema)}
-	if m == magic2 {
-		t.V2 = true
-		return t, readBlocksV2(br, t, schema)
-	}
+	t := &Table{Rel: rel.NewRelation(schema), V2: m == magic2}
+	var blocks [][]rel.Tuple // moved into t.Rel in one allocation at the end
+	rows := 0
 	for {
-		count, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
+		tag, n := byte(tblockRows), 0
+		if t.V2 {
+			tag = in.Byte("block tag")
 		}
-		if count == 0 {
-			break
-		}
-		t.BlockStarts = append(t.BlockStarts, t.Rel.Len())
-		for i := uint64(0); i < count; i++ {
-			vals, err := readRow(br, len(schema))
-			if err != nil {
-				return nil, err
+		if tag == tblockRows {
+			n = in.Count("block row count")
+			if n == 0 && !t.V2 {
+				tag = tblockEnd // v1 has no tags: an empty row block ends the table
 			}
-			t.Rel.Append(vals...)
 		}
-	}
-	return t, nil
-}
-
-// readBlocksV2 consumes the v2 tagged block stream into t.
-func readBlocksV2(br *bufio.Reader, t *Table, schema rel.Schema) error {
-	var body []byte
-	for {
-		tag, err := br.ReadByte()
-		if err != nil {
-			return err
+		// A failed read returns 0, which is tblockEnd: check before trusting it.
+		if err := in.Err(); err != nil {
+			return nil, fmt.Errorf("storage: %w", err)
 		}
+		var block []rel.Tuple
 		switch tag {
 		case tblockEnd:
-			return nil
-		case tblockRows:
-			count, err := binary.ReadUvarint(br)
-			if err != nil {
-				return err
+			if err := in.Done("table"); err != nil {
+				return nil, fmt.Errorf("storage: %w", err)
 			}
-			if count > maxBlockBytes {
-				return fmt.Errorf("storage: implausible row count %d", count)
-			}
-			t.BlockStarts = append(t.BlockStarts, t.Rel.Len())
-			for i := uint64(0); i < count; i++ {
-				vals, err := readRow(br, len(schema))
-				if err != nil {
-					return err
+			t.Rel.Tuples = make([]rel.Tuple, 0, rows)
+			for _, b := range blocks {
+				for _, tp := range b {
+					t.Rel.Append(tp.Vals...)
 				}
-				t.Rel.Append(vals...)
+			}
+			return t, nil
+		case tblockRows:
+			for i := 0; i < n && in.Err() == nil; i++ {
+				vals := make([]rel.Value, len(schema))
+				for c := range vals {
+					vals[c] = readValue(in)
+				}
+				block = append(block, rel.Tuple{Vals: vals})
+			}
+			if err := in.Err(); err != nil {
+				return nil, err
 			}
 		case tblockColumnar:
-			n, err := binary.ReadUvarint(br)
-			if err != nil {
-				return err
+			body := in.Bytes("columnar block")
+			if err := in.Err(); err != nil {
+				return nil, fmt.Errorf("storage: %w", err)
 			}
-			if n > maxBlockBytes {
-				return fmt.Errorf("storage: columnar block of %d bytes exceeds limit", n)
-			}
-			if uint64(cap(body)) < n {
-				body = make([]byte, n)
-			}
-			body = body[:n]
-			if _, err := io.ReadFull(br, body); err != nil {
-				return err
-			}
-			tuples, err := DecodeBlock(body, schema)
-			if err != nil {
-				return fmt.Errorf("storage: columnar block: %w", err)
+			if block, err = DecodeBlock(body, schema); err != nil {
+				return nil, fmt.Errorf("storage: columnar block: %w", err)
 			}
 			t.ColumnarBlocks++
 			if body[0]&blockFlagFlate != 0 {
 				t.CompressedBlocks++
 			}
-			t.BlockStarts = append(t.BlockStarts, t.Rel.Len())
-			for _, tp := range tuples {
-				t.Rel.Append(tp.Vals...)
-			}
 		default:
-			return fmt.Errorf("storage: bad block tag %d", tag)
+			return nil, fmt.Errorf("storage: bad block tag %d", tag)
 		}
+		t.BlockStarts = append(t.BlockStarts, rows)
+		blocks = append(blocks, block)
+		rows += len(block)
 	}
 }
 
-func readRow(br *bufio.Reader, cols int) ([]rel.Value, error) {
-	vals := make([]rel.Value, cols)
-	for i := 0; i < cols; i++ {
-		kind, err := br.ReadByte()
-		if err != nil {
-			return nil, err
+// readAll reads r to its end into one buffer, pre-sized from the length the
+// reader reports (a file's Stat, a bytes.Reader's Len) so that loading a
+// table does not pay for regrowth copies.
+func readAll(r io.Reader) ([]byte, error) {
+	size := 0
+	switch s := r.(type) {
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
 		}
-		switch rel.Kind(kind) {
-		case rel.KNull:
-			vals[i] = rel.Null()
-		case rel.KBool:
-			b, err := br.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = rel.Bool(b != 0)
-		case rel.KInt:
-			n, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = rel.Int(n)
-		case rel.KFloat:
-			var buf [8]byte
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
-				return nil, err
-			}
-			vals[i] = rel.Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
-		case rel.KString:
-			sLen, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			if sLen > maxStringBytes {
-				return nil, fmt.Errorf("storage: implausible string length %d", sLen)
-			}
-			s := make([]byte, sLen)
-			if _, err := io.ReadFull(br, s); err != nil {
-				return nil, err
-			}
-			vals[i] = rel.String(string(s))
-		case rel.KRef:
-			op, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, err
-			}
-			col, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, err
-			}
-			kLen, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			if kLen > maxStringBytes {
-				return nil, fmt.Errorf("storage: implausible ref key length %d", kLen)
-			}
-			key := make([]byte, kLen)
-			if _, err := io.ReadFull(br, key); err != nil {
-				return nil, err
-			}
-			vals[i] = rel.NewRef(rel.Ref{Op: int(op), Key: string(key), Col: int(col)})
-		default:
-			return nil, fmt.Errorf("storage: bad value kind %d", kind)
-		}
+	case interface{ Len() int }:
+		size = s.Len()
 	}
-	return vals, nil
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // ShuffleBlocks returns the relation's tuples with whole blocks permuted

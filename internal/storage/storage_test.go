@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"iolap/internal/rel"
+	"iolap/internal/wire/wiretest"
 )
 
 func sampleRel(n int) *rel.Relation {
@@ -338,4 +339,42 @@ func TestReadRejectsCorruptV2(t *testing.T) {
 		_ = table
 		_ = err
 	}
+}
+
+// TestTableFileRejectsCorruption runs the shared corruption table (wiretest)
+// over a v2 table file that holds columnar blocks and one row block (its
+// KRef cell forces the row fallback). The lies promise a 2^21-column schema,
+// a 64 MiB column name, a 60 MiB columnar block and a v1 row with a 64 MiB
+// string; each must be rejected without allocating what it promises.
+func TestTableFileRejectsCorruption(t *testing.T) {
+	const blockRows = 8
+	src := sampleRel(20)
+	src.Tuples[10].Vals[2] = rel.NewRef(rel.Ref{Op: 2, Key: "k", Col: 1})
+	var valid bytes.Buffer
+	if err := WriteColumnar(&valid, src, blockRows, false); err != nil {
+		t.Fatal(err)
+	}
+	recode := func(p []byte) ([]byte, error) {
+		table, err := Read(bytes.NewReader(p))
+		if err != nil {
+			return nil, err
+		}
+		var out bytes.Buffer
+		err = WriteColumnar(&out, table.Rel, blockRows, false)
+		return out.Bytes(), err
+	}
+	var lies [][]byte
+	for _, h := range []string{
+		"494f4c3280808001",
+		"494f4c320180808020",
+		"494f4c3201016102028080801e",
+		"494f4c3101016104010480808020",
+	} {
+		lie, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lies = append(lies, lie)
+	}
+	wiretest.Check(t, []wiretest.Message{{Name: "table", Valid: valid.Bytes(), Recode: recode, Lies: lies}})
 }
