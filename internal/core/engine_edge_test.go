@@ -162,6 +162,20 @@ func TestEmptyInnerAggregateNaNSemantics(t *testing.T) { theorem1Named(t, "empty
 
 func TestFilteredInnerSubqueryGroups(t *testing.T) { theorem1Named(t, "filtered_correlated") }
 
+// TestNullOperandUnderRanges: a NULL base value compared with an uncertain
+// aggregate has no range of its own. Its range is the full line, so the row
+// stays non-deterministic and fails the comparison at every batch, in every
+// lattice cell; asking the NULL for a range must not panic.
+func TestNullOperandUnderRanges(t *testing.T) {
+	c := sessionsCase(t, "null_operand", `SELECT COUNT(*) AS n FROM sessions
+		WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions)`, 100, Options{Batches: 4, Trials: 10, Seed: 3})
+	s, _ := c.db.Get("sessions")
+	for i := 0; i < len(s.Tuples); i += 7 {
+		s.Tuples[i].Vals[1] = rel.Null() // buffer_time
+	}
+	runLattice(t, c)
+}
+
 // TestTheorem1TemplateFuzz sweeps a parameterised family of nested queries
 // over random datasets and batch counts.
 func TestTheorem1TemplateFuzz(t *testing.T) {

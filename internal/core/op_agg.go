@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -317,19 +316,6 @@ func argValue(sp *aggSpecC, r *delta.Row, bc *batchContext) (float64, bool) {
 	return v.Float(), true
 }
 
-// argReps evaluates the per-replicate values of an uncertain argument into
-// reps (one slot per trial).
-func argReps(sp *aggSpecC, r *delta.Row, bc *batchContext, reps []float64) {
-	for b := range reps {
-		v := sp.arg.EvalRep(r.Vals, bc, b)
-		if v.IsNumeric() {
-			reps[b] = v.Float()
-		} else {
-			reps[b] = math.NaN()
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // The fold
 
@@ -544,7 +530,7 @@ func (o *opAgg) evaluateSpan(bc *batchContext, ents []foldEntry, lo, hi int) {
 			f.val[at], f.ok[at] = argValue(sp, e.row, bc)
 			if f.ok[at] && sp.argUncertain && B > 0 {
 				slot := (i*o.lazySpecs + sp.lazyIdx) * B
-				argReps(sp, e.row, bc, f.rep[slot:slot+B])
+				expr.Reps(sp.arg, e.row.Vals, bc, f.rep[slot:slot+B])
 			}
 		}
 	}

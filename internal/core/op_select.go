@@ -10,12 +10,6 @@ import (
 	"iolap/internal/rel"
 )
 
-// evalTrue evaluates a predicate to a definite boolean under current values.
-func evalTrue(pred expr.Expr, r delta.Row, bc *batchContext) bool {
-	v := pred.Eval(r.Vals, bc)
-	return !v.IsNull() && v.Kind() == rel.KBool && v.Bool()
-}
-
 // opSelect implements the SELECT delta rule (Sections 4.2 and 5.2): rows
 // whose predicate decision is deterministic under the current variation
 // ranges pass or drop permanently; the rest form the non-deterministic set
@@ -69,7 +63,7 @@ func (o *opSelect) classify(r delta.Row, bc *batchContext) expr.Tri {
 		// uncertain aggregate stays non-deterministic forever.
 		return expr.Unknown
 	}
-	return o.node.Pred.Tri(r.Vals, bc)
+	return expr.Decide(o.node.Pred, r.Vals, bc)
 }
 
 // selVerdict is one row's precomputed per-batch SELECT decision: its
@@ -96,7 +90,7 @@ func (o *opSelect) classifyAll(rows []delta.Row, bc *batchContext, regen bool) [
 			}
 			v := selVerdict{tri: o.classify(r, bc)}
 			if v.tri != expr.True && v.tri != expr.False {
-				v.pass = evalTrue(o.node.Pred, r, bc)
+				v.pass = expr.Holds(o.node.Pred, r.Vals, bc)
 			}
 			vs[i] = v
 		}
@@ -111,7 +105,7 @@ func (o *opSelect) filterAll(rows []delta.Row, bc *batchContext) []bool {
 	pass := make([]bool, len(rows))
 	fill := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			pass[i] = evalTrue(o.node.Pred, rows[i], bc)
+			pass[i] = expr.Holds(o.node.Pred, rows[i].Vals, bc)
 		}
 	}
 	bc.run.Chunks(cluster.CostSelect, len(rows), fill)

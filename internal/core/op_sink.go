@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"iolap/internal/bootstrap"
 	"iolap/internal/cluster"
 	"iolap/internal/delta"
@@ -94,7 +92,7 @@ func (o *opSink) materialize(bc *batchContext) (*rel.Relation, [][]bootstrap.Est
 // when that is numeric, fills reps with its B replicates (NaN where a
 // replicate is not numeric). A bare column over a lineage ref — every
 // aggregate output column — resolves the ref once and copies its replicates;
-// any other expression evaluates replicate by replicate.
+// any other expression evaluates replicate by replicate (expr.Reps).
 func cellReps(e expr.Expr, row []rel.Value, bc *batchContext, reps []float64) rel.Value {
 	if c, ok := e.(*expr.Col); ok && row[c.Idx].IsRef() {
 		uv, ok := bc.ResolveRef(row[c.Idx].Ref())
@@ -109,15 +107,8 @@ func cellReps(e expr.Expr, row []rel.Value, bc *batchContext, reps []float64) re
 		return uv.Value
 	}
 	v := e.Eval(row, bc)
-	if !v.IsNumeric() {
-		return v
-	}
-	for b := range reps {
-		if rv := e.EvalRep(row, bc, b); rv.IsNumeric() {
-			reps[b] = rv.Float()
-		} else {
-			reps[b] = math.NaN()
-		}
+	if v.IsNumeric() {
+		expr.Reps(e, row, bc, reps)
 	}
 	return v
 }

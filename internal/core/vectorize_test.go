@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"testing"
 
-	"iolap/internal/delta"
 	"iolap/internal/exec"
+	"iolap/internal/expr"
 	"iolap/internal/plan"
 	"iolap/internal/rel"
 	"iolap/internal/workload"
@@ -127,7 +127,7 @@ func TestColumnarFilterLive(t *testing.T) {
 					d := bc.delta[sel.scan.node.Table]
 					want := 0
 					for _, tp := range d.Tuples {
-						if evalTrue(sel.node.Pred, delta.Row{Vals: tp.Vals}, bc) && !novec {
+						if expr.Holds(sel.node.Pred, tp.Vals, bc) && !novec {
 							want++
 						}
 					}

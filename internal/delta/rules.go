@@ -23,8 +23,7 @@ import (
 func DeltaSelect(pred expr.Expr, delta []Row, res expr.Resolver) []Row {
 	var out []Row
 	for _, r := range delta {
-		v := pred.Eval(r.Vals, res)
-		if !v.IsNull() && v.Kind() == rel.KBool && v.Bool() {
+		if expr.Holds(pred, r.Vals, res) {
 			out = append(out, r)
 		}
 	}

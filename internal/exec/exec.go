@@ -195,8 +195,7 @@ func (e *executor) eval(n plan.Node) (*rel.Relation, error) {
 		keep := make([]bool, len(in.Tuples))
 		e.run.Chunks(cluster.CostSelect, len(in.Tuples), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				v := t.Pred.Eval(in.Tuples[i].Vals, nil)
-				keep[i] = !v.IsNull() && v.Kind() == rel.KBool && v.Bool()
+				keep[i] = expr.Holds(t.Pred, in.Tuples[i].Vals, nil)
 			}
 		})
 		for i, tp := range in.Tuples {

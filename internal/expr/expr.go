@@ -1,17 +1,19 @@
 // Package expr implements the scalar expression language of the engine.
 //
-// Expressions evaluate in three modes, all against the same AST:
+// An expression has one evaluator, Eval, and one range rule, Interval:
 //
-//   - Eval: the running value on D_i. Uncertain attributes (rel.Ref values)
-//     are resolved through a Resolver to the producing aggregate's current
-//     output — this is the lineage-based lazy evaluation of Section 6.
-//   - EvalRep: the b-th bootstrap replicate; refs resolve to the replicate
-//     output of the source aggregate, so uncertainty propagates through
-//     arbitrary expressions, UDFs included.
-//   - Interval/Tri: interval arithmetic over variation ranges R(u); a
-//     predicate evaluates to a Kleene tri-state where Unknown means
-//     "R(x) ∩ R(y) ≠ ∅" — the tuple joins the non-deterministic set
-//     (Section 5).
+//   - Eval computes a value. Uncertain attributes (rel.Ref values) resolve
+//     through a Resolver to the producing aggregate's output — the
+//     lineage-based lazy evaluation of Section 6. Under the batch's
+//     resolver that is the running value on D_i; under Replicate{res, b}
+//     it is the b-th bootstrap replicate, so uncertainty propagates through
+//     arbitrary expressions, UDFs included (Reps fills all B).
+//   - Interval propagates variation ranges R(u) through numeric
+//     expressions by interval arithmetic.
+//
+// Decide classifies a predicate under the ranges as a Kleene tri-state,
+// where Unknown puts the tuple in the non-deterministic set (Section 5);
+// Holds is the definite truth test under current values.
 package expr
 
 import (
@@ -78,15 +80,12 @@ func FromBool(b bool) Tri {
 
 // Expr is a scalar expression over a row.
 type Expr interface {
-	// Eval computes the running value. Ref-valued inputs are resolved via
-	// res; res may be nil when the expression is statically deterministic.
+	// Eval computes the value. Ref-valued inputs are resolved via res (the
+	// running value, or a replicate under Replicate); res may be nil when
+	// the expression is statically deterministic.
 	Eval(row []rel.Value, res Resolver) rel.Value
-	// EvalRep computes the b-th bootstrap replicate of the expression.
-	EvalRep(row []rel.Value, res Resolver, b int) rel.Value
 	// Interval computes the variation range of the (numeric) expression.
 	Interval(row []rel.Value, res Resolver) bootstrap.Interval
-	// Tri evaluates the expression as a predicate under variation ranges.
-	Tri(row []rel.Value, res Resolver) Tri
 	// Cols appends the row column indexes the expression reads.
 	Cols(dst []int) []int
 	// Type reports the static result kind.
@@ -109,22 +108,39 @@ func resolve(v rel.Value, res Resolver) rel.Value {
 	return uv.Value
 }
 
-// resolveRep unwraps a possibly-Ref value to its b-th replicate value.
-func resolveRep(v rel.Value, res Resolver, b int) rel.Value {
-	if !v.IsRef() {
-		return v
-	}
-	uv, ok := res.ResolveRef(v.Ref())
-	if !ok {
-		return rel.Null()
-	}
-	if b < len(uv.Reps) {
-		return rel.Float(uv.Reps[b])
-	}
-	return uv.Value
+// Replicate resolves a lineage ref to replicate B of its source, or to the
+// running value when the source keeps fewer replicates: Eval under it
+// computes the B-th bootstrap replicate of an expression.
+type Replicate struct {
+	Of Resolver
+	B  int
 }
 
-// resolveInterval returns the variation range of a possibly-Ref value.
+func (r *Replicate) ResolveRef(ref rel.Ref) (UncValue, bool) {
+	uv, ok := r.Of.ResolveRef(ref)
+	if ok && r.B < len(uv.Reps) {
+		uv.Value = rel.Float(uv.Reps[r.B])
+	}
+	return uv, ok
+}
+
+// Reps fills reps[b] with replicate b of e over row, NaN where that
+// replicate is not numeric.
+func Reps(e Expr, row []rel.Value, res Resolver, reps []float64) {
+	rep := &Replicate{Of: res}
+	for b := range reps {
+		rep.B = b
+		if v := e.Eval(row, rep); v.IsNumeric() {
+			reps[b] = v.Float()
+		} else {
+			reps[b] = math.NaN()
+		}
+	}
+}
+
+// resolveInterval returns the variation range of a possibly-Ref value. NULL
+// has no value to bound: its range is Full, which never decides a
+// comparison that NULL fails.
 func resolveInterval(v rel.Value, res Resolver) (bootstrap.Interval, bool) {
 	if v.IsRef() {
 		uv, ok := res.ResolveRef(v.Ref())
@@ -136,7 +152,80 @@ func resolveInterval(v rel.Value, res Resolver) (bootstrap.Interval, bool) {
 	if v.IsNumeric() {
 		return bootstrap.Point(v.Float()), true
 	}
-	return bootstrap.Interval{}, false
+	return bootstrap.Full(), v.IsNull()
+}
+
+// ---------------------------------------------------------------------------
+// Predicates
+
+// Holds reports whether predicate e is definitely true under current values:
+// NULL and non-boolean values do not hold.
+func Holds(e Expr, row []rel.Value, res Resolver) bool { return holds(e.Eval(row, res)) }
+
+func holds(v rel.Value) bool { return v.Kind() == rel.KBool && v.Bool() }
+
+// Decide classifies predicate e under variation ranges. AND, OR and NOT
+// combine their operands' verdicts by Kleene logic; a comparison of two
+// numeric operands decides by its operand ranges (Cmp.decideRanges); every
+// other predicate decides by its value only when every lineage ref that
+// value reads has a point range, and is Unknown until then.
+func Decide(e Expr, row []rel.Value, res Resolver) Tri {
+	switch e := e.(type) {
+	case *And:
+		return kleene(e.L, e.R, row, res, False)
+	case *Or:
+		return kleene(e.L, e.R, row, res, True)
+	case *Not:
+		return Decide(e.E, row, res).Not()
+	case *Cmp:
+		if isNumeric(e.L.Type()) && isNumeric(e.R.Type()) {
+			return e.decideRanges(row, res)
+		}
+	}
+	v, settled := evalSettled(e, row, res)
+	if !settled {
+		return Unknown
+	}
+	return FromBool(holds(v))
+}
+
+// kleene combines the verdicts of l and r, where dom (False for AND, True
+// for OR) decides alone and r is not consulted once l is dom.
+func kleene(l, r Expr, row []rel.Value, res Resolver, dom Tri) Tri {
+	a := Decide(l, row, res)
+	if a == dom {
+		return dom
+	}
+	b := Decide(r, row, res)
+	if b == dom || b == Unknown {
+		return b
+	}
+	return a
+}
+
+func isNumeric(k rel.Kind) bool { return k == rel.KInt || k == rel.KFloat }
+
+// evalSettled evaluates e and reports whether every lineage ref the
+// evaluation read has a point range, i.e. whether the value is final.
+func evalSettled(e Expr, row []rel.Value, res Resolver) (rel.Value, bool) {
+	s := settleCheck{of: res}
+	v := e.Eval(row, &s)
+	return v, !s.open
+}
+
+// settleCheck resolves refs through of and records whether any of them
+// lacks a point range (a group not yet seen counts as open).
+type settleCheck struct {
+	of   Resolver
+	open bool
+}
+
+func (s *settleCheck) ResolveRef(ref rel.Ref) (UncValue, bool) {
+	uv, ok := s.of.ResolveRef(ref)
+	if !ok || !uv.Range.IsPoint() {
+		s.open = true
+	}
+	return uv, ok
 }
 
 // ---------------------------------------------------------------------------
@@ -158,24 +247,12 @@ func (c *Col) Eval(row []rel.Value, res Resolver) rel.Value {
 	return resolve(row[c.Idx], res)
 }
 
-func (c *Col) EvalRep(row []rel.Value, res Resolver, b int) rel.Value {
-	return resolveRep(row[c.Idx], res, b)
-}
-
 func (c *Col) Interval(row []rel.Value, res Resolver) bootstrap.Interval {
 	iv, ok := resolveInterval(row[c.Idx], res)
 	if !ok {
 		panic(fmt.Sprintf("expr: interval of non-numeric column %s", c.Name))
 	}
 	return iv
-}
-
-func (c *Col) Tri(row []rel.Value, res Resolver) Tri {
-	v := c.Eval(row, res)
-	if v.Kind() == rel.KBool {
-		return FromBool(v.Bool())
-	}
-	return False
 }
 
 func (c *Col) Cols(dst []int) []int { return append(dst, c.Idx) }
@@ -196,19 +273,13 @@ type Const struct{ V rel.Value }
 // NewConst builds a literal expression.
 func NewConst(v rel.Value) *Const { return &Const{V: v} }
 
-func (c *Const) Eval([]rel.Value, Resolver) rel.Value         { return c.V }
-func (c *Const) EvalRep([]rel.Value, Resolver, int) rel.Value { return c.V }
+func (c *Const) Eval([]rel.Value, Resolver) rel.Value { return c.V }
 func (c *Const) Interval([]rel.Value, Resolver) bootstrap.Interval {
-	if !c.V.IsNumeric() {
+	iv, ok := resolveInterval(c.V, nil)
+	if !ok {
 		panic("expr: interval of non-numeric constant")
 	}
-	return bootstrap.Point(c.V.Float())
-}
-func (c *Const) Tri([]rel.Value, Resolver) Tri {
-	if c.V.Kind() == rel.KBool {
-		return FromBool(c.V.Bool())
-	}
-	return False
+	return iv
 }
 func (c *Const) Cols(dst []int) []int { return dst }
 func (c *Const) Type() rel.Kind       { return c.V.Kind() }
@@ -296,10 +367,6 @@ func (e *Arith) Eval(row []rel.Value, res Resolver) rel.Value {
 	return arith(e.Op, e.L.Eval(row, res), e.R.Eval(row, res))
 }
 
-func (e *Arith) EvalRep(row []rel.Value, res Resolver, b int) rel.Value {
-	return arith(e.Op, e.L.EvalRep(row, res, b), e.R.EvalRep(row, res, b))
-}
-
 func (e *Arith) Interval(row []rel.Value, res Resolver) bootstrap.Interval {
 	a := e.L.Interval(row, res)
 	b := e.R.Interval(row, res)
@@ -317,8 +384,6 @@ func (e *Arith) Interval(row []rel.Value, res Resolver) bootstrap.Interval {
 	}
 	panic("unreachable")
 }
-
-func (e *Arith) Tri(row []rel.Value, res Resolver) Tri { return False }
 
 func (e *Arith) Cols(dst []int) []int { return e.R.Cols(e.L.Cols(dst)) }
 func (e *Arith) Type() rel.Kind {
@@ -350,23 +415,12 @@ func (n *Neg) Eval(row []rel.Value, res Resolver) rel.Value {
 	}
 	return rel.Float(-v.Float())
 }
-func (n *Neg) EvalRep(row []rel.Value, res Resolver, b int) rel.Value {
-	v := n.E.EvalRep(row, res, b)
-	if v.IsNull() {
-		return v
-	}
-	if v.Kind() == rel.KInt {
-		return rel.Int(-v.Int())
-	}
-	return rel.Float(-v.Float())
-}
 func (n *Neg) Interval(row []rel.Value, res Resolver) bootstrap.Interval {
 	return n.E.Interval(row, res).Neg()
 }
-func (n *Neg) Tri([]rel.Value, Resolver) Tri { return False }
-func (n *Neg) Cols(dst []int) []int          { return n.E.Cols(dst) }
-func (n *Neg) Type() rel.Kind                { return n.E.Type() }
-func (n *Neg) String() string                { return "(-" + n.E.String() + ")" }
+func (n *Neg) Cols(dst []int) []int { return n.E.Cols(dst) }
+func (n *Neg) Type() rel.Kind       { return n.E.Type() }
+func (n *Neg) String() string       { return "(-" + n.E.String() + ")" }
 
 // ---------------------------------------------------------------------------
 // Comparison
@@ -445,28 +499,22 @@ func (e *Cmp) Eval(row []rel.Value, res Resolver) rel.Value {
 	return cmpValues(e.Op, e.L.Eval(row, res), e.R.Eval(row, res))
 }
 
-func (e *Cmp) EvalRep(row []rel.Value, res Resolver, b int) rel.Value {
-	return cmpValues(e.Op, e.L.EvalRep(row, res, b), e.R.EvalRep(row, res, b))
-}
-
 func (e *Cmp) Interval(row []rel.Value, res Resolver) bootstrap.Interval {
 	panic("expr: Interval on boolean comparison")
 }
 
-// Tri resolves the comparison under variation ranges: when the operand
-// ranges are disjoint the decision is deterministic across all remaining
-// batches (the near-deterministic set of Section 5.1); otherwise Unknown.
-func (e *Cmp) Tri(row []rel.Value, res Resolver) Tri {
-	lNum := e.L.Type() == rel.KInt || e.L.Type() == rel.KFloat
-	rNum := e.R.Type() == rel.KInt || e.R.Type() == rel.KFloat
-	if !lNum || !rNum {
-		// Non-numeric comparisons cannot involve uncertain attributes
-		// (aggregates are numeric), so the point decision is final.
-		v := e.Eval(row, res)
-		return FromBool(!v.IsNull() && v.Bool())
-	}
+// decideRanges classifies a comparison of two numeric operands under their
+// variation ranges: when the ranges are disjoint the decision is
+// deterministic across all remaining batches (the near-deterministic set of
+// Section 5.1); otherwise Unknown.
+func (e *Cmp) decideRanges(row []rel.Value, res Resolver) Tri {
 	a := e.L.Interval(row, res)
 	b := e.R.Interval(row, res)
+	if math.IsNaN(a.Lo) || math.IsNaN(a.Hi) || math.IsNaN(b.Lo) || math.IsNaN(b.Hi) {
+		// A NaN bound (0 × ∞ over an unbound range) bounds nothing, and
+		// it fails every test below, which would decide = and <>.
+		return Unknown
+	}
 	switch e.Op {
 	case Lt:
 		if a.Hi < b.Lo {
@@ -513,8 +561,7 @@ func (e *Cmp) Tri(row []rel.Value, res Resolver) Tri {
 	}
 	if a.IsPoint() && b.IsPoint() {
 		// Overlapping points: exact decision.
-		v := e.Eval(row, res)
-		return FromBool(!v.IsNull() && v.Bool())
+		return FromBool(Holds(e, row, res))
 	}
 	return Unknown
 }
@@ -534,35 +581,11 @@ type And struct{ L, R Expr }
 // NewAnd builds a conjunction.
 func NewAnd(l, r Expr) *And { return &And{L: l, R: r} }
 
-func evalBool(e Expr, row []rel.Value, res Resolver) bool {
-	v := e.Eval(row, res)
-	return !v.IsNull() && v.Kind() == rel.KBool && v.Bool()
-}
-
 func (e *And) Eval(row []rel.Value, res Resolver) rel.Value {
-	return rel.Bool(evalBool(e.L, row, res) && evalBool(e.R, row, res))
-}
-func (e *And) EvalRep(row []rel.Value, res Resolver, b int) rel.Value {
-	l := e.L.EvalRep(row, res, b)
-	r := e.R.EvalRep(row, res, b)
-	return rel.Bool(!l.IsNull() && l.Bool() && !r.IsNull() && r.Bool())
+	return rel.Bool(Holds(e.L, row, res) && Holds(e.R, row, res))
 }
 func (e *And) Interval([]rel.Value, Resolver) bootstrap.Interval {
 	panic("expr: Interval on boolean AND")
-}
-func (e *And) Tri(row []rel.Value, res Resolver) Tri {
-	l := e.L.Tri(row, res)
-	if l == False {
-		return False
-	}
-	r := e.R.Tri(row, res)
-	if r == False {
-		return False
-	}
-	if l == True && r == True {
-		return True
-	}
-	return Unknown
 }
 func (e *And) Cols(dst []int) []int { return e.R.Cols(e.L.Cols(dst)) }
 func (e *And) Type() rel.Kind       { return rel.KBool }
@@ -575,29 +598,10 @@ type Or struct{ L, R Expr }
 func NewOr(l, r Expr) *Or { return &Or{L: l, R: r} }
 
 func (e *Or) Eval(row []rel.Value, res Resolver) rel.Value {
-	return rel.Bool(evalBool(e.L, row, res) || evalBool(e.R, row, res))
-}
-func (e *Or) EvalRep(row []rel.Value, res Resolver, b int) rel.Value {
-	l := e.L.EvalRep(row, res, b)
-	r := e.R.EvalRep(row, res, b)
-	return rel.Bool((!l.IsNull() && l.Bool()) || (!r.IsNull() && r.Bool()))
+	return rel.Bool(Holds(e.L, row, res) || Holds(e.R, row, res))
 }
 func (e *Or) Interval([]rel.Value, Resolver) bootstrap.Interval {
 	panic("expr: Interval on boolean OR")
-}
-func (e *Or) Tri(row []rel.Value, res Resolver) Tri {
-	l := e.L.Tri(row, res)
-	if l == True {
-		return True
-	}
-	r := e.R.Tri(row, res)
-	if r == True {
-		return True
-	}
-	if l == False && r == False {
-		return False
-	}
-	return Unknown
 }
 func (e *Or) Cols(dst []int) []int { return e.R.Cols(e.L.Cols(dst)) }
 func (e *Or) Type() rel.Kind       { return rel.KBool }
@@ -610,17 +614,10 @@ type Not struct{ E Expr }
 func NewNot(e Expr) *Not { return &Not{E: e} }
 
 func (e *Not) Eval(row []rel.Value, res Resolver) rel.Value {
-	return rel.Bool(!evalBool(e.E, row, res))
-}
-func (e *Not) EvalRep(row []rel.Value, res Resolver, b int) rel.Value {
-	v := e.E.EvalRep(row, res, b)
-	return rel.Bool(v.IsNull() || !v.Bool())
+	return rel.Bool(!Holds(e.E, row, res))
 }
 func (e *Not) Interval([]rel.Value, Resolver) bootstrap.Interval {
 	panic("expr: Interval on boolean NOT")
-}
-func (e *Not) Tri(row []rel.Value, res Resolver) Tri {
-	return e.E.Tri(row, res).Not()
 }
 func (e *Not) Cols(dst []int) []int { return e.E.Cols(dst) }
 func (e *Not) Type() rel.Kind       { return rel.KBool }
@@ -655,25 +652,12 @@ func NewCase(pairs []Expr, elseE Expr) *Case {
 
 func (c *Case) Eval(row []rel.Value, res Resolver) rel.Value {
 	for _, w := range c.Whens {
-		if evalBool(w.Cond, row, res) {
+		if Holds(w.Cond, row, res) {
 			return w.Then.Eval(row, res)
 		}
 	}
 	if c.Else != nil {
 		return c.Else.Eval(row, res)
-	}
-	return rel.Null()
-}
-
-func (c *Case) EvalRep(row []rel.Value, res Resolver, b int) rel.Value {
-	for _, w := range c.Whens {
-		v := w.Cond.EvalRep(row, res, b)
-		if !v.IsNull() && v.Bool() {
-			return w.Then.EvalRep(row, res, b)
-		}
-	}
-	if c.Else != nil {
-		return c.Else.EvalRep(row, res, b)
 	}
 	return rel.Null()
 }
@@ -697,7 +681,7 @@ func (c *Case) Interval(row []rel.Value, res Resolver) bootstrap.Interval {
 		}
 	}
 	for _, w := range c.Whens {
-		t := w.Cond.Tri(row, res)
+		t := Decide(w.Cond, row, res)
 		if t == False {
 			continue
 		}
@@ -709,17 +693,9 @@ func (c *Case) Interval(row []rel.Value, res Resolver) bootstrap.Interval {
 	if c.Else != nil {
 		merge(c.Else.Interval(row, res))
 	} else {
-		merge(bootstrap.Point(0))
+		merge(bootstrap.Full()) // NULL
 	}
 	return out
-}
-
-func (c *Case) Tri(row []rel.Value, res Resolver) Tri {
-	v := c.Eval(row, res)
-	if v.Kind() == rel.KBool {
-		return FromBool(v.Bool())
-	}
-	return False
 }
 
 func (c *Case) Cols(dst []int) []int {
@@ -772,23 +748,8 @@ func (e *In) Eval(row []rel.Value, res Resolver) rel.Value {
 	}
 	return rel.Bool(found != e.Inv)
 }
-func (e *In) EvalRep(row []rel.Value, res Resolver, b int) rel.Value {
-	v := e.E.EvalRep(row, res, b)
-	found := false
-	for _, item := range e.List {
-		if v.Equal(item.EvalRep(row, res, b)) {
-			found = true
-			break
-		}
-	}
-	return rel.Bool(found != e.Inv)
-}
 func (e *In) Interval([]rel.Value, Resolver) bootstrap.Interval {
 	panic("expr: Interval on IN")
-}
-func (e *In) Tri(row []rel.Value, res Resolver) Tri {
-	v := e.Eval(row, res)
-	return FromBool(v.Bool())
 }
 func (e *In) Cols(dst []int) []int {
 	dst = e.E.Cols(dst)

@@ -108,14 +108,14 @@ func TestRefLazyResolution(t *testing.T) {
 	if got := c.Eval(row, res); got.Float() != 37 {
 		t.Errorf("lazy value = %v, want 37", got)
 	}
-	if got := c.EvalRep(row, res, 0); got.Float() != 35 {
+	if got := c.Eval(row, rep(res, 0)); got.Float() != 35 {
 		t.Errorf("replicate 0 = %v, want 35", got)
 	}
-	if got := c.EvalRep(row, res, 1); got.Float() != 39 {
+	if got := c.Eval(row, rep(res, 1)); got.Float() != 39 {
 		t.Errorf("replicate 1 = %v, want 39", got)
 	}
 	// Replicate index beyond reps falls back to the running value.
-	if got := c.EvalRep(row, res, 5); got.Float() != 37 {
+	if got := c.Eval(row, rep(res, 5)); got.Float() != 37 {
 		t.Errorf("replicate overflow = %v, want 37", got)
 	}
 	iv := c.Interval(row, res)
@@ -141,13 +141,13 @@ func TestSBIClassification(t *testing.T) {
 	mk := func(bt float64) []rel.Value {
 		return []rel.Value{rel.Float(bt), rel.NewRef(ref)}
 	}
-	if got := pred.Tri(mk(58), res); got != True {
+	if got := Decide(pred, mk(58), res); got != True {
 		t.Errorf("t2 (58) = %v, want true (always selected)", got)
 	}
-	if got := pred.Tri(mk(17), res); got != False {
+	if got := Decide(pred, mk(17), res); got != False {
 		t.Errorf("t3 (17) = %v, want false (always filtered)", got)
 	}
-	if got := pred.Tri(mk(36), res); got != Unknown {
+	if got := Decide(pred, mk(36), res); got != Unknown {
 		t.Errorf("t1 (36) = %v, want unknown (non-deterministic)", got)
 	}
 }
@@ -182,7 +182,7 @@ func TestTriComparisons(t *testing.T) {
 	for _, c := range cases {
 		res, row := mkRes(c.lo, c.hi)
 		e := NewCmp(c.op, u, cf(c.constant))
-		if got := e.Tri(row, res); got != c.want {
+		if got := Decide(e, row, res); got != c.want {
 			t.Errorf("[%v,%v] %s %v = %v, want %v", c.lo, c.hi, c.op, c.constant, got, c.want)
 		}
 	}
@@ -190,7 +190,7 @@ func TestTriComparisons(t *testing.T) {
 
 func TestTriStringComparisonIsExact(t *testing.T) {
 	e := NewCmp(Eq, cs("cdn1"), cs("cdn1"))
-	if e.Tri(nil, nil) != True {
+	if Decide(e, nil, nil) != True {
 		t.Error("string equality should be deterministic True")
 	}
 }
@@ -204,19 +204,19 @@ func TestKleeneLogic(t *testing.T) {
 	unk := NewCmp(Gt, col(0, rel.KFloat), cf(3)) // unknown
 	tt := NewConst(rel.Bool(true))
 	ff := NewConst(rel.Bool(false))
-	if got := NewAnd(unk, ff).Tri(row, res); got != False {
+	if got := Decide(NewAnd(unk, ff), row, res); got != False {
 		t.Errorf("unknown AND false = %v, want false", got)
 	}
-	if got := NewAnd(unk, tt).Tri(row, res); got != Unknown {
+	if got := Decide(NewAnd(unk, tt), row, res); got != Unknown {
 		t.Errorf("unknown AND true = %v, want unknown", got)
 	}
-	if got := NewOr(unk, tt).Tri(row, res); got != True {
+	if got := Decide(NewOr(unk, tt), row, res); got != True {
 		t.Errorf("unknown OR true = %v, want true", got)
 	}
-	if got := NewOr(unk, ff).Tri(row, res); got != Unknown {
+	if got := Decide(NewOr(unk, ff), row, res); got != Unknown {
 		t.Errorf("unknown OR false = %v, want unknown", got)
 	}
-	if got := NewNot(unk).Tri(row, res); got != Unknown {
+	if got := Decide(NewNot(unk), row, res); got != Unknown {
 		t.Errorf("NOT unknown = %v, want unknown", got)
 	}
 }
@@ -390,7 +390,7 @@ func TestUDFRegistration(t *testing.T) {
 	}
 }
 
-// Property: Tri never contradicts exact evaluation — if Tri says True or
+// Property: Decide never contradicts exact evaluation — if it says True or
 // False, evaluating with any value inside the operand ranges must agree.
 func TestTriSoundnessProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -408,13 +408,13 @@ func TestTriSoundnessProperty(t *testing.T) {
 		}}
 		row := []rel.Value{rel.NewRef(ref)}
 		e := NewCmp(op, col(0, rel.KFloat), cf(c))
-		tri := e.Tri(row, res)
+		tri := Decide(e, row, res)
 		if tri == Unknown {
 			continue
 		}
 		exact := e.Eval(row, res).Bool()
 		if (tri == True) != exact {
-			t.Fatalf("Tri=%v contradicts exact=%v for [%v,%v] %s %v (final=%v)",
+			t.Fatalf("Decide=%v contradicts exact=%v for [%v,%v] %s %v (final=%v)",
 				tri, exact, lo, hi, op, c, final)
 		}
 	}

@@ -12,8 +12,8 @@ import (
 
 // ScalarFunc describes a (possibly user-defined) scalar function. The paper
 // supports UDFs inside online queries (Section 1, workload C6/C7); they work
-// here in all three evaluation modes — replicates call Fn per trial, and
-// intervals use IntervalFn when provided or the conservative full range.
+// here under every resolver — a replicate calls Fn on replicate arguments —
+// and intervals use IntervalFn when provided or the conservative full range.
 type ScalarFunc struct {
 	Name    string
 	MinArgs int
@@ -282,7 +282,7 @@ func builtins() []ScalarFunc {
 		{
 			Name: "IF", MinArgs: 3, MaxArgs: 3, RetType: rel.KFloat,
 			Fn: func(args []rel.Value) rel.Value {
-				if !args[0].IsNull() && args[0].Kind() == rel.KBool && args[0].Bool() {
+				if holds(args[0]) {
 					return args[1]
 				}
 				return args[2]
@@ -394,49 +394,36 @@ func (e *Func) Eval(row []rel.Value, res Resolver) rel.Value {
 	return e.F.Fn(args)
 }
 
-func (e *Func) EvalRep(row []rel.Value, res Resolver, b int) rel.Value {
-	args := make([]rel.Value, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.EvalRep(row, res, b)
-	}
-	return e.F.Fn(args)
-}
-
+// Interval asks only the numeric arguments for ranges; any other argument
+// (IF's condition, say) reaches IntervalFn as the full line. Without an
+// IntervalFn the call is a point when its numeric arguments are points and
+// its other arguments are settled (evalSettled), and the full line
+// otherwise: unknown propagation only costs recomputation, never
+// correctness.
 func (e *Func) Interval(row []rel.Value, res Resolver) bootstrap.Interval {
-	if e.F.IntervalFn == nil {
-		// Conservative: unknown propagation widens to the full line,
-		// which only costs recomputation, never correctness.
-		allPoint := true
-		args := make([]bootstrap.Interval, len(e.Args))
-		for i, a := range e.Args {
-			if a.Type() == rel.KInt || a.Type() == rel.KFloat {
-				args[i] = a.Interval(row, res)
-				if !args[i].IsPoint() {
-					allPoint = false
-				}
-			}
-		}
-		if allPoint {
-			v := e.Eval(row, res)
-			if v.IsNumeric() {
-				return bootstrap.Point(v.Float())
-			}
-		}
-		return bootstrap.Full()
-	}
+	point := true
 	args := make([]bootstrap.Interval, len(e.Args))
 	for i, a := range e.Args {
-		args[i] = a.Interval(row, res)
+		switch {
+		case isNumeric(a.Type()):
+			args[i] = a.Interval(row, res)
+			point = point && args[i].IsPoint()
+		case e.F.IntervalFn != nil:
+			args[i] = bootstrap.Full()
+		default:
+			_, settled := evalSettled(a, row, res)
+			point = point && settled
+		}
 	}
-	return e.F.IntervalFn(args)
-}
-
-func (e *Func) Tri(row []rel.Value, res Resolver) Tri {
-	v := e.Eval(row, res)
-	if v.Kind() == rel.KBool {
-		return FromBool(v.Bool())
+	if e.F.IntervalFn != nil {
+		return e.F.IntervalFn(args)
 	}
-	return False
+	if point {
+		if v := e.Eval(row, res); v.IsNumeric() {
+			return bootstrap.Point(v.Float())
+		}
+	}
+	return bootstrap.Full()
 }
 
 func (e *Func) Cols(dst []int) []int {

@@ -6,14 +6,11 @@
 // subset (arithmetic, CASE, UDFs) reports !ok and stays on the row path.
 //
 // Semantics are pinned to the row path's acceptance test: for every row,
-// the compiled predicate produces exactly
-//
-//	v := e.Eval(row, nil); !v.IsNull() && v.Kind() == KBool && v.Bool()
-//
-// including NULL-rejects-comparison, NaN-matches-nothing, cross-kind
-// ordering by Kind, and NOT IN's NULL behaviour. The caller must ensure
-// the batch carries no unresolved refs (rel.Columns.HasRefs) — the
-// columnar path has no Resolver.
+// the compiled predicate produces exactly Holds(e, row, nil), including
+// NULL-rejects-comparison, NaN-matches-nothing, cross-kind ordering by
+// Kind, and NOT IN's NULL behaviour. The caller must ensure the batch
+// carries no unresolved refs (rel.Columns.HasRefs) — the columnar path has
+// no Resolver.
 package expr
 
 import (
@@ -56,7 +53,7 @@ type vecNode interface {
 func compileVecNode(e Expr) (vecNode, bool) {
 	switch e := e.(type) {
 	case *Const:
-		return vecConst{b: e.V.Kind() == rel.KBool && e.V.Bool()}, true
+		return vecConst{b: holds(e.V)}, true
 	case *Col:
 		return vecBoolCol{idx: e.Idx}, true
 	case *Cmp:
@@ -166,7 +163,7 @@ func (n vecBoolCol) eval(c *rel.Columns, lo, hi int, pass []bool) {
 	if b.Mixed != nil {
 		for i := range pass {
 			v := b.Mixed[lo+i]
-			pass[i] = v.Kind() == rel.KBool && v.Bool()
+			pass[i] = holds(v)
 		}
 		return
 	}

@@ -131,8 +131,7 @@ func vecTestPred(rng *rand.Rand, nCols, depth int) Expr {
 
 // TestCompileVecEquivalence drives randomized vectorizable predicates over
 // randomized columnar batches in random chunk spans and demands verdict-
-// for-verdict agreement with the row path's acceptance test (Eval, then
-// keep when non-NULL boolean true).
+// for-verdict agreement with the row path's acceptance test, Holds.
 func TestCompileVecEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -149,8 +148,7 @@ func TestCompileVecEquivalence(t *testing.T) {
 				pass := make([]bool, hi-lo)
 				vp.EvalCols(cols, lo, hi, pass)
 				for i := lo; i < hi; i++ {
-					v := pred.Eval(r.Tuples[i].Vals, nil)
-					want := !v.IsNull() && v.Kind() == rel.KBool && v.Bool()
+					want := Holds(pred, r.Tuples[i].Vals, nil)
 					if pass[i-lo] != want {
 						t.Fatalf("seed %d trial %d row %d span [%d,%d): vectorized %v, row path %v\npred: %#v\nrow: %v",
 							seed, trial, i, lo, hi, pass[i-lo], want, pred, r.Tuples[i].Vals)

@@ -320,6 +320,37 @@ func TestIllKindedQueryFailsItsOpen(t *testing.T) {
 	}
 }
 
+// TestRangeOfBooleanArgumentServes: an IF over a comparison of an aggregate
+// asks only its numeric arguments for variation ranges. Asking the boolean
+// condition panics on the engine's scan goroutine, which takes the whole
+// serving process down; here the session delivers every update and the
+// engine goes on serving others.
+func TestRangeOfBooleanArgumentServes(t *testing.T) {
+	eng := NewEngine(testDB(100, 1), testStreamed, nil, nil, Config{Batches: 4})
+	defer eng.Close()
+	s, err := eng.Open(`SELECT cdn, COUNT(*) AS n FROM sessions GROUP BY cdn HAVING IF(COUNT(*) > 74, 1, 0) = 1`,
+		SessionOptions{Stream: "sessions", Trials: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(drain(s)); got != 4 {
+		t.Fatalf("IF session delivered %d updates, want 4", got)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	h, err := eng.Open(testQueries[0], SessionOptions{Stream: "sessions", Trials: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(drain(h)); got != 4 {
+		t.Fatalf("healthy session delivered %d updates, want 4", got)
+	}
+	if err := h.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBudgetQueueFIFO(t *testing.T) {
 	db := testDB(100, 1)
 	eng := NewEngine(db, testStreamed, nil, nil, Config{

@@ -375,7 +375,8 @@ func (pl *Planner) attachSubqueryConjunct(node plan.Node, c ExprNode) (plan.Node
 		return pl.attachScalarComparison(node, c, nil, node.Schema())
 	}
 	if t.Sub == nil {
-		return nil, fmt.Errorf("sql: internal: IN conjunct without subquery")
+		// The subquery is the probe of a literal IN list.
+		return nil, fmt.Errorf("sql: unsupported subquery predicate %q", "IN")
 	}
 	if t.Inv {
 		return nil, fmt.Errorf("sql: NOT IN (subquery) requires set difference, outside the positive algebra (paper §3.3)")

@@ -566,14 +566,19 @@ func TestPlannerSubqueryErrorPaths(t *testing.T) {
 		// HAVING subquery with two columns.
 		`SELECT cdn, COUNT(*) FROM sessions GROUP BY cdn
 			HAVING COUNT(*) > (SELECT buffer_time, play_time FROM sessions)`,
+		// A scalar subquery probing a literal IN list.
+		`SELECT session_id FROM sessions WHERE (SELECT COUNT(*) FROM sessions) IN (600, 601)`,
 	}
 	for _, q := range bad {
 		stmt, err := Parse(q)
 		if err != nil {
 			continue
 		}
-		if _, _, err := testPlanner().Plan(stmt); err == nil {
+		_, _, err = testPlanner().Plan(stmt)
+		if err == nil {
 			t.Errorf("expected plan error for %q", q)
+		} else if strings.Contains(err.Error(), "internal") {
+			t.Errorf("%q: user text reached an internal error: %v", q, err)
 		}
 	}
 }
