@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"iolap/internal/agg"
 	"iolap/internal/delta"
@@ -30,13 +31,23 @@ import (
 // a virtual SINK at the end of every plan).
 
 // compiled is the result of compiling a logical plan for online execution.
+// It also carries what every operator's construction reads — the analysis,
+// the scale exponents, the options and the range-tracking decision — so
+// build takes only the node.
 type compiled struct {
 	sink     *opSink
 	ops      []operator // all operators (for snapshot/state accounting)
 	analysis *plan.Analysis
 	norm     plan.Node // normalized plan (diagnostics)
-	streamed []string  // distinct streamed table names
-	nested   bool      // query has nested (uncertainty-coupled) aggregates
+	table    string    // the plan's one streamed table
+	scaleExp []int     // per node (plan.ScaleExp)
+	opts     Options
+	// trackRanges: variation ranges exist to prune classification
+	// decisions; queries without nested (uncertainty-coupled) aggregates
+	// never classify, so tracking ranges there would only add overhead and
+	// spurious integrity failures. Ranges that can fail an integrity check
+	// are also what makes the engine keep recovery snapshots.
+	trackRanges bool
 	// spill is the engine's join-state budget; persistent join stores are
 	// registered with it at build time (nil = never spill).
 	spill *delta.SpillPolicy
@@ -52,9 +63,10 @@ type compiled struct {
 	sharedHitBytes int64
 }
 
-// compile builds the online operator tree for a finalized plan. spill, when
-// non-nil, is the resident-state budget the persistent join stores register
-// with; db backs compile-time shared-state builds (Options.SharedState).
+// compile builds the online operator tree for a finalized plan, which must
+// read exactly one streamed table. spill, when non-nil, is the
+// resident-state budget the persistent join stores register with; db backs
+// compile-time shared-state builds (Options.SharedState).
 func compile(root plan.Node, db *exec.DB, opts Options, spill *delta.SpillPolicy) (*compiled, error) {
 	if opts.Mode == ModeHDA {
 		// DBToaster-style higher-order delta: apply the Appendix-B
@@ -77,16 +89,27 @@ func compile(root plan.Node, db *exec.DB, opts Options, spill *delta.SpillPolicy
 	if err := checkResidualProjects(norm, an); err != nil {
 		return nil, err
 	}
-	scaleExp := plan.ScaleExp(norm, n)
-	grow := mayGrow(norm, n, an)
-	c := &compiled{analysis: an, norm: norm, spill: spill, db: db}
-	// Variation ranges exist to prune classification decisions; queries
-	// without nested (uncertainty-coupled) aggregates never classify, so
-	// tracking ranges there would only add overhead and spurious
-	// integrity failures.
-	c.nested = plan.HasNestedAggregates(norm, an)
-	trackRanges := c.nested && opts.Mode != ModeHDA && opts.Trials > 0
-	child, err := c.build(norm, an, scaleExp, grow, opts, trackRanges)
+	var streamed []string
+	for _, s := range plan.StreamedScans(norm) {
+		if !slices.Contains(streamed, s.Table) {
+			streamed = append(streamed, s.Table)
+		}
+	}
+	if len(streamed) != 1 {
+		return nil, fmt.Errorf("core: exactly one streamed table required, plan has %d (%v)",
+			len(streamed), streamed)
+	}
+	c := &compiled{
+		analysis:    an,
+		norm:        norm,
+		table:       streamed[0],
+		scaleExp:    plan.ScaleExp(norm, n),
+		opts:        opts,
+		trackRanges: an.Nested && opts.Mode != ModeHDA && opts.Trials > 0,
+		spill:       spill,
+		db:          db,
+	}
+	child, err := c.build(norm)
 	if err != nil {
 		// Shared state acquired before the failure must not leak its refs.
 		c.releaseShared()
@@ -117,16 +140,9 @@ func compile(root plan.Node, db *exec.DB, opts Options, spill *delta.SpillPolicy
 		names:    rootNames,
 		unc:      uncOut,
 		schema:   sinkSchema(rootExprs, rootNames),
-		scaleExp: scaleExp[norm.ID()],
+		scaleExp: c.scaleExp[norm.ID()],
 	}
 	c.ops = append(c.ops, c.sink)
-	seen := map[string]bool{}
-	for _, s := range plan.StreamedScans(norm) {
-		if !seen[s.Table] {
-			seen[s.Table] = true
-			c.streamed = append(c.streamed, s.Table)
-		}
-	}
 	return c, nil
 }
 
@@ -364,55 +380,27 @@ func checkResidualProjects(root plan.Node, an *plan.Analysis) error {
 	return err
 }
 
-// mayGrow computes, per node, whether the operator can emit new
-// certain-multiplicity rows after its first batch — the condition under
-// which the opposite join side must keep state (Section 4.2's JOIN rule).
-func mayGrow(root plan.Node, numOps int, an *plan.Analysis) []bool {
-	grow := make([]bool, numOps)
-	plan.Walk(root, func(n plan.Node) {
-		switch t := n.(type) {
-		case *plan.Scan:
-			grow[n.ID()] = t.Streamed
-		case *plan.Aggregate:
-			child := an.Info[t.Child.ID()]
-			if len(t.GroupBy) > 0 {
-				grow[n.ID()] = child.Incomplete || child.TupleUncertain
-			} else {
-				// A global aggregate's single row exists from batch 1.
-				grow[n.ID()] = false
-			}
-		default:
-			for _, c := range n.Children() {
-				if grow[c.ID()] {
-					grow[n.ID()] = true
-				}
-			}
-		}
-	})
-	return grow
-}
-
 // lateScan walks down from a certain select's child through joins to a
 // weighted streamed scan whose weights the select may draw after filtering,
 // and marks the joins on the way (opJoin.late). A join is passed when the
 // scan's side keeps no store, so its rows never enter state weight-free, and
 // the other side holds no streamed scan, so all the weights of a joined row
 // are the scan row's.
-func lateScan(op operator) *opScan {
+func (c *compiled) lateScan(op operator) *opScan {
 	switch o := op.(type) {
 	case *opScan:
 		if o.poisson != nil {
 			return o
 		}
 	case *opJoin:
-		if o.lStore == nil && len(plan.StreamedScans(o.node.R)) == 0 {
-			if sc := lateScan(o.l); sc != nil {
+		if o.lStore == nil && !c.analysis.Info[o.node.R.ID()].Incomplete {
+			if sc := c.lateScan(o.l); sc != nil {
 				o.late = lateL
 				return sc
 			}
 		}
-		if o.rStore == nil && len(plan.StreamedScans(o.node.L)) == 0 {
-			if sc := lateScan(o.r); sc != nil {
+		if o.rStore == nil && !c.analysis.Info[o.node.L.ID()].Incomplete {
+			if sc := c.lateScan(o.r); sc != nil {
 				o.late = lateR
 				return sc
 			}
@@ -422,19 +410,19 @@ func lateScan(op operator) *opScan {
 }
 
 // build constructs the online operator for a plan node.
-func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []bool, opts Options, trackRanges bool) (operator, error) {
+func (c *compiled) build(n plan.Node) (operator, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		op := newOpScan(t, opts)
+		op := newOpScan(t, c.opts)
 		c.ops = append(c.ops, op)
 		return op, nil
 
 	case *plan.Select:
-		child, err := c.build(t.Child, an, scaleExp, grow, opts, trackRanges)
+		child, err := c.build(t.Child)
 		if err != nil {
 			return nil, err
 		}
-		childInfo := an.Info[t.Child.ID()]
+		childInfo := c.analysis.Info[t.Child.ID()]
 		uncPred := false
 		for _, col := range t.Pred.Cols(nil) {
 			if childInfo.UncertainCols[col] {
@@ -459,7 +447,7 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 			// Draw late: the select weights only the scan rows it keeps. A
 			// certain predicate settles every row on arrival, so no scan row
 			// reaches state or the output unweighted.
-			if sc := lateScan(child); sc != nil {
+			if sc := c.lateScan(child); sc != nil {
 				sc.lateDraw = true
 				op.draw = sc
 			}
@@ -468,7 +456,7 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 		return op, nil
 
 	case *plan.Project:
-		child, err := c.build(t.Child, an, scaleExp, grow, opts, trackRanges)
+		child, err := c.build(t.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -477,14 +465,14 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 		return op, nil
 
 	case *plan.Join:
-		l, err := c.build(t.L, an, scaleExp, grow, opts, trackRanges)
+		l, err := c.build(t.L)
 		if err != nil {
 			return nil, err
 		}
-		lInfo, rInfo := an.Info[t.L.ID()], an.Info[t.R.ID()]
-		cacheL := grow[t.R.ID()] || rInfo.TupleUncertain
-		cacheR := grow[t.L.ID()] || lInfo.TupleUncertain
-		if opts.Mode == ModeHDA {
+		lInfo, rInfo := c.analysis.Info[t.L.ID()], c.analysis.Info[t.R.ID()]
+		cacheL := rInfo.Grows || rInfo.TupleUncertain
+		cacheR := lInfo.Grows || lInfo.TupleUncertain
+		if c.opts.Mode == ModeHDA {
 			// HDA aggregates re-emit all groups every batch as
 			// tuple-uncertain rows (delete+insert updates), so a side
 			// facing an aggregate over incomplete data must be cached to
@@ -492,7 +480,7 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 			cacheL = cacheL || rInfo.Incomplete
 			cacheR = cacheR || lInfo.Incomplete
 		}
-		if store, ok, err := c.acquireSharedBuild(t, cacheL, cacheR, an, scaleExp, grow, opts); err != nil {
+		if store, ok, err := c.acquireSharedBuild(t, cacheL, cacheR); err != nil {
 			return nil, err
 		} else if ok {
 			// Frozen shared build side: the right subtree's rows live in
@@ -504,7 +492,7 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 			c.ops = append(c.ops, op)
 			return op, nil
 		}
-		r, err := c.build(t.R, an, scaleExp, grow, opts, trackRanges)
+		r, err := c.build(t.R)
 		if err != nil {
 			return nil, err
 		}
@@ -513,11 +501,11 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 		return op, nil
 
 	case *plan.Union:
-		l, err := c.build(t.L, an, scaleExp, grow, opts, trackRanges)
+		l, err := c.build(t.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := c.build(t.R, an, scaleExp, grow, opts, trackRanges)
+		r, err := c.build(t.R)
 		if err != nil {
 			return nil, err
 		}
@@ -526,7 +514,7 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 		return op, nil
 
 	case *plan.Aggregate:
-		if op, ok, err := c.acquireSharedAgg(t, an, scaleExp, grow, opts, trackRanges); err != nil {
+		if op, ok, err := c.acquireSharedAgg(t); err != nil {
 			return nil, err
 		} else if ok {
 			// Shared inner aggregate: the whole subtree's state lives in a
@@ -535,11 +523,11 @@ func (c *compiled) build(n plan.Node, an *plan.Analysis, scaleExp []int, grow []
 			c.ops = append(c.ops, op)
 			return op, nil
 		}
-		child, err := c.build(t.Child, an, scaleExp, grow, opts, trackRanges)
+		child, err := c.build(t.Child)
 		if err != nil {
 			return nil, err
 		}
-		op := newOpAgg(t, child, an, scaleExp[t.Child.ID()], opts, trackRanges)
+		op := newOpAgg(t, child, c.analysis, c.scaleExp[t.Child.ID()], c.opts, c.trackRanges)
 		c.ops = append(c.ops, op)
 		return op, nil
 	}

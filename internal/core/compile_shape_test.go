@@ -86,7 +86,7 @@ func TestCompileShapeGolden(t *testing.T) {
 
 // writeCompileShape writes one plan's header line and its operators.
 func writeCompileShape(b *strings.Builder, name string, eng *Engine) {
-	fmt.Fprintf(b, "%s trackRanges=%v\n", name, eng.needSnapshots)
+	fmt.Fprintf(b, "%s trackRanges=%v\n", name, eng.comp.trackRanges)
 	writeOpShapes(b, "  ", eng.comp.ops)
 }
 

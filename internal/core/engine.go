@@ -95,11 +95,10 @@ type Engine struct {
 	seenRows      int
 	batch         int
 
-	snaps         []engineSnap
-	base          engineSnap
-	needSnapshots bool
-	keepSnaps     int // len(snaps) bound: snapshotKeep, lowered by tests
-	metrics       cluster.Metrics
+	snaps     []engineSnap
+	base      engineSnap
+	keepSnaps int // len(snaps) bound: snapshotKeep, lowered by tests
+	metrics   cluster.Metrics
 	// run schedules the row-parallel sites of every batch; it lives on the
 	// engine (not the batch context, not the package) so its cost model keeps
 	// learning across batches and concurrent engines cannot race.
@@ -147,12 +146,7 @@ func NewEngine(root plan.Node, db *exec.DB, opts Options) (*Engine, error) {
 	// comp is attached before the remaining validation so every error path's
 	// e.Close() releases any shared state the compilation acquired.
 	e.comp = comp
-	if len(comp.streamed) != 1 {
-		e.Close()
-		return nil, fmt.Errorf("core: exactly one streamed table required, plan has %d (%v)",
-			len(comp.streamed), comp.streamed)
-	}
-	table := comp.streamed[0]
+	table := comp.table
 	src, ok := db.Get(table)
 	if !ok {
 		e.Close()
@@ -203,7 +197,6 @@ func NewEngine(root plan.Node, db *exec.DB, opts Options) (*Engine, error) {
 	e.deltas = deltas
 	e.totalRows = totalRows
 	e.run = cluster.NewRunner(opts.Workers, 0)
-	e.needSnapshots = comp.nested && opts.Mode != ModeHDA && opts.Trials > 0
 	e.base = e.takeSnapshot(0)
 	return e, nil
 }
@@ -265,7 +258,7 @@ func (e *Engine) Mode() Mode { return e.opts.Mode }
 // Nested reports whether the compiled query contains nested
 // (uncertainty-coupled) aggregates — the class where iOLAP's algorithm
 // diverges from classical delta rules.
-func (e *Engine) Nested() bool { return e.comp.nested }
+func (e *Engine) Nested() bool { return e.comp.analysis.Nested }
 
 // PlanString renders the normalized online plan with its Section 4.1
 // uncertainty annotations (the paper's Figure 3 as a diagnostic).
@@ -346,7 +339,7 @@ func (e *Engine) Step() (u *Update, err error) {
 	// Snapshot the pre-batch state for recovery. Queries that track no
 	// variation ranges can never fail an integrity check, so they skip
 	// the snapshot cost entirely.
-	if e.needSnapshots {
+	if e.comp.trackRanges {
 		snap := e.takeSnapshot(e.batch)
 		e.snaps = append(e.snaps, snap)
 		if len(e.snaps) > e.keepSnaps {

@@ -4,11 +4,16 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
+	"iolap/internal/agg"
 	"iolap/internal/exec"
+	"iolap/internal/expr"
 	"iolap/internal/plan"
 	"iolap/internal/rel"
+	"iolap/internal/share"
+	"iolap/internal/sql"
 )
 
 func stepAll(t *testing.T, eng *Engine) []*Update {
@@ -244,6 +249,34 @@ func TestEngineSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 func TestUnionOfTwoStreamedBranches(t *testing.T) { theorem1Named(t, "union_of_aggregates") }
+
+// TestTwoStreamedTablesRejectedBeforeBuild: compilation refuses a plan that
+// streams two tables before it builds any operator, so a serving engine's
+// cache never builds, and then drops, a shared entry for a plan that cannot
+// run.
+func TestTwoStreamedTablesRejectedBeforeBuild(t *testing.T) {
+	cat := testCatalog()
+	cat.AddTable("cdns", cdnsSchema(), true)
+	stmt, err := sql.Parse(`SELECT COUNT(*) AS n FROM sessions s, cdns c WHERE s.cdn = c.cdn
+		AND s.play_time > (SELECT AVG(play_time) FROM sessions)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _, err := sql.NewPlanner(cat, expr.NewRegistry(), agg.NewRegistry()).Plan(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := testDB(60, 1)
+	src, _ := db.Get("sessions")
+	cache := share.NewCache()
+	_, err = NewEngine(root, db, Options{Batches: 3, Trials: 5, Deltas: ContiguousDeltas(src, 3), SharedState: cache})
+	if err == nil || !strings.Contains(err.Error(), "exactly one streamed table required, plan has 2") {
+		t.Fatalf("err = %v, want the two-streamed-tables refusal", err)
+	}
+	if st := cache.Stats(); st.Misses != 0 {
+		t.Errorf("a refused plan built %d shared entries", st.Misses)
+	}
+}
 
 func TestGroupByMultipleColumns(t *testing.T) { theorem1Named(t, "group_by_two_columns") }
 

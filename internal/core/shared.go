@@ -75,6 +75,17 @@ func (c *compiled) releaseShared() {
 	c.releases = nil
 }
 
+// private returns the compiler a shared entry builds its own operators
+// with: this plan's analysis, options and range tracking, but no cache (the
+// entry's subtree is built once, privately), no spill budget (the entry's
+// state belongs to no session) and none of this plan's operators.
+func (c *compiled) private() *compiled {
+	b := &compiled{analysis: c.analysis, norm: c.norm, table: c.table, scaleExp: c.scaleExp,
+		opts: c.opts, trackRanges: c.trackRanges, db: c.db}
+	b.opts.SharedState = nil
+	return b
+}
+
 // udfBuildError, deferred in a shared-state build callback, returns a
 // panicking user function (expr.UDFPanic) as the build's error, so the cache
 // fails the entry and NewEngine fails the query. Any other panic keeps
@@ -113,25 +124,6 @@ func (o *opSharedBuild) restore(interface{})                {}
 func (o *opSharedBuild) stateBytes() int                    { return 0 }
 func (o *opSharedBuild) kind() string                       { return "shared-build" }
 
-// staticCertainSubtree reports whether every scan under n is static and the
-// shape contains only nodes whose single-step output is deterministic and
-// certain (no aggregates: their outputs can be uncertain and batch-coupled).
-func staticCertainSubtree(n plan.Node) bool {
-	switch t := n.(type) {
-	case *plan.Scan:
-		return !t.Streamed
-	case *plan.Select:
-		return staticCertainSubtree(t.Child)
-	case *plan.Project:
-		return staticCertainSubtree(t.Child)
-	case *plan.Join:
-		return staticCertainSubtree(t.L) && staticCertainSubtree(t.R)
-	case *plan.Union:
-		return staticCertainSubtree(t.L) && staticCertainSubtree(t.R)
-	}
-	return false
-}
-
 // acquireSharedBuild tries to satisfy a join's build-side store from the
 // shared cache. It returns (nil, false, nil) when the join is not eligible;
 // eligibility is conservative — sharing must never change results:
@@ -142,17 +134,20 @@ func staticCertainSubtree(n plan.Node) bool {
 //     build side never forces a cached left, and the frozen-store argument
 //     covers exactly this orientation;
 //   - keyed joins only.
-func (c *compiled) acquireSharedBuild(t *plan.Join, cacheL, cacheR bool, an *plan.Analysis, scaleExp []int, grow []bool, opts Options) (*delta.HashStore, bool, error) {
-	if opts.SharedState == nil {
+func (c *compiled) acquireSharedBuild(t *plan.Join, cacheL, cacheR bool) (*delta.HashStore, bool, error) {
+	if c.opts.SharedState == nil {
 		return nil, false, nil
 	}
-	if !cacheR || cacheL || len(t.RKeys) == 0 || !staticCertainSubtree(t.R) {
+	// A static, certain build side: it reads no streamed scan and no
+	// aggregate, whose outputs can be uncertain and batch-coupled.
+	r := c.analysis.Info[t.R.ID()]
+	if !cacheR || cacheL || len(t.RKeys) == 0 || r.Incomplete || r.Aggregated {
 		return nil, false, nil
 	}
 	key := fmt.Sprintf("join|rk=%v|%s", t.RKeys, share.Fingerprint(t.R))
-	v, release, hit, err := opts.SharedState.Acquire(key, func() (_ any, err error) {
+	v, release, hit, err := c.opts.SharedState.Acquire(key, func() (_ any, err error) {
 		defer udfBuildError(&err)
-		st, err := c.buildFrozenStore(t.R, t.RKeys, an, scaleExp, grow, opts)
+		st, err := c.buildFrozenStore(t.R, t.RKeys)
 		if err != nil {
 			return nil, err
 		}
@@ -176,11 +171,9 @@ func (c *compiled) acquireSharedBuild(t *plan.Join, cacheL, cacheR bool, an *pla
 // per-key insertion order is the subtree's emission (scan) order — the same
 // order the solo engine's transient per-batch store sees, which is what
 // makes probes against the frozen store byte-identical to a solo run.
-func (c *compiled) buildFrozenStore(sub plan.Node, rkeys []int, an *plan.Analysis, scaleExp []int, grow []bool, opts Options) (*delta.HashStore, error) {
-	b := &compiled{analysis: an, norm: c.norm, db: c.db}
-	o2 := opts
-	o2.SharedState = nil
-	root, err := b.build(sub, an, scaleExp, grow, o2, false)
+func (c *compiled) buildFrozenStore(sub plan.Node, rkeys []int) (*delta.HashStore, error) {
+	b := c.private()
+	root, err := b.build(sub)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +181,7 @@ func (c *compiled) buildFrozenStore(sub plan.Node, rkeys []int, an *plan.Analysi
 	// inside the cache's build callback, on whichever session got there first,
 	// and must cost and count nothing on that session's engine. A static
 	// subtree reads no delta and no scale.
-	bc := newBatchContext(o2, 1, 0, 0, nil, c.db)
+	bc := newBatchContext(b.opts, 1, 0, 0, nil, c.db)
 	out, err := root.step(bc)
 	if err != nil {
 		return nil, err
@@ -381,34 +374,6 @@ func (o *opSharedAgg) restore(snap interface{}) {
 func (o *opSharedAgg) stateBytes() int { return 0 }
 func (o *opSharedAgg) kind() string    { return "agg-shared" }
 
-// hasAggregateBelow reports whether the subtree under n (exclusive of n)
-// contains an Aggregate node.
-func hasAggregateBelow(n plan.Node) bool {
-	var walk func(plan.Node) bool
-	walk = func(m plan.Node) bool {
-		switch t := m.(type) {
-		case *plan.Scan:
-			return false
-		case *plan.Select:
-			return walk(t.Child)
-		case *plan.Project:
-			return walk(t.Child)
-		case *plan.Join:
-			return walk(t.L) || walk(t.R)
-		case *plan.Union:
-			return walk(t.L) || walk(t.R)
-		case *plan.Aggregate:
-			return true
-		}
-		return true // unknown node: assume the worst
-	}
-	switch t := n.(type) {
-	case *plan.Aggregate:
-		return walk(t.Child)
-	}
-	return walk(n)
-}
-
 // acquireSharedAgg tries to satisfy an inner aggregate subtree from the
 // shared cache. Eligibility is conservative:
 //
@@ -416,42 +381,32 @@ func hasAggregateBelow(n plan.Node) bool {
 //     them would only dedupe byte-identical queries while perturbing the
 //     budget arithmetic callers rely on — inner subquery aggregates are
 //     where the overlap win lives);
-//   - ModeIOLAP, caller-supplied schedule (the serving engine), exactly
-//     one streamed scan and no nested aggregate below;
+//   - ModeIOLAP, caller-supplied schedule (the serving engine), a subtree
+//     that reads the plan's streamed table and no aggregate below the root;
 //   - the cache key carries every parameter that shapes the state: the
 //     canonical subtree fingerprint, seed/trials/slack/min-support, range
 //     tracking, and the schedule identity (table, batch count, total rows).
-func (c *compiled) acquireSharedAgg(t *plan.Aggregate, an *plan.Analysis, scaleExp []int, grow []bool, opts Options, trackRanges bool) (operator, bool, error) {
+func (c *compiled) acquireSharedAgg(t *plan.Aggregate) (operator, bool, error) {
+	opts := c.opts
 	if opts.SharedState == nil {
 		return nil, false, nil
 	}
 	if t == c.norm || opts.Mode != ModeIOLAP || len(opts.Deltas) == 0 {
 		return nil, false, nil
 	}
-	if hasAggregateBelow(t) {
+	if !c.analysis.Info[t.ID()].Incomplete || c.analysis.Info[t.Child.ID()].Aggregated {
 		return nil, false, nil
-	}
-	streamed := map[string]bool{}
-	for _, sc := range plan.StreamedScans(t) {
-		streamed[sc.Table] = true
-	}
-	if len(streamed) != 1 {
-		return nil, false, nil
-	}
-	var table string
-	for name := range streamed {
-		table = name
 	}
 	totalRows := 0
 	for _, d := range opts.Deltas {
 		totalRows += d.Len()
 	}
 	key := fmt.Sprintf("agg|mode=%d|trials=%d|seed=%d|slack=%g|minsup=%d|ranges=%v|table=%s|p=%d|n=%d|%s",
-		opts.Mode, opts.Trials, opts.Seed, opts.Slack, opts.MinRangeSupport, trackRanges,
-		table, len(opts.Deltas), totalRows, share.Fingerprint(t))
+		opts.Mode, opts.Trials, opts.Seed, opts.Slack, opts.MinRangeSupport, c.trackRanges,
+		c.table, len(opts.Deltas), totalRows, share.Fingerprint(t))
 	v, release, hit, err := opts.SharedState.Acquire(key, func() (_ any, err error) {
 		defer udfBuildError(&err)
-		return c.buildSharedAggEntry(t, table, totalRows, an, scaleExp, grow, opts, trackRanges)
+		return c.buildSharedAggEntry(t, totalRows)
 	})
 	if err != nil {
 		return nil, false, err
@@ -470,21 +425,19 @@ func (c *compiled) acquireSharedAgg(t *plan.Aggregate, an *plan.Analysis, scaleE
 // operators and takes the initial (empty-state) snapshot. The subtree's
 // root aggregate publishes under the entry's id so lineage refs resolve the
 // same way in every holding session.
-func (c *compiled) buildSharedAggEntry(t *plan.Aggregate, table string, totalRows int, an *plan.Analysis, scaleExp []int, grow []bool, opts Options, trackRanges bool) (*sharedAggEntry, error) {
-	b := &compiled{analysis: an, norm: c.norm, db: c.db}
-	o2 := opts
-	o2.SharedState = nil
-	root, err := b.build(t, an, scaleExp, grow, o2, trackRanges)
+func (c *compiled) buildSharedAggEntry(t *plan.Aggregate, totalRows int) (*sharedAggEntry, error) {
+	b := c.private()
+	root, err := b.build(t)
 	if err != nil {
 		return nil, err
 	}
 	en := &sharedAggEntry{
 		id:        nextSharedAggID(),
-		table:     table,
-		deltas:    opts.Deltas,
+		table:     c.table,
+		deltas:    c.opts.Deltas,
 		totalRows: totalRows,
 		db:        c.db,
-		opts:      o2,
+		opts:      b.opts,
 		ops:       b.ops,
 		root:      root,
 		states:    make(map[string][]interface{}),

@@ -24,11 +24,24 @@ type NodeInfo struct {
 	// -1 otherwise. Columns computed *from* uncertain columns keep -1 and
 	// are recomputed via their operator's expressions on refresh.
 	AggSource []int
+	// Grows is true when the operator can emit new certain-multiplicity
+	// rows after its first batch — the condition under which the opposite
+	// join side must keep state (Section 4.2's JOIN rule). A streamed scan
+	// grows; a grouped aggregate grows when its input is incomplete or
+	// tuple-uncertain; a global aggregate's single row exists from batch 1.
+	Grows bool
+	// Aggregated is true when an aggregate sits at or below the operator.
+	Aggregated bool
 }
 
 // Analysis is the per-operator tagging for a finalized plan.
 type Analysis struct {
 	Info []NodeInfo // indexed by node ID
+	// Nested is true when an aggregate's result feeds an operator that must
+	// re-evaluate across batches — a select whose predicate, or an aggregate
+	// whose argument, reads an uncertain column. It marks the query class
+	// (nested subqueries) on which classical delta rules degrade.
+	Nested bool
 }
 
 // Analyze runs the Section 4.1 uncertainty propagation rules over the plan
@@ -65,6 +78,7 @@ func (a *Analysis) analyzeNode(n Node) error {
 		// so emitted rows carry u# = F.
 		info := newInfo(len(t.Out))
 		info.Incomplete = t.Streamed
+		info.Grows = t.Streamed
 		a.Info[n.ID()] = info
 
 	case *Select:
@@ -75,7 +89,11 @@ func (a *Analysis) analyzeNode(n Node) error {
 		copy(info.UncertainCols, child.UncertainCols)
 		copy(info.AggSource, child.AggSource)
 		info.Incomplete = child.Incomplete
-		info.TupleUncertain = child.TupleUncertain || a.predUncertain(t)
+		info.Grows = child.Grows
+		info.Aggregated = child.Aggregated
+		unc := a.predUncertain(t)
+		info.TupleUncertain = child.TupleUncertain || unc
+		a.Nested = a.Nested || unc
 		a.Info[n.ID()] = info
 
 	case *Project:
@@ -96,6 +114,8 @@ func (a *Analysis) analyzeNode(n Node) error {
 			}
 		}
 		info.Incomplete = child.Incomplete
+		info.Grows = child.Grows
+		info.Aggregated = child.Aggregated
 		info.TupleUncertain = child.TupleUncertain
 		a.Info[n.ID()] = info
 
@@ -120,6 +140,8 @@ func (a *Analysis) analyzeNode(n Node) error {
 		copy(info.AggSource, l.AggSource)
 		copy(info.AggSource[len(l.AggSource):], r.AggSource)
 		info.Incomplete = l.Incomplete || r.Incomplete
+		info.Grows = l.Grows || r.Grows
+		info.Aggregated = l.Aggregated || r.Aggregated
 		info.TupleUncertain = l.TupleUncertain || r.TupleUncertain
 		a.Info[n.ID()] = info
 
@@ -133,6 +155,8 @@ func (a *Analysis) analyzeNode(n Node) error {
 			}
 		}
 		info.Incomplete = l.Incomplete || r.Incomplete
+		info.Grows = l.Grows || r.Grows
+		info.Aggregated = l.Aggregated || r.Aggregated
 		info.TupleUncertain = l.TupleUncertain || r.TupleUncertain
 		a.Info[n.ID()] = info
 
@@ -159,6 +183,7 @@ func (a *Analysis) analyzeNode(n Node) error {
 				for _, c := range sp.Arg.Cols(nil) {
 					if uncMap[c] {
 						unc = true
+						a.Nested = true
 					}
 				}
 			}
@@ -168,6 +193,8 @@ func (a *Analysis) analyzeNode(n Node) error {
 			}
 		}
 		info.Incomplete = child.Incomplete
+		info.Grows = len(t.GroupBy) > 0 && (child.Incomplete || child.TupleUncertain)
+		info.Aggregated = true
 		// A group's existence is certain once any certain-multiplicity
 		// input tuple contributes (u# = AND over the group). At compile
 		// time this is refined per group at runtime; conservatively the
@@ -212,34 +239,6 @@ func singleColSource(e interface{ Cols([]int) []int }, child NodeInfo) int {
 		return -1
 	}
 	return child.AggSource[col.Idx]
-}
-
-// HasNestedAggregates reports whether the plan contains an aggregate whose
-// result feeds another operator that must re-evaluate across batches — the
-// query class (nested subqueries) on which classical delta rules degrade.
-func HasNestedAggregates(root Node, a *Analysis) bool {
-	nested := false
-	Walk(root, func(n Node) {
-		switch t := n.(type) {
-		case *Select:
-			if a.predUncertain(t) {
-				nested = true
-			}
-		case *Aggregate:
-			child := a.Info[t.Child.ID()]
-			for _, sp := range t.Aggs {
-				if sp.Arg == nil {
-					continue
-				}
-				for _, c := range sp.Arg.Cols(nil) {
-					if child.UncertainCols[c] {
-						nested = true
-					}
-				}
-			}
-		}
-	})
-	return nested
 }
 
 // Validate checks structural invariants of a finalized plan: every column

@@ -155,7 +155,7 @@ func TestFlatSPJAHasNoUncertainty(t *testing.T) {
 	if !an.Info[root.ID()].UncertainCols[0] {
 		t.Error("aggregate on streamed data is still attribute-uncertain")
 	}
-	if HasNestedAggregates(root, an) {
+	if an.Nested {
 		t.Error("flat SPJA query misclassified as nested")
 	}
 }
@@ -167,8 +167,37 @@ func TestHasNestedAggregatesSBI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !HasNestedAggregates(root, an) {
+	if !an.Nested {
 		t.Error("SBI must be classified as nested")
+	}
+}
+
+// TestSubtreeFactsSBI: a streamed scan grows and a global aggregate does not,
+// a join grows with either side, and Aggregated marks an aggregate and every
+// operator above one.
+func TestSubtreeFactsSBI(t *testing.T) {
+	root, inner, sel, outer := buildSBI(t)
+	an, err := Analyze(root, Finalize(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := sel.Child.(*Join)
+	for _, c := range []struct {
+		name             string
+		n                Node
+		grows, aggregate bool
+	}{
+		{"inner scan", inner.Child, true, false},
+		{"inner aggregate", inner, false, true},
+		{"outer scan", join.L, true, false},
+		{"join", join, true, true},
+		{"select", sel, true, true},
+		{"outer aggregate", outer, false, true},
+	} {
+		info := an.Info[c.n.ID()]
+		if info.Grows != c.grows || info.Aggregated != c.aggregate {
+			t.Errorf("%s: Grows %v Aggregated %v, want %v %v", c.name, info.Grows, info.Aggregated, c.grows, c.aggregate)
+		}
 	}
 }
 
