@@ -108,9 +108,8 @@ func TestTriOnNonComparisons(t *testing.T) {
 	if Decide(in, nil, nil) != True {
 		t.Error("IN tri")
 	}
-	reg := NewRegistry()
-	f, _ := reg.Lookup("IF")
-	call, _ := NewFunc(f, []Expr{NewConst(rel.Bool(true)), NewConst(rel.Bool(true)), NewConst(rel.Bool(false))})
+	coalesce, _ := NewRegistry().Lookup("COALESCE")
+	call, _ := NewFunc(coalesce, []Expr{NewConst(rel.Null()), NewConst(rel.Bool(true))})
 	if Decide(call, nil, nil) != True {
 		t.Error("Func tri")
 	}
@@ -140,8 +139,8 @@ func TestDecideWaitsForPointRanges(t *testing.T) {
 		}}
 	}
 	u := col(0, rel.KFloat)
-	ifF, _ := NewRegistry().Lookup("IF")
-	call, _ := NewFunc(ifF, []Expr{NewCmp(Gt, u, cf(74)), NewConst(rel.Bool(true)), NewConst(rel.Bool(false))})
+	coalesce, _ := NewRegistry().Lookup("COALESCE")
+	call, _ := NewFunc(coalesce, []Expr{NewCmp(Gt, u, cf(74))})
 	preds := []struct {
 		name string
 		e    Expr
@@ -166,9 +165,9 @@ func TestDecideWaitsForPointRanges(t *testing.T) {
 	}
 }
 
-// TestFuncIntervalSkipsBooleanArgs: IF's condition is not asked for a range,
-// and a call without an IntervalFn is a point only once its non-numeric
-// arguments are settled.
+// TestFuncIntervalSkipsBooleanArgs: a call's non-numeric arguments are not
+// asked for a range, and a call without an IntervalFn is a point only once
+// they are settled.
 func TestFuncIntervalSkipsBooleanArgs(t *testing.T) {
 	ref := rel.Ref{Op: 1}
 	row := []rel.Value{rel.NewRef(ref)}
@@ -177,18 +176,9 @@ func TestFuncIntervalSkipsBooleanArgs(t *testing.T) {
 			ref: {Value: rel.Float(80), Range: bootstrap.Interval{Lo: lo, Hi: hi}},
 		}}
 	}
-	reg := NewRegistry()
-	ifF, _ := reg.Lookup("IF")
 	cond := NewCmp(Gt, col(0, rel.KFloat), cf(74))
-	call, _ := NewFunc(ifF, []Expr{cond, ci(1), ci(0)})
-	if iv := call.Interval(row, at(60, 90)); iv.Lo != 0 || iv.Hi != 1 {
-		t.Errorf("IF interval = %v, want [0, 1]", iv)
-	}
-	if got := Decide(NewCmp(Eq, call, ci(1)), row, at(60, 90)); got != Unknown {
-		t.Errorf("IF(...) = 1 = %v, want unknown", got)
-	}
 	// COALESCE has no IntervalFn and takes any argument kind.
-	coalesce, _ := reg.Lookup("COALESCE")
+	coalesce, _ := NewRegistry().Lookup("COALESCE")
 	c, _ := NewFunc(coalesce, []Expr{NewCase([]Expr{cond, cf(1)}, nil), cf(2)})
 	if iv := c.Interval(row, at(60, 90)); !math.IsInf(iv.Lo, -1) || !math.IsInf(iv.Hi, 1) {
 		t.Errorf("COALESCE over an open condition = %v, want Full", iv)

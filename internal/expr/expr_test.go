@@ -360,9 +360,6 @@ func TestBuiltins(t *testing.T) {
 	if eval("SIGN", cf(-5)).Float() != -1 {
 		t.Error("SIGN")
 	}
-	if eval("IF", NewConst(rel.Bool(true)), cf(1), cf(2)).Float() != 1 {
-		t.Error("IF")
-	}
 	if eval("EXP", cf(0)).Float() != 1 {
 		t.Error("EXP")
 	}

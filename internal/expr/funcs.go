@@ -26,9 +26,10 @@ type ScalarFunc struct {
 	Args []ArgKind
 	Fn   func(args []rel.Value) rel.Value
 	// IntervalFn, when non-nil, propagates variation ranges through the
-	// function. Omitting it is always sound: unknown ranges widen to Full,
-	// which can only enlarge the non-deterministic set, never corrupt
-	// results.
+	// function; only a function whose Args are all NumKind may set it, as
+	// no other argument is asked for a range. Omitting it is always sound:
+	// unknown ranges widen to Full, which can only enlarge the
+	// non-deterministic set, never corrupt results.
 	IntervalFn func(args []bootstrap.Interval) bootstrap.Interval
 }
 
@@ -280,21 +281,6 @@ func builtins() []ScalarFunc {
 			},
 		},
 		{
-			Name: "IF", MinArgs: 3, MaxArgs: 3, RetType: rel.KFloat,
-			Fn: func(args []rel.Value) rel.Value {
-				if holds(args[0]) {
-					return args[1]
-				}
-				return args[2]
-			},
-			IntervalFn: func(args []bootstrap.Interval) bootstrap.Interval {
-				return bootstrap.Interval{
-					Lo: math.Min(args[1].Lo, args[2].Lo),
-					Hi: math.Max(args[1].Hi, args[2].Hi),
-				}
-			},
-		},
-		{
 			Name: "UPPER", MinArgs: 1, MaxArgs: 1, RetType: rel.KString,
 			Args: []ArgKind{StrKind},
 			Fn: func(args []rel.Value) rel.Value {
@@ -394,8 +380,7 @@ func (e *Func) Eval(row []rel.Value, res Resolver) rel.Value {
 	return e.F.Fn(args)
 }
 
-// Interval asks only the numeric arguments for ranges; any other argument
-// (IF's condition, say) reaches IntervalFn as the full line. Without an
+// Interval asks only the numeric arguments for ranges. Without an
 // IntervalFn the call is a point when its numeric arguments are points and
 // its other arguments are settled (evalSettled), and the full line
 // otherwise: unknown propagation only costs recomputation, never
@@ -404,13 +389,10 @@ func (e *Func) Interval(row []rel.Value, res Resolver) bootstrap.Interval {
 	point := true
 	args := make([]bootstrap.Interval, len(e.Args))
 	for i, a := range e.Args {
-		switch {
-		case isNumeric(a.Type()):
+		if isNumeric(a.Type()) {
 			args[i] = a.Interval(row, res)
 			point = point && args[i].IsPoint()
-		case e.F.IntervalFn != nil:
-			args[i] = bootstrap.Full()
-		default:
+		} else {
 			_, settled := evalSettled(a, row, res)
 			point = point && settled
 		}

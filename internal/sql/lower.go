@@ -238,6 +238,13 @@ func (pl *Planner) lowerExpr(e ExprNode, schema rel.Schema, aggMap map[string]in
 			}
 			return expr.NewCol(idx, astKey(t), rel.KFloat), nil
 		}
+		if strings.EqualFold(t.Name, "IF") {
+			// IF(c, a, b) is CASE WHEN c THEN a ELSE b END.
+			if len(t.Args) != 3 {
+				return nil, fmt.Errorf("sql: IF expects 3 args, got %d", len(t.Args))
+			}
+			return pl.lowerExpr(&CaseExpr{Whens: []WhenClause{{Cond: t.Args[0], Then: t.Args[1]}}, Else: t.Args[2]}, schema, aggMap)
+		}
 		f, ok := pl.funcs.Lookup(t.Name)
 		if !ok {
 			return nil, fmt.Errorf("sql: unknown function %q", t.Name)

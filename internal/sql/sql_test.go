@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"iolap/internal/agg"
+	"iolap/internal/bootstrap"
 	"iolap/internal/exec"
 	"iolap/internal/expr"
 	"iolap/internal/plan"
@@ -612,6 +613,64 @@ func TestHavingSubqueryOnLeftSideMirrorsOperator(t *testing.T) {
 		HAVING (SELECT 0.5 * SUM(play_time) FROM sessions) < SUM(play_time)`)
 	if out.Len() != 1 || out.Tuples[0].Vals[0].Str() != "east" {
 		t.Fatalf("mirrored having-subquery result wrong: %v", out)
+	}
+}
+
+// rangeResolver resolves every lineage ref to one running value and range.
+type rangeResolver struct {
+	value float64
+	rng   bootstrap.Interval
+}
+
+func (r rangeResolver) ResolveRef(rel.Ref) (expr.UncValue, bool) {
+	return expr.UncValue{Value: rel.Float(r.value), Range: r.rng}, true
+}
+
+// TestIfLowersToCase: IF(c, a, b) is planned as CASE WHEN c THEN a ELSE b
+// END, whose range keeps only the branches its condition leaves open. So
+// once COUNT(*)'s range is the point 80, HAVING IF(COUNT(*) > 74, 1, 0) = 1
+// is decided True; a range over both branches, [0, 1], would leave it
+// Unknown at every batch.
+func TestIfLowersToCase(t *testing.T) {
+	node, _, err := PlanQuery(`SELECT cdn, COUNT(*) AS n FROM sessions GROUP BY cdn HAVING IF(COUNT(*) > 74, 1, 0) = 1`,
+		testCatalog(), expr.NewRegistry(), agg.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var having *plan.Select
+	plan.Walk(node, func(n plan.Node) {
+		if s, ok := n.(*plan.Select); ok {
+			having = s
+		}
+	})
+	if having == nil {
+		t.Fatalf("no HAVING select in\n%s", plan.Format(node))
+	}
+	cmp, ok := having.Pred.(*expr.Cmp)
+	if !ok {
+		t.Fatalf("HAVING predicate %s, want a comparison", having.Pred)
+	}
+	if _, ok := cmp.L.(*expr.Case); !ok {
+		t.Fatalf("IF lowered to %T (%s), want *expr.Case", cmp.L, cmp.L)
+	}
+	row := make([]rel.Value, len(having.Child.Schema()))
+	for _, c := range having.Pred.Cols(nil) {
+		row[c] = rel.NewRef(rel.Ref{Op: 1})
+	}
+	settled := rangeResolver{value: 80, rng: bootstrap.Interval{Lo: 80, Hi: 80}}
+	if iv := cmp.L.Interval(row, settled); iv.Lo != 1 || iv.Hi != 1 {
+		t.Errorf("IF interval over the point 80 = %v, want [1, 1]", iv)
+	}
+	if got := expr.Decide(having.Pred, row, settled); got != expr.True {
+		t.Errorf("HAVING over the point 80 = %v, want true", got)
+	}
+	open := rangeResolver{value: 80, rng: bootstrap.Interval{Lo: 60, Hi: 90}}
+	if got := expr.Decide(having.Pred, row, open); got != expr.Unknown {
+		t.Errorf("HAVING over [60, 90] = %v, want unknown", got)
+	}
+	if _, _, err := PlanQuery(`SELECT IF(cdn = 'east', 1) AS x FROM sessions`,
+		testCatalog(), expr.NewRegistry(), agg.NewRegistry()); err == nil || !strings.Contains(err.Error(), "IF expects 3 args") {
+		t.Errorf("IF with two arguments: err = %v", err)
 	}
 }
 
