@@ -10,6 +10,7 @@ import (
 	"iolap/internal/expr"
 	"iolap/internal/plan"
 	"iolap/internal/rel"
+	"iolap/internal/share"
 )
 
 // The online query rewriter (Section 7, step "online query rewriting").
@@ -59,7 +60,7 @@ type compiled struct {
 	// Close, the resources this plan references, and how much state cache
 	// hits avoided rebuilding.
 	releases       []func()
-	sharedRefs     []sharedSized
+	sharedRefs     []share.Sized
 	sharedHitBytes int64
 }
 

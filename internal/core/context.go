@@ -22,6 +22,7 @@ import (
 	"iolap/internal/cluster"
 	"iolap/internal/expr"
 	"iolap/internal/rel"
+	"iolap/internal/share"
 	"iolap/internal/storage"
 )
 
@@ -127,10 +128,11 @@ type Options struct {
 	// SharedState, when non-nil, lets compilation satisfy eligible operator
 	// state (frozen join build sides, inner aggregate subtrees) from an
 	// externally owned refcounted cache instead of building private copies
-	// (shared.go). Sharing requires a caller-supplied schedule (Deltas) for
+	// (shared.go). Every state acquired during compilation is released by
+	// Engine.Close. Sharing requires a caller-supplied schedule (Deltas) for
 	// aggregate entries and is inert for solo engines. Results stay
 	// bit-identical to a private build; only memory ownership changes.
-	SharedState SharedStateCache
+	SharedState *share.Cache
 	// NoVectorize turns off the columnar filter (DESIGN.md §14): a
 	// deterministic SELECT directly above a streamed scan then evaluates its
 	// predicate row by row instead of over column banks built from the

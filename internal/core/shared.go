@@ -50,21 +50,6 @@ import (
 	"iolap/internal/share"
 )
 
-// SharedStateCache is the state-provider seam between an engine and an
-// external shared-state owner (the serving layer's share.Cache). Acquire
-// either returns the live value for key or builds it exactly once; the
-// returned release must be called when the holder is done (Engine.Close
-// does this for every state acquired during compilation).
-type SharedStateCache interface {
-	Acquire(key string, build func() (any, error)) (val any, release func(), hit bool, err error)
-}
-
-// sharedSized reports the resident footprint of one shared resource; it
-// mirrors share.Sized so cache hits can be credited in bytes.
-type sharedSized interface {
-	SharedBytes() int64
-}
-
 // releaseShared releases every shared-state acquisition of this plan.
 // Idempotent: the underlying releases are once-guarded and the slice is
 // cleared.

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 
@@ -76,18 +75,7 @@ func (c *Client) Close() error {
 func (c *Client) Open(query string, opts SessionOptions) (*ClientSession, error) {
 	c.openMu.Lock()
 	defer c.openMu.Unlock()
-	req := appendOpen(nil, openReq{
-		Tenant:      opts.Tenant,
-		Stream:      opts.Stream,
-		Query:       query,
-		Mode:        byte(opts.Mode),
-		Trials:      int64(opts.Trials),
-		SlackBits:   math.Float64bits(opts.Slack),
-		Seed:        opts.Seed,
-		Workers:     uint64(opts.Workers),
-		StateBudget: opts.StateBudgetBytes,
-	})
-	if err := c.writeFrame(frOpen, req); err != nil {
+	if err := c.writeFrame(frOpen, appendOpen(nil, query, opts)); err != nil {
 		return nil, err
 	}
 	res, ok := <-c.openCh

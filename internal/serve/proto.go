@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"iolap/internal/bootstrap"
 	"iolap/internal/core"
@@ -45,50 +46,37 @@ const (
 	codeBudget    byte = 3 // OpenErr: admission rejected (ErrBudgetExhausted)
 )
 
-// openReq is the decoded form of an Open frame.
-type openReq struct {
-	Tenant      string
-	Stream      string
-	Query       string
-	Mode        byte
-	Trials      int64
-	SlackBits   uint64
-	Seed        uint64
-	Workers     uint64
-	StateBudget int64
-}
-
-func appendOpen(dst []byte, o openReq) []byte {
+// appendOpen encodes an Open frame: the query and the session's options.
+func appendOpen(dst []byte, query string, o SessionOptions) []byte {
 	dst = append(dst, sessionProtoVersion)
 	dst = wire.AppendStr(dst, o.Tenant)
 	dst = wire.AppendStr(dst, o.Stream)
-	dst = wire.AppendStr(dst, o.Query)
-	dst = append(dst, o.Mode)
-	dst = wire.AppendVarint(dst, o.Trials)
-	dst = wire.AppendU64(dst, o.SlackBits)
+	dst = wire.AppendStr(dst, query)
+	dst = append(dst, byte(o.Mode))
+	dst = wire.AppendVarint(dst, int64(o.Trials))
+	dst = wire.AppendU64(dst, math.Float64bits(o.Slack))
 	dst = wire.AppendU64(dst, o.Seed)
-	dst = wire.AppendUvarint(dst, o.Workers)
-	dst = wire.AppendVarint(dst, o.StateBudget)
+	dst = wire.AppendUvarint(dst, uint64(o.Workers))
+	dst = wire.AppendVarint(dst, o.StateBudgetBytes)
 	return dst
 }
 
-func decodeOpen(p []byte) (openReq, error) {
+func decodeOpen(p []byte) (string, SessionOptions, error) {
 	r := wire.NewReader(p)
 	if v := r.Byte("open version"); r.Err() == nil && v != sessionProtoVersion {
-		return openReq{}, fmt.Errorf("serve: session protocol version %d, want %d", v, sessionProtoVersion)
+		return "", SessionOptions{}, fmt.Errorf("serve: session protocol version %d, want %d", v, sessionProtoVersion)
 	}
-	o := openReq{
-		Tenant:      r.Str("open tenant"),
-		Stream:      r.Str("open stream"),
-		Query:       r.Str("open query"),
-		Mode:        r.Byte("open mode"),
-		Trials:      r.Varint("open trials"),
-		SlackBits:   r.U64("open slack"),
-		Seed:        r.U64("open seed"),
-		Workers:     r.Uvarint("open workers"),
-		StateBudget: r.Varint("open state budget"),
-	}
-	return o, r.Done("open")
+	var o SessionOptions
+	o.Tenant = r.Str("open tenant")
+	o.Stream = r.Str("open stream")
+	query := r.Str("open query")
+	o.Mode = core.Mode(r.Byte("open mode"))
+	o.Trials = int(r.Varint("open trials"))
+	o.Slack = math.Float64frombits(r.U64("open slack"))
+	o.Seed = r.U64("open seed")
+	o.Workers = int(r.Uvarint("open workers"))
+	o.StateBudgetBytes = r.Varint("open state budget")
+	return query, o, r.Done("open")
 }
 
 func appendOpenOK(dst []byte, sid uint64, batches int, queued bool) []byte {

@@ -66,24 +66,26 @@ func TestEstimateTruncationRejected(t *testing.T) {
 	}
 }
 
+// testOpenQuery and testOpenOptions are the Open frame the codec tests encode.
+const testOpenQuery = "SELECT COUNT(*) FROM sessions"
+
+var testOpenOptions = SessionOptions{
+	Tenant: "acme", Stream: "sessions", Mode: 2,
+	Trials: -1, Slack: 2.5, Seed: 1 << 60, Workers: 8, StateBudgetBytes: -4096,
+}
+
 func TestOpenRoundTrip(t *testing.T) {
-	o := openReq{
-		Tenant: "acme", Stream: "sessions",
-		Query: "SELECT COUNT(*) FROM sessions", Mode: 2,
-		Trials: -1, SlackBits: math.Float64bits(2.5),
-		Seed: 1 << 60, Workers: 8, StateBudget: -4096,
-	}
-	got, err := decodeOpen(appendOpen(nil, o))
+	query, o, err := decodeOpen(appendOpen(nil, testOpenQuery, testOpenOptions))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got != o {
-		t.Fatalf("round-trip: got %+v, want %+v", got, o)
+	if query != testOpenQuery || o != testOpenOptions {
+		t.Fatalf("round-trip: got %q %+v, want %q %+v", query, o, testOpenQuery, testOpenOptions)
 	}
 	// A wrong protocol version is rejected outright.
-	bad := appendOpen(nil, o)
+	bad := appendOpen(nil, testOpenQuery, testOpenOptions)
 	bad[0] = sessionProtoVersion + 1
-	if _, err := decodeOpen(bad); err == nil {
+	if _, _, err := decodeOpen(bad); err == nil {
 		t.Fatal("version mismatch accepted")
 	}
 }
@@ -129,16 +131,14 @@ func wireMessages(t testing.TB) []wiretest.Message {
 	const huge = 1 << 40
 	return []wiretest.Message{
 		{
-			Name: "open",
-			Valid: appendOpen(nil, openReq{
-				Tenant: "acme", Stream: "sessions", Query: "SELECT COUNT(*) FROM sessions", Mode: 2,
-				Trials: -1, SlackBits: math.Float64bits(2.5), Seed: 1 << 60, Workers: 8, StateBudget: -4096}),
+			Name:  "open",
+			Valid: appendOpen(nil, testOpenQuery, testOpenOptions),
 			Recode: func(p []byte) ([]byte, error) {
-				o, err := decodeOpen(p)
+				query, o, err := decodeOpen(p)
 				if err != nil {
 					return nil, err
 				}
-				return appendOpen(nil, o), nil
+				return appendOpen(nil, query, o), nil
 			},
 			Lies: [][]byte{wire.AppendUvarint([]byte{sessionProtoVersion}, huge)}, // tenant length
 		},

@@ -465,12 +465,10 @@ func (e *Engine) Open(query string, opts SessionOptions) (*Session, error) {
 		Workers:          opts.Workers,
 		StateBudgetBytes: opts.StateBudgetBytes,
 		Deltas:           deltas,
-	}
-	if e.cache != nil {
 		// Overlap detection: compilation fingerprints eligible subtrees and
-		// acquires their state from the shared cache (guarded assignment —
-		// a typed-nil interface would defeat the engine's nil check).
-		copts.SharedState = e.cache
+		// acquires their state from the shared cache (nil when sharing is
+		// off).
+		SharedState: e.cache,
 	}
 	eng, err := core.NewEngine(node, e.db, copts)
 	if err != nil {

@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 
-	"iolap/internal/core"
 	"iolap/internal/wire"
 )
 
@@ -142,11 +140,11 @@ func (sv *Server) handle(conn net.Conn) {
 func (h *connState) dispatch(typ byte, payload []byte) error {
 	switch typ {
 	case frOpen:
-		o, err := decodeOpen(payload)
+		query, opts, err := decodeOpen(payload)
 		if err != nil {
 			return err
 		}
-		h.open(o)
+		h.open(query, opts)
 		return nil
 	case frCancel, frClose:
 		sid, err := decodeSID(payload)
@@ -166,17 +164,8 @@ func (h *connState) dispatch(typ byte, payload []byte) error {
 }
 
 // open admits a session for the connection and starts its estimate pump.
-func (h *connState) open(o openReq) {
-	s, err := h.e.Open(o.Query, SessionOptions{
-		Tenant:           o.Tenant,
-		Stream:           o.Stream,
-		Mode:             core.Mode(o.Mode),
-		Trials:           int(o.Trials),
-		Slack:            math.Float64frombits(o.SlackBits),
-		Seed:             o.Seed,
-		Workers:          int(o.Workers),
-		StateBudgetBytes: o.StateBudget,
-	})
+func (h *connState) open(query string, opts SessionOptions) {
+	s, err := h.e.Open(query, opts)
 	if err != nil {
 		code := codeError
 		if errors.Is(err, ErrBudgetExhausted) {
