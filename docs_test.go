@@ -1,10 +1,17 @@
 package iolap
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -205,7 +212,7 @@ func TestDocsCiteExistingIdentifiers(t *testing.T) {
 }
 
 // orphanAllowed lists the exported functions and methods under internal/ that
-// no non-test file references, each with the reason it stays. A key is a
+// no non-test file uses, each with the reason it stays. A key is a
 // directory ("internal/x/"), a file, a type ("pkg.Type.") or one name
 // ("pkg.Name", "pkg.Type.Name").
 var orphanAllowed = map[string]string{
@@ -225,105 +232,163 @@ var orphanAllowed = map[string]string{
 }
 
 // TestNoOrphanExports: every exported function or method declared in a
-// non-test file under internal/ is referenced from some non-test file of the
-// module or of bench/, or sits on orphanAllowed with the reason it stays. A
-// package-level function is referenced as pkg.Name or, inside its own
-// package, as a bare identifier; a method by any selector of its name. An
-// export that only its own unit test calls is API nobody asked for; it is
-// deleted with that test, not kept.
+// non-test file under internal/ is used by some non-test file of the module
+// or of bench/, or sits on orphanAllowed with the reason it stays. Uses are
+// resolved with go/types over the packages `go list` names, so a method is
+// used where a value of its own type calls it, not wherever a field or
+// another type's method shares its name, and a function's calls inside its
+// own body do not count. A method that satisfies an interface method is used
+// when that interface method is; the methods of an interface declared in an
+// imported package outside the module count as used, since their callers are
+// in that package. An export that only its own unit test calls is API nobody
+// asked for; it is deleted with that test, not kept. Skipped where no go tool
+// is on PATH.
 func TestNoOrphanExports(t *testing.T) {
-	type decl struct{ file, dir, qual string }
-	var decls []decl
-	selUses := map[string]int{}              // x.Name, anywhere
-	pkgUses := map[string]int{}              // pkg.Name, by the imported package's name
-	identUses := map[string]map[string]int{} // dir -> bare Name
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		if identUses[dir] == nil {
-			identUses[dir] = map[string]int{}
-		}
-		imports := map[string]string{} // local name -> package name
-		for _, imp := range file.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			name := path[strings.LastIndex(path, "/")+1:]
-			local := name
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = name
-		}
-		declNames := map[*ast.Ident]bool{} // identifiers that are not bare uses
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declNames[fd.Name] = true
-			if !fd.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
-				continue
-			}
-			qual := file.Name.Name + "."
-			if fd.Recv != nil {
-				recv := fd.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if idx, ok := recv.(*ast.IndexExpr); ok {
-					recv = idx.X
-				}
-				if id, ok := recv.(*ast.Ident); ok {
-					qual += id.Name + "."
-				}
-			}
-			decls = append(decls, decl{file: filepath.ToSlash(path), dir: dir, qual: qual + fd.Name.Name})
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				selUses[n.Sel.Name]++
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					pkgUses[imports[x.Name]+"."+n.Sel.Name]++
-				}
-				declNames[n.Sel] = true // visited before its children: not a bare identifier
-			case *ast.Ident:
-				if !declNames[n] {
-					identUses[dir][n.Name]++
-				}
-			}
-			return true
-		})
-		return nil
-	})
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	root, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	used := map[string]bool{}
-	for _, d := range decls {
-		name := d.qual[strings.LastIndex(d.qual, ".")+1:]
-		if strings.Count(d.qual, ".") == 2 {
-			if selUses[name] > 0 {
+	fset := token.NewFileSet()
+	im := &sourceImporter{checked: map[string]*types.Package{}, exports: map[string]string{}}
+	im.gc = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if f := im.exports[path]; f != "" {
+			return os.Open(f)
+		}
+		return nil, fmt.Errorf("no export data for %q", path)
+	})
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	type decl struct {
+		file, dir, qual string
+		fn              *types.Func
+		body            *ast.FuncDecl
+	}
+	var decls []decl
+	for _, dir := range []string{".", "bench"} {
+		for _, p := range listPackages(t, goTool, dir) {
+			if p.Standard {
+				im.exports[p.ImportPath] = p.Export
 				continue
 			}
-		} else if pkgUses[d.qual] > 0 || identUses[d.dir][name] > 0 {
+			if im.checked[p.ImportPath] != nil {
+				continue // a module package bench/ imports
+			}
+			var files []*ast.File
+			for _, name := range p.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+			pkg, err := (&types.Config{Importer: im}).Check(p.ImportPath, fset, files, info)
+			if err != nil {
+				t.Fatalf("type-check %s: %v", p.ImportPath, err)
+			}
+			im.checked[p.ImportPath] = pkg
+			rel, err := filepath.Rel(root, p.Dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel = filepath.ToSlash(rel)
+			if !strings.HasPrefix(rel, "internal/") {
+				continue
+			}
+			for k, f := range files {
+				for _, d := range f.Decls {
+					fd, ok := d.(*ast.FuncDecl)
+					if !ok || !fd.Name.IsExported() {
+						continue
+					}
+					qual := pkg.Name() + "."
+					if fd.Recv != nil {
+						recv := fd.Recv.List[0].Type
+						if star, ok := recv.(*ast.StarExpr); ok {
+							recv = star.X
+						}
+						if id, ok := recv.(*ast.Ident); ok {
+							qual += id.Name + "."
+						}
+					}
+					decls = append(decls, decl{file: rel + "/" + p.GoFiles[k], dir: rel,
+						qual: qual + fd.Name.Name, fn: info.Defs[fd.Name].(*types.Func), body: fd})
+				}
+			}
+		}
+	}
+	declOf := map[*types.Func]*ast.FuncDecl{}
+	for _, d := range decls {
+		declOf[d.fn] = d.body
+	}
+	called := map[*types.Func]bool{}
+	for id, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
 			continue
 		}
+		if fd := declOf[fn]; fd != nil && fd.Pos() <= id.Pos() && id.Pos() < fd.End() {
+			continue // recursion
+		}
+		called[fn] = true
+	}
+	// The interface methods that count as called: those the module or
+	// bench/ calls, and those of interfaces declared in imported packages
+	// outside the module.
+	ifaceMethods := []*types.Func{types.Universe.Lookup("error").Type().Underlying().(*types.Interface).Method(0)}
+	for fn := range called {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			ifaceMethods = append(ifaceMethods, fn)
+		}
+	}
+	seen := map[*types.Package]bool{}
+	for _, pkg := range im.checked {
+		for _, dep := range pkg.Imports() {
+			if im.checked[dep.Path()] != nil || seen[dep] {
+				continue
+			}
+			seen[dep] = true
+			for _, name := range dep.Scope().Names() {
+				tn, ok := dep.Scope().Lookup(name).(*types.TypeName)
+				if !ok || !tn.Exported() {
+					continue
+				}
+				if iface, ok := tn.Type().Underlying().(*types.Interface); ok && iface.IsMethodSet() {
+					for i := 0; i < iface.NumMethods(); i++ {
+						ifaceMethods = append(ifaceMethods, iface.Method(i))
+					}
+				}
+			}
+		}
+	}
+	satisfies := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		typ := recv.Type()
+		if ptr, ok := typ.(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		for _, m := range ifaceMethods {
+			if m.Name() != fn.Name() {
+				continue
+			}
+			iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if types.Implements(typ, iface) || types.Implements(types.NewPointer(typ), iface) {
+				return true
+			}
+		}
+		return false
+	}
+	used := map[string]bool{}
+	for _, d := range decls {
+		if called[d.fn] || satisfies(d.fn) {
+			continue
+		}
+		name := d.fn.Name()
 		allowed := false
 		for _, key := range []string{d.qual, d.qual[:len(d.qual)-len(name)], d.file, d.dir + "/"} {
 			if _, ok := orphanAllowed[key]; ok {
@@ -331,7 +396,7 @@ func TestNoOrphanExports(t *testing.T) {
 			}
 		}
 		if !allowed {
-			t.Errorf("%s: exported %s is referenced by no non-test file (delete it, or add it to orphanAllowed with the reason it stays)", d.file, d.qual)
+			t.Errorf("%s: exported %s is used by no non-test file (delete it, or add it to orphanAllowed with the reason it stays)", d.file, d.qual)
 		}
 	}
 	for key := range orphanAllowed {
@@ -339,4 +404,51 @@ func TestNoOrphanExports(t *testing.T) {
 			t.Errorf("orphanAllowed[%q] excuses nothing any more: remove the entry", key)
 		}
 	}
+}
+
+// listedPackage is the part of a `go list -json` record TestNoOrphanExports
+// reads.
+type listedPackage struct {
+	Dir, ImportPath, Export string
+	GoFiles                 []string
+	Standard                bool
+}
+
+// listPackages lists the packages of the module in dir and every package they
+// import, dependencies first, with the export data of each.
+func listPackages(t *testing.T, goTool, dir string) []listedPackage {
+	t.Helper()
+	cmd := exec.Command(goTool, "list", "-deps", "-export", "-json=Dir,ImportPath,Export,GoFiles,Standard", "./...")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOWORK=off", "GOFLAGS=")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("cd %s && go list: %v\n%s", dir, err, stderr.Bytes())
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
+}
+
+// sourceImporter hands go/types the module's packages it has type-checked from
+// source, and reads every other package from the export data go list built.
+type sourceImporter struct {
+	checked map[string]*types.Package
+	exports map[string]string // import path -> export data file
+	gc      types.Importer
+}
+
+func (im *sourceImporter) Import(path string) (*types.Package, error) {
+	if p := im.checked[path]; p != nil {
+		return p, nil
+	}
+	return im.gc.Import(path)
 }

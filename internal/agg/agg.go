@@ -336,9 +336,6 @@ func NewVectorOracle(fn *Func, trials int) *Vector {
 // slots returns the per-field bank length (main + B replicates).
 func (v *Vector) slots() int { return v.trials + 1 }
 
-// Trials returns the replicate count B.
-func (v *Vector) Trials() int { return v.trials }
-
 // Add folds one input value: mult into the main accumulator, mult times the
 // Poisson weight into each replicate. poisson may be nil for inputs from
 // non-streamed relations (constant weight 1 per trial).
@@ -442,20 +439,6 @@ func (v *Vector) Reset() {
 	for _, r := range v.reps {
 		r.Reset()
 	}
-}
-
-// Clone deep-copies the vector (snapshot support).
-func (v *Vector) Clone() *Vector {
-	if v.bank != nil {
-		c := &Vector{Fn: v.Fn, trials: v.trials, bank: make([]float64, len(v.bank))}
-		copy(c.bank, v.bank)
-		return c
-	}
-	c := &Vector{Fn: v.Fn, trials: v.trials, main: v.main.Clone(), reps: make([]Accumulator, len(v.reps))}
-	for i, r := range v.reps {
-		c.reps[i] = r.Clone()
-	}
-	return c
 }
 
 // SizeBytes estimates the vector's footprint.

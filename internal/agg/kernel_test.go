@@ -95,8 +95,8 @@ func TestKernelOracleEquivalenceFuzz(t *testing.T) {
 						}
 						kv.Merge(ko)
 						ov.Merge(oo)
-					case op < 9: // Clone must be isolated and equivalent
-						kc, oc := kv.Clone(), ov.Clone()
+					case op < 9: // a materialized snapshot must be isolated and equivalent
+						kc, oc := kv.Snapshot().Materialize(), ov.Snapshot().Materialize()
 						bitsEqual(t, ctx+" (clone)", kc, oc)
 						kc.Add(1, 1, nil)
 						bitsEqual(t, ctx+" (clone isolation)", kv, ov)

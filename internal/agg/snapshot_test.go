@@ -8,7 +8,7 @@ import (
 // fillVector folds a deterministic value stream with per-trial Poisson
 // weights so main and every replicate hold distinct non-trivial state.
 func fillVector(v *Vector, n int) {
-	poisson := make([]float64, v.Trials())
+	poisson := make([]float64, v.trials)
 	for i := 0; i < n; i++ {
 		for b := range poisson {
 			poisson[b] = float64((i+b)%3) * 0.5
@@ -51,7 +51,7 @@ func TestVectorSnapshotRoundTrip(t *testing.T) {
 		} {
 			v := mk.make()
 			fillVector(v, 40)
-			want := v.Clone()
+			want := v.Snapshot().Materialize()
 			snap := v.Snapshot()
 
 			fillVector(v, 25) // diverge past the snapshot point

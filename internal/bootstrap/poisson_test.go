@@ -361,8 +361,8 @@ func TestRangeFailureRecoversToAncestor(t *testing.T) {
 	if j != 1 {
 		t.Errorf("recoverTo = %d, want batch 1 (the wide ancestor contains 25)", j)
 	}
-	if r.Batches() != 2 {
-		t.Errorf("history should be truncated to ancestor+new, got %d", r.Batches())
+	if len(r.history) != 2 {
+		t.Errorf("history should be truncated to ancestor+new, got %d", len(r.history))
 	}
 }
 
@@ -371,10 +371,10 @@ func TestRangeSnapshotIsolated(t *testing.T) {
 	r.Observe(1, 10, []float64{9, 11})
 	snap := r.Snapshot()
 	r.Observe(2, 10, []float64{9.9, 10.1})
-	if snap.Batches() != 1 {
+	if len(snap.history) != 1 {
 		t.Error("snapshot must be isolated from later observations")
 	}
-	if snap.Slack() != 2 {
+	if snap.slack != 2 {
 		t.Error("snapshot must preserve slack")
 	}
 }

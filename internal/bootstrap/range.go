@@ -106,12 +106,6 @@ func NewRange(slack float64) *Range {
 	return &Range{slack: slack}
 }
 
-// Slack returns ε.
-func (r *Range) Slack() float64 { return r.slack }
-
-// Batches returns how many observations have been recorded.
-func (r *Range) Batches() int { return len(r.history) }
-
 // Current returns the latest range; Full() before any observation.
 func (r *Range) Current() Interval {
 	if len(r.history) == 0 {

@@ -318,11 +318,3 @@ func (m *Metrics) ShuffleBytes() int64 { return m.shuffleBytes.Load() }
 
 // BroadcastBytes returns total broadcast bytes.
 func (m *Metrics) BroadcastBytes() int64 { return m.broadcastBytes.Load() }
-
-// Reset zeroes the counters.
-func (m *Metrics) Reset() {
-	m.shuffleBytes.Store(0)
-	m.broadcastBytes.Store(0)
-	m.spillWritten.Store(0)
-	m.spillRead.Store(0)
-}

@@ -157,10 +157,6 @@ func TestMetrics(t *testing.T) {
 	if m.BroadcastBytes() != 7 {
 		t.Errorf("broadcast bytes = %d", m.BroadcastBytes())
 	}
-	m.Reset()
-	if m.ShuffleBytes() != 0 || m.BroadcastBytes() != 0 {
-		t.Error("reset failed")
-	}
 	// nil metrics are no-ops.
 	var nilM *Metrics
 	nilM.RecordShuffleBytes(5)

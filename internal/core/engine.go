@@ -246,19 +246,8 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// Batches returns the number of mini-batches p.
-func (e *Engine) Batches() int { return len(e.deltas) }
-
 // Done reports whether all batches have been processed.
 func (e *Engine) Done() bool { return e.batch >= len(e.deltas) }
-
-// Mode returns the configured delta algorithm.
-func (e *Engine) Mode() Mode { return e.opts.Mode }
-
-// Nested reports whether the compiled query contains nested
-// (uncertainty-coupled) aggregates — the class where iOLAP's algorithm
-// diverges from classical delta rules.
-func (e *Engine) Nested() bool { return e.comp.analysis.Nested }
 
 // PlanString renders the normalized online plan with its Section 4.1
 // uncertainty annotations (the paper's Figure 3 as a diagnostic).
@@ -473,16 +462,6 @@ func (e *Engine) Step() (u *Update, err error) {
 // serving layer uses it to charge sessions only their incremental
 // reservation.
 func (e *Engine) SharedHitBytes() int64 { return e.comp.sharedHitBytes }
-
-// SharedStateBytes reports the current footprint of all shared state this
-// engine references (built or hit).
-func (e *Engine) SharedStateBytes() int64 {
-	var n int64
-	for _, r := range e.comp.sharedRefs {
-		n += r.SharedBytes()
-	}
-	return n
-}
 
 func (e *Engine) ndSetRows() int {
 	n := 0

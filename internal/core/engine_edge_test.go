@@ -132,8 +132,8 @@ func TestVerySmallInputs(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Batch count collapses to the row count.
-		if eng.Batches() > n {
-			t.Errorf("n=%d: batches %d > rows", n, eng.Batches())
+		if len(eng.deltas) > n {
+			t.Errorf("n=%d: batches %d > rows", n, len(eng.deltas))
 		}
 		updates := stepAll(t, eng)
 		final := updates[len(updates)-1]

@@ -188,8 +188,8 @@ func TestTheorem1IOLAP(t *testing.T) {
 		q := q
 		t.Run(q.name, func(t *testing.T) {
 			eng := theorem1(t, q.query, 240, Options{Mode: ModeIOLAP, Batches: 8, Trials: 40, Seed: 1})
-			if eng.Nested() != q.nested {
-				t.Errorf("nested classification = %v, want %v", eng.Nested(), q.nested)
+			if eng.comp.analysis.Nested != q.nested {
+				t.Errorf("nested classification = %v, want %v", eng.comp.analysis.Nested, q.nested)
 			}
 		})
 	}

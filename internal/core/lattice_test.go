@@ -609,8 +609,8 @@ func oracleRuns(t *testing.T, c latticeCase, r cellRun, workers int) []*rel.Rela
 // oracle's results.
 func checkReference(t *testing.T, c latticeCase, r cellRun) []*rel.Relation {
 	t.Helper()
-	if c.nested != nil && r.eng.Nested() != *c.nested {
-		t.Errorf("nested classification = %v, want %v", r.eng.Nested(), *c.nested)
+	if c.nested != nil && r.eng.comp.analysis.Nested != *c.nested {
+		t.Errorf("nested classification = %v, want %v", r.eng.comp.analysis.Nested, *c.nested)
 	}
 	if c.wantRecovery && c.opts.Trials > 0 && r.eng.TotalRecoveries() == 0 {
 		t.Errorf("recovery fixture no longer triggers recoveries; the case pins nothing about replay")

@@ -71,7 +71,7 @@ func rangeBits(t *testing.T, r *bootstrap.Range) string {
 		iv := h.Index(i)
 		fmt.Fprintf(&b, "%x:%x ", math.Float64bits(iv.Field(0).Float()), math.Float64bits(iv.Field(1).Float()))
 	}
-	fmt.Fprintf(&b, "labels %v slack %x", field(t, r, "labels"), math.Float64bits(r.Slack()))
+	fmt.Fprintf(&b, "labels %v slack %x", field(t, r, "labels"), math.Float64bits(field(t, r, "slack").Float()))
 	return b.String()
 }
 

@@ -1,9 +1,5 @@
 package rel
 
-import (
-	"math/bits"
-)
-
 // Columnar storage for relations (DESIGN.md §14). A Columns value is the
 // in-memory twin of the §11 block codec layout: one typed bank per schema
 // column (float64/int64 slabs, dictionary-coded strings) plus a validity
@@ -33,15 +29,6 @@ func (b *Bitmap) Set(i int) { b.bits[i>>6] |= 1 << (uint(i) & 63) }
 
 // Get reports whether position i is marked.
 func (b *Bitmap) Get(i int) bool { return b.bits[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// Count returns the number of marked positions.
-func (b *Bitmap) Count() int {
-	total := 0
-	for _, w := range b.bits {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
 
 // ColumnBank holds one column's cells in the densest homogeneous form the
 // data admits. Exactly one representation is populated:
@@ -269,21 +256,6 @@ func (c *Columns) Value(col, row int) Value {
 		return Value{kind: KString, s: b.Dict[b.Codes[row]]}
 	}
 	return Value{}
-}
-
-// IsNull reports whether a cell is NULL without materialising it.
-func (c *Columns) IsNull(col, row int) bool {
-	if c.built != nil && !c.built[col] {
-		return c.rows[row].Vals[col].kind == KNull
-	}
-	b := &c.Banks[col]
-	if b.Mixed != nil {
-		return b.Mixed[row].kind == KNull
-	}
-	if b.Kind == KNull {
-		return true
-	}
-	return b.Valid != nil && !b.Valid.Get(row)
 }
 
 // EncodeKeyInto appends the canonical key of row over cols to buf — byte-

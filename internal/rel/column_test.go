@@ -104,9 +104,6 @@ func TestColumnsRoundTrip(t *testing.T) {
 					t.Fatalf("cell (%d,%d): got %v (%s), want %v (%s)",
 						col, row, got, got.Kind(), want, want.Kind())
 				}
-				if got := c.IsNull(col, row); got != want.IsNull() {
-					t.Fatalf("cell (%d,%d): IsNull %v, want %v", col, row, got, want.IsNull())
-				}
 			}
 		}
 	}
@@ -148,9 +145,6 @@ func TestColumnsSubsetView(t *testing.T) {
 			for col, want := range tp.Vals {
 				if got := sub.Value(col, row); !sameVal(got, want) {
 					t.Fatalf("cell (%d,%d) need=%v: got %v, want %v", col, row, need[col], got, want)
-				}
-				if got := sub.IsNull(col, row); got != want.IsNull() {
-					t.Fatalf("cell (%d,%d): IsNull %v, want %v", col, row, got, want.IsNull())
 				}
 			}
 		}

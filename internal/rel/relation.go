@@ -65,15 +65,6 @@ func (r *Relation) Card() float64 {
 	return c
 }
 
-// Clone deep-copies the relation.
-func (r *Relation) Clone() *Relation {
-	out := &Relation{Schema: r.Schema, Tuples: make([]Tuple, len(r.Tuples))}
-	for i, t := range r.Tuples {
-		out.Tuples[i] = t.Clone()
-	}
-	return out
-}
-
 // SizeBytes estimates the relation's memory footprint; used for the state
 // size and data-shipped metrics.
 func (r *Relation) SizeBytes() int {

@@ -86,11 +86,6 @@ func TestRelationBasics(t *testing.T) {
 	if got := r.Card(); got != 3.5 {
 		t.Errorf("Card = %v, want 3.5", got)
 	}
-	c := r.Clone()
-	c.Tuples[0].Vals[1] = Float(99)
-	if r.Tuples[0].Vals[1].Float() != 36 {
-		t.Error("Clone must deep-copy values")
-	}
 }
 
 func TestEncodeKeyDistinguishesKinds(t *testing.T) {

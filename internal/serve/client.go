@@ -133,7 +133,7 @@ func (c *Client) readLoop() {
 func (c *Client) route(typ byte, payload []byte) error {
 	switch typ {
 	case frOpenOK:
-		sid, batches, queued, err := decodeOpenOK(payload)
+		sid, batches, _, err := decodeOpenOK(payload)
 		if err != nil {
 			return err
 		}
@@ -144,7 +144,6 @@ func (c *Client) route(typ byte, payload []byte) error {
 			c:       c,
 			id:      sid,
 			batches: batches,
-			queued:  queued,
 			updates: make(chan *Update, batches+1),
 		}
 		c.mu.Lock()
@@ -221,7 +220,6 @@ type ClientSession struct {
 	c       *Client
 	id      uint64
 	batches int
-	queued  bool
 
 	updates chan *Update
 	cur     *Update
@@ -236,10 +234,6 @@ func (s *ClientSession) ID() uint64 { return s.id }
 
 // Batches returns the shared schedule's mini-batch count.
 func (s *ClientSession) Batches() int { return s.batches }
-
-// Queued reports whether admission queued the session for budget (it will
-// start once a reservation frees up).
-func (s *ClientSession) Queued() bool { return s.queued }
 
 // Next blocks for the next estimate; false when the stream ends (see Err).
 func (s *ClientSession) Next() bool {

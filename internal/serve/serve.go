@@ -202,12 +202,6 @@ type Session struct {
 // ID returns the engine-assigned session id.
 func (s *Session) ID() uint64 { return s.id }
 
-// Tenant returns the budget the session is charged to.
-func (s *Session) Tenant() string { return s.tenant }
-
-// Table returns the streamed table the session scans.
-func (s *Session) Table() string { return s.table }
-
 // Batches returns the shared schedule's mini-batch count for the session's
 // table.
 func (s *Session) Batches() int { return cap(s.updates) }
@@ -749,14 +743,6 @@ func (e *Engine) SharedPeakBytes() int64 {
 		return 0
 	}
 	return e.cache.Stats().PeakLiveBytes
-}
-
-// Batches returns the shared schedule length for a table (0 until a session
-// first streams it).
-func (e *Engine) Batches(table string) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.schedules[table])
 }
 
 // Close shuts the engine down: queued sessions finish with ErrCancelled,

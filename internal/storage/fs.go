@@ -107,19 +107,6 @@ func (fs *MemFS) Crash() {
 	}
 }
 
-// Bytes returns a copy of a file's current content (nil if absent).
-func (fs *MemFS) Bytes(name string) []byte {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]byte(nil), f.data...)
-}
-
 type memFile struct {
 	mu     sync.Mutex
 	data   []byte

@@ -3,11 +3,22 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"testing"
 
 	"iolap/internal/rel"
 )
+
+// contents reads a whole file through its handle.
+func contents(t *testing.T, f File) []byte {
+	t.Helper()
+	data, err := io.ReadAll(io.NewSectionReader(f, 0, math.MaxInt64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
 
 func testRows() [][]rel.Value {
 	return [][]rel.Value{
@@ -149,7 +160,7 @@ func TestMemFSCrashRevertsToSynced(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Crash()
-	if got := fs.Bytes("x"); !bytes.Equal(got, []byte("durable")) {
+	if got := contents(t, f); !bytes.Equal(got, []byte("durable")) {
 		t.Fatalf("after crash: %q, want %q", got, "durable")
 	}
 }
@@ -180,7 +191,7 @@ func TestTornTailDetectable(t *testing.T) {
 		t.Fatal(err) // "succeeds" but does nothing
 	}
 	mem.Crash()
-	data := mem.Bytes("shard")
+	data := contents(t, f)
 	if len(data) != len(row1) {
 		t.Fatalf("crash kept %d bytes, want the %d synced ones", len(data), len(row1))
 	}

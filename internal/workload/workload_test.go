@@ -204,8 +204,8 @@ func TestTheorem1OnWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if eng.Nested() != q.Nested {
-					t.Errorf("nested classification = %v, want %v", eng.Nested(), q.Nested)
+				if an, err := plan.Analyze(node, plan.Finalize(node)); err != nil || an.Nested != q.Nested {
+					t.Errorf("nested classification = %v (%v), want %v", an != nil && an.Nested, err, q.Nested)
 				}
 				src, _ := db.Get(q.Stream)
 				seen := 0
@@ -217,7 +217,7 @@ func TestTheorem1OnWorkloads(t *testing.T) {
 					}
 					// Engine uses contiguous blocks of the source.
 					batchStart++
-					seen = batchStart * src.Len() / eng.Batches()
+					seen = batchStart * src.Len() / u.Batches
 					want := oracleAt(t, node, db, q.Stream, seen)
 					if !rel.EqualBag(u.Result, want, 1e-6) {
 						t.Fatalf("batch %d diverges from Q(D_i, m_i)\ngot (%d rows):\n%s\nwant (%d rows):\n%s",
