@@ -77,7 +77,9 @@ alloc-test:
 # (an existing .ab/parent checkout is moved to PARENT instead), and PAIRS
 # pairs of `bench/run.sh --workload $(W)` run in alternating order (parent
 # first on odd pairs, change first on even ones). Each run appends one line
-# to .ab/$(W).jsonl (delete it to start a fresh comparison), and
+# to .ab/$(W).jsonl (delete it to start a fresh comparison) that records the
+# side's own revision (`git rev-parse --short HEAD` in its checkout, "+dirty"
+# when that tree has uncommitted changes outside .ab/), and
 # `go run ./cmd/experiments -exp ab` reports every .ab/*.jsonl: per end-to-end
 # metric, both medians, the median per-pair change/parent ratio with a
 # bootstrap 95% interval on it, and the pairs the change won.
@@ -94,7 +96,9 @@ ab:
 		for side in $$sides; do \
 			root=.; [ $$side = parent ] && root=.ab/parent; \
 			out=$$(bash $$root/bench/run.sh --workload $(W) --seed 7 --seconds 12 --trace 0) || exit 1; \
-			printf '{"side":"%s","context":%s,"result":%s}\n' $$side \
+			rev=$$(git -C $$root rev-parse --short HEAD); \
+			if [ -n "$$(git -C $$root status --porcelain -- . ':(exclude).ab')" ]; then rev=$$rev+dirty; fi; \
+			printf '{"side":"%s","rev":"%s","context":%s,"result":%s}\n' $$side $$rev \
 				"$$(printf '%s\n' "$$out" | head -n 1)" "$$(printf '%s\n' "$$out" | tail -n 1)" >> .ab/$(W).jsonl; \
 			echo "ab: $(W) pair $$i/$(PAIRS): $$side done"; \
 		done; \

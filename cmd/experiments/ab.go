@@ -14,14 +14,18 @@ import (
 )
 
 // abRun is one line `make ab` appends to .ab/<workload>.jsonl: which side ran,
-// and the two JSON lines bench/run.sh printed for it (context, then result).
+// at which revision, and the two JSON lines bench/run.sh printed for it
+// (context, then result).
 type abRun struct {
-	Side    string `json:"side"` // "parent" or "change"
+	Side string `json:"side"` // "parent" or "change"
+	// Rev is the side's own checkout: its short HEAD, with "+dirty" when
+	// the tree has uncommitted changes. The bench context's commit cannot
+	// tell a dirty change from its parent.
+	Rev     string `json:"rev"`
 	Context struct {
 		Host struct {
-			Cores      int    `json:"cores"`
-			GOMAXPROCS int    `json:"gomaxprocs"`
-			Commit     string `json:"commit"`
+			Cores      int `json:"cores"`
+			GOMAXPROCS int `json:"gomaxprocs"`
 		} `json:"host"`
 	} `json:"context"`
 	Result struct {
@@ -120,20 +124,20 @@ func readABRuns(path string) (map[string][]abRun, error) {
 	return sides, sc.Err()
 }
 
-// abSideNote states what a side's runs were: commits, cores, correctness.
+// abSideNote states what a side's runs were: revisions, cores, correctness.
 func abSideNote(side string, runs []abRun) string {
-	commits, cores := map[string]bool{}, map[string]bool{}
+	revs, cores := map[string]bool{}, map[string]bool{}
 	incorrect, failed := 0, 0
 	for _, run := range runs {
-		commits[run.Context.Host.Commit] = true
+		revs[run.Rev] = true
 		cores[fmt.Sprintf("%d cores (GOMAXPROCS %d)", run.Context.Host.Cores, run.Context.Host.GOMAXPROCS)] = true
 		if !run.Result.Correct {
 			incorrect++
 		}
 		failed += run.Result.Failed
 	}
-	return fmt.Sprintf("%s: commit %s, %s, %d runs not correct, %d failed operations",
-		side, joinKeys(commits), joinKeys(cores), incorrect, failed)
+	return fmt.Sprintf("%s: revision %s, %s, %d runs not correct, %d failed operations",
+		side, joinKeys(revs), joinKeys(cores), incorrect, failed)
 }
 
 func joinKeys(m map[string]bool) string {

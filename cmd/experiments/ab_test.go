@@ -18,10 +18,14 @@ func TestABReport(t *testing.T) {
 	if err := os.WriteFile(decl, []byte(`{"end_to_end":[{"name":"overhead_x","better":"lower"},{"name":"tuples_per_s","better":"higher"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Both sides' bench contexts carry the same commit, as they do when the
+	// change is an uncommitted tree over its parent; the notes name each
+	// side's own revision.
+	revs := map[string]string{"parent": "f0dd6ab", "change": "f0dd6ab+dirty"}
 	run := func(side string, overhead, tps float64) string {
-		return fmt.Sprintf(`{"side":%q,"context":{"host":{"cores":2,"gomaxprocs":2,"commit":"c-%s"}},`+
+		return fmt.Sprintf(`{"side":%q,"rev":%q,"context":{"host":{"cores":2,"gomaxprocs":2,"commit":"f0dd6ab"}},`+
 			`"result":{"correct":true,"failed":0,"metrics":{"overhead_x":{"value":%g},"tuples_per_s":{"value":%g}}}}`,
-			side, side, overhead, tps)
+			side, revs[side], overhead, tps)
 	}
 	lines := []string{
 		run("parent", 6, 100), run("change", 3, 150),
@@ -51,8 +55,13 @@ func TestABReport(t *testing.T) {
 			t.Errorf("row %d = %v, want %v", i, row, want[i])
 		}
 	}
-	if note := results[0].Notes[1]; !strings.Contains(note, "change: commit c-change, 2 cores (GOMAXPROCS 2), 0 runs not correct") {
-		t.Errorf("change note %q", note)
+	for i, want := range []string{
+		"parent: revision f0dd6ab, 2 cores (GOMAXPROCS 2), 0 runs not correct, 0 failed operations",
+		"change: revision f0dd6ab+dirty, 2 cores (GOMAXPROCS 2), 0 runs not correct, 0 failed operations",
+	} {
+		if note := results[0].Notes[i]; note != want {
+			t.Errorf("note %d = %q, want %q", i, note, want)
+		}
 	}
 	if _, err := abReport(t.TempDir(), decl); err == nil {
 		t.Error("a directory with no recorded runs must be an error")
