@@ -385,8 +385,8 @@ func checkResidualProjects(root plan.Node, an *plan.Analysis) error {
 // weighted streamed scan whose weights the select may draw after filtering,
 // and marks the joins on the way (opJoin.late). A join is passed when the
 // scan's side keeps no store, so its rows never enter state weight-free, and
-// the other side holds no streamed scan, so all the weights of a joined row
-// are the scan row's.
+// the other side is complete (reads no streamed scan), so all the weights of
+// a joined row are the scan row's.
 func (c *compiled) lateScan(op operator) *opScan {
 	switch o := op.(type) {
 	case *opScan:
