@@ -241,12 +241,11 @@ var orphanAllowed = map[string]string{
 // when that interface method is; the methods of an interface declared in an
 // imported package outside the module count as used, since their callers are
 // in that package. An export that only its own unit test calls is API nobody
-// asked for; it is deleted with that test, not kept. Skipped where no go tool
-// is on PATH.
+// asked for; it is deleted with that test, not kept.
 func TestNoOrphanExports(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
-		t.Skip("go tool not on PATH")
+		t.Fatal(err)
 	}
 	root, err := os.Getwd()
 	if err != nil {

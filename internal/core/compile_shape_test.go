@@ -20,7 +20,8 @@ const compileShapeGoldenPath = "testdata/compile_shape.golden"
 // shared. A shared aggregate lists the operators of its cache entry below
 // it. The trajectory goldens hold what the operators compute; this file holds
 // which operators compile chose, so a refactor of compile that keeps every
-// decision leaves it byte-identical.
+// decision leaves it byte-identical. Under ModeIOLAP it also checks the
+// engine's nested classification against the workload's.
 func TestCompileShapeGolden(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("# Operator shapes pinned by TestCompileShapeGolden: <workload>/<query>/<run>, then one line per operator in build order.\n" +
@@ -47,7 +48,12 @@ func TestCompileShapeGolden(t *testing.T) {
 			for _, mode := range []Mode{ModeIOLAP, ModeHDA} {
 				opts := base
 				opts.Mode = mode
-				open(mode.String(), opts).Close()
+				eng := open(mode.String(), opts)
+				if mode == ModeIOLAP && eng.comp.analysis.Nested != q.Nested {
+					t.Errorf("%s/%s: nested classification = %v, want %v",
+						w.Name, q.Name, eng.comp.analysis.Nested, q.Nested)
+				}
+				eng.Close()
 			}
 			src, _ := db.Get(q.Stream)
 			shared := base

@@ -858,9 +858,8 @@ var theorem1Shapes = []theorem1Shape{
 	// Predicates over an aggregate with no range rule of their own: each
 	// stays non-deterministic until COUNT(*)'s range is a point. Decided by
 	// the running estimate instead, IN and NOT IN settle groups for good
-	// before the count is exact and CASE diverges at batch 3; IF's boolean
-	// condition has no range to ask for. The exact counts are eu 73,
-	// west 51 and east 76.
+	// before the count is exact and CASE diverges at batch 3; IF is planned
+	// as that CASE. The exact counts are eu 73, west 51 and east 76.
 	{"having_in", `SELECT cdn, COUNT(*) AS n FROM sessions GROUP BY cdn HAVING COUNT(*) IN (73, 51)`,
 		200, Options{Batches: 5, Trials: 20, Seed: 4}},
 	{"having_not_in", `SELECT cdn, COUNT(*) AS n FROM sessions GROUP BY cdn HAVING COUNT(*) NOT IN (73, 51)`,
@@ -876,6 +875,10 @@ var theorem1Shapes = []theorem1Shape{
 	// An unbound COUNT(*) ranges over the full line, and 0 × ∞ is NaN: a
 	// NaN bound must leave <> undecided, not decide it True.
 	{"having_times_zero", `SELECT cdn, COUNT(*) AS n FROM sessions GROUP BY cdn HAVING COUNT(*) * 0 <> 0`,
+		200, Options{Batches: 5, Trials: 20, Seed: 4}},
+	// LEAST skips a NULL argument, whose range is the full line: the call
+	// ranges below COUNT(*)'s own upper bound, not over the point 0.
+	{"having_least_null", `SELECT cdn, COUNT(*) AS n FROM sessions GROUP BY cdn HAVING LEAST(COUNT(*), NULL) > 50`,
 		200, Options{Batches: 5, Trials: 20, Seed: 4}},
 }
 

@@ -302,6 +302,11 @@ func TestFuncRegistry(t *testing.T) {
 	if err := r.Register(ScalarFunc{}); err == nil {
 		t.Error("registering an invalid function should fail")
 	}
+	// IF is planned as a CASE, so a function of that name would never run.
+	ifFn := ScalarFunc{Name: "if", MinArgs: 3, MaxArgs: 3, Fn: func([]rel.Value) rel.Value { return rel.Null() }}
+	if err := r.Register(ifFn); err == nil {
+		t.Error("registering IF should fail")
+	}
 }
 
 func TestBuiltins(t *testing.T) {

@@ -26,10 +26,10 @@ type ScalarFunc struct {
 	Args []ArgKind
 	Fn   func(args []rel.Value) rel.Value
 	// IntervalFn, when non-nil, propagates variation ranges through the
-	// function; only a function whose Args are all NumKind may set it, as
-	// no other argument is asked for a range. Omitting it is always sound:
-	// unknown ranges widen to Full, which can only enlarge the
-	// non-deterministic set, never corrupt results.
+	// function; an argument that is not numeric (a NULL constant, say)
+	// reaches it as the full line. Omitting it is always sound: unknown
+	// ranges widen to Full, which can only enlarge the non-deterministic
+	// set, never corrupt results.
 	IntervalFn func(args []bootstrap.Interval) bootstrap.Interval
 }
 
@@ -108,10 +108,14 @@ func NewRegistry() *Registry {
 }
 
 // Register installs (or replaces) a scalar function; names are
-// case-insensitive.
+// case-insensitive. IF is reserved: the SQL front end plans it as a CASE,
+// so a function of that name would never be called.
 func (r *Registry) Register(f ScalarFunc) error {
 	if f.Name == "" || f.Fn == nil {
 		return fmt.Errorf("expr: invalid function registration %q", f.Name)
+	}
+	if strings.EqualFold(f.Name, "IF") {
+		return fmt.Errorf("expr: %q is reserved: IF is planned as a CASE", f.Name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -380,11 +384,11 @@ func (e *Func) Eval(row []rel.Value, res Resolver) rel.Value {
 	return e.F.Fn(args)
 }
 
-// Interval asks only the numeric arguments for ranges. Without an
-// IntervalFn the call is a point when its numeric arguments are points and
-// its other arguments are settled (evalSettled), and the full line
-// otherwise: unknown propagation only costs recomputation, never
-// correctness.
+// Interval asks only the numeric arguments for ranges; any other argument
+// reaches IntervalFn as the full line. Without an IntervalFn the call is a
+// point when its numeric arguments are points and its other arguments are
+// settled (evalSettled), and the full line otherwise: unknown propagation
+// only costs recomputation, never correctness.
 func (e *Func) Interval(row []rel.Value, res Resolver) bootstrap.Interval {
 	point := true
 	args := make([]bootstrap.Interval, len(e.Args))
@@ -393,6 +397,7 @@ func (e *Func) Interval(row []rel.Value, res Resolver) bootstrap.Interval {
 			args[i] = a.Interval(row, res)
 			point = point && args[i].IsPoint()
 		} else {
+			args[i] = bootstrap.Full()
 			_, settled := evalSettled(a, row, res)
 			point = point && settled
 		}
