@@ -7,11 +7,9 @@ import (
 )
 
 // TestWorkloadPlanGoldens pins the `-plan` text of every built-in workload
-// query except TPC-H Q5 to testdata/plans, captured before the planner's
-// star rule went in: the rule reorders only a plan that would otherwise join
-// two direct dimensions of the fact table to each other, and Q5 is the one
-// workload query with such a join (its shape is checked by
-// TestQ5JoinsFactTableFirst in internal/workload).
+// query to testdata/plans. Q5's plan is the one the planner's star rule
+// reorders (its shape is also checked by TestQ5JoinsFactTableFirst in
+// internal/workload).
 func TestWorkloadPlanGoldens(t *testing.T) {
 	tpch, tq := NewTPCHSession(300, 42)
 	conviva, cq := NewConvivaSession(300, 42)
@@ -21,9 +19,6 @@ func TestWorkloadPlanGoldens(t *testing.T) {
 		queries []BenchQuery
 	}{{tpch, tq}, {conviva, cq}} {
 		for _, q := range w.queries {
-			if q.Name == "Q5" {
-				continue
-			}
 			want, err := os.ReadFile(filepath.Join("testdata", "plans", q.Name+".txt"))
 			if err != nil {
 				t.Fatal(err)
@@ -39,7 +34,7 @@ func TestWorkloadPlanGoldens(t *testing.T) {
 			seen++
 		}
 	}
-	if seen != 21 {
-		t.Errorf("checked %d plans, want 21", seen)
+	if seen != 22 {
+		t.Errorf("checked %d plans, want 22", seen)
 	}
 }
