@@ -26,11 +26,15 @@ type ScalarFunc struct {
 	Args []ArgKind
 	Fn   func(args []rel.Value) rel.Value
 	// IntervalFn, when non-nil, propagates variation ranges through the
-	// function; an argument that is not numeric (a NULL constant, say)
-	// reaches it as the full line. Omitting it is always sound: unknown
+	// function; an argument that is not numeric reaches it as the full
+	// line, and a call with a NULL argument never reaches it unless the
+	// function skips NULLs (Func.Interval). Omitting it is always sound: unknown
 	// ranges widen to Full, which can only enlarge the non-deterministic
 	// set, never corrupt results.
 	IntervalFn func(args []bootstrap.Interval) bootstrap.Interval
+	// SkipsNull marks a function whose Fn ignores NULL arguments (LEAST,
+	// GREATEST), so a NULL argument does not make the call NULL.
+	SkipsNull bool
 }
 
 // ArgKind is the kind of value an operand must have for the evaluator to
@@ -227,7 +231,8 @@ func builtins() []ScalarFunc {
 		},
 		{
 			Name: "GREATEST", MinArgs: 2, MaxArgs: -1, RetType: rel.KFloat,
-			Args: []ArgKind{NumKind},
+			Args:      []ArgKind{NumKind},
+			SkipsNull: true,
 			Fn: func(args []rel.Value) rel.Value {
 				best := math.Inf(-1)
 				for _, a := range args {
@@ -251,7 +256,8 @@ func builtins() []ScalarFunc {
 		},
 		{
 			Name: "LEAST", MinArgs: 2, MaxArgs: -1, RetType: rel.KFloat,
-			Args: []ArgKind{NumKind},
+			Args:      []ArgKind{NumKind},
+			SkipsNull: true,
 			Fn: func(args []rel.Value) rel.Value {
 				best := math.Inf(1)
 				for _, a := range args {
@@ -385,24 +391,37 @@ func (e *Func) Eval(row []rel.Value, res Resolver) rel.Value {
 }
 
 // Interval asks only the numeric arguments for ranges; any other argument
-// reaches IntervalFn as the full line. Without an IntervalFn the call is a
-// point when its numeric arguments are points and its other arguments are
-// settled (evalSettled), and the full line otherwise: unknown propagation
-// only costs recomputation, never correctness.
+// reaches IntervalFn as the full line. An argument that is a settled NULL
+// makes the call NULL, whose range is the full line, unless the function
+// skips NULLs (SkipsNull): a monotone IntervalFn would map that full line to
+// a bounded range (ABS to [0, +inf]) and decide a comparison NULL fails.
+// Without an IntervalFn the call is a point when its numeric arguments are
+// points and its other arguments are settled (evalSettled), and the full
+// line otherwise: unknown propagation only costs recomputation, never
+// correctness.
 func (e *Func) Interval(row []rel.Value, res Resolver) bootstrap.Interval {
-	point := true
+	point, null := true, false
 	args := make([]bootstrap.Interval, len(e.Args))
 	for i, a := range e.Args {
 		if isNumeric(a.Type()) {
 			args[i] = a.Interval(row, res)
 			point = point && args[i].IsPoint()
+			if args[i] == bootstrap.Full() {
+				// A NULL numeric operand ranges over the full line too.
+				v, settled := evalSettled(a, row, res)
+				null = null || (settled && v.IsNull())
+			}
 		} else {
 			args[i] = bootstrap.Full()
-			_, settled := evalSettled(a, row, res)
+			v, settled := evalSettled(a, row, res)
 			point = point && settled
+			null = null || (settled && v.IsNull())
 		}
 	}
 	if e.F.IntervalFn != nil {
+		if null && !e.F.SkipsNull {
+			return bootstrap.Full()
+		}
 		return e.F.IntervalFn(args)
 	}
 	if point {
