@@ -381,33 +381,64 @@ func checkResidualProjects(root plan.Node, an *plan.Analysis) error {
 	return err
 }
 
-// lateScan walks down from a certain select's child through joins to a
-// weighted streamed scan whose weights the select may draw after filtering,
-// and marks the joins on the way (opJoin.late). A join is passed when the
-// scan's side keeps no store, so its rows never enter state weight-free, and
-// the other side is complete (reads no streamed scan), so all the weights of
-// a joined row are the scan row's.
+// lateScan walks down from op through certain selects and joins to a
+// weighted streamed scan whose weights the top of that filter chain may draw
+// for just the rows that survive it, and marks what it passes: a select
+// reports its survivors' scan rows in output.prov instead of drawing
+// (opSelect.late), and a join reports its news' rows the same way
+// (opJoin.late) instead of drawing. A join is passed when the scan's side
+// keeps no store, so its rows never enter state weight-free, and the other
+// side is complete (plan.NodeInfo.Incomplete false), so all the weights of a
+// joined row are the scan row's. A select is passed when its predicate is
+// certain: it settles every row on arrival, so no scan row reaches its state
+// or its output unweighted.
 func (c *compiled) lateScan(op operator) *opScan {
 	switch o := op.(type) {
 	case *opScan:
 		if o.poisson != nil {
 			return o
 		}
+	case *opSelect:
+		if !o.predUncertain {
+			if sc := c.lateScan(o.child); sc != nil {
+				o.late, o.draw = true, nil
+				return sc
+			}
+		}
 	case *opJoin:
 		if o.lStore == nil && !c.analysis.Info[o.node.R.ID()].Incomplete {
 			if sc := c.lateScan(o.l); sc != nil {
-				o.late = lateL
+				o.late, o.draw = lateL, nil
 				return sc
 			}
 		}
 		if o.rStore == nil && !c.analysis.Info[o.node.L.ID()].Incomplete {
 			if sc := c.lateScan(o.r); sc != nil {
-				o.late = lateR
+				o.late, o.draw = lateR, nil
 				return sc
 			}
 		}
 	}
 	return nil
+}
+
+// drawLate makes op, a select or join just built, the drawer of the filter
+// chain it tops (lateScan): the scan below emits rows without weights, and op
+// draws the vectors of the rows it emits. Operators are built bottom-up, so a
+// drawer that a later parent passes becomes a link of that parent's chain, and
+// only the top of the chain draws.
+func (c *compiled) drawLate(op operator) {
+	sc := c.lateScan(op)
+	if sc == nil {
+		return
+	}
+	sc.lateDraw = true
+	switch o := op.(type) {
+	case *opSelect:
+		o.late, o.draw = false, sc
+	case *opJoin:
+		o.draw = sc
+	}
 }
 
 // build constructs the online operator for a plan node.
@@ -445,14 +476,8 @@ func (c *compiled) build(n plan.Node) (operator, error) {
 					}
 				}
 			}
-			// Draw late: the select weights only the scan rows it keeps. A
-			// certain predicate settles every row on arrival, so no scan row
-			// reaches state or the output unweighted.
-			if sc := c.lateScan(child); sc != nil {
-				sc.lateDraw = true
-				op.draw = sc
-			}
 		}
+		c.drawLate(op)
 		c.ops = append(c.ops, op)
 		return op, nil
 
@@ -490,6 +515,7 @@ func (c *compiled) build(n plan.Node) (operator, error) {
 			stub := &opSharedBuild{node: t.R}
 			c.ops = append(c.ops, stub)
 			op := &opJoin{node: t, l: l, r: stub, rStore: store, sharedR: true}
+			c.drawLate(op)
 			c.ops = append(c.ops, op)
 			return op, nil
 		}
@@ -498,6 +524,7 @@ func (c *compiled) build(n plan.Node) (operator, error) {
 			return nil, err
 		}
 		op := newOpJoin(t, l, r, cacheL, cacheR, c.spill)
+		c.drawLate(op)
 		c.ops = append(c.ops, op)
 		return op, nil
 

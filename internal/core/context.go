@@ -206,7 +206,7 @@ type batchContext struct {
 	vec bool
 	// slabs holds, by streamed table name, the slab of the first draw this
 	// batch that covered the table's whole batch (opScan.weigh). Every later
-	// weighted scan of the table, and a late-drawing select over one, slices
+	// weighted scan of the table, and a late drawer over one, slices
 	// its rows' vectors from it instead of drawing them again. It dies with
 	// the context, so a §5.1 replay or a shared entry's step never sees it.
 	slabs map[string]weightSlab

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"iolap/internal/delta"
@@ -82,8 +83,9 @@ func tapChildren(op operator, tap func(operator) operator) {
 }
 
 // TestSelectDrawsSurvivorWeights: a select directly over a streamed weighted
-// scan draws the weights of the rows it keeps, and the scan draws none; every
-// other weighted scan draws for all its rows. Either way every row leaving the
+// scan draws the weights of the rows it keeps, and the scan draws none; a join
+// of that scan with a complete side draws for the rows it emits; every other
+// weighted scan draws for all its rows. Either way every row leaving the
 // drawing operator carries the Knuth reference vector of its tuple's global
 // index, on the vectorized and row branches, at any worker count and cutover.
 func TestSelectDrawsSurvivorWeights(t *testing.T) {
@@ -98,33 +100,40 @@ func TestSelectDrawsSurvivorWeights(t *testing.T) {
 		query      string
 		sorted     bool
 		selectDraw bool // some select draws for its scan
+		joinDraw   bool // some join draws for its scan
 		scanDraw   bool // some scan draws for itself
 	}{
 		{"sorted_cut", fmt.Sprintf(`SELECT cdn, SUM(play_time) AS s FROM sessions WHERE buffer_time > %v GROUP BY cdn`, cut),
-			true, true, false},
+			true, true, false, false},
 		// Two selects over two scans of one table: a batch where the first
 		// keeps nothing must leave no slab for the second to slice.
 		{"sorted_cut_union", fmt.Sprintf(`SELECT play_time AS v FROM sessions WHERE buffer_time > %v
 			UNION ALL SELECT buffer_time AS v FROM sessions WHERE cdn = 'east'`, cut),
-			true, true, false},
-		{"flat_filter_agg", theoremQuery(t, "flat_filter_agg"), false, true, false},
-		{"union_all", theoremQuery(t, "union_all"), false, true, false},
-		{"flat_group_by", theoremQuery(t, "flat_group_by"), false, false, true},
-		{"join_dim_group", theoremQuery(t, "join_dim_group"), false, false, true},
-		{"nested_correlated", theoremQuery(t, "nested_correlated"), false, false, true},
+			true, true, false, false},
+		{"flat_filter_agg", theoremQuery(t, "flat_filter_agg"), false, true, false, false},
+		{"union_all", theoremQuery(t, "union_all"), false, true, false, false},
+		{"flat_group_by", theoremQuery(t, "flat_group_by"), false, false, false, true},
+		// The join tops its scan's filter chain: it draws for the rows it
+		// emits, each session once (every cdn has one region).
+		{"join_dim_group", theoremQuery(t, "join_dim_group"), false, false, true, false},
+		{"nested_correlated", theoremQuery(t, "nested_correlated"), false, false, false, true},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			for _, opts := range drawConfigs() {
 				name := fmt.Sprintf("w%d/novec=%v/cutover=%d", opts.Workers, opts.NoVectorize, opts.cutover)
-				checkDraws(t, name, c.query, c.sorted, c.selectDraw, c.scanDraw, opts)
+				checkDraws(t, name, c.query, c.sorted, [3]bool{c.selectDraw, c.joinDraw, c.scanDraw}, opts)
 			}
 		})
 	}
 }
 
-func checkDraws(t *testing.T, name, query string, sorted, wantSelectDraw, wantScanDraw bool, opts drawConfig) {
+// checkDraws runs query and checks which operators draw, against want: some
+// select draws, some join draws, some scan draws for itself. The drawing
+// operators' rows, and the drawing scans', must carry the reference vectors
+// of the session in their first column.
+func checkDraws(t *testing.T, name, query string, sorted bool, want [3]bool, opts drawConfig) {
 	t.Helper()
 	db := testDB(240, 11)
 	if sorted {
@@ -139,8 +148,9 @@ func checkDraws(t *testing.T, name, query string, sorted, wantSelectDraw, wantSc
 	if err != nil {
 		t.Fatalf("%s: engine: %v", name, err)
 	}
-	// drawTaps[i] sits above the select whose scan lateTaps[i] taps.
+	// drawTaps[i] sits above the drawer whose scan lateTaps[i] taps.
 	var scanTaps, drawTaps, lateTaps []*tapOp
+	selects, joins := 0, 0
 	for _, op := range eng.comp.ops {
 		tapChildren(op, func(child operator) operator {
 			tp := &tapOp{operator: child}
@@ -158,6 +168,13 @@ func checkDraws(t *testing.T, name, query string, sorted, wantSelectDraw, wantSc
 				if o.draw == nil {
 					return child
 				}
+				selects++
+				drawTaps = append(drawTaps, tp)
+			case *opJoin:
+				if o.draw == nil {
+					return child
+				}
+				joins++
 				drawTaps = append(drawTaps, tp)
 			default:
 				return child
@@ -168,15 +185,15 @@ func checkDraws(t *testing.T, name, query string, sorted, wantSelectDraw, wantSc
 	if _, err := eng.Run(); err != nil {
 		t.Fatalf("%s: run: %v", name, err)
 	}
-	if (len(drawTaps) > 0) != wantSelectDraw || (len(scanTaps) > 0) != wantScanDraw || len(lateTaps) != len(drawTaps) {
-		t.Fatalf("%s: %d drawing selects over %d late scans, %d drawing scans; want selects %v, scans %v",
-			name, len(drawTaps), len(lateTaps), len(scanTaps), wantSelectDraw, wantScanDraw)
+	if got := [3]bool{selects > 0, joins > 0, len(scanTaps) > 0}; got != want || len(lateTaps) != len(drawTaps) {
+		t.Fatalf("%s: %d drawing selects and %d drawing joins over %d late scans, %d drawing scans; want selects, joins, scans %v",
+			name, selects, joins, len(lateTaps), len(scanTaps), want)
 	}
 	for _, tp := range lateTaps {
 		for _, rows := range tp.steps {
 			for _, r := range rows {
 				if r.W != nil {
-					t.Fatalf("%s: a scan below a drawing select emitted weights", name)
+					t.Fatalf("%s: a scan below a drawing operator emitted weights", name)
 				}
 			}
 		}
@@ -207,18 +224,26 @@ func checkDraws(t *testing.T, name, query string, sorted, wantSelectDraw, wantSc
 	}
 }
 
-// TestSelectDrawsThroughJoins: a certain select over a chain of joins down to
-// a streamed weighted scan draws the weights of the joined rows it keeps, and
-// the scan draws none (compile's lateScan, output.prov). Every survivor carries
-// the Knuth reference vector of the session it was joined from, with the
-// streamed side left, right (batch 1 builds on the streamed rows), matched 1:n,
-// two joins deep, against a frozen shared build side, and under a nested
-// query whose sorted arrival forces §5.1 recoveries; sorted arrival with a cut
-// also gives batches where the select keeps nothing. In repeats_fill_batch a
-// 1:n join hands the select exactly a batch's count of survivors, each session
-// twice: that draw must not become the table's slab for the whole-batch scan
-// stepping after it.
-func TestSelectDrawsThroughJoins(t *testing.T) {
+// joinDrawCase is a join of the streamed sessions with static dimensions
+// whose filter chain ends in a late draw. cross is a conjunct over both sides
+// of a join: it stays above the joins, so with it a select tops the chain and
+// draws through the joins, and without it the top join draws.
+type joinDrawCase struct {
+	name, query, cross string
+	prep               func(*exec.DB) // fixture rewrite, if any
+	shared             bool
+	none, recoveries   bool // want a batch that keeps nothing / a recovery
+}
+
+// joinDrawCases have the streamed side left, right (batch 1 builds on the
+// streamed rows), matched 1:n, two joins deep, against a frozen shared build
+// side, and under a nested query whose sorted arrival forces §5.1 recoveries;
+// sorted arrival with a cut also gives batches where the drawer keeps
+// nothing. In repeats_fill_batch a 1:n join hands the drawer exactly a batch's
+// count of rows, each east session twice: that draw must not become the
+// table's slab for the whole-batch scan stepping after it, so its cross
+// conjunct keeps every row.
+func joinDrawCases(t *testing.T) []joinDrawCase {
 	sorted := testDB(240, 11)
 	sortSessionsByBufferTime(sorted)
 	sessions, _ := sorted.Get("sessions")
@@ -227,45 +252,62 @@ func TestSelectDrawsThroughJoins(t *testing.T) {
 	for _, q := range lateJoinQueries {
 		late[q.name] = q.query
 	}
-	cases := []struct {
-		name             string
-		query            string
-		prep             func(*exec.DB) // fixture rewrite, if any
-		shared           bool
-		none, recoveries bool // want a batch that keeps nothing / a recovery
-	}{
+	const sc, st = `(c.region = 'us-east' OR s.play_time > 200)`, `(t.tag = 'video' OR s.play_time > 200)`
+	return []joinDrawCase{
 		{name: "pending_l_cut", query: fmt.Sprintf(`SELECT c.region, SUM(s.play_time) AS spt FROM sessions s, cdns c
 			WHERE s.cdn = c.cdn AND c.region <> 'europe' AND s.buffer_time > %v GROUP BY c.region`, cut),
-			prep: sortSessionsByBufferTime, none: true},
-		{name: "pending_l", query: late["pending_l"]},
-		{name: "pending_r", query: late["pending_r"]},
-		{name: "one_to_many", query: late["one_to_many"]},
-		{name: "two_joins", query: late["two_joins"]},
-		{name: "shared_build", query: late["pending_l"], shared: true},
+			cross: sc, prep: sortSessionsByBufferTime, none: true},
+		{name: "pending_l", query: late["pending_l"], cross: sc},
+		{name: "pending_r", query: late["pending_r"], cross: sc},
+		{name: "one_to_many", query: late["one_to_many"], cross: st},
+		{name: "two_joins", query: late["two_joins"], cross: `(c.region = 'us-east' OR t.tag = 'live' OR s.play_time > 200)`},
+		{name: "shared_build", query: late["pending_l"], cross: sc, shared: true},
 		{name: "nested_recovery", query: `SELECT AVG(s.play_time) AS apt FROM sessions s, cdns c
 			WHERE s.cdn = c.cdn AND c.region <> 'europe' AND s.buffer_time > (SELECT AVG(buffer_time) FROM sessions)`,
-			prep: sortSessionsByBufferTime, recoveries: true},
+			cross: sc, prep: sortSessionsByBufferTime, recoveries: true},
 		{name: "repeats_fill_batch", query: `SELECT s.session_id AS id, s.play_time AS v FROM sessions s, tags t
 			WHERE s.cdn = t.cdn AND s.cdn = 'east' UNION ALL SELECT session_id AS id, buffer_time AS v FROM sessions`,
-			prep: alternateEastWest},
+			cross: `t.tag <> s.session_id`, prep: alternateEastWest},
 	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			var none bool
-			recoveries := 0
-			for _, opts := range drawConfigs() {
-				n, rec := checkJoinDraws(t, c.query, c.prep, c.shared, opts)
-				none = none || n
-				recoveries += rec
-			}
-			if c.none && !none {
-				t.Error("no batch where the select keeps nothing")
-			}
-			if c.recoveries && recoveries == 0 {
-				t.Error("sorted arrival forced no recovery")
-			}
-		})
+}
+
+// TestSelectDrawsThroughJoins: a certain select over a chain of joins, and of
+// the selects pushed below them, down to a streamed weighted scan draws the
+// weights of the joined rows it keeps, and the scan draws none (compile's
+// lateScan, output.prov). Every survivor carries the Knuth reference vector of
+// the session it was joined from.
+func TestSelectDrawsThroughJoins(t *testing.T) {
+	for _, c := range joinDrawCases(t) {
+		c.query = strings.Replace(c.query, "WHERE ", "WHERE "+c.cross+" AND ", 1)
+		t.Run(c.name, func(t *testing.T) { checkJoinDrawCase(t, c, false) })
+	}
+}
+
+// TestJoinDrawsChainTop: without a filter above the joins, the join that tops
+// the chain draws the weights of the rows it emits, the selects pushed below
+// it and the scan draw none, and every emitted row carries the Knuth
+// reference vector of the session it was joined from.
+func TestJoinDrawsChainTop(t *testing.T) {
+	for _, c := range joinDrawCases(t) {
+		t.Run(c.name, func(t *testing.T) { checkJoinDrawCase(t, c, true) })
+	}
+}
+
+// checkJoinDrawCase runs c in every drawConfigs cell, with a join as the
+// drawer when join is set and a select otherwise.
+func checkJoinDrawCase(t *testing.T, c joinDrawCase, join bool) {
+	var none bool
+	recoveries := 0
+	for _, opts := range drawConfigs() {
+		n, rec := checkJoinDraws(t, c.query, c.prep, c.shared, join, opts)
+		none = none || n
+		recoveries += rec
+	}
+	if c.none && !none {
+		t.Error("no batch where the drawer keeps nothing")
+	}
+	if c.recoveries && recoveries == 0 {
+		t.Error("sorted arrival forced no recovery")
 	}
 }
 
@@ -278,12 +320,13 @@ func alternateEastWest(db *exec.DB) {
 	}
 }
 
-// checkJoinDraws runs query and checks that some select draws through a join,
-// that its scan emits no weights, and that every row the select emits, and
-// every row of a scan that weighs its whole batch, carries its session's
-// reference vector. It reports whether a step of the select kept nothing of a
-// non-empty scan batch, and the engine's recoveries.
-func checkJoinDraws(t *testing.T, query string, prep func(*exec.DB), shared bool, opts drawConfig) (none bool, recoveries int) {
+// checkJoinDraws runs query and checks that a join (join set) or a select
+// over a join draws through a late join, that its scan and the late selects
+// below it emit no weights, and that every row the drawer emits, and every
+// row of a scan that weighs its whole batch, carries its session's reference
+// vector. It reports whether a step of the drawer kept nothing of a non-empty
+// scan batch, and the engine's recoveries.
+func checkJoinDraws(t *testing.T, query string, prep func(*exec.DB), shared, join bool, opts drawConfig) (none bool, recoveries int) {
 	t.Helper()
 	name := fmt.Sprintf("w%d/novec=%v/cutover=%d", opts.Workers, opts.NoVectorize, opts.cutover)
 	db := testDB(240, 11)
@@ -305,8 +348,17 @@ func checkJoinDraws(t *testing.T, query string, prep func(*exec.DB), shared bool
 	defer eng.Close()
 	throughJoin, sharedLate := false, false
 	var scanTap, drawTap *tapOp
-	var wholeTaps []*tapOp
-	id := -1 // session_id's column in the drawing select's rows
+	var wholeTaps, passTaps []*tapOp
+	id := -1 // session_id's column in the drawer's rows
+	drawer := func(child operator, schema rel.Schema) operator {
+		drawTap = &tapOp{operator: child}
+		for i, col := range schema {
+			if col.Name == "session_id" {
+				id = i
+			}
+		}
+		return drawTap
+	}
 	for _, op := range eng.comp.ops {
 		if j, ok := op.(*opJoin); ok && j.late != lateNone {
 			throughJoin = true
@@ -325,22 +377,26 @@ func checkJoinDraws(t *testing.T, query string, prep func(*exec.DB), shared bool
 					return tp
 				}
 			case *opSelect:
-				if _, isJoin := o.child.(*opJoin); isJoin && o.draw != nil {
-					drawTap = &tapOp{operator: child}
-					for i, col := range o.node.Schema() {
-						if col.Name == "session_id" {
-							id = i
-						}
-					}
-					return drawTap
+				if o.late {
+					tp := &tapOp{operator: child}
+					passTaps = append(passTaps, tp)
+					return tp
+				}
+				if _, isJoin := o.child.(*opJoin); isJoin && o.draw != nil && !join {
+					return drawer(child, o.node.Schema())
+				}
+			case *opJoin:
+				if o.draw != nil && join {
+					return drawer(child, o.node.Schema())
 				}
 			}
 			return child
 		})
 	}
+	kind := map[bool]string{false: "select", true: "join"}[join]
 	if !throughJoin || drawTap == nil || scanTap == nil || id < 0 {
-		t.Fatalf("%s: no select draws through a join (late join %v, drawing select %v, late scan %v)",
-			name, throughJoin, drawTap != nil, scanTap != nil)
+		t.Fatalf("%s: no %s draws through a join (late join %v, drawing %s %v, late scan %v)",
+			name, kind, throughJoin, kind, drawTap != nil, scanTap != nil)
 	}
 	if shared && !sharedLate {
 		t.Fatalf("%s: the late join does not probe a frozen shared build side", name)
@@ -348,12 +404,16 @@ func checkJoinDraws(t *testing.T, query string, prep func(*exec.DB), shared bool
 	if _, err := eng.Run(); err != nil {
 		t.Fatalf("%s: run: %v", name, err)
 	}
-	for s, rows := range scanTap.steps {
-		for _, r := range rows {
-			if r.W != nil {
-				t.Fatalf("%s: the scan below a drawing select emitted weights", name)
+	for _, tp := range append([]*tapOp{scanTap}, passTaps...) {
+		for _, rows := range tp.steps {
+			for _, r := range rows {
+				if r.W != nil {
+					t.Fatalf("%s: %s below the drawing %s emitted weights", name, tp.operator.kind(), kind)
+				}
 			}
 		}
+	}
+	for s, rows := range scanTap.steps {
 		none = none || (len(rows) > 0 && len(drawTap.steps[s]) == 0)
 	}
 	check := func(tp *tapOp, id int) {

@@ -29,11 +29,15 @@ type opJoin struct {
 	// §5.1 replay touches it once (at probe time), not per session.
 	sharedR bool
 	// late is the side (lateL or lateR; lateNone for neither) whose news
-	// come weight-free from a scan that a select above draws for
-	// (compiled.build). That side keeps no store and the other holds no
-	// streamed scan, so every news row of the join is built from one late
+	// come weight-free from a scan that the top of the filter chain draws
+	// for (compiled.lateScan). That side keeps no store and the other holds
+	// no streamed scan, so every news row of the join is built from one late
 	// row, and the join reports which in output.prov.
 	late lateSide
+	// draw, when non-nil, is that scan when this join tops the chain
+	// (compiled.drawLate): the join weights its own news (opScan.weigh), so
+	// no vector is drawn for a scan row the join drops.
+	draw *opScan
 }
 
 type lateSide uint8
@@ -210,7 +214,8 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 			m += r.SizeBytes()
 		}
 		// The model ships weights with the tuples: a late side's rows are
-		// charged their B weights though the select above draws them later.
+		// charged their B weights though the chain's drawer, this join or
+		// an operator above it, draws them later.
 		switch o.late {
 		case lateL:
 			n += 8 * bc.trials * len(lo.news)
@@ -246,6 +251,10 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 			newR.AddBatch(ro.news, false, bc.run.Gate(cluster.CostJoinBuild, len(ro.news)))
 			o.probeNews(&out, lo, o.late == lateL, lKeys, newR, true, bc)
 		}
+	}
+	if o.draw != nil {
+		// News k is built from row out.prov[k] of the scan's batch.
+		o.draw.weigh(bc, out.news, out.prov)
 	}
 	// Fold this batch's certain rows into the stores, which share them
 	// (delta.Row: rows are immutable).

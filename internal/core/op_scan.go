@@ -16,10 +16,10 @@ type opScan struct {
 	next    uint64                   // per-table tuple index for weight derivation
 	base    uint64                   // tuple index of the current batch's first row
 	done    bool                     // static side fully emitted
-	// lateDraw marks a weighted scan whose weights a select above it draws
-	// for just the rows it keeps, directly or through joins (compiled.build):
-	// the scan then emits rows without W, and the select never draws a
-	// vector it would discard.
+	// lateDraw marks a weighted scan whose weights the top of its filter
+	// chain, a select or a join above it, draws for just the rows that
+	// survive the chain (compiled.drawLate): the scan then emits rows without
+	// W, and no vector is drawn for a row a filter would discard.
 	lateDraw bool
 }
 
@@ -88,8 +88,8 @@ func (o *opScan) kind() string             { return "scan" }
 
 // weigh gives rows their weight vectors, where rows[k] is built from row
 // idx[k] of this scan's batch (row k when idx is nil): the scan weighs its
-// whole batch, a late-drawing select just its survivors. Through a 1:n join
-// idx may repeat a row. A table's batch is drawn in full at most once: if an
+// whole batch, a late drawer just the rows it emits. Through a 1:n join idx
+// may repeat a row. A table's batch is drawn in full at most once: if an
 // earlier scan of the table drew this batch's slab, the vectors are capped
 // sub-slices of it. Otherwise they are drawn here, and a draw of exactly rows
 // 0..n-1 in order becomes the table's slab for the rest of the batch. Every

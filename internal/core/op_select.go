@@ -30,11 +30,14 @@ type opSelect struct {
 	need  []bool
 	state delta.RowSet // the non-deterministic set U_i
 	// draw, when non-nil, is the streamed weighted scan below, directly or
-	// through joins, whose rows this select weights after filtering
-	// (compiled.build): survivors get their vectors here (opScan.weigh),
-	// dropped rows never get one. keep is the scratch of the survivors'
-	// scan-batch rows, reused across batches.
+	// through joins and selects, whose rows this select weights after
+	// filtering (compiled.drawLate): survivors get their vectors here
+	// (opScan.weigh), dropped rows never get one. late marks a select further
+	// down such a chain, below the operator that draws: it reports its
+	// survivors' scan-batch rows in output.prov instead. keep is the scratch
+	// of those rows, reused across batches.
 	draw *opScan
+	late bool
 	keep []int32
 }
 
@@ -166,6 +169,9 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 			}
 		}
 		o.keep = sel
+		if o.late {
+			out.prov = sel
+		}
 		if o.draw != nil {
 			// Survivor k is built from row sel[k] of the scan's batch: its
 			// vector is sliced from the table's batch slab if another scan

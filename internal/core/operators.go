@@ -16,10 +16,11 @@ import "iolap/internal/delta"
 type output struct {
 	news []delta.Row
 	unc  []delta.Row
-	// prov is set on the path from a late-drawn scan up through joins to the
-	// select that draws for it (compiled.build): news[j] is built from row
-	// prov[j] of the scan's batch; nil means the identity (row j). It travels
-	// beside the rows, not in delta.Row, so no other row grows by a word.
+	// prov is set on the path from a late-drawn scan up through selects and
+	// joins to the operator that draws for it (compiled.drawLate): news[j] is
+	// built from row prov[j] of the scan's batch; nil means the identity (row
+	// j). It travels beside the rows, not in delta.Row, so no other row grows
+	// by a word.
 	prov []int32
 }
 

@@ -23,6 +23,14 @@ func splitConjuncts(e ExprNode) []ExprNode {
 	return []ExprNode{e}
 }
 
+// splitDisjuncts flattens an OR tree into its disjuncts.
+func splitDisjuncts(e ExprNode) []ExprNode {
+	if b, ok := e.(*BinOp); ok && b.Op == "OR" {
+		return append(splitDisjuncts(b.L), splitDisjuncts(b.R)...)
+	}
+	return []ExprNode{e}
+}
+
 // hasSubquery reports whether the expression contains a subquery operand.
 func hasSubquery(e ExprNode) bool {
 	found := false
@@ -371,15 +379,31 @@ func compileLike(pattern string) func(string) bool {
 // ---------------------------------------------------------------------------
 // Subquery conjuncts (nested aggregates)
 
+// filteredEntry is a static base-table FROM entry and the WHERE conjuncts
+// pushed onto it (planFromJoin). A correlated scalar subquery whose outer
+// column it supplies semi-joins on it (decorrelate).
+type filteredEntry struct {
+	ref    TableRef
+	schema rel.Schema
+	conjs  []ExprNode
+}
+
+// outerScope is what a WHERE block offers its scalar subqueries: the schema
+// their outer columns resolve in and the block's filtered entries.
+type outerScope struct {
+	schema   rel.Schema
+	filtered []filteredEntry
+}
+
 // attachSubqueryConjunct joins a WHERE conjunct containing a subquery into
-// the current tree:
+// the current tree; filtered are the block's filtered entries:
 //
 //   - x IN (SELECT ...)       -> equi-join against the deduplicated subquery
 //   - e cmp (SELECT agg ...)  -> join (cross or decorrelated) + comparison
-func (pl *Planner) attachSubqueryConjunct(node plan.Node, c ExprNode) (plan.Node, error) {
+func (pl *Planner) attachSubqueryConjunct(node plan.Node, c ExprNode, filtered []filteredEntry) (plan.Node, error) {
 	t, ok := c.(*InExpr)
 	if !ok {
-		return pl.attachScalarComparison(node, c, nil, node.Schema())
+		return pl.attachScalarComparison(node, c, nil, &outerScope{schema: node.Schema(), filtered: filtered})
 	}
 	if t.Sub == nil {
 		// The subquery is the probe of a literal IN list.
@@ -442,7 +466,7 @@ func requalify(n plan.Node, q string) {
 // an equality-correlated subquery joins on its correlation columns. HAVING
 // passes aggMap to lower the other operand and no scope, so its subqueries
 // must be uncorrelated (a cross join).
-func (pl *Planner) attachScalarComparison(node plan.Node, c ExprNode, aggMap map[string]int, scope rel.Schema) (plan.Node, error) {
+func (pl *Planner) attachScalarComparison(node plan.Node, c ExprNode, aggMap map[string]int, scope *outerScope) (plan.Node, error) {
 	b, ok := c.(*BinOp)
 	if !ok {
 		return nil, fmt.Errorf("sql: unsupported subquery conjunct %T", c)
@@ -485,11 +509,11 @@ func (pl *Planner) attachScalarComparison(node plan.Node, c ExprNode, aggMap map
 	return plan.NewSelect(joined, expr.NewCmp(op, l, valCol)), nil
 }
 
-// planScalarSubquery plans a scalar subquery whose enclosing block has the
-// schema scope (nil when it may not correlate). It returns the plan, whose
-// output is the correlation keys followed by the value, and the enclosing
-// block's columns those keys join on.
-func (pl *Planner) planScalarSubquery(stmt *SelectStmt, scope rel.Schema) (plan.Node, []*Ident, error) {
+// planScalarSubquery plans a scalar subquery whose enclosing block offers
+// scope (nil when it may not correlate). It returns the plan, whose output is
+// the correlation keys followed by the value, and the enclosing block's
+// columns those keys join on.
+func (pl *Planner) planScalarSubquery(stmt *SelectStmt, scope *outerScope) (plan.Node, []*Ident, error) {
 	var outerIdents []*Ident
 	if scope != nil && stmt.UnionAll == nil && stmt.Having == nil && len(stmt.GroupBy) == 0 {
 		var err error
@@ -511,8 +535,14 @@ func (pl *Planner) planScalarSubquery(stmt *SelectStmt, scope rel.Schema) (plan.
 // planner plans like any other (Appendix B, Eq. 4): each inner = outer
 // conjunct leaves the WHERE clause, its inner column becomes a GROUP BY key
 // selected ahead of the value, and its outer column is returned for the
-// caller to join on. An uncorrelated subquery comes back unchanged.
-func (pl *Planner) decorrelate(stmt *SelectStmt, scope rel.Schema) (*SelectStmt, []*Ident, error) {
+// caller to join on. When the outer column comes from a filtered entry of
+// the enclosing block, the rewrite also keeps only the inner rows whose key
+// that entry's filtered rows hold: inner IN (SELECT outer FROM entry WHERE
+// its pushed conjuncts). Every group the outer join reads keeps all its rows,
+// the others are never folded, and the IN path deduplicates, so a dimension
+// with repeated keys multiplies no inner row. An uncorrelated subquery comes
+// back unchanged.
+func (pl *Planner) decorrelate(stmt *SelectStmt, scope *outerScope) (*SelectStmt, []*Ident, error) {
 	inner := rel.Schema{}
 	for _, ref := range stmt.From {
 		n, err := pl.planTableRef(ref)
@@ -524,7 +554,7 @@ func (pl *Planner) decorrelate(stmt *SelectStmt, scope rel.Schema) (*SelectStmt,
 	out := &SelectStmt{From: stmt.From, Limit: -1, aggPrefix: "sub_"}
 	var outerIdents []*Ident
 	for _, c := range splitConjuncts(stmt.Where) {
-		in, outer, ok := correlation(c, inner, scope)
+		in, outer, ok := correlation(c, inner, scope.schema)
 		if !ok {
 			out.Where = conjoin(out.Where, c)
 			continue
@@ -533,6 +563,15 @@ func (pl *Planner) decorrelate(stmt *SelectStmt, scope rel.Schema) (*SelectStmt,
 		out.GroupBy = append(out.GroupBy, in)
 		out.Items = append(out.Items, SelectItem{Expr: in, Alias: inner[idx].Name})
 		outerIdents = append(outerIdents, outer)
+		for _, f := range scope.filtered {
+			if _, err := f.schema.Resolve(outer.Qual, outer.Name); err == nil {
+				keys := &SelectStmt{Items: []SelectItem{{Expr: outer}}, From: []TableRef{f.ref}, Limit: -1}
+				for _, fc := range f.conjs {
+					keys.Where = conjoin(keys.Where, fc)
+				}
+				out.Where = conjoin(out.Where, &InExpr{E: in, Sub: keys})
+			}
+		}
 	}
 	if len(outerIdents) == 0 {
 		return stmt, nil, nil

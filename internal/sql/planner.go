@@ -241,6 +241,8 @@ func (pl *Planner) planSingle(stmt *SelectStmt) (plan.Node, error) {
 
 // planFromJoin builds the join tree over the FROM list, consuming equi-join
 // and residual WHERE conjuncts; subquery conjuncts are attached afterwards.
+// A residual conjunct that reads columns of one FROM entry only filters that
+// entry before it joins (pushConjuncts); the rest filter the joined tree.
 func (pl *Planner) planFromJoin(stmt *SelectStmt) (plan.Node, error) {
 	type fromEntry struct {
 		node plan.Node
@@ -292,6 +294,28 @@ func (pl *Planner) planFromJoin(stmt *SelectStmt) (plan.Node, error) {
 			}
 		}
 		residual = append(residual, c)
+	}
+	// 1b. Conjuncts below joins: each entry filters itself first.
+	pushed, residual := pushConjuncts(residual, len(entries), func(id *Ident) int {
+		idx, err := fullSchema.Resolve(id.Qual, id.Name)
+		if err != nil {
+			return -1
+		}
+		return tableIdx(idx)
+	})
+	var filtered []filteredEntry
+	for i, conjs := range pushed {
+		if len(conjs) == 0 {
+			continue
+		}
+		pred, err := pl.lowerConjuncts(conjs, entries[i].node.Schema(), nil)
+		if err != nil {
+			return nil, err
+		}
+		entries[i].node = plan.NewSelect(entries[i].node, pred)
+		if ref := stmt.From[i]; ref.Subquery == nil && !pl.cat.Streamed(ref.Table) {
+			filtered = append(filtered, filteredEntry{ref: ref, schema: entries[i].node.Schema(), conjs: conjs})
+		}
 	}
 	// 2. Left-deep join, greedily preferring tables connected to the
 	// current tree by an equi-join predicate (avoids accidental cross
@@ -402,12 +426,85 @@ func (pl *Planner) planFromJoin(stmt *SelectStmt) (plan.Node, error) {
 	// subquery's aggregate output into the tree, Figure 2(a) style.
 	for _, c := range subqueryConjs {
 		var err error
-		node, err = pl.attachSubqueryConjunct(node, c)
+		node, err = pl.attachSubqueryConjunct(node, c, filtered)
 		if err != nil {
 			return nil, err
 		}
 	}
 	return node, nil
+}
+
+// pushConjuncts places residual conjuncts for a FROM list of n entries, where
+// entry resolves a column to the entry it reads (-1 when it resolves to
+// none). A conjunct whose columns all come from one entry goes onto it. The
+// rest stay above the joins: one that reads no column, one that reads two
+// entries, and one whose column does not resolve (lowering reports it). An
+// OR that stays above also implies, for each entry t, the OR of every
+// disjunct's conjuncts on t when each disjunct has some (TPC-H Q7's
+// n1.n_name and n2.n_name); that implied OR goes onto t as well.
+func pushConjuncts(conjs []ExprNode, n int, entry func(*Ident) int) (pushed [][]ExprNode, above []ExprNode) {
+	pushed = make([][]ExprNode, n)
+	for _, c := range conjs {
+		if t := soleEntry(c, entry); t >= 0 {
+			pushed[t] = append(pushed[t], c)
+			continue
+		}
+		above = append(above, c)
+		for t := range pushed {
+			if implied := impliedOn(c, t, entry); implied != nil {
+				pushed[t] = append(pushed[t], implied)
+			}
+		}
+	}
+	return pushed, above
+}
+
+// soleEntry is the one FROM entry whose columns e reads, or -1 when e reads
+// none, several, or a column that resolves nowhere.
+func soleEntry(e ExprNode, entry func(*Ident) int) int {
+	t, ok := -1, true
+	inspect(e, func(n ExprNode) bool {
+		if id, isID := n.(*Ident); isID {
+			switch i := entry(id); {
+			case i < 0 || (t >= 0 && i != t):
+				ok = false
+			default:
+				t = i
+			}
+		}
+		return ok
+	})
+	if !ok {
+		return -1
+	}
+	return t
+}
+
+// impliedOn is the predicate on entry t that an OR implies: the OR over its
+// disjuncts of each one's conjuncts on t alone. It is nil when c is not an
+// OR or some disjunct constrains t with none of its conjuncts.
+func impliedOn(c ExprNode, t int, entry func(*Ident) int) ExprNode {
+	if b, ok := c.(*BinOp); !ok || b.Op != "OR" {
+		return nil
+	}
+	var out ExprNode
+	for _, d := range splitDisjuncts(c) {
+		var part ExprNode
+		for _, dc := range splitConjuncts(d) {
+			if soleEntry(dc, entry) == t {
+				part = conjoin(part, dc)
+			}
+		}
+		if part == nil {
+			return nil
+		}
+		if out == nil {
+			out = part
+		} else {
+			out = &BinOp{Op: "OR", L: out, R: part}
+		}
+	}
+	return out
 }
 
 // finishSelect applies aggregation, HAVING and the final projection.
