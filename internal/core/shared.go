@@ -123,10 +123,11 @@ func (c *compiled) acquireSharedBuild(t *plan.Join, cacheL, cacheR bool) (*delta
 	if c.opts.SharedState == nil {
 		return nil, false, nil
 	}
-	// A static, certain build side: it reads no streamed scan and no
-	// aggregate, whose outputs can be uncertain and batch-coupled.
+	// A static, certain build side: it reads no streamed scan, so no
+	// aggregate below it runs on incomplete data (whose outputs can be
+	// uncertain and batch-coupled).
 	r := c.analysis.Info[t.R.ID()]
-	if !cacheR || cacheL || len(t.RKeys) == 0 || r.Incomplete || r.Aggregated {
+	if !cacheR || cacheL || len(t.RKeys) == 0 || r.Incomplete {
 		return nil, false, nil
 	}
 	key := fmt.Sprintf("join|rk=%v|%s", t.RKeys, share.Fingerprint(t.R))
@@ -367,7 +368,8 @@ func (o *opSharedAgg) kind() string    { return "agg-shared" }
 //     budget arithmetic callers rely on — inner subquery aggregates are
 //     where the overlap win lives);
 //   - ModeIOLAP, caller-supplied schedule (the serving engine), a subtree
-//     that reads the plan's streamed table and no aggregate below the root;
+//     that reads the plan's streamed table and no aggregate over incomplete
+//     data below the root (plan.NodeInfo.Aggregated);
 //   - the cache key carries every parameter that shapes the state: the
 //     canonical subtree fingerprint, seed/trials/slack/min-support, range
 //     tracking, and the schedule identity (table, batch count, total rows).

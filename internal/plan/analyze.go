@@ -30,7 +30,10 @@ type NodeInfo struct {
 	// grows; a grouped aggregate grows when its input is incomplete or
 	// tuple-uncertain; a global aggregate's single row exists from batch 1.
 	Grows bool
-	// Aggregated is true when an aggregate sits at or below the operator.
+	// Aggregated is true when an aggregate over incomplete data sits at or
+	// below the operator. An aggregate over complete data (an IN subquery's
+	// deduplicated static keys, say) is as certain and static as a base
+	// table, so it does not count.
 	Aggregated bool
 }
 
@@ -194,7 +197,7 @@ func (a *Analysis) analyzeNode(n Node) error {
 		}
 		info.Incomplete = child.Incomplete
 		info.Grows = len(t.GroupBy) > 0 && (child.Incomplete || child.TupleUncertain)
-		info.Aggregated = true
+		info.Aggregated = child.Incomplete
 		// A group's existence is certain once any certain-multiplicity
 		// input tuple contributes (u# = AND over the group). At compile
 		// time this is refined per group at runtime; conservatively the

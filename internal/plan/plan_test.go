@@ -213,6 +213,9 @@ func TestStaticScanIsComplete(t *testing.T) {
 	if an.Info[root.ID()].UncertainCols[0] {
 		t.Error("aggregate over a fully-read static table is exact")
 	}
+	if an.Info[root.ID()].Aggregated {
+		t.Error("aggregate over a fully-read static table counts as Aggregated")
+	}
 }
 
 func TestUncertainGroupByRejected(t *testing.T) {
