@@ -16,8 +16,8 @@ const compileShapeGoldenPath = "testdata/compile_shape.golden"
 // query, under ModeIOLAP and ModeHDA and as two serving sessions on one
 // share.Cache and schedule: per plan whether it tracks variation ranges, and
 // per operator its kind, which join sides keep a store, the late-drawn join
-// side, whether a select draws and whether a build or an aggregate is
-// shared. A shared aggregate lists the operators of its cache entry below
+// side, which select or join draws and which select reports its survivors
+// to a drawer above, and whether a build or an aggregate is shared. A shared aggregate lists the operators of its cache entry below
 // it. The trajectory goldens hold what the operators compute; this file holds
 // which operators compile chose, so a refactor of compile that keeps every
 // decision leaves it byte-identical. Under ModeIOLAP it also checks the
@@ -115,6 +115,9 @@ func writeOpShapes(b *strings.Builder, indent string, ops []operator) {
 			if o.vec != nil {
 				b.WriteString(" columnar")
 			}
+			if o.late {
+				b.WriteString(" late")
+			}
 			if o.draw != nil {
 				b.WriteString(" draws")
 			}
@@ -133,6 +136,9 @@ func writeOpShapes(b *strings.Builder, indent string, ops []operator) {
 			}
 			if o.sharedR {
 				b.WriteString(" sharedR")
+			}
+			if o.draw != nil {
+				b.WriteString(" draws")
 			}
 		case *opAgg:
 			if o.trackRanges {
