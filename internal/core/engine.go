@@ -98,6 +98,7 @@ type Engine struct {
 	snaps     []engineSnap
 	base      engineSnap
 	keepSnaps int // len(snaps) bound: snapshotKeep, lowered by tests
+	observed  int // Range.Observe calls of the last batch's final attempt (recoverySnapshot)
 	metrics   cluster.Metrics
 	// run schedules the row-parallel sites of every batch; it lives on the
 	// engine (not the batch context, not the package) so its cost model keeps
@@ -121,8 +122,8 @@ type Engine struct {
 }
 
 type engineSnap struct {
-	afterBatch int // state is "after batch N" (0 = pristine)
-	ops        []interface{}
+	afterBatch int           // state is "after batch N" (0 = pristine)
+	ops        []interface{} // nil: no recovery can restore this batch
 	seenRows   int
 }
 
@@ -266,7 +267,26 @@ func (e *Engine) takeSnapshot(afterBatch int) engineSnap {
 	return s
 }
 
+// recoverySnapshot is the snapshot list's entry for the state after batch
+// e.batch. It holds operator state only if a recovery can restore it:
+//   - an integrity failure restores the batch that labelled an earlier
+//     observation (bootstrap.Range.Observe): one that observed a range;
+//   - a failed Enforce restores the previous batch, observed or not: under a
+//     state budget, every batch.
+//
+// Batch 0 is e.base. Any other entry holds no state but stays in the list,
+// so keepSnaps evicts by the batch count.
+func (e *Engine) recoverySnapshot() engineSnap {
+	if e.batch > 0 && (e.observed > 0 || e.opts.StateBudgetBytes != 0) {
+		return e.takeSnapshot(e.batch)
+	}
+	return engineSnap{afterBatch: e.batch, seenRows: e.seenRows}
+}
+
 func (e *Engine) restoreSnapshot(s engineSnap) {
+	if s.ops == nil {
+		panic(fmt.Sprintf("core: restore of the snapshot after batch %d, which holds no state", s.afterBatch))
+	}
 	for i, op := range e.comp.ops {
 		op.restore(s.ops[i])
 	}
@@ -329,8 +349,7 @@ func (e *Engine) Step() (u *Update, err error) {
 	// variation ranges can never fail an integrity check, so they skip
 	// the snapshot cost entirely.
 	if e.comp.trackRanges {
-		snap := e.takeSnapshot(e.batch)
-		e.snaps = append(e.snaps, snap)
+		e.snaps = append(e.snaps, e.recoverySnapshot())
 		if len(e.snaps) > e.keepSnaps {
 			e.snaps = e.snaps[len(e.snaps)-e.keepSnaps:]
 		}
@@ -416,6 +435,7 @@ func (e *Engine) Step() (u *Update, err error) {
 			return nil, err
 		}
 	}
+	e.observed = bc.observed
 	result, ests := e.comp.sink.materialize(bc)
 	u = &Update{
 		Batch:             e.batch,

@@ -866,6 +866,7 @@ func (o *opAgg) materialize(t *aggTable, g *aggGroup, pub *aggPub, reps []float6
 		rng := bootstrap.Full()
 		if bc != nil && sp.uncertainOut && g.ranges[si] != nil {
 			o.touch(g)
+			bc.observed++
 			ok, recoverTo := g.ranges[si].Observe(bc.batch, val, rs)
 			if !ok {
 				bc.failures = append(bc.failures, failure{op: o.pubID, recoverTo: recoverTo})

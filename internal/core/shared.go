@@ -202,6 +202,7 @@ type sharedStepResult struct {
 	news, unc  []delta.Row
 	table      *aggTable
 	failures   []failure
+	observed   int
 	recomputed int
 	bytes      int // the entry's operator-state footprint after this step
 }
@@ -291,6 +292,7 @@ func (en *sharedAggEntry) stepRange(path string, from, to int) (*sharedStepResul
 		unc:        out.unc[:len(out.unc):len(out.unc)],
 		table:      table,
 		failures:   bc.failures,
+		observed:   bc.observed,
 		recomputed: bc.recomputed,
 	}
 	for _, op := range en.ops {
@@ -343,6 +345,7 @@ func (o *opSharedAgg) step(bc *batchContext) (output, error) {
 	bc.publish(o.entry.id, res.table)
 	bc.recomputed += res.recomputed
 	bc.failures = append(bc.failures, res.failures...)
+	bc.observed += res.observed
 	out := output{news: res.news, unc: res.unc}
 	o.record(out)
 	return out, nil
