@@ -243,36 +243,6 @@ func BenchmarkParallelExactBaseline(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Ablation benches for the design choices documented in DESIGN.md §6
 
-// BenchmarkAblationMinRangeSupport sweeps the minimum group support below
-// which variation ranges stay unbounded: too low causes spurious
-// failure-recovery replays, too high disables pruning.
-func BenchmarkAblationMinRangeSupport(b *testing.B) {
-	for _, support := range []int{1, 20, 1 << 30} {
-		b.Run(fmt.Sprintf("support=%d", support), func(b *testing.B) {
-			w := workload.TPCH(workload.TPCHScale{Fact: 3000, Seed: 5})
-			q, _ := w.Query("Q17")
-			node, _, err := w.Plan(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			db := w.DB()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng, err := core.NewEngine(node, db, core.Options{
-					Batches: 8, Trials: 30, Seed: 9, MinRangeSupport: support,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Run(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(eng.TotalRecoveries()), "recoveries")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationLazyLineage contrasts lazy reference dereferencing
 // (iOLAP) against per-batch state-row regeneration (OPT1) on a query with a
 // large non-deterministic set.

@@ -176,8 +176,11 @@ func (r *Range) Observe(batch int, value float64, reps []float64) (ok bool, reco
 }
 
 // Snapshot returns a deep copy used by the controller's per-batch state
-// snapshots (failure recovery replays restore these).
+// snapshots (failure recovery replays restore these); nil for a nil range.
 func (r *Range) Snapshot() *Range {
+	if r == nil {
+		return nil
+	}
 	h := make([]Interval, len(r.history))
 	copy(h, r.history)
 	l := make([]int, len(r.labels))

@@ -102,7 +102,7 @@ func TestEngineAllocsPerTupleSteadyState(t *testing.T) {
 		{"many_groups", `SELECT cdn, SUM(play_time) AS spt, AVG(buffer_time) AS abt FROM sessions GROUP BY cdn`,
 			cdnKeys(1500), [2]float64{1.69, 1.72}}, // measured: 1.533, 1.565; parent: 4.531, 4.556,
 		// The correlated query over 8,000 inner groups of two rows, below
-		// MinRangeSupport: no batch observes a range, so the engine takes no
+		// rangeSupport: no batch observes a range, so the engine takes no
 		// recovery snapshot (Engine.recoverySnapshot). Re-pinned when it
 		// stopped snapshotting such batches: measured ×1.1.
 		{"nested_many_groups", theoremQuery(t, "nested_correlated"),

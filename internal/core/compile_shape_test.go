@@ -92,7 +92,7 @@ func TestCompileShapeGolden(t *testing.T) {
 
 // writeCompileShape writes one plan's header line and its operators.
 func writeCompileShape(b *strings.Builder, name string, eng *Engine) {
-	fmt.Fprintf(b, "%s trackRanges=%v\n", name, eng.comp.trackRanges)
+	fmt.Fprintf(b, "%s trackRanges=%v\n", name, eng.comp.est.track)
 	writeOpShapes(b, "  ", eng.comp.ops)
 }
 
@@ -141,7 +141,7 @@ func writeOpShapes(b *strings.Builder, indent string, ops []operator) {
 				b.WriteString(" draws")
 			}
 		case *opAgg:
-			if o.trackRanges {
+			if o.est.track {
 				b.WriteString(" ranges")
 			}
 			if o.binds {

@@ -348,7 +348,7 @@ func (e *Engine) Step() (u *Update, err error) {
 	// Snapshot the pre-batch state for recovery. Queries that track no
 	// variation ranges can never fail an integrity check, so they skip
 	// the snapshot cost entirely.
-	if e.comp.trackRanges {
+	if e.comp.est.track {
 		e.snaps = append(e.snaps, e.recoverySnapshot())
 		if len(e.snaps) > e.keepSnaps {
 			e.snaps = e.snaps[len(e.snaps)-e.keepSnaps:]

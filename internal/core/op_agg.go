@@ -53,25 +53,22 @@ type opAgg struct {
 	// equivalent subtrees in different sessions resolve the same refs.
 	pubID int
 
-	specs       []aggSpecC
-	lazySpecs   int // how many specs have an uncertain argument (lazy specs)
-	scaleExp    int
-	trials      int
-	slack       float64
-	minSupport  int
-	trackRanges bool
-	uncInput    map[int]bool // child columns that are uncertain
+	specs     []aggSpecC
+	lazySpecs int // how many specs have an uncertain argument (lazy specs)
+	scaleExp  int
+	trials    int
+	est       *estimator
+	uncInput  map[int]bool // child columns that are uncertain
 
 	groups map[string]*aggGroup
 	order  []string
-	// binds marks that groups can observe variation ranges (range tracking,
-	// a bootstrap, a smooth uncertain output); bound lists the groups whose
-	// support has reached minSupport, which publish observes every batch.
+	// binds: some spec has variation ranges (estimator.ranged); bound lists
+	// the binding groups, which publish observes every batch.
 	binds bool
 	bound []*aggGroup
 	// valueOut marks a certain output column: every emitted row carries a
-	// value, not only lineage refs.
-	valueOut bool
+	// value, not only lineage refs. uncOut marks an uncertain one.
+	valueOut, uncOut bool
 	// visits lists the groups given a certain or a pending row this batch,
 	// each once — with bound, the only groups publish can emit or observe.
 	visits []*aggGroup
@@ -126,10 +123,8 @@ type aggGroup struct {
 	sketch []*agg.Vector // per spec (allocated lazily per group)
 	lazy   delta.RowSet  // lineage rows (only with lazy specs)
 	ranges []*bootstrap.Range
-	// support counts the certain input rows folded so far; variation
-	// ranges only become binding once it reaches the engine's
-	// MinRangeSupport (degenerate bootstrap distributions of near-empty
-	// groups would otherwise guarantee spurious integrity failures).
+	// support counts the certain input rows folded so far; the estimator
+	// decides from it when the group's variation ranges bind.
 	support int
 	certain bool
 	emitted bool
@@ -152,21 +147,19 @@ type aggGroup struct {
 	pub          atomic.Pointer[aggPub]
 }
 
-func newOpAgg(t *plan.Aggregate, child operator, an *plan.Analysis, scaleExp int, opts Options, trackRanges bool) *opAgg {
+func newOpAgg(t *plan.Aggregate, child operator, an *plan.Analysis, scaleExp int, opts Options, est *estimator) *opAgg {
 	info := an.Info[t.ID()]
 	childInfo := an.Info[t.Child.ID()]
 	op := &opAgg{
-		node:        t,
-		child:       child,
-		pubID:       t.ID(),
-		scaleExp:    scaleExp,
-		trials:      opts.Trials,
-		slack:       opts.Slack,
-		minSupport:  opts.MinRangeSupport,
-		trackRanges: trackRanges,
-		groups:      make(map[string]*aggGroup),
-		uncInput:    make(map[int]bool),
-		gen:         1,
+		node:     t,
+		child:    child,
+		pubID:    t.ID(),
+		scaleExp: scaleExp,
+		trials:   opts.Trials,
+		est:      est,
+		groups:   make(map[string]*aggGroup),
+		uncInput: make(map[int]bool),
+		gen:      1,
 	}
 	for i, u := range childInfo.UncertainCols {
 		if u {
@@ -191,9 +184,9 @@ func newOpAgg(t *plan.Aggregate, child operator, an *plan.Analysis, scaleExp int
 			c.lazyIdx = op.lazySpecs
 			op.lazySpecs++
 		}
-		// newGroup gives exactly these specs a variation range.
-		op.binds = op.binds || trackRanges && opts.Trials > 0 && c.uncertainOut && sp.Fn.Smooth
+		op.binds = op.binds || est.ranged(&c)
 		op.valueOut = op.valueOut || !c.uncertainOut
+		op.uncOut = op.uncOut || c.uncertainOut
 		op.specs = append(op.specs, c)
 	}
 	op.fs.spec = make([]specRuns, len(op.specs))
@@ -205,16 +198,6 @@ func newOpAgg(t *plan.Aggregate, child operator, an *plan.Analysis, scaleExp int
 	return op
 }
 
-// anyUncertainOut reports whether any aggregate column is uncertain.
-func (o *opAgg) anyUncertainOut() bool {
-	for i := range o.specs {
-		if o.specs[i].uncertainOut {
-			return true
-		}
-	}
-	return false
-}
-
 // newGroup registers a group under key with the given grouping values.
 func (o *opAgg) newGroup(key string, keyVals []rel.Value) *aggGroup {
 	g := &aggGroup{
@@ -224,23 +207,16 @@ func (o *opAgg) newGroup(key string, keyVals []rel.Value) *aggGroup {
 		sketch: make([]*agg.Vector, len(o.specs)),
 		ranges: make([]*bootstrap.Range, len(o.specs)),
 	}
-	for i, sp := range o.specs {
-		g.sketch[i] = agg.NewVector(sp.fn, o.trials)
-		// Only smooth aggregates get variation ranges: MIN/MAX and
-		// COUNT(DISTINCT) drift monotonically under insertions, so a
-		// range would fail its integrity check on almost every batch;
-		// their dependents simply stay non-deterministic.
-		if sp.uncertainOut && sp.fn.Smooth {
-			g.ranges[i] = bootstrap.NewRange(o.slack)
+	for i := range o.specs {
+		g.sketch[i] = agg.NewVector(o.specs[i].fn, o.trials)
+		if o.est.ranged(&o.specs[i]) {
+			g.ranges[i] = o.est.newRange()
 		}
 	}
 	o.groups[key] = g
 	o.order = append(o.order, key)
 	o.touch(g)
 	o.visit(g)
-	if o.binds && o.minSupport <= 0 {
-		o.bound = append(o.bound, g)
-	}
 	return g
 }
 
@@ -426,7 +402,7 @@ func (o *opAgg) assignCertain(news []delta.Row) []foldEntry {
 		o.visit(g)
 		g.certain = true
 		g.support++
-		if o.binds && g.support == o.minSupport {
+		if o.binds && o.est.binding(g.support) && !o.est.binding(g.support-1) {
 			o.bound = append(o.bound, g)
 		}
 		if o.lazySpecs > 0 {
@@ -722,20 +698,16 @@ func (o *opAgg) step(bc *batchContext) (output, error) {
 // in creation order: a group no row reached cannot be emitted, and only a
 // bound group observes.
 func (o *opAgg) publish(bc *batchContext) output {
-	scale := 1.0
-	for k := 0; k < o.scaleExp; k++ {
-		scale *= bc.scale
-	}
 	// HDA semantics (Section 4.3): an uncertain aggregate's output rows are
 	// materialised values whose update is delete+insert, so every group is
 	// re-emitted (tuple-uncertain) each batch and everything downstream
 	// recomputes; there are no stable lineage references.
-	hdaRecompute := bc.hdaAgg && o.anyUncertainOut()
+	hdaRecompute := bc.hdaAgg && o.uncOut
 	S, B := len(o.specs), o.trials
 	// The first lazy chunk holds as many groups as the last table read; the
 	// first table, with no count to go by, sizes it for every group, as a
 	// table computed whole would be.
-	t := &aggTable{groupCols: len(o.node.GroupBy), op: o, epoch: o.epoch, scale: scale,
+	t := &aggTable{groupCols: len(o.node.GroupBy), op: o, epoch: o.epoch, scale: o.est.scale(bc.scale, o.scaleExp),
 		chunk: max(1, len(o.order)), grow: lazyChunk}
 	if prev := o.live; prev != nil {
 		// Drop the last table's memos, so no group pins its slabs.
@@ -759,14 +731,13 @@ func (o *opAgg) publish(bc *batchContext) output {
 		}
 		slices.SortFunc(o.visits, func(a, b *aggGroup) int { return a.seq - b.seq })
 	}
-	observe := o.trackRanges && B > 0 && bc.prune
 	// needs says what the batch needs of g: its row (a certain group leaves
 	// once, every batch under HDA; an uncertain one while it has pending
 	// rows), its values (a row that carries them, or a range to observe).
 	needs := func(g *aggGroup) (emit, compute, observed bool) {
 		pending := g.pendEpoch == o.epoch
 		emit = (g.certain && (hdaRecompute || !g.emitted)) || (pending && (hdaRecompute || !g.certain))
-		observed = observe && g.support >= o.minSupport
+		observed = o.est.track && bc.prune && o.est.binding(g.support)
 		return emit, observed || emit && (hdaRecompute || o.valueOut), observed
 	}
 	for _, g := range o.visits {
@@ -864,14 +835,9 @@ func (o *opAgg) materialize(t *aggTable, g *aggGroup, pub *aggPub, reps []float6
 			rs = vec.RepResults(t.scale, reps[si*B:(si+1)*B:(si+1)*B])
 		}
 		rng := bootstrap.Full()
-		if bc != nil && sp.uncertainOut && g.ranges[si] != nil {
+		if bc != nil && g.ranges[si] != nil {
 			o.touch(g)
-			bc.observed++
-			ok, recoverTo := g.ranges[si].Observe(bc.batch, val, rs)
-			if !ok {
-				bc.failures = append(bc.failures, failure{op: o.pubID, recoverTo: recoverTo})
-			}
-			rng = g.ranges[si].Current()
+			rng = o.est.observe(bc, o.pubID, g.ranges[si], val, rs)
 		} else if !sp.uncertainOut {
 			rng = bootstrap.Point(val)
 		}
@@ -1083,9 +1049,7 @@ func snapGroup(g *aggGroup) *aggGroupSnap {
 		gs.sketch[i] = v.Snapshot()
 	}
 	for i, r := range g.ranges {
-		if r != nil {
-			gs.ranges[i] = r.Snapshot()
-		}
+		gs.ranges[i] = r.Snapshot()
 	}
 	return gs
 }
@@ -1120,7 +1084,7 @@ func (o *opAgg) restore(snap interface{}) {
 	for i, k := range s.order {
 		g := o.groups[k]
 		g.seq = i
-		if o.binds && g.support >= o.minSupport {
+		if o.binds && o.est.binding(g.support) {
 			o.bound = append(o.bound, g)
 		}
 	}
@@ -1144,11 +1108,7 @@ func restoreGroup(ng *aggGroup, k string, gs *aggGroupSnap) *aggGroup {
 		ng.ranges = make([]*bootstrap.Range, len(gs.ranges))
 	}
 	for i, r := range gs.ranges {
-		if r != nil {
-			ng.ranges[i] = r.Snapshot()
-		} else {
-			ng.ranges[i] = nil
-		}
+		ng.ranges[i] = r.Snapshot()
 	}
 	// Clamped, so the next lineage row reallocates instead of writing
 	// into an array snapshots share.

@@ -16,12 +16,12 @@ type opSink struct {
 	emitCounts
 	child  operator
 	exprs  []expr.Expr
-	names  []string
 	unc    []bool // which output columns can be uncertain
 	schema rel.Schema
 	// scaleExp is the root's streamed-scan exponent: result tuples of a
 	// non-aggregated query logically carry multiplicity m_i^k (Section 2).
 	scaleExp int
+	est      *estimator
 
 	certain delta.RowSet
 	lastUnc []delta.Row
@@ -42,10 +42,7 @@ func (o *opSink) step(bc *batchContext) (output, error) {
 // materialize renders the current partial result with error estimates.
 // Rows are independent, so large results materialise partition-parallel.
 func (o *opSink) materialize(bc *batchContext) (*rel.Relation, [][]bootstrap.Estimate) {
-	scale := 1.0
-	for k := 0; k < o.scaleExp; k++ {
-		scale *= bc.scale
-	}
+	scale := o.est.scale(bc.scale, o.scaleExp)
 	rows := make([]delta.Row, 0, o.certain.Len()+len(o.lastUnc))
 	rows = append(rows, o.certain.Rows...)
 	rows = append(rows, o.lastUnc...)
@@ -53,31 +50,28 @@ func (o *opSink) materialize(bc *batchContext) (*rel.Relation, [][]bootstrap.Est
 	res.Tuples = make([]rel.Tuple, len(rows))
 	ests := make([][]bootstrap.Estimate, len(rows))
 	// emitRange renders rows [lo, hi) sharing one replicate buffer and one
-	// SummarizeInto scratch per range — each (row, column) estimate consumes
+	// summary scratch per range — each (row, column) estimate consumes
 	// its replicates before the next reuses the buffers, so a lane pays two
 	// allocations total instead of two per uncertain cell.
 	emitRange := func(lo, hi int) {
-		var reps, scratch []float64
-		if bc.trials > 0 {
-			reps = make([]float64, bc.trials)
-		}
+		reps := make([]float64, bc.trials)
+		var scratch []float64
 		for idx := lo; idx < hi; idx++ {
 			r := rows[idx]
 			vals := make([]rel.Value, len(o.exprs))
 			rowEst := make([]bootstrap.Estimate, len(o.exprs))
 			for i, e := range o.exprs {
-				if !o.unc[i] || bc.trials == 0 || bc.exact {
-					v := e.Eval(r.Vals, bc)
-					vals[i] = v
-					if v.IsNumeric() {
-						rowEst[i] = bootstrap.Estimate{Value: v.Float()}
-					}
-					continue
+				// A certain cell, and any cell of a trial-free or exact batch, is a point.
+				var v rel.Value
+				cell := reps[:0]
+				if o.unc[i] && bc.trials > 0 && !bc.exact {
+					v, cell = cellReps(e, r.Vals, bc, reps), reps
+				} else {
+					v = e.Eval(r.Vals, bc)
 				}
-				v := cellReps(e, r.Vals, bc, reps)
 				vals[i] = v
 				if v.IsNumeric() {
-					rowEst[i], scratch = bootstrap.SummarizeInto(v.Float(), reps, scratch)
+					rowEst[i], scratch = o.est.summarize(v.Float(), cell, scratch)
 				}
 			}
 			res.Tuples[idx] = rel.Tuple{Vals: vals, Mult: r.Mult * scale}

@@ -61,12 +61,12 @@ func (c *compiled) releaseShared() {
 }
 
 // private returns the compiler a shared entry builds its own operators
-// with: this plan's analysis, options and range tracking, but no cache (the
+// with: this plan's analysis, options and estimator, but no cache (the
 // entry's subtree is built once, privately), no spill budget (the entry's
 // state belongs to no session) and none of this plan's operators.
 func (c *compiled) private() *compiled {
 	b := &compiled{analysis: c.analysis, norm: c.norm, table: c.table, scaleExp: c.scaleExp,
-		opts: c.opts, trackRanges: c.trackRanges, db: c.db}
+		opts: c.opts, est: c.est, db: c.db}
 	b.opts.SharedState = nil
 	return b
 }
@@ -374,8 +374,9 @@ func (o *opSharedAgg) kind() string    { return "agg-shared" }
 //     that reads the plan's streamed table and no aggregate over incomplete
 //     data below the root (plan.NodeInfo.Aggregated);
 //   - the cache key carries every parameter that shapes the state: the
-//     canonical subtree fingerprint, seed/trials/slack/min-support, range
-//     tracking, and the schedule identity (table, batch count, total rows).
+//     canonical subtree fingerprint, seed/trials/slack, the estimator's
+//     effective range support and range tracking, and the schedule identity
+//     (table, batch count, total rows).
 func (c *compiled) acquireSharedAgg(t *plan.Aggregate) (operator, bool, error) {
 	opts := c.opts
 	if opts.SharedState == nil {
@@ -392,7 +393,7 @@ func (c *compiled) acquireSharedAgg(t *plan.Aggregate) (operator, bool, error) {
 		totalRows += d.Len()
 	}
 	key := fmt.Sprintf("agg|mode=%d|trials=%d|seed=%d|slack=%g|minsup=%d|ranges=%v|table=%s|p=%d|n=%d|%s",
-		opts.Mode, opts.Trials, opts.Seed, opts.Slack, opts.MinRangeSupport, c.trackRanges,
+		opts.Mode, opts.Trials, opts.Seed, opts.Slack, c.est.support, c.est.track,
 		c.table, len(opts.Deltas), totalRows, share.Fingerprint(t))
 	v, release, hit, err := opts.SharedState.Acquire(key, func() (_ any, err error) {
 		defer udfBuildError(&err)

@@ -130,11 +130,12 @@ func TestAggSnapshotChain(t *testing.T) {
 	// Inner: a grouped aggregate whose ranges bind at 4 rows. Outer: a global
 	// aggregate over its uncertain output, which keeps lineage rows.
 	eng, err := NewEngine(planQuery(t, aggOverAgg), db,
-		Options{Batches: batches, Trials: 10, Seed: 5, MinRangeSupport: 4, Workers: 1})
+		Options{Batches: batches, Trials: 10, Seed: 5, Workers: 1})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
 	defer eng.Close()
+	eng.setRangeSupport(4)
 	var aggs []*opAgg
 	inner := -1 // the inner aggregate's index in eng.comp.ops
 	for i, op := range eng.comp.ops {

@@ -36,7 +36,7 @@ func runEngineUpdates(t *testing.T, gc goldenCase, opts Options) ([]*Update, *En
 
 // nestedFewReadSpill is a range-tracking fixture in which every batch spills
 // and none observes a range: nestedFewRead over 8,000 inner groups of two
-// rows, all below MinRangeSupport, with its join store of session rows under
+// rows, all below rangeSupport, with its join store of session rows under
 // a zero-byte budget.
 var nestedFewReadSpill = goldenCase{name: "nested_few_read", query: nestedFewRead, n: 16000, dbSeed: 42, keys: 8000,
 	opts: Options{Mode: ModeIOLAP, Batches: 8, Trials: 25, Seed: 3, Workers: 2, StateBudgetBytes: -1}}

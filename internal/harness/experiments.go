@@ -638,7 +638,7 @@ func yesNo(b bool) string {
 // the tiny-group deviations documented in EXPERIMENTS.md note (a) as the
 // dataset grows — the non-deterministic fraction of the ND-heavy Q17 and the
 // HDA/iOLAP full-run ratio of the nested C8. Q17's groups do not grow with
-// the data, so its ranges stay below MinRangeSupport at every scale.
+// the data, so its ranges stay below the range support (20) at every scale.
 func ScaleSensitivity(cfg Config) ([]*Result, error) {
 	cfg = cfg.WithDefaults()
 	res := &Result{
