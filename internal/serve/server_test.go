@@ -2,9 +2,12 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
+
+	"iolap/internal/core"
 )
 
 // startTestServer listens on a loopback port and serves a fresh engine.
@@ -139,6 +142,42 @@ func TestRemoteBudgetError(t *testing.T) {
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRemoteOpenRejectsOptions: an Open whose options no engine can be built
+// with gets an error, and the same connection then opens and drains a valid
+// session. A trial count of 1<<62 used to panic in the connection goroutine
+// and take the whole server down.
+func TestRemoteOpenRejectsOptions(t *testing.T) {
+	sv, addr := startTestServer(t, Config{Batches: 4})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, bad := range []SessionOptions{
+		{Trials: 1 << 62}, {Slack: math.NaN()}, {Slack: -3}, {Mode: core.Mode(200)},
+	} {
+		if s, err := c.Open(testQueries[0], bad); err == nil {
+			s.Cancel()
+			t.Fatalf("open with %+v accepted", bad)
+		}
+	}
+	s, err := c.Open(testQueries[0], SessionOptions{Trials: 5})
+	if err != nil {
+		t.Fatalf("valid open after rejections: %v", err)
+	}
+	n := 0
+	for s.Next() {
+		n++
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != 4 {
+		t.Errorf("%d updates, want 4", n)
+	}
+	waitIdle(t, sv.Engine())
 }
 
 // TestKilledClientReleasesState: 100 cycles of connect / open / kill the
