@@ -119,7 +119,7 @@ func (p *Pool) Map(n int, fn func(i int)) {
 		}
 		return
 	}
-	c := min(n, p.workers*chunksPerWorker)
+	c := chunkCount(n, p.workers, chunksPerWorker)
 	claim(p.workers, c, func(k int) {
 		for i := k * n / c; i < (k+1)*n/c; i++ {
 			fn(i)
@@ -165,7 +165,10 @@ func sizedCuts(sizes []int, w int) []chunk {
 	if total == 0 {
 		return nil
 	}
-	budget := total/(w*chunksPerWorker) + 1
+	budget := 1 // total/(w·chunksPerWorker) + 1, without the product
+	if w <= total/chunksPerWorker {
+		budget = total/(w*chunksPerWorker) + 1
+	}
 	var cuts []chunk
 	acc, lo := 0, 0
 	for i, s := range sizes {
@@ -189,7 +192,17 @@ func (p *Pool) Chunks(n int) int {
 	if p.workers == 1 || n <= 1 {
 		return 1
 	}
-	return min(n, p.workers*chunkSplit)
+	return chunkCount(n, p.workers, chunkSplit)
+}
+
+// chunkCount is min(n, workers·per) for a positive per, without the product:
+// a worker count near the int range would wrap it, and a wrapped count cuts
+// fewer chunks than tasks, or none.
+func chunkCount(n, workers, per int) int {
+	if workers > n/per {
+		return n
+	}
+	return workers * per
 }
 
 // PartitionByKey splits a relation into p partitions by hashing the given

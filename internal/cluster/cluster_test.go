@@ -35,6 +35,24 @@ func TestPoolMapRunsAll(t *testing.T) {
 	}
 }
 
+// TestPoolHugeWorkerCount: a worker count whose chunk product wraps the int
+// range still cuts one chunk per task, so no task is dropped. Each call starts
+// at most one goroutine per task (claim), ten here.
+func TestPoolHugeWorkerCount(t *testing.T) {
+	for _, workers := range []int{1 << 60, 1 << 61, 1<<63 - 1} {
+		p := NewPool(workers)
+		var ran atomic.Int64
+		p.Map(10, func(int) { ran.Add(1) })
+		p.MapSized(10, func(i int) int { return i }, func(int) { ran.Add(1) })
+		p.Span(10, func(lo, hi int) { ran.Add(int64(hi - lo)) })
+		got := CollectSpan(p, 10, func(lo, hi int) []int { return make([]int, hi-lo) })
+		if ran.Load() != 30 || len(got) != 10 || p.Chunks(10) != 10 {
+			t.Errorf("workers=%d: ran %d of 30 tasks, collected %d of 10, %d chunks of 10 items",
+				workers, ran.Load(), len(got), p.Chunks(10))
+		}
+	}
+}
+
 func TestPoolMapZeroAndDefaults(t *testing.T) {
 	p := NewPool(0)
 	if p.Workers() <= 0 {

@@ -73,7 +73,8 @@ type Options struct {
 	Slack float64
 	// Seed drives every random choice (Poisson streams, shuffles).
 	Seed uint64
-	// Workers bounds partition parallelism (default GOMAXPROCS).
+	// Workers bounds partition parallelism (default GOMAXPROCS); NewEngine
+	// rejects more than 65,536.
 	Workers int
 	// PreShuffle randomly permutes the streamed table before batching
 	// (the Section 2 pre-processing tool); off by default because the

@@ -133,6 +133,9 @@ type engineSnap struct {
 // read in full).
 func NewEngine(root plan.Node, db *exec.DB, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
+	if opts.Workers > maxWorkers {
+		return nil, fmt.Errorf("core: %d workers, more than %d", opts.Workers, maxWorkers)
+	}
 	// The engine shell exists before compilation because the spill policy
 	// the join stores register with points at the engine's metrics.
 	e := &Engine{opts: opts, db: db, keepSnaps: snapshotKeep}

@@ -174,6 +174,9 @@ func TestNewEngineRejectsOptions(t *testing.T) {
 		{"mode_undeclared", Options{Mode: Mode(200)}, false},
 		{"mode_negative", Options{Mode: -1}, false},
 		{"mode_hda", Options{Mode: ModeHDA}, true},
+		{"workers_huge", Options{Workers: 1 << 61}, false},
+		{"workers_above_bound", Options{Workers: maxWorkers + 1}, false},
+		{"workers_at_bound", Options{Workers: maxWorkers}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.opts.Batches = 4

@@ -17,6 +17,11 @@ const rangeSupport = 20
 // above any count in use; more would only multiply every group's replicates.
 const maxTrials = 10_000
 
+// maxWorkers bounds Options.Workers: the pool starts at most one goroutine
+// per chunk, but its chunk counts multiply the worker count, and a count near
+// the int range from a remote client must not reach them.
+const maxWorkers = 1 << 16
+
 // estimator is the one home of what a published estimate is and when its
 // range binds (Section 5.1, Appendix C). compile builds one per plan; every
 // operator of the plan, a shared entry's included, reads it.

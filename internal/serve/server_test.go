@@ -147,7 +147,8 @@ func TestRemoteBudgetError(t *testing.T) {
 // TestRemoteOpenRejectsOptions: an Open whose options no engine can be built
 // with gets an error, and the same connection then opens and drains a valid
 // session. A trial count of 1<<62 used to panic in the connection goroutine
-// and take the whole server down.
+// and take the whole server down; a worker count of 1<<61 wrapped the pool's
+// chunk counts, so parallel sites dropped rows.
 func TestRemoteOpenRejectsOptions(t *testing.T) {
 	sv, addr := startTestServer(t, Config{Batches: 4})
 	c, err := Dial(addr)
@@ -156,7 +157,7 @@ func TestRemoteOpenRejectsOptions(t *testing.T) {
 	}
 	defer c.Close()
 	for _, bad := range []SessionOptions{
-		{Trials: 1 << 62}, {Slack: math.NaN()}, {Slack: -3}, {Mode: core.Mode(200)},
+		{Trials: 1 << 62}, {Slack: math.NaN()}, {Slack: -3}, {Mode: core.Mode(200)}, {Workers: 1 << 61},
 	} {
 		if s, err := c.Open(testQueries[0], bad); err == nil {
 			s.Cancel()
