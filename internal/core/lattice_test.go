@@ -92,6 +92,11 @@ func goldenCases(t *testing.T) []goldenCase {
 		{name: "recovery", query: sbiQuery, opts: zeroSlack, sorted: true, wantRecovery: true},
 		{name: "skewed_group/recovery", query: sbiQuery, opts: zeroSlack, n: 200, dbSeed: 7,
 			sorted: true, skewed: true, wantRecovery: true},
+		// Slack 1 over the arrival order: the failures at batches 4 and 5 name
+		// batch 2, so each restores a mid-run snapshot (join stores, ND set,
+		// lineage) and replays two batches as one merged delta.
+		{name: "recovery/mid_run", query: theoremQuery(t, "nested_correlated"),
+			opts: Options{Mode: ModeIOLAP, Batches: 6, Slack: 1, Seed: 3}, wantRecovery: true},
 		// Every builtin kernel kind in one fold, COUNT(col) included.
 		{name: "all_kinds", query: `SELECT cdn, COUNT(buffer_time) AS n, SUM(play_time) AS s, AVG(play_time) AS a,
 			VAR(play_time) AS v, STDDEV(buffer_time) AS sd, MIN(buffer_time) AS mn, MAX(play_time) AS mx
