@@ -70,6 +70,11 @@ var lateJoinQueries = []struct{ name, query string }{
 const nestedFewRead = `SELECT COUNT(*) AS n FROM sessions s WHERE s.play_time > 600 AND
 			s.buffer_time > (SELECT AVG(buffer_time) FROM sessions i WHERE i.cdn = s.cdn)`
 
+// lateInnerGroup correlates with an inner AVG whose own filter decides when
+// each group first exists.
+const lateInnerGroup = `SELECT COUNT(*) AS n FROM sessions s WHERE s.play_time >
+			(SELECT AVG(play_time) FROM sessions i WHERE i.cdn = s.cdn AND i.buffer_time > 30)`
+
 const aggOverAgg = `SELECT SUM(t.apt) AS s, VAR(t.apt) AS v, COUNT(*) AS n FROM
 			(SELECT cdn, AVG(play_time) AS apt FROM sessions GROUP BY cdn) t`
 
@@ -154,6 +159,11 @@ func goldenCases(t *testing.T) []goldenCase {
 	// (oracleDB), so the tie holds at every m_i.
 	cases = append(cases, goldenCase{name: "nested_few_read", query: nestedFewRead,
 		opts: Options{Mode: ModeIOLAP, Batches: 8, Seed: 3}, n: 16000, dbSeed: 42, keys: 8000})
+	// 40 inner groups of six rows, whose inner filter passes a group's first
+	// row only in a later batch than some of its outer rows: the inner
+	// group's late emission probes the store of outer rows, which keeps
+	// their vectors by index and redraws them for the matches.
+	cases = append(cases, goldenCase{name: "late_inner_group", query: lateInnerGroup, opts: base, keys: 40})
 	return cases
 }
 
