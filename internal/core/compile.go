@@ -522,7 +522,7 @@ func (c *compiled) build(n plan.Node) (operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := newOpJoin(t, l, r, cacheL, cacheR, c.spill)
+		op := c.newOpJoin(t, l, r, cacheL, cacheR)
 		c.drawLate(op)
 		c.ops = append(c.ops, op)
 		return op, nil

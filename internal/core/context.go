@@ -198,6 +198,10 @@ type batchContext struct {
 	// select with a compiled predicate over a streamed scan builds its
 	// predicate's column banks from the scan's batch and filters over them.
 	vec bool
+	// replay marks a step over a merged delta of several batches: a §5.1
+	// replay, or a shared entry's catch-up. A scan keeps no slab it grew for
+	// one (opScan.slabFor).
+	replay bool
 	// slabs holds, by streamed table name, the slab of the first draw this
 	// batch that covered the table's whole batch (opScan.weigh). Every later
 	// weighted scan of the table, and a late drawer over one, slices

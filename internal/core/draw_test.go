@@ -56,12 +56,35 @@ func knuthWeights(seed uint64, table string, index uint64, trials int) []float64
 type tapOp struct {
 	operator
 	steps [][]delta.Row
+	// alias keeps the rows' vectors as emitted, for a check of where they
+	// point that runs before the scan's next draw; otherwise the tap owns
+	// copies.
+	alias bool
 }
 
 func (t *tapOp) step(bc *batchContext) (output, error) {
 	out, err := t.operator.step(bc)
-	t.steps = append(t.steps, append(append([]delta.Row(nil), out.news...), out.unc...))
+	rows := append(append([]delta.Row(nil), out.news...), out.unc...)
+	if !t.alias {
+		// The tap keeps the rows past their step, so it owns their vectors:
+		// the scan draws the next batch into the same slab.
+		rows = ownAll(rows)
+	}
+	t.steps = append(t.steps, rows)
 	return out, err
+}
+
+// ownAll returns the rows with every weight vector copied into one chunk.
+func ownAll(rows []delta.Row) []delta.Row {
+	n := 0
+	for _, r := range rows {
+		n += len(r.W)
+	}
+	c := delta.NewWeightChunk(n)
+	for i, r := range rows {
+		rows[i] = c.Own(r)
+	}
+	return rows
 }
 
 // tapChildren interposes tap between op and each of its children.
@@ -515,7 +538,7 @@ func checkSharedSlabs(t *testing.T, query string, sorted bool, opts drawConfig) 
 				}
 			case *opSelect:
 				if o.draw != nil {
-					tp := &tapOp{operator: o}
+					tp := &tapOp{operator: o, alias: true}
 					sels = append(sels, tp)
 					return tp
 				}
@@ -617,5 +640,69 @@ func TestSelectSlicesScanSlab(t *testing.T) {
 					opts.Workers, opts.NoVectorize, opts.cutover, sorted)
 			}
 		}
+	}
+}
+
+// TestJoinStoreWeightModes pins how join stores keep their rows' weights
+// (compiled.storeMode). A correlated subquery's store of outer rows faces the
+// inner aggregate's certain news, so it keeps each vector's tuple; under HDA
+// the aggregate re-emits every group every batch, and an IN subquery with
+// HAVING is tuple-uncertain, so their stores keep copies. An inner group is
+// emitted in the batch of its first row, so its outer rows arrive no
+// earlier, and the store's probes match nothing, unless the inner query
+// filters: then a group can first pass the filter after some of its outer
+// rows were stored, and its emission redraws their vectors. The Theorem-1
+// case filtered_correlated checks the bits of that path against the oracle.
+func TestJoinStoreWeightModes(t *testing.T) {
+	for _, c := range []struct {
+		name, query string
+		mode        Mode
+		keys        int
+		want        delta.WeightMode
+		redraws     bool
+	}{
+		{"correlated", theoremQuery(t, "nested_correlated"), ModeIOLAP, 0, delta.IndexWeights, false},
+		{"correlated_many_groups", nestedFewRead, ModeIOLAP, 8000, delta.IndexWeights, false},
+		{"filtered_correlated", `SELECT COUNT(*) AS n FROM sessions s WHERE s.play_time >
+			(SELECT AVG(play_time) FROM sessions i WHERE i.cdn = s.cdn AND i.buffer_time > 30)`,
+			ModeIOLAP, 1000, delta.IndexWeights, true},
+		{"correlated_hda", theoremQuery(t, "nested_correlated"), ModeHDA, 0, delta.CopyWeights, false},
+		{"in_having", theoremQuery(t, "nested_in_having"), ModeIOLAP, 0, delta.CopyWeights, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := testDB(4000, 42)
+			if c.keys > 0 {
+				rekeyCDN(db, c.keys)
+			}
+			eng, err := NewEngine(planQuery(t, c.query), db, Options{Mode: c.mode, Batches: 8, Trials: 10, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			var store *delta.HashStore
+			for _, op := range eng.comp.ops {
+				if j, ok := op.(*opJoin); ok && j.lStore != nil {
+					store = j.lStore
+				}
+			}
+			if store == nil {
+				t.Fatal("no join keeps its left side")
+			}
+			if store.Mode() != c.want {
+				t.Fatalf("left store keeps weights by mode %d, want %d", store.Mode(), c.want)
+			}
+			redraws := 0
+			for !eng.Done() {
+				if _, err := eng.Step(); err != nil {
+					t.Fatal(err)
+				}
+				for _, st := range eng.OpStats() {
+					redraws += st.Redraws
+				}
+			}
+			if (redraws > 0) != c.redraws {
+				t.Errorf("%d vectors redrawn, want some: %v", redraws, c.redraws)
+			}
+		})
 	}
 }

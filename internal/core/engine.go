@@ -433,6 +433,7 @@ func (e *Engine) Step() (u *Update, err error) {
 		merged := e.mergeDeltas(j, e.batch)
 		e.seenRows += merged.Len()
 		bc = e.newBatchContext(merged, e.seenRows)
+		bc.replay = true
 		markAttempt()
 		if _, err := e.comp.sink.step(bc); err != nil {
 			return nil, err
@@ -553,6 +554,10 @@ type OpStat struct {
 	// SpilledRows is how many of a join's cached rows live in spill files
 	// (always 0 without a state budget, and for non-join operators).
 	SpilledRows int
+	// Redraws is how many weight vectors a join redrew last batch for the
+	// rows its probes matched in a store that keeps vectors by index
+	// (always 0 for non-join operators).
+	Redraws int
 }
 
 // OpStats reports per-operator statistics for the most recent batch, in
@@ -569,6 +574,7 @@ func (e *Engine) OpStats() []OpStat {
 		}
 		if j, ok := op.(*opJoin); ok {
 			st.SpilledRows = j.spilledRows()
+			st.Redraws = j.redraws
 		}
 		out = append(out, st)
 	}

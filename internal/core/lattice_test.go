@@ -426,6 +426,7 @@ type execConfig struct {
 	workers int
 	novec   bool
 	budget  int64 // StateBudgetBytes over a MemFS; 0 keeps all state in memory
+	poison  bool  // NaN-fill every scan's slab before its reuse (Engine.poisonSlabs)
 }
 
 // latticeCell is one execution configuration: one engine, or two engines
@@ -539,6 +540,9 @@ func runCell(t *testing.T, c latticeCase, cell latticeCell) ([]cellRun, int64) {
 		defer eng.Close()
 		if !c.adaptive {
 			eng.SetCutover(1)
+		}
+		if cfg.poison {
+			eng.poisonSlabs()
 		}
 		runs[i] = cellRun{cfg: cfg, eng: eng}
 	}

@@ -357,6 +357,20 @@ type foldScratch struct {
 	light  []int32 // the parallel schedule's light groups
 }
 
+// release drops every pointer the working set holds, spare capacity
+// included: entries, groups, weight windows and replicate inputs would
+// otherwise pin the step's rows, their values and vectors, until a later
+// step overwrote them.
+func (f *foldScratch) release() {
+	clear(f.ents[:cap(f.ents)])
+	clear(f.groups[:cap(f.groups)])
+	for si := range f.spec {
+		clear(f.spec[si].ws[:cap(f.spec[si].ws)])
+		clear(f.spec[si].reps[:cap(f.spec[si].reps)])
+	}
+	clear(f.runs[:cap(f.runs)])
+}
+
 // size returns how many entries the block holds for group gi.
 func (f *foldScratch) size(gi int) int {
 	if gi == 0 {
@@ -395,6 +409,15 @@ func resized[T any](s []T, n int) []T {
 // creation (deterministic group order), support counts, lineage retention.
 func (o *opAgg) assignCertain(news []delta.Row) []foldEntry {
 	ents := resized(o.fs.ents, len(news))
+	// Lineage rows own their vectors: one chunk for the step.
+	var chunk delta.WeightChunk
+	if o.lazySpecs > 0 {
+		floats := 0
+		for _, r := range news {
+			floats += len(r.W)
+		}
+		chunk = delta.NewWeightChunk(floats)
+	}
 	for j := range news {
 		r := &news[j]
 		g := o.rowGroup(r.Vals)
@@ -406,7 +429,7 @@ func (o *opAgg) assignCertain(news []delta.Row) []foldEntry {
 			o.bound = append(o.bound, g)
 		}
 		if o.lazySpecs > 0 {
-			g.lazy.Add(*r)
+			g.lazy.Add(chunk.Own(*r))
 		}
 		ents[j] = foldEntry{g: g, row: r, kind: foldCertain}
 	}
@@ -682,6 +705,7 @@ func (o *opAgg) step(bc *batchContext) (output, error) {
 	// re-evaluation) and pending tuple-uncertain rows.
 	o.fold(bc, o.assignScratch(bc, in.unc), true)
 	out := o.publish(bc)
+	o.fs.release()
 	o.record(out)
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"iolap/internal/bootstrap"
 	"iolap/internal/cluster"
 	"iolap/internal/delta"
 	"iolap/internal/plan"
@@ -38,6 +39,11 @@ type opJoin struct {
 	// (compiled.drawLate): the join weights its own news (opScan.weigh), so
 	// no vector is drawn for a scan row the join drops.
 	draw *opScan
+	// src redraws the vectors of a store that keeps them by index
+	// (delta.IndexWeights), for the rows its probes match; redraws counts
+	// them for the last step. nil when neither store does.
+	src     *bootstrap.PoissonSource
+	redraws int
 }
 
 type lateSide uint8
@@ -49,19 +55,62 @@ const (
 )
 
 // newOpJoin builds the join operator. The persistent side stores — the ones
-// that accumulate across batches — register with the engine's spill policy;
-// the transient per-batch stores step() builds stay memory-only.
-func newOpJoin(t *plan.Join, l, r operator, cacheL, cacheR bool, spill *delta.SpillPolicy) *opJoin {
+// that accumulate across batches — keep their rows' weights as storeMode
+// says and register with the engine's spill policy; the transient per-batch
+// stores step() builds keep their rows as given and stay memory-only.
+func (c *compiled) newOpJoin(t *plan.Join, l, r operator, cacheL, cacheR bool) *opJoin {
 	op := &opJoin{node: t, l: l, r: r}
 	if cacheL {
-		op.lStore = delta.NewHashStore(t.LKeys)
-		spill.Register(op.lStore)
+		op.lStore = c.stateStore(op, t.LKeys, t.R)
 	}
 	if cacheR {
-		op.rStore = delta.NewHashStore(t.RKeys)
-		spill.Register(op.rStore)
+		op.rStore = c.stateStore(op, t.RKeys, t.L)
 	}
 	return op
+}
+
+// stateStore builds the store of op's side facing other, and gives op the
+// streamed table's Poisson stream when the store keeps vectors by index.
+func (c *compiled) stateStore(op *opJoin, keys []int, other plan.Node) *delta.HashStore {
+	mode := c.storeMode(other)
+	if mode == delta.IndexWeights && c.opts.Trials > 0 && op.src == nil {
+		op.src = tableSource(c.table, c.opts)
+	}
+	h := delta.NewStateStore(keys, mode)
+	c.spill.Register(h)
+	return h
+}
+
+// storeMode is how a join store facing the side other keeps its rows'
+// weights (DESIGN.md §10, "Who owns a vector"). Only other's rows probe the
+// store: each new row once, and every pending row every batch. A store that
+// other re-reads every batch — other is tuple-uncertain, or an HDA aggregate
+// re-emits it — keeps copies, and so does one whose matches multiply other's
+// own weights. Any other store keeps each drawn vector's tuple and redraws
+// the vector for the rows a probe matches.
+func (c *compiled) storeMode(other plan.Node) delta.WeightMode {
+	info := c.analysis.Info[other.ID()]
+	if info.TupleUncertain || c.opts.Mode == ModeHDA && info.Incomplete || c.carriesWeights(other) {
+		return delta.CopyWeights
+	}
+	return delta.IndexWeights
+}
+
+// carriesWeights reports whether n's rows can carry weight vectors: n reads
+// a streamed scan through no aggregate, with the bootstrap on.
+func (c *compiled) carriesWeights(n plan.Node) bool {
+	switch t := n.(type) {
+	case *plan.Scan:
+		return t.Streamed && c.opts.Trials > 0
+	case *plan.Aggregate:
+		return false
+	}
+	for _, ch := range n.Children() {
+		if c.carriesWeights(ch) {
+			return true
+		}
+	}
+	return false
 }
 
 // spilledRows reports how many cached join rows currently live on disk.
@@ -89,11 +138,31 @@ func (o *opJoin) residentBytes() int {
 	return n
 }
 
-func (o *opJoin) joinRows(l, r delta.Row) delta.Row {
-	vals := make([]rel.Value, 0, len(l.Vals)+len(r.Vals))
-	vals = append(vals, l.Vals...)
-	vals = append(vals, r.Vals...)
-	return delta.Row{Vals: vals, Mult: l.Mult * r.Mult, W: delta.CombineWeights(l.W, r.W)}
+// redraw gives every row of rows that holds its vector by index (a match of
+// an IndexWeights store, delta.JoinRows) its vector, drawn into one chunk for
+// the step.
+func (o *opJoin) redraw(rows []delta.Row, bc *batchContext) {
+	if o.src == nil {
+		return
+	}
+	var at []int32
+	for i := range rows {
+		if rows[i].ByIndex() {
+			at = append(at, int32(i))
+		}
+	}
+	if len(at) == 0 {
+		return
+	}
+	B := o.src.Trials()
+	chunk := make([]float64, len(at)*B)
+	bc.run.Chunks(cluster.CostScan, len(at), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			r := &rows[at[k]]
+			r.W = o.src.WeightsInto(r.Tuple-1, chunk[k*B:(k+1)*B:(k+1)*B])
+		}
+	})
+	o.redraws += len(at)
 }
 
 // probeInto joins each probe-side row against the store and appends the
@@ -107,9 +176,9 @@ func (o *opJoin) joinRows(l, r delta.Row) delta.Row {
 func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, store *delta.HashStore, probeIsLeft bool, counts []int32, bc *batchContext) []delta.Row {
 	join := func(p, m delta.Row) delta.Row {
 		if probeIsLeft {
-			return o.joinRows(p, m)
+			return delta.JoinRows(p, m)
 		}
-		return o.joinRows(m, p)
+		return delta.JoinRows(m, p)
 	}
 	matches := cluster.Collect(bc.run, cluster.CostJoinProbe, len(probe), func(a, b int) []delta.Row {
 		var out []delta.Row
@@ -124,6 +193,7 @@ func (o *opJoin) probeInto(dst []delta.Row, probe []delta.Row, probeKeys []int, 
 		}
 		return out
 	})
+	o.redraw(matches, bc)
 	return append(dst, matches...)
 }
 
@@ -172,7 +242,7 @@ func (o *opJoin) probeLateBuild(out *output, lo, ro output, bc *batchContext) {
 		var ms []match
 		for _, l := range lo.news[a:b] {
 			for _, i := range index[string(rel.EncodeKeyInto(kb[:0], l.Vals, lKeys))] {
-				ms = append(ms, match{o.joinRows(l, ro.news[i]), ro.pos(int(i))})
+				ms = append(ms, match{delta.JoinRows(l, ro.news[i]), ro.pos(int(i))})
 			}
 		}
 		return ms
@@ -196,6 +266,7 @@ func (o *opJoin) step(bc *batchContext) (output, error) {
 	}
 	lKeys, rKeys := o.node.LKeys, o.node.RKeys
 	var out output
+	o.redraws = 0
 	// Exchange accounting: a keyed join repartitions both inputs by key;
 	// a cross join broadcasts the (small) right side.
 	if bc.metrics != nil {

@@ -37,7 +37,7 @@ func (o *opProject) apply(rows []delta.Row, bc *batchContext) []delta.Row {
 				}
 				vals[i] = e.Eval(r.Vals, bc)
 			}
-			out[ri] = delta.Row{Vals: vals, Mult: r.Mult, W: r.W}
+			out[ri] = delta.Row{Vals: vals, Mult: r.Mult, W: r.W, Tuple: r.Tuple}
 		}
 	}
 	bc.run.Chunks(cluster.CostProject, len(rows), fill)

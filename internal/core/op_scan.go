@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"iolap/internal/bootstrap"
 	"iolap/internal/cluster"
@@ -21,6 +22,12 @@ type opScan struct {
 	// survive the chain (compiled.drawLate): the scan then emits rows without
 	// W, and no vector is drawn for a row a filter would discard.
 	lateDraw bool
+	// slab is what drawWeights fills, reused every batch: no vector drawn
+	// into it outlives its step (DESIGN.md §10, "Who owns a vector").
+	// poison, a test seam, NaN-fills it instead of reusing it, so a vector
+	// kept past its step reads NaN.
+	slab   []float64
+	poison bool
 }
 
 type scanSnap struct {
@@ -31,17 +38,22 @@ type scanSnap struct {
 func newOpScan(t *plan.Scan, opts Options) *opScan {
 	op := &opScan{node: t}
 	if t.Streamed && opts.Trials > 0 {
-		// Salt by table name so distinct tables get independent Poisson
-		// streams, while the multiple scans of one table (self joins via
-		// subqueries) assign identical weights to identical tuples —
-		// required for bootstrap correctness.
-		salt := opts.Seed
-		for _, ch := range t.Table {
-			salt = salt*131 + uint64(ch)
-		}
-		op.poisson = bootstrap.NewPoissonSource(salt, opts.Trials)
+		op.poisson = tableSource(t.Table, opts)
 	}
 	return op
+}
+
+// tableSource is the Poisson stream of a streamed table. It is salted by the
+// table name, so distinct tables get independent streams, while the several
+// scans of one table (self joins via subqueries) assign identical weights to
+// identical tuples — required for bootstrap correctness — and a holder that
+// dropped a vector redraws the same one.
+func tableSource(table string, opts Options) *bootstrap.PoissonSource {
+	salt := opts.Seed
+	for _, ch := range table {
+		salt = salt*131 + uint64(ch)
+	}
+	return bootstrap.NewPoissonSource(salt, opts.Trials)
 }
 
 func (o *opScan) step(bc *batchContext) (output, error) {
@@ -105,10 +117,11 @@ func (o *opScan) weigh(bc *batchContext, rows []delta.Row, idx []int32) {
 				i = int(idx[k])
 			}
 			rows[k].W = s.w[i*t : (i+1)*t : (i+1)*t]
+			rows[k].Tuple = o.base + uint64(i) + 1
 		}
 		return
 	}
-	w := drawWeights(bc, rows, idx, o.poisson, o.base)
+	w := o.drawWeights(bc, rows, idx)
 	if len(rows) == n && isIdentity(idx) {
 		bc.slabs[o.node.Table] = weightSlab{base: o.base, n: n, w: w}
 	}
@@ -125,29 +138,54 @@ func isIdentity(idx []int32) bool {
 }
 
 // drawWeights gives rows[k] the bootstrap weight vector of tuple base+idx[k]
-// (base+k when idx is nil) and returns the slab it drew them into. It is the
-// one place a row's weights are drawn, for opScan.weigh. A vector is a pure
-// function of (salted seed, tuple index), so who draws it, and when, never
-// shows in the weights.
+// (base+k when idx is nil), and names that tuple in its Tuple, and returns
+// the slab it drew them into. It is the one place a row's weights are drawn,
+// for opScan.weigh. A vector is a pure function of (salted seed, tuple
+// index), so who draws it, and when, never shows in the weights.
 //
-// Every vector is a capped sub-slice of one slab per call, so drawing costs
+// Every vector is a capped sub-slice of the scan's one slab, so drawing costs
 // no per-row allocation and keeps the vectors contiguous for the fold
-// kernels' sequential reads; rows keep their W slices past the batch, so the
-// slab is never recycled. Disjoint sub-slices make the chunked fill race-free
-// and bit-identical to the sequential one. Only drawn rows feed the scan
-// class estimate: the weight-free header fill and slab slicing are different,
-// much cheaper operations and would drag it.
-func drawWeights(bc *batchContext, rows []delta.Row, idx []int32, src *bootstrap.PoissonSource, base uint64) []float64 {
+// kernels' sequential reads. The slab is reused every batch (slabFor): a
+// holder that keeps a row past its step owns its vector, as a copy or by
+// index (delta.Row). Disjoint sub-slices make the chunked fill race-free and
+// bit-identical to the sequential one. Only drawn rows feed the scan class
+// estimate: the weight-free header fill and slab slicing are different, much
+// cheaper operations and would drag it.
+func (o *opScan) drawWeights(bc *batchContext, rows []delta.Row, idx []int32) []float64 {
+	src, base := o.poisson, o.base
 	trials := src.Trials()
-	slab := make([]float64, len(rows)*trials)
+	slab := o.slabFor(bc, len(rows)*trials)
 	bc.run.Chunks(cluster.CostScan, len(rows), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			i := uint64(k)
+			i := base + uint64(k)
 			if idx != nil {
-				i = uint64(idx[k])
+				i = base + uint64(idx[k])
 			}
-			rows[k].W = src.WeightsInto(base+i, slab[k*trials:(k+1)*trials:(k+1)*trials])
+			rows[k].W = src.WeightsInto(i, slab[k*trials:(k+1)*trials:(k+1)*trials])
+			rows[k].Tuple = i + 1
 		}
 	})
 	return slab
+}
+
+// slabFor returns n floats of the scan's slab. A draw larger than the slab
+// allocates, and keeps the allocation as the slab unless the step is a
+// replay (batchContext.replay), whose merged delta would pin a slab several
+// batches long.
+func (o *opScan) slabFor(bc *batchContext, n int) []float64 {
+	if o.poison {
+		for i := range o.slab {
+			o.slab[i] = math.NaN()
+		}
+		o.slab = make([]float64, n)
+		return o.slab
+	}
+	if cap(o.slab) >= n {
+		return o.slab[:n]
+	}
+	w := make([]float64, n)
+	if !bc.replay {
+		o.slab = w
+	}
+	return w
 }

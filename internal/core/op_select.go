@@ -180,12 +180,21 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 		}
 	} else if len(in.news) > 0 {
 		vs := o.classifyAll(in.news, bc, false)
+		// The rows the set keeps own their vectors: one chunk for the step.
+		floats := 0
+		for i, r := range in.news {
+			if vs[i].tri != expr.True && vs[i].tri != expr.False {
+				floats += len(r.W)
+			}
+		}
+		chunk := delta.NewWeightChunk(floats)
 		for i, r := range in.news {
 			switch vs[i].tri {
 			case expr.True:
 				out.news = append(out.news, r)
 			case expr.False:
 			default:
+				r = chunk.Own(r)
 				o.state.Add(r)
 				if vs[i].pass {
 					out.unc = append(out.unc, r)

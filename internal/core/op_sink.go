@@ -32,7 +32,11 @@ func (o *opSink) step(bc *batchContext) (output, error) {
 	if err != nil {
 		return output{}, err
 	}
-	o.certain.Rows = append(o.certain.Rows, in.news...)
+	// The sink never reads a row's weights: it keeps none.
+	for _, r := range in.news {
+		r.W, r.Tuple = nil, 0
+		o.certain.Rows = append(o.certain.Rows, r)
+	}
 	bc.recomputed += len(in.unc)
 	o.lastUnc = append(o.lastUnc[:0], in.unc...)
 	o.newsN, o.uncN = len(in.news), len(in.unc)

@@ -277,6 +277,7 @@ func (en *sharedAggEntry) stepRange(path string, from, to int) (*sharedStepResul
 	// the row paths.
 	bc := newBatchContext(en.opts, to, seen, en.totalRows,
 		map[string]*rel.Relation{en.table: merged}, en.db)
+	bc.replay = to-from > 1
 	out, err := en.root.step(bc)
 	if err != nil {
 		return nil, err

@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"iolap/internal/cluster"
 	"iolap/internal/expr"
 	"iolap/internal/rel"
+	"iolap/internal/storage"
 )
 
 func row(vals ...rel.Value) Row { return Row{Vals: vals, Mult: 1} }
@@ -138,9 +140,9 @@ func TestRowSetSnapshotRestore(t *testing.T) {
 
 func TestHashStore(t *testing.T) {
 	h := NewHashStore([]int{0})
-	h.Add(row(rel.Int(1), rel.String("a")))
-	h.Add(row(rel.Int(1), rel.String("b")))
-	h.Add(row(rel.Int(2), rel.String("c")))
+	addRow(h, row(rel.Int(1), rel.String("a")))
+	addRow(h, row(rel.Int(1), rel.String("b")))
+	addRow(h, row(rel.Int(2), rel.String("c")))
 	if h.Len() != 3 {
 		t.Fatalf("len = %d", h.Len())
 	}
@@ -162,11 +164,11 @@ func TestHashStore(t *testing.T) {
 
 func TestHashStoreSnapshotRestore(t *testing.T) {
 	h := NewHashStore([]int{0})
-	h.Add(row(rel.Int(1)))
+	addRow(h, row(rel.Int(1)))
 	sizeAtSnap := h.SizeBytes()
 	snap := h.Snapshot()
-	h.Add(row(rel.Int(2)))
-	h.Add(row(rel.Int(1), rel.Int(99))) // second row under an existing key
+	addRow(h, row(rel.Int(2)))
+	addRow(h, row(rel.Int(1), rel.Int(99))) // second row under an existing key
 	h.Restore(snap)
 	if h.Len() != 1 || h.SizeBytes() != sizeAtSnap {
 		t.Errorf("restore failed: len=%d", h.Len())
@@ -178,7 +180,7 @@ func TestHashStoreSnapshotRestore(t *testing.T) {
 		t.Errorf("restored store must truncate per-key rows: %d", got)
 	}
 	// Replay after restore: adds land where the discarded rows were.
-	h.Add(row(rel.Int(3)))
+	addRow(h, row(rel.Int(3)))
 	if h.Len() != 2 {
 		t.Error("store must accept rows after restore")
 	}
@@ -188,11 +190,11 @@ func TestHashStoreSnapshotSurvivesReplayDivergence(t *testing.T) {
 	// Classic recovery pattern: snapshot, extend, restore, extend with
 	// DIFFERENT rows; the earlier snapshot's view must stay intact.
 	h := NewHashStore([]int{0})
-	h.Add(row(rel.Int(1), rel.String("a")))
+	addRow(h, row(rel.Int(1), rel.String("a")))
 	snap := h.Snapshot()
-	h.Add(row(rel.Int(1), rel.String("b")))
+	addRow(h, row(rel.Int(1), rel.String("b")))
 	h.Restore(snap)
-	h.Add(row(rel.Int(1), rel.String("c")))
+	addRow(h, row(rel.Int(1), rel.String("c")))
 	got := h.Probe([]rel.Value{rel.Int(1)}, []int{0})
 	if len(got) != 2 || got[1].Vals[1].Str() != "c" {
 		t.Errorf("replay after restore wrong: %v", got)
@@ -220,11 +222,11 @@ func TestDeltaJoinEquivalence(t *testing.T) {
 			}
 			result = append(result, DeltaJoin(l, r, d1, d2, []int{0}, []int{0})...)
 			for _, x := range d1 {
-				l.Add(x)
+				addRow(l, x)
 				allL = append(allL, x)
 			}
 			for _, x := range d2 {
-				r.Add(x)
+				addRow(r, x)
 				allR = append(allR, x)
 			}
 		}
@@ -277,4 +279,93 @@ func TestDeltaJoinCombinesWeights(t *testing.T) {
 	if out[0].W[0] != 2 || out[0].W[1] != 4 {
 		t.Errorf("weights = %v", out[0].W)
 	}
+}
+
+// addRow inserts one row through AddBatch, the store's one insert.
+func addRow(h *HashStore, r Row) { h.AddBatch([]Row{r}, false, nil) }
+
+// TestStoreWeightModes: a state store owns its rows' weights. CopyWeights
+// copies every vector, so the caller's buffer may be overwritten; IndexWeights
+// drops a drawn vector (Tuple set) and keeps an undrawn one as a copy; the
+// accounting charges an index row 8 bytes in place of its vector. A spill
+// round trip keeps Tuple, so probes and accounting do not see where a row
+// lives.
+func TestStoreWeightModes(t *testing.T) {
+	slab := []float64{1, 2, 3, 4}
+	rows := []Row{
+		{Vals: []rel.Value{rel.Int(1)}, Mult: 1, W: slab[0:2:2], Tuple: 8},
+		{Vals: []rel.Value{rel.Int(1)}, Mult: 1, W: slab[2:4:4]}, // a product: no tuple
+		{Vals: []rel.Value{rel.Int(2)}, Mult: 1},
+	}
+	for _, tc := range []struct {
+		mode   WeightMode
+		byIdx  []bool
+		budget int64
+	}{
+		{CopyWeights, []bool{false, false}, 0},
+		{IndexWeights, []bool{true, false}, 0},
+		{IndexWeights, []bool{true, false}, -1},
+	} {
+		copy(slab, []float64{1, 2, 3, 4})
+		h := NewStateStore([]int{0}, tc.mode)
+		if tc.budget != 0 {
+			var m cluster.Metrics
+			p := NewSpillPolicy(tc.budget, storage.NewMemFS(), &m)
+			p.Register(h)
+			defer p.Close()
+			h.AddBatch(rows, false, nil)
+			if err := p.Enforce(); err != nil || h.SpilledRows() != len(rows) {
+				t.Fatalf("mode %d: spilled %d rows (%v)", tc.mode, h.SpilledRows(), err)
+			}
+		} else {
+			h.AddBatch(rows, false, nil)
+		}
+		copy(slab, []float64{9, 9, 9, 9}) // the drawer reuses its slab
+		got := h.Probe([]rel.Value{rel.Int(1)}, []int{0})
+		if len(got) != 2 {
+			t.Fatalf("mode %d: %d rows under key 1, want 2", tc.mode, len(got))
+		}
+		want := 48 + rows[2].SizeBytes()
+		for i, r := range got {
+			if r.ByIndex() != tc.byIdx[i] || r.Tuple != rows[i].Tuple {
+				t.Errorf("mode %d row %d: by index %v tuple %d, want %v %d", tc.mode, i, r.ByIndex(), r.Tuple, tc.byIdx[i], rows[i].Tuple)
+			}
+			if !r.ByIndex() && (len(r.W) != 2 || r.W[0] != float64(1+2*i)) {
+				t.Errorf("mode %d row %d: weights %v, want the copy taken at insert", tc.mode, i, r.W)
+			}
+			want += r.SizeBytes()
+		}
+		if got[0].ByIndex() && got[0].SizeBytes() != 24+8+rel.Int(1).SizeBytes() {
+			t.Errorf("mode %d: an index row accounts %d bytes", tc.mode, got[0].SizeBytes())
+		}
+		if h.SizeBytes() != want {
+			t.Errorf("mode %d: store accounts %d bytes, rows %d", tc.mode, h.SizeBytes(), want)
+		}
+	}
+}
+
+// TestJoinRowsTuple: a joined row names the tuple of its one weighted side,
+// none when both sides carry weights, and a row held by index may meet only
+// a weight-free row.
+func TestJoinRowsTuple(t *testing.T) {
+	w := []float64{1, 2}
+	drawn := Row{Mult: 1, W: w, Tuple: 5}
+	free := Row{Mult: 1}
+	byIdx := Row{Mult: 1, Tuple: 7}
+	for _, c := range []struct {
+		l, r  Row
+		tuple uint64
+	}{
+		{drawn, free, 5}, {free, drawn, 5}, {drawn, drawn, 0}, {free, free, 0}, {byIdx, free, 7}, {free, byIdx, 7},
+	} {
+		if got := JoinRows(c.l, c.r).Tuple; got != c.tuple {
+			t.Errorf("%+v ⋈ %+v: tuple %d, want %d", c.l, c.r, got, c.tuple)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a row held by index joined with a weighted row did not panic")
+		}
+	}()
+	JoinRows(byIdx, drawn)
 }

@@ -38,7 +38,7 @@ func DeltaProject(exprs []expr.Expr, delta []Row, res expr.Resolver) []Row {
 		for i, e := range exprs {
 			vals[i] = e.Eval(r.Vals, res)
 		}
-		out = append(out, Row{Vals: vals, Mult: r.Mult, W: r.W})
+		out = append(out, Row{Vals: vals, Mult: r.Mult, W: r.W, Tuple: r.Tuple})
 	}
 	return out
 }
@@ -48,22 +48,16 @@ func DeltaProject(exprs []expr.Expr, delta []Row, res expr.Resolver) []Row {
 // deltas must be added to the stores by the caller afterwards.
 func DeltaJoin(r1Store, r2Store *HashStore, d1, d2 []Row, k1, k2 []int) []Row {
 	var out []Row
-	joinRows := func(l, r Row) Row {
-		vals := make([]rel.Value, 0, len(l.Vals)+len(r.Vals))
-		vals = append(vals, l.Vals...)
-		vals = append(vals, r.Vals...)
-		return Row{Vals: vals, Mult: l.Mult * r.Mult, W: CombineWeights(l.W, r.W)}
-	}
 	// ΔR1 ⋈ R2(old)
 	for _, l := range d1 {
 		for _, r := range r2Store.Probe(l.Vals, k1) {
-			out = append(out, joinRows(l, r))
+			out = append(out, JoinRows(l, r))
 		}
 	}
 	// R1(old) ⋈ ΔR2
 	for _, r := range d2 {
 		for _, l := range r1Store.Probe(r.Vals, k2) {
-			out = append(out, joinRows(l, r))
+			out = append(out, JoinRows(l, r))
 		}
 	}
 	// ΔR1 ⋈ ΔR2
@@ -73,7 +67,7 @@ func DeltaJoin(r1Store, r2Store *HashStore, d1, d2 []Row, k1, k2 []int) []Row {
 	}
 	for _, l := range d1 {
 		for _, r := range d2ByKey[rel.EncodeKey(l.Vals, k1)] {
-			out = append(out, joinRows(l, r))
+			out = append(out, JoinRows(l, r))
 		}
 	}
 	return out

@@ -91,11 +91,11 @@ func (sp *spillBackend) readRefs(dst []Row, s int, refs []spillRef) []Row {
 			}
 		}
 		for i := 0; i < ref.n; i++ {
-			vals, mult, w, n, err := storage.DecodeSpillRow(buf)
+			vals, mult, w, tuple, n, err := storage.DecodeSpillRowTuple(buf)
 			if err != nil {
 				panic(fmt.Sprintf("delta: spill scratch corrupt: %v", err))
 			}
-			dst = append(dst, Row{Vals: vals, Mult: mult, W: w})
+			dst = append(dst, Row{Vals: vals, Mult: mult, W: w, Tuple: tuple})
 			buf = buf[n:]
 		}
 	}
@@ -166,7 +166,7 @@ func (h *HashStore) spillShard(s int) error {
 		rows := sh.hot[k]
 		raw = raw[:0]
 		for _, r := range rows {
-			raw, err = storage.AppendSpillRow(raw, r.Vals, r.Mult, r.W)
+			raw, err = storage.AppendSpillRowTuple(raw, r.Vals, r.Mult, r.W, r.Tuple)
 			if err != nil {
 				return err
 			}

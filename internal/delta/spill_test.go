@@ -72,8 +72,8 @@ func TestProbeTransparentAcrossSpill(t *testing.T) {
 		for _, k := range keys {
 			r := keyInt(k, payload)
 			payload++
-			h.Add(r.Clone())
-			twin.Add(r.Clone())
+			addRow(h, r.Clone())
+			addRow(twin, r.Clone())
 		}
 	}
 
@@ -150,8 +150,8 @@ func TestSnapshotSurvivesEviction(t *testing.T) {
 	h, p, _ := newSpillStore(t, 0)
 	twin := NewHashStore([]int{0})
 	add := func(k, payload int) {
-		h.Add(keyInt(k, payload))
-		twin.Add(keyInt(k, payload))
+		addRow(h, keyInt(k, payload))
+		addRow(twin, keyInt(k, payload))
 	}
 
 	p.Advance(1)
@@ -202,8 +202,8 @@ func TestRestoreOfSpilledPast(t *testing.T) {
 	h, p, _ := newSpillStore(t, 0)
 	twin := NewHashStore([]int{0})
 	add := func(k, payload int) {
-		h.Add(keyInt(k, payload))
-		twin.Add(keyInt(k, payload))
+		addRow(h, keyInt(k, payload))
+		addRow(twin, keyInt(k, payload))
 	}
 	p.Advance(1)
 	add(1, 0)
@@ -254,7 +254,7 @@ func TestSpillFaultLeavesMemoryAuthoritative(t *testing.T) {
 
 			p.Advance(1)
 			for i := 0; i < 6; i++ {
-				h.Add(keyInt(i%2, i))
+				addRow(h, keyInt(i%2, i))
 			}
 			memBefore := h.MemBytes()
 
@@ -281,7 +281,7 @@ func TestSpillFaultLeavesMemoryAuthoritative(t *testing.T) {
 			}
 			twin := NewHashStore([]int{0})
 			for i := 0; i < 6; i++ {
-				twin.Add(keyInt(i%2, i))
+				addRow(twin, keyInt(i%2, i))
 			}
 			for _, k := range []int{0, 1} {
 				sameRows(t, probeKey(h, k), probeKey(twin, k), fmt.Sprintf("key %d", k))
@@ -317,10 +317,10 @@ func TestEvictionOrderColdestFirst(t *testing.T) {
 	defer p.Close()
 
 	p.Advance(1)
-	h.Add(keyInt(coldK, 0))
+	addRow(h, keyInt(coldK, 0))
 	p.Advance(2)
 	for i := 0; i < 5; i++ { // hot shard is 5x larger but recent
-		h.Add(keyInt(hotK, i))
+		addRow(h, keyInt(hotK, i))
 	}
 	// Budget 1 byte: both shards eventually go, but order is observable via
 	// a one-shard budget. Use a budget that fits the hot shard exactly.
@@ -361,7 +361,7 @@ func TestAddBatchParallelMatchesSequentialUnderSpill(t *testing.T) {
 	}
 	h.AddBatch(first, true, cluster.NewPool(4))
 	for _, r := range first {
-		seq.Add(r.Clone())
+		addRow(seq, r.Clone())
 	}
 	if err := p.Enforce(); err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestAddBatchParallelMatchesSequentialUnderSpill(t *testing.T) {
 	}
 	h.AddBatch(second, true, cluster.NewPool(4))
 	for _, r := range second {
-		seq.Add(r.Clone())
+		addRow(seq, r.Clone())
 	}
 
 	for k := 0; k < 7; k++ {
@@ -395,7 +395,7 @@ func TestProbeSpilledShardWithoutKeyReadsNothing(t *testing.T) {
 	twin := NewHashStore([]int{0})
 	p.Advance(1)
 	for k := 0; k < 2000; k += 2 {
-		h.Add(keyInt(k, k))
+		addRow(h, keyInt(k, k))
 	}
 	if err := p.Enforce(); err != nil {
 		t.Fatal(err)
@@ -407,8 +407,8 @@ func TestProbeSpilledShardWithoutKeyReadsNothing(t *testing.T) {
 	}
 	p.Advance(2)
 	for k := 1; k < 2000; k += 2 {
-		h.Add(keyInt(k, k))
-		twin.Add(keyInt(k, k))
+		addRow(h, keyInt(k, k))
+		addRow(twin, keyInt(k, k))
 	}
 	read := m.SpillBytesRead()
 	for k := 1; k < 2000; k += 2 {
@@ -448,14 +448,14 @@ func TestSpillCompressedRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		rawBytes += len(enc)
-		h.Add(r.Clone())
-		twin.Add(r.Clone())
+		addRow(h, r.Clone())
+		addRow(twin, r.Clone())
 	}
 	snap, snapTwin := h.Snapshot(), twin.Snapshot()
 	p.Advance(2)
 	for i := 48; i < 64; i++ { // post-snapshot rows, same run after eviction
-		h.Add(mkRow(i))
-		twin.Add(mkRow(i))
+		addRow(h, mkRow(i))
+		addRow(twin, mkRow(i))
 	}
 	if err := p.Enforce(); err != nil {
 		t.Fatal(err)
@@ -479,8 +479,8 @@ func TestSpillCompressedRuns(t *testing.T) {
 
 	// The store stays usable: grow, spill again, probe through both runs.
 	p.Advance(3)
-	h.Add(mkRow(100))
-	twin.Add(mkRow(100))
+	addRow(h, mkRow(100))
+	addRow(twin, mkRow(100))
 	if err := p.Enforce(); err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,12 @@ import (
 // bootstrap Poisson weight vector (nil for rows not derived from a streamed
 // relation).
 //
+// A vector is a pure function of the streamed tuple it was drawn for, so a
+// drawn W names its tuple in Tuple, which lets a holder drop W and redraw it
+// (WeightMode). The vector a scan draws lives in a slab the scan reuses every
+// batch: any row kept past its step must own its W, as a copy or as Tuple
+// alone.
+//
 // A Row is an immutable value. Whoever builds a row allocates its Vals (or
 // aliases a base-table tuple's, which the engine never writes either), and
 // nobody writes Vals, Mult or W afterwards: uncertain attributes are lineage
@@ -30,6 +36,11 @@ type Row struct {
 	Vals []rel.Value
 	Mult float64
 	W    []float64
+	// Tuple is 1 + the index of the streamed tuple whose drawn vector W is,
+	// or 0 when W is nil, a product of two vectors, or not drawn by the
+	// engine. A row with Tuple set and W nil holds its vector by index: its
+	// holder redraws W before the row flows on.
+	Tuple uint64
 }
 
 // Clone returns a row with a private copy of the values. Nothing needs one
@@ -38,17 +49,67 @@ type Row struct {
 func (r Row) Clone() Row {
 	vals := make([]rel.Value, len(r.Vals))
 	copy(vals, r.Vals)
-	return Row{Vals: vals, Mult: r.Mult, W: r.W}
+	return Row{Vals: vals, Mult: r.Mult, W: r.W, Tuple: r.Tuple}
 }
 
+// ByIndex reports whether the row holds its weight vector by index alone.
+func (r Row) ByIndex() bool { return r.W == nil && r.Tuple != 0 }
+
 // SizeBytes estimates the row's memory footprint (weights counted: the paper
-// ships bootstrap multiplicity columns with each tuple).
+// ships bootstrap multiplicity columns with each tuple; a row that holds its
+// vector by index counts the 8-byte index instead).
 func (r Row) SizeBytes() int {
 	n := 24 + 8*len(r.W)
+	if r.ByIndex() {
+		n += 8
+	}
 	for _, v := range r.Vals {
 		n += v.SizeBytes()
 	}
 	return n
+}
+
+// JoinRows returns l ⋈ r: the concatenated values, the product of the
+// multiplicities and of the weight vectors (CombineWeights). The result
+// names the tuple of the one side that carries weights; when that side holds
+// its vector by index, the result does too, and its builder redraws it. A
+// row held by index may meet only a weight-free row.
+func JoinRows(l, r Row) Row {
+	vals := make([]rel.Value, 0, len(l.Vals)+len(r.Vals))
+	vals = append(vals, l.Vals...)
+	vals = append(vals, r.Vals...)
+	out := Row{Vals: vals, Mult: l.Mult * r.Mult, W: CombineWeights(l.W, r.W)}
+	lw, rw := l.W != nil || l.ByIndex(), r.W != nil || r.ByIndex()
+	switch {
+	case (l.ByIndex() && rw) || (r.ByIndex() && lw):
+		panic("delta: a row held by index joined with a weighted row")
+	case lw && !rw:
+		out.Tuple = l.Tuple
+	case rw && !lw:
+		out.Tuple = r.Tuple
+	}
+	return out
+}
+
+// WeightChunk hands out owned copies of weight vectors, carved from one
+// allocation: a holder that keeps a step's rows sizes one chunk for all of
+// them.
+type WeightChunk struct{ w []float64 }
+
+// NewWeightChunk returns a chunk of floats weights; Own may carve at most
+// that many.
+func NewWeightChunk(floats int) WeightChunk {
+	return WeightChunk{w: make([]float64, floats)}
+}
+
+// Own returns r with W copied into the chunk (r itself when W is nil).
+func (c *WeightChunk) Own(r Row) Row {
+	if r.W == nil {
+		return r
+	}
+	k := copy(c.w, r.W)
+	r.W, c.w = c.w[:k:k], c.w[k:]
+	return r
 }
 
 // CombineWeights multiplies two Poisson weight vectors element-wise; nil
@@ -132,19 +193,74 @@ type shard struct {
 // can spill cold shards wholesale.
 type HashStore struct {
 	keys   []int // key column indexes
+	mode   WeightMode
 	shards [storeShards]shard
 	n      int
 	size   int           // logical bytes of all rows, hot or spilled
 	sp     *spillBackend // nil for memory-only stores
 }
 
-// NewHashStore builds a store hashing on the given column indexes.
-func NewHashStore(keyCols []int) *HashStore {
-	h := &HashStore{keys: keyCols}
+// WeightMode says how a HashStore keeps its rows' weight vectors. The slab a
+// vector was drawn into is reused by the next batch, so a store whose rows
+// outlive their step must own them.
+type WeightMode uint8
+
+const (
+	// KeepWeights keeps each row as handed in: for a store that dies with
+	// its rows' step (a join's per-batch build).
+	KeepWeights WeightMode = iota
+	// CopyWeights copies the vectors of each AddBatch into one chunk: for a
+	// store that is read every batch.
+	CopyWeights
+	// IndexWeights drops every drawn vector and keeps its tuple (Row.Tuple),
+	// from which whoever reads the row redraws it; any other vector is
+	// copied as under CopyWeights. For a store that only the other side's
+	// new rows probe.
+	IndexWeights
+)
+
+// NewHashStore builds a store hashing on the given column indexes, which
+// keeps its rows as handed in (KeepWeights).
+func NewHashStore(keyCols []int) *HashStore { return NewStateStore(keyCols, KeepWeights) }
+
+// NewStateStore builds a store that keeps its rows' weights by mode.
+func NewStateStore(keyCols []int, mode WeightMode) *HashStore {
+	h := &HashStore{keys: keyCols, mode: mode}
 	for i := range h.shards {
 		h.shards[i].hot = make(map[string][]Row)
 	}
 	return h
+}
+
+// Mode reports how the store keeps its rows' weights.
+func (h *HashStore) Mode() WeightMode { return h.mode }
+
+// own returns rows as the store keeps them (WeightMode): the rows themselves
+// under KeepWeights, or when no row carries a vector; otherwise a header
+// slice of the store's own whose copied vectors share one chunk.
+func (h *HashStore) own(rows []Row) []Row {
+	if h.mode == KeepWeights {
+		return rows
+	}
+	weighted, floats := false, 0
+	for _, r := range rows {
+		weighted = weighted || r.W != nil
+		if h.mode == CopyWeights || r.Tuple == 0 {
+			floats += len(r.W)
+		}
+	}
+	if !weighted {
+		return rows
+	}
+	out := make([]Row, len(rows))
+	c := NewWeightChunk(floats)
+	for i, r := range rows {
+		if h.mode == IndexWeights && r.Tuple != 0 {
+			r.W = nil
+		}
+		out[i] = c.Own(r)
+	}
+	return out
 }
 
 // shardOf is the FNV-1a hash of a key's encoding, reduced to a shard. It
@@ -158,8 +274,8 @@ func shardOf[K ~string | ~[]byte](key K) int {
 	return int(f % storeShards)
 }
 
-// Add inserts a row under its key.
-func (h *HashStore) Add(r Row) {
+// add inserts a row the store already owns (AddBatch).
+func (h *HashStore) add(r Row) {
 	k := rel.EncodeKey(r.Vals, h.keys)
 	h.addKeyed(shardOf(k), k, r)
 }
@@ -178,21 +294,23 @@ func (h *HashStore) addKeyed(s int, k string, r Row) {
 	h.size += sz
 }
 
-// AddBatch inserts a slice of rows. clone copies each row's values first; no
-// engine call sets it (rows are immutable, the store shares them) and the
-// parameter survives only because bench/probes.go calls this signature.
-// With a multi-worker pool the build runs partition-parallel: keys are
-// encoded chunk-parallel, rows are bucketed by shard in input order, and one
-// worker owns each shard — so every key's row list ends up in exactly the
-// order a sequential Add loop would produce, and the resulting store is
-// indistinguishable from the sequential build.
+// AddBatch inserts a slice of rows, their weights kept by the store's
+// WeightMode. clone copies each row's values first; no engine call sets it
+// (rows are immutable, the store shares them) and the parameter survives only
+// because bench/probes.go calls this signature. With a multi-worker pool the
+// build runs partition-parallel: keys are encoded chunk-parallel, rows are
+// bucketed by shard in input order, and one worker owns each shard — so every
+// key's row list ends up in exactly the order a one-by-one insert would
+// produce, and the resulting store is indistinguishable from the sequential
+// build.
 func (h *HashStore) AddBatch(rows []Row, clone bool, pool *cluster.Pool) {
+	rows = h.own(rows)
 	if pool == nil || pool.Workers() == 1 || len(rows) < storeShards {
 		for _, r := range rows {
 			if clone {
 				r = r.Clone()
 			}
-			h.Add(r)
+			h.add(r)
 		}
 		return
 	}
@@ -241,7 +359,7 @@ func (h *HashStore) AddBatch(rows []Row, clone bool, pool *cluster.Pool) {
 
 // Probe returns the rows matching the key columns of probe (resolved through
 // the probe-side key indexes). Read-only: safe for concurrent use while no
-// Add/AddBatch/Restore/spill is in flight (spill file reads are positional).
+// AddBatch/Restore/spill is in flight (spill file reads are positional).
 // When part of the key's rows were evicted, Probe reads them back
 // transparently; a spill-file read failure panics, because spill files are
 // process-local scratch whose loss is unrecoverable within the process — the

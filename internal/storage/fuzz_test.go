@@ -26,6 +26,9 @@ func seedSpillRow(t testing.TB, vals []rel.Value, mult float64, w []float64) []b
 //     and decoding again yields the same values (value-level, not
 //     byte-level — varints accept non-minimal encodings, so corrupt-but-
 //     decodable inputs can be longer than their canonical form).
+//
+// DecodeSpillRowTuple must accept every row DecodeSpillRow accepts, with
+// tuple 0, and round-trip its own rows, tuple included.
 func FuzzRowCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -34,9 +37,27 @@ func FuzzRowCodec(f *testing.F) {
 	f.Add(seedSpillRow(f, []rel.Value{rel.Null(), rel.Bool(true), rel.Float(math.NaN())}, 2.5, nil))
 	f.Add(seedSpillRow(f, []rel.Value{rel.NewRef(rel.Ref{Op: 3, Key: "k|v", Col: 1})}, 1, []float64{0}))
 	f.Add(seedSpillRow(f, []rel.Value{rel.String("日本語"), rel.Int(-1)}, -1, []float64{math.Inf(1)}))
+	withTuple, err := AppendSpillRowTuple(nil, []rel.Value{rel.Int(7)}, 1, nil, 1<<40)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withTuple)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		tvals, tmult, tw, tuple, tn, terr := DecodeSpillRowTuple(data)
+		if terr == nil {
+			enc, err := AppendSpillRowTuple(nil, tvals, tmult, tw, tuple)
+			if err != nil {
+				t.Fatalf("re-encode of decoded row failed: %v", err)
+			}
+			if _, _, _, tuple2, n2, err := DecodeSpillRowTuple(enc); err != nil || tuple2 != tuple || n2 != len(enc) {
+				t.Fatalf("tuple round-trip: tuple %d -> %d, %d of %d bytes (err %v)", tuple, tuple2, n2, len(enc), err)
+			}
+		}
 		vals, mult, w, n, err := DecodeSpillRow(data)
+		if (err == nil) != (terr == nil && tuple == 0) || err == nil && n != tn {
+			t.Fatalf("DecodeSpillRow err %v, DecodeSpillRowTuple err %v with tuple %d", err, terr, tuple)
+		}
 		if err != nil {
 			return // rejected cleanly — fine
 		}

@@ -14,6 +14,7 @@
 //	        other kinds as in the block format)
 //	    8 bytes multiplicity float64 bits
 //	    uvarint weight count, then 8-byte float64 bits each
+//	    uvarint tuple number, only when it is not 0 (AppendSpillRowTuple)
 //
 // The outer length prefix makes every row skippable without decoding
 // (SpillRowSize) and makes a torn tail detectable: a prefix that runs past
@@ -37,9 +38,20 @@ import (
 // are identical to the old two-copy encoding). It errors on value kinds the
 // codec does not know, before touching dst.
 func AppendSpillRow(dst []byte, vals []rel.Value, mult float64, w []float64) ([]byte, error) {
+	return AppendSpillRowTuple(dst, vals, mult, w, 0)
+}
+
+// AppendSpillRowTuple is AppendSpillRow for a row that also carries a tuple
+// number (delta.Row.Tuple: the streamed tuple a dropped weight vector is
+// redrawn from). A 0 tuple is not written, so such a row encodes exactly as
+// AppendSpillRow encodes it.
+func AppendSpillRowTuple(dst []byte, vals []rel.Value, mult float64, w []float64, tuple uint64) ([]byte, error) {
 	payload, err := spillRowPayloadSize(vals, w)
 	if err != nil {
 		return dst, err
+	}
+	if tuple != 0 {
+		payload += uvarintLen(tuple)
 	}
 	dst = binary.AppendUvarint(dst, uint64(payload))
 
@@ -51,6 +63,9 @@ func AppendSpillRow(dst []byte, vals []rel.Value, mult float64, w []float64) ([]
 	dst = binary.AppendUvarint(dst, uint64(len(w)))
 	for _, f := range w {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+	}
+	if tuple != 0 {
+		dst = binary.AppendUvarint(dst, tuple)
 	}
 	return dst, nil
 }
@@ -150,35 +165,48 @@ func SpillRowSize(b []byte) (int, error) {
 // values, multiplicity, weights, and the number of bytes consumed. The
 // decoder is strict: the payload must be exactly consumed, and any malformed
 // field is an error, never a panic — corrupt scratch data must surface as a
-// detectable failure.
+// detectable failure. A row with a tuple number is malformed here.
 func DecodeSpillRow(b []byte) (vals []rel.Value, mult float64, w []float64, size int, err error) {
+	vals, mult, w, tuple, size, err := DecodeSpillRowTuple(b)
+	if err == nil && tuple != 0 {
+		return nil, 0, nil, 0, fmt.Errorf("storage: %d trailing bytes in spill row", uvarintLen(tuple))
+	}
+	return vals, mult, w, size, err
+}
+
+// DecodeSpillRowTuple is DecodeSpillRow for rows AppendSpillRowTuple wrote:
+// it also returns the tuple number, 0 when the row has none.
+func DecodeSpillRowTuple(b []byte) (vals []rel.Value, mult float64, w []float64, tuple uint64, size int, err error) {
+	fail := func(err error) ([]rel.Value, float64, []float64, uint64, int, error) {
+		return nil, 0, nil, 0, 0, err
+	}
 	size, err = SpillRowSize(b)
 	if err != nil {
-		return nil, 0, nil, 0, err
+		return fail(err)
 	}
 	pfx, _ := binary.Uvarint(b)
 	p := b[size-int(pfx) : size]
 
 	nVals, n := binary.Uvarint(p)
 	if n <= 0 || nVals > uint64(len(p)) {
-		return nil, 0, nil, 0, fmt.Errorf("storage: bad spill value count")
+		return fail(fmt.Errorf("storage: bad spill value count"))
 	}
 	p = p[n:]
 	vals = make([]rel.Value, nVals)
 	for i := range vals {
 		vals[i], p, err = decodeValue(p)
 		if err != nil {
-			return nil, 0, nil, 0, err
+			return fail(err)
 		}
 	}
 	if len(p) < 8 {
-		return nil, 0, nil, 0, fmt.Errorf("storage: spill row missing multiplicity")
+		return fail(fmt.Errorf("storage: spill row missing multiplicity"))
 	}
 	mult = math.Float64frombits(binary.LittleEndian.Uint64(p))
 	p = p[8:]
 	nW, n := binary.Uvarint(p)
 	if n <= 0 || nW > uint64(len(p)-n)/8 { // division: nW*8 can wrap
-		return nil, 0, nil, 0, fmt.Errorf("storage: bad spill weight count")
+		return fail(fmt.Errorf("storage: bad spill weight count"))
 	}
 	p = p[n:]
 	if nW > 0 {
@@ -188,10 +216,14 @@ func DecodeSpillRow(b []byte) (vals []rel.Value, mult float64, w []float64, size
 			p = p[8:]
 		}
 	}
-	if len(p) != 0 {
-		return nil, 0, nil, 0, fmt.Errorf("storage: %d trailing bytes in spill row", len(p))
+	if len(p) > 0 {
+		// A tuple number is the payload's last field, and a 0 one is not
+		// written.
+		if tuple, n = binary.Uvarint(p); n != len(p) || tuple == 0 {
+			return fail(fmt.Errorf("storage: %d trailing bytes in spill row", len(p)))
+		}
 	}
-	return vals, mult, w, size, nil
+	return vals, mult, w, tuple, size, nil
 }
 
 // ReadSpillRow decodes the spill row at the front of r's undecoded payload
