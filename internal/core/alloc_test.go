@@ -44,7 +44,7 @@ func measureAllocsPerTuple(t *testing.T, query string, db *exec.DB, opts Options
 // TestEngineAllocsPerTupleSteadyState bounds end-to-end allocations per
 // streamed tuple on the aggregate hot path, sequential and parallel. The
 // per-tuple work — group lookup (EncodeKeyInto + no-copy map index),
-// Poisson weights (drawWeights: one slab per draw), and the bank kernels — is
+// Poisson weights (drawWeights: one slab per scan, reused), and the bank kernels — is
 // allocation-free; what remains is per-batch and per-group overhead
 // (result materialization, the weight slab, update plumbing), which
 // amortizes far below one allocation per tuple. A true per-tuple

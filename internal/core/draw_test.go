@@ -651,23 +651,21 @@ func TestSelectSlicesScanSlab(t *testing.T) {
 // emitted in the batch of its first row, so its outer rows arrive no
 // earlier, and the store's probes match nothing, unless the inner query
 // filters: then a group can first pass the filter after some of its outer
-// rows were stored, and its emission redraws their vectors. The Theorem-1
-// case filtered_correlated checks the bits of that path against the oracle.
+// rows were stored, and its emission redraws their vectors. The golden case
+// late_inner_group pins the bits of that path.
 func TestJoinStoreWeightModes(t *testing.T) {
 	for _, c := range []struct {
 		name, query string
 		mode        Mode
 		keys        int
-		want        delta.WeightMode
+		byIndex     bool // the store keeps tuple indices, not copies
 		redraws     bool
 	}{
-		{"correlated", theoremQuery(t, "nested_correlated"), ModeIOLAP, 0, delta.IndexWeights, false},
-		{"correlated_many_groups", nestedFewRead, ModeIOLAP, 8000, delta.IndexWeights, false},
-		{"filtered_correlated", `SELECT COUNT(*) AS n FROM sessions s WHERE s.play_time >
-			(SELECT AVG(play_time) FROM sessions i WHERE i.cdn = s.cdn AND i.buffer_time > 30)`,
-			ModeIOLAP, 1000, delta.IndexWeights, true},
-		{"correlated_hda", theoremQuery(t, "nested_correlated"), ModeHDA, 0, delta.CopyWeights, false},
-		{"in_having", theoremQuery(t, "nested_in_having"), ModeIOLAP, 0, delta.CopyWeights, false},
+		{"correlated", theoremQuery(t, "nested_correlated"), ModeIOLAP, 0, true, false},
+		{"correlated_many_groups", nestedFewRead, ModeIOLAP, 8000, true, false},
+		{"filtered_correlated", lateInnerGroup, ModeIOLAP, 1000, true, true},
+		{"correlated_hda", theoremQuery(t, "nested_correlated"), ModeHDA, 0, false, false},
+		{"in_having", theoremQuery(t, "nested_in_having"), ModeIOLAP, 0, false, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db := testDB(4000, 42)
@@ -688,9 +686,6 @@ func TestJoinStoreWeightModes(t *testing.T) {
 			if store == nil {
 				t.Fatal("no join keeps its left side")
 			}
-			if store.Mode() != c.want {
-				t.Fatalf("left store keeps weights by mode %d, want %d", store.Mode(), c.want)
-			}
 			redraws := 0
 			for !eng.Done() {
 				if _, err := eng.Step(); err != nil {
@@ -699,6 +694,17 @@ func TestJoinStoreWeightModes(t *testing.T) {
 				for _, st := range eng.OpStats() {
 					redraws += st.Redraws
 				}
+			}
+			byIndex, copies := 0, 0
+			store.Each(func(r delta.Row) {
+				if r.ByIndex() {
+					byIndex++
+				} else if r.W != nil {
+					copies++
+				}
+			})
+			if byIndex+copies == 0 || (byIndex > 0) != c.byIndex || (copies > 0) == c.byIndex {
+				t.Errorf("left store holds %d rows by index and %d weight copies, want by index: %v", byIndex, copies, c.byIndex)
 			}
 			if (redraws > 0) != c.redraws {
 				t.Errorf("%d vectors redrawn, want some: %v", redraws, c.redraws)

@@ -232,9 +232,6 @@ func NewStateStore(keyCols []int, mode WeightMode) *HashStore {
 	return h
 }
 
-// Mode reports how the store keeps its rows' weights.
-func (h *HashStore) Mode() WeightMode { return h.mode }
-
 // own returns rows as the store keeps them (WeightMode): the rows themselves
 // under KeepWeights, or when no row carries a vector; otherwise a header
 // slice of the store's own whose copied vectors share one chunk.

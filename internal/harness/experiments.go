@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"time"
 
 	"iolap/internal/core"
@@ -625,6 +627,86 @@ func Spill(cfg Config) ([]*Result, error) {
 	res.Notes = append(res.Notes,
 		"expected: resident state tracks the budget while logical state and results are budget-invariant; disk traffic grows as the budget shrinks")
 	return []*Result{res}, nil
+}
+
+// stateShapes are the nested queries of the benchmark's nested_unc and
+// nested_tiny workloads, at their row counts (bench/workloads.go).
+var stateShapes = []struct {
+	conviva bool
+	rows    int
+	queries []string
+}{
+	{true, 50000, []string{"C1", "C2", "C6", "C8"}},
+	{false, 50000, []string{"Q11"}},
+	{false, 16000, []string{"Q17", "Q18", "Q20"}},
+}
+
+// State is an extra experiment (not a paper artifact): for each nested query
+// of the benchmark, at its row count and at the configured batches and
+// trials, it prints per batch the state the engine accounts
+// (Update.JoinStateBytes + OtherStateBytes, the figure behind Fig 9(b),
+// 10(c) and the benchmark's peak_state_mb), the live heap the engine holds
+// over the database after runtime.GC(), and per join the weight vectors it
+// redrew that batch for a store that keeps them by index.
+func State(cfg Config) ([]*Result, error) {
+	cfg = cfg.WithDefaults()
+	res := &Result{
+		ID:     "state",
+		Title:  "accounted state vs live heap over the database (MB), per batch",
+		Header: []string{"query", "rows", "batch", "accounted_mb", "live_mb", "redraws"},
+	}
+	mb := func(n int64) string { return fmt.Sprintf("%.2f", float64(n)/(1<<20)) }
+	for _, sh := range stateShapes {
+		w := workload.TPCH(workload.TPCHScale{Fact: sh.rows, Seed: int64(cfg.Seed)})
+		if sh.conviva {
+			w = workload.Conviva(workload.ConvivaScale{Sessions: sh.rows, Seed: int64(cfg.Seed)})
+		}
+		for _, name := range sh.queries {
+			q, ok := w.Query(name)
+			if !ok {
+				return nil, fmt.Errorf("state: no %s in workload %s", name, w.Name)
+			}
+			node, _, err := w.Plan(q)
+			if err != nil {
+				return nil, err
+			}
+			base := liveHeap()
+			eng, err := core.NewEngine(node, w.DB(), core.Options{
+				Batches: cfg.Batches, Trials: cfg.Trials, Slack: cfg.Slack, Seed: cfg.Seed,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("state: %s/%s: %w", w.Name, name, err)
+			}
+			for !eng.Done() {
+				u, err := eng.Step()
+				if err != nil {
+					return nil, fmt.Errorf("state: %s/%s: %w", w.Name, name, err)
+				}
+				var redraws []string
+				for _, st := range eng.OpStats() {
+					if st.Kind == "join" {
+						redraws = append(redraws, fmt.Sprint(st.Redraws))
+					}
+				}
+				// The update is dead past this line: its result is not state.
+				accounted := mb(int64(u.JoinStateBytes + u.OtherStateBytes))
+				res.Rows = append(res.Rows, []string{name, fmt.Sprint(sh.rows), fmt.Sprint(u.Batch), accounted,
+					mb(liveHeap() - base), strings.Join(redraws, ",")})
+			}
+			eng.Close()
+		}
+	}
+	res.Notes = append(res.Notes,
+		"live_mb is runtime.MemStats.HeapAlloc after runtime.GC(), less its value before the engine was built; redraws lists the joins in build order")
+	return []*Result{res}, nil
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
 
 func yesNo(b bool) string {

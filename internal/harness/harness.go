@@ -127,6 +127,7 @@ func All() []Experiment {
 		{ID: "fig10d", Paper: "Figure 10(d) data shipped, Conviva", Run: Fig10d},
 		{ID: "fig10ef", Paper: "Figure 10(e,f) slack sweep, TPC-H", Run: Fig10ef},
 		{ID: "spill", Paper: "(extra) join-state budget vs spill traffic, TPC-H Q17", Run: Spill},
+		{ID: "state", Paper: "(extra) accounted state vs live heap per batch, nested queries at the benchmark's rows", Run: State},
 		{ID: "scale", Paper: "(extra) scale sensitivity of the tiny-group deviations", Run: ScaleSensitivity},
 		{ID: "serve", Paper: "(extra) multi-query serving: concurrent sessions over one shared scan", Run: Serve},
 	}
