@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"iolap/internal/delta"
+	"iolap/internal/plan"
 	"iolap/internal/share"
 	"iolap/internal/workload"
 )
@@ -15,8 +17,9 @@ const compileShapeGoldenPath = "testdata/compile_shape.golden"
 // TestCompileShapeGolden pins what compilation decides for every workload
 // query, under ModeIOLAP and ModeHDA and as two serving sessions on one
 // share.Cache and schedule: per plan whether it tracks variation ranges, and
-// per operator its kind, which join sides keep a store, the late-drawn join
-// side, which select or join draws and which select reports its survivors
+// per operator its kind, which join sides keep a store and how each keeps
+// its rows' weight vectors (compiled.storeMode: by index or as copies), the
+// late-drawn join side, which select or join draws and which select reports its survivors
 // to a drawer above, and whether a build or an aggregate is shared. A shared aggregate lists the operators of its cache entry below
 // it. The trajectory goldens hold what the operators compute; this file holds
 // which operators compile chose, so a refactor of compile that keeps every
@@ -93,10 +96,18 @@ func TestCompileShapeGolden(t *testing.T) {
 // writeCompileShape writes one plan's header line and its operators.
 func writeCompileShape(b *strings.Builder, name string, eng *Engine) {
 	fmt.Fprintf(b, "%s trackRanges=%v\n", name, eng.comp.est.track)
-	writeOpShapes(b, "  ", eng.comp.ops)
+	writeOpShapes(b, "  ", eng.comp, eng.comp.ops)
 }
 
-func writeOpShapes(b *strings.Builder, indent string, ops []operator) {
+// writeOpShapes writes one line per operator of ops, which c compiled (or,
+// for a shared entry's operators, compiled privately from c's analysis).
+func writeOpShapes(b *strings.Builder, indent string, c *compiled, ops []operator) {
+	weights := func(other plan.Node) string {
+		if c.storeMode(other) == delta.IndexWeights {
+			return ":index"
+		}
+		return ":copy"
+	}
 	for _, op := range ops {
 		b.WriteString(indent + op.kind())
 		switch o := op.(type) {
@@ -123,9 +134,12 @@ func writeOpShapes(b *strings.Builder, indent string, ops []operator) {
 			}
 		case *opJoin:
 			if o.lStore != nil {
-				b.WriteString(" storeL")
+				b.WriteString(" storeL" + weights(o.node.R))
 			}
-			if o.rStore != nil {
+			if o.rStore != nil && !o.sharedR {
+				b.WriteString(" storeR" + weights(o.node.L))
+			}
+			if o.sharedR {
 				b.WriteString(" storeR")
 			}
 			switch o.late {
@@ -150,7 +164,7 @@ func writeOpShapes(b *strings.Builder, indent string, ops []operator) {
 		}
 		b.WriteByte('\n')
 		if o, ok := op.(*opSharedAgg); ok {
-			writeOpShapes(b, indent+"  ", o.entry.ops)
+			writeOpShapes(b, indent+"  ", c, o.entry.ops)
 		}
 	}
 }
