@@ -138,8 +138,8 @@ func isIdentity(idx []int32) bool {
 }
 
 // drawWeights gives rows[k] the bootstrap weight vector of tuple base+idx[k]
-// (base+k when idx is nil), and names that tuple in its Tuple, and returns
-// the slab it drew them into. It is the one place a row's weights are drawn,
+// (base+k when idx is nil), names that tuple in rows[k].Tuple and returns the
+// slab it drew them into. It is the one place a row's weights are drawn,
 // for opScan.weigh. A vector is a pure function of (salted seed, tuple
 // index), so who draws it, and when, never shows in the weights.
 //

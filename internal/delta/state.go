@@ -96,8 +96,8 @@ func JoinRows(l, r Row) Row {
 // them.
 type WeightChunk struct{ w []float64 }
 
-// NewWeightChunk returns a chunk of floats weights; Own may carve at most
-// that many.
+// NewWeightChunk returns a chunk that holds floats weights in all; Own may
+// carve no more.
 func NewWeightChunk(floats int) WeightChunk {
 	return WeightChunk{w: make([]float64, floats)}
 }
