@@ -44,6 +44,9 @@ type compiled struct {
 	scaleExp []int     // per node (plan.ScaleExp)
 	opts     Options
 	est      *estimator
+	// weights draws the streamed table's weight vectors for the operators
+	// that read them (nil with the bootstrap off).
+	weights *weigher
 	// spill is the engine's join-state budget; persistent join stores are
 	// registered with it at build time (nil = never spill).
 	spill *delta.SpillPolicy
@@ -106,6 +109,7 @@ func compile(root plan.Node, db *exec.DB, opts Options, spill *delta.SpillPolicy
 		scaleExp: plan.ScaleExp(norm, n),
 		opts:     opts,
 		est:      est,
+		weights:  newWeigher(streamed[0], opts),
 		spill:    spill,
 		db:       db,
 	}
@@ -380,66 +384,6 @@ func checkResidualProjects(root plan.Node, an *plan.Analysis) error {
 	return err
 }
 
-// lateScan walks down from op through certain selects and joins to a
-// weighted streamed scan whose weights the top of that filter chain may draw
-// for just the rows that survive it, and marks what it passes: a select
-// reports its survivors' scan rows in output.prov instead of drawing
-// (opSelect.late), and a join reports its news' rows the same way
-// (opJoin.late) instead of drawing. A join is passed when the scan's side
-// keeps no store, so its rows never enter state weight-free, and the other
-// side is complete (plan.NodeInfo.Incomplete false), so all the weights of a
-// joined row are the scan row's. A select is passed when its predicate is
-// certain: it settles every row on arrival, so no scan row reaches its state
-// or its output unweighted.
-func (c *compiled) lateScan(op operator) *opScan {
-	switch o := op.(type) {
-	case *opScan:
-		if o.poisson != nil {
-			return o
-		}
-	case *opSelect:
-		if !o.predUncertain {
-			if sc := c.lateScan(o.child); sc != nil {
-				o.late, o.draw = true, nil
-				return sc
-			}
-		}
-	case *opJoin:
-		if o.lStore == nil && !c.analysis.Info[o.node.R.ID()].Incomplete {
-			if sc := c.lateScan(o.l); sc != nil {
-				o.late, o.draw = lateL, nil
-				return sc
-			}
-		}
-		if o.rStore == nil && !c.analysis.Info[o.node.L.ID()].Incomplete {
-			if sc := c.lateScan(o.r); sc != nil {
-				o.late, o.draw = lateR, nil
-				return sc
-			}
-		}
-	}
-	return nil
-}
-
-// drawLate makes op, a select or join just built, the drawer of the filter
-// chain it tops (lateScan): the scan below emits rows without weights, and op
-// draws the vectors of the rows it emits. Operators are built bottom-up, so a
-// drawer that a later parent passes becomes a link of that parent's chain, and
-// only the top of the chain draws.
-func (c *compiled) drawLate(op operator) {
-	sc := c.lateScan(op)
-	if sc == nil {
-		return
-	}
-	sc.lateDraw = true
-	switch o := op.(type) {
-	case *opSelect:
-		o.late, o.draw = false, sc
-	case *opJoin:
-		o.draw = sc
-	}
-}
-
 // build constructs the online operator for a plan node.
 func (c *compiled) build(n plan.Node) (operator, error) {
 	switch t := n.(type) {
@@ -476,7 +420,6 @@ func (c *compiled) build(n plan.Node) (operator, error) {
 				}
 			}
 		}
-		c.drawLate(op)
 		c.ops = append(c.ops, op)
 		return op, nil
 
@@ -514,7 +457,6 @@ func (c *compiled) build(n plan.Node) (operator, error) {
 			stub := &opSharedBuild{node: t.R}
 			c.ops = append(c.ops, stub)
 			op := &opJoin{node: t, l: l, r: stub, rStore: store, sharedR: true}
-			c.drawLate(op)
 			c.ops = append(c.ops, op)
 			return op, nil
 		}
@@ -523,7 +465,6 @@ func (c *compiled) build(n plan.Node) (operator, error) {
 			return nil, err
 		}
 		op := c.newOpJoin(t, l, r, cacheL, cacheR)
-		c.drawLate(op)
 		c.ops = append(c.ops, op)
 		return op, nil
 

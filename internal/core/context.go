@@ -198,24 +198,10 @@ type batchContext struct {
 	// select with a compiled predicate over a streamed scan builds its
 	// predicate's column banks from the scan's batch and filters over them.
 	vec bool
-	// replay marks a step over a merged delta of several batches: a §5.1
-	// replay, or a shared entry's catch-up. A scan keeps no slab it grew for
-	// one (opScan.slabFor).
-	replay bool
-	// slabs holds, by streamed table name, the slab of the first draw this
-	// batch that covered the table's whole batch (opScan.weigh). Every later
-	// weighted scan of the table, and a late drawer over one, slices
-	// its rows' vectors from it instead of drawing them again. It dies with
-	// the context, so a §5.1 replay or a shared entry's step never sees it.
-	slabs map[string]weightSlab
-}
-
-// weightSlab is the weights of one streamed table's whole batch: vector k of w
-// belongs to tuple base+k, for n tuples.
-type weightSlab struct {
-	base uint64
-	n    int
-	w    []float64
+	// weights fills the vectors of the rows the step's readers hold by
+	// index (weigher.fill); nil with the bootstrap off, and for a static
+	// subtree's step.
+	weights *weigher
 }
 
 // newBatchContext builds the context of one step: the step is labelled batch,
@@ -223,7 +209,8 @@ type weightSlab struct {
 // processed. It is the one place Options.Mode decodes into the lazy / prune /
 // hdaAgg switches. What only a full engine has — metrics, site runner, the
 // columnar filter — the engine attaches afterwards; a context without them
-// runs every operator inline on the row paths.
+// runs every operator inline on the row paths. The owner of the operators
+// attaches their weigher (weigher.begin).
 func newBatchContext(opts Options, batch, seen, total int, delta map[string]*rel.Relation, dims dbView) *batchContext {
 	scale := 1.0
 	if seen > 0 {
@@ -240,7 +227,6 @@ func newBatchContext(opts Options, batch, seen, total int, delta map[string]*rel
 		lazy:   opts.Mode == ModeIOLAP,
 		prune:  opts.Mode != ModeHDA,
 		hdaAgg: opts.Mode == ModeHDA,
-		slabs:  make(map[string]weightSlab),
 	}
 }
 

@@ -296,12 +296,15 @@ func (e *Engine) restoreSnapshot(s engineSnap) {
 	e.seenRows = s.seenRows
 }
 
-func (e *Engine) newBatchContext(deltaRows *rel.Relation, seenAfter int) *batchContext {
+// newBatchContext builds the context of a step over deltaRows, which leaves
+// seenAfter streamed rows processed; replay marks a merged delta (§5.1).
+func (e *Engine) newBatchContext(deltaRows *rel.Relation, seenAfter int, replay bool) *batchContext {
 	bc := newBatchContext(e.opts, e.batch, seenAfter, e.totalRows,
 		map[string]*rel.Relation{e.streamedTable: deltaRows}, e.db)
 	bc.metrics = &e.metrics
 	bc.run = e.run
 	bc.vec = !e.opts.NoVectorize
+	bc.weights = e.comp.weights.begin(uint64(seenAfter-deltaRows.Len()), deltaRows.Len(), replay)
 	return bc
 }
 
@@ -364,7 +367,7 @@ func (e *Engine) Step() (u *Update, err error) {
 	e.spill.Advance(e.batch)
 	d := e.deltas[e.batch-1]
 	e.seenRows += d.Len()
-	bc := e.newBatchContext(d, e.seenRows)
+	bc := e.newBatchContext(d, e.seenRows, false)
 	markAttempt()
 	if _, err := e.comp.sink.step(bc); err != nil {
 		return nil, err
@@ -432,8 +435,7 @@ func (e *Engine) Step() (u *Update, err error) {
 		recoveredFrom = j
 		merged := e.mergeDeltas(j, e.batch)
 		e.seenRows += merged.Len()
-		bc = e.newBatchContext(merged, e.seenRows)
-		bc.replay = true
+		bc = e.newBatchContext(merged, e.seenRows, true)
 		markAttempt()
 		if _, err := e.comp.sink.step(bc); err != nil {
 			return nil, err
@@ -554,9 +556,10 @@ type OpStat struct {
 	// SpilledRows is how many of a join's cached rows live in spill files
 	// (always 0 without a state budget, and for non-join operators).
 	SpilledRows int
-	// Redraws is how many weight vectors a join redrew last batch for the
-	// rows its probes matched in a store that keeps vectors by index
-	// (always 0 for non-join operators).
+	// Redraws is how many weight vectors the operator drew last batch for
+	// tuples of earlier batches: rows a join store kept by index, read by an
+	// aggregate, an uncertain select or a join that keeps copies (always 0
+	// for other operators).
 	Redraws int
 }
 
@@ -572,9 +575,14 @@ func (e *Engine) OpStats() []OpStat {
 			Unc:        unc,
 			StateBytes: op.stateBytes(),
 		}
-		if j, ok := op.(*opJoin); ok {
-			st.SpilledRows = j.spilledRows()
-			st.Redraws = j.redraws
+		switch o := op.(type) {
+		case *opJoin:
+			st.SpilledRows = o.spilledRows()
+			st.Redraws = o.redraws
+		case *opSelect:
+			st.Redraws = o.redraws
+		case *opAgg:
+			st.Redraws = o.redraws
 		}
 		out = append(out, st)
 	}

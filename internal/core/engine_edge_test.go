@@ -312,7 +312,7 @@ func TestEngineSnapshotRestoreRoundTrip(t *testing.T) {
 	eng.restoreSnapshot(eng.base)
 	merged := eng.mergeDeltas(0, eng.batch)
 	eng.seenRows += merged.Len()
-	bc := eng.newBatchContext(merged, eng.seenRows)
+	bc := eng.newBatchContext(merged, eng.seenRows, true)
 	if _, err := eng.comp.sink.step(bc); err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func verifyRecoveryReplay(t *testing.T, newFixture func() (*Engine, error), u *U
 	fresh.batch = u.Batch
 	merged := fresh.mergeDeltas(j, u.Batch)
 	fresh.seenRows += merged.Len()
-	bc := fresh.newBatchContext(merged, fresh.seenRows)
+	bc := fresh.newBatchContext(merged, fresh.seenRows, true)
 	if _, err := fresh.comp.sink.step(bc); err != nil {
 		t.Fatalf("replay step: %v", err)
 	}

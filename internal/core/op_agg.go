@@ -87,6 +87,9 @@ type opAgg struct {
 	// embedded here, or a New closure over the operator, would keep the
 	// whole operator tree alive that long.
 	merges *sync.Pool
+	// redraws counts the vectors the last step drew for tuples of earlier
+	// batches (OpStat.Redraws).
+	redraws int
 	// keyBuf is the group-key encoding scratch: lookups index the groups
 	// map by string(keyBuf), which the compiler compiles to a no-copy,
 	// no-allocation access; only a genuinely new group materialises the key.
@@ -681,6 +684,8 @@ func (o *opAgg) step(bc *batchContext) (output, error) {
 	if err != nil {
 		return output{}, err
 	}
+	// The fold reads every row's vector: fill the rows held by index.
+	o.redraws = bc.weights.fill(bc.run, in.news) + bc.weights.fill(bc.run, in.unc)
 	// A grouped aggregate repartitions its input by key.
 	if bc.metrics != nil && len(o.node.GroupBy) > 0 {
 		n := 0

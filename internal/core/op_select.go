@@ -29,16 +29,9 @@ type opSelect struct {
 	scan  *opScan
 	need  []bool
 	state delta.RowSet // the non-deterministic set U_i
-	// draw, when non-nil, is the streamed weighted scan below, directly or
-	// through joins and selects, whose rows this select weights after
-	// filtering (compiled.drawLate): survivors get their vectors here
-	// (opScan.weigh), dropped rows never get one. late marks a select further
-	// down such a chain, below the operator that draws: it reports its
-	// survivors' scan-batch rows in output.prov instead. keep is the scratch
-	// of those rows, reused across batches.
-	draw *opScan
-	late bool
-	keep []int32
+	// redraws counts the vectors the last step drew for tuples of earlier
+	// batches (OpStat.Redraws).
+	redraws int
 }
 
 // columns builds the predicate's column banks over the scan's batch when
@@ -121,6 +114,7 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 		return output{}, err
 	}
 	var out output
+	o.redraws = 0
 	// 1. Refresh and re-classify the non-deterministic set (this is the
 	// recomputation the paper's Figure 8(e,f) counts). Verdicts are
 	// computed partition-parallel; promotion/pruning stays a sequential
@@ -146,7 +140,6 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 	}
 	// 2. New certain input rows.
 	if len(in.news) > 0 && !o.predUncertain {
-		n0 := len(out.news)
 		var pass []bool
 		if cols := o.columns(bc); cols != nil {
 			// Columnar filter: the predicate evaluates whole column spans
@@ -161,44 +154,39 @@ func (o *opSelect) step(bc *batchContext) (output, error) {
 		} else {
 			pass = o.filterAll(in.news, bc)
 		}
-		sel := o.keep[:0] // survivors' rows in the scan's batch (output.pos)
 		for i, r := range in.news {
 			if pass[i] {
 				out.news = append(out.news, r)
-				sel = append(sel, in.pos(i))
 			}
-		}
-		o.keep = sel
-		if o.late {
-			out.prov = sel
-		}
-		if o.draw != nil {
-			// Survivor k is built from row sel[k] of the scan's batch: its
-			// vector is sliced from the table's batch slab if another scan
-			// drew it, drawn here if not.
-			o.draw.weigh(bc, out.news[n0:], sel)
 		}
 	} else if len(in.news) > 0 {
 		vs := o.classifyAll(in.news, bc, false)
-		// The rows the set keeps own their vectors: one chunk for the step.
-		floats := 0
-		for i, r := range in.news {
-			if vs[i].tri != expr.True && vs[i].tri != expr.False {
-				floats += len(r.W)
-			}
-		}
-		chunk := delta.NewWeightChunk(floats)
+		// Rows pass or drop by index; the set reads the vectors of the rows
+		// it keeps, so it fills just those, and owns them: one chunk for the
+		// step.
+		var nd []delta.Row
+		var ndPass []bool
 		for i, r := range in.news {
 			switch vs[i].tri {
 			case expr.True:
 				out.news = append(out.news, r)
 			case expr.False:
 			default:
-				r = chunk.Own(r)
-				o.state.Add(r)
-				if vs[i].pass {
-					out.unc = append(out.unc, r)
-				}
+				nd = append(nd, r)
+				ndPass = append(ndPass, vs[i].pass)
+			}
+		}
+		o.redraws = bc.weights.fill(bc.run, nd)
+		floats := 0
+		for _, r := range nd {
+			floats += len(r.W)
+		}
+		chunk := delta.NewWeightChunk(floats)
+		for k, r := range nd {
+			r = chunk.Own(r)
+			o.state.Add(r)
+			if ndPass[k] {
+				out.unc = append(out.unc, r)
 			}
 		}
 	}

@@ -16,20 +16,6 @@ import "iolap/internal/delta"
 type output struct {
 	news []delta.Row
 	unc  []delta.Row
-	// prov is set on the path from a late-drawn scan up through selects and
-	// joins to the operator that draws for it (compiled.drawLate): news[j] is
-	// built from row prov[j] of the scan's batch; nil means the identity (row
-	// j). It travels beside the rows, not in delta.Row, so no other row grows
-	// by a word.
-	prov []int32
-}
-
-// pos returns the scan-batch row that news[j] is built from (output.prov).
-func (o *output) pos(j int) int32 {
-	if o.prov == nil {
-		return int32(j)
-	}
-	return o.prov[j]
 }
 
 // operator is one online operator (Section 7's "online operator

@@ -173,7 +173,7 @@ func TestAggSnapshotChain(t *testing.T) {
 		merged := eng.mergeDeltas(done, to)
 		seen += merged.Len()
 		eng.batch = to
-		if _, err := eng.comp.sink.step(eng.newBatchContext(merged, seen)); err != nil {
+		if _, err := eng.comp.sink.step(eng.newBatchContext(merged, seen, to-done > 1)); err != nil {
 			t.Fatalf("step to %d: %v", to, err)
 		}
 		done = to
