@@ -162,7 +162,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	// 40 inner groups of six rows, whose inner filter passes a group's first
 	// row only in a later batch than some of its outer rows: the inner
 	// group's late emission probes the store of outer rows, which keeps
-	// their vectors by index and redraws them for the matches.
+	// them by index, and the aggregate above draws the matches' vectors.
 	cases = append(cases, goldenCase{name: "late_inner_group", query: lateInnerGroup, opts: base, keys: 40})
 	return cases
 }
@@ -412,8 +412,10 @@ type latticeCase struct {
 	streamed string
 	opts     Options
 	adaptive bool // the adaptive cutover in every cell instead of cutover 1
-	// golden marks a pinned reference word; otherwise the reference cell's
-	// own word is the reference.
+	// golden marks a case of goldenCases, whose reference is the pinned
+	// word want (under -update, the reference cell's own word, which the
+	// file then gets); otherwise the reference cell's own word is the
+	// reference, and its rows are checked against the oracle's.
 	golden bool
 	want   uint64
 	// nested, when set, is the Nested() classification the plan must get.
@@ -426,7 +428,7 @@ type execConfig struct {
 	workers int
 	novec   bool
 	budget  int64 // StateBudgetBytes over a MemFS; 0 keeps all state in memory
-	poison  bool  // NaN-fill every scan's slab before its reuse (Engine.poisonSlabs)
+	poison  bool  // NaN-fill every weight arena before its reuse (Engine.poisonSlabs)
 }
 
 // latticeCell is one execution configuration: one engine, or two engines
@@ -678,7 +680,7 @@ func runLattice(t *testing.T, c latticeCase) uint64 {
 				oracles = checkReference(t, c, runs[0])
 				ref = runs[0]
 				joins, sharable = joinShape(ref.eng)
-				if !c.golden {
+				if !c.golden || *updateGolden {
 					want = digestUpdates(t, ref.us)
 				}
 			}
@@ -797,10 +799,14 @@ func TestExecutionLattice(t *testing.T) {
 	for _, gc := range goldenCases(t) {
 		for _, trials := range []int{0, 25} {
 			key, c := gc.at(t, trials)
-			c.want, c.golden = golden[key]
+			// A golden case is golden because goldenCases lists it: under
+			// -update the map is empty, and the reference cell's word is
+			// what the file gets.
+			want, ok := golden[key]
+			c.want, c.golden = want, true
 			t.Run(c.name, func(t *testing.T) {
 				t.Parallel()
-				if !*updateGolden && !c.golden {
+				if !*updateGolden && !ok {
 					t.Fatalf("no golden entry for %s", key)
 				}
 				word := runLattice(t, c)

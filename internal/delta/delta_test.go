@@ -2,6 +2,7 @@ package delta
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"iolap/internal/cluster"
@@ -342,6 +343,25 @@ func TestStoreWeightModes(t *testing.T) {
 			t.Errorf("mode %d: store accounts %d bytes, rows %d", tc.mode, h.SizeBytes(), want)
 		}
 	}
+}
+
+// TestCopyStoreRefusesIndexRows: a store that keeps copies panics, naming
+// the tuple, when handed a row by index, which it would otherwise keep by
+// index unsaid; an index store keeps such a row as it is.
+func TestCopyStoreRefusesIndexRows(t *testing.T) {
+	byIdx := Row{Vals: []rel.Value{rel.Int(1)}, Mult: 1, Tuple: 8}
+	h := NewStateStore([]int{0}, IndexWeights)
+	h.AddBatch([]Row{byIdx}, false, nil)
+	if got := h.Probe([]rel.Value{rel.Int(1)}, []int{0}); len(got) != 1 || !got[0].ByIndex() || got[0].Tuple != 8 {
+		t.Fatalf("index store keeps %+v, want the row by index", got)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "store that keeps copies") || !strings.Contains(msg, "tuple 7") {
+			t.Errorf("copy store handed a row by index: panic %q, want one naming tuple 7", msg)
+		}
+	}()
+	NewStateStore([]int{0}, CopyWeights).AddBatch([]Row{{Vals: []rel.Value{rel.Int(2)}, Mult: 1}, byIdx}, false, nil)
 }
 
 // TestJoinRowsTuple: a joined row names the tuple of its one weighted side,

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"time"
 
 	"iolap/internal/core"
@@ -646,8 +645,9 @@ var stateShapes = []struct {
 // trials, it prints per batch the state the engine accounts
 // (Update.JoinStateBytes + OtherStateBytes, the figure behind Fig 9(b),
 // 10(c) and the benchmark's peak_state_mb), the live heap the engine holds
-// over the database after runtime.GC(), and per join the weight vectors it
-// redrew that batch for a store that keeps them by index.
+// over the database after runtime.GC(), and the weight vectors the batch's
+// readers drew for tuples of earlier batches (OpStat.Redraws): rows a join
+// store kept by index.
 func State(cfg Config) ([]*Result, error) {
 	cfg = cfg.WithDefaults()
 	res := &Result{
@@ -682,22 +682,20 @@ func State(cfg Config) ([]*Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("state: %s/%s: %w", w.Name, name, err)
 				}
-				var redraws []string
+				redraws := 0
 				for _, st := range eng.OpStats() {
-					if st.Kind == "join" {
-						redraws = append(redraws, fmt.Sprint(st.Redraws))
-					}
+					redraws += st.Redraws
 				}
 				// The update is dead past this line: its result is not state.
 				accounted := mb(int64(u.JoinStateBytes + u.OtherStateBytes))
 				res.Rows = append(res.Rows, []string{name, fmt.Sprint(sh.rows), fmt.Sprint(u.Batch), accounted,
-					mb(liveHeap() - base), strings.Join(redraws, ",")})
+					mb(liveHeap() - base), fmt.Sprint(redraws)})
 			}
 			eng.Close()
 		}
 	}
 	res.Notes = append(res.Notes,
-		"live_mb is runtime.MemStats.HeapAlloc after runtime.GC(), less its value before the engine was built; redraws lists the joins in build order")
+		"live_mb is runtime.MemStats.HeapAlloc after runtime.GC(), less its value before the engine was built; redraws sums the batch's operators")
 	return []*Result{res}, nil
 }
 
