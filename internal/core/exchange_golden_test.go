@@ -20,7 +20,7 @@ func exchangeSequence(us []*Update) uint64 {
 }
 
 // TestExchangeSequenceGolden pins the modeled data shipped of every golden
-// case: for each, the per-batch sequence of {ShuffleBytes, BroadcastBytes}
+// run (goldenRuns): for each, the per-batch sequence of {ShuffleBytes, BroadcastBytes}
 // as one word. TestLateJoinExchangeBytes spells out the late-join cases
 // batch by batch; this file carries the same pin for the whole corpus. Each
 // case runs at Workers {1, 4} with the cutover pinned to one row (the adaptive
@@ -34,30 +34,28 @@ func TestExchangeSequenceGolden(t *testing.T) {
 	}
 	local := readGolden(t, trajectoryGoldenPath)
 	got := map[string]uint64{}
-	for _, gc := range goldenCases(t) {
-		for _, trials := range []int{0, 25} {
-			key, c := gc.at(t, trials)
-			ref, seen := want[key]
-			t.Run(c.name, func(t *testing.T) {
-				if !*updateGolden && !seen {
-					t.Fatalf("no golden entry for %s", key)
+	for _, r := range goldenRuns(t) {
+		key, c := r.key, r.c
+		ref, seen := want[key]
+		t.Run(c.name, func(t *testing.T) {
+			if !*updateGolden && !seen {
+				t.Fatalf("no golden entry for %s", key)
+			}
+			for _, workers := range []int{1, 4} {
+				us := runAt(t, c, execConfig{workers: workers}).us
+				d := exchangeSequence(us)
+				if *updateGolden && !seen {
+					ref, seen = d, true
+					got[key] = d
 				}
-				for _, workers := range []int{1, 4} {
-					us := runAt(t, c, execConfig{workers: workers}).us
-					d := exchangeSequence(us)
-					if *updateGolden && !seen {
-						ref, seen = d, true
-						got[key] = d
-					}
-					if d != ref {
-						t.Errorf("workers=%d: exchange sequence %016x, golden %016x", workers, d, ref)
-					}
-					if traj := digestUpdates(t, us); local[key] != traj {
-						t.Errorf("workers=%d: trajectory %016x, golden %016x", workers, traj, local[key])
-					}
+				if d != ref {
+					t.Errorf("workers=%d: exchange sequence %016x, golden %016x", workers, d, ref)
 				}
-			})
-		}
+				if traj := digestUpdates(t, us); local[key] != traj {
+					t.Errorf("workers=%d: trajectory %016x, golden %016x", workers, traj, local[key])
+				}
+			}
+		})
 	}
 	if *updateGolden {
 		writeGolden(t, exchangeGoldenPath, got,

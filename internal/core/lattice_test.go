@@ -239,6 +239,58 @@ func (gc goldenCase) at(t testing.TB, trials int) (string, latticeCase) {
 	return key, c
 }
 
+// slacks are the variation-range slacks ε every range-tracking golden case
+// also runs at. Tighter ranges fail more often, and a failure that names an
+// earlier batch restores a mid-run snapshot.
+var slacks = []float64{0.5, 1}
+
+// goldenRun is one key of the golden files: a golden case at B trials.
+type goldenRun struct {
+	key string
+	c   latticeCase
+}
+
+// goldenRuns lists every golden case at B0 and B25, then every range-tracking
+// one at B25 under each of slacks (at B0 nothing tracks ranges). A slack run
+// keeps to the lattice's reference cell and one spill cell.
+func goldenRuns(t *testing.T) []goldenRun {
+	cases := goldenCases(t)
+	var runs []goldenRun
+	for _, gc := range cases {
+		for _, trials := range []int{0, 25} {
+			key, c := gc.at(t, trials)
+			runs = append(runs, goldenRun{key, c})
+		}
+	}
+	for _, gc := range cases {
+		if !tracksRanges(t, gc) {
+			continue
+		}
+		for _, eps := range slacks {
+			v := gc
+			v.name = fmt.Sprintf("%s/eps%g", gc.name, eps)
+			v.opts.Slack = eps
+			key, c := v.at(t, 25)
+			c.fewCells = true
+			runs = append(runs, goldenRun{key, c})
+		}
+	}
+	return runs
+}
+
+// tracksRanges reports whether the golden case's plan tracks variation ranges
+// at B25.
+func tracksRanges(t *testing.T, gc goldenCase) bool {
+	t.Helper()
+	o := gc.opts
+	o.Trials = 25
+	c, err := compile(planGolden(t, gc), nil, o.withDefaults(), nil)
+	if err != nil {
+		t.Fatalf("%s: compile: %v", gc.name, err)
+	}
+	return c.est.track
+}
+
 // updateDigest is core.ResultDigest of one batch's answer.
 func updateDigest(t *testing.T, u *Update) uint64 {
 	t.Helper()
@@ -421,7 +473,13 @@ type latticeCase struct {
 	// nested, when set, is the Nested() classification the plan must get.
 	nested       *bool
 	wantRecovery bool
+	// fewCells keeps the case to the reference cell and spillCell.
+	fewCells bool
 }
+
+// spillCell is the one cell besides the reference cell a fewCells case runs
+// in.
+const spillCell = "w8_spill"
 
 // execConfig is one engine's execution parameters inside a cell.
 type execConfig struct {
@@ -671,6 +729,9 @@ func runLattice(t *testing.T, c latticeCase) uint64 {
 	want := c.want
 	sameBudget := map[int64][]*Update{}
 	for i, cell := range latticeCells() {
+		if c.fewCells && i > 0 && cell.name != spillCell {
+			continue
+		}
 		t.Run(cell.name, func(t *testing.T) {
 			if i > 0 && ref.us == nil {
 				t.Skip("the reference cell failed")
@@ -796,25 +857,23 @@ func TestExecutionLattice(t *testing.T) {
 					"# Regenerate only as a deliberate digest epoch: go test ./internal/core -run TestExecutionLattice -update\n")
 		})
 	}
-	for _, gc := range goldenCases(t) {
-		for _, trials := range []int{0, 25} {
-			key, c := gc.at(t, trials)
-			// A golden case is golden because goldenCases lists it: under
-			// -update the map is empty, and the reference cell's word is
-			// what the file gets.
-			want, ok := golden[key]
-			c.want, c.golden = want, true
-			t.Run(c.name, func(t *testing.T) {
-				t.Parallel()
-				if !*updateGolden && !ok {
-					t.Fatalf("no golden entry for %s", key)
-				}
-				word := runLattice(t, c)
-				mu.Lock()
-				got[key] = word
-				mu.Unlock()
-			})
-		}
+	for _, r := range goldenRuns(t) {
+		key, c := r.key, r.c
+		// A golden case is golden because goldenRuns lists it: under -update
+		// the map is empty, and the reference cell's word is what the file
+		// gets.
+		want, ok := golden[key]
+		c.want, c.golden = want, true
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			if !*updateGolden && !ok {
+				t.Fatalf("no golden entry for %s", key)
+			}
+			word := runLattice(t, c)
+			mu.Lock()
+			got[key] = word
+			mu.Unlock()
+		})
 	}
 	for _, c := range theorem1Cases(t) {
 		t.Run(c.name, func(t *testing.T) {

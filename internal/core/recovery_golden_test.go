@@ -30,12 +30,9 @@ func recoveryLines(key string, us []*Update) string {
 // same answer.
 func TestRecoveryTargetsGolden(t *testing.T) {
 	var cases []latticeCase
-	for _, gc := range goldenCases(t) {
-		for _, trials := range []int{0, 25} {
-			key, c := gc.at(t, trials)
-			c.name = key
-			cases = append(cases, c)
-		}
+	for _, r := range goldenRuns(t) {
+		r.c.name = r.key
+		cases = append(cases, r.c)
 	}
 	cases = append(cases, theorem1Cases(t)...)
 	var got strings.Builder
