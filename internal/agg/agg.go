@@ -468,9 +468,6 @@ type VectorSnap struct {
 	reps   []Accumulator
 }
 
-// Snapshot captures the vector's current state into a fresh VectorSnap.
-func (v *Vector) Snapshot() *VectorSnap { return v.SnapshotInto(nil) }
-
 // SnapshotInto captures state into s, reusing its slab (bank path) or
 // replicate slice when the shape matches; s may be nil. Returns the snap.
 func (v *Vector) SnapshotInto(s *VectorSnap) *VectorSnap {
@@ -495,6 +492,20 @@ func (v *Vector) SnapshotInto(s *VectorSnap) *VectorSnap {
 		s.reps[i] = r.Clone()
 	}
 	return s
+}
+
+// SnapFloats returns how many floats a snapshot of v copies into its slab: the
+// bank's length, 0 on the interface path.
+func (v *Vector) SnapFloats() int { return len(v.bank) }
+
+// SnapshotCarve captures v into s like SnapshotInto, carving the bank copy
+// off the front of slab, and returns the rest of slab: many snapshots share
+// one allocation sized by the sum of their SnapFloats.
+func (v *Vector) SnapshotCarve(s *VectorSnap, slab []float64) []float64 {
+	n := len(v.bank)
+	s.bank = slab[:n:n]
+	v.SnapshotInto(s)
+	return slab[n:]
 }
 
 // RestoreInto copies the snapshot's state into v in place — a single slab

@@ -238,7 +238,7 @@ func TestVectorMergeClone(t *testing.T) {
 	f := lookup(t, "SUM")
 	v := NewVector(f, 2)
 	v.Add(10, 1, []float64{1, 2})
-	snap := v.Snapshot().Materialize()
+	snap := v.SnapshotInto(nil).Materialize()
 	v.Add(5, 1, nil)
 	if snap.Result(1) != 10 {
 		t.Error("clone must be isolated")

@@ -96,7 +96,7 @@ func TestKernelOracleEquivalenceFuzz(t *testing.T) {
 						kv.Merge(ko)
 						ov.Merge(oo)
 					case op < 9: // a materialized snapshot must be isolated and equivalent
-						kc, oc := kv.Snapshot().Materialize(), ov.Snapshot().Materialize()
+						kc, oc := kv.SnapshotInto(nil).Materialize(), ov.SnapshotInto(nil).Materialize()
 						bitsEqual(t, ctx+" (clone)", kc, oc)
 						kc.Add(1, 1, nil)
 						bitsEqual(t, ctx+" (clone isolation)", kv, ov)

@@ -51,8 +51,8 @@ func TestVectorSnapshotRoundTrip(t *testing.T) {
 		} {
 			v := mk.make()
 			fillVector(v, 40)
-			want := v.Snapshot().Materialize()
-			snap := v.Snapshot()
+			want := v.SnapshotInto(nil).Materialize()
+			snap := v.SnapshotInto(nil)
 
 			fillVector(v, 25) // diverge past the snapshot point
 			if ok := snap.RestoreInto(v); !ok {
@@ -81,7 +81,7 @@ func TestVectorSnapshotShapeMismatch(t *testing.T) {
 	sum, _ := r.Lookup("SUM")
 	cnt, _ := r.Lookup("COUNT")
 
-	snap := NewVector(sum, 8).Snapshot()
+	snap := NewVector(sum, 8).SnapshotInto(nil)
 	if snap.RestoreInto(NewVector(cnt, 8)) {
 		t.Error("restored a SUM snap into a COUNT vector")
 	}
@@ -101,7 +101,7 @@ func TestVectorSnapshotAllocs(t *testing.T) {
 	fn, _ := r.Lookup("VAR") // widest builtin bank (3 fields)
 	v := NewVector(fn, 64)
 	fillVector(v, 50)
-	snap := v.Snapshot()
+	snap := v.SnapshotInto(nil)
 
 	if a := testing.AllocsPerRun(100, func() { v.SnapshotInto(snap) }); a != 0 {
 		t.Errorf("SnapshotInto into reused snap: %v allocs/run, want 0", a)

@@ -74,10 +74,8 @@ func (l *rowLedger) walk(e *Engine) {
 			case *delta.RowSet:
 				set("select snapshot", s)
 			case *aggSnap:
-				for link := s; link != nil; link = link.prev {
-					for _, g := range link.groups {
-						set("aggregate snapshot", &delta.RowSet{Rows: g.lazy})
-					}
+				for _, g := range s.groups {
+					set("aggregate snapshot", &delta.RowSet{Rows: g.lazy})
 				}
 			}
 		}

@@ -77,7 +77,7 @@ type opAgg struct {
 	live *aggTable
 
 	// epoch counts batches. It tags each group's scratch vectors and pending
-	// mark, so both reset lazily on the group's first touch of a batch
+	// mark, so both reset lazily on the group's first use in a batch
 	// instead of being swept (or re-allocated) every batch.
 	epoch int
 	// merges pools per-spec vector sets (*[]*agg.Vector) for reading
@@ -99,14 +99,6 @@ type opAgg struct {
 	// groupBytes is the estimated per-group sketch footprint (constant per
 	// operator), precomputed so stateBytes never allocates probe vectors.
 	groupBytes int
-
-	// Chained snapshots (DESIGN.md §6). last is the snapshot the live state
-	// was last taken into or restored from; dirty lists the groups mutated
-	// since, each once: a group is on it iff its dirtyGen is gen, and every
-	// snapshot or restore starts a new generation.
-	last  *aggSnap
-	dirty []*aggGroup
-	gen   int
 }
 
 // aggSpecC is one compiled aggregate.
@@ -131,8 +123,6 @@ type aggGroup struct {
 	support int
 	certain bool
 	emitted bool
-	// dirtyGen is the snapshot generation the group was last marked dirty in.
-	dirtyGen int
 
 	// Per-batch working values, not state — a snapshot never holds them and
 	// a restore may leave them stale, which the tags make harmless: the
@@ -162,7 +152,6 @@ func newOpAgg(t *plan.Aggregate, child operator, an *plan.Analysis, scaleExp int
 		est:      est,
 		groups:   make(map[string]*aggGroup),
 		uncInput: make(map[int]bool),
-		gen:      1,
 	}
 	for i, u := range childInfo.UncertainCols {
 		if u {
@@ -218,7 +207,6 @@ func (o *opAgg) newGroup(key string, keyVals []rel.Value) *aggGroup {
 	}
 	o.groups[key] = g
 	o.order = append(o.order, key)
-	o.touch(g)
 	o.visit(g)
 	return g
 }
@@ -228,15 +216,6 @@ func (o *opAgg) visit(g *aggGroup) {
 	if g.visitEpoch != o.epoch {
 		g.visitEpoch = o.epoch
 		o.visits = append(o.visits, g)
-	}
-}
-
-// touch marks g dirty: mutated since the last snapshot or restore, so the
-// next snapshot copies it.
-func (o *opAgg) touch(g *aggGroup) {
-	if g.dirtyGen != o.gen {
-		g.dirtyGen = o.gen
-		o.dirty = append(o.dirty, g)
 	}
 }
 
@@ -256,7 +235,7 @@ func (o *opAgg) rowGroup(vals []rel.Value) *aggGroup {
 }
 
 // scratchVec returns the group's scratch vector for one spec, resetting the
-// group's scratch on its first touch of the batch and allocating on first
+// group's scratch on its first use in the batch and allocating on first
 // use. Not concurrency-safe: only the sequential gather calls it.
 func (o *opAgg) scratchVec(g *aggGroup, si int) *agg.Vector {
 	if g.scratchEpoch != o.epoch {
@@ -348,7 +327,7 @@ type foldScratch struct {
 	val []float64
 	ok  []bool
 	rep []float64
-	// Gather output: the block's groups in first-touch order, entry
+	// Gather output: the block's groups in first-seen order, entry
 	// positions bucketed by group (ends[g] is one past group g's bucket),
 	// per-spec gathered arrays, and the runs cut from them.
 	block  int
@@ -424,7 +403,6 @@ func (o *opAgg) assignCertain(news []delta.Row) []foldEntry {
 	for j := range news {
 		r := &news[j]
 		g := o.rowGroup(r.Vals)
-		o.touch(g)
 		o.visit(g)
 		g.certain = true
 		g.support++
@@ -610,7 +588,7 @@ func (o *opAgg) gather(ents []foldEntry, scratch bool) {
 
 // ingest folds every group's runs into their vectors. Groups own distinct
 // vectors, so any schedule gives the same result; inline they fold in
-// first-touch order. On a pool a group holding more than an even per-worker
+// first-seen order. On a pool a group holding more than an even per-worker
 // share of the block cannot be balanced by placement (on skewed keys one
 // worker would inherit nearly the whole block), so its runs split the
 // replicate dimension across the pool; the rest become size-hinted tasks
@@ -738,14 +716,14 @@ func (o *opAgg) publish(bc *batchContext) output {
 	// table computed whole would be.
 	t := &aggTable{groupCols: len(o.node.GroupBy), op: o, epoch: o.epoch, scale: o.est.scale(bc.scale, o.scaleExp),
 		chunk: max(1, len(o.order)), grow: lazyChunk}
-	if prev := o.live; prev != nil {
+	if old := o.live; old != nil {
 		// Drop the last table's memos, so no group pins its slabs.
-		for _, g := range prev.done {
+		for _, g := range old.done {
 			g.pub.Store(nil)
 		}
 		t.chunk = lazyChunk
-		if prev.reads > 0 {
-			t.chunk = prev.reads
+		if old.reads > 0 {
+			t.chunk = old.reads
 		}
 	}
 	o.live = t
@@ -808,7 +786,6 @@ func (o *opAgg) publish(bc *batchContext) output {
 		// tuple-uncertain row, every batch.
 		row := delta.Row{Vals: rowVals, Mult: 1}
 		if g.certain && !hdaRecompute {
-			o.touch(g)
 			g.emitted = true
 			out.news = append(out.news, row)
 		} else {
@@ -865,7 +842,6 @@ func (o *opAgg) materialize(t *aggTable, g *aggGroup, pub *aggPub, reps []float6
 		}
 		rng := bootstrap.Full()
 		if bc != nil && g.ranges[si] != nil {
-			o.touch(g)
 			rng = o.est.observe(bc, o.pubID, g.ranges[si], val, rs)
 		} else if !sp.uncertainOut {
 			rng = bootstrap.Point(val)
@@ -1015,14 +991,13 @@ func (s *pubSlab) carve(S, B int) (*aggPub, []float64) {
 }
 
 // aggGroupSnap is one group's state in compact snapshot form: vector
-// sketches are stored as bank slabs (agg.VectorSnap), not cloned Vectors —
-// the snapshot holds one contiguous copy per sketch and restore replays it
-// into the live group's banks in place. The key and the lineage rows are
-// shared: the key never changes, and the lineage set only grows, so a
-// capacity-clamped header of it is a copy.
+// sketches are stored as bank slabs (agg.VectorSnap), not cloned Vectors, and
+// restore copies them into the live group's banks in place. The key and the
+// lineage rows are shared: the key never changes, and the lineage set only
+// grows, so a capacity-clamped header of it is a copy.
 type aggGroupSnap struct {
 	key     []rel.Value
-	sketch  []*agg.VectorSnap
+	sketch  []agg.VectorSnap
 	lazy    []delta.Row
 	ranges  []*bootstrap.Range
 	support int
@@ -1030,94 +1005,64 @@ type aggGroupSnap struct {
 	emitted bool
 }
 
-// aggSnapFullEvery bounds a snapshot chain: every aggSnapFullEvery-th
-// snapshot is a full copy, so a restore walks at most that many links and a
-// chain pins at most that many snapshots.
-const aggSnapFullEvery = 8
-
-// aggSnap is one link of a snapshot chain (DESIGN.md §6). It holds the groups
-// mutated since prev, the snapshot the state was taken or restored from,
-// and every group when it is a full copy (prev nil). A group's version at this
-// snapshot is the one in the newest link that holds it.
+// aggSnap is a copy of every group, in group order (DESIGN.md §6). A
+// snapshot is never written, so any one may be restored, any number of times.
 type aggSnap struct {
-	groups map[string]*aggGroupSnap
 	order  []string // capacity-clamped: the live order only ever appends to it
-	prev   *aggSnap
-	depth  int // links below this one
+	groups []aggGroupSnap
 }
 
+// snapshot copies every group into storage carved once per snapshot: one
+// slice each of groups, vector snapshots and ranges, and one slab for every
+// sketch bank.
 func (o *opAgg) snapshot() interface{} {
-	s := &aggSnap{order: o.order[:len(o.order):len(o.order)]}
-	if o.last == nil || o.last.depth+1 >= aggSnapFullEvery {
-		s.groups = make(map[string]*aggGroupSnap, len(o.order))
-		for _, k := range o.order {
-			s.groups[k] = snapGroup(o.groups[k])
-		}
-	} else {
-		s.prev, s.depth = o.last, o.last.depth+1
-		s.groups = make(map[string]*aggGroupSnap, len(o.dirty))
-		for _, g := range o.dirty {
-			s.groups[g.name] = snapGroup(g)
+	n, S := len(o.order), len(o.specs)
+	s := &aggSnap{order: o.order[:n:n], groups: make([]aggGroupSnap, n)}
+	floats := 0
+	for _, k := range s.order {
+		for _, v := range o.groups[k].sketch {
+			floats += v.SnapFloats()
 		}
 	}
-	o.settle(s)
+	sketches, ranges, slab := make([]agg.VectorSnap, n*S), make([]*bootstrap.Range, n*S), make([]float64, floats)
+	for i, k := range s.order {
+		g := o.groups[k]
+		gs := &s.groups[i]
+		*gs = aggGroupSnap{
+			key:     g.key,
+			sketch:  sketches[i*S : (i+1)*S : (i+1)*S],
+			lazy:    g.lazy.Rows[:len(g.lazy.Rows):len(g.lazy.Rows)],
+			ranges:  ranges[i*S : (i+1)*S : (i+1)*S],
+			support: g.support,
+			certain: g.certain,
+			emitted: g.emitted,
+		}
+		for si, v := range g.sketch {
+			slab = v.SnapshotCarve(&gs.sketch[si], slab)
+		}
+		for si, r := range g.ranges {
+			gs.ranges[si] = r.Snapshot()
+		}
+	}
 	return s
 }
 
-func snapGroup(g *aggGroup) *aggGroupSnap {
-	gs := &aggGroupSnap{
-		key:     g.key,
-		sketch:  make([]*agg.VectorSnap, len(g.sketch)),
-		lazy:    g.lazy.Rows[:len(g.lazy.Rows):len(g.lazy.Rows)],
-		ranges:  make([]*bootstrap.Range, len(g.ranges)),
-		support: g.support,
-		certain: g.certain,
-		emitted: g.emitted,
-	}
-	for i, v := range g.sketch {
-		gs.sketch[i] = v.Snapshot()
-	}
-	for i, r := range g.ranges {
-		gs.ranges[i] = r.Snapshot()
-	}
-	return gs
-}
-
-// settle records s as the snapshot the live state equals and starts a new
-// dirty generation.
-func (o *opAgg) settle(s *aggSnap) {
-	o.last = s
-	o.dirty = o.dirty[:0]
-	o.gen++
-}
-
-// restore rebuilds the state of any snapshot — the engine's newest or an
-// older one, or a shared entry's snapshot of another path — by walking its
-// chain from the newest link down, each group taken from the first link
-// that holds it. Snapshots are never written, so the same one may be
-// restored again.
+// restore rebuilds the state of any snapshot: the engine's newest or an older
+// one, or a shared entry's snapshot of another path.
 func (o *opAgg) restore(snap interface{}) {
 	s := snap.(*aggSnap)
 	old := o.groups
 	o.groups = make(map[string]*aggGroup, len(s.order))
 	o.order = s.order
-	for link := s; link != nil; link = link.prev {
-		for k, gs := range link.groups {
-			if _, newer := o.groups[k]; newer {
-				continue
-			}
-			o.groups[k] = restoreGroup(old[k], k, gs)
-		}
-	}
 	o.bound = o.bound[:0]
 	for i, k := range s.order {
-		g := o.groups[k]
+		g := restoreGroup(old[k], k, &s.groups[i])
 		g.seq = i
+		o.groups[k] = g
 		if o.binds && o.est.binding(g.support) {
 			o.bound = append(o.bound, g)
 		}
 	}
-	o.settle(s)
 }
 
 // restoreGroup writes gs into ng, the live group under the same key, reusing
@@ -1128,7 +1073,8 @@ func restoreGroup(ng *aggGroup, k string, gs *aggGroupSnap) *aggGroup {
 	}
 	ng.name, ng.key = k, gs.key
 	ng.support, ng.certain, ng.emitted = gs.support, gs.certain, gs.emitted
-	for i, vs := range gs.sketch {
+	for i := range gs.sketch {
+		vs := &gs.sketch[i]
 		if ng.sketch[i] == nil || !vs.RestoreInto(ng.sketch[i]) {
 			ng.sketch[i] = vs.Materialize()
 		}

@@ -115,10 +115,10 @@ func diffImages(want, got aggImage) string {
 // TestAggSnapshotChain drives the aggregates of one engine through a seeded
 // sequence of batches, snapshots and restores, and checks after every restore
 // that each aggregate's live groups equal a deep copy taken when the snapshot
-// was made. The sequence runs past two full copies, and restores the newest
-// snapshot, an older one, the same one twice, and snapshots of a sibling
-// branch — a merged step from an older snapshot, the way a shared
-// aggregate entry forks a path (shared.go) — in both directions.
+// was made. It restores the newest snapshot, an older one, the same one
+// twice, and snapshots of a sibling branch — a merged step from an older
+// snapshot, the way a shared aggregate entry forks a path (shared.go) — in
+// both directions, then walks a seeded mix of steps and restores.
 func TestAggSnapshotChain(t *testing.T) {
 	const n, batches, keys = 1200, 24, 300
 	db := testDB(n, 7)
@@ -225,22 +225,5 @@ func TestAggSnapshotChain(t *testing.T) {
 		}
 	}
 
-	// The chain did what it claims: full copies recur, and a chained link
-	// copies only part of the groups.
-	full, partial := 0, 0
-	for _, p := range points {
-		s := p.ops[inner].(*aggSnap)
-		if s.prev == nil {
-			full++
-		} else if len(s.groups) < len(s.order) {
-			partial++
-		}
-		if s.depth >= aggSnapFullEvery {
-			t.Fatalf("snapshot after batch %d sits %d links deep, want < %d", p.done, s.depth, aggSnapFullEvery)
-		}
-	}
-	if full < 2 || partial == 0 {
-		t.Fatalf("%d full copies and %d partial links in %d snapshots, want >= 2 and > 0", full, partial, len(points))
-	}
-	t.Logf("%d snapshots (%d full, %d partial), %d restores", len(points), full, partial, restores)
+	t.Logf("%d snapshots, %d restores", len(points), restores)
 }
