@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"iolap/internal/bootstrap"
 	"iolap/internal/exec"
 )
 
@@ -140,4 +141,67 @@ func TestEngineAllocBytesPerTuple(t *testing.T) {
 	if got > bound {
 		t.Errorf("nested_few_read: %.0f bytes/tuple, want <= %v", got, bound)
 	}
+}
+
+// TestAggSnapshotAllocs bounds what one aggregate snapshot allocates: its
+// storage is carved once per snapshot (DESIGN.md §6 "Aggregate snapshots"),
+// so besides each range's own Range.Snapshot it allocates a constant number
+// of times, whatever the group count. The inner aggregate of the correlated
+// query holds G groups of ten rows, every one's range bound and observed by
+// the last step. Each run snapshots an operator of its own right after that
+// step, as the engine's next step would.
+func TestAggSnapshotAllocs(t *testing.T) {
+	const perSnapshot = 5 // the snapshot, its groups, vector snapshots, ranges and bank slab
+	const runs = 4
+	for _, groups := range []int{50, 400} {
+		aggs := make([]*opAgg, runs+1) // AllocsPerRun runs f once more to warm up
+		for i := range aggs {
+			aggs[i] = boundInnerAgg(t, groups)
+		}
+		ranges := testing.AllocsPerRun(runs, func() {
+			for _, g := range aggs[0].groups {
+				for _, r := range g.ranges {
+					rangeSink = r.Snapshot()
+				}
+			}
+		})
+		next := 0
+		got := testing.AllocsPerRun(runs, func() {
+			aggs[next].snapshot()
+			next++
+		})
+		t.Logf("%d groups: %.0f allocs per snapshot, %.0f of them the ranges'", groups, got, ranges)
+		if got > ranges+perSnapshot {
+			t.Errorf("%d groups: %.0f allocs per snapshot, want <= %.0f (the ranges' %.0f + %d)",
+				groups, got, ranges+perSnapshot, ranges, perSnapshot)
+		}
+	}
+}
+
+// rangeSink keeps a range snapshot on the heap, as a snapshot keeps it.
+var rangeSink *bootstrap.Range
+
+// boundInnerAgg runs the correlated query over groups inner groups of ten
+// rows whose ranges bind at four, and returns its inner aggregate.
+func boundInnerAgg(t *testing.T, groups int) *opAgg {
+	t.Helper()
+	db := testDB(10*groups, 42)
+	rekeyCDN(db, groups)
+	eng, err := NewEngine(planQuery(t, theoremQuery(t, "nested_correlated")), db,
+		Options{Batches: 4, Trials: 10, Seed: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	eng.setRangeSupport(4)
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range eng.comp.ops {
+		if a, ok := op.(*opAgg); ok && len(a.node.GroupBy) > 0 && len(a.bound) == groups {
+			return a
+		}
+	}
+	t.Fatalf("no inner aggregate with %d bound groups", groups)
+	return nil
 }
