@@ -310,11 +310,22 @@ func (e *Engine) newBatchContext(deltaRows *rel.Relation, seenAfter int, replay 
 
 // mergeDeltas concatenates the deltas of batches (from, to] (1-based).
 func (e *Engine) mergeDeltas(from, to int) *rel.Relation {
-	out := rel.NewRelation(e.deltas[0].Schema)
-	for b := from + 1; b <= to; b++ {
-		out.Tuples = append(out.Tuples, e.deltas[b-1].Tuples...)
+	merged, _ := mergeRange(e.deltas, from, to)
+	return merged
+}
+
+// mergeRange concatenates batches (from, to] (1-based) of the schedule
+// deltas, the merged delta of a step or a §5.1 replay, and counts seen, the
+// rows of batches (0, to].
+func mergeRange(deltas []*rel.Relation, from, to int) (merged *rel.Relation, seen int) {
+	merged = rel.NewRelation(deltas[0].Schema)
+	for b := 1; b <= to; b++ {
+		seen += deltas[b-1].Len()
+		if b > from {
+			merged.Tuples = append(merged.Tuples, deltas[b-1].Tuples...)
+		}
 	}
-	return out
+	return merged, seen
 }
 
 // Step processes the next mini-batch and returns the refined partial

@@ -265,15 +265,7 @@ func (en *sharedAggEntry) stepRange(path string, from, to int) (*sharedStepResul
 		}
 		en.cur = path
 	}
-	merged := rel.NewRelation(en.deltas[0].Schema)
-	seen := 0
-	for b := 1; b <= to; b++ {
-		n := en.deltas[b-1].Len()
-		seen += n
-		if b > from {
-			merged.Tuples = append(merged.Tuples, en.deltas[b-1].Tuples...)
-		}
-	}
+	merged, seen := mergeRange(en.deltas, from, to)
 	// A bare context (no workers, metrics or columnar filter): the step runs
 	// under en.mu on behalf of every holding session, so it borrows no
 	// session's workers, books no traffic on any session's metrics, and takes
