@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -78,6 +79,8 @@ var (
 	// the type exported or not.
 	citedPkgIdent  = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
 	citedTypeIdent = regexp.MustCompile(`(?:^|[^\w.])([A-Za-z]\w*)\.([A-Za-z_]\w*)`)
+	// A test or fuzz target, or a wildcard over their names (TestTheorem1*).
+	citedTest = regexp.MustCompile(`\b((?:Test|Fuzz)[A-Z0-9_]\w*)(\*?)`)
 )
 
 // pkgDecls maps a package's top-level identifiers to their members: the
@@ -154,12 +157,46 @@ func parseDecls(t *testing.T, dir string) pkgDecls {
 	return d
 }
 
+// declaredTests lists the Test and Fuzz functions of every _test.go file in
+// the repository, bench/ included.
+func declaredTests(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && citedTest.MatchString(fn.Name.Name) {
+				names = append(names, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
 // TestDocsCiteExistingIdentifiers: inside a code span of the docs, a
 // `pkg.Name` whose pkg is a directory under internal/ must be an identifier
 // that package declares, a `pkg.Type.Member` must also be a method or field
-// of that type, and a bare `Type.Member` whose Type an internal package (or
-// the root package) declares must be a member of it in at least one of them —
-// so a deleted function, method or field cannot stay cited as if it existed.
+// of that type, a bare `Type.Member` whose Type an internal package (or the
+// root package) declares must be a member of it in at least one of them, and
+// a `TestName` or `FuzzName` must be declared in some _test.go file (a
+// `TestName*` must prefix one) — so a deleted function, method, field or
+// test cannot stay cited as if it existed.
 func TestDocsCiteExistingIdentifiers(t *testing.T) {
 	dirs, err := os.ReadDir("internal")
 	if err != nil {
@@ -175,6 +212,7 @@ func TestDocsCiteExistingIdentifiers(t *testing.T) {
 	for _, d := range internal {
 		all = append(all, d)
 	}
+	tests := declaredTests(t)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -205,6 +243,12 @@ func TestDocsCiteExistingIdentifiers(t *testing.T) {
 				}
 				if declared && !found {
 					t.Errorf("%s cites `%s.%s`, but no package's %s has such a method or field", doc, typ, member, typ)
+				}
+			}
+			for _, m := range citedTest.FindAllStringSubmatch(span, -1) {
+				name, wild := m[1], m[2] == "*"
+				if !slices.ContainsFunc(tests, func(d string) bool { return d == name || wild && strings.HasPrefix(d, name) }) {
+					t.Errorf("%s cites `%s%s`, which no _test.go file declares", doc, name, m[2])
 				}
 			}
 		}
