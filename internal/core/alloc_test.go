@@ -95,7 +95,7 @@ func TestEngineAllocsPerTupleSteadyState(t *testing.T) {
 		// Phase B: pending rows re-folded into scratch vectors every batch.
 		// Re-pinned when state began sharing rows (no ND-set, lineage or
 		// snapshot clones): measured ×1.1. Its allocations are the pending
-		// ND-set rows, not snapshots, so chained snapshots do not move it.
+		// ND-set rows, not snapshots.
 		{"nested_correlated", theoremQuery(t, "nested_correlated"), nil, [2]float64{3.40, 3.70}}, // measured: 3.088, 3.360,
 		// 1,500 groups of 1-2 rows per 2,000-row batch, all created by the
 		// warm-up batch. Re-pinned when publish carved its table from

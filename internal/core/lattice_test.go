@@ -830,11 +830,12 @@ func runLattice(t *testing.T, c latticeCase) uint64 {
 
 // TestExecutionLattice is the one statement of "every configuration gives
 // the same answer". Every case runs in every cell (latticeCells: Workers,
-// NoVectorize, StateBudgetBytes, and two engines sharing a share.Cache) and
-// every cell must land on the case's reference: the word pinned in
-// testdata/trajectory.golden for the golden cases, which was generated at a
-// commit that predates the code under test, or the reference cell's own word
-// for the Theorem-1 cases. Every cell's Update fields must equal the
+// NoVectorize, StateBudgetBytes, and two engines sharing a share.Cache),
+// except goldenRuns' slack runs, which keep to the reference cell and
+// spillCell, and every cell must land on the case's reference: the word
+// pinned in testdata/trajectory.golden for the golden cases, which was
+// generated at a commit that predates the code under test, or the reference
+// cell's own word for the Theorem-1 cases. Every cell's Update fields must equal the
 // reference cell's except those its axis may change, and the reference cell
 // is checked against the exact oracle on every batch.
 //
